@@ -33,6 +33,7 @@ fn main() {
                 &mut globals,
                 &pool,
                 &mut scratch,
+                gc_tir::ExecOptions::default(),
             );
         }
         let n = 2000;
@@ -46,6 +47,7 @@ fn main() {
                     &mut globals,
                     &pool,
                     &mut scratch,
+                    gc_tir::ExecOptions::default(),
                 );
             }
             let per = t0.elapsed() / n;

@@ -29,7 +29,7 @@ use gc_tir::passes::{
     reuse_module_scratch, shrink_locals, validate_func, validate_module,
 };
 use gc_tir::{
-    BufDecl, BufId, Call, Expr, Func, GlobalDecl, GlobalKind, Intrinsic, Module, Stmt, View,
+    BufDecl, BufId, Call, Expr, Func, GlobalDecl, GlobalKind, Intrinsic, Module, Op, Operand, Stmt,
 };
 use std::collections::HashMap;
 use std::fmt;
@@ -506,28 +506,31 @@ impl Builder<'_> {
         };
         let kt = f.fresh_var();
         let nt = f.fresh_var();
-        f.body.push(Stmt::Op(Intrinsic::ZeroI32 {
-            dst: View::new(BufId::Param(1), 0usize, n_pad),
-        }));
+        f.body.push(Stmt::Op(Intrinsic::new(
+            Op::ZeroI32 { len: n_pad },
+            [Operand::new(BufId::Param(1), 0usize)],
+            [],
+        )));
         f.body.push(Stmt::loop_(
             kt,
             k_tiles,
             vec![Stmt::loop_(
                 nt,
                 n_tiles,
-                vec![Stmt::Op(Intrinsic::CompAccumulate {
-                    b_tile: View::new(
-                        BufId::Param(0),
-                        Expr::v(kt)
-                            .mul(Expr::from(n_tiles))
-                            .add(Expr::v(nt))
-                            .mul(Expr::from(nb * kb)),
-                        nb * kb,
-                    ),
-                    comp: View::new(BufId::Param(1), Expr::v(nt).mul(Expr::from(nb)), nb),
-                    nb,
-                    kb,
-                })],
+                vec![Stmt::Op(Intrinsic::new(
+                    Op::CompAccumulate { nb, kb },
+                    [
+                        Operand::new(
+                            BufId::Param(0),
+                            Expr::v(kt)
+                                .mul(Expr::from(n_tiles))
+                                .add(Expr::v(nt))
+                                .mul(Expr::from(nb * kb)),
+                        ),
+                        Operand::new(BufId::Param(1), Expr::v(nt).mul(Expr::from(nb))),
+                    ],
+                    [],
+                ))],
             )],
         ));
         let fi = self.module.add_func(f);
@@ -1224,9 +1227,15 @@ fn remap_stmt(s: Stmt, param_map: &[BufId], local_off: usize, var_off: usize) ->
                 .map(|b| remap_stmt(b, param_map, local_off, var_off))
                 .collect(),
         },
-        Stmt::Op(i) => {
-            let i = gc_tir::visit::map_intrinsic_exprs(i, &|e| shift_vars(e, var_off));
-            Stmt::Op(remap_bufs(i, param_map, local_off))
+        Stmt::Op(mut i) => {
+            i.map_exprs(|e| shift_vars(e, var_off));
+            for o in &mut i.operands {
+                o.buf = match o.buf {
+                    BufId::Param(p) => param_map[p],
+                    BufId::Local(l) => BufId::Local(l + local_off),
+                };
+            }
+            Stmt::Op(i)
         }
     }
 }
@@ -1239,325 +1248,5 @@ fn shift_vars(e: &Expr, off: usize) -> Expr {
         Expr::Mul(a, b) => Expr::Mul(Box::new(shift_vars(a, off)), Box::new(shift_vars(b, off))),
         Expr::Div(a, b) => Expr::Div(Box::new(shift_vars(a, off)), Box::new(shift_vars(b, off))),
         Expr::Rem(a, b) => Expr::Rem(Box::new(shift_vars(a, off)), Box::new(shift_vars(b, off))),
-    }
-}
-
-fn remap_bufs(i: Intrinsic, param_map: &[BufId], local_off: usize) -> Intrinsic {
-    let mb = |b: BufId| match b {
-        BufId::Param(p) => param_map[p],
-        BufId::Local(l) => BufId::Local(l + local_off),
-    };
-    map_intrinsic_bufs(i, &mb)
-}
-
-/// Map every buffer reference of an intrinsic.
-pub(crate) fn map_intrinsic_bufs(i: Intrinsic, f: &impl Fn(BufId) -> BufId) -> Intrinsic {
-    use Intrinsic as I;
-    let mv = |v: View| View {
-        buf: f(v.buf),
-        offset: v.offset,
-        len: v.len,
-    };
-    match i {
-        I::BrgemmF32 {
-            a,
-            a_stride,
-            b,
-            b_stride,
-            c,
-            m,
-            n,
-            k,
-            batch,
-        } => I::BrgemmF32 {
-            a: mv(a),
-            a_stride,
-            b: mv(b),
-            b_stride,
-            c: mv(c),
-            m,
-            n,
-            k,
-            batch,
-        },
-        I::BrgemmU8I8 {
-            a,
-            a_stride,
-            b,
-            b_stride,
-            c,
-            m,
-            n,
-            k,
-            batch,
-        } => I::BrgemmU8I8 {
-            a: mv(a),
-            a_stride,
-            b: mv(b),
-            b_stride,
-            c: mv(c),
-            m,
-            n,
-            k,
-            batch,
-        },
-        I::FillF32 { dst, value } => I::FillF32 {
-            dst: mv(dst),
-            value,
-        },
-        I::ZeroI32 { dst } => I::ZeroI32 { dst: mv(dst) },
-        I::Pack2D {
-            src,
-            src_offset,
-            src_row_stride,
-            src_col_stride,
-            dst,
-            rows,
-            cols,
-        } => I::Pack2D {
-            src: f(src),
-            src_offset,
-            src_row_stride,
-            src_col_stride,
-            dst: mv(dst),
-            rows,
-            cols,
-        },
-        I::Unpack2D {
-            src,
-            dst,
-            dst_offset,
-            dst_row_stride,
-            dst_col_stride,
-            rows,
-            cols,
-        } => I::Unpack2D {
-            src: mv(src),
-            dst: f(dst),
-            dst_offset,
-            dst_row_stride,
-            dst_col_stride,
-            rows,
-            cols,
-        },
-        I::Pack2DPad {
-            src,
-            src_offset,
-            src_row_stride,
-            src_col_stride,
-            dst,
-            rows,
-            cols,
-            row_clamp,
-            col_clamp,
-        } => I::Pack2DPad {
-            src: f(src),
-            src_offset,
-            src_row_stride,
-            src_col_stride,
-            dst: mv(dst),
-            rows,
-            cols,
-            row_clamp,
-            col_clamp,
-        },
-        I::Unpack2DClamp {
-            src,
-            dst,
-            dst_offset,
-            dst_row_stride,
-            dst_col_stride,
-            rows,
-            cols,
-            row_clamp,
-            col_clamp,
-        } => I::Unpack2DClamp {
-            src: mv(src),
-            dst: f(dst),
-            dst_offset,
-            dst_row_stride,
-            dst_col_stride,
-            rows,
-            cols,
-            row_clamp,
-            col_clamp,
-        },
-        I::BrgemmF32Tail {
-            a,
-            a_stride,
-            b,
-            b_stride,
-            c,
-            m,
-            n,
-            k,
-            batch,
-            m_clamp,
-        } => I::BrgemmF32Tail {
-            a: mv(a),
-            a_stride,
-            b: mv(b),
-            b_stride,
-            c: mv(c),
-            m,
-            n,
-            k,
-            batch,
-            m_clamp,
-        },
-        I::BrgemmU8I8Tail {
-            a,
-            a_stride,
-            b,
-            b_stride,
-            c,
-            m,
-            n,
-            k,
-            batch,
-            m_clamp,
-        } => I::BrgemmU8I8Tail {
-            a: mv(a),
-            a_stride,
-            b: mv(b),
-            b_stride,
-            c: mv(c),
-            m,
-            n,
-            k,
-            batch,
-            m_clamp,
-        },
-        I::Unary { op, src, dst } => I::Unary {
-            op,
-            src: mv(src),
-            dst: mv(dst),
-        },
-        I::Binary { op, a, b, dst } => I::Binary {
-            op,
-            a: mv(a),
-            b: mv(b),
-            dst: mv(dst),
-        },
-        I::BinaryScalar { op, a, scalar, dst } => I::BinaryScalar {
-            op,
-            a: mv(a),
-            scalar,
-            dst: mv(dst),
-        },
-        I::BinaryRowBcast {
-            op,
-            a,
-            b,
-            dst,
-            rows,
-            cols,
-        } => I::BinaryRowBcast {
-            op,
-            a: mv(a),
-            b: mv(b),
-            dst: mv(dst),
-            rows,
-            cols,
-        },
-        I::BinaryColBcast {
-            op,
-            a,
-            b,
-            dst,
-            rows,
-            cols,
-        } => I::BinaryColBcast {
-            op,
-            a: mv(a),
-            b: mv(b),
-            dst: mv(dst),
-            rows,
-            cols,
-        },
-        I::ReduceRows {
-            op,
-            src,
-            acc,
-            rows,
-            cols,
-            accumulate,
-        } => I::ReduceRows {
-            op,
-            src: mv(src),
-            acc: mv(acc),
-            rows,
-            cols,
-            accumulate,
-        },
-        I::DequantAcc {
-            acc,
-            comp,
-            a_zero,
-            scale,
-            bias,
-            dst,
-            rows,
-            cols,
-        } => I::DequantAcc {
-            acc: mv(acc),
-            comp: mv(comp),
-            a_zero,
-            scale,
-            bias: bias.map(mv),
-            dst: mv(dst),
-            rows,
-            cols,
-        },
-        I::QuantU8 {
-            src,
-            dst,
-            scale,
-            zero_point,
-        } => I::QuantU8 {
-            src: mv(src),
-            dst: mv(dst),
-            scale,
-            zero_point,
-        },
-        I::DequantU8 {
-            src,
-            dst,
-            scale,
-            zero_point,
-        } => I::DequantU8 {
-            src: mv(src),
-            dst: mv(dst),
-            scale,
-            zero_point,
-        },
-        I::DequantI8 { src, dst, scale } => I::DequantI8 {
-            src: mv(src),
-            dst: mv(dst),
-            scale,
-        },
-        I::CompAccumulate {
-            b_tile,
-            comp,
-            nb,
-            kb,
-        } => I::CompAccumulate {
-            b_tile: mv(b_tile),
-            comp: mv(comp),
-            nb,
-            kb,
-        },
-        I::CastI32F32 { src, dst } => I::CastI32F32 {
-            src: mv(src),
-            dst: mv(dst),
-        },
-        I::AddF32 { src, dst } => I::AddF32 {
-            src: mv(src),
-            dst: mv(dst),
-        },
-        I::AddI32 { src, dst } => I::AddI32 {
-            src: mv(src),
-            dst: mv(dst),
-        },
     }
 }

@@ -9,7 +9,8 @@
 use gc_graph::{BinaryKind, OpKind, ReduceKind, UnaryKind};
 use gc_microkernel::{BinaryOp, UnaryOp};
 use gc_tensor::{DataType, Layout, TensorDesc};
-use gc_tir::{AxisClamp, BufDecl, BufId, Expr, Func, Intrinsic, ReduceOp, Stmt, View};
+use gc_tir::ir::Copy2D;
+use gc_tir::{BufDecl, BufId, Expr, Func, Intrinsic, Op, Operand, ReduceOp, Stmt, View};
 
 /// Map graph unary kinds to microkernel ops.
 pub fn unary_op(k: UnaryKind) -> UnaryOp {
@@ -42,7 +43,7 @@ fn chunked_elementwise(
     in_dtype: DataType,
     out_dtype: DataType,
     elems: usize,
-    body: impl Fn(View, View) -> Intrinsic,
+    op: impl Fn(usize) -> Op,
 ) -> Func {
     let mut f = Func {
         name: name.to_string(),
@@ -62,15 +63,23 @@ fn chunked_elementwise(
     f.body.push(Stmt::parallel(
         v,
         chunks,
-        vec![Stmt::Op(body(
-            View::new(BufId::Param(0), Expr::v(v).mul(Expr::from(chunk)), chunk),
-            View::new(BufId::Param(1), Expr::v(v).mul(Expr::from(chunk)), chunk),
+        vec![Stmt::Op(Intrinsic::new(
+            op(chunk),
+            [
+                Operand::new(BufId::Param(0), Expr::v(v).mul(Expr::from(chunk))),
+                Operand::new(BufId::Param(1), Expr::v(v).mul(Expr::from(chunk))),
+            ],
+            [],
         ))],
     ));
     if tail > 0 {
-        f.body.push(Stmt::Op(body(
-            View::new(BufId::Param(0), Expr::from(chunks * chunk), tail),
-            View::new(BufId::Param(1), Expr::from(chunks * chunk), tail),
+        f.body.push(Stmt::Op(Intrinsic::new(
+            op(tail),
+            [
+                Operand::new(BufId::Param(0), chunks * chunk),
+                Operand::new(BufId::Param(1), chunks * chunk),
+            ],
+            [],
         )));
     }
     f
@@ -95,65 +104,43 @@ pub fn lower_standalone(
     match kind {
         OpKind::Unary(u) => {
             let op = unary_op(*u);
-            chunked_elementwise(
-                name,
-                DataType::F32,
-                DataType::F32,
-                output.volume(),
-                |s, d| Intrinsic::Unary { op, src: s, dst: d },
-            )
+            chunked_elementwise(name, DataType::F32, DataType::F32, output.volume(), |len| {
+                Op::Unary { op, len }
+            })
         }
         OpKind::TypeCast { to: DataType::F32 } if inputs[0].dtype() == DataType::I32 => {
-            chunked_elementwise(
-                name,
-                DataType::I32,
-                DataType::F32,
-                output.volume(),
-                |s, d| Intrinsic::CastI32F32 { src: s, dst: d },
-            )
+            chunked_elementwise(name, DataType::I32, DataType::F32, output.volume(), |len| {
+                Op::CastI32F32 { len }
+            })
         }
         OpKind::Quantize { dtype, params } => {
             assert_eq!(*dtype, DataType::U8, "standalone quantize targets u8");
             let (scale, zp) = (params.scale, params.zero_point);
-            chunked_elementwise(
-                name,
-                DataType::F32,
-                DataType::U8,
-                output.volume(),
-                |s, d| Intrinsic::QuantU8 {
-                    src: s,
-                    dst: d,
+            chunked_elementwise(name, DataType::F32, DataType::U8, output.volume(), |len| {
+                Op::QuantU8 {
+                    len,
                     scale,
                     zero_point: zp,
-                },
-            )
+                }
+            })
         }
         OpKind::Dequantize { params } => {
             let (scale, zp) = (params.scale, params.zero_point);
             match inputs[0].dtype() {
-                DataType::U8 => chunked_elementwise(
-                    name,
-                    DataType::U8,
-                    DataType::F32,
-                    output.volume(),
-                    |s, d| Intrinsic::DequantU8 {
-                        src: s,
-                        dst: d,
-                        scale,
-                        zero_point: zp,
-                    },
-                ),
-                DataType::I8 => chunked_elementwise(
-                    name,
-                    DataType::I8,
-                    DataType::F32,
-                    output.volume(),
-                    |s, d| Intrinsic::DequantI8 {
-                        src: s,
-                        dst: d,
-                        scale,
-                    },
-                ),
+                DataType::U8 => {
+                    chunked_elementwise(name, DataType::U8, DataType::F32, output.volume(), |len| {
+                        Op::DequantU8 {
+                            len,
+                            scale,
+                            zero_point: zp,
+                        }
+                    })
+                }
+                DataType::I8 => {
+                    chunked_elementwise(name, DataType::I8, DataType::F32, output.volume(), |len| {
+                        Op::DequantI8 { len, scale }
+                    })
+                }
                 other => panic!("dequantize of {other}"),
             }
         }
@@ -177,42 +164,39 @@ pub fn lower_standalone(
                 body: vec![],
             };
             let v = f.fresh_var();
+            let reduce = |rows| Op::ReduceRows {
+                op,
+                rows,
+                cols,
+                accumulate: false,
+            };
             let row_block = 8.min(rows);
             let blocks = rows / row_block;
             f.body.push(Stmt::parallel(
                 v,
                 blocks,
-                vec![Stmt::Op(Intrinsic::ReduceRows {
-                    op,
-                    src: View::new(
-                        BufId::Param(0),
-                        Expr::v(v).mul(Expr::from(row_block * cols)),
-                        row_block * cols,
-                    ),
-                    acc: View::new(
-                        BufId::Param(1),
-                        Expr::v(v).mul(Expr::from(row_block)),
-                        row_block,
-                    ),
-                    rows: row_block,
-                    cols,
-                    accumulate: false,
-                })],
+                vec![Stmt::Op(Intrinsic::new(
+                    reduce(row_block),
+                    [
+                        Operand::new(
+                            BufId::Param(0),
+                            Expr::v(v).mul(Expr::from(row_block * cols)),
+                        ),
+                        Operand::new(BufId::Param(1), Expr::v(v).mul(Expr::from(row_block))),
+                    ],
+                    [],
+                ))],
             ));
             let tail = rows % row_block;
             if tail > 0 {
-                f.body.push(Stmt::Op(Intrinsic::ReduceRows {
-                    op,
-                    src: View::new(
-                        BufId::Param(0),
-                        Expr::from(blocks * row_block * cols),
-                        tail * cols,
-                    ),
-                    acc: View::new(BufId::Param(1), Expr::from(blocks * row_block), tail),
-                    rows: tail,
-                    cols,
-                    accumulate: false,
-                }));
+                f.body.push(Stmt::Op(Intrinsic::new(
+                    reduce(tail),
+                    [
+                        Operand::new(BufId::Param(0), blocks * row_block * cols),
+                        Operand::new(BufId::Param(1), blocks * row_block),
+                    ],
+                    [],
+                )));
             }
             f
         }
@@ -237,13 +221,8 @@ fn lower_standalone_binary(
     let rows = out_elems / cols.max(1);
 
     if let Some(s) = scalar_rhs {
-        return chunked_elementwise(name, DataType::F32, DataType::F32, out_elems, |sv, d| {
-            Intrinsic::BinaryScalar {
-                op,
-                a: sv,
-                scalar: s,
-                dst: d,
-            }
+        return chunked_elementwise(name, DataType::F32, DataType::F32, out_elems, |len| {
+            Op::BinaryScalar { op, scalar: s, len }
         });
     }
 
@@ -259,6 +238,16 @@ fn lower_standalone_binary(
         body: vec![],
     };
     let v = f.fresh_var();
+    // one row of lhs/out per iteration; `b` is the rhs operand's offset
+    let row = |p| Operand::new(BufId::Param(p), Expr::v(v).mul(Expr::from(cols)));
+    let per_row = |op: Op, b: Expr| {
+        Stmt::Op(Intrinsic::new(
+            op,
+            [row(0), Operand::new(BufId::Param(1), b), row(2)],
+            [],
+        ))
+    };
+    let row_bcast = Op::BinaryRowBcast { op, rows: 1, cols };
 
     if rhs.volume() == out_elems && rhs.shape() == lhs_shape {
         // same shape: flat chunks
@@ -266,12 +255,11 @@ fn lower_standalone_binary(
         f.body.push(Stmt::parallel(
             v,
             rows,
-            vec![Stmt::Op(Intrinsic::Binary {
-                op,
-                a: View::new(BufId::Param(0), Expr::v(v).mul(Expr::from(chunk)), chunk),
-                b: View::new(BufId::Param(1), Expr::v(v).mul(Expr::from(chunk)), chunk),
-                dst: View::new(BufId::Param(2), Expr::v(v).mul(Expr::from(chunk)), chunk),
-            })],
+            vec![Stmt::Op(Intrinsic::new(
+                Op::Binary { op, len: chunk },
+                [0, 1, 2].map(|p| Operand::new(BufId::Param(p), Expr::v(v).mul(Expr::from(chunk)))),
+                [],
+            ))],
         ));
         return f;
     }
@@ -280,14 +268,7 @@ fn lower_standalone_binary(
         f.body.push(Stmt::parallel(
             v,
             rows,
-            vec![Stmt::Op(Intrinsic::BinaryRowBcast {
-                op,
-                a: View::new(BufId::Param(0), Expr::v(v).mul(Expr::from(cols)), cols),
-                b: View::new(BufId::Param(1), 0usize, cols),
-                dst: View::new(BufId::Param(2), Expr::v(v).mul(Expr::from(cols)), cols),
-                rows: 1,
-                cols,
-            })],
+            vec![per_row(row_bcast, Expr::c(0))],
         ));
         return f;
     }
@@ -304,18 +285,8 @@ fn lower_standalone_binary(
         if vecs * m_rows == rows {
             let b_off =
                 Expr::Div(Box::new(Expr::v(v)), Box::new(Expr::from(m_rows))).mul(Expr::from(cols));
-            f.body.push(Stmt::parallel(
-                v,
-                rows,
-                vec![Stmt::Op(Intrinsic::BinaryRowBcast {
-                    op,
-                    a: View::new(BufId::Param(0), Expr::v(v).mul(Expr::from(cols)), cols),
-                    b: View::new(BufId::Param(1), b_off, cols),
-                    dst: View::new(BufId::Param(2), Expr::v(v).mul(Expr::from(cols)), cols),
-                    rows: 1,
-                    cols,
-                })],
-            ));
+            f.body
+                .push(Stmt::parallel(v, rows, vec![per_row(row_bcast, b_off)]));
             return f;
         }
     }
@@ -324,14 +295,10 @@ fn lower_standalone_binary(
         f.body.push(Stmt::parallel(
             v,
             rows,
-            vec![Stmt::Op(Intrinsic::BinaryColBcast {
-                op,
-                a: View::new(BufId::Param(0), Expr::v(v).mul(Expr::from(cols)), cols),
-                b: View::new(BufId::Param(1), Expr::v(v), 1),
-                dst: View::new(BufId::Param(2), Expr::v(v).mul(Expr::from(cols)), cols),
-                rows: 1,
-                cols,
-            })],
+            vec![per_row(
+                Op::BinaryColBcast { op, rows: 1, cols },
+                Expr::v(v),
+            )],
         ));
         return f;
     }
@@ -415,15 +382,16 @@ pub fn lower_reorder(input: &TensorDesc, target: &Layout, name: &str) -> Func {
                         .mul(Expr::from(rb * cb)),
                     rb * cb,
                 );
-                Intrinsic::Pack2D {
-                    src: BufId::Param(0),
-                    src_offset: src_off,
-                    src_row_stride: cols_dim,
-                    src_col_stride: 1,
-                    dst,
-                    rows: rb,
-                    cols: cb,
-                }
+                Intrinsic::new(
+                    Op::Pack2D(Copy2D {
+                        rows: rb,
+                        cols: cb,
+                        row_stride: cols_dim,
+                        col_stride: 1,
+                    }),
+                    [Operand::new(BufId::Param(0), src_off), dst.into()],
+                    [],
+                )
             } else {
                 // weight layout: outer [K/KB, N/NB], tile [NB, KB]
                 // inner indexes (kt * n_tiles + nt)
@@ -437,37 +405,36 @@ pub fn lower_reorder(input: &TensorDesc, target: &Layout, name: &str) -> Func {
                         .mul(Expr::from(rb * cb)),
                     rb * cb,
                 );
+                // dst[r=n][c=k] = src[(kt*KB + c)*N + nt*NB + r]
+                let g = Copy2D {
+                    rows: cb,
+                    cols: rb,
+                    row_stride: 1,
+                    col_stride: cols_dim,
+                };
+                let batch_off = Expr::v(tvar).mul(Expr::from(rows_dim * cols_dim));
                 if ragged {
                     // pack-time padding: edge tiles zero-fill the
                     // out-of-range region so the matmul's steady-state
                     // loops only see whole [NB, KB] tiles
-                    Intrinsic::Pack2DPad {
-                        src: BufId::Param(0),
-                        src_offset: Expr::v(tvar).mul(Expr::from(rows_dim * cols_dim)),
-                        // dst[r=n][c=k] = src[(kt*KB + c)*N + nt*NB + r]
-                        src_row_stride: 1,
-                        src_col_stride: cols_dim,
-                        dst,
-                        rows: cb,
-                        cols: rb,
-                        row_clamp: AxisClamp::new(nt.mul(Expr::from(cb)), cols_dim),
-                        col_clamp: AxisClamp::new(kt.mul(Expr::from(rb)), rows_dim),
-                    }
+                    Intrinsic::new(
+                        Op::Pack2DPad {
+                            g,
+                            row_logical: cols_dim,
+                            col_logical: rows_dim,
+                        },
+                        [Operand::new(BufId::Param(0), batch_off), dst.into()],
+                        [nt.mul(Expr::from(cb)), kt.mul(Expr::from(rb))],
+                    )
                 } else {
-                    let src_off = Expr::v(tvar)
-                        .mul(Expr::from(rows_dim * cols_dim))
+                    let src_off = batch_off
                         .add(kt.mul(Expr::from(rb * cols_dim)))
                         .add(nt.mul(Expr::from(cb)));
-                    Intrinsic::Pack2D {
-                        src: BufId::Param(0),
-                        src_offset: src_off,
-                        // dst[r=n][c=k] = src[(kt*KB + c)*N + nt*NB + r]
-                        src_row_stride: 1,
-                        src_col_stride: cols_dim,
-                        dst,
-                        rows: cb,
-                        cols: rb,
-                    }
+                    Intrinsic::new(
+                        Op::Pack2D(g),
+                        [Operand::new(BufId::Param(0), src_off), dst.into()],
+                        [],
+                    )
                 }
             };
             f.body.push(Stmt::parallel(
@@ -503,15 +470,16 @@ pub fn lower_reorder(input: &TensorDesc, target: &Layout, name: &str) -> Func {
                 vec![Stmt::loop_(
                     inner,
                     r_tiles * c_tiles,
-                    vec![Stmt::Op(Intrinsic::Unpack2D {
-                        src,
-                        dst: BufId::Param(1),
-                        dst_offset: dst_off,
-                        dst_row_stride: cols_dim,
-                        dst_col_stride: 1,
-                        rows: rb,
-                        cols: cb,
-                    })],
+                    vec![Stmt::Op(Intrinsic::new(
+                        Op::Unpack2D(Copy2D {
+                            rows: rb,
+                            cols: cb,
+                            row_stride: cols_dim,
+                            col_stride: 1,
+                        }),
+                        [src.into(), Operand::new(BufId::Param(1), dst_off)],
+                        [],
+                    ))],
                 )],
             ));
         }
@@ -566,19 +534,16 @@ pub fn lower_transpose(input: &TensorDesc, name: &str) -> Func {
     f.body.push(Stmt::parallel(
         v,
         batch,
-        vec![Stmt::Op(Intrinsic::Pack2D {
-            src: BufId::Param(0),
-            src_offset: Expr::v(v).mul(Expr::from(rows * cols)),
-            src_row_stride: 1,
-            src_col_stride: cols,
-            dst: View::new(
-                BufId::Param(1),
-                Expr::v(v).mul(Expr::from(rows * cols)),
-                rows * cols,
-            ),
-            rows: cols,
-            cols: rows,
-        })],
+        vec![Stmt::Op(Intrinsic::new(
+            Op::Pack2D(Copy2D {
+                rows: cols,
+                cols: rows,
+                row_stride: 1,
+                col_stride: cols,
+            }),
+            [0, 1].map(|p| Operand::new(BufId::Param(p), Expr::v(v).mul(Expr::from(rows * cols)))),
+            [],
+        ))],
     ));
     f
 }
@@ -633,7 +598,14 @@ mod tests {
         m.validate().unwrap();
         let mut globals: Vec<Storage> = ins;
         globals.push(out);
-        gc_tir::exec::run_module(&m, &mut globals, &ThreadPool::new(2), true).unwrap();
+        gc_tir::exec::run_module(
+            &m,
+            &mut globals,
+            &ThreadPool::new(2),
+            true,
+            Default::default(),
+        )
+        .unwrap();
         globals.pop().unwrap()
     }
 

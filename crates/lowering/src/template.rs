@@ -27,7 +27,8 @@ use crate::params::{EdgePolicy, MatmulParams, MatmulProblem};
 use gc_machine::MachineDescriptor;
 use gc_microkernel::{BinaryOp, UnaryOp};
 use gc_tensor::DataType;
-use gc_tir::{AxisClamp, BufDecl, BufId, Expr, Func, Intrinsic, ReduceOp, Stmt, VarId, View};
+use gc_tir::ir::{Brgemm, Copy2D};
+use gc_tir::{BufDecl, BufId, Expr, Func, Intrinsic, Op, Operand, ReduceOp, Stmt, VarId, View};
 
 /// Int8 epilogue attributes (from the low-precision conversion).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -436,16 +437,7 @@ pub fn lower_matmul(machine: &MachineDescriptor, spec: &MatmulSpec, name: &str) 
             ctx.nsn * tile,
         )
     };
-    if spec.int8.is_some() {
-        msi_body.push(Stmt::Op(Intrinsic::ZeroI32 {
-            dst: acc_view_all(&e),
-        }));
-    } else {
-        msi_body.push(Stmt::Op(Intrinsic::FillF32 {
-            dst: acc_view_all(&e),
-            value: 0.0,
-        }));
-    }
+    msi_body.push(zero_acc(spec.int8.is_some(), acc_view_all(&e)));
 
     // k loop with anchor #4 pack and nsi brgemm loop
     let mut kchunk_body: Vec<Stmt> = Vec::new();
@@ -515,55 +507,17 @@ pub fn lower_matmul(machine: &MachineDescriptor, spec: &MatmulSpec, name: &str) 
         tile,
     );
     let use_tail = ctx.ragged_m && p.edge == EdgePolicy::Tail;
-    let m_clamp = || AxisClamp::new(e.mpsi(msi).mul(Expr::from(p.mb)), ctx.m);
-    let brgemm = match (spec.int8.is_some(), use_tail) {
-        (true, false) => Intrinsic::BrgemmU8I8 {
-            a: a_view_stride.0.clone(),
-            a_stride: a_view_stride.1,
-            b: b_view,
-            b_stride,
-            c: c_tile_view,
-            m: p.mb,
-            n: p.nb,
-            k: p.kb,
-            batch: p.bs,
-        },
-        (true, true) => Intrinsic::BrgemmU8I8Tail {
-            a: a_view_stride.0.clone(),
-            a_stride: a_view_stride.1,
-            b: b_view,
-            b_stride,
-            c: c_tile_view,
-            m: p.mb,
-            n: p.nb,
-            k: p.kb,
-            batch: p.bs,
-            m_clamp: m_clamp(),
-        },
-        (false, false) => Intrinsic::BrgemmF32 {
-            a: a_view_stride.0,
-            a_stride: a_view_stride.1,
-            b: b_view,
-            b_stride,
-            c: c_tile_view,
-            m: p.mb,
-            n: p.nb,
-            k: p.kb,
-            batch: p.bs,
-        },
-        (false, true) => Intrinsic::BrgemmF32Tail {
-            a: a_view_stride.0,
-            a_stride: a_view_stride.1,
-            b: b_view,
-            b_stride,
-            c: c_tile_view,
-            m: p.mb,
-            n: p.nb,
-            k: p.kb,
-            batch: p.bs,
-            m_clamp: m_clamp(),
-        },
+    let g = Brgemm {
+        m: p.mb,
+        n: p.nb,
+        k: p.kb,
+        batch: p.bs,
+        a_stride: a_view_stride.1,
+        b_stride,
     };
+    let m_clamp = use_tail.then(|| (e.mpsi(msi).mul(Expr::from(p.mb)), ctx.m));
+    let operands = [a_view_stride.0, b_view, c_tile_view];
+    let brgemm = brgemm_op(spec.int8.is_some(), g, operands, m_clamp);
     kchunk_body.push(Stmt::loop_(nsi, ctx.nsn, vec![Stmt::Op(brgemm)]));
     msi_body.push(Stmt::loop_(kchunk, ctx.kch, kchunk_body));
 
@@ -850,15 +804,11 @@ fn lower_matmul_ksliced(
             vec![Stmt::loop_(
                 kchunk,
                 k_tiles_slice,
-                vec![Stmt::Op(Intrinsic::Pack2D {
-                    src: param_of(ParamRole::A),
-                    src_offset: src_off,
-                    src_row_stride: ctx.k,
-                    src_col_stride: 1,
+                vec![Stmt::Op(pack_a(
+                    &ctx,
+                    Operand::new(param_of(ParamRole::A), src_off),
                     dst,
-                    rows: p.mb,
-                    cols: p.kb,
-                })],
+                ))],
             )],
         ));
     }
@@ -872,14 +822,7 @@ fn lower_matmul_ksliced(
             .mul(Expr::from(ctx.nsn * tile)),
         ctx.nsn * tile,
     );
-    if spec.int8.is_some() {
-        msi_body.push(Stmt::Op(Intrinsic::ZeroI32 { dst: kpart_row }));
-    } else {
-        msi_body.push(Stmt::Op(Intrinsic::FillF32 {
-            dst: kpart_row,
-            value: 0.0,
-        }));
-    }
+    msi_body.push(zero_acc(spec.int8.is_some(), kpart_row));
 
     let mut kchunk_body: Vec<Stmt> = Vec::new();
     if let (Some(ap), Some(PackPlacement::PerKChunk)) = (aprime, pack_place) {
@@ -905,15 +848,11 @@ fn lower_matmul_ksliced(
         kchunk_body.push(Stmt::loop_(
             bsi,
             p.bs,
-            vec![Stmt::Op(Intrinsic::Pack2D {
-                src: param_of(ParamRole::A),
-                src_offset: src_off,
-                src_row_stride: ctx.k,
-                src_col_stride: 1,
+            vec![Stmt::Op(pack_a(
+                &ctx,
+                Operand::new(param_of(ParamRole::A), src_off),
                 dst,
-                rows: p.mb,
-                cols: p.kb,
-            })],
+            ))],
         ));
     }
     let (a_view, a_stride) = match (spec.a_input, pack_place) {
@@ -970,31 +909,15 @@ fn lower_matmul_ksliced(
             .mul(Expr::from(tile)),
         tile,
     );
-    let brgemm = if spec.int8.is_some() {
-        Intrinsic::BrgemmU8I8 {
-            a: a_view,
-            a_stride,
-            b: b_view,
-            b_stride,
-            c: c_tile,
-            m: p.mb,
-            n: p.nb,
-            k: p.kb,
-            batch: p.bs,
-        }
-    } else {
-        Intrinsic::BrgemmF32 {
-            a: a_view,
-            a_stride,
-            b: b_view,
-            b_stride,
-            c: c_tile,
-            m: p.mb,
-            n: p.nb,
-            k: p.kb,
-            batch: p.bs,
-        }
+    let g = Brgemm {
+        m: p.mb,
+        n: p.nb,
+        k: p.kb,
+        batch: p.bs,
+        a_stride,
+        b_stride,
     };
+    let brgemm = brgemm_op(spec.int8.is_some(), g, [a_view, b_view, c_tile], None);
     kchunk_body.push(Stmt::loop_(nsi, ctx.nsn, vec![Stmt::Op(brgemm)]));
     msi_body.push(Stmt::loop_(kchunk, kch_slice, kchunk_body));
     task_body.push(Stmt::loop_(msi, ctx.msn, msi_body));
@@ -1022,16 +945,7 @@ fn lower_matmul_ksliced(
         Expr::v(t2).mul(Expr::from(ctx.nsn * tile)),
         ctx.nsn * tile,
     );
-    if spec.int8.is_some() {
-        m_body.push(Stmt::Op(Intrinsic::ZeroI32 {
-            dst: acc_all.clone(),
-        }));
-    } else {
-        m_body.push(Stmt::Op(Intrinsic::FillF32 {
-            dst: acc_all.clone(),
-            value: 0.0,
-        }));
-    }
+    m_body.push(zero_acc(spec.int8.is_some(), acc_all.clone()));
     let part_slice = View::new(
         kpart,
         Expr::v(t2)
@@ -1042,18 +956,17 @@ fn lower_matmul_ksliced(
             .mul(Expr::from(ctx.nsn * tile)),
         ctx.nsn * tile,
     );
+    let len = ctx.nsn * tile;
     let fold = if spec.int8.is_some() {
-        Intrinsic::AddI32 {
-            src: part_slice,
-            dst: acc_all,
-        }
+        Op::AddI32 { len }
     } else {
-        Intrinsic::AddF32 {
-            src: part_slice,
-            dst: acc_all,
-        }
+        Op::AddF32 { len }
     };
-    m_body.push(Stmt::loop_(kpi2, kpn, vec![Stmt::Op(fold)]));
+    m_body.push(Stmt::loop_(
+        kpi2,
+        kpn,
+        vec![Stmt::Op(Intrinsic::new(fold, [part_slice, acc_all], []))],
+    ));
     m_body.extend(emit_post_ops(
         spec,
         &ctx,
@@ -1119,26 +1032,25 @@ fn emit_post_ops(
             e.npsi(nsi2).mul(Expr::from(p.nb)),
             p.nb,
         );
-        let bias = spec.bias.then(|| {
-            View::new(
+        let mut operands = vec![acc_tile, comp_view, cpf_tile(nsi2)];
+        if spec.bias {
+            operands.push(View::new(
                 param_of(ParamRole::Bias),
                 e.npsi(nsi2).mul(Expr::from(p.nb)),
                 p.nb,
-            )
-        });
+            ));
+        }
+        let dequant = Op::DequantAcc {
+            rows: p.mb,
+            cols: p.nb,
+            a_zero: int8.a_zero,
+            scale: int8.scale,
+            bias: spec.bias,
+        };
         stmts.push(Stmt::loop_(
             nsi2,
             ctx.nsn,
-            vec![Stmt::Op(Intrinsic::DequantAcc {
-                acc: acc_tile,
-                comp: comp_view,
-                a_zero: int8.a_zero,
-                scale: int8.scale,
-                bias,
-                dst: cpf_tile(nsi2),
-                rows: p.mb,
-                cols: p.nb,
-            })],
+            vec![Stmt::Op(Intrinsic::new(dequant, operands, []))],
         ));
     } else if spec.bias {
         let bias_view = View::new(
@@ -1149,14 +1061,15 @@ fn emit_post_ops(
         stmts.push(Stmt::loop_(
             nsi2,
             ctx.nsn,
-            vec![Stmt::Op(Intrinsic::BinaryRowBcast {
-                op: BinaryOp::Add,
-                a: cpf_tile(nsi2),
-                b: bias_view,
-                dst: cpf_tile(nsi2),
-                rows: p.mb,
-                cols: p.nb,
-            })],
+            vec![Stmt::Op(Intrinsic::new(
+                Op::BinaryRowBcast {
+                    op: BinaryOp::Add,
+                    rows: p.mb,
+                    cols: p.nb,
+                },
+                [cpf_tile(nsi2), bias_view, cpf_tile(nsi2)],
+                [],
+            ))],
         ));
     }
 
@@ -1191,17 +1104,20 @@ fn emit_post_ops(
         for po in stage {
             let tile_v = cpf_tile(nsi2);
             let stmt = match po {
-                PostOpSpec::Unary(op) => Intrinsic::Unary {
-                    op: *op,
-                    src: tile_v.clone(),
-                    dst: tile_v,
-                },
-                PostOpSpec::BinaryScalarConst(op, s) => Intrinsic::BinaryScalar {
-                    op: *op,
-                    a: tile_v.clone(),
-                    scalar: *s,
-                    dst: tile_v,
-                },
+                PostOpSpec::Unary(op) => Intrinsic::new(
+                    Op::Unary { op: *op, len: tile },
+                    [tile_v.clone(), tile_v],
+                    [],
+                ),
+                PostOpSpec::BinaryScalarConst(op, s) => Intrinsic::new(
+                    Op::BinaryScalar {
+                        op: *op,
+                        scalar: *s,
+                        len: tile,
+                    },
+                    [tile_v.clone(), tile_v],
+                    [],
+                ),
                 PostOpSpec::BinaryRowVec { op, batch_indexed } => {
                     let pi = spec
                         .post_ops
@@ -1213,18 +1129,20 @@ fn emit_post_ops(
                     } else {
                         Expr::c(0)
                     };
-                    Intrinsic::BinaryRowBcast {
-                        op: *op,
-                        a: tile_v.clone(),
-                        b: View::new(
-                            param_of(ParamRole::PostOperand(pi)),
-                            base.add(e.npsi(nsi2).mul(Expr::from(p.nb))),
-                            p.nb,
-                        ),
-                        dst: tile_v,
-                        rows: p.mb,
-                        cols: p.nb,
-                    }
+                    let row_vec = View::new(
+                        param_of(ParamRole::PostOperand(pi)),
+                        base.add(e.npsi(nsi2).mul(Expr::from(p.nb))),
+                        p.nb,
+                    );
+                    Intrinsic::new(
+                        Op::BinaryRowBcast {
+                            op: *op,
+                            rows: p.mb,
+                            cols: p.nb,
+                        },
+                        [tile_v.clone(), row_vec, tile_v],
+                        [],
+                    )
                 }
                 PostOpSpec::BinaryFull { op } => {
                     // pack the operand tile from its plain buffer lazily:
@@ -1276,25 +1194,25 @@ fn emit_post_ops(
                     sweep.push(Stmt::loop_(
                         r,
                         p.mb,
-                        vec![Stmt::Op(Intrinsic::Binary {
-                            op: *op,
-                            a: a_row.clone(),
-                            b: opnd_row,
-                            dst: a_row,
-                        })],
+                        vec![Stmt::Op(Intrinsic::new(
+                            Op::Binary { op: *op, len: p.nb },
+                            [a_row.clone(), opnd_row, a_row],
+                            [],
+                        ))],
                     ));
                     continue;
                 }
                 PostOpSpec::BinaryColStat { op } => {
                     let stat = current_stat.expect("col-stat op needs a preceding reduction");
-                    Intrinsic::BinaryColBcast {
-                        op: *op,
-                        a: tile_v.clone(),
-                        b: rowstat_view(stat),
-                        dst: tile_v,
-                        rows: p.mb,
-                        cols: p.nb,
-                    }
+                    Intrinsic::new(
+                        Op::BinaryColBcast {
+                            op: *op,
+                            rows: p.mb,
+                            cols: p.nb,
+                        },
+                        [tile_v.clone(), rowstat_view(stat), tile_v],
+                        [],
+                    )
                 }
                 PostOpSpec::Quantize { scale, zero_point } => {
                     // quantize happens as part of the output write below
@@ -1315,18 +1233,24 @@ fn emit_post_ops(
                 ReduceOp::Sum => 0.0,
                 ReduceOp::Max => f32::NEG_INFINITY,
             };
-            stmts.push(Stmt::Op(Intrinsic::FillF32 {
-                dst: rowstat_view(r),
-                value: init,
-            }));
-            sweep.push(Stmt::Op(Intrinsic::ReduceRows {
-                op,
-                src: cpf_tile(nsi2),
-                acc: rowstat_view(r),
-                rows: p.mb,
-                cols: p.nb,
-                accumulate: true,
-            }));
+            stmts.push(Stmt::Op(Intrinsic::new(
+                Op::FillF32 {
+                    len: p.mb,
+                    value: init,
+                },
+                [rowstat_view(r)],
+                [],
+            )));
+            sweep.push(Stmt::Op(Intrinsic::new(
+                Op::ReduceRows {
+                    op,
+                    rows: p.mb,
+                    cols: p.nb,
+                    accumulate: true,
+                },
+                [cpf_tile(nsi2), rowstat_view(r)],
+                [],
+            )));
             current_stat = Some(r);
         }
         // final stage: write the output tile
@@ -1377,11 +1301,14 @@ fn emit_out_write(
                 .mul(Expr::from(ctx.n_tiles))
                 .add(e.npsi(nsi2))
                 .mul(Expr::from(tile));
-            stmts.push(Stmt::Op(Intrinsic::Unary {
-                op: UnaryOp::Identity,
-                src: src_tile,
-                dst: View::new(out, off, tile),
-            }));
+            stmts.push(Stmt::Op(Intrinsic::new(
+                Op::Unary {
+                    op: UnaryOp::Identity,
+                    len: tile,
+                },
+                [src_tile, View::new(out, off, tile)],
+                [],
+            )));
         }
         (OutLayout::BlockedMbNb, Some((s, z))) => {
             let off = e
@@ -1391,12 +1318,15 @@ fn emit_out_write(
                 .mul(Expr::from(ctx.n_tiles))
                 .add(e.npsi(nsi2))
                 .mul(Expr::from(tile));
-            stmts.push(Stmt::Op(Intrinsic::QuantU8 {
-                src: src_tile,
-                dst: View::new(out, off, tile),
-                scale: s,
-                zero_point: z,
-            }));
+            stmts.push(Stmt::Op(Intrinsic::new(
+                Op::QuantU8 {
+                    len: tile,
+                    scale: s,
+                    zero_point: z,
+                },
+                [src_tile, View::new(out, off, tile)],
+                [],
+            )));
         }
         (OutLayout::Plain, None) => {
             stmts.push(Stmt::Op(unpack_out_tile(ctx, e, src_tile, out, nsi2)));
@@ -1404,12 +1334,15 @@ fn emit_out_write(
         (OutLayout::Plain, Some((s, z))) => {
             let qt = qtile.expect("qtile allocated for plain u8 output");
             let qview = View::new(qt, Expr::v(e.t).mul(Expr::from(tile)), tile);
-            stmts.push(Stmt::Op(Intrinsic::QuantU8 {
-                src: src_tile,
-                dst: qview.clone(),
-                scale: s,
-                zero_point: z,
-            }));
+            stmts.push(Stmt::Op(Intrinsic::new(
+                Op::QuantU8 {
+                    len: tile,
+                    scale: s,
+                    zero_point: z,
+                },
+                [src_tile, qview.clone()],
+                [],
+            )));
             stmts.push(Stmt::Op(unpack_out_tile(ctx, e, qview, out, nsi2)));
         }
     }
@@ -1417,8 +1350,8 @@ fn emit_out_write(
 }
 
 /// The plain-layout output store for the current tile: the exact
-/// [`Intrinsic::Unpack2D`] when the shape tiles evenly, the clamped
-/// [`Intrinsic::Unpack2DClamp`] (which skips pad rows/columns) when the
+/// [`Op::Unpack2D`] when the shape tiles evenly, the clamped
+/// [`Op::Unpack2DClamp`] (which skips pad rows/columns) when the
 /// m or n edge is ragged.
 fn unpack_out_tile(
     ctx: &Ctx,
@@ -1429,31 +1362,80 @@ fn unpack_out_tile(
 ) -> Intrinsic {
     let p = ctx.p;
     let batch_off = e.batch_idx().mul(Expr::from(ctx.m * ctx.n));
+    let g = Copy2D {
+        rows: p.mb,
+        cols: p.nb,
+        row_stride: ctx.n,
+        col_stride: 1,
+    };
+    let (row_base, col_base) = (
+        e.mpsi(e.msi).mul(Expr::from(p.mb)),
+        e.npsi(nsi2).mul(Expr::from(p.nb)),
+    );
     if ctx.ragged_m || ctx.ragged_n {
-        Intrinsic::Unpack2DClamp {
-            src,
-            dst: out,
-            dst_offset: batch_off,
-            dst_row_stride: ctx.n,
-            dst_col_stride: 1,
-            rows: p.mb,
-            cols: p.nb,
-            row_clamp: AxisClamp::new(e.mpsi(e.msi).mul(Expr::from(p.mb)), ctx.m),
-            col_clamp: AxisClamp::new(e.npsi(nsi2).mul(Expr::from(p.nb)), ctx.n),
-        }
+        Intrinsic::new(
+            Op::Unpack2DClamp {
+                g,
+                row_logical: ctx.m,
+                col_logical: ctx.n,
+            },
+            [src.into(), Operand::new(out, batch_off)],
+            [row_base, col_base],
+        )
     } else {
-        Intrinsic::Unpack2D {
-            src,
-            dst: out,
-            dst_offset: batch_off
-                .add(e.mpsi(e.msi).mul(Expr::from(p.mb * ctx.n)))
-                .add(e.npsi(nsi2).mul(Expr::from(p.nb))),
-            dst_row_stride: ctx.n,
-            dst_col_stride: 1,
-            rows: p.mb,
-            cols: p.nb,
+        let dst_off = batch_off.add(row_base.mul(Expr::from(ctx.n))).add(col_base);
+        Intrinsic::new(
+            Op::Unpack2D(g),
+            [src.into(), Operand::new(out, dst_off)],
+            [],
+        )
+    }
+}
+
+/// Zero an accumulator window of the matmul's accumulation type.
+fn zero_acc(int8: bool, dst: View) -> Stmt {
+    let op = if int8 {
+        Op::ZeroI32 { len: dst.len }
+    } else {
+        Op::FillF32 {
+            len: dst.len,
+            value: 0.0,
+        }
+    };
+    Stmt::Op(Intrinsic::new(op, [dst], []))
+}
+
+/// The batch-reduce GEMM over operands `[a, b, c]` in the matmul's
+/// precision; with `m_clamp = (row base, logical M)` the M-tail kernel
+/// that stops at the ragged edge.
+fn brgemm_op(
+    int8: bool,
+    g: Brgemm,
+    operands: [View; 3],
+    m_clamp: Option<(Expr, usize)>,
+) -> Intrinsic {
+    match (int8, m_clamp) {
+        (true, None) => Intrinsic::new(Op::BrgemmU8I8(g), operands, []),
+        (false, None) => Intrinsic::new(Op::BrgemmF32(g), operands, []),
+        (true, Some((base, m_logical))) => {
+            Intrinsic::new(Op::BrgemmU8I8Tail { g, m_logical }, operands, [base])
+        }
+        (false, Some((base, m_logical))) => {
+            Intrinsic::new(Op::BrgemmF32Tail { g, m_logical }, operands, [base])
         }
     }
+}
+
+/// Pack one `[MB, KB]` tile of the plain row-major `[.., M, K]` A
+/// operand (shapes that tile evenly).
+fn pack_a(ctx: &Ctx, src: Operand, dst: View) -> Intrinsic {
+    let g = Copy2D {
+        rows: ctx.p.mb,
+        cols: ctx.p.kb,
+        row_stride: ctx.k,
+        col_stride: 1,
+    };
+    Intrinsic::new(Op::Pack2D(g), [src, dst.into()], [])
 }
 
 /// Index-expression helpers shared by the emission code.
@@ -1545,37 +1527,34 @@ impl ExprBuilder<'_> {
     }
 
     /// The A-pack intrinsic for tile (row_base, col_base) of the plain
-    /// `[M, K]` operand: the exact [`Intrinsic::Pack2D`] when the shape
-    /// tiles evenly, the zero-filling [`Intrinsic::Pack2DPad`] when the
+    /// `[M, K]` operand: the exact [`Op::Pack2D`] when the shape
+    /// tiles evenly, the zero-filling [`Op::Pack2DPad`] when the
     /// m or k edge is ragged. Clamp bases carry the tile origin in axis
     /// units; the batch term stays in the flat offset.
     fn pack_a_tile(&self, a: BufId, dst: View, row_base: Expr, col_base: Expr) -> Intrinsic {
         let p = self.ctx.p;
         let batch_off = self.batch_idx().mul(Expr::from(self.ctx.m * self.ctx.k));
         if self.ctx.ragged_m || self.ctx.ragged_k {
-            Intrinsic::Pack2DPad {
-                src: a,
-                src_offset: batch_off,
-                src_row_stride: self.ctx.k,
-                src_col_stride: 1,
-                dst,
+            let g = Copy2D {
                 rows: p.mb,
                 cols: p.kb,
-                row_clamp: AxisClamp::new(row_base, self.ctx.m),
-                col_clamp: AxisClamp::new(col_base, self.ctx.k),
-            }
+                row_stride: self.ctx.k,
+                col_stride: 1,
+            };
+            Intrinsic::new(
+                Op::Pack2DPad {
+                    g,
+                    row_logical: self.ctx.m,
+                    col_logical: self.ctx.k,
+                },
+                [Operand::new(a, batch_off), dst.into()],
+                [row_base, col_base],
+            )
         } else {
-            Intrinsic::Pack2D {
-                src: a,
-                src_offset: batch_off
-                    .add(row_base.mul(Expr::from(self.ctx.k)))
-                    .add(col_base),
-                src_row_stride: self.ctx.k,
-                src_col_stride: 1,
-                dst,
-                rows: p.mb,
-                cols: p.kb,
-            }
+            let src_off = batch_off
+                .add(row_base.mul(Expr::from(self.ctx.k)))
+                .add(col_base);
+            pack_a(self.ctx, Operand::new(a, src_off), dst)
         }
     }
 
@@ -1670,15 +1649,16 @@ impl ExprBuilder<'_> {
             vec![Stmt::loop_(
                 nv,
                 self.ctx.nsn,
-                vec![Stmt::Op(Intrinsic::Pack2D {
-                    src: b,
-                    src_offset: base,
-                    src_row_stride: row_stride,
-                    src_col_stride: col_stride,
-                    dst,
-                    rows: p.nb,
-                    cols: p.kb,
-                })],
+                vec![Stmt::Op(Intrinsic::new(
+                    Op::Pack2D(Copy2D {
+                        rows: p.nb,
+                        cols: p.kb,
+                        row_stride,
+                        col_stride,
+                    }),
+                    [Operand::new(b, base), dst.into()],
+                    [],
+                ))],
             )],
         )
     }

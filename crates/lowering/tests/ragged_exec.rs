@@ -9,10 +9,11 @@ use gc_lowering::{lower_matmul, EdgePolicy, MatmulParams, MatmulProblem, MatmulS
 use gc_machine::MachineDescriptor;
 use gc_runtime::ThreadPool;
 use gc_tensor::{reference, reorder, DataType, Layout, Storage, Tensor};
-use gc_tir::plan::{run_plan_call_opts, PlanScratch};
+use gc_tir::ir::Copy2D;
+use gc_tir::plan::{run_plan_call, PlanScratch};
 use gc_tir::{
-    compile_module, validate_module, AxisClamp, BufDecl, BufId, Call, ExecOptions, Expr, Func,
-    GlobalDecl, GlobalKind, Intrinsic, Module, Stmt, View,
+    compile_module, validate_module, BufDecl, BufId, Call, ExecOptions, Expr, Func, GlobalDecl,
+    GlobalKind, Intrinsic, Module, Op, Operand, Stmt,
 };
 
 fn machine() -> MachineDescriptor {
@@ -62,7 +63,14 @@ fn run(spec: &MatmulSpec, tensors: Vec<Storage>) -> Vec<Storage> {
     let (m, _) = build_module(spec);
     let mut globals = tensors;
     assert_eq!(globals.len(), m.globals.len(), "one storage per param");
-    gc_tir::exec::run_module(&m, &mut globals, &ThreadPool::new(2), true).expect("run");
+    gc_tir::exec::run_module(
+        &m,
+        &mut globals,
+        &ThreadPool::new(2),
+        true,
+        Default::default(),
+    )
+    .expect("run");
     globals
 }
 
@@ -254,7 +262,7 @@ fn int8_ragged_plan_matches_interpreter_bitexact() {
         let pool = ThreadPool::new(1);
         let mut globals = inputs;
         let mut scratch = PlanScratch::for_plan(&plan);
-        run_plan_call_opts(
+        run_plan_call(
             &plan,
             fi,
             &module.main_calls[0].args,
@@ -301,19 +309,25 @@ fn validator_rejects_overrunning_edge_tile() {
             ],
             locals: vec![],
             var_count: 0,
-            body: vec![Stmt::Op(Intrinsic::Unpack2DClamp {
-                src: View::new(BufId::Param(0), Expr::c(0), 64),
-                dst: BufId::Param(1),
-                dst_offset: Expr::c(0),
-                dst_row_stride: 8,
-                dst_col_stride: 1,
-                rows: 8,
-                cols: 8,
-                // Claims the logical array is 8x8 rows x cols: the
-                // clamped store may reach element 7*8 + 7 = 63.
-                row_clamp: AxisClamp::new(Expr::c(0), 8),
-                col_clamp: AxisClamp::new(Expr::c(0), 8),
-            })],
+            body: vec![Stmt::Op(Intrinsic::new(
+                Op::Unpack2DClamp {
+                    g: Copy2D {
+                        rows: 8,
+                        cols: 8,
+                        row_stride: 8,
+                        col_stride: 1,
+                    },
+                    // Claims the logical array is 8x8 rows x cols: the
+                    // clamped store may reach element 7*8 + 7 = 63.
+                    row_logical: 8,
+                    col_logical: 8,
+                },
+                [
+                    Operand::new(BufId::Param(0), 0usize),
+                    Operand::new(BufId::Param(1), 0usize),
+                ],
+                [Expr::c(0), Expr::c(0)],
+            ))],
         };
         let mut m = Module::new();
         let g0 = m.add_global(GlobalDecl {

@@ -56,7 +56,14 @@ fn run(spec: &MatmulSpec, tensors: Vec<Storage>) -> Vec<Storage> {
     m.validate().expect("module validates");
     let mut globals = tensors;
     assert_eq!(globals.len(), decls.len(), "one storage per param");
-    gc_tir::exec::run_module(&m, &mut globals, &ThreadPool::new(2), true).expect("run");
+    gc_tir::exec::run_module(
+        &m,
+        &mut globals,
+        &ThreadPool::new(2),
+        true,
+        Default::default(),
+    )
+    .expect("run");
     globals
 }
 

@@ -24,12 +24,13 @@
 //! Rejected functions (`None` in the result) run on the interpreter —
 //! correctness never depends on compilation succeeding.
 
+use crate::bounds::VarScope;
 use crate::expr::{Expr, VarId};
-use crate::ir::{BufId, Func, Intrinsic, Module, Stmt, View};
+use crate::ir::{BufId, Func, Intrinsic, Module, Stmt};
 use crate::plan::{
-    OffsetOp, PInstr, POp, PView, Plan, PlanFunc, PlanOffset, PlanStats, MAX_PROG_STACK, MAX_VARS,
+    OffsetOp, PInstr, POperand, Plan, PlanFunc, PlanOffset, PlanOp, PlanStats, MAX_PROG_STACK,
+    MAX_VARS,
 };
-use gc_microkernel::brgemm::BrgemmShape;
 use gc_tensor::DataType;
 
 /// Compile every function of `module`; `threads` sizes parallel-loop
@@ -62,7 +63,8 @@ pub fn compile_module(module: &Module, threads: usize) -> Plan {
 /// needs the `Option`, but tests assert on specific reasons.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum Reject {
-    /// More scalar variables than the fixed scratch holds.
+    /// More scalar variables than the fixed scratch holds, or a loop
+    /// binding a variable the function never declared.
     TooManyVars,
     /// An offset's range could not be bounded (or overflowed i64).
     Unbounded,
@@ -73,8 +75,8 @@ pub(crate) enum Reject {
     DtypeMismatch,
     /// A postfix offset program exceeded the fixed stack.
     ProgramTooDeep,
-    /// Operand lengths disagree (e.g. unary src/dst).
-    LenMismatch,
+    /// Operand or clamp count disagrees with the op's descriptor.
+    Arity,
 }
 
 struct FuncStats {
@@ -85,7 +87,7 @@ struct FuncStats {
     serialized_loops: usize,
 }
 
-/// Minimum total work (in [`pop_units`]) a parallel loop must enclose
+/// Minimum total work (in [`op_units`]) a parallel loop must enclose
 /// for pool dispatch to pay for itself. Below this, waking worker
 /// threads and the closing barrier cost more than the loop body — the
 /// loop is emitted serial. Calibrated against the pool's wake+barrier
@@ -95,14 +97,8 @@ const PARALLEL_MIN_UNITS: u64 = 1 << 18;
 struct FuncBuilder<'f> {
     func: &'f Func,
     threads: usize,
-    /// Current inclusive interval of each variable at the emission
-    /// point, maintained scope-wise: `[0, 0]` before any binding (the
-    /// scratch is zeroed), `[0, extent-1]` inside a binding loop,
-    /// pinned to `[extent-1, extent-1]` after a serial loop, and the
-    /// hull of both after a parallel loop (whose serial fallback — one
-    /// thread or trip count 1 — mutates the variable, while the
-    /// dispatched form does not).
-    var_iv: Vec<(i64, i64)>,
+    /// Variable intervals at the emission point.
+    scope: VarScope,
     stats: FuncStats,
 }
 
@@ -111,7 +107,7 @@ impl<'f> FuncBuilder<'f> {
         FuncBuilder {
             func,
             threads,
-            var_iv: vec![(0, 0); func.var_count],
+            scope: VarScope::new(func.var_count),
             stats: FuncStats {
                 hoisted_bounds: 0,
                 linear_offsets: 0,
@@ -159,18 +155,9 @@ impl<'f> FuncBuilder<'f> {
                         extent: *extent,
                         body_end: 0,
                     });
-                    let saved = self.var_iv[var.0];
-                    let last = *extent as i64 - 1;
-                    self.var_iv[var.0] = (0, last.max(0));
+                    let saved = self.scope.enter(*var, *extent).ok_or(Reject::TooManyVars)?;
                     self.emit_stmts(body, out)?;
-                    self.var_iv[var.0] = if *extent == 0 {
-                        saved // zero-trip loop never touches the var
-                    } else if *parallel {
-                        // dispatched: untouched; serial fallback: last
-                        (saved.0.min(last), saved.1.max(last))
-                    } else {
-                        (last, last)
-                    };
+                    self.scope.exit(*var, *extent, *parallel, saved);
                     let body_end = out.len();
                     let dispatch = *parallel
                         && self.threads > 1
@@ -195,8 +182,8 @@ impl<'f> FuncBuilder<'f> {
                     };
                 }
                 Stmt::Op(intr) => {
-                    let pop = self.compile_intrinsic(intr)?;
-                    out.push(PInstr::Op(pop));
+                    let op = self.compile_intrinsic(intr)?;
+                    out.push(PInstr::Op(op));
                 }
             }
         }
@@ -228,7 +215,7 @@ impl<'f> FuncBuilder<'f> {
         span: usize,
         elems: usize,
     ) -> Result<PlanOffset, Reject> {
-        let (lo, hi) = interval(offset, &self.var_iv).ok_or(Reject::Unbounded)?;
+        let (lo, hi) = self.scope.interval(offset).ok_or(Reject::Unbounded)?;
         if lo < 0 || (hi as i128) + (span as i128) > elems as i128 {
             return Err(Reject::OutOfBounds);
         }
@@ -267,497 +254,64 @@ impl<'f> FuncBuilder<'f> {
     /// runtime clamp against the logical extent, and the buffer span is
     /// proven separately from the base-excluded offset.
     fn compile_clamp_base(&mut self, base: &Expr) -> Result<PlanOffset, Reject> {
-        let (lo, _) = interval(base, &self.var_iv).ok_or(Reject::Unbounded)?;
+        let (lo, _) = self.scope.interval(base).ok_or(Reject::Unbounded)?;
         if lo < 0 {
             return Err(Reject::OutOfBounds);
         }
         self.reduce_offset(base)
     }
 
-    /// Compile a view accessed as `dtype` over `span` elements from its
-    /// offset (the span actually touched, which for 2-D ops exceeds
-    /// `view.len`).
-    fn compile_view_span(
-        &mut self,
-        view: &View,
-        dtype: DataType,
-        span: usize,
-    ) -> Result<PView, Reject> {
-        let (buf, decl_dtype, elems) = self.buf_decl(view.buf);
-        if decl_dtype != dtype {
+    /// Compile one intrinsic from its descriptor: operand arity and
+    /// dtypes, every operand's static span proven in bounds, clamp
+    /// bases proven non-negative, brgemm tables materialized.
+    fn compile_intrinsic(&mut self, intr: &Intrinsic) -> Result<PlanOp, Reject> {
+        let desc = intr.op.desc(None);
+        let specs = desc.operands();
+        if !desc.fits(intr) {
+            return Err(Reject::Arity);
+        }
+        let dtypes = intr.operands.iter().map(|o| self.buf_decl(o.buf).1);
+        if !desc.dtypes_ok(dtypes) {
             return Err(Reject::DtypeMismatch);
         }
-        let offset = self.compile_offset(&view.offset, span, elems)?;
-        Ok(PView {
-            buf,
-            offset,
-            len: view.len,
+        let mut operands = std::array::from_fn(|_| POperand {
+            buf: 0,
+            offset: PlanOffset::Const(0),
+            span: 0,
+        });
+        for ((slot, o), spec) in operands.iter_mut().zip(&intr.operands).zip(specs) {
+            let (buf, _, elems) = self.buf_decl(o.buf);
+            let span = spec.footprint.span();
+            *slot = POperand {
+                buf,
+                offset: self.compile_offset(&o.offset, span, elems)?,
+                span,
+            };
+        }
+        let mut clamps = std::array::from_fn(|_| PlanOffset::Const(0));
+        for (slot, base) in clamps.iter_mut().zip(&intr.clamps) {
+            *slot = self.compile_clamp_base(base)?;
+        }
+        let tables = desc.tables();
+        self.stats.brgemm_tables += tables.iter().filter(|t| !t.is_empty()).count();
+        Ok(PlanOp {
+            op: intr.op,
+            n_operands: specs.len() as u8,
+            n_clamps: intr.clamps.len() as u8,
+            operands,
+            clamps,
+            tables,
         })
     }
-
-    fn compile_view(&mut self, view: &View, dtype: DataType) -> Result<PView, Reject> {
-        self.compile_view_span(view, dtype, view.len)
-    }
-
-    #[allow(clippy::too_many_lines)]
-    fn compile_intrinsic(&mut self, intr: &Intrinsic) -> Result<POp, Reject> {
-        use DataType::{F32, I32, I8, U8};
-        Ok(match intr {
-            Intrinsic::BrgemmF32 {
-                a,
-                a_stride,
-                b,
-                b_stride,
-                c,
-                m,
-                n,
-                k,
-                batch,
-            } => {
-                let (a_rel, a_span) = batch_table(*batch, *a_stride, m * k);
-                let (b_rel, b_span) = batch_table(*batch, *b_stride, n * k);
-                self.stats.brgemm_tables += 2;
-                POp::BrgemmF32 {
-                    a: self.compile_view_span(a, F32, a_span)?,
-                    b: self.compile_view_span(b, F32, b_span)?,
-                    c: self.compile_view_span(c, F32, m * n)?,
-                    shape: BrgemmShape::new(*m, *n, *k),
-                    a_rel,
-                    b_rel,
-                    a_span,
-                    b_span,
-                }
-            }
-            Intrinsic::BrgemmU8I8 {
-                a,
-                a_stride,
-                b,
-                b_stride,
-                c,
-                m,
-                n,
-                k,
-                batch,
-            } => {
-                let (a_rel, a_span) = batch_table(*batch, *a_stride, m * k);
-                let (b_rel, b_span) = batch_table(*batch, *b_stride, n * k);
-                self.stats.brgemm_tables += 2;
-                POp::BrgemmU8I8 {
-                    a: self.compile_view_span(a, U8, a_span)?,
-                    b: self.compile_view_span(b, I8, b_span)?,
-                    c: self.compile_view_span(c, I32, m * n)?,
-                    shape: BrgemmShape::new(*m, *n, *k),
-                    a_rel,
-                    b_rel,
-                    a_span,
-                    b_span,
-                }
-            }
-            Intrinsic::FillF32 { dst, value } => POp::FillF32 {
-                dst: self.compile_view(dst, F32)?,
-                value: *value,
-            },
-            Intrinsic::ZeroI32 { dst } => POp::ZeroI32 {
-                dst: self.compile_view(dst, I32)?,
-            },
-            Intrinsic::Pack2D {
-                src,
-                src_offset,
-                src_row_stride,
-                src_col_stride,
-                dst,
-                rows,
-                cols,
-            } => {
-                let (src_buf, src_dtype, src_elems) = self.buf_decl(*src);
-                let (_, dst_dtype, _) = self.buf_decl(dst.buf);
-                if src_dtype != dst_dtype || !pack_dtype_ok(src_dtype) {
-                    return Err(Reject::DtypeMismatch);
-                }
-                let span = strided_span(*rows, *cols, *src_row_stride, *src_col_stride);
-                let src_off = self.compile_offset(src_offset, span, src_elems)?;
-                POp::Pack2D {
-                    src_buf,
-                    src_offset: src_off,
-                    src_row_stride: *src_row_stride,
-                    src_col_stride: *src_col_stride,
-                    dst: self.compile_view_span(dst, dst_dtype, rows * cols)?,
-                    rows: *rows,
-                    cols: *cols,
-                }
-            }
-            Intrinsic::Unpack2D {
-                src,
-                dst,
-                dst_offset,
-                dst_row_stride,
-                dst_col_stride,
-                rows,
-                cols,
-            } => {
-                let (dst_buf, dst_dtype, dst_elems) = self.buf_decl(*dst);
-                let (_, src_dtype, _) = self.buf_decl(src.buf);
-                if src_dtype != dst_dtype || !pack_dtype_ok(src_dtype) {
-                    return Err(Reject::DtypeMismatch);
-                }
-                let span = strided_span(*rows, *cols, *dst_row_stride, *dst_col_stride);
-                let dst_off = self.compile_offset(dst_offset, span, dst_elems)?;
-                POp::Unpack2D {
-                    src: self.compile_view_span(src, src_dtype, rows * cols)?,
-                    dst_buf,
-                    dst_offset: dst_off,
-                    dst_row_stride: *dst_row_stride,
-                    dst_col_stride: *dst_col_stride,
-                    rows: *rows,
-                    cols: *cols,
-                }
-            }
-            Intrinsic::Pack2DPad {
-                src,
-                src_offset,
-                src_row_stride,
-                src_col_stride,
-                dst,
-                rows,
-                cols,
-                row_clamp,
-                col_clamp,
-            } => {
-                let (src_buf, src_dtype, src_elems) = self.buf_decl(*src);
-                let (_, dst_dtype, _) = self.buf_decl(dst.buf);
-                if src_dtype != dst_dtype || !pack_dtype_ok(src_dtype) {
-                    return Err(Reject::DtypeMismatch);
-                }
-                // base-excluded offset: the reachable span is capped by
-                // the logical extents, not the physical tile
-                let span = strided_span(
-                    row_clamp.logical,
-                    col_clamp.logical,
-                    *src_row_stride,
-                    *src_col_stride,
-                );
-                let src_off = self.compile_offset(src_offset, span, src_elems)?;
-                POp::Pack2DPad {
-                    src_buf,
-                    src_offset: src_off,
-                    src_row_stride: *src_row_stride,
-                    src_col_stride: *src_col_stride,
-                    dst: self.compile_view_span(dst, dst_dtype, rows * cols)?,
-                    rows: *rows,
-                    cols: *cols,
-                    row_base: self.compile_clamp_base(&row_clamp.base)?,
-                    row_logical: row_clamp.logical,
-                    col_base: self.compile_clamp_base(&col_clamp.base)?,
-                    col_logical: col_clamp.logical,
-                }
-            }
-            Intrinsic::Unpack2DClamp {
-                src,
-                dst,
-                dst_offset,
-                dst_row_stride,
-                dst_col_stride,
-                rows,
-                cols,
-                row_clamp,
-                col_clamp,
-            } => {
-                let (dst_buf, dst_dtype, dst_elems) = self.buf_decl(*dst);
-                let (_, src_dtype, _) = self.buf_decl(src.buf);
-                if src_dtype != dst_dtype || !pack_dtype_ok(src_dtype) {
-                    return Err(Reject::DtypeMismatch);
-                }
-                let span = strided_span(
-                    row_clamp.logical,
-                    col_clamp.logical,
-                    *dst_row_stride,
-                    *dst_col_stride,
-                );
-                let dst_off = self.compile_offset(dst_offset, span, dst_elems)?;
-                POp::Unpack2DClamp {
-                    src: self.compile_view_span(src, src_dtype, rows * cols)?,
-                    dst_buf,
-                    dst_offset: dst_off,
-                    dst_row_stride: *dst_row_stride,
-                    dst_col_stride: *dst_col_stride,
-                    rows: *rows,
-                    cols: *cols,
-                    row_base: self.compile_clamp_base(&row_clamp.base)?,
-                    row_logical: row_clamp.logical,
-                    col_base: self.compile_clamp_base(&col_clamp.base)?,
-                    col_logical: col_clamp.logical,
-                }
-            }
-            Intrinsic::BrgemmF32Tail {
-                a,
-                a_stride,
-                b,
-                b_stride,
-                c,
-                m,
-                n,
-                k,
-                batch,
-                m_clamp,
-            } => {
-                let (a_rel, a_span) = batch_table(*batch, *a_stride, m * k);
-                let (b_rel, b_span) = batch_table(*batch, *b_stride, n * k);
-                self.stats.brgemm_tables += 2;
-                POp::BrgemmF32Tail {
-                    a: self.compile_view_span(a, F32, a_span)?,
-                    b: self.compile_view_span(b, F32, b_span)?,
-                    c: self.compile_view_span(c, F32, m * n)?,
-                    shape: BrgemmShape::new(*m, *n, *k),
-                    a_rel,
-                    b_rel,
-                    a_span,
-                    b_span,
-                    m_base: self.compile_clamp_base(&m_clamp.base)?,
-                    m_logical: m_clamp.logical,
-                }
-            }
-            Intrinsic::BrgemmU8I8Tail {
-                a,
-                a_stride,
-                b,
-                b_stride,
-                c,
-                m,
-                n,
-                k,
-                batch,
-                m_clamp,
-            } => {
-                let (a_rel, a_span) = batch_table(*batch, *a_stride, m * k);
-                let (b_rel, b_span) = batch_table(*batch, *b_stride, n * k);
-                self.stats.brgemm_tables += 2;
-                POp::BrgemmU8I8Tail {
-                    a: self.compile_view_span(a, U8, a_span)?,
-                    b: self.compile_view_span(b, I8, b_span)?,
-                    c: self.compile_view_span(c, I32, m * n)?,
-                    shape: BrgemmShape::new(*m, *n, *k),
-                    a_rel,
-                    b_rel,
-                    a_span,
-                    b_span,
-                    m_base: self.compile_clamp_base(&m_clamp.base)?,
-                    m_logical: m_clamp.logical,
-                }
-            }
-            Intrinsic::Unary { op, src, dst } => {
-                if src.len != dst.len {
-                    return Err(Reject::LenMismatch);
-                }
-                POp::Unary {
-                    op: *op,
-                    src: self.compile_view(src, F32)?,
-                    dst: self.compile_view(dst, F32)?,
-                }
-            }
-            Intrinsic::Binary { op, a, b, dst } => POp::Binary {
-                op: *op,
-                a: self.compile_view(a, F32)?,
-                b: self.compile_view(b, F32)?,
-                dst: self.compile_view(dst, F32)?,
-            },
-            Intrinsic::BinaryScalar { op, a, scalar, dst } => POp::BinaryScalar {
-                op: *op,
-                a: self.compile_view(a, F32)?,
-                scalar: *scalar,
-                dst: self.compile_view(dst, F32)?,
-            },
-            Intrinsic::BinaryRowBcast {
-                op,
-                a,
-                b,
-                dst,
-                rows,
-                cols,
-            } => POp::BinaryRowBcast {
-                op: *op,
-                a: self.compile_view_span(a, F32, rows * cols)?,
-                b: self.compile_view_span(b, F32, *cols)?,
-                dst: self.compile_view_span(dst, F32, rows * cols)?,
-                rows: *rows,
-                cols: *cols,
-            },
-            Intrinsic::BinaryColBcast {
-                op,
-                a,
-                b,
-                dst,
-                rows,
-                cols,
-            } => POp::BinaryColBcast {
-                op: *op,
-                a: self.compile_view_span(a, F32, rows * cols)?,
-                b: self.compile_view_span(b, F32, *rows)?,
-                dst: self.compile_view_span(dst, F32, rows * cols)?,
-                rows: *rows,
-                cols: *cols,
-            },
-            Intrinsic::ReduceRows {
-                op,
-                src,
-                acc,
-                rows,
-                cols,
-                accumulate,
-            } => POp::ReduceRows {
-                op: *op,
-                src: self.compile_view_span(src, F32, rows * cols)?,
-                acc: self.compile_view_span(acc, F32, *rows)?,
-                rows: *rows,
-                cols: *cols,
-                accumulate: *accumulate,
-            },
-            Intrinsic::DequantAcc {
-                acc,
-                comp,
-                a_zero,
-                scale,
-                bias,
-                dst,
-                rows,
-                cols,
-            } => POp::DequantAcc {
-                acc: self.compile_view_span(acc, I32, rows * cols)?,
-                comp: self.compile_view_span(comp, I32, *cols)?,
-                a_zero: *a_zero,
-                scale: *scale,
-                bias: match bias {
-                    Some(b) => Some(self.compile_view_span(b, F32, *cols)?),
-                    None => None,
-                },
-                dst: self.compile_view_span(dst, F32, rows * cols)?,
-                rows: *rows,
-                cols: *cols,
-            },
-            Intrinsic::QuantU8 {
-                src,
-                dst,
-                scale,
-                zero_point,
-            } => {
-                if src.len != dst.len {
-                    return Err(Reject::LenMismatch);
-                }
-                POp::QuantU8 {
-                    src: self.compile_view(src, F32)?,
-                    dst: self.compile_view(dst, U8)?,
-                    scale: *scale,
-                    zero_point: *zero_point,
-                }
-            }
-            Intrinsic::DequantU8 {
-                src,
-                dst,
-                scale,
-                zero_point,
-            } => {
-                if src.len != dst.len {
-                    return Err(Reject::LenMismatch);
-                }
-                POp::DequantU8 {
-                    src: self.compile_view(src, U8)?,
-                    dst: self.compile_view(dst, F32)?,
-                    scale: *scale,
-                    zero_point: *zero_point,
-                }
-            }
-            Intrinsic::DequantI8 { src, dst, scale } => {
-                if src.len != dst.len {
-                    return Err(Reject::LenMismatch);
-                }
-                POp::DequantI8 {
-                    src: self.compile_view(src, I8)?,
-                    dst: self.compile_view(dst, F32)?,
-                    scale: *scale,
-                }
-            }
-            Intrinsic::CompAccumulate {
-                b_tile,
-                comp,
-                nb,
-                kb,
-            } => POp::CompAccumulate {
-                b_tile: self.compile_view_span(b_tile, I8, nb * kb)?,
-                comp: self.compile_view_span(comp, I32, *nb)?,
-                nb: *nb,
-                kb: *kb,
-            },
-            Intrinsic::CastI32F32 { src, dst } => {
-                if src.len != dst.len {
-                    return Err(Reject::LenMismatch);
-                }
-                POp::CastI32F32 {
-                    src: self.compile_view(src, I32)?,
-                    dst: self.compile_view(dst, F32)?,
-                }
-            }
-            Intrinsic::AddF32 { src, dst } => {
-                if src.len != dst.len {
-                    return Err(Reject::LenMismatch);
-                }
-                POp::AddF32 {
-                    src: self.compile_view(src, F32)?,
-                    dst: self.compile_view(dst, F32)?,
-                }
-            }
-            Intrinsic::AddI32 { src, dst } => {
-                if src.len != dst.len {
-                    return Err(Reject::LenMismatch);
-                }
-                POp::AddI32 {
-                    src: self.compile_view(src, I32)?,
-                    dst: self.compile_view(dst, I32)?,
-                }
-            }
-        })
-    }
-}
-
-/// Run the plan builder purely for its checks (dtype agreement, operand
-/// arity, hoisted bounds), discarding the plan. The validator promotes
-/// the fatal rejects to errors.
-pub(crate) fn probe_func(f: &Func) -> Result<(), Reject> {
-    FuncBuilder::new(f, 1).build().map(|_| ())
 }
 
 /// Per-op fixed cost in units — covers offset evaluation and the call
 /// into the microkernel, so loops of many tiny ops still register.
 const OP_OVERHEAD_UNITS: u64 = 64;
 
-/// Static work estimate for one compiled op, in element-op units
-/// (one unit ≈ one multiply-accumulate or one element moved).
-fn pop_units(op: &POp) -> u64 {
-    let elems = match op {
-        POp::BrgemmF32 { shape, a_rel, .. }
-        | POp::BrgemmU8I8 { shape, a_rel, .. }
-        | POp::BrgemmF32Tail { shape, a_rel, .. }
-        | POp::BrgemmU8I8Tail { shape, a_rel, .. } => {
-            (shape.m * shape.n * shape.k * a_rel.len().max(1)) as u64
-        }
-        POp::Pack2D { rows, cols, .. }
-        | POp::Unpack2D { rows, cols, .. }
-        | POp::Pack2DPad { rows, cols, .. }
-        | POp::Unpack2DClamp { rows, cols, .. } => (rows * cols) as u64,
-        POp::FillF32 { dst, .. } => dst.len as u64,
-        POp::ZeroI32 { dst } => dst.len as u64,
-        POp::Unary { src, .. } => src.len as u64,
-        POp::Binary { a, .. } | POp::BinaryScalar { a, .. } => a.len as u64,
-        POp::BinaryRowBcast { rows, cols, .. }
-        | POp::BinaryColBcast { rows, cols, .. }
-        | POp::ReduceRows { rows, cols, .. }
-        | POp::DequantAcc { rows, cols, .. } => (rows * cols) as u64,
-        POp::QuantU8 { src, .. }
-        | POp::CastI32F32 { src, .. }
-        | POp::AddF32 { src, .. }
-        | POp::AddI32 { src, .. } => src.len as u64,
-        POp::DequantU8 { src, .. } | POp::DequantI8 { src, .. } => src.len as u64,
-        POp::CompAccumulate { nb, kb, .. } => (nb * kb) as u64,
-    };
-    OP_OVERHEAD_UNITS + elems
+/// Static work estimate for one compiled op, in element-op units.
+fn op_units(op: &PlanOp) -> u64 {
+    OP_OVERHEAD_UNITS + op.op.desc(None).work()
 }
 
 /// Total work of `instrs[start..end]` for one pass, multiplying nested
@@ -781,35 +335,12 @@ fn range_units(instrs: &[PInstr], start: usize, end: usize) -> u64 {
                 pc = *body_end;
             }
             PInstr::Op(op) => {
-                units = units.saturating_add(pop_units(op));
+                units = units.saturating_add(op_units(op));
                 pc += 1;
             }
         }
     }
     units
-}
-
-fn pack_dtype_ok(dt: DataType) -> bool {
-    matches!(
-        dt,
-        DataType::F32 | DataType::U8 | DataType::I8 | DataType::I32
-    )
-}
-
-/// Span of a strided 2-D access pattern starting at its base offset.
-fn strided_span(rows: usize, cols: usize, rs: usize, cs: usize) -> usize {
-    if rows == 0 || cols == 0 {
-        return 0;
-    }
-    (rows - 1) * rs + (cols - 1) * cs + 1
-}
-
-/// The brgemm batch-offset table for `batch` tiles of `tile_len`
-/// elements every `stride`, plus the buffer span they cover.
-fn batch_table(batch: usize, stride: usize, tile_len: usize) -> (Box<[usize]>, usize) {
-    let rel: Box<[usize]> = (0..batch).map(|i| i * stride).collect();
-    let span = rel.last().map_or(0, |&last| last + tile_len);
-    (rel, span)
 }
 
 /// Affine decomposition: `Some((base, terms))` with `terms` sorted by
@@ -878,69 +409,11 @@ fn emit_program(e: &Expr, ops: &mut Vec<OffsetOp>) -> Result<usize, Reject> {
     Ok(1)
 }
 
-/// Interval of `e` over the box `var_iv[v].0 <= vars[v] <= var_iv[v].1`,
-/// or `None` when it cannot be bounded (division by a possibly-
-/// nonpositive value, remainder of a possibly-negative numerator,
-/// arithmetic overflow).
-pub(crate) fn interval(e: &Expr, var_iv: &[(i64, i64)]) -> Option<(i64, i64)> {
-    match e {
-        Expr::Const(c) => Some((*c, *c)),
-        Expr::Var(VarId(v)) => Some(var_iv.get(*v).copied().unwrap_or((0, 0))),
-        Expr::Add(a, b) => {
-            let (al, ah) = interval(a, var_iv)?;
-            let (bl, bh) = interval(b, var_iv)?;
-            Some((al.checked_add(bl)?, ah.checked_add(bh)?))
-        }
-        Expr::Mul(a, b) => {
-            let (al, ah) = interval(a, var_iv)?;
-            let (bl, bh) = interval(b, var_iv)?;
-            corner_bounds(al, ah, bl, bh, i64::checked_mul)
-        }
-        Expr::Div(a, b) => {
-            let (al, ah) = interval(a, var_iv)?;
-            let (bl, bh) = interval(b, var_iv)?;
-            if bl <= 0 {
-                return None; // divisor may be zero or negative
-            }
-            // Truncating division by a positive divisor is monotone in
-            // the numerator and anti-/monotone in the divisor per
-            // numerator sign, so extremes sit at box corners.
-            corner_bounds(al, ah, bl, bh, |x, d| Some(x / d))
-        }
-        Expr::Rem(a, b) => {
-            let (al, ah) = interval(a, var_iv)?;
-            let (bl, bh) = interval(b, var_iv)?;
-            if bl <= 0 || al < 0 {
-                return None;
-            }
-            Some((0, (bh - 1).min(ah)))
-        }
-    }
-}
-
-fn corner_bounds(
-    al: i64,
-    ah: i64,
-    bl: i64,
-    bh: i64,
-    f: impl Fn(i64, i64) -> Option<i64>,
-) -> Option<(i64, i64)> {
-    let mut lo = i64::MAX;
-    let mut hi = i64::MIN;
-    for x in [al, ah] {
-        for y in [bl, bh] {
-            let v = f(x, y)?;
-            lo = lo.min(v);
-            hi = hi.max(v);
-        }
-    }
-    Some((lo, hi))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::BufDecl;
+    use crate::bounds::interval;
+    use crate::ir::{BufDecl, Op, View};
 
     fn v(i: usize) -> Expr {
         Expr::v(VarId(i))
@@ -990,12 +463,21 @@ mod tests {
 
     #[test]
     fn batch_table_layout() {
-        let (rel, span) = batch_table(3, 10, 4);
-        assert_eq!(rel.as_ref(), &[0, 10, 20]);
-        assert_eq!(span, 24);
-        let (rel0, span0) = batch_table(0, 10, 4);
-        assert!(rel0.is_empty());
-        assert_eq!(span0, 0);
+        use crate::ir::Footprint::Tiles;
+        let tiles = Tiles {
+            count: 3,
+            stride: 10,
+            len: 4,
+        };
+        assert_eq!(tiles.tile_offsets().as_ref(), &[0, 10, 20]);
+        assert_eq!(tiles.span(), 24);
+        let none = Tiles {
+            count: 0,
+            stride: 10,
+            len: 4,
+        };
+        assert!(none.tile_offsets().is_empty());
+        assert_eq!(none.span(), 0);
     }
 
     fn simple_func(offset: Expr, elems: usize, extent: usize) -> Func {
@@ -1011,11 +493,17 @@ mod tests {
             body: vec![Stmt::loop_(
                 VarId(0),
                 extent,
-                vec![Stmt::Op(Intrinsic::Unary {
-                    op: gc_microkernel::UnaryOp::Relu,
-                    src: View::new(BufId::Param(0), offset.clone(), 4),
-                    dst: View::new(BufId::Param(1), offset, 4),
-                })],
+                vec![Stmt::Op(Intrinsic::new(
+                    Op::Unary {
+                        op: gc_microkernel::UnaryOp::Relu,
+                        len: 4,
+                    },
+                    [
+                        View::new(BufId::Param(0), offset.clone(), 4),
+                        View::new(BufId::Param(1), offset, 4),
+                    ],
+                    [],
+                ))],
             )],
         }
     }
@@ -1061,15 +549,16 @@ mod tests {
         assert_eq!(fs.linear_offsets, 0);
         // evaluate the compiled offset across the loop and compare with
         // the source expression
-        let PInstr::Op(POp::Unary { src, .. }) = &pf.instrs[1] else {
+        let PInstr::Op(compiled) = &pf.instrs[1] else {
             panic!("expected compiled unary");
         };
+        let src = &compiled.operands()[0];
         let mut vars = [0i64; MAX_VARS];
         for i in 0..7 {
             vars[0] = i;
             let want = f.body.iter().find_map(|s| match s {
                 Stmt::For { body, .. } => match &body[0] {
-                    Stmt::Op(Intrinsic::Unary { src, .. }) => Some(src.offset.eval(&vars[..1])),
+                    Stmt::Op(i) => Some(i.operands[0].offset.eval(&vars[..1])),
                     _ => None,
                 },
                 _ => None,

@@ -27,9 +27,9 @@
 //! region regardless of which worker claims them.
 
 use crate::compile::compile_module;
-use crate::exec::{run_calls_opts, ExecError};
+use crate::exec::{run_func, ExecError};
 use crate::ir::{GlobalKind, Module};
-use crate::plan::{run_plan_call_opts, ExecOptions, Plan, PlanScratch, PlanStats};
+use crate::plan::{run_plan_call, ExecOptions, Plan, PlanScratch, PlanStats};
 use crate::sim::{project, Projection};
 use gc_machine::MachineDescriptor;
 use gc_runtime::{ConstantCache, ExecStats, ThreadPool};
@@ -418,6 +418,26 @@ impl Executable {
         ins.into_iter().map(|(_, e, d)| (e, d)).collect()
     }
 
+    /// Run one call on the interpreter. A function the plan builder
+    /// rejected has no static bounds proof, so unless the interpreter
+    /// was asked for (`ExecMode::Interpret` keeps the caller's options)
+    /// every access of a fallback function is hard-asserted.
+    fn interpret(&self, call: &crate::ir::Call, globals: &mut [Storage]) {
+        let unproven = self.mode == ExecMode::Compiled && self.plan.func(call.func).is_none();
+        let opts = if unproven {
+            ExecOptions::checked()
+        } else {
+            self.exec_options
+        };
+        run_func(
+            &self.module.funcs[call.func],
+            call,
+            globals,
+            &self.pool,
+            opts,
+        );
+    }
+
     /// Run the init stage from scratch: allocate globals, seed weights,
     /// install the first call's inputs (runtime constants arrive with
     /// them), and execute the init calls.
@@ -432,13 +452,9 @@ impl Executable {
             globals[*gi] = t.storage().clone();
         }
         install_inputs(&self.module, &mut globals, inputs);
-        run_calls_opts(
-            &self.module,
-            &self.module.init_calls,
-            &mut globals,
-            &self.pool,
-            self.exec_options,
-        );
+        for call in &self.module.init_calls {
+            self.interpret(call, &mut globals);
+        }
         self.init_runs.fetch_add(1, Ordering::Relaxed);
         self.count(|c| &c.init_runs);
         globals
@@ -520,10 +536,12 @@ impl Executable {
         install_inputs(&self.module, globals, inputs);
 
         // Main stage: compiled plans where available, interpreter
-        // otherwise (and for every call in `Interpret` mode).
+        // otherwise (and for every call in `Interpret` mode). A dispatch
+        // is counted before it runs, so one that panics is still seen.
         for call in &self.module.main_calls {
             if self.mode == ExecMode::Compiled && self.plan.func(call.func).is_some() {
-                run_plan_call_opts(
+                self.count(|c| &c.plan_dispatches);
+                run_plan_call(
                     &self.plan,
                     call.func,
                     &call.args,
@@ -532,16 +550,9 @@ impl Executable {
                     &mut state.scratch,
                     self.exec_options,
                 );
-                self.count(|c| &c.plan_dispatches);
             } else {
-                crate::exec::run_func(
-                    &self.module.funcs[call.func],
-                    call,
-                    globals,
-                    &self.pool,
-                    self.exec_options,
-                );
                 self.count(|c| &c.interp_dispatches);
+                self.interpret(call, globals);
             }
         }
 
@@ -638,7 +649,7 @@ fn parallel_regions(stmts: &[crate::ir::Stmt], mult: u64) -> u64 {
 mod tests {
     use super::*;
     use crate::expr::Expr;
-    use crate::ir::{BufDecl, BufId, Call, Func, GlobalDecl, Intrinsic, Stmt, View};
+    use crate::ir::{BufDecl, BufId, Call, Func, GlobalDecl, Intrinsic, Op, Stmt, View};
     use gc_microkernel::UnaryOp;
     use gc_tensor::DataType;
 
@@ -678,11 +689,17 @@ mod tests {
             ],
             locals: vec![],
             var_count: 0,
-            body: vec![Stmt::Op(Intrinsic::Unary {
-                op: UnaryOp::Square,
-                src: View::new(BufId::Param(0), Expr::c(0), 8),
-                dst: View::new(BufId::Param(1), Expr::c(0), 8),
-            })],
+            body: vec![Stmt::Op(Intrinsic::new(
+                Op::Unary {
+                    op: UnaryOp::Square,
+                    len: 8,
+                },
+                [
+                    View::new(BufId::Param(0), Expr::c(0), 8),
+                    View::new(BufId::Param(1), Expr::c(0), 8),
+                ],
+                [],
+            ))],
         };
         let addw = Func {
             name: "main_add".into(),
@@ -693,12 +710,18 @@ mod tests {
             ],
             locals: vec![],
             var_count: 0,
-            body: vec![Stmt::Op(Intrinsic::Binary {
-                op: gc_microkernel::BinaryOp::Add,
-                a: View::new(BufId::Param(0), Expr::c(0), 8),
-                b: View::new(BufId::Param(1), Expr::c(0), 8),
-                dst: View::new(BufId::Param(2), Expr::c(0), 8),
-            })],
+            body: vec![Stmt::Op(Intrinsic::new(
+                Op::Binary {
+                    op: gc_microkernel::BinaryOp::Add,
+                    len: 8,
+                },
+                [
+                    View::new(BufId::Param(0), Expr::c(0), 8),
+                    View::new(BufId::Param(1), Expr::c(0), 8),
+                    View::new(BufId::Param(2), Expr::c(0), 8),
+                ],
+                [],
+            ))],
         };
         let f_init = m.add_func(square);
         let f_main = m.add_func(addw);
@@ -884,6 +907,75 @@ mod tests {
         assert!(exe.exec_options().checked);
         let x = Tensor::from_vec_f32(&[8], vec![0.5; 8]).unwrap();
         exe.execute(&[x]).unwrap();
+        assert_eq!(eng.totals().interp_dispatches, 1);
+        assert_eq!(eng.totals().plan_dispatches, 0);
+    }
+
+    /// A function the plan builder rejects has no static bounds proof,
+    /// so its interpreter fallback must hard-assert every access even
+    /// under default options in a release build (where `debug_assert`
+    /// is compiled out): here iteration 8 of 9 reads `in[32..36]` of a
+    /// 32-element buffer.
+    #[test]
+    fn rejected_function_falls_back_with_hard_bounds_asserts() {
+        use crate::expr::VarId;
+        let v = VarId(0);
+        let step = Expr::v(v).mul(Expr::c(4));
+        let bad = Func {
+            name: "overrun".into(),
+            params: vec![
+                BufDecl::new(DataType::F32, 32, "in"),
+                BufDecl::new(DataType::F32, 32, "out"),
+            ],
+            locals: vec![],
+            var_count: 1,
+            body: vec![Stmt::loop_(
+                v,
+                9,
+                vec![Stmt::Op(Intrinsic::new(
+                    Op::Unary {
+                        op: UnaryOp::Relu,
+                        len: 4,
+                    },
+                    [
+                        View::new(BufId::Param(0), step.clone(), 4),
+                        View::new(BufId::Param(1), step, 4),
+                    ],
+                    [],
+                ))],
+            )],
+        };
+        let mut m = Module::new();
+        let g_in = m.add_global(GlobalDecl {
+            dtype: DataType::F32,
+            elems: 32,
+            kind: GlobalKind::Input(0),
+            name: "x".into(),
+        });
+        let g_out = m.add_global(GlobalDecl {
+            dtype: DataType::F32,
+            elems: 32,
+            kind: GlobalKind::Output(0),
+            name: "y".into(),
+        });
+        let f = m.add_func(bad);
+        m.main_calls.push(Call {
+            func: f,
+            args: vec![g_in, g_out],
+        });
+        let eng = Engine::new(Arc::new(ThreadPool::new(1)));
+        let exe = eng.build(m, vec![], 1);
+        assert_eq!(exe.plan_stats().interpreted_funcs, 1);
+        assert!(!exe.exec_options().checked);
+        let x = Tensor::from_vec_f32(&[32], vec![1.0; 32]).unwrap();
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| exe.execute(&[x])))
+            .expect_err("the overrun must not execute silently");
+        let msg = panic
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| panic.downcast_ref::<&str>().copied())
+            .unwrap_or_default();
+        assert!(msg.contains("view out of bounds"), "panicked with: {msg}");
         assert_eq!(eng.totals().interp_dispatches, 1);
         assert_eq!(eng.totals().plan_dispatches, 0);
     }

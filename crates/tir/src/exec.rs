@@ -1,4 +1,4 @@
-//! Tensor IR execution.
+//! Tensor IR execution: the tree-walking reference interpreter.
 //!
 //! The original system lowers Tensor IR to LLVM IR and JITs native code.
 //! This reproduction executes the same IR directly: loop nests are
@@ -7,19 +7,19 @@
 //! intrinsics from `gc-microkernel`, exactly at the boundary where the
 //! original calls its JITed microkernels.
 //!
-//! # Safety model
-//!
-//! Parallel loop iterations write to disjoint buffer regions — this is a
-//! *lowering invariant*, the same one the original compiler's codegen
-//! guarantees. The executor materializes each buffer's raw pointer once
-//! per function call and builds disjoint slices from it; debug builds
-//! assert in-bounds access and dtype agreement.
+//! The interpreter is the oracle for the plan builder: it walks `Stmt`
+//! trees, evaluates `Expr` offsets and clamp bases afresh on every
+//! visit, rebuilds brgemm batch tables per call and never sees a
+//! compiled offset, a demoted loop or a grain. The only thing it shares
+//! with [`crate::plan`] is `kernel::run_op`, the single copy of every
+//! kernel call (the `kernel` module documents the safety model).
 
-use crate::expr::VarId;
-use crate::ir::{BufId, Call, Func, Intrinsic, Module, ReduceOp, Stmt, View};
-use gc_microkernel::{brgemm, eltwise, epilogue, reduce, tail, UnaryOp};
+use crate::expr::{Expr, VarId};
+use crate::ir::{BufId, Call, Func, Intrinsic, Module, Operand, Stmt, MAX_CLAMPS, MAX_OPERANDS};
+use crate::kernel::{run_op, RawBuf, Resolved};
+use crate::plan::ExecOptions;
 use gc_runtime::ThreadPool;
-use gc_tensor::{DataType, Storage};
+use gc_tensor::Storage;
 
 /// Error produced while preparing execution (dtype/shape mismatches are
 /// panics, as they indicate compiler bugs, not user errors).
@@ -34,115 +34,6 @@ impl std::fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
-#[derive(Clone, Copy)]
-pub(crate) struct RawBuf {
-    pub(crate) ptr: *mut u8,
-    elems: usize,
-    dtype: DataType,
-    /// Hard-assert every slice access (checked execution); otherwise
-    /// bounds are debug-only.
-    checked: bool,
-}
-
-impl std::fmt::Debug for RawBuf {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "RawBuf({:?} x{} {})", self.ptr, self.elems, self.dtype)
-    }
-}
-
-unsafe impl Send for RawBuf {}
-unsafe impl Sync for RawBuf {}
-
-impl RawBuf {
-    pub(crate) fn of(storage: &mut Storage, checked: bool) -> RawBuf {
-        let dtype = storage.dtype();
-        let elems = storage.len();
-        let ptr = match storage {
-            Storage::F32(v) => v.as_mut_ptr() as *mut u8,
-            Storage::Bf16(v) => v.as_mut_ptr() as *mut u8,
-            Storage::U8(v) => v.as_mut_ptr(),
-            Storage::I8(v) => v.as_mut_ptr() as *mut u8,
-            Storage::I32(v) => v.as_mut_ptr() as *mut u8,
-            Storage::I64(v) => v.as_mut_ptr() as *mut u8,
-        };
-        RawBuf {
-            ptr,
-            elems,
-            dtype,
-            checked,
-        }
-    }
-
-    /// Buffer capacity in elements (checked execution compares evaluated
-    /// offsets against this).
-    #[inline]
-    pub(crate) fn elems(&self) -> usize {
-        self.elems
-    }
-
-    /// Element type of the underlying storage.
-    #[inline]
-    #[allow(dead_code)]
-    pub(crate) fn dtype(&self) -> DataType {
-        self.dtype
-    }
-
-    #[inline]
-    fn check(&self, off: usize, len: usize, dtype: DataType) {
-        if self.checked {
-            assert_eq!(self.dtype, dtype, "intrinsic dtype mismatch");
-            assert!(
-                off + len <= self.elems,
-                "view out of bounds: {}+{} > {}",
-                off,
-                len,
-                self.elems
-            );
-        } else {
-            debug_assert_eq!(self.dtype, dtype, "intrinsic dtype mismatch");
-            debug_assert!(
-                off + len <= self.elems,
-                "view out of bounds: {}+{} > {}",
-                off,
-                len,
-                self.elems
-            );
-        }
-    }
-
-    /// # Safety
-    /// Range must be in bounds and disjoint from other live slices.
-    #[inline]
-    pub(crate) unsafe fn f32<'a>(self, off: usize, len: usize) -> &'a mut [f32] {
-        self.check(off, len, DataType::F32);
-        std::slice::from_raw_parts_mut((self.ptr as *mut f32).add(off), len)
-    }
-
-    /// # Safety
-    /// Range must be in bounds and disjoint from other live slices.
-    #[inline]
-    pub(crate) unsafe fn u8<'a>(self, off: usize, len: usize) -> &'a mut [u8] {
-        self.check(off, len, DataType::U8);
-        std::slice::from_raw_parts_mut(self.ptr.add(off), len)
-    }
-
-    /// # Safety
-    /// Range must be in bounds and disjoint from other live slices.
-    #[inline]
-    pub(crate) unsafe fn i8<'a>(self, off: usize, len: usize) -> &'a mut [i8] {
-        self.check(off, len, DataType::I8);
-        std::slice::from_raw_parts_mut((self.ptr as *mut i8).add(off), len)
-    }
-
-    /// # Safety
-    /// Range must be in bounds and disjoint from other live slices.
-    #[inline]
-    pub(crate) unsafe fn i32<'a>(self, off: usize, len: usize) -> &'a mut [i32] {
-        self.check(off, len, DataType::I32);
-        std::slice::from_raw_parts_mut((self.ptr as *mut i32).add(off), len)
-    }
-}
-
 struct Frame<'a> {
     bufs: Vec<RawBuf>,
     n_params: usize,
@@ -152,40 +43,36 @@ struct Frame<'a> {
 
 impl Frame<'_> {
     #[inline]
-    fn buf(&self, id: BufId) -> RawBuf {
+    fn buf(&self, id: BufId) -> &RawBuf {
         match id {
-            BufId::Param(i) => self.bufs[i],
-            BufId::Local(i) => self.bufs[self.n_params + i],
+            BufId::Param(i) => &self.bufs[i],
+            BufId::Local(i) => &self.bufs[self.n_params + i],
         }
     }
 
+    /// Evaluate an index expression (operand offset or axis-clamp
+    /// base), asserting non-negativity.
     #[inline]
-    fn resolve(&self, v: &View, vars: &[i64]) -> (RawBuf, usize) {
-        let off = v.offset.eval(vars);
-        if self.checked {
-            assert!(off >= 0, "negative view offset {off}");
-        } else {
-            debug_assert!(off >= 0, "negative view offset {off}");
-        }
-        (self.buf(v.buf), off as usize)
-    }
-
-    /// Evaluate a scalar index expression (axis-clamp base), asserting
-    /// non-negativity.
-    #[inline]
-    fn index(&self, e: &crate::expr::Expr, vars: &[i64]) -> usize {
+    fn index(&self, e: &Expr, vars: &[i64]) -> usize {
         let v = e.eval(vars);
         if self.checked {
-            assert!(v >= 0, "negative clamp base {v}");
+            assert!(v >= 0, "negative view offset or clamp base {v}");
         } else {
-            debug_assert!(v >= 0, "negative clamp base {v}");
+            debug_assert!(v >= 0, "negative view offset or clamp base {v}");
         }
         v.max(0) as usize
+    }
+
+    #[inline]
+    fn resolve(&self, o: &Operand, vars: &[i64]) -> Resolved<'_> {
+        (self.buf(o.buf), self.index(&o.offset, vars))
     }
 }
 
 /// Execute a module's init and/or main call sequences against `globals`
-/// (one [`Storage`] per module global, in declaration order).
+/// (one [`Storage`] per module global, in declaration order). With
+/// `opts.checked`, out-of-bounds views are hard asserts in release
+/// builds too.
 ///
 /// # Errors
 ///
@@ -201,35 +88,7 @@ pub fn run_module(
     globals: &mut [Storage],
     pool: &ThreadPool,
     include_init: bool,
-) -> Result<(), ExecError> {
-    run_module_opts(
-        module,
-        globals,
-        pool,
-        include_init,
-        crate::plan::ExecOptions::default(),
-    )
-}
-
-/// [`run_module`] with explicit execution options (e.g. checked
-/// bounds-asserted interpretation).
-///
-/// # Errors
-///
-/// Returns an error if `globals` disagrees with the module's
-/// declarations.
-///
-/// # Panics
-///
-/// Panics on out-of-bounds views or dtype mismatches (compiler-invariant
-/// violations); with `opts.checked` these are hard asserts in release
-/// builds too.
-pub fn run_module_opts(
-    module: &Module,
-    globals: &mut [Storage],
-    pool: &ThreadPool,
-    include_init: bool,
-    opts: crate::plan::ExecOptions,
+    opts: ExecOptions,
 ) -> Result<(), ExecError> {
     if globals.len() != module.globals.len() {
         return Err(ExecError(format!(
@@ -251,9 +110,9 @@ pub fn run_module_opts(
         }
     }
     if include_init {
-        run_calls_opts(module, &module.init_calls, globals, pool, opts);
+        run_calls(module, &module.init_calls, globals, pool, opts);
     }
-    run_calls_opts(module, &module.main_calls, globals, pool, opts);
+    run_calls(module, &module.main_calls, globals, pool, opts);
     Ok(())
 }
 
@@ -262,27 +121,12 @@ pub fn run_module_opts(
 /// # Panics
 ///
 /// Panics on compiler-invariant violations.
-pub fn run_calls(module: &Module, calls: &[Call], globals: &mut [Storage], pool: &ThreadPool) {
-    run_calls_opts(
-        module,
-        calls,
-        globals,
-        pool,
-        crate::plan::ExecOptions::default(),
-    );
-}
-
-/// [`run_calls`] with explicit execution options.
-///
-/// # Panics
-///
-/// Panics on compiler-invariant violations.
-pub fn run_calls_opts(
+pub fn run_calls(
     module: &Module,
     calls: &[Call],
     globals: &mut [Storage],
     pool: &ThreadPool,
-    opts: crate::plan::ExecOptions,
+    opts: ExecOptions,
 ) {
     for call in calls {
         let func = &module.funcs[call.func];
@@ -295,7 +139,7 @@ pub(crate) fn run_func(
     call: &Call,
     globals: &mut [Storage],
     pool: &ThreadPool,
-    opts: crate::plan::ExecOptions,
+    opts: ExecOptions,
 ) {
     // Materialize raw param pointers (sequentially, one &mut at a time).
     // A global may be bound to several parameters (e.g. a residual graph
@@ -378,708 +222,37 @@ fn set_var(vars: &mut Vec<i64>, var: VarId, val: i64) {
     vars[var.0] = val;
 }
 
-#[inline]
-pub(crate) fn assert_disjoint(a: (RawBuf, usize, usize), b: (RawBuf, usize, usize)) {
-    debug_assert!(
-        a.0.ptr != b.0.ptr || a.1 + a.2 <= b.1 || b.1 + b.2 <= a.1,
-        "overlapping views in intrinsic"
-    );
-}
-
-#[allow(clippy::too_many_lines)]
+/// Resolve the intrinsic's operands the slow way — every offset and
+/// clamp base re-evaluated from its expression tree, brgemm batch
+/// tables rebuilt — and hand them to the shared kernel dispatch.
 fn exec_intrinsic(intr: &Intrinsic, frame: &Frame<'_>, vars: &[i64]) {
-    match intr {
-        Intrinsic::BrgemmF32 {
-            a,
-            a_stride,
-            b,
-            b_stride,
-            c,
-            m,
-            n,
-            k,
-            batch,
-        } => {
-            let (ab, ao) = frame.resolve(a, vars);
-            let (bb, bo) = frame.resolve(b, vars);
-            let (cb, co) = frame.resolve(c, vars);
-            let a_offs: Vec<usize> = (0..*batch).map(|i| ao + i * a_stride).collect();
-            let b_offs: Vec<usize> = (0..*batch).map(|i| bo + i * b_stride).collect();
-            let a_end = a_offs.last().map(|&o| o + m * k).unwrap_or(ao);
-            let b_end = b_offs.last().map(|&o| o + n * k).unwrap_or(bo);
-            unsafe {
-                let asl = ab.f32(ao, a_end - ao);
-                let bsl = bb.f32(bo, b_end - bo);
-                let csl = cb.f32(co, m * n);
-                let a_rel: Vec<usize> = a_offs.iter().map(|&o| o - ao).collect();
-                let b_rel: Vec<usize> = b_offs.iter().map(|&o| o - bo).collect();
-                brgemm::brgemm_f32(
-                    brgemm::BrgemmShape::new(*m, *n, *k),
-                    asl,
-                    &a_rel,
-                    bsl,
-                    &b_rel,
-                    csl,
-                );
-            }
-        }
-        Intrinsic::BrgemmU8I8 {
-            a,
-            a_stride,
-            b,
-            b_stride,
-            c,
-            m,
-            n,
-            k,
-            batch,
-        } => {
-            let (ab, ao) = frame.resolve(a, vars);
-            let (bb, bo) = frame.resolve(b, vars);
-            let (cb, co) = frame.resolve(c, vars);
-            let a_offs: Vec<usize> = (0..*batch).map(|i| i * a_stride).collect();
-            let b_offs: Vec<usize> = (0..*batch).map(|i| i * b_stride).collect();
-            let a_len = a_offs.last().unwrap_or(&0) + m * k;
-            let b_len = b_offs.last().unwrap_or(&0) + n * k;
-            unsafe {
-                let asl = ab.u8(ao, a_len);
-                let bsl = bb.i8(bo, b_len);
-                let csl = cb.i32(co, m * n);
-                brgemm::brgemm_u8i8(
-                    brgemm::BrgemmShape::new(*m, *n, *k),
-                    asl,
-                    &a_offs,
-                    bsl,
-                    &b_offs,
-                    csl,
-                );
-            }
-        }
-        Intrinsic::FillF32 { dst, value } => {
-            let (db, off) = frame.resolve(dst, vars);
-            unsafe { db.f32(off, dst.len) }.fill(*value);
-        }
-        Intrinsic::ZeroI32 { dst } => {
-            let (db, off) = frame.resolve(dst, vars);
-            unsafe { db.i32(off, dst.len) }.fill(0);
-        }
-        Intrinsic::Pack2D {
-            src,
-            src_offset,
-            src_row_stride,
-            src_col_stride,
-            dst,
-            rows,
-            cols,
-        } => {
-            let sb = frame.buf(*src);
-            let so = src_offset.eval(vars) as usize;
-            let (db, doff) = frame.resolve(dst, vars);
-            pack2d(
-                sb,
-                so,
-                *src_row_stride,
-                *src_col_stride,
-                db,
-                doff,
-                *rows,
-                *cols,
-            );
-        }
-        Intrinsic::Unpack2D {
-            src,
-            dst,
-            dst_offset,
-            dst_row_stride,
-            dst_col_stride,
-            rows,
-            cols,
-        } => {
-            let (sb, so) = frame.resolve(src, vars);
-            let db = frame.buf(*dst);
-            let doff = dst_offset.eval(vars) as usize;
-            unpack2d(
-                sb,
-                so,
-                db,
-                doff,
-                *dst_row_stride,
-                *dst_col_stride,
-                *rows,
-                *cols,
-            );
-        }
-        Intrinsic::Pack2DPad {
-            src,
-            src_offset,
-            src_row_stride,
-            src_col_stride,
-            dst,
-            rows,
-            cols,
-            row_clamp,
-            col_clamp,
-        } => {
-            let sb = frame.buf(*src);
-            let so = frame.index(src_offset, vars);
-            let (db, doff) = frame.resolve(dst, vars);
-            let rb = frame.index(&row_clamp.base, vars);
-            let cb = frame.index(&col_clamp.base, vars);
-            let avail_r = row_clamp.avail(rb, *rows);
-            let avail_c = col_clamp.avail(cb, *cols);
-            pack2d_pad(
-                sb,
-                so + rb * src_row_stride + cb * src_col_stride,
-                *src_row_stride,
-                *src_col_stride,
-                db,
-                doff,
-                *rows,
-                *cols,
-                avail_r,
-                avail_c,
-            );
-        }
-        Intrinsic::Unpack2DClamp {
-            src,
-            dst,
-            dst_offset,
-            dst_row_stride,
-            dst_col_stride,
-            rows,
-            cols,
-            row_clamp,
-            col_clamp,
-        } => {
-            let (sb, so) = frame.resolve(src, vars);
-            let db = frame.buf(*dst);
-            let doff = frame.index(dst_offset, vars);
-            let rb = frame.index(&row_clamp.base, vars);
-            let cb = frame.index(&col_clamp.base, vars);
-            let avail_r = row_clamp.avail(rb, *rows);
-            let avail_c = col_clamp.avail(cb, *cols);
-            unpack2d_clamp(
-                sb,
-                so,
-                db,
-                doff + rb * dst_row_stride + cb * dst_col_stride,
-                *dst_row_stride,
-                *dst_col_stride,
-                *cols,
-                avail_r,
-                avail_c,
-            );
-        }
-        Intrinsic::BrgemmF32Tail {
-            a,
-            a_stride,
-            b,
-            b_stride,
-            c,
-            m,
-            n,
-            k,
-            batch,
-            m_clamp,
-        } => {
-            let mb = frame.index(&m_clamp.base, vars);
-            let m_eff = m_clamp.avail(mb, *m);
-            if m_eff == 0 {
-                return;
-            }
-            let (ab, ao) = frame.resolve(a, vars);
-            let (bb, bo) = frame.resolve(b, vars);
-            let (cb, co) = frame.resolve(c, vars);
-            let a_offs: Vec<usize> = (0..*batch).map(|i| i * a_stride).collect();
-            let b_offs: Vec<usize> = (0..*batch).map(|i| i * b_stride).collect();
-            let a_len = a_offs.last().unwrap_or(&0) + m * k;
-            let b_len = b_offs.last().unwrap_or(&0) + n * k;
-            unsafe {
-                let asl = ab.f32(ao, a_len);
-                let bsl = bb.f32(bo, b_len);
-                let csl = cb.f32(co, m_eff * n);
-                tail::brgemm_f32_m_tail(
-                    brgemm::BrgemmShape::new(*m, *n, *k),
-                    m_eff,
-                    asl,
-                    &a_offs,
-                    bsl,
-                    &b_offs,
-                    csl,
-                );
-            }
-        }
-        Intrinsic::BrgemmU8I8Tail {
-            a,
-            a_stride,
-            b,
-            b_stride,
-            c,
-            m,
-            n,
-            k,
-            batch,
-            m_clamp,
-        } => {
-            let mb = frame.index(&m_clamp.base, vars);
-            let m_eff = m_clamp.avail(mb, *m);
-            if m_eff == 0 {
-                return;
-            }
-            let (ab, ao) = frame.resolve(a, vars);
-            let (bb, bo) = frame.resolve(b, vars);
-            let (cb, co) = frame.resolve(c, vars);
-            let a_offs: Vec<usize> = (0..*batch).map(|i| i * a_stride).collect();
-            let b_offs: Vec<usize> = (0..*batch).map(|i| i * b_stride).collect();
-            let a_len = a_offs.last().unwrap_or(&0) + m * k;
-            let b_len = b_offs.last().unwrap_or(&0) + n * k;
-            unsafe {
-                let asl = ab.u8(ao, a_len);
-                let bsl = bb.i8(bo, b_len);
-                let csl = cb.i32(co, m_eff * n);
-                tail::brgemm_u8i8_m_tail(
-                    brgemm::BrgemmShape::new(*m, *n, *k),
-                    m_eff,
-                    asl,
-                    &a_offs,
-                    bsl,
-                    &b_offs,
-                    csl,
-                );
-            }
-        }
-        Intrinsic::Unary { op, src, dst } => {
-            let (sb, so) = frame.resolve(src, vars);
-            let (db, doff) = frame.resolve(dst, vars);
-            if sb.ptr == db.ptr && so == doff {
-                debug_assert_eq!(src.len, dst.len);
-                let buf = unsafe { db.f32(doff, dst.len) };
-                eltwise::unary_inplace(*op, buf);
-            } else {
-                assert_disjoint((sb, so, src.len), (db, doff, dst.len));
-                unsafe {
-                    eltwise::unary(*op, sb.f32(so, src.len), db.f32(doff, dst.len));
-                }
-            }
-        }
-        Intrinsic::Binary { op, a, b, dst } => {
-            let (ab, ao) = frame.resolve(a, vars);
-            let (bb, bo) = frame.resolve(b, vars);
-            let (db, doff) = frame.resolve(dst, vars);
-            // In-place over `a` is permitted (dst == a); `b` must be
-            // disjoint from dst.
-            assert_disjoint((bb, bo, b.len), (db, doff, dst.len));
-            if ab.ptr == db.ptr && ao == doff {
-                unsafe {
-                    let dsl = db.f32(doff, dst.len);
-                    let bsl = bb.f32(bo, b.len);
-                    for (d, &y) in dsl.iter_mut().zip(bsl.iter()) {
-                        *d = op.apply(*d, y);
-                    }
-                }
-            } else {
-                assert_disjoint((ab, ao, a.len), (db, doff, dst.len));
-                unsafe {
-                    eltwise::binary(
-                        *op,
-                        ab.f32(ao, a.len),
-                        bb.f32(bo, b.len),
-                        db.f32(doff, dst.len),
-                    );
-                }
-            }
-        }
-        Intrinsic::BinaryScalar { op, a, scalar, dst } => {
-            let (ab, ao) = frame.resolve(a, vars);
-            let (db, doff) = frame.resolve(dst, vars);
-            if ab.ptr == db.ptr && ao == doff {
-                let dsl = unsafe { db.f32(doff, dst.len) };
-                for d in dsl.iter_mut() {
-                    *d = op.apply(*d, *scalar);
-                }
-            } else {
-                assert_disjoint((ab, ao, a.len), (db, doff, dst.len));
-                unsafe {
-                    eltwise::binary_scalar(*op, ab.f32(ao, a.len), *scalar, db.f32(doff, dst.len));
-                }
-            }
-        }
-        Intrinsic::BinaryRowBcast {
-            op,
-            a,
-            b,
-            dst,
-            rows,
-            cols,
-        } => {
-            let (ab, ao) = frame.resolve(a, vars);
-            let (bb, bo) = frame.resolve(b, vars);
-            let (db, doff) = frame.resolve(dst, vars);
-            unsafe {
-                let bsl = bb.f32(bo, *cols);
-                for r in 0..*rows {
-                    let arow = ab.f32(ao + r * cols, *cols);
-                    let drow = db.f32(doff + r * cols, *cols);
-                    for ((d, &x), &y) in drow.iter_mut().zip(arow.iter()).zip(bsl.iter()) {
-                        *d = op.apply(x, y);
-                    }
-                }
-            }
-        }
-        Intrinsic::BinaryColBcast {
-            op,
-            a,
-            b,
-            dst,
-            rows,
-            cols,
-        } => {
-            let (ab, ao) = frame.resolve(a, vars);
-            let (bb, bo) = frame.resolve(b, vars);
-            let (db, doff) = frame.resolve(dst, vars);
-            unsafe {
-                let bsl = bb.f32(bo, *rows);
-                for (r, &y) in bsl.iter().enumerate() {
-                    let arow = ab.f32(ao + r * cols, *cols);
-                    let drow = db.f32(doff + r * cols, *cols);
-                    match op {
-                        gc_microkernel::BinaryOp::Div => {
-                            let inv = 1.0 / y;
-                            for (d, &x) in drow.iter_mut().zip(arow.iter()) {
-                                *d = x * inv;
-                            }
-                        }
-                        _ => {
-                            for (d, &x) in drow.iter_mut().zip(arow.iter()) {
-                                *d = op.apply(x, y);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        Intrinsic::ReduceRows {
-            op,
-            src,
-            acc,
-            rows,
-            cols,
-            accumulate,
-        } => {
-            let (sb, so) = frame.resolve(src, vars);
-            let (accb, acco) = frame.resolve(acc, vars);
-            unsafe {
-                let ssl = sb.f32(so, rows * cols);
-                let asl = accb.f32(acco, *rows);
-                match (op, accumulate) {
-                    (ReduceOp::Max, false) => reduce::reduce_rows_max(ssl, *rows, *cols, asl),
-                    (ReduceOp::Sum, false) => reduce::reduce_rows_sum(ssl, *rows, *cols, asl),
-                    (ReduceOp::Max, true) => {
-                        for (a, row) in asl.iter_mut().zip(ssl.chunks_exact(*cols)) {
-                            let m = reduce::reduce_max(row);
-                            if m > *a {
-                                *a = m;
-                            }
-                        }
-                    }
-                    (ReduceOp::Sum, true) => {
-                        for (a, row) in asl.iter_mut().zip(ssl.chunks_exact(*cols)) {
-                            *a += reduce::reduce_sum(row);
-                        }
-                    }
-                }
-            }
-        }
-        Intrinsic::DequantAcc {
-            acc,
-            comp,
-            a_zero,
-            scale,
-            bias,
-            dst,
-            rows,
-            cols,
-        } => {
-            let (accb, acco) = frame.resolve(acc, vars);
-            let (compb, compo) = frame.resolve(comp, vars);
-            let (db, doff) = frame.resolve(dst, vars);
-            unsafe {
-                let asl = accb.i32(acco, rows * cols);
-                let csl = compb.i32(compo, *cols);
-                let dsl = db.f32(doff, rows * cols);
-                match bias {
-                    Some(bv) => {
-                        let (bb, bo) = frame.resolve(bv, vars);
-                        let bsl = bb.f32(bo, *cols);
-                        epilogue::dequant_acc_bias(
-                            asl, *rows, *cols, csl, *a_zero, *scale, bsl, dsl,
-                        );
-                    }
-                    None => epilogue::dequant_acc(asl, *rows, *cols, csl, *a_zero, *scale, dsl),
-                }
-            }
-        }
-        Intrinsic::QuantU8 {
-            src,
-            dst,
-            scale,
-            zero_point,
-        } => {
-            let (sb, so) = frame.resolve(src, vars);
-            let (db, doff) = frame.resolve(dst, vars);
-            unsafe {
-                epilogue::requant_u8(
-                    sb.f32(so, src.len),
-                    1.0 / *scale,
-                    *zero_point,
-                    db.u8(doff, dst.len),
-                );
-            }
-        }
-        Intrinsic::DequantU8 {
-            src,
-            dst,
-            scale,
-            zero_point,
-        } => {
-            let (sb, so) = frame.resolve(src, vars);
-            let (db, doff) = frame.resolve(dst, vars);
-            unsafe {
-                let ssl = sb.u8(so, src.len);
-                let dsl = db.f32(doff, dst.len);
-                for (d, &q) in dsl.iter_mut().zip(ssl.iter()) {
-                    *d = *scale * (q as i32 - zero_point) as f32;
-                }
-            }
-        }
-        Intrinsic::DequantI8 { src, dst, scale } => {
-            let (sb, so) = frame.resolve(src, vars);
-            let (db, doff) = frame.resolve(dst, vars);
-            unsafe {
-                let ssl = sb.i8(so, src.len);
-                let dsl = db.f32(doff, dst.len);
-                for (d, &q) in dsl.iter_mut().zip(ssl.iter()) {
-                    *d = *scale * q as f32;
-                }
-            }
-        }
-        Intrinsic::CompAccumulate {
-            b_tile,
-            comp,
-            nb,
-            kb,
-        } => {
-            let (bb, bo) = frame.resolve(b_tile, vars);
-            let (cb, co) = frame.resolve(comp, vars);
-            unsafe {
-                let bsl = bb.i8(bo, nb * kb);
-                let csl = cb.i32(co, *nb);
-                for (c, panel) in csl.iter_mut().zip(bsl.chunks_exact(*kb)) {
-                    *c += panel.iter().map(|&x| x as i32).sum::<i32>();
-                }
-            }
-        }
-        Intrinsic::CastI32F32 { src, dst } => {
-            let (sb, so) = frame.resolve(src, vars);
-            let (db, doff) = frame.resolve(dst, vars);
-            unsafe {
-                epilogue::i32_to_f32(sb.i32(so, src.len), db.f32(doff, dst.len));
-            }
-        }
-        Intrinsic::AddF32 { src, dst } => {
-            let (sb, so) = frame.resolve(src, vars);
-            let (db, doff) = frame.resolve(dst, vars);
-            assert_disjoint((sb, so, src.len), (db, doff, dst.len));
-            unsafe {
-                eltwise::acc_add_f32(sb.f32(so, src.len), db.f32(doff, dst.len));
-            }
-        }
-        Intrinsic::AddI32 { src, dst } => {
-            let (sb, so) = frame.resolve(src, vars);
-            let (db, doff) = frame.resolve(dst, vars);
-            assert_disjoint((sb, so, src.len), (db, doff, dst.len));
-            unsafe {
-                eltwise::acc_add_i32(sb.i32(so, src.len), db.i32(doff, dst.len));
-            }
-        }
+    let desc = intr.op.desc(None);
+    assert!(
+        desc.fits(intr),
+        "{:?}: wrong operand or clamp count",
+        intr.op
+    );
+    let mut operands = [(RawBuf::NULL, 0usize); MAX_OPERANDS];
+    for (slot, o) in operands.iter_mut().zip(&intr.operands) {
+        *slot = frame.resolve(o, vars);
     }
-}
-
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn pack2d(
-    sb: RawBuf,
-    so: usize,
-    rs: usize,
-    cs: usize,
-    db: RawBuf,
-    doff: usize,
-    rows: usize,
-    cols: usize,
-) {
-    macro_rules! go {
-        ($get:ident) => {{
-            unsafe {
-                let need = so + (rows - 1) * rs + (cols - 1) * cs + 1;
-                let ssl = sb.$get(so, need - so);
-                let dsl = db.$get(doff, rows * cols);
-                if cs == 1 {
-                    for r in 0..rows {
-                        dsl[r * cols..(r + 1) * cols].copy_from_slice(&ssl[r * rs..r * rs + cols]);
-                    }
-                } else {
-                    for r in 0..rows {
-                        for c in 0..cols {
-                            dsl[r * cols + c] = ssl[r * rs + c * cs];
-                        }
-                    }
-                }
-            }
-        }};
+    let mut bases = [0usize; MAX_CLAMPS];
+    for (slot, c) in bases.iter_mut().zip(&intr.clamps) {
+        *slot = frame.index(c, vars);
     }
-    match sb.dtype {
-        DataType::F32 => go!(f32),
-        DataType::U8 => go!(u8),
-        DataType::I8 => go!(i8),
-        DataType::I32 => go!(i32),
-        other => panic!("pack2d unsupported dtype {other}"),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn unpack2d(
-    sb: RawBuf,
-    so: usize,
-    db: RawBuf,
-    doff: usize,
-    rs: usize,
-    cs: usize,
-    rows: usize,
-    cols: usize,
-) {
-    macro_rules! go {
-        ($get:ident) => {{
-            unsafe {
-                let ssl = sb.$get(so, rows * cols);
-                let need = doff + (rows - 1) * rs + (cols - 1) * cs + 1;
-                let dsl = db.$get(doff, need - doff);
-                if cs == 1 {
-                    for r in 0..rows {
-                        dsl[r * rs..r * rs + cols].copy_from_slice(&ssl[r * cols..(r + 1) * cols]);
-                    }
-                } else {
-                    for r in 0..rows {
-                        for c in 0..cols {
-                            dsl[r * rs + c * cs] = ssl[r * cols + c];
-                        }
-                    }
-                }
-            }
-        }};
-    }
-    match sb.dtype {
-        DataType::F32 => go!(f32),
-        DataType::U8 => go!(u8),
-        DataType::I8 => go!(i8),
-        DataType::I32 => go!(i32),
-        other => panic!("unpack2d unsupported dtype {other}"),
-    }
-}
-
-/// Clamped pack: copy the `avail_r x avail_c` in-bounds block of a
-/// strided source into the top-left of a contiguous `rows x cols` tile
-/// and zero-fill the remainder. `so` is the fully evaluated source base
-/// (clamp bases already applied).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn pack2d_pad(
-    sb: RawBuf,
-    so: usize,
-    rs: usize,
-    cs: usize,
-    db: RawBuf,
-    doff: usize,
-    rows: usize,
-    cols: usize,
-    avail_r: usize,
-    avail_c: usize,
-) {
-    debug_assert!(avail_r <= rows && avail_c <= cols);
-    macro_rules! go {
-        ($get:ident, $zero:expr) => {{
-            unsafe {
-                let dsl = db.$get(doff, rows * cols);
-                if avail_r == 0 || avail_c == 0 {
-                    dsl.fill($zero);
-                    return;
-                }
-                let need = so + (avail_r - 1) * rs + (avail_c - 1) * cs + 1;
-                let ssl = sb.$get(so, need - so);
-                tail::pack_pad_2d(ssl, rs, cs, dsl, rows, cols, avail_r, avail_c, $zero);
-            }
-        }};
-    }
-    match sb.dtype {
-        DataType::F32 => go!(f32, 0.0f32),
-        DataType::U8 => go!(u8, 0u8),
-        DataType::I8 => go!(i8, 0i8),
-        DataType::I32 => go!(i32, 0i32),
-        other => panic!("pack2d_pad unsupported dtype {other}"),
-    }
-}
-
-/// Clamped unpack: scatter only the `avail_r x avail_c` in-bounds block
-/// of a contiguous `rows x cols` tile (row pitch `cols`) into a strided
-/// destination. `doff` is the fully evaluated destination base (clamp
-/// bases already applied).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn unpack2d_clamp(
-    sb: RawBuf,
-    so: usize,
-    db: RawBuf,
-    doff: usize,
-    rs: usize,
-    cs: usize,
-    cols: usize,
-    avail_r: usize,
-    avail_c: usize,
-) {
-    if avail_r == 0 || avail_c == 0 {
-        return;
-    }
-    macro_rules! go {
-        ($get:ident) => {{
-            unsafe {
-                let ssl = sb.$get(so, (avail_r - 1) * cols + avail_c);
-                let need = doff + (avail_r - 1) * rs + (avail_c - 1) * cs + 1;
-                let dsl = db.$get(doff, need - doff);
-                tail::store_clamped_2d(ssl, dsl, rs, cs, avail_r, cols, avail_r, avail_c);
-            }
-        }};
-    }
-    match sb.dtype {
-        DataType::F32 => go!(f32),
-        DataType::U8 => go!(u8),
-        DataType::I8 => go!(i8),
-        DataType::I32 => go!(i32),
-        other => panic!("unpack2d_clamp unsupported dtype {other}"),
-    }
-}
-
-/// Convenience: like [`UnaryOp::Identity`] copy via `Unary`, used by
-/// tests to express plain copies.
-pub fn copy_intrinsic(src: View, dst: View) -> Intrinsic {
-    Intrinsic::Unary {
-        op: UnaryOp::Identity,
-        src,
-        dst,
-    }
+    run_op(&intr.op, &operands, &bases, &desc.tables());
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::Expr;
-    use crate::ir::{BufDecl, GlobalDecl, GlobalKind};
-    use gc_microkernel::BinaryOp;
+    use crate::ir::{Brgemm, BufDecl, Copy2D, GlobalDecl, GlobalKind, Op, ReduceOp, View};
+    use gc_microkernel::{BinaryOp, UnaryOp};
+    use gc_tensor::DataType;
+
+    fn run(m: &Module, globals: &mut [Storage]) -> Result<(), ExecError> {
+        run_module(m, globals, &pool(), true, ExecOptions::default())
+    }
 
     fn pool() -> ThreadPool {
         ThreadPool::new(2)
@@ -1124,11 +297,17 @@ mod tests {
         f.body.push(Stmt::loop_(
             v,
             2,
-            vec![Stmt::Op(Intrinsic::Unary {
-                op: UnaryOp::Relu,
-                src: View::new(BufId::Param(0), Expr::v(v).mul(Expr::c(4)), 4),
-                dst: View::new(BufId::Param(1), Expr::v(v).mul(Expr::c(4)), 4),
-            })],
+            vec![Stmt::Op(Intrinsic::new(
+                Op::Unary {
+                    op: UnaryOp::Relu,
+                    len: 4,
+                },
+                [
+                    View::new(BufId::Param(0), Expr::v(v).mul(Expr::c(4)), 4),
+                    View::new(BufId::Param(1), Expr::v(v).mul(Expr::c(4)), 4),
+                ],
+                [],
+            ))],
         ));
         let m = mk_module(
             f,
@@ -1139,7 +318,7 @@ mod tests {
             Storage::F32(vec![-1., 2., -3., 4., -5., 6., -7., 8.]),
             Storage::F32(vec![0.; 8]),
         ];
-        run_module(&m, &mut globals, &pool(), true).unwrap();
+        run(&m, &mut globals).unwrap();
         let out = globals[1].as_slice::<f32>().unwrap();
         assert_eq!(out, &[0., 2., 0., 4., 0., 6., 0., 8.]);
     }
@@ -1162,11 +341,17 @@ mod tests {
                 var: v,
                 extent: 8,
                 parallel,
-                body: vec![Stmt::Op(Intrinsic::Unary {
-                    op: UnaryOp::Square,
-                    src: View::new(BufId::Param(0), Expr::v(v).mul(Expr::c(8)), 8),
-                    dst: View::new(BufId::Param(1), Expr::v(v).mul(Expr::c(8)), 8),
-                })],
+                body: vec![Stmt::Op(Intrinsic::new(
+                    Op::Unary {
+                        op: UnaryOp::Square,
+                        len: 8,
+                    },
+                    [
+                        View::new(BufId::Param(0), Expr::v(v).mul(Expr::c(8)), 8),
+                        View::new(BufId::Param(1), Expr::v(v).mul(Expr::c(8)), 8),
+                    ],
+                    [],
+                ))],
             });
             mk_module(
                 f,
@@ -1176,7 +361,7 @@ mod tests {
         let input: Vec<f32> = (0..64).map(|i| i as f32 - 32.0).collect();
         let run = |m: &Module| {
             let mut globals = vec![Storage::F32(input.clone()), Storage::F32(vec![0.; 64])];
-            run_module(m, &mut globals, &pool(), true).unwrap();
+            run(m, &mut globals).unwrap();
             globals[1].as_slice::<f32>().unwrap().to_vec()
         };
         assert_eq!(run(&build(false)), run(&build(true)));
@@ -1199,21 +384,30 @@ mod tests {
             var_count: 0,
             body: vec![],
         };
-        f.body.push(Stmt::Op(Intrinsic::FillF32 {
-            dst: View::new(BufId::Param(2), 0usize, 16),
-            value: 0.0,
-        }));
-        f.body.push(Stmt::Op(Intrinsic::BrgemmF32 {
-            a: View::new(BufId::Param(0), 0usize, 32),
-            a_stride: 0,
-            b: View::new(BufId::Param(1), 0usize, 32),
-            b_stride: 0,
-            c: View::new(BufId::Param(2), 0usize, 16),
-            m: 4,
-            n: 4,
-            k: 8,
-            batch: 1,
-        }));
+        f.body.push(Stmt::Op(Intrinsic::new(
+            Op::FillF32 {
+                len: 16,
+                value: 0.0,
+            },
+            [View::new(BufId::Param(2), 0usize, 16)],
+            [],
+        )));
+        f.body.push(Stmt::Op(Intrinsic::new(
+            Op::BrgemmF32(Brgemm {
+                m: 4,
+                n: 4,
+                k: 8,
+                batch: 1,
+                a_stride: 0,
+                b_stride: 0,
+            }),
+            [
+                View::new(BufId::Param(0), 0usize, 32),
+                View::new(BufId::Param(1), 0usize, 32),
+                View::new(BufId::Param(2), 0usize, 16),
+            ],
+            [],
+        )));
         let m = mk_module(
             f,
             vec![
@@ -1227,7 +421,7 @@ mod tests {
             Storage::F32(bt.f32_slice().unwrap().to_vec()),
             Storage::F32(vec![0.; 16]),
         ];
-        run_module(&m, &mut globals, &pool(), true).unwrap();
+        run(&m, &mut globals).unwrap();
         // reference: B = bt transposed
         let b_plain = gc_tensor::reorder::transpose_last2(&bt).unwrap();
         let want = reference::matmul_f32(&a, &b_plain).unwrap();
@@ -1251,32 +445,36 @@ mod tests {
             body: vec![],
         };
         // transpose: dst[r,c] = src[c*5 + r] -> row stride 1, col stride 5
-        f.body.push(Stmt::Op(Intrinsic::Pack2D {
-            src: BufId::Param(0),
-            src_offset: Expr::c(0),
-            src_row_stride: 1,
-            src_col_stride: 5,
-            dst: View::new(BufId::Local(0), 0usize, 15),
+        let transposed = Copy2D {
             rows: 5,
             cols: 3,
-        }));
+            row_stride: 1,
+            col_stride: 5,
+        };
+        f.body.push(Stmt::Op(Intrinsic::new(
+            Op::Pack2D(transposed),
+            [
+                Operand::new(BufId::Param(0), 0usize),
+                Operand::new(BufId::Local(0), 0usize),
+            ],
+            [],
+        )));
         // unpack transposing again restores original
-        f.body.push(Stmt::Op(Intrinsic::Unpack2D {
-            src: View::new(BufId::Local(0), 0usize, 15),
-            dst: BufId::Param(1),
-            dst_offset: Expr::c(0),
-            dst_row_stride: 1,
-            dst_col_stride: 5,
-            rows: 5,
-            cols: 3,
-        }));
+        f.body.push(Stmt::Op(Intrinsic::new(
+            Op::Unpack2D(transposed),
+            [
+                Operand::new(BufId::Local(0), 0usize),
+                Operand::new(BufId::Param(1), 0usize),
+            ],
+            [],
+        )));
         let m = mk_module(
             f,
             vec![g(DataType::F32, 15, "in"), g(DataType::F32, 15, "out")],
         );
         let input: Vec<f32> = (0..15).map(|x| x as f32).collect();
         let mut globals = vec![Storage::F32(input.clone()), Storage::F32(vec![0.; 15])];
-        run_module(&m, &mut globals, &pool(), true).unwrap();
+        run(&m, &mut globals).unwrap();
         assert_eq!(globals[1].as_slice::<f32>().unwrap(), input.as_slice());
     }
 
@@ -1293,27 +491,43 @@ mod tests {
             var_count: 0,
             body: vec![],
         };
-        f.body.push(Stmt::Op(Intrinsic::Unary {
-            op: UnaryOp::Exp,
-            src: View::new(BufId::Param(0), 0usize, 8),
-            dst: View::new(BufId::Param(1), 0usize, 8),
-        }));
-        f.body.push(Stmt::Op(Intrinsic::ReduceRows {
-            op: ReduceOp::Sum,
-            src: View::new(BufId::Param(1), 0usize, 8),
-            acc: View::new(BufId::Local(0), 0usize, 2),
-            rows: 2,
-            cols: 4,
-            accumulate: false,
-        }));
-        f.body.push(Stmt::Op(Intrinsic::BinaryColBcast {
-            op: BinaryOp::Div,
-            a: View::new(BufId::Param(1), 0usize, 8),
-            b: View::new(BufId::Local(0), 0usize, 2),
-            dst: View::new(BufId::Param(1), 0usize, 8),
-            rows: 2,
-            cols: 4,
-        }));
+        f.body.push(Stmt::Op(Intrinsic::new(
+            Op::Unary {
+                op: UnaryOp::Exp,
+                len: 8,
+            },
+            [
+                View::new(BufId::Param(0), 0usize, 8),
+                View::new(BufId::Param(1), 0usize, 8),
+            ],
+            [],
+        )));
+        f.body.push(Stmt::Op(Intrinsic::new(
+            Op::ReduceRows {
+                op: ReduceOp::Sum,
+                rows: 2,
+                cols: 4,
+                accumulate: false,
+            },
+            [
+                View::new(BufId::Param(1), 0usize, 8),
+                View::new(BufId::Local(0), 0usize, 2),
+            ],
+            [],
+        )));
+        f.body.push(Stmt::Op(Intrinsic::new(
+            Op::BinaryColBcast {
+                op: BinaryOp::Div,
+                rows: 2,
+                cols: 4,
+            },
+            [
+                View::new(BufId::Param(1), 0usize, 8),
+                View::new(BufId::Local(0), 0usize, 2),
+                View::new(BufId::Param(1), 0usize, 8),
+            ],
+            [],
+        )));
         let m = mk_module(
             f,
             vec![g(DataType::F32, 8, "in"), g(DataType::F32, 8, "out")],
@@ -1322,7 +536,7 @@ mod tests {
             Storage::F32(vec![0.1, 0.2, 0.3, 0.4, -1.0, 0.0, 1.0, 2.0]),
             Storage::F32(vec![0.; 8]),
         ];
-        run_module(&m, &mut globals, &pool(), true).unwrap();
+        run(&m, &mut globals).unwrap();
         let out = globals[1].as_slice::<f32>().unwrap();
         for row in out.chunks_exact(4) {
             let s: f32 = row.iter().sum();
@@ -1349,30 +563,42 @@ mod tests {
             var_count: 0,
             body: vec![],
         };
-        f.body.push(Stmt::Op(Intrinsic::ZeroI32 {
-            dst: View::new(BufId::Local(0), 0usize, 2),
-        }));
-        f.body.push(Stmt::Op(Intrinsic::BrgemmU8I8 {
-            a: View::new(BufId::Param(0), 0usize, 4),
-            a_stride: 0,
-            b: View::new(BufId::Param(1), 0usize, 8),
-            b_stride: 0,
-            c: View::new(BufId::Local(0), 0usize, 2),
-            m: 1,
-            n: 2,
-            k: 4,
-            batch: 1,
-        }));
-        f.body.push(Stmt::Op(Intrinsic::DequantAcc {
-            acc: View::new(BufId::Local(0), 0usize, 2),
-            comp: View::new(BufId::Param(2), 0usize, 2),
-            a_zero: 1,
-            scale: 0.5,
-            bias: None,
-            dst: View::new(BufId::Param(3), 0usize, 2),
-            rows: 1,
-            cols: 2,
-        }));
+        f.body.push(Stmt::Op(Intrinsic::new(
+            Op::ZeroI32 { len: 2 },
+            [View::new(BufId::Local(0), 0usize, 2)],
+            [],
+        )));
+        f.body.push(Stmt::Op(Intrinsic::new(
+            Op::BrgemmU8I8(Brgemm {
+                m: 1,
+                n: 2,
+                k: 4,
+                batch: 1,
+                a_stride: 0,
+                b_stride: 0,
+            }),
+            [
+                View::new(BufId::Param(0), 0usize, 4),
+                View::new(BufId::Param(1), 0usize, 8),
+                View::new(BufId::Local(0), 0usize, 2),
+            ],
+            [],
+        )));
+        f.body.push(Stmt::Op(Intrinsic::new(
+            Op::DequantAcc {
+                rows: 1,
+                cols: 2,
+                a_zero: 1,
+                scale: 0.5,
+                bias: false,
+            },
+            [
+                View::new(BufId::Local(0), 0usize, 2),
+                View::new(BufId::Param(2), 0usize, 2),
+                View::new(BufId::Param(3), 0usize, 2),
+            ],
+            [],
+        )));
         let m = mk_module(
             f,
             vec![
@@ -1388,7 +614,7 @@ mod tests {
             Storage::I32(comp),
             Storage::F32(vec![0.; 2]),
         ];
-        run_module(&m, &mut globals, &pool(), true).unwrap();
+        run(&m, &mut globals).unwrap();
         let out = globals[3].as_slice::<f32>().unwrap();
         // acc = [10, -10]; corrected = acc - 1*comp = [6, -6]; * 0.5
         assert_eq!(out, &[3.0, -3.0]);
@@ -1412,8 +638,8 @@ mod tests {
         };
         let m = mk_module(f, vec![g(DataType::F32, 4, "x")]);
         let mut wrong = vec![Storage::I8(vec![0; 4])];
-        assert!(run_module(&m, &mut wrong, &pool(), true).is_err());
+        assert!(run(&m, &mut wrong).is_err());
         let mut short = vec![Storage::F32(vec![0.; 2])];
-        assert!(run_module(&m, &mut short, &pool(), true).is_err());
+        assert!(run(&m, &mut short).is_err());
     }
 }

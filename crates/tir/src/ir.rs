@@ -8,6 +8,7 @@
 //! *intrinsics* — microkernel calls and vectorized slice kernels.
 
 use crate::expr::{Expr, VarId};
+use gc_microkernel::brgemm::BrgemmShape;
 use gc_microkernel::{BinaryOp, UnaryOp};
 use gc_tensor::DataType;
 
@@ -21,7 +22,9 @@ pub enum BufId {
 }
 
 /// A contiguous window into a buffer: `buf[offset .. offset + len]`
-/// (in elements).
+/// (in elements). Lowering describes tiles with views; an intrinsic
+/// keeps only the [`Operand`] part, because every length it touches is
+/// a static attribute of its [`Op`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct View {
     /// Underlying buffer.
@@ -43,7 +46,36 @@ impl View {
     }
 }
 
-/// Reduction flavour for [`Intrinsic::ReduceRows`].
+/// One buffer operand of an intrinsic: where in which buffer the access
+/// starts. How far it reaches is stated by the op's [`OpDesc`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct Operand {
+    /// Underlying buffer.
+    pub buf: BufId,
+    /// Element offset (may reference loop variables).
+    pub offset: Expr,
+}
+
+impl Operand {
+    /// Create an operand.
+    pub fn new(buf: BufId, offset: impl Into<Expr>) -> Operand {
+        Operand {
+            buf,
+            offset: offset.into(),
+        }
+    }
+}
+
+impl From<View> for Operand {
+    fn from(v: View) -> Operand {
+        Operand {
+            buf: v.buf,
+            offset: v.offset,
+        }
+    }
+}
+
+/// Reduction flavour for [`Op::ReduceRows`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReduceOp {
     /// Row-wise sum.
@@ -52,414 +84,693 @@ pub enum ReduceOp {
     Max,
 }
 
-/// Clamp of one axis of a clamped copy / tail kernel against a logical
-/// bound.
+/// Geometry shared by the batch-reduce GEMM kinds. Operands are
+/// `a, b, c`: tile `i` of A (`m * k` elements) starts at
+/// `a + i * a_stride`, tile `i` of B (`n * k`, `[n][k]` panels) at
+/// `b + i * b_stride`, and C is one `m * n` tile that is accumulated
+/// into.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Brgemm {
+    /// Rows.
+    pub m: usize,
+    /// Columns.
+    pub n: usize,
+    /// Reduction per tile.
+    pub k: usize,
+    /// Number of tile pairs (BS).
+    pub batch: usize,
+    /// Element stride between consecutive A tiles.
+    pub a_stride: usize,
+    /// Element stride between consecutive B tiles.
+    pub b_stride: usize,
+}
+
+impl Brgemm {
+    /// The microkernel's tile shape.
+    pub fn shape(&self) -> BrgemmShape {
+        BrgemmShape::new(self.m, self.n, self.k)
+    }
+
+    /// Elements from the first A tile's start to the last one's end.
+    pub fn a_span(&self) -> usize {
+        Footprint::Tiles {
+            count: self.batch,
+            stride: self.a_stride,
+            len: self.m * self.k,
+        }
+        .span()
+    }
+
+    /// Elements from the first B tile's start to the last one's end.
+    pub fn b_span(&self) -> usize {
+        Footprint::Tiles {
+            count: self.batch,
+            stride: self.b_stride,
+            len: self.n * self.k,
+        }
+        .span()
+    }
+}
+
+/// Geometry of a 2-D copy between a contiguous `rows * cols` tile and a
+/// strided region: tile element `(r, c)` pairs with
+/// `strided[offset + r * row_stride + c * col_stride]` (a column stride
+/// equal to the row pitch expresses a transpose).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Copy2D {
+    /// Rows of the contiguous tile.
+    pub rows: usize,
+    /// Columns of the contiguous tile.
+    pub cols: usize,
+    /// Row stride of the strided side (elements).
+    pub row_stride: usize,
+    /// Column stride of the strided side (elements).
+    pub col_stride: usize,
+}
+
+/// Axis elements available from `base` against a `logical` extent,
+/// capped at the physical `tile` extent.
 ///
 /// Ragged-shape support keeps the *physical* tile grid full-sized
-/// (`rows`/`cols`/`m` stay the padded block extents) while this struct
-/// carries the *logical* truth: the axis base in axis units (a loop
-/// expression, excluded from the intrinsic's offset expression so that
-/// static bounds analysis can cap the reachable span at
-/// `(logical - 1) * stride`), plus the logical extent. Executors
-/// compute `avail = logical.saturating_sub(base)` at runtime and
-/// zero-fill (pack), skip (unpack) or shorten (brgemm tail) everything
-/// at axis index `>= avail`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AxisClamp {
-    /// Axis base in axis units (may reference loop variables). The
-    /// matching `base * stride` term is *not* part of the offset
-    /// expression of the intrinsic that owns this clamp.
-    pub base: Expr,
-    /// Logical extent of the axis.
-    pub logical: usize,
+/// (`rows`/`cols`/`m` stay the padded block extents) while the clamped
+/// kinds carry the *logical* truth: the logical extent in the [`Op`]
+/// and the axis base in axis units in [`Intrinsic::clamps`] (a loop
+/// expression, excluded from the operand's offset so that static bounds
+/// analysis can cap the reachable span at `(logical - 1) * stride`).
+/// Executors evaluate the base and zero-fill (pack), skip (unpack) or
+/// shorten (brgemm tail) everything at axis index `>= avail`.
+pub fn avail(logical: usize, base: usize, tile: usize) -> usize {
+    logical.saturating_sub(base).min(tile)
 }
 
-impl AxisClamp {
-    /// Create a clamp.
-    pub fn new(base: impl Into<Expr>, logical: usize) -> AxisClamp {
-        AxisClamp {
-            base: base.into(),
-            logical,
-        }
-    }
-
-    /// Axis elements available from `base`, capped at `tile`.
-    pub fn avail(&self, base: usize, tile: usize) -> usize {
-        self.logical.saturating_sub(base).min(tile)
-    }
-}
-
-/// The intrinsic functions available to lowered code.
+/// What an intrinsic does: its kind plus every static attribute (shape,
+/// strides, scalar constants). Buffer operands and clamp bases live in
+/// the [`Intrinsic`] that carries the op, in the order each kind lists
+/// them here; [`Op::desc`] states each operand's dtype, role and span.
 ///
 /// Each "is carefully hand-tuned and fulfills a subtask of a DNN OP with
 /// data in the fastest cache on a single CPU core" — in this
 /// reproduction, the kernels of `gc-microkernel`.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Intrinsic {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Op {
     /// `c[m,n] += sum_b a_tile(b) x b_tile(b)` — f32 batch-reduce GEMM.
-    /// Tile `i` of A starts at `a.offset + i * a_stride` (likewise B).
-    BrgemmF32 {
-        /// First A tile (len `m * k`).
-        a: View,
-        /// Element stride between consecutive A tiles.
-        a_stride: usize,
-        /// First B tile (len `n * k`, `[n][k]` panels).
-        b: View,
-        /// Element stride between consecutive B tiles.
-        b_stride: usize,
-        /// C tile (len `m * n`), accumulated into.
-        c: View,
-        /// Rows.
-        m: usize,
-        /// Columns.
-        n: usize,
-        /// Reduction per tile.
-        k: usize,
-        /// Number of tile pairs (BS).
-        batch: usize,
-    },
-    /// Int8 batch-reduce GEMM (u8 × i8 → i32).
-    BrgemmU8I8 {
-        /// First A tile (u8).
-        a: View,
-        /// Element stride between A tiles.
-        a_stride: usize,
-        /// First B tile (i8).
-        b: View,
-        /// Element stride between B tiles.
-        b_stride: usize,
-        /// C tile (i32), accumulated into.
-        c: View,
-        /// Rows.
-        m: usize,
-        /// Columns.
-        n: usize,
-        /// Reduction per tile.
-        k: usize,
-        /// Number of tile pairs.
-        batch: usize,
-    },
-    /// Fill an f32 view with a constant.
+    /// Operands `a, b, c`.
+    BrgemmF32(Brgemm),
+    /// Int8 batch-reduce GEMM (u8 × i8 → i32). Operands `a, b, c`.
+    BrgemmU8I8(Brgemm),
+    /// Fill an f32 window with a constant. Operand `dst`.
     FillF32 {
-        /// Destination.
-        dst: View,
+        /// Elements.
+        len: usize,
         /// Fill value.
         value: f32,
     },
-    /// Zero an i32 view.
+    /// Zero an i32 window. Operand `dst`.
     ZeroI32 {
-        /// Destination.
-        dst: View,
+        /// Elements.
+        len: usize,
     },
     /// 2-D strided gather into a contiguous tile (layout pack /
-    /// transpose). `dst[r * cols + c] = src[off + r*rs + c*cs]`.
-    Pack2D {
-        /// Source buffer.
-        src: BufId,
-        /// Source base offset.
-        src_offset: Expr,
-        /// Source row stride (elements).
-        src_row_stride: usize,
-        /// Source column stride (elements; 1 for plain rows, use the
-        /// row pitch to express a transpose).
-        src_col_stride: usize,
-        /// Contiguous destination tile (len `rows * cols`).
-        dst: View,
-        /// Rows.
-        rows: usize,
-        /// Columns.
-        cols: usize,
-    },
-    /// 2-D strided scatter from a contiguous tile (layout unpack).
-    /// `dst[off + r*rs + c*cs] = src[r * cols + c]`.
-    Unpack2D {
-        /// Contiguous source tile (len `rows * cols`).
-        src: View,
-        /// Destination buffer.
-        dst: BufId,
-        /// Destination base offset.
-        dst_offset: Expr,
-        /// Destination row stride.
-        dst_row_stride: usize,
-        /// Destination column stride.
-        dst_col_stride: usize,
-        /// Rows.
-        rows: usize,
-        /// Columns.
-        cols: usize,
-    },
-    /// Clamped 2-D gather: like [`Intrinsic::Pack2D`] but each axis is
-    /// clamped against a logical bound and out-of-range destination
-    /// elements are zero-filled, so edge tiles of ragged shapes pack
-    /// into full physical blocks.
+    /// transpose): `dst[r * cols + c] = src[off + r*rs + c*cs]`.
+    /// Operands `src` (strided), `dst` (tile); any 1/4-byte dtype.
+    Pack2D(Copy2D),
+    /// 2-D strided scatter from a contiguous tile (layout unpack):
+    /// `dst[off + r*rs + c*cs] = src[r * cols + c]`. Operands `src`
+    /// (tile), `dst` (strided).
+    Unpack2D(Copy2D),
+    /// Clamped 2-D gather: like [`Op::Pack2D`] but each axis is clamped
+    /// against a logical bound and out-of-range destination elements
+    /// are zero-filled, so edge tiles of ragged shapes pack into full
+    /// physical blocks (`dst` is fully written).
     /// `dst[r*cols + c] = src[off + (rb+r)*rs + (cb+c)*cs]` when
-    /// `rb+r < row_clamp.logical && cb+c < col_clamp.logical`, else 0.
-    /// The `rb*rs` / `cb*cs` terms live in the clamps, not in
-    /// `src_offset`.
+    /// `rb+r < row_logical && cb+c < col_logical`, else 0. Clamps
+    /// `rb, cb`: the `rb*rs` / `cb*cs` terms are *not* part of the
+    /// `src` offset.
     Pack2DPad {
-        /// Source buffer.
-        src: BufId,
-        /// Source base offset *excluding* the clamped axis bases.
-        src_offset: Expr,
-        /// Source row stride (elements).
-        src_row_stride: usize,
-        /// Source column stride (elements).
-        src_col_stride: usize,
-        /// Contiguous destination tile (len `rows * cols`, fully
-        /// written).
-        dst: View,
-        /// Physical rows.
-        rows: usize,
-        /// Physical columns.
-        cols: usize,
-        /// Row-axis clamp.
-        row_clamp: AxisClamp,
-        /// Column-axis clamp.
-        col_clamp: AxisClamp,
+        /// Copy geometry (`rows`/`cols` are the physical tile).
+        g: Copy2D,
+        /// Logical extent of the row axis.
+        row_logical: usize,
+        /// Logical extent of the column axis.
+        col_logical: usize,
     },
-    /// Clamped 2-D scatter: like [`Intrinsic::Unpack2D`] but writes to
+    /// Clamped 2-D scatter: like [`Op::Unpack2D`] but writes to
     /// rows/columns at or past the logical bounds are skipped, so edge
     /// tiles never scribble past a ragged output.
     /// `dst[off + (rb+r)*rs + (cb+c)*cs] = src[r*cols + c]` only when
-    /// `rb+r < row_clamp.logical && cb+c < col_clamp.logical`.
+    /// `rb+r < row_logical && cb+c < col_logical`. Clamps `rb, cb`,
+    /// excluded from the `dst` offset.
     Unpack2DClamp {
-        /// Contiguous source tile (len `rows * cols`).
-        src: View,
-        /// Destination buffer.
-        dst: BufId,
-        /// Destination base offset *excluding* the clamped axis bases.
-        dst_offset: Expr,
-        /// Destination row stride.
-        dst_row_stride: usize,
-        /// Destination column stride.
-        dst_col_stride: usize,
-        /// Physical rows.
-        rows: usize,
-        /// Physical columns.
-        cols: usize,
-        /// Row-axis clamp.
-        row_clamp: AxisClamp,
-        /// Column-axis clamp.
-        col_clamp: AxisClamp,
+        /// Copy geometry (`rows`/`cols` are the physical tile).
+        g: Copy2D,
+        /// Logical extent of the row axis.
+        row_logical: usize,
+        /// Logical extent of the column axis.
+        col_logical: usize,
     },
-    /// M-tail batch-reduce GEMM: like [`Intrinsic::BrgemmF32`] but only
-    /// the first `m_eff = m_clamp.avail(..)` rows are computed; the C
-    /// view's `m_eff * n` prefix is accumulated and rows past the
-    /// logical M are untouched. A no-op when `m_eff == 0`.
+    /// M-tail batch-reduce GEMM: like [`Op::BrgemmF32`] but only the
+    /// first `m_eff = avail(m_logical, mb, m)` rows are computed; the C
+    /// tile's `m_eff * n` prefix is accumulated and rows past the
+    /// logical M are untouched. A no-op when `m_eff == 0`. Clamp `mb`
+    /// (base in M-rows).
     BrgemmF32Tail {
-        /// First A tile (len `m * k`; only `m_eff * k` read).
-        a: View,
-        /// Element stride between A tiles.
-        a_stride: usize,
-        /// First B tile.
-        b: View,
-        /// Element stride between B tiles.
-        b_stride: usize,
-        /// C tile (len `m * n`; `m_eff * n` prefix accumulated).
-        c: View,
-        /// Physical rows.
-        m: usize,
-        /// Columns.
-        n: usize,
-        /// Reduction per tile.
-        k: usize,
-        /// Number of tile pairs.
-        batch: usize,
-        /// Row-axis clamp (base in M-rows).
-        m_clamp: AxisClamp,
+        /// Tile geometry (`m` is the physical row count).
+        g: Brgemm,
+        /// Logical extent of the M axis.
+        m_logical: usize,
     },
-    /// Int8 M-tail batch-reduce GEMM (see [`Intrinsic::BrgemmF32Tail`]).
+    /// Int8 M-tail batch-reduce GEMM (see [`Op::BrgemmF32Tail`]).
     BrgemmU8I8Tail {
-        /// First A tile (u8).
-        a: View,
-        /// Element stride between A tiles.
-        a_stride: usize,
-        /// First B tile (i8).
-        b: View,
-        /// Element stride between B tiles.
-        b_stride: usize,
-        /// C tile (i32; `m_eff * n` prefix accumulated).
-        c: View,
-        /// Physical rows.
-        m: usize,
-        /// Columns.
-        n: usize,
-        /// Reduction per tile.
-        k: usize,
-        /// Number of tile pairs.
-        batch: usize,
-        /// Row-axis clamp (base in M-rows).
-        m_clamp: AxisClamp,
+        /// Tile geometry (`m` is the physical row count).
+        g: Brgemm,
+        /// Logical extent of the M axis.
+        m_logical: usize,
     },
-    /// Elementwise unary over f32 views (equal lengths; in-place allowed
-    /// when `src` and `dst` coincide exactly).
+    /// Elementwise unary over f32 windows. Operands `src, dst`;
+    /// in-place is allowed when they coincide exactly.
     Unary {
         /// Operation.
         op: UnaryOp,
-        /// Source.
-        src: View,
-        /// Destination.
-        dst: View,
+        /// Elements.
+        len: usize,
     },
-    /// Elementwise binary over f32 views.
+    /// Elementwise binary over f32 windows. Operands `a, b, dst`;
+    /// `dst` may coincide exactly with `a`.
     Binary {
         /// Operation.
         op: BinaryOp,
-        /// Left operand.
-        a: View,
-        /// Right operand.
-        b: View,
-        /// Destination.
-        dst: View,
+        /// Elements.
+        len: usize,
     },
-    /// Elementwise binary with a scalar rhs.
+    /// Elementwise binary with a scalar rhs. Operands `a, dst`; `dst`
+    /// may coincide exactly with `a`.
     BinaryScalar {
         /// Operation.
         op: BinaryOp,
-        /// Left operand.
-        a: View,
         /// Scalar rhs.
         scalar: f32,
-        /// Destination.
-        dst: View,
+        /// Elements.
+        len: usize,
     },
     /// `dst[r,c] = op(a[r,c], b[c])` — rhs broadcast along rows
-    /// (bias-style).
+    /// (bias-style). Operands `a` (tile), `b` (len `cols`), `dst`.
     BinaryRowBcast {
         /// Operation.
         op: BinaryOp,
-        /// Tile operand (len `rows * cols`).
-        a: View,
-        /// Broadcast vector (len `cols`).
-        b: View,
-        /// Destination (len `rows * cols`).
-        dst: View,
         /// Rows.
         rows: usize,
         /// Columns.
         cols: usize,
     },
     /// `dst[r,c] = op(a[r,c], b[r])` — rhs broadcast along columns
-    /// (softmax normalization style).
+    /// (softmax normalization style). Operands `a` (tile), `b` (len
+    /// `rows`), `dst`.
     BinaryColBcast {
         /// Operation.
         op: BinaryOp,
-        /// Tile operand.
-        a: View,
-        /// Broadcast vector (len `rows`).
-        b: View,
-        /// Destination.
-        dst: View,
         /// Rows.
         rows: usize,
         /// Columns.
         cols: usize,
     },
-    /// Row-wise reduction of a tile into `acc[rows]`; `accumulate`
-    /// combines with existing contents (the partial half of a split
-    /// reduction post-op).
+    /// Row-wise reduction of a tile into `acc[rows]`. Operands `src`
+    /// (tile), `acc`.
     ReduceRows {
         /// Sum or max.
         op: ReduceOp,
-        /// Tile (len `rows * cols`).
-        src: View,
-        /// Accumulator (len `rows`).
-        acc: View,
         /// Rows.
         rows: usize,
         /// Columns.
         cols: usize,
-        /// Combine with existing accumulator contents.
+        /// Combine with existing accumulator contents (the partial half
+        /// of a split reduction post-op).
         accumulate: bool,
     },
     /// Int8 epilogue: dequantize an i32 accumulator tile applying
     /// zero-point compensation, combined scale and optional bias.
+    /// Operands `acc` (i32 tile), `comp` (i32, len `cols`), `dst` (f32
+    /// tile) and, with `bias`, the f32 bias vector (len `cols`).
     DequantAcc {
-        /// Accumulator tile (i32, len `rows * cols`).
-        acc: View,
-        /// Compensation vector (i32, len `cols`).
-        comp: View,
-        /// Activation zero point.
-        a_zero: i32,
-        /// Combined scale (`a_s * b_s`).
-        scale: f32,
-        /// Optional bias (f32, len `cols`).
-        bias: Option<View>,
-        /// Destination (f32).
-        dst: View,
         /// Rows.
         rows: usize,
         /// Columns.
         cols: usize,
+        /// Activation zero point.
+        a_zero: i32,
+        /// Combined scale (`a_s * b_s`).
+        scale: f32,
+        /// Whether a bias operand follows `dst`.
+        bias: bool,
     },
-    /// Requantize f32 → u8.
+    /// Requantize f32 → u8. Operands `src, dst`.
     QuantU8 {
-        /// Source (f32).
-        src: View,
-        /// Destination (u8).
-        dst: View,
+        /// Elements.
+        len: usize,
         /// Quantization scale.
         scale: f32,
         /// Zero point.
         zero_point: i32,
     },
-    /// Dequantize u8 → f32.
+    /// Dequantize u8 → f32. Operands `src, dst`.
     DequantU8 {
-        /// Source (u8).
-        src: View,
-        /// Destination (f32).
-        dst: View,
+        /// Elements.
+        len: usize,
         /// Quantization scale.
         scale: f32,
         /// Zero point.
         zero_point: i32,
     },
-    /// Dequantize i8 → f32 (symmetric).
+    /// Dequantize i8 → f32 (symmetric). Operands `src, dst`.
     DequantI8 {
-        /// Source (i8).
-        src: View,
-        /// Destination (f32).
-        dst: View,
+        /// Elements.
+        len: usize,
         /// Quantization scale.
         scale: f32,
     },
     /// Accumulate weight compensation from one blocked i8 weight tile:
-    /// `comp[j] += sum_k tile[j * kb + k]`.
+    /// `comp[j] += sum_k tile[j * kb + k]`. Operands `b_tile` (i8,
+    /// `[nb][kb]` panels), `comp` (i32, len `nb`).
     CompAccumulate {
-        /// Weight tile (i8, `[nb][kb]` panels).
-        b_tile: View,
-        /// Compensation accumulator (i32, len `nb`).
-        comp: View,
         /// Panels.
         nb: usize,
         /// Panel length.
         kb: usize,
     },
-    /// Widen i32 → f32.
+    /// Widen i32 → f32. Operands `src, dst`.
     CastI32F32 {
-        /// Source (i32).
-        src: View,
-        /// Destination (f32).
-        dst: View,
+        /// Elements.
+        len: usize,
     },
-    /// `dst[i] += src[i]` over f32 views (equal lengths). The reduction
-    /// step of the k-slicing template: folds one k-slice's partial
-    /// accumulator into the task's final accumulator.
+    /// `dst[i] += src[i]` over f32 windows. Operands `src, dst`. The
+    /// reduction step of the k-slicing template: folds one k-slice's
+    /// partial accumulator into the task's final accumulator.
     AddF32 {
-        /// Partial accumulator to fold in.
-        src: View,
-        /// Running accumulator (read-modify-write).
-        dst: View,
+        /// Elements.
+        len: usize,
     },
-    /// `dst[i] += src[i]` over i32 views (equal lengths). The u8×i8
-    /// variant of the k-slicing reduction; exact, so sliced and unsliced
-    /// int8 plans agree bit-for-bit.
+    /// `dst[i] += src[i]` over i32 windows. Operands `src, dst`. The
+    /// u8×i8 variant of the k-slicing reduction; exact, so sliced and
+    /// unsliced int8 plans agree bit-for-bit.
     AddI32 {
-        /// Partial accumulator to fold in.
-        src: View,
-        /// Running accumulator (read-modify-write).
-        dst: View,
+        /// Elements.
+        len: usize,
     },
+}
+
+/// Most operands any op takes (`DequantAcc` with bias).
+pub const MAX_OPERANDS: usize = 4;
+/// Most axis clamps any op takes (the clamped 2-D copies).
+pub const MAX_CLAMPS: usize = 2;
+
+/// How an intrinsic uses one operand.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Role {
+    /// Only read.
+    Read,
+    /// Overwritten without looking at the old contents.
+    Write,
+    /// Read-modify-write.
+    Accumulate,
+}
+
+/// Element type an operand's buffer must have.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ElemType {
+    /// Exactly this type.
+    Is(DataType),
+    /// Any type the copy kernels move (f32, u8, i8, i32), the same for
+    /// every `Copied` operand of the op.
+    Copied,
+}
+
+/// The elements an operand touches, counted from its offset.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Footprint {
+    /// `n` contiguous elements.
+    Dense(usize),
+    /// `count` tiles of `len` elements, one every `stride` (a brgemm
+    /// batch: the tiles may be far apart in the blocked layouts, so
+    /// they are reported one by one rather than as one dense span).
+    Tiles {
+        /// Number of tiles.
+        count: usize,
+        /// Element stride between tile starts.
+        stride: usize,
+        /// Elements per tile.
+        len: usize,
+    },
+    /// The strided side of a 2-D copy: a `rows * cols` block with the
+    /// geometry's element strides.
+    Strided(Copy2D),
+}
+
+impl Footprint {
+    /// Distance from the first to one past the last touched element —
+    /// what bounds checks must prove fits the buffer.
+    pub fn span(&self) -> usize {
+        match *self {
+            Footprint::Dense(n) => n,
+            Footprint::Tiles { count, stride, len } => {
+                if count == 0 {
+                    0
+                } else {
+                    (count - 1) * stride + len
+                }
+            }
+            Footprint::Strided(g) => {
+                if g.rows == 0 || g.cols == 0 {
+                    0
+                } else {
+                    (g.rows - 1) * g.row_stride + (g.cols - 1) * g.col_stride + 1
+                }
+            }
+        }
+    }
+
+    /// Start of each tile relative to the operand offset — the table a
+    /// brgemm kernel takes. Empty for the other footprints.
+    pub fn tile_offsets(&self) -> Box<[usize]> {
+        match *self {
+            Footprint::Tiles { count, stride, .. } => (0..count).map(|i| i * stride).collect(),
+            _ => Box::default(),
+        }
+    }
+}
+
+/// One operand's row of an [`OpDesc`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OperandSpec {
+    /// Required buffer element type.
+    pub dtype: ElemType,
+    /// Read, write or accumulate.
+    pub role: Role,
+    /// Elements between the operand offset and the first touched
+    /// element. Zero in the static description; non-zero only when
+    /// evaluated clamp bases move a clamped copy to its tile origin.
+    pub shift: usize,
+    /// Elements touched from `offset + shift`.
+    pub footprint: Footprint,
+}
+
+fn spec(dtype: ElemType, role: Role, footprint: Footprint) -> OperandSpec {
+    OperandSpec {
+        dtype,
+        role,
+        shift: 0,
+        footprint,
+    }
+}
+
+/// The single description of an op's operands that every consumer
+/// reads: access enumeration (validator, buffer passes, projector), plan
+/// compilation (dtype, bounds, brgemm tables, dispatch-worthiness) and
+/// checked execution.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OpDesc {
+    specs: [OperandSpec; MAX_OPERANDS],
+    operands: usize,
+    clamps: usize,
+    work: u64,
+}
+
+impl OpDesc {
+    /// A description whose work estimate is its largest dense operand
+    /// (one unit ≈ one element moved).
+    fn new(specs: &[OperandSpec], clamps: usize) -> OpDesc {
+        let mut all = [spec(ElemType::Copied, Role::Read, Footprint::Dense(0)); MAX_OPERANDS];
+        all[..specs.len()].copy_from_slice(specs);
+        let work = specs
+            .iter()
+            .filter_map(|s| match s.footprint {
+                Footprint::Dense(n) => Some(n as u64),
+                _ => None,
+            })
+            .max()
+            .unwrap_or(0);
+        OpDesc {
+            specs: all,
+            operands: specs.len(),
+            clamps,
+            work,
+        }
+    }
+
+    /// One spec per operand, in operand order.
+    pub fn operands(&self) -> &[OperandSpec] {
+        &self.specs[..self.operands]
+    }
+
+    /// Whether buffers of these element types, one per operand, satisfy
+    /// every operand's [`ElemType`].
+    pub fn dtypes_ok(&self, dtypes: impl IntoIterator<Item = DataType>) -> bool {
+        let mut copied = None;
+        self.operands()
+            .iter()
+            .zip(dtypes)
+            .all(|(s, dt)| match s.dtype {
+                ElemType::Is(want) => dt == want,
+                ElemType::Copied => {
+                    matches!(
+                        dt,
+                        DataType::F32 | DataType::U8 | DataType::I8 | DataType::I32
+                    ) && *copied.get_or_insert(dt) == dt
+                }
+            })
+    }
+
+    /// The brgemm batch-offset tables: tile starts of operands 0 and 1
+    /// (empty for every kind whose operands are not tiled).
+    pub fn tables(&self) -> [Box<[usize]>; 2] {
+        [0, 1].map(|k| {
+            self.operands()
+                .get(k)
+                .map(|s| s.footprint.tile_offsets())
+                .unwrap_or_default()
+        })
+    }
+
+    /// Whether `i` carries exactly the operands and clamp bases this
+    /// description lists. `Intrinsic`'s fields are public, so consumers
+    /// that index by descriptor position check this first.
+    pub fn fits(&self, i: &Intrinsic) -> bool {
+        i.operands.len() == self.operands && i.clamps.len() == self.clamps
+    }
+
+    /// Number of axis-clamp bases the op takes.
+    pub fn clamps(&self) -> usize {
+        self.clamps
+    }
+
+    /// Static work estimate in element-op units (one unit ≈ one
+    /// multiply-accumulate or one element moved).
+    pub fn work(&self) -> u64 {
+        self.work
+    }
+}
+
+fn brgemm_desc(g: Brgemm, [a, b, c]: [DataType; 3], m_eff: usize, clamps: usize) -> OpDesc {
+    use ElemType::Is;
+    // a tail call with no rows left touches nothing
+    let count = if m_eff == 0 { 0 } else { g.batch };
+    let tiles = |stride, len| Footprint::Tiles { count, stride, len };
+    let mut d = OpDesc::new(
+        &[
+            spec(Is(a), Role::Read, tiles(g.a_stride, m_eff * g.k)),
+            spec(Is(b), Role::Read, tiles(g.b_stride, g.n * g.k)),
+            spec(Is(c), Role::Accumulate, Footprint::Dense(m_eff * g.n)),
+        ],
+        clamps,
+    );
+    d.work = (g.m * g.n * g.k * g.batch.max(1)) as u64;
+    d
+}
+
+/// The strided side of a clamped copy. Statically (no bases) the clamp
+/// bases are excluded from the offset, so the farthest reachable
+/// element is capped by the logical extents (runtime indices satisfy
+/// `base + r <= logical - 1` on each axis); with evaluated bases it is
+/// the exact `avail_r * avail_c` block at the tile origin.
+fn clamped_side(
+    role: Role,
+    g: Copy2D,
+    logical: [usize; 2],
+    bases: Option<&[usize]>,
+) -> (OperandSpec, [usize; 2]) {
+    let (shift, rows, cols) = match bases {
+        None => (0, logical[0], logical[1]),
+        Some(b) => (
+            b[0] * g.row_stride + b[1] * g.col_stride,
+            avail(logical[0], b[0], g.rows),
+            avail(logical[1], b[1], g.cols),
+        ),
+    };
+    let s = OperandSpec {
+        dtype: ElemType::Copied,
+        role,
+        shift,
+        footprint: Footprint::Strided(Copy2D { rows, cols, ..g }),
+    };
+    (s, [rows, cols])
+}
+
+impl Op {
+    /// Describe the op's operands. With `bases = None` this is the
+    /// static envelope over every iteration — what the validator and
+    /// the plan builder must prove in bounds. With the clamp bases of
+    /// one concrete call it is the exact windows that call touches
+    /// (the projector replays these, so edge tiles are not charged for
+    /// the whole logical region).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bases` is shorter than the op's clamp count.
+    pub fn desc(&self, bases: Option<&[usize]>) -> OpDesc {
+        use DataType::{F32, I32, I8, U8};
+        use ElemType::{Copied, Is};
+        use Footprint::Dense;
+        let rd = |dt, n| spec(Is(dt), Role::Read, Dense(n));
+        let wr = |dt, n| spec(Is(dt), Role::Write, Dense(n));
+        let acc = |dt, n| spec(Is(dt), Role::Accumulate, Dense(n));
+        let unclamped = |specs: &[OperandSpec]| OpDesc::new(specs, 0);
+        match *self {
+            Op::BrgemmF32(g) => brgemm_desc(g, [F32, F32, F32], g.m, 0),
+            Op::BrgemmU8I8(g) => brgemm_desc(g, [U8, I8, I32], g.m, 0),
+            Op::BrgemmF32Tail { g, m_logical } => {
+                let m_eff = bases.map_or(g.m, |b| avail(m_logical, b[0], g.m));
+                brgemm_desc(g, [F32, F32, F32], m_eff, 1)
+            }
+            Op::BrgemmU8I8Tail { g, m_logical } => {
+                let m_eff = bases.map_or(g.m, |b| avail(m_logical, b[0], g.m));
+                brgemm_desc(g, [U8, I8, I32], m_eff, 1)
+            }
+            Op::FillF32 { len, .. } => unclamped(&[wr(F32, len)]),
+            Op::ZeroI32 { len } => unclamped(&[wr(I32, len)]),
+            Op::Pack2D(g) => unclamped(&[
+                spec(Copied, Role::Read, Footprint::Strided(g)),
+                spec(Copied, Role::Write, Dense(g.rows * g.cols)),
+            ]),
+            Op::Unpack2D(g) => unclamped(&[
+                spec(Copied, Role::Read, Dense(g.rows * g.cols)),
+                spec(Copied, Role::Write, Footprint::Strided(g)),
+            ]),
+            Op::Pack2DPad {
+                g,
+                row_logical,
+                col_logical,
+            } => {
+                let (src, _) = clamped_side(Role::Read, g, [row_logical, col_logical], bases);
+                let dst = spec(Copied, Role::Write, Dense(g.rows * g.cols));
+                OpDesc::new(&[src, dst], 2)
+            }
+            Op::Unpack2DClamp {
+                g,
+                row_logical,
+                col_logical,
+            } => {
+                let (dst, [ar, ac]) =
+                    clamped_side(Role::Write, g, [row_logical, col_logical], bases);
+                // the tile rows keep their physical pitch `cols`
+                let read = match bases {
+                    None => g.rows * g.cols,
+                    Some(_) if ar == 0 || ac == 0 => 0,
+                    Some(_) => (ar - 1) * g.cols + ac,
+                };
+                OpDesc::new(&[spec(Copied, Role::Read, Dense(read)), dst], 2)
+            }
+            Op::Unary { len, .. } | Op::BinaryScalar { len, .. } => {
+                unclamped(&[rd(F32, len), wr(F32, len)])
+            }
+            Op::Binary { len, .. } => unclamped(&[rd(F32, len), rd(F32, len), wr(F32, len)]),
+            Op::BinaryRowBcast { rows, cols, .. } => {
+                unclamped(&[rd(F32, rows * cols), rd(F32, cols), wr(F32, rows * cols)])
+            }
+            Op::BinaryColBcast { rows, cols, .. } => {
+                unclamped(&[rd(F32, rows * cols), rd(F32, rows), wr(F32, rows * cols)])
+            }
+            Op::ReduceRows {
+                rows,
+                cols,
+                accumulate,
+                ..
+            } => {
+                let out = if accumulate { acc } else { wr };
+                unclamped(&[rd(F32, rows * cols), out(F32, rows)])
+            }
+            Op::DequantAcc {
+                rows, cols, bias, ..
+            } => {
+                let tile = rows * cols;
+                let all = [rd(I32, tile), rd(I32, cols), wr(F32, tile), rd(F32, cols)];
+                unclamped(&all[..if bias { 4 } else { 3 }])
+            }
+            Op::QuantU8 { len, .. } => unclamped(&[rd(F32, len), wr(U8, len)]),
+            Op::DequantU8 { len, .. } => unclamped(&[rd(U8, len), wr(F32, len)]),
+            Op::DequantI8 { len, .. } => unclamped(&[rd(I8, len), wr(F32, len)]),
+            Op::CompAccumulate { nb, kb } => unclamped(&[rd(I8, nb * kb), acc(I32, nb)]),
+            Op::CastI32F32 { len } => unclamped(&[rd(I32, len), wr(F32, len)]),
+            Op::AddF32 { len } => unclamped(&[rd(F32, len), acc(F32, len)]),
+            Op::AddI32 { len } => unclamped(&[rd(I32, len), acc(I32, len)]),
+        }
+    }
+}
+
+/// An intrinsic call: an [`Op`] applied to buffer operands.
+///
+/// Everything that varies per call is here and uniform across kinds —
+/// operand offsets and clamp bases are the only expressions — so passes
+/// that rename buffers, shift variables or drop offset terms loop over
+/// `operands`/`clamps` without knowing the kind.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Intrinsic {
+    /// Kind and static attributes.
+    pub op: Op,
+    /// Buffer operands, in the order the op's variant documents.
+    pub operands: Vec<Operand>,
+    /// Axis-clamp bases in axis units, one per clamped axis (see
+    /// [`avail`]). These are real runtime indices whose `base * stride`
+    /// terms are *excluded* from the operand offsets, so validators
+    /// must separately prove each base non-negative (the upper side is
+    /// enforced by the runtime clamp itself).
+    pub clamps: Vec<Expr>,
+}
+
+impl Intrinsic {
+    /// Build an intrinsic.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the operand or clamp count disagrees with the op's
+    /// descriptor (a lowering bug, not a user error).
+    pub fn new<O: Into<Operand>>(
+        op: Op,
+        operands: impl IntoIterator<Item = O>,
+        clamps: impl IntoIterator<Item = Expr>,
+    ) -> Intrinsic {
+        let i = Intrinsic {
+            op,
+            operands: operands.into_iter().map(Into::into).collect(),
+            clamps: clamps.into_iter().collect(),
+        };
+        assert!(i.arity_ok(), "{op:?}: wrong operand or clamp count");
+        i
+    }
+
+    /// Whether the operand and clamp counts match the op's descriptor
+    /// (see [`OpDesc::fits`]).
+    pub fn arity_ok(&self) -> bool {
+        self.op.desc(None).fits(self)
+    }
+
+    /// Rewrite every expression in place (operand offsets and clamp
+    /// bases).
+    pub fn map_exprs(&mut self, f: impl Fn(&Expr) -> Expr) {
+        for o in &mut self.operands {
+            o.offset = f(&o.offset);
+        }
+        for c in &mut self.clamps {
+            *c = f(c);
+        }
+    }
 }
 
 /// One Tensor IR statement.
@@ -707,11 +1018,17 @@ mod tests {
         f.body.push(Stmt::loop_(
             v,
             4,
-            vec![Stmt::Op(Intrinsic::Unary {
-                op: UnaryOp::Relu,
-                src: View::new(BufId::Param(0), Expr::v(v).mul(Expr::c(4)), 4),
-                dst: View::new(BufId::Param(1), Expr::v(v).mul(Expr::c(4)), 4),
-            })],
+            vec![Stmt::Op(Intrinsic::new(
+                Op::Unary {
+                    op: UnaryOp::Relu,
+                    len: 4,
+                },
+                [
+                    View::new(BufId::Param(0), Expr::v(v).mul(Expr::c(4)), 4),
+                    View::new(BufId::Param(1), Expr::v(v).mul(Expr::c(4)), 4),
+                ],
+                [],
+            ))],
         ));
         f
     }

@@ -1,0 +1,524 @@
+//! The one kernel dispatch: every call from Tensor IR into
+//! `gc-microkernel` happens in [`run_op`].
+//!
+//! Both executors — the tree-walking interpreter in [`crate::exec`] and
+//! the flat plans in [`crate::plan`] — do their own control flow and
+//! their own address arithmetic, resolve an intrinsic's operands to
+//! `(RawBuf, offset)` pairs, and then call `run_op`. What differs
+//! between them (expression trees vs strength-reduced offsets, tables
+//! rebuilt per call vs precomputed, debug vs proven bounds) stays on
+//! their side of this call; the kernel semantics cannot diverge.
+//!
+//! # Safety model
+//!
+//! Parallel loop iterations write to disjoint buffer regions — this is a
+//! *lowering invariant*, the same one the original compiler's codegen
+//! guarantees. Executors materialize each buffer's raw pointer once per
+//! function call and `run_op` builds slices from it; an op's slices are
+//! disjoint unless the op documents an exact in-place alias, which its
+//! arm detects and serves from one slice. Debug builds (and checked
+//! execution, in release too) assert in-bounds access and dtype
+//! agreement on every slice.
+
+use crate::ir::{avail, Brgemm, Copy2D, Op, ReduceOp, MAX_CLAMPS, MAX_OPERANDS};
+use gc_microkernel::{brgemm, eltwise, epilogue, reduce, tail, BinaryOp};
+use gc_tensor::{DataType, Storage};
+
+#[derive(Clone, Copy)]
+pub(crate) struct RawBuf {
+    ptr: *mut u8,
+    elems: usize,
+    dtype: DataType,
+    /// Hard-assert every slice access (checked execution); otherwise
+    /// bounds are debug-only.
+    checked: bool,
+}
+
+impl std::fmt::Debug for RawBuf {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "RawBuf({:?} x{} {})", self.ptr, self.elems, self.dtype)
+    }
+}
+
+// SAFETY: a RawBuf is a pointer into a `Storage` the executing call
+// holds exclusively; worker threads only touch the disjoint regions the
+// lowering invariant assigns them (module docs).
+unsafe impl Send for RawBuf {}
+// SAFETY: as above — shared access is to disjoint regions.
+unsafe impl Sync for RawBuf {}
+
+impl RawBuf {
+    /// Placeholder for the unused slots of an operand array.
+    pub(crate) const NULL: &'static RawBuf = &RawBuf {
+        ptr: std::ptr::null_mut(),
+        elems: 0,
+        dtype: DataType::U8,
+        checked: true,
+    };
+
+    pub(crate) fn of(storage: &mut Storage, checked: bool) -> RawBuf {
+        let dtype = storage.dtype();
+        let elems = storage.len();
+        let ptr = match storage {
+            Storage::F32(v) => v.as_mut_ptr() as *mut u8,
+            Storage::Bf16(v) => v.as_mut_ptr() as *mut u8,
+            Storage::U8(v) => v.as_mut_ptr(),
+            Storage::I8(v) => v.as_mut_ptr() as *mut u8,
+            Storage::I32(v) => v.as_mut_ptr() as *mut u8,
+            Storage::I64(v) => v.as_mut_ptr() as *mut u8,
+        };
+        RawBuf {
+            ptr,
+            elems,
+            dtype,
+            checked,
+        }
+    }
+
+    /// Buffer capacity in elements (checked execution compares evaluated
+    /// offsets against this).
+    #[inline]
+    pub(crate) fn elems(&self) -> usize {
+        self.elems
+    }
+
+    #[inline]
+    fn check(&self, off: usize, len: usize, dtype: DataType) {
+        if self.checked {
+            assert_eq!(self.dtype, dtype, "intrinsic dtype mismatch");
+            assert!(
+                off + len <= self.elems,
+                "view out of bounds: {}+{} > {}",
+                off,
+                len,
+                self.elems
+            );
+        } else {
+            debug_assert_eq!(self.dtype, dtype, "intrinsic dtype mismatch");
+            debug_assert!(
+                off + len <= self.elems,
+                "view out of bounds: {}+{} > {}",
+                off,
+                len,
+                self.elems
+            );
+        }
+    }
+
+    /// # Safety
+    /// Range must be in bounds and disjoint from other live slices.
+    #[inline]
+    unsafe fn slice<'a, T: Elem>(self, off: usize, len: usize) -> &'a mut [T] {
+        self.check(off, len, T::DTYPE);
+        std::slice::from_raw_parts_mut((self.ptr as *mut T).add(off), len)
+    }
+}
+
+/// Element types the kernels operate on.
+trait Elem: Copy + Default {
+    const DTYPE: DataType;
+}
+impl Elem for f32 {
+    const DTYPE: DataType = DataType::F32;
+}
+impl Elem for u8 {
+    const DTYPE: DataType = DataType::U8;
+}
+impl Elem for i8 {
+    const DTYPE: DataType = DataType::I8;
+}
+impl Elem for i32 {
+    const DTYPE: DataType = DataType::I32;
+}
+
+/// A resolved operand: the buffer (borrowed from the call frame's table,
+/// so resolving copies one pointer, not the descriptor) and the evaluated
+/// element offset.
+pub(crate) type Resolved<'a> = (&'a RawBuf, usize);
+
+/// `len` elements of a resolved operand; the element type is inferred
+/// from the kernel the slice is passed to.
+///
+/// # Safety
+/// Range must be in bounds and disjoint from other live slices.
+#[inline]
+unsafe fn sl<'a, T: Elem>((buf, off): Resolved<'_>, len: usize) -> &'a mut [T] {
+    buf.slice(off, len)
+}
+
+#[inline]
+fn assert_disjoint(a: Resolved<'_>, b: Resolved<'_>, len: usize) {
+    debug_assert!(
+        a.0.ptr != b.0.ptr || a.1 + len <= b.1 || b.1 + len <= a.1,
+        "overlapping views in intrinsic"
+    );
+}
+
+/// Whether two operands name exactly the same window (the only aliasing
+/// the elementwise kinds permit).
+#[inline]
+fn same_window(a: Resolved<'_>, b: Resolved<'_>) -> bool {
+    a.0.ptr == b.0.ptr && a.1 == b.1
+}
+
+/// Call the generic copy kernel `$f` at the buffer's element type (the
+/// copy kinds move any 1- or 4-byte type).
+macro_rules! by_dtype {
+    ($buf:expr, $f:ident($($arg:expr),*)) => {
+        match $buf.dtype {
+            DataType::F32 => $f::<f32>($($arg),*),
+            DataType::U8 => $f::<u8>($($arg),*),
+            DataType::I8 => $f::<i8>($($arg),*),
+            DataType::I32 => $f::<i32>($($arg),*),
+            other => panic!("{} unsupported dtype {other}", stringify!($f)),
+        }
+    };
+}
+
+/// Execute one intrinsic. `o` holds the resolved operands in the op's
+/// operand order, `bases` the evaluated clamp bases (slots past the op's
+/// counts are ignored; fixed-size arrays keep the constant indices below
+/// free of bounds checks), and `tables` the brgemm batch-offset tables
+/// of operands 0 and 1 (empty for every other kind).
+///
+/// The caller guarantees what the op's descriptor states: each operand's
+/// span from its offset lies inside its buffer, and write spans of
+/// concurrently running calls are disjoint.
+///
+/// Kept out of line: the executors' loops are recursive and hot, and
+/// measured on the dispatch-bound MLP_1 b=1 plan they run fastest with
+/// the address arithmetic inlined into them and this match behind one
+/// call.
+#[allow(clippy::too_many_lines)]
+#[inline(never)]
+pub(crate) fn run_op(
+    op: &Op,
+    o: &[Resolved<'_>; MAX_OPERANDS],
+    bases: &[usize; MAX_CLAMPS],
+    tables: &[Box<[usize]>; 2],
+) {
+    // SAFETY (every arm): spans are in bounds per the caller's
+    // contract, and distinct operands are disjoint unless the arm has
+    // just established they are the same window and uses one slice.
+    match *op {
+        Op::BrgemmF32(g) => unsafe {
+            let (a, b, c) = brgemm_slices(&g, o, g.m);
+            brgemm::brgemm_f32(g.shape(), a, &tables[0], b, &tables[1], c);
+        },
+        Op::BrgemmU8I8(g) => unsafe {
+            let (a, b, c) = brgemm_slices(&g, o, g.m);
+            brgemm::brgemm_u8i8(g.shape(), a, &tables[0], b, &tables[1], c);
+        },
+        Op::BrgemmF32Tail { g, m_logical } => {
+            let m_eff = avail(m_logical, bases[0], g.m);
+            if m_eff > 0 {
+                unsafe {
+                    let (a, b, c) = brgemm_slices(&g, o, m_eff);
+                    tail::brgemm_f32_m_tail(g.shape(), m_eff, a, &tables[0], b, &tables[1], c);
+                }
+            }
+        }
+        Op::BrgemmU8I8Tail { g, m_logical } => {
+            let m_eff = avail(m_logical, bases[0], g.m);
+            if m_eff > 0 {
+                unsafe {
+                    let (a, b, c) = brgemm_slices(&g, o, m_eff);
+                    tail::brgemm_u8i8_m_tail(g.shape(), m_eff, a, &tables[0], b, &tables[1], c);
+                }
+            }
+        }
+        Op::FillF32 { len, value } => unsafe { sl(o[0], len) }.fill(value),
+        Op::ZeroI32 { len } => unsafe { sl::<i32>(o[0], len) }.fill(0),
+        Op::Pack2D(g) => by_dtype!(o[0].0, pack2d(o[0], o[1], &g)),
+        Op::Unpack2D(g) => by_dtype!(o[0].0, unpack2d(o[0], o[1], &g)),
+        Op::Pack2DPad {
+            g,
+            row_logical,
+            col_logical,
+        } => {
+            let (rb, cb) = (bases[0], bases[1]);
+            let src = (o[0].0, o[0].1 + rb * g.row_stride + cb * g.col_stride);
+            let valid = [
+                avail(row_logical, rb, g.rows),
+                avail(col_logical, cb, g.cols),
+            ];
+            by_dtype!(o[0].0, pack2d_pad(src, o[1], &g, valid));
+        }
+        Op::Unpack2DClamp {
+            g,
+            row_logical,
+            col_logical,
+        } => {
+            let (rb, cb) = (bases[0], bases[1]);
+            let dst = (o[1].0, o[1].1 + rb * g.row_stride + cb * g.col_stride);
+            let valid = [
+                avail(row_logical, rb, g.rows),
+                avail(col_logical, cb, g.cols),
+            ];
+            by_dtype!(o[0].0, unpack2d_clamp(o[0], dst, &g, valid));
+        }
+        Op::Unary { op, len } => {
+            let (src, dst) = (o[0], o[1]);
+            if same_window(src, dst) {
+                eltwise::unary_inplace(op, unsafe { sl(dst, len) });
+            } else {
+                assert_disjoint(src, dst, len);
+                unsafe { eltwise::unary(op, sl(src, len), sl(dst, len)) };
+            }
+        }
+        Op::Binary { op, len } => {
+            let (a, b, dst) = (o[0], o[1], o[2]);
+            // In-place over `a` is permitted (dst == a); `b` must be
+            // disjoint from dst.
+            assert_disjoint(b, dst, len);
+            unsafe {
+                let bsl: &[f32] = sl(b, len);
+                let dsl: &mut [f32] = sl(dst, len);
+                if same_window(a, dst) {
+                    for (d, &y) in dsl.iter_mut().zip(bsl.iter()) {
+                        *d = op.apply(*d, y);
+                    }
+                } else {
+                    assert_disjoint(a, dst, len);
+                    eltwise::binary(op, sl(a, len), bsl, dsl);
+                }
+            }
+        }
+        Op::BinaryScalar { op, scalar, len } => {
+            let (a, dst) = (o[0], o[1]);
+            let dsl: &mut [f32] = unsafe { sl(dst, len) };
+            if same_window(a, dst) {
+                for d in dsl.iter_mut() {
+                    *d = op.apply(*d, scalar);
+                }
+            } else {
+                assert_disjoint(a, dst, len);
+                eltwise::binary_scalar(op, unsafe { sl(a, len) }, scalar, dsl);
+            }
+        }
+        Op::BinaryRowBcast { op, rows, cols } => unsafe {
+            let bsl: &[f32] = sl(o[1], cols);
+            for r in 0..rows {
+                let arow: &[f32] = sl((o[0].0, o[0].1 + r * cols), cols);
+                let drow: &mut [f32] = sl((o[2].0, o[2].1 + r * cols), cols);
+                for ((d, &x), &y) in drow.iter_mut().zip(arow.iter()).zip(bsl.iter()) {
+                    *d = op.apply(x, y);
+                }
+            }
+        },
+        Op::BinaryColBcast { op, rows, cols } => unsafe {
+            let bsl: &[f32] = sl(o[1], rows);
+            for (r, &y) in bsl.iter().enumerate() {
+                let arow: &[f32] = sl((o[0].0, o[0].1 + r * cols), cols);
+                let drow: &mut [f32] = sl((o[2].0, o[2].1 + r * cols), cols);
+                if op == BinaryOp::Div {
+                    let inv = 1.0 / y;
+                    for (d, &x) in drow.iter_mut().zip(arow.iter()) {
+                        *d = x * inv;
+                    }
+                } else {
+                    for (d, &x) in drow.iter_mut().zip(arow.iter()) {
+                        *d = op.apply(x, y);
+                    }
+                }
+            }
+        },
+        Op::ReduceRows {
+            op,
+            rows,
+            cols,
+            accumulate,
+        } => unsafe {
+            let ssl: &[f32] = sl(o[0], rows * cols);
+            let asl: &mut [f32] = sl(o[1], rows);
+            match (op, accumulate) {
+                (ReduceOp::Max, false) => reduce::reduce_rows_max(ssl, rows, cols, asl),
+                (ReduceOp::Sum, false) => reduce::reduce_rows_sum(ssl, rows, cols, asl),
+                (ReduceOp::Max, true) => {
+                    for (a, row) in asl.iter_mut().zip(ssl.chunks_exact(cols)) {
+                        let m = reduce::reduce_max(row);
+                        if m > *a {
+                            *a = m;
+                        }
+                    }
+                }
+                (ReduceOp::Sum, true) => {
+                    for (a, row) in asl.iter_mut().zip(ssl.chunks_exact(cols)) {
+                        *a += reduce::reduce_sum(row);
+                    }
+                }
+            }
+        },
+        Op::DequantAcc {
+            rows,
+            cols,
+            a_zero,
+            scale,
+            bias,
+        } => unsafe {
+            let (asl, csl, dsl) = (sl(o[0], rows * cols), sl(o[1], cols), sl(o[2], rows * cols));
+            if bias {
+                let bsl = sl(o[3], cols);
+                epilogue::dequant_acc_bias(asl, rows, cols, csl, a_zero, scale, bsl, dsl);
+            } else {
+                epilogue::dequant_acc(asl, rows, cols, csl, a_zero, scale, dsl);
+            }
+        },
+        Op::QuantU8 {
+            len,
+            scale,
+            zero_point,
+        } => unsafe {
+            epilogue::requant_u8(sl(o[0], len), 1.0 / scale, zero_point, sl(o[1], len));
+        },
+        Op::DequantU8 {
+            len,
+            scale,
+            zero_point,
+        } => unsafe {
+            let (ssl, dsl): (&[u8], &mut [f32]) = (sl(o[0], len), sl(o[1], len));
+            for (d, &q) in dsl.iter_mut().zip(ssl.iter()) {
+                *d = scale * (q as i32 - zero_point) as f32;
+            }
+        },
+        Op::DequantI8 { len, scale } => unsafe {
+            let (ssl, dsl): (&[i8], &mut [f32]) = (sl(o[0], len), sl(o[1], len));
+            for (d, &q) in dsl.iter_mut().zip(ssl.iter()) {
+                *d = scale * q as f32;
+            }
+        },
+        Op::CompAccumulate { nb, kb } => unsafe {
+            let (bsl, csl): (&[i8], &mut [i32]) = (sl(o[0], nb * kb), sl(o[1], nb));
+            for (c, panel) in csl.iter_mut().zip(bsl.chunks_exact(kb)) {
+                *c += panel.iter().map(|&x| x as i32).sum::<i32>();
+            }
+        },
+        Op::CastI32F32 { len } => unsafe {
+            epilogue::i32_to_f32(sl(o[0], len), sl(o[1], len));
+        },
+        Op::AddF32 { len } => {
+            assert_disjoint(o[0], o[1], len);
+            unsafe { eltwise::acc_add_f32(sl(o[0], len), sl(o[1], len)) };
+        }
+        Op::AddI32 { len } => {
+            assert_disjoint(o[0], o[1], len);
+            unsafe { eltwise::acc_add_i32(sl(o[0], len), sl(o[1], len)) };
+        }
+    }
+}
+
+/// Slice the three brgemm operands; only the first `rows` rows of C are
+/// touched (the tail kinds shorten it).
+///
+/// # Safety
+/// As for [`sl`]: A and B are only read, C is this call's private tile.
+unsafe fn brgemm_slices<'a, A: Elem, B: Elem, C: Elem>(
+    g: &Brgemm,
+    o: &[Resolved<'_>; MAX_OPERANDS],
+    rows: usize,
+) -> (&'a [A], &'a [B], &'a mut [C]) {
+    (
+        sl(o[0], g.a_span()),
+        sl(o[1], g.b_span()),
+        sl(o[2], rows * g.n),
+    )
+}
+
+fn pack2d<T: Elem>(src: Resolved<'_>, dst: Resolved<'_>, g: &Copy2D) {
+    let (rows, cols, rs, cs) = (g.rows, g.cols, g.row_stride, g.col_stride);
+    // SAFETY: see `run_op`.
+    let (ssl, dsl): (&[T], &mut [T]) = unsafe {
+        (
+            sl(src, (rows - 1) * rs + (cols - 1) * cs + 1),
+            sl(dst, rows * cols),
+        )
+    };
+    if cs == 1 {
+        for r in 0..rows {
+            dsl[r * cols..(r + 1) * cols].copy_from_slice(&ssl[r * rs..r * rs + cols]);
+        }
+    } else {
+        for r in 0..rows {
+            for c in 0..cols {
+                dsl[r * cols + c] = ssl[r * rs + c * cs];
+            }
+        }
+    }
+}
+
+fn unpack2d<T: Elem>(src: Resolved<'_>, dst: Resolved<'_>, g: &Copy2D) {
+    let (rows, cols, rs, cs) = (g.rows, g.cols, g.row_stride, g.col_stride);
+    // SAFETY: see `run_op`.
+    let (ssl, dsl): (&[T], &mut [T]) = unsafe {
+        (
+            sl(src, rows * cols),
+            sl(dst, (rows - 1) * rs + (cols - 1) * cs + 1),
+        )
+    };
+    if cs == 1 {
+        for r in 0..rows {
+            dsl[r * rs..r * rs + cols].copy_from_slice(&ssl[r * cols..(r + 1) * cols]);
+        }
+    } else {
+        for r in 0..rows {
+            for c in 0..cols {
+                dsl[r * rs + c * cs] = ssl[r * cols + c];
+            }
+        }
+    }
+}
+
+/// Clamped pack: copy the `valid` (`rows x cols`) in-bounds block of a
+/// strided source into the top-left of the contiguous tile and zero-fill
+/// the remainder. The source offset is fully evaluated (clamp bases
+/// already applied).
+fn pack2d_pad<T: Elem>(
+    src: Resolved<'_>,
+    dst: Resolved<'_>,
+    g: &Copy2D,
+    [valid_r, valid_c]: [usize; 2],
+) {
+    // SAFETY: see `run_op`.
+    let dsl: &mut [T] = unsafe { sl(dst, g.rows * g.cols) };
+    if valid_r == 0 || valid_c == 0 {
+        dsl.fill(T::default());
+        return;
+    }
+    let span = (valid_r - 1) * g.row_stride + (valid_c - 1) * g.col_stride + 1;
+    // SAFETY: see `run_op`.
+    let ssl: &[T] = unsafe { sl(src, span) };
+    tail::pack_pad_2d(
+        ssl,
+        g.row_stride,
+        g.col_stride,
+        dsl,
+        g.rows,
+        g.cols,
+        valid_r,
+        valid_c,
+        T::default(),
+    );
+}
+
+/// Clamped unpack: scatter only the `valid` in-bounds block of the
+/// contiguous tile (row pitch `cols`) into a strided destination. The
+/// destination offset is fully evaluated (clamp bases already applied).
+fn unpack2d_clamp<T: Elem>(
+    src: Resolved<'_>,
+    dst: Resolved<'_>,
+    g: &Copy2D,
+    [valid_r, valid_c]: [usize; 2],
+) {
+    if valid_r == 0 || valid_c == 0 {
+        return;
+    }
+    let (rs, cs) = (g.row_stride, g.col_stride);
+    // SAFETY: see `run_op`.
+    let (ssl, dsl): (&[T], &mut [T]) = unsafe {
+        (
+            sl(src, (valid_r - 1) * g.cols + valid_c),
+            sl(dst, (valid_r - 1) * rs + (valid_c - 1) * cs + 1),
+        )
+    };
+    tail::store_clamped_2d(ssl, dsl, rs, cs, valid_r, g.cols, valid_r, valid_c);
+}

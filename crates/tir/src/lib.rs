@@ -6,10 +6,13 @@
 //! provides:
 //!
 //! - the IR ([`ir`]): [`Module`] / [`Func`] / [`Stmt`] / [`Intrinsic`]
-//!   with integer index expressions ([`expr`]);
-//! - execution ([`exec`]): an in-process executor whose bulk work runs
-//!   in the native microkernels (the reproduction's stand-in for LLVM
-//!   JIT codegen);
+//!   with integer index expressions ([`expr`]); an intrinsic is an
+//!   [`Op`] applied to buffer operands, and [`Op::desc`] is the one
+//!   table every consumer of an op's operands reads;
+//! - execution: flat compiled plans ([`compile`], [`plan`]) and the
+//!   reference tree-walking interpreter ([`exec`]), both ending in one
+//!   shared kernel dispatch whose bulk work runs in the native
+//!   microkernels (the reproduction's stand-in for LLVM JIT codegen);
 //! - the Tensor IR optimizations ([`passes`]): mechanical parallel-loop
 //!   merging (coarse-grain fusion), tensor-size optimization, and
 //!   memory-buffer reuse;
@@ -19,11 +22,13 @@
 
 #![warn(missing_docs)]
 
+mod bounds;
 pub mod compile;
 pub mod engine;
 pub mod exec;
 pub mod expr;
 pub mod ir;
+mod kernel;
 pub mod passes;
 pub mod plan;
 pub mod printer;
@@ -36,7 +41,7 @@ pub use engine::{
 };
 pub use expr::{Expr, VarId};
 pub use ir::{
-    AxisClamp, BufDecl, BufId, Call, Func, GlobalDecl, GlobalKind, Intrinsic, Module, ReduceOp,
+    BufDecl, BufId, Call, Func, GlobalDecl, GlobalKind, Intrinsic, Module, Op, Operand, ReduceOp,
     Stmt, View,
 };
 pub use passes::validate::{validate_module, ValidateError};

@@ -16,7 +16,7 @@
 //!   disjoint top-level-statement intervals share storage.
 
 use crate::ir::{BufId, Func, GlobalKind, Module, Stmt};
-use crate::visit::intrinsic_accesses;
+use crate::visit::{intrinsic_accesses, visit_intrinsics_mut};
 use gc_tensor::DataType;
 use std::collections::HashMap;
 
@@ -167,8 +167,13 @@ pub fn reuse_func_locals(func: &mut Func) -> ReuseStats {
     }
     let merged = remap.len();
     if merged > 0 {
-        let body = std::mem::take(&mut func.body);
-        func.body = body.into_iter().map(|s| remap_stmt(s, &remap)).collect();
+        visit_intrinsics_mut(&mut func.body, &mut |i| {
+            for o in &mut i.operands {
+                if let BufId::Local(l) = o.buf {
+                    o.buf = BufId::Local(*remap.get(&l).unwrap_or(&l));
+                }
+            }
+        });
         for (&l, _) in remap.iter() {
             func.locals[l].elems = 0;
             func.locals[l].dtype = DataType::U8; // zero-byte placeholder
@@ -198,345 +203,11 @@ fn collect_locals(stmt: &Stmt, touch: &mut impl FnMut(usize)) {
     }
 }
 
-fn remap_stmt(s: Stmt, remap: &HashMap<usize, usize>) -> Stmt {
-    match s {
-        Stmt::For {
-            var,
-            extent,
-            parallel,
-            body,
-        } => Stmt::For {
-            var,
-            extent,
-            parallel,
-            body: body.into_iter().map(|b| remap_stmt(b, remap)).collect(),
-        },
-        Stmt::Op(i) => Stmt::Op(remap_intrinsic(i, remap)),
-    }
-}
-
-fn remap_intrinsic(i: crate::ir::Intrinsic, remap: &HashMap<usize, usize>) -> crate::ir::Intrinsic {
-    // map BufIds through the remap table by round-tripping through the
-    // expression mapper (which preserves structure) plus a manual buf fix
-    use crate::ir::Intrinsic as I;
-    let mb = |b: BufId| match b {
-        BufId::Local(l) => BufId::Local(*remap.get(&l).unwrap_or(&l)),
-        p => p,
-    };
-    let mv = |v: crate::ir::View| crate::ir::View {
-        buf: mb(v.buf),
-        offset: v.offset,
-        len: v.len,
-    };
-    match i {
-        I::BrgemmF32 {
-            a,
-            a_stride,
-            b,
-            b_stride,
-            c,
-            m,
-            n,
-            k,
-            batch,
-        } => I::BrgemmF32 {
-            a: mv(a),
-            a_stride,
-            b: mv(b),
-            b_stride,
-            c: mv(c),
-            m,
-            n,
-            k,
-            batch,
-        },
-        I::BrgemmU8I8 {
-            a,
-            a_stride,
-            b,
-            b_stride,
-            c,
-            m,
-            n,
-            k,
-            batch,
-        } => I::BrgemmU8I8 {
-            a: mv(a),
-            a_stride,
-            b: mv(b),
-            b_stride,
-            c: mv(c),
-            m,
-            n,
-            k,
-            batch,
-        },
-        I::FillF32 { dst, value } => I::FillF32 {
-            dst: mv(dst),
-            value,
-        },
-        I::ZeroI32 { dst } => I::ZeroI32 { dst: mv(dst) },
-        I::Pack2D {
-            src,
-            src_offset,
-            src_row_stride,
-            src_col_stride,
-            dst,
-            rows,
-            cols,
-        } => I::Pack2D {
-            src: mb(src),
-            src_offset,
-            src_row_stride,
-            src_col_stride,
-            dst: mv(dst),
-            rows,
-            cols,
-        },
-        I::Unpack2D {
-            src,
-            dst,
-            dst_offset,
-            dst_row_stride,
-            dst_col_stride,
-            rows,
-            cols,
-        } => I::Unpack2D {
-            src: mv(src),
-            dst: mb(dst),
-            dst_offset,
-            dst_row_stride,
-            dst_col_stride,
-            rows,
-            cols,
-        },
-        I::Pack2DPad {
-            src,
-            src_offset,
-            src_row_stride,
-            src_col_stride,
-            dst,
-            rows,
-            cols,
-            row_clamp,
-            col_clamp,
-        } => I::Pack2DPad {
-            src: mb(src),
-            src_offset,
-            src_row_stride,
-            src_col_stride,
-            dst: mv(dst),
-            rows,
-            cols,
-            row_clamp,
-            col_clamp,
-        },
-        I::Unpack2DClamp {
-            src,
-            dst,
-            dst_offset,
-            dst_row_stride,
-            dst_col_stride,
-            rows,
-            cols,
-            row_clamp,
-            col_clamp,
-        } => I::Unpack2DClamp {
-            src: mv(src),
-            dst: mb(dst),
-            dst_offset,
-            dst_row_stride,
-            dst_col_stride,
-            rows,
-            cols,
-            row_clamp,
-            col_clamp,
-        },
-        I::BrgemmF32Tail {
-            a,
-            a_stride,
-            b,
-            b_stride,
-            c,
-            m,
-            n,
-            k,
-            batch,
-            m_clamp,
-        } => I::BrgemmF32Tail {
-            a: mv(a),
-            a_stride,
-            b: mv(b),
-            b_stride,
-            c: mv(c),
-            m,
-            n,
-            k,
-            batch,
-            m_clamp,
-        },
-        I::BrgemmU8I8Tail {
-            a,
-            a_stride,
-            b,
-            b_stride,
-            c,
-            m,
-            n,
-            k,
-            batch,
-            m_clamp,
-        } => I::BrgemmU8I8Tail {
-            a: mv(a),
-            a_stride,
-            b: mv(b),
-            b_stride,
-            c: mv(c),
-            m,
-            n,
-            k,
-            batch,
-            m_clamp,
-        },
-        I::Unary { op, src, dst } => I::Unary {
-            op,
-            src: mv(src),
-            dst: mv(dst),
-        },
-        I::Binary { op, a, b, dst } => I::Binary {
-            op,
-            a: mv(a),
-            b: mv(b),
-            dst: mv(dst),
-        },
-        I::BinaryScalar { op, a, scalar, dst } => I::BinaryScalar {
-            op,
-            a: mv(a),
-            scalar,
-            dst: mv(dst),
-        },
-        I::BinaryRowBcast {
-            op,
-            a,
-            b,
-            dst,
-            rows,
-            cols,
-        } => I::BinaryRowBcast {
-            op,
-            a: mv(a),
-            b: mv(b),
-            dst: mv(dst),
-            rows,
-            cols,
-        },
-        I::BinaryColBcast {
-            op,
-            a,
-            b,
-            dst,
-            rows,
-            cols,
-        } => I::BinaryColBcast {
-            op,
-            a: mv(a),
-            b: mv(b),
-            dst: mv(dst),
-            rows,
-            cols,
-        },
-        I::ReduceRows {
-            op,
-            src,
-            acc,
-            rows,
-            cols,
-            accumulate,
-        } => I::ReduceRows {
-            op,
-            src: mv(src),
-            acc: mv(acc),
-            rows,
-            cols,
-            accumulate,
-        },
-        I::DequantAcc {
-            acc,
-            comp,
-            a_zero,
-            scale,
-            bias,
-            dst,
-            rows,
-            cols,
-        } => I::DequantAcc {
-            acc: mv(acc),
-            comp: mv(comp),
-            a_zero,
-            scale,
-            bias: bias.map(mv),
-            dst: mv(dst),
-            rows,
-            cols,
-        },
-        I::QuantU8 {
-            src,
-            dst,
-            scale,
-            zero_point,
-        } => I::QuantU8 {
-            src: mv(src),
-            dst: mv(dst),
-            scale,
-            zero_point,
-        },
-        I::DequantU8 {
-            src,
-            dst,
-            scale,
-            zero_point,
-        } => I::DequantU8 {
-            src: mv(src),
-            dst: mv(dst),
-            scale,
-            zero_point,
-        },
-        I::DequantI8 { src, dst, scale } => I::DequantI8 {
-            src: mv(src),
-            dst: mv(dst),
-            scale,
-        },
-        I::CompAccumulate {
-            b_tile,
-            comp,
-            nb,
-            kb,
-        } => I::CompAccumulate {
-            b_tile: mv(b_tile),
-            comp: mv(comp),
-            nb,
-            kb,
-        },
-        I::CastI32F32 { src, dst } => I::CastI32F32 {
-            src: mv(src),
-            dst: mv(dst),
-        },
-        I::AddF32 { src, dst } => I::AddF32 {
-            src: mv(src),
-            dst: mv(dst),
-        },
-        I::AddI32 { src, dst } => I::AddI32 {
-            src: mv(src),
-            dst: mv(dst),
-        },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::expr::Expr;
-    use crate::ir::{BufDecl, Call, GlobalDecl, Intrinsic, View};
+    use crate::ir::{BufDecl, Call, GlobalDecl, Intrinsic, Op, View};
     use gc_microkernel::UnaryOp;
 
     fn scratch(elems: usize, name: &str) -> GlobalDecl {
@@ -557,11 +228,17 @@ mod tests {
             ],
             locals: vec![],
             var_count: 0,
-            body: vec![Stmt::Op(Intrinsic::Unary {
-                op: UnaryOp::Identity,
-                src: View::new(BufId::Param(0), 0usize, elems),
-                dst: View::new(BufId::Param(1), 0usize, elems),
-            })],
+            body: vec![Stmt::Op(Intrinsic::new(
+                Op::Unary {
+                    op: UnaryOp::Identity,
+                    len: elems,
+                },
+                [
+                    View::new(BufId::Param(0), 0usize, elems),
+                    View::new(BufId::Param(1), 0usize, elems),
+                ],
+                [],
+            ))],
         }
     }
 
@@ -693,39 +370,61 @@ mod tests {
             var_count: 0,
             body: vec![
                 // stmt 0: writes t0 from io
-                Stmt::Op(Intrinsic::Unary {
-                    op: UnaryOp::Relu,
-                    src: View::new(BufId::Param(0), 0usize, 8),
-                    dst: View::new(BufId::Local(0), 0usize, 8),
-                }),
+                Stmt::Op(Intrinsic::new(
+                    Op::Unary {
+                        op: UnaryOp::Relu,
+                        len: 8,
+                    },
+                    [
+                        View::new(BufId::Param(0), 0usize, 8),
+                        View::new(BufId::Local(0), 0usize, 8),
+                    ],
+                    [],
+                )),
                 // stmt 1: io = t0 (last use of t0)
-                Stmt::Op(Intrinsic::Unary {
-                    op: UnaryOp::Identity,
-                    src: View::new(BufId::Local(0), 0usize, 8),
-                    dst: View::new(BufId::Param(0), 0usize, 8),
-                }),
+                Stmt::Op(Intrinsic::new(
+                    Op::Unary {
+                        op: UnaryOp::Identity,
+                        len: 8,
+                    },
+                    [
+                        View::new(BufId::Local(0), 0usize, 8),
+                        View::new(BufId::Param(0), 0usize, 8),
+                    ],
+                    [],
+                )),
                 // stmt 2: t1 = io
-                Stmt::Op(Intrinsic::Unary {
-                    op: UnaryOp::Exp,
-                    src: View::new(BufId::Param(0), 0usize, 8),
-                    dst: View::new(BufId::Local(1), 0usize, 8),
-                }),
+                Stmt::Op(Intrinsic::new(
+                    Op::Unary {
+                        op: UnaryOp::Exp,
+                        len: 8,
+                    },
+                    [
+                        View::new(BufId::Param(0), 0usize, 8),
+                        View::new(BufId::Local(1), 0usize, 8),
+                    ],
+                    [],
+                )),
                 // stmt 3: io = t1
-                Stmt::Op(Intrinsic::Unary {
-                    op: UnaryOp::Identity,
-                    src: View::new(BufId::Local(1), 0usize, 8),
-                    dst: View::new(BufId::Param(0), 0usize, 8),
-                }),
+                Stmt::Op(Intrinsic::new(
+                    Op::Unary {
+                        op: UnaryOp::Identity,
+                        len: 8,
+                    },
+                    [
+                        View::new(BufId::Local(1), 0usize, 8),
+                        View::new(BufId::Param(0), 0usize, 8),
+                    ],
+                    [],
+                )),
             ],
         };
         let stats = reuse_func_locals(&mut f);
         assert_eq!(stats.merged, 1);
         assert_eq!(stats.bytes_after, 32);
         // all local references now use local 0
-        let Stmt::Op(Intrinsic::Unary { dst, .. }) = &f.body[2] else {
-            panic!()
-        };
-        assert_eq!(dst.buf, BufId::Local(0));
+        let Stmt::Op(i) = &f.body[2] else { panic!() };
+        assert_eq!(i.operands[1].buf, BufId::Local(0));
     }
 
     #[test]
@@ -743,16 +442,28 @@ mod tests {
                 v,
                 4,
                 vec![
-                    Stmt::Op(Intrinsic::Unary {
-                        op: UnaryOp::Relu,
-                        src: View::new(BufId::Param(0), 0usize, 8),
-                        dst: View::new(BufId::Local(0), 0usize, 8),
-                    }),
-                    Stmt::Op(Intrinsic::Unary {
-                        op: UnaryOp::Exp,
-                        src: View::new(BufId::Local(0), Expr::c(0), 8),
-                        dst: View::new(BufId::Local(1), 0usize, 8),
-                    }),
+                    Stmt::Op(Intrinsic::new(
+                        Op::Unary {
+                            op: UnaryOp::Relu,
+                            len: 8,
+                        },
+                        [
+                            View::new(BufId::Param(0), 0usize, 8),
+                            View::new(BufId::Local(0), 0usize, 8),
+                        ],
+                        [],
+                    )),
+                    Stmt::Op(Intrinsic::new(
+                        Op::Unary {
+                            op: UnaryOp::Exp,
+                            len: 8,
+                        },
+                        [
+                            View::new(BufId::Local(0), Expr::c(0), 8),
+                            View::new(BufId::Local(1), 0usize, 8),
+                        ],
+                        [],
+                    )),
                 ],
             )],
         };

@@ -67,53 +67,37 @@ pub fn merge_parallel_loops(func: &mut Func) -> MergeStats {
 }
 
 fn rename_var_in_stmts(
-    stmts: Vec<Stmt>,
+    mut stmts: Vec<Stmt>,
     from: crate::expr::VarId,
     to: crate::expr::VarId,
 ) -> Vec<Stmt> {
     let with = crate::expr::Expr::Var(to);
+    crate::visit::visit_intrinsics_mut(&mut stmts, &mut |i| {
+        i.map_exprs(|e| e.subst(from, &with));
+    });
     stmts
-        .into_iter()
-        .map(|s| rename_stmt(s, from, &with))
-        .collect()
-}
-
-fn rename_stmt(s: Stmt, from: crate::expr::VarId, with: &crate::expr::Expr) -> Stmt {
-    match s {
-        Stmt::For {
-            var,
-            extent,
-            parallel,
-            body,
-        } => Stmt::For {
-            var,
-            extent,
-            parallel,
-            body: body
-                .into_iter()
-                .map(|b| rename_stmt(b, from, with))
-                .collect(),
-        },
-        Stmt::Op(i) => Stmt::Op(crate::visit::map_intrinsic_exprs(i, &|e| {
-            e.subst(from, with)
-        })),
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::expr::{Expr, VarId};
-    use crate::ir::{BufDecl, BufId, Intrinsic, View};
+    use crate::ir::{BufDecl, BufId, Intrinsic, Op, View};
     use gc_microkernel::UnaryOp;
     use gc_tensor::DataType;
 
     fn unary_on(v: VarId, buf: usize) -> Stmt {
-        Stmt::Op(Intrinsic::Unary {
-            op: UnaryOp::Relu,
-            src: View::new(BufId::Param(buf), Expr::v(v).mul(Expr::c(4)), 4),
-            dst: View::new(BufId::Param(buf), Expr::v(v).mul(Expr::c(4)), 4),
-        })
+        Stmt::Op(Intrinsic::new(
+            Op::Unary {
+                op: UnaryOp::Relu,
+                len: 4,
+            },
+            [
+                View::new(BufId::Param(buf), Expr::v(v).mul(Expr::c(4)), 4),
+                View::new(BufId::Param(buf), Expr::v(v).mul(Expr::c(4)), 4),
+            ],
+            [],
+        ))
     }
 
     fn func_with(body: Vec<Stmt>, var_count: usize) -> Func {
@@ -152,11 +136,9 @@ mod tests {
             panic!()
         };
         assert_eq!(body.len(), 2);
-        let Stmt::Op(Intrinsic::Unary { src, .. }) = &body[1] else {
-            panic!()
-        };
-        assert!(src.offset.uses(v0));
-        assert!(!src.offset.uses(v1));
+        let Stmt::Op(i) = &body[1] else { panic!() };
+        assert!(i.operands[0].offset.uses(v0));
+        assert!(!i.operands[0].offset.uses(v1));
     }
 
     #[test]

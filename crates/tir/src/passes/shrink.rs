@@ -16,7 +16,7 @@
 
 use crate::expr::{Expr, VarId};
 use crate::ir::{BufId, Func, Stmt};
-use crate::visit::intrinsic_accesses;
+use crate::visit::{intrinsic_accesses, visit_intrinsics_mut};
 use std::collections::{HashMap, HashSet};
 
 /// Report of the shrink pass.
@@ -209,13 +209,17 @@ pub fn shrink_locals(func: &mut Func) -> ShrinkStats {
         }
     }
 
-    // apply rewrites: drop the v-term in offsets of views on each local
+    // apply rewrites: operands on each shrunk local lose the v*coef term
     for (local, v) in rewrites {
-        let body = std::mem::take(&mut func.body);
-        func.body = body
-            .into_iter()
-            .map(|s| drop_term_stmt(s, local, v))
-            .collect();
+        visit_intrinsics_mut(&mut func.body, &mut |i| {
+            for o in &mut i.operands {
+                if o.buf == BufId::Local(local) {
+                    if let Some((_, rest)) = split_linear(&o.offset, v) {
+                        o.offset = rest;
+                    }
+                }
+            }
+        });
     }
     ShrinkStats {
         shrunk,
@@ -224,368 +228,10 @@ pub fn shrink_locals(func: &mut Func) -> ShrinkStats {
     }
 }
 
-fn drop_term_stmt(s: Stmt, local: usize, v: VarId) -> Stmt {
-    match s {
-        Stmt::For {
-            var,
-            extent,
-            parallel,
-            body,
-        } => Stmt::For {
-            var,
-            extent,
-            parallel,
-            body: body
-                .into_iter()
-                .map(|b| drop_term_stmt(b, local, v))
-                .collect(),
-        },
-        Stmt::Op(i) => {
-            // only offsets of views on `local` lose the v*coef term
-            let needs = crate::visit::intrinsic_accesses(&i)
-                .iter()
-                .any(|a| a.buf == BufId::Local(local) && a.offset.uses(v));
-            if !needs {
-                return Stmt::Op(i);
-            }
-            // map each view individually: subtract the term by
-            // re-splitting; non-local views stay unchanged
-            Stmt::Op(map_views(i, &|view: crate::ir::View| {
-                if view.buf == BufId::Local(local) {
-                    if let Some((_, rest)) = split_linear(&view.offset, v) {
-                        return crate::ir::View {
-                            buf: view.buf,
-                            offset: rest,
-                            len: view.len,
-                        };
-                    }
-                }
-                view
-            }))
-        }
-    }
-}
-
-/// Map every view (but not raw buf references) of an intrinsic.
-fn map_views(
-    i: crate::ir::Intrinsic,
-    f: &impl Fn(crate::ir::View) -> crate::ir::View,
-) -> crate::ir::Intrinsic {
-    // Reuse map_intrinsic_exprs is expression-level; we need view-level.
-    use crate::ir::Intrinsic as I;
-    macro_rules! v {
-        ($x:expr) => {
-            f($x)
-        };
-    }
-    match i {
-        I::BrgemmF32 {
-            a,
-            a_stride,
-            b,
-            b_stride,
-            c,
-            m,
-            n,
-            k,
-            batch,
-        } => I::BrgemmF32 {
-            a: v!(a),
-            a_stride,
-            b: v!(b),
-            b_stride,
-            c: v!(c),
-            m,
-            n,
-            k,
-            batch,
-        },
-        I::BrgemmU8I8 {
-            a,
-            a_stride,
-            b,
-            b_stride,
-            c,
-            m,
-            n,
-            k,
-            batch,
-        } => I::BrgemmU8I8 {
-            a: v!(a),
-            a_stride,
-            b: v!(b),
-            b_stride,
-            c: v!(c),
-            m,
-            n,
-            k,
-            batch,
-        },
-        I::FillF32 { dst, value } => I::FillF32 {
-            dst: v!(dst),
-            value,
-        },
-        I::ZeroI32 { dst } => I::ZeroI32 { dst: v!(dst) },
-        I::Pack2D {
-            src,
-            src_offset,
-            src_row_stride,
-            src_col_stride,
-            dst,
-            rows,
-            cols,
-        } => I::Pack2D {
-            src,
-            src_offset,
-            src_row_stride,
-            src_col_stride,
-            dst: v!(dst),
-            rows,
-            cols,
-        },
-        I::Unpack2D {
-            src,
-            dst,
-            dst_offset,
-            dst_row_stride,
-            dst_col_stride,
-            rows,
-            cols,
-        } => I::Unpack2D {
-            src: v!(src),
-            dst,
-            dst_offset,
-            dst_row_stride,
-            dst_col_stride,
-            rows,
-            cols,
-        },
-        I::Pack2DPad {
-            src,
-            src_offset,
-            src_row_stride,
-            src_col_stride,
-            dst,
-            rows,
-            cols,
-            row_clamp,
-            col_clamp,
-        } => I::Pack2DPad {
-            src,
-            src_offset,
-            src_row_stride,
-            src_col_stride,
-            dst: v!(dst),
-            rows,
-            cols,
-            row_clamp,
-            col_clamp,
-        },
-        I::Unpack2DClamp {
-            src,
-            dst,
-            dst_offset,
-            dst_row_stride,
-            dst_col_stride,
-            rows,
-            cols,
-            row_clamp,
-            col_clamp,
-        } => I::Unpack2DClamp {
-            src: v!(src),
-            dst,
-            dst_offset,
-            dst_row_stride,
-            dst_col_stride,
-            rows,
-            cols,
-            row_clamp,
-            col_clamp,
-        },
-        I::BrgemmF32Tail {
-            a,
-            a_stride,
-            b,
-            b_stride,
-            c,
-            m,
-            n,
-            k,
-            batch,
-            m_clamp,
-        } => I::BrgemmF32Tail {
-            a: v!(a),
-            a_stride,
-            b: v!(b),
-            b_stride,
-            c: v!(c),
-            m,
-            n,
-            k,
-            batch,
-            m_clamp,
-        },
-        I::BrgemmU8I8Tail {
-            a,
-            a_stride,
-            b,
-            b_stride,
-            c,
-            m,
-            n,
-            k,
-            batch,
-            m_clamp,
-        } => I::BrgemmU8I8Tail {
-            a: v!(a),
-            a_stride,
-            b: v!(b),
-            b_stride,
-            c: v!(c),
-            m,
-            n,
-            k,
-            batch,
-            m_clamp,
-        },
-        I::Unary { op, src, dst } => I::Unary {
-            op,
-            src: v!(src),
-            dst: v!(dst),
-        },
-        I::Binary { op, a, b, dst } => I::Binary {
-            op,
-            a: v!(a),
-            b: v!(b),
-            dst: v!(dst),
-        },
-        I::BinaryScalar { op, a, scalar, dst } => I::BinaryScalar {
-            op,
-            a: v!(a),
-            scalar,
-            dst: v!(dst),
-        },
-        I::BinaryRowBcast {
-            op,
-            a,
-            b,
-            dst,
-            rows,
-            cols,
-        } => I::BinaryRowBcast {
-            op,
-            a: v!(a),
-            b: v!(b),
-            dst: v!(dst),
-            rows,
-            cols,
-        },
-        I::BinaryColBcast {
-            op,
-            a,
-            b,
-            dst,
-            rows,
-            cols,
-        } => I::BinaryColBcast {
-            op,
-            a: v!(a),
-            b: v!(b),
-            dst: v!(dst),
-            rows,
-            cols,
-        },
-        I::ReduceRows {
-            op,
-            src,
-            acc,
-            rows,
-            cols,
-            accumulate,
-        } => I::ReduceRows {
-            op,
-            src: v!(src),
-            acc: v!(acc),
-            rows,
-            cols,
-            accumulate,
-        },
-        I::DequantAcc {
-            acc,
-            comp,
-            a_zero,
-            scale,
-            bias,
-            dst,
-            rows,
-            cols,
-        } => I::DequantAcc {
-            acc: v!(acc),
-            comp: v!(comp),
-            a_zero,
-            scale,
-            bias: bias.map(f),
-            dst: v!(dst),
-            rows,
-            cols,
-        },
-        I::QuantU8 {
-            src,
-            dst,
-            scale,
-            zero_point,
-        } => I::QuantU8 {
-            src: v!(src),
-            dst: v!(dst),
-            scale,
-            zero_point,
-        },
-        I::DequantU8 {
-            src,
-            dst,
-            scale,
-            zero_point,
-        } => I::DequantU8 {
-            src: v!(src),
-            dst: v!(dst),
-            scale,
-            zero_point,
-        },
-        I::DequantI8 { src, dst, scale } => I::DequantI8 {
-            src: v!(src),
-            dst: v!(dst),
-            scale,
-        },
-        I::CompAccumulate {
-            b_tile,
-            comp,
-            nb,
-            kb,
-        } => I::CompAccumulate {
-            b_tile: v!(b_tile),
-            comp: v!(comp),
-            nb,
-            kb,
-        },
-        I::CastI32F32 { src, dst } => I::CastI32F32 {
-            src: v!(src),
-            dst: v!(dst),
-        },
-        I::AddF32 { src, dst } => I::AddF32 {
-            src: v!(src),
-            dst: v!(dst),
-        },
-        I::AddI32 { src, dst } => I::AddI32 {
-            src: v!(src),
-            dst: v!(dst),
-        },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::{BufDecl, Intrinsic, View};
+    use crate::ir::{BufDecl, Intrinsic, Op, View};
     use gc_microkernel::UnaryOp;
     use gc_tensor::DataType;
 
@@ -619,40 +265,52 @@ mod tests {
                     inner,
                     2,
                     vec![
-                        Stmt::Op(Intrinsic::Unary {
-                            op: UnaryOp::Relu,
-                            src: View::new(
-                                BufId::Param(0),
-                                Expr::v(msi)
-                                    .mul(Expr::c(16))
-                                    .add(Expr::v(inner).mul(Expr::c(8))),
-                                8,
-                            ),
-                            dst: View::new(
-                                BufId::Local(0),
-                                Expr::v(msi)
-                                    .mul(Expr::c(16))
-                                    .add(Expr::v(inner).mul(Expr::c(8))),
-                                8,
-                            ),
-                        }),
-                        Stmt::Op(Intrinsic::Unary {
-                            op: UnaryOp::Identity,
-                            src: View::new(
-                                BufId::Local(0),
-                                Expr::v(msi)
-                                    .mul(Expr::c(16))
-                                    .add(Expr::v(inner).mul(Expr::c(8))),
-                                8,
-                            ),
-                            dst: View::new(
-                                BufId::Param(0),
-                                Expr::v(msi)
-                                    .mul(Expr::c(16))
-                                    .add(Expr::v(inner).mul(Expr::c(8))),
-                                8,
-                            ),
-                        }),
+                        Stmt::Op(Intrinsic::new(
+                            Op::Unary {
+                                op: UnaryOp::Relu,
+                                len: 8,
+                            },
+                            [
+                                View::new(
+                                    BufId::Param(0),
+                                    Expr::v(msi)
+                                        .mul(Expr::c(16))
+                                        .add(Expr::v(inner).mul(Expr::c(8))),
+                                    8,
+                                ),
+                                View::new(
+                                    BufId::Local(0),
+                                    Expr::v(msi)
+                                        .mul(Expr::c(16))
+                                        .add(Expr::v(inner).mul(Expr::c(8))),
+                                    8,
+                                ),
+                            ],
+                            [],
+                        )),
+                        Stmt::Op(Intrinsic::new(
+                            Op::Unary {
+                                op: UnaryOp::Identity,
+                                len: 8,
+                            },
+                            [
+                                View::new(
+                                    BufId::Local(0),
+                                    Expr::v(msi)
+                                        .mul(Expr::c(16))
+                                        .add(Expr::v(inner).mul(Expr::c(8))),
+                                    8,
+                                ),
+                                View::new(
+                                    BufId::Param(0),
+                                    Expr::v(msi)
+                                        .mul(Expr::c(16))
+                                        .add(Expr::v(inner).mul(Expr::c(8))),
+                                    8,
+                                ),
+                            ],
+                            [],
+                        )),
                     ],
                 )],
             )],
@@ -688,11 +346,17 @@ mod tests {
             body: vec![Stmt::parallel(
                 p,
                 4,
-                vec![Stmt::Op(Intrinsic::Unary {
-                    op: UnaryOp::Relu,
-                    src: View::new(BufId::Param(0), Expr::v(p).mul(Expr::c(16)), 16),
-                    dst: View::new(BufId::Local(0), Expr::v(p).mul(Expr::c(16)), 16),
-                })],
+                vec![Stmt::Op(Intrinsic::new(
+                    Op::Unary {
+                        op: UnaryOp::Relu,
+                        len: 16,
+                    },
+                    [
+                        View::new(BufId::Param(0), Expr::v(p).mul(Expr::c(16)), 16),
+                        View::new(BufId::Local(0), Expr::v(p).mul(Expr::c(16)), 16),
+                    ],
+                    [],
+                ))],
             )],
         };
         let stats = shrink_locals(&mut f);
@@ -712,11 +376,17 @@ mod tests {
             body: vec![Stmt::loop_(
                 v,
                 4,
-                vec![Stmt::Op(Intrinsic::Unary {
-                    op: UnaryOp::Relu,
-                    src: View::new(BufId::Param(0), Expr::v(v).mul(Expr::c(8)), 16),
-                    dst: View::new(BufId::Local(0), Expr::v(v).mul(Expr::c(8)), 16),
-                })],
+                vec![Stmt::Op(Intrinsic::new(
+                    Op::Unary {
+                        op: UnaryOp::Relu,
+                        len: 16,
+                    },
+                    [
+                        View::new(BufId::Param(0), Expr::v(v).mul(Expr::c(8)), 16),
+                        View::new(BufId::Local(0), Expr::v(v).mul(Expr::c(8)), 16),
+                    ],
+                    [],
+                ))],
             )],
         };
         let stats = shrink_locals(&mut f);
@@ -742,16 +412,28 @@ mod tests {
                     msi,
                     4,
                     vec![
-                        Stmt::Op(Intrinsic::Unary {
-                            op: UnaryOp::Square,
-                            src: View::new(BufId::Param(0), Expr::v(msi).mul(Expr::c(8)), 8),
-                            dst: View::new(BufId::Local(0), Expr::v(msi).mul(Expr::c(8)), 8),
-                        }),
-                        Stmt::Op(Intrinsic::Unary {
-                            op: UnaryOp::Neg,
-                            src: View::new(BufId::Local(0), Expr::v(msi).mul(Expr::c(8)), 8),
-                            dst: View::new(BufId::Param(1), Expr::v(msi).mul(Expr::c(8)), 8),
-                        }),
+                        Stmt::Op(Intrinsic::new(
+                            Op::Unary {
+                                op: UnaryOp::Square,
+                                len: 8,
+                            },
+                            [
+                                View::new(BufId::Param(0), Expr::v(msi).mul(Expr::c(8)), 8),
+                                View::new(BufId::Local(0), Expr::v(msi).mul(Expr::c(8)), 8),
+                            ],
+                            [],
+                        )),
+                        Stmt::Op(Intrinsic::new(
+                            Op::Unary {
+                                op: UnaryOp::Neg,
+                                len: 8,
+                            },
+                            [
+                                View::new(BufId::Local(0), Expr::v(msi).mul(Expr::c(8)), 8),
+                                View::new(BufId::Param(1), Expr::v(msi).mul(Expr::c(8)), 8),
+                            ],
+                            [],
+                        )),
                     ],
                 )],
             }
@@ -779,7 +461,14 @@ mod tests {
                 Storage::F32((0..32).map(|i| i as f32 - 16.0).collect()),
                 Storage::F32(vec![0.; 32]),
             ];
-            crate::exec::run_module(&m, &mut globals, &ThreadPool::new(1), true).unwrap();
+            crate::exec::run_module(
+                &m,
+                &mut globals,
+                &ThreadPool::new(1),
+                true,
+                Default::default(),
+            )
+            .unwrap();
             globals[1].as_slice::<f32>().unwrap().to_vec()
         };
         let plain = run(build());

@@ -8,14 +8,14 @@
 //!
 //! - [`validate_func`] / [`validate_module`] check structural sanity
 //!   after a pass: def-before-use of loop variables, buffer indices in
-//!   range, no references to orphaned (zero-sized) buffers, and — via
-//!   the same interval analysis the plan compiler uses for bounds
-//!   hoisting — that no access can escape its buffer for any iteration.
-//!   Dtype/arity agreement is checked by running the plan builder and
-//!   promoting its fatal rejects (`OutOfBounds`, `DtypeMismatch`,
-//!   `LenMismatch`) to validation errors; its benign rejects
-//!   (`TooManyVars`, `Unbounded`, `ProgramTooDeep`) merely route the
-//!   function to the interpreter and are not correctness bugs.
+//!   range, no references to orphaned (zero-sized) buffers, operand
+//!   count and buffer dtypes as each op's descriptor states them, and —
+//!   through the same `VarScope` interval tracker and the same
+//!   descriptor spans the plan compiler uses for bounds hoisting — that
+//!   no access can escape its buffer for any iteration. An offset the
+//!   tracker cannot bound is not an error: the plan builder rejects the
+//!   function for the same reason and it runs on the interpreter with
+//!   hard bounds asserts.
 //! - [`check_func_reuse`] / [`check_module_reuse`] verify that a
 //!   buffer-merging pass preserved dataflow: they value-number reads
 //!   against their defining writes in the module before and after the
@@ -27,10 +27,10 @@
 //! guilty pass in the error, so a miscompile is caught at compile time
 //! with a pass name attached instead of shipping garbage.
 
-use crate::compile::{interval, probe_func, Reject};
+use crate::bounds::VarScope;
 use crate::expr::Expr;
-use crate::ir::{BufId, Func, GlobalKind, Module, Stmt};
-use crate::visit::intrinsic_accesses;
+use crate::ir::{BufDecl, BufId, Func, GlobalKind, Intrinsic, Module, Stmt};
+use crate::visit::{accesses_of, intrinsic_accesses, Access};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -62,56 +62,18 @@ fn visit_expr_vars(e: &Expr, f: &mut impl FnMut(usize)) {
     }
 }
 
-/// Per-variable state during the structural walk, mirroring the plan
-/// builder's scope discipline so bounds verdicts agree with what the
-/// compiled plan will actually do.
-struct VarState {
-    /// Inclusive interval at the current emission point.
-    iv: Vec<(i64, i64)>,
-    /// Bound by some loop already executed or enclosing.
-    bound: Vec<bool>,
-    /// Currently bound by an *enclosing* loop (rebinding is an error).
-    active: Vec<bool>,
-}
-
 /// Validate one function: loop-variable def-before-use, buffer indices
-/// in range, no references to orphaned buffers, and interval-provable
-/// in-bounds accesses. Dtype/arity agreement is delegated to the plan
-/// builder (fatal rejects only).
+/// in range, no references to orphaned buffers, operand count and
+/// dtypes per descriptor, and interval-provable in-bounds accesses.
 ///
 /// # Errors
 ///
 /// Returns a message describing the first violation.
 pub fn validate_func(f: &Func) -> Result<(), ValidateError> {
-    let mut vs = VarState {
-        iv: vec![(0, 0); f.var_count],
-        bound: vec![false; f.var_count],
-        active: vec![false; f.var_count],
-    };
-    walk_stmts(f, &f.body, &mut vs)?;
-    // Plan-builder backstop: dtype and operand-arity agreement, plus
-    // bounds through the exact span decomposition the compiler uses.
-    match probe_func(f) {
-        Ok(())
-        | Err(Reject::TooManyVars)
-        | Err(Reject::Unbounded)
-        | Err(Reject::ProgramTooDeep) => Ok(()),
-        Err(Reject::OutOfBounds) => err(format!(
-            "func {}: plan builder proves an out-of-bounds access",
-            f.name
-        )),
-        Err(Reject::DtypeMismatch) => err(format!(
-            "func {}: buffer dtype disagrees with an intrinsic's access type",
-            f.name
-        )),
-        Err(Reject::LenMismatch) => err(format!(
-            "func {}: intrinsic operand lengths disagree",
-            f.name
-        )),
-    }
+    walk_stmts(f, &f.body, &mut VarScope::new(f.var_count))
 }
 
-fn walk_stmts(f: &Func, stmts: &[Stmt], vs: &mut VarState) -> Result<(), ValidateError> {
+fn walk_stmts(f: &Func, stmts: &[Stmt], scope: &mut VarScope) -> Result<(), ValidateError> {
     for s in stmts {
         match s {
             Stmt::For {
@@ -120,91 +82,104 @@ fn walk_stmts(f: &Func, stmts: &[Stmt], vs: &mut VarState) -> Result<(), Validat
                 parallel,
                 body,
             } => {
-                let v = var.0;
-                if v >= f.var_count {
+                if scope.is_active(var.0) {
                     return err(format!(
-                        "func {}: loop variable v{} out of range (var_count {})",
-                        f.name, v, f.var_count
-                    ));
-                }
-                if vs.active[v] {
-                    return err(format!(
-                        "func {}: loop rebinds variable v{v} already bound by an enclosing loop",
+                        "func {}: loop rebinds variable {var} already bound by an enclosing loop",
                         f.name
                     ));
                 }
-                let saved_iv = vs.iv[v];
-                let saved_bound = vs.bound[v];
-                let last = *extent as i64 - 1;
-                vs.iv[v] = (0, last.max(0));
-                vs.bound[v] = true;
-                vs.active[v] = true;
-                walk_stmts(f, body, vs)?;
-                vs.active[v] = false;
-                if *extent == 0 {
-                    // zero-trip loop never touches the variable
-                    vs.iv[v] = saved_iv;
-                    vs.bound[v] = saved_bound;
-                } else if *parallel {
-                    // dispatched form leaves the var untouched; the
-                    // serial fallback pins it to `last` — keep the hull
-                    vs.iv[v] = (saved_iv.0.min(last), saved_iv.1.max(last));
-                } else {
-                    vs.iv[v] = (last, last);
-                }
+                let Some(saved) = scope.enter(*var, *extent) else {
+                    return err(format!(
+                        "func {}: loop variable {var} out of range (var_count {})",
+                        f.name, f.var_count
+                    ));
+                };
+                walk_stmts(f, body, scope)?;
+                scope.exit(*var, *extent, *parallel, saved);
             }
-            Stmt::Op(intr) => {
-                for a in intrinsic_accesses(intr) {
-                    check_access(f, &a, vs)?;
-                }
-                // Axis-clamp bases are real runtime indices excluded
-                // from the access offsets above: def-before-use and
-                // non-negativity must be proven separately (the upper
-                // side is enforced by the runtime clamp).
-                for base in crate::visit::intrinsic_clamp_bases(intr) {
-                    check_clamp_base(f, base, vs)?;
-                }
+            Stmt::Op(intr) => check_intrinsic(f, intr, scope)?,
+        }
+    }
+    Ok(())
+}
+
+fn buf_decl(f: &Func, buf: BufId) -> Result<&BufDecl, ValidateError> {
+    let (decl, kind, i, n) = match buf {
+        BufId::Param(p) => (f.params.get(p), "param", p, f.params.len()),
+        BufId::Local(l) => (f.locals.get(l), "local", l, f.locals.len()),
+    };
+    decl.ok_or_else(|| {
+        ValidateError(format!(
+            "func {}: access to unknown {kind} {i} ({n} declared)",
+            f.name
+        ))
+    })
+}
+
+fn check_intrinsic(f: &Func, intr: &Intrinsic, scope: &VarScope) -> Result<(), ValidateError> {
+    let desc = intr.op.desc(None);
+    if !desc.fits(intr) {
+        return err(format!(
+            "func {}: {:?} has {} operands and {} clamps, its descriptor {} and {}",
+            f.name,
+            intr.op,
+            intr.operands.len(),
+            intr.clamps.len(),
+            desc.operands().len(),
+            desc.clamps()
+        ));
+    }
+    for a in accesses_of(intr, &desc) {
+        check_access(f, &a, scope)?;
+    }
+    let mut dtypes = Vec::with_capacity(intr.operands.len());
+    for o in &intr.operands {
+        dtypes.push(buf_decl(f, o.buf)?.dtype);
+    }
+    if !desc.dtypes_ok(dtypes) {
+        return err(format!(
+            "func {}: buffer dtype disagrees with the access type of {:?}",
+            f.name, intr.op
+        ));
+    }
+    // Axis-clamp bases are real runtime indices excluded from the
+    // access offsets above: def-before-use and non-negativity must be
+    // proven separately (the upper side is enforced by the runtime
+    // clamp).
+    for base in &intr.clamps {
+        check_vars_bound(f, base, "clamp base", scope)?;
+        if let Some((lo, _)) = scope.interval(base) {
+            if lo < 0 {
+                return err(format!(
+                    "func {}: clamp base can go negative (min {lo})",
+                    f.name
+                ));
             }
         }
     }
     Ok(())
 }
 
-fn check_access(f: &Func, a: &crate::visit::Access, vs: &VarState) -> Result<(), ValidateError> {
+fn check_vars_bound(f: &Func, e: &Expr, what: &str, scope: &VarScope) -> Result<(), ValidateError> {
     let mut bad_var = None;
-    visit_expr_vars(&a.offset, &mut |v| {
-        if bad_var.is_none() && (v >= f.var_count || !vs.bound[v]) {
+    visit_expr_vars(e, &mut |v| {
+        if bad_var.is_none() && !scope.is_bound(v) {
             bad_var = Some(v);
         }
     });
-    if let Some(v) = bad_var {
-        return err(format!(
-            "func {}: offset uses variable v{v} before any loop binds it",
+    match bad_var {
+        Some(v) => err(format!(
+            "func {}: {what} uses variable v{v} before any loop binds it",
             f.name
-        ));
+        )),
+        None => Ok(()),
     }
-    let (name, elems) = match a.buf {
-        BufId::Param(p) => match f.params.get(p) {
-            Some(d) => (d.name.as_str(), d.elems),
-            None => {
-                return err(format!(
-                    "func {}: access to unknown param {p} ({} declared)",
-                    f.name,
-                    f.params.len()
-                ))
-            }
-        },
-        BufId::Local(l) => match f.locals.get(l) {
-            Some(d) => (d.name.as_str(), d.elems),
-            None => {
-                return err(format!(
-                    "func {}: access to unknown local {l} ({} declared)",
-                    f.name,
-                    f.locals.len()
-                ))
-            }
-        },
-    };
+}
+
+fn check_access(f: &Func, a: &Access, scope: &VarScope) -> Result<(), ValidateError> {
+    check_vars_bound(f, &a.offset, "offset", scope)?;
+    let decl = buf_decl(f, a.buf)?;
+    let (name, elems) = (&decl.name, decl.elems);
     if a.len == 0 {
         return Ok(());
     }
@@ -214,7 +189,7 @@ fn check_access(f: &Func, a: &crate::visit::Access, vs: &VarState) -> Result<(),
             f.name
         ));
     }
-    if let Some((lo, hi)) = interval(&a.offset, &vs.iv) {
+    if let Some((lo, hi)) = scope.interval(&a.offset) {
         if lo < 0 {
             return err(format!(
                 "func {}: offset of {name} can go negative (min {lo})",
@@ -226,30 +201,6 @@ fn check_access(f: &Func, a: &crate::visit::Access, vs: &VarState) -> Result<(),
                 "func {}: access to {name} can reach element {} but the buffer holds {elems}",
                 f.name,
                 hi as i128 + a.len as i128 - 1
-            ));
-        }
-    }
-    Ok(())
-}
-
-fn check_clamp_base(f: &Func, base: &Expr, vs: &VarState) -> Result<(), ValidateError> {
-    let mut bad_var = None;
-    visit_expr_vars(base, &mut |v| {
-        if bad_var.is_none() && (v >= f.var_count || !vs.bound[v]) {
-            bad_var = Some(v);
-        }
-    });
-    if let Some(v) = bad_var {
-        return err(format!(
-            "func {}: clamp base uses variable v{v} before any loop binds it",
-            f.name
-        ));
-    }
-    if let Some((lo, _)) = interval(base, &vs.iv) {
-        if lo < 0 {
-            return err(format!(
-                "func {}: clamp base can go negative (min {lo})",
-                f.name
             ));
         }
     }
@@ -470,16 +421,19 @@ pub fn check_func_reuse(before: &Func, after: &Func) -> Result<(), ValidateError
 mod tests {
     use super::*;
     use crate::expr::VarId;
-    use crate::ir::{BufDecl, Call, GlobalDecl, Intrinsic, View};
+    use crate::ir::{Call, GlobalDecl, Op, View};
     use gc_microkernel::UnaryOp;
     use gc_tensor::DataType;
 
     fn unary(src: View, dst: View) -> Stmt {
-        Stmt::Op(Intrinsic::Unary {
-            op: UnaryOp::Relu,
-            src,
-            dst,
-        })
+        Stmt::Op(Intrinsic::new(
+            Op::Unary {
+                op: UnaryOp::Relu,
+                len: dst.len,
+            },
+            [src, dst],
+            [],
+        ))
     }
 
     fn io_func(elems: usize, body: Vec<Stmt>, var_count: usize, locals: Vec<BufDecl>) -> Func {

@@ -24,9 +24,8 @@
 //! it cannot bound) stay on the interpreter — [`Plan::func`] returns
 //! `None` and the engine routes that call through [`crate::exec`].
 
-use crate::exec::{assert_disjoint, pack2d, pack2d_pad, unpack2d, unpack2d_clamp, RawBuf};
-use crate::ir::ReduceOp;
-use gc_microkernel::{brgemm, eltwise, epilogue, reduce, tail, BinaryOp, UnaryOp};
+use crate::ir::{Op, MAX_CLAMPS, MAX_OPERANDS};
+use crate::kernel::{run_op, RawBuf, Resolved};
 use gc_runtime::ThreadPool;
 use gc_tensor::{DataType, Storage};
 
@@ -179,207 +178,48 @@ impl PlanOffset {
     }
 }
 
-/// A compiled view: flat buffer slot + compiled offset.
+/// A compiled operand: flat buffer slot, compiled offset, and the span
+/// the plan builder proved in bounds (checked execution re-verifies it
+/// per call).
 #[derive(Debug, Clone, PartialEq)]
-pub struct PView {
+pub struct POperand {
     /// Index into the call frame's flat buffer table (params then
     /// locals).
     pub buf: u32,
     /// Compiled element offset.
     pub offset: PlanOffset,
-    /// Window length in elements.
-    pub len: usize,
+    /// Elements the kernel may touch from the offset (the descriptor's
+    /// static span).
+    pub span: usize,
 }
 
-/// A compiled intrinsic: every view resolved to a [`PView`], every
-/// loop-invariant derived quantity precomputed.
+/// A compiled intrinsic: the IR's [`Op`] unchanged, every operand
+/// offset and clamp base strength-reduced, the brgemm batch tables
+/// precomputed. Operands sit inline (no pointer chase per dispatched
+/// op); slots past the op's operand count are unused.
 #[derive(Debug, Clone, PartialEq)]
-#[allow(missing_docs)] // field meanings mirror crate::ir::Intrinsic
-pub enum POp {
-    BrgemmF32 {
-        a: PView,
-        b: PView,
-        c: PView,
-        shape: brgemm::BrgemmShape,
-        /// Tile offsets relative to the A view base, one per batch
-        /// element — computed once at plan-build time.
-        a_rel: Box<[usize]>,
-        b_rel: Box<[usize]>,
-        /// Span of the A buffer touched by all tiles.
-        a_span: usize,
-        b_span: usize,
-    },
-    BrgemmU8I8 {
-        a: PView,
-        b: PView,
-        c: PView,
-        shape: brgemm::BrgemmShape,
-        a_rel: Box<[usize]>,
-        b_rel: Box<[usize]>,
-        a_span: usize,
-        b_span: usize,
-    },
-    FillF32 {
-        dst: PView,
-        value: f32,
-    },
-    ZeroI32 {
-        dst: PView,
-    },
-    Pack2D {
-        src_buf: u32,
-        src_offset: PlanOffset,
-        src_row_stride: usize,
-        src_col_stride: usize,
-        dst: PView,
-        rows: usize,
-        cols: usize,
-    },
-    Unpack2D {
-        src: PView,
-        dst_buf: u32,
-        dst_offset: PlanOffset,
-        dst_row_stride: usize,
-        dst_col_stride: usize,
-        rows: usize,
-        cols: usize,
-    },
-    Pack2DPad {
-        src_buf: u32,
-        src_offset: PlanOffset,
-        src_row_stride: usize,
-        src_col_stride: usize,
-        dst: PView,
-        rows: usize,
-        cols: usize,
-        row_base: PlanOffset,
-        row_logical: usize,
-        col_base: PlanOffset,
-        col_logical: usize,
-    },
-    Unpack2DClamp {
-        src: PView,
-        dst_buf: u32,
-        dst_offset: PlanOffset,
-        dst_row_stride: usize,
-        dst_col_stride: usize,
-        rows: usize,
-        cols: usize,
-        row_base: PlanOffset,
-        row_logical: usize,
-        col_base: PlanOffset,
-        col_logical: usize,
-    },
-    BrgemmF32Tail {
-        a: PView,
-        b: PView,
-        c: PView,
-        shape: brgemm::BrgemmShape,
-        a_rel: Box<[usize]>,
-        b_rel: Box<[usize]>,
-        a_span: usize,
-        b_span: usize,
-        m_base: PlanOffset,
-        m_logical: usize,
-    },
-    BrgemmU8I8Tail {
-        a: PView,
-        b: PView,
-        c: PView,
-        shape: brgemm::BrgemmShape,
-        a_rel: Box<[usize]>,
-        b_rel: Box<[usize]>,
-        a_span: usize,
-        b_span: usize,
-        m_base: PlanOffset,
-        m_logical: usize,
-    },
-    Unary {
-        op: UnaryOp,
-        src: PView,
-        dst: PView,
-    },
-    Binary {
-        op: BinaryOp,
-        a: PView,
-        b: PView,
-        dst: PView,
-    },
-    BinaryScalar {
-        op: BinaryOp,
-        a: PView,
-        scalar: f32,
-        dst: PView,
-    },
-    BinaryRowBcast {
-        op: BinaryOp,
-        a: PView,
-        b: PView,
-        dst: PView,
-        rows: usize,
-        cols: usize,
-    },
-    BinaryColBcast {
-        op: BinaryOp,
-        a: PView,
-        b: PView,
-        dst: PView,
-        rows: usize,
-        cols: usize,
-    },
-    ReduceRows {
-        op: ReduceOp,
-        src: PView,
-        acc: PView,
-        rows: usize,
-        cols: usize,
-        accumulate: bool,
-    },
-    DequantAcc {
-        acc: PView,
-        comp: PView,
-        a_zero: i32,
-        scale: f32,
-        bias: Option<PView>,
-        dst: PView,
-        rows: usize,
-        cols: usize,
-    },
-    QuantU8 {
-        src: PView,
-        dst: PView,
-        scale: f32,
-        zero_point: i32,
-    },
-    DequantU8 {
-        src: PView,
-        dst: PView,
-        scale: f32,
-        zero_point: i32,
-    },
-    DequantI8 {
-        src: PView,
-        dst: PView,
-        scale: f32,
-    },
-    CompAccumulate {
-        b_tile: PView,
-        comp: PView,
-        nb: usize,
-        kb: usize,
-    },
-    CastI32F32 {
-        src: PView,
-        dst: PView,
-    },
-    AddF32 {
-        src: PView,
-        dst: PView,
-    },
-    AddI32 {
-        src: PView,
-        dst: PView,
-    },
+pub struct PlanOp {
+    /// Kind and static attributes.
+    pub op: Op,
+    pub(crate) n_operands: u8,
+    pub(crate) n_clamps: u8,
+    pub(crate) operands: [POperand; MAX_OPERANDS],
+    pub(crate) clamps: [PlanOffset; MAX_CLAMPS],
+    /// Tile offsets relative to the operand base for operands 0 and 1,
+    /// one per batch element (empty unless the op is a brgemm).
+    pub(crate) tables: [Box<[usize]>; 2],
+}
+
+impl PlanOp {
+    /// The compiled operands, in the op's operand order.
+    pub fn operands(&self) -> &[POperand] {
+        &self.operands[..self.n_operands as usize]
+    }
+
+    /// The compiled axis-clamp bases.
+    pub fn clamps(&self) -> &[PlanOffset] {
+        &self.clamps[..self.n_clamps as usize]
+    }
 }
 
 /// One flat-plan instruction. Loop bodies are the instruction range
@@ -410,7 +250,7 @@ pub enum PInstr {
         grain: usize,
     },
     /// A compiled intrinsic.
-    Op(POp),
+    Op(PlanOp),
 }
 
 /// A compiled function: flat instruction array plus frame layout.
@@ -522,26 +362,6 @@ pub fn run_plan_call(
     globals: &mut [Storage],
     pool: &ThreadPool,
     scratch: &mut PlanScratch,
-) {
-    run_plan_call_opts(
-        plan,
-        func_idx,
-        args,
-        globals,
-        pool,
-        scratch,
-        ExecOptions::default(),
-    );
-}
-
-/// [`run_plan_call`] with explicit [`ExecOptions`] (checked mode).
-pub fn run_plan_call_opts(
-    plan: &Plan,
-    func_idx: usize,
-    args: &[usize],
-    globals: &mut [Storage],
-    pool: &ThreadPool,
-    scratch: &mut PlanScratch,
     opts: ExecOptions,
 ) {
     let pf = plan.funcs[func_idx]
@@ -577,22 +397,13 @@ struct Ctx<'a> {
 }
 
 impl Ctx<'_> {
-    /// Resolve a view whose kernel touches exactly `v.len` elements.
     #[inline]
-    fn resolve(&self, v: &PView, vars: &[i64; MAX_VARS]) -> (RawBuf, usize) {
-        self.resolve_span(v, v.len, vars)
-    }
-
-    /// Resolve a view whose kernel touches `span` elements from the
-    /// offset (brgemm tile tables, broadcast/reduce row blocks).
-    #[inline]
-    fn resolve_span(&self, v: &PView, span: usize, vars: &[i64; MAX_VARS]) -> (RawBuf, usize) {
-        let buf = self.bufs[v.buf as usize];
+    fn resolve(&self, o: &POperand, vars: &[i64; MAX_VARS]) -> Resolved<'_> {
+        let buf = &self.bufs[o.buf as usize];
         if self.checked {
-            let off = check_offset(&v.offset, v.buf, span, buf, vars);
-            return (buf, off);
+            return (buf, check_offset(o, buf, vars));
         }
-        (buf, v.offset.eval(vars))
+        (buf, o.offset.eval(vars))
     }
 
     /// Evaluate an axis-clamp base (a scalar index, not a buffer
@@ -608,39 +419,31 @@ impl Ctx<'_> {
         s.max(0) as usize
     }
 
-    /// Resolve a raw (buffer, offset) pair — the strided side of
-    /// pack/unpack — whose kernel touches `span` elements.
+    /// Resolve the op's operands and clamp bases into stack arrays and
+    /// hand them to the shared kernel dispatch.
     #[inline]
-    fn resolve_raw(
-        &self,
-        buf_idx: u32,
-        offset: &PlanOffset,
-        span: usize,
-        vars: &[i64; MAX_VARS],
-    ) -> (RawBuf, usize) {
-        let buf = self.bufs[buf_idx as usize];
-        if self.checked {
-            let off = check_offset(offset, buf_idx, span, buf, vars);
-            return (buf, off);
+    fn dispatch(&self, p: &PlanOp, vars: &[i64; MAX_VARS]) {
+        let mut operands = [(RawBuf::NULL, 0usize); MAX_OPERANDS];
+        for (slot, o) in operands.iter_mut().zip(p.operands()) {
+            *slot = self.resolve(o, vars);
         }
-        (buf, offset.eval(vars))
+        let mut bases = [0usize; MAX_CLAMPS];
+        for (slot, c) in bases.iter_mut().zip(p.clamps()) {
+            *slot = self.clamp_base(c, vars);
+        }
+        run_op(&p.op, &operands, &bases, &p.tables);
     }
 }
 
 /// Checked-mode offset resolution: panic (rather than wrap or read out
 /// of bounds) when an evaluated offset escapes its buffer.
 #[cold]
-fn check_offset(
-    offset: &PlanOffset,
-    buf_idx: u32,
-    span: usize,
-    buf: RawBuf,
-    vars: &[i64; MAX_VARS],
-) -> usize {
-    let s = offset.eval_signed(vars);
+fn check_offset(o: &POperand, buf: &RawBuf, vars: &[i64; MAX_VARS]) -> usize {
+    let (slot, span) = (o.buf, o.span);
+    let s = o.offset.eval_signed(vars);
     assert!(
         s >= 0,
-        "checked exec: offset of buffer slot {buf_idx} evaluated negative ({s})"
+        "checked exec: offset of buffer slot {slot} evaluated negative ({s})"
     );
     let off = s as usize;
     let end = off
@@ -648,7 +451,7 @@ fn check_offset(
         .unwrap_or_else(|| panic!("checked exec: offset {off} + span {span} overflows"));
     assert!(
         end <= buf.elems(),
-        "checked exec: access [{off}, {end}) escapes buffer slot {buf_idx} ({} elems)",
+        "checked exec: access [{off}, {end}) escapes buffer slot {slot} ({} elems)",
         buf.elems()
     );
     off
@@ -705,483 +508,8 @@ fn run_range(
                 pc = *body_end;
             }
             PInstr::Op(op) => {
-                exec_pop(op, ctx, vars);
+                ctx.dispatch(op, vars);
                 pc += 1;
-            }
-        }
-    }
-}
-
-#[allow(clippy::too_many_lines)]
-fn exec_pop(op: &POp, ctx: &Ctx<'_>, vars: &[i64; MAX_VARS]) {
-    match op {
-        POp::BrgemmF32 {
-            a,
-            b,
-            c,
-            shape,
-            a_rel,
-            b_rel,
-            a_span,
-            b_span,
-        } => {
-            let (ab, ao) = ctx.resolve_span(a, *a_span, vars);
-            let (bb, bo) = ctx.resolve_span(b, *b_span, vars);
-            let (cb, co) = ctx.resolve_span(c, shape.c_len(), vars);
-            unsafe {
-                let asl = ab.f32(ao, *a_span);
-                let bsl = bb.f32(bo, *b_span);
-                let csl = cb.f32(co, shape.c_len());
-                brgemm::brgemm_f32(*shape, asl, a_rel, bsl, b_rel, csl);
-            }
-        }
-        POp::BrgemmU8I8 {
-            a,
-            b,
-            c,
-            shape,
-            a_rel,
-            b_rel,
-            a_span,
-            b_span,
-        } => {
-            let (ab, ao) = ctx.resolve_span(a, *a_span, vars);
-            let (bb, bo) = ctx.resolve_span(b, *b_span, vars);
-            let (cb, co) = ctx.resolve_span(c, shape.c_len(), vars);
-            unsafe {
-                let asl = ab.u8(ao, *a_span);
-                let bsl = bb.i8(bo, *b_span);
-                let csl = cb.i32(co, shape.c_len());
-                brgemm::brgemm_u8i8(*shape, asl, a_rel, bsl, b_rel, csl);
-            }
-        }
-        POp::FillF32 { dst, value } => {
-            let (db, off) = ctx.resolve(dst, vars);
-            unsafe { db.f32(off, dst.len) }.fill(*value);
-        }
-        POp::ZeroI32 { dst } => {
-            let (db, off) = ctx.resolve(dst, vars);
-            unsafe { db.i32(off, dst.len) }.fill(0);
-        }
-        POp::Pack2D {
-            src_buf,
-            src_offset,
-            src_row_stride,
-            src_col_stride,
-            dst,
-            rows,
-            cols,
-        } => {
-            let src_span = (rows - 1) * src_row_stride + (cols - 1) * src_col_stride + 1;
-            let (sb, so) = ctx.resolve_raw(*src_buf, src_offset, src_span, vars);
-            let (db, doff) = ctx.resolve_span(dst, rows * cols, vars);
-            pack2d(
-                sb,
-                so,
-                *src_row_stride,
-                *src_col_stride,
-                db,
-                doff,
-                *rows,
-                *cols,
-            );
-        }
-        POp::Unpack2D {
-            src,
-            dst_buf,
-            dst_offset,
-            dst_row_stride,
-            dst_col_stride,
-            rows,
-            cols,
-        } => {
-            let (sb, so) = ctx.resolve_span(src, rows * cols, vars);
-            let dst_span = (rows - 1) * dst_row_stride + (cols - 1) * dst_col_stride + 1;
-            let (db, doff) = ctx.resolve_raw(*dst_buf, dst_offset, dst_span, vars);
-            unpack2d(
-                sb,
-                so,
-                db,
-                doff,
-                *dst_row_stride,
-                *dst_col_stride,
-                *rows,
-                *cols,
-            );
-        }
-        POp::Pack2DPad {
-            src_buf,
-            src_offset,
-            src_row_stride,
-            src_col_stride,
-            dst,
-            rows,
-            cols,
-            row_base,
-            row_logical,
-            col_base,
-            col_logical,
-        } => {
-            let rb = ctx.clamp_base(row_base, vars);
-            let cb = ctx.clamp_base(col_base, vars);
-            let avail_r = row_logical.saturating_sub(rb).min(*rows);
-            let avail_c = col_logical.saturating_sub(cb).min(*cols);
-            // base-excluded static span capped by the logical extents
-            let src_span = row_logical.saturating_sub(1) * src_row_stride
-                + col_logical.saturating_sub(1) * src_col_stride
-                + 1;
-            let (sb, so) = ctx.resolve_raw(*src_buf, src_offset, src_span, vars);
-            let (db, doff) = ctx.resolve_span(dst, rows * cols, vars);
-            pack2d_pad(
-                sb,
-                so + rb * src_row_stride + cb * src_col_stride,
-                *src_row_stride,
-                *src_col_stride,
-                db,
-                doff,
-                *rows,
-                *cols,
-                avail_r,
-                avail_c,
-            );
-        }
-        POp::Unpack2DClamp {
-            src,
-            dst_buf,
-            dst_offset,
-            dst_row_stride,
-            dst_col_stride,
-            rows,
-            cols,
-            row_base,
-            row_logical,
-            col_base,
-            col_logical,
-        } => {
-            let rb = ctx.clamp_base(row_base, vars);
-            let cb = ctx.clamp_base(col_base, vars);
-            let avail_r = row_logical.saturating_sub(rb).min(*rows);
-            let avail_c = col_logical.saturating_sub(cb).min(*cols);
-            let (sb, so) = ctx.resolve_span(src, rows * cols, vars);
-            let dst_span = row_logical.saturating_sub(1) * dst_row_stride
-                + col_logical.saturating_sub(1) * dst_col_stride
-                + 1;
-            let (db, doff) = ctx.resolve_raw(*dst_buf, dst_offset, dst_span, vars);
-            unpack2d_clamp(
-                sb,
-                so,
-                db,
-                doff + rb * dst_row_stride + cb * dst_col_stride,
-                *dst_row_stride,
-                *dst_col_stride,
-                *cols,
-                avail_r,
-                avail_c,
-            );
-        }
-        POp::BrgemmF32Tail {
-            a,
-            b,
-            c,
-            shape,
-            a_rel,
-            b_rel,
-            a_span,
-            b_span,
-            m_base,
-            m_logical,
-        } => {
-            let mb = ctx.clamp_base(m_base, vars);
-            let m_eff = m_logical.saturating_sub(mb).min(shape.m);
-            if m_eff == 0 {
-                return;
-            }
-            let (ab, ao) = ctx.resolve_span(a, *a_span, vars);
-            let (bb, bo) = ctx.resolve_span(b, *b_span, vars);
-            let (cb, co) = ctx.resolve_span(c, shape.c_len(), vars);
-            unsafe {
-                let asl = ab.f32(ao, *a_span);
-                let bsl = bb.f32(bo, *b_span);
-                let csl = cb.f32(co, m_eff * shape.n);
-                tail::brgemm_f32_m_tail(*shape, m_eff, asl, a_rel, bsl, b_rel, csl);
-            }
-        }
-        POp::BrgemmU8I8Tail {
-            a,
-            b,
-            c,
-            shape,
-            a_rel,
-            b_rel,
-            a_span,
-            b_span,
-            m_base,
-            m_logical,
-        } => {
-            let mb = ctx.clamp_base(m_base, vars);
-            let m_eff = m_logical.saturating_sub(mb).min(shape.m);
-            if m_eff == 0 {
-                return;
-            }
-            let (ab, ao) = ctx.resolve_span(a, *a_span, vars);
-            let (bb, bo) = ctx.resolve_span(b, *b_span, vars);
-            let (cb, co) = ctx.resolve_span(c, shape.c_len(), vars);
-            unsafe {
-                let asl = ab.u8(ao, *a_span);
-                let bsl = bb.i8(bo, *b_span);
-                let csl = cb.i32(co, m_eff * shape.n);
-                tail::brgemm_u8i8_m_tail(*shape, m_eff, asl, a_rel, bsl, b_rel, csl);
-            }
-        }
-        POp::Unary { op, src, dst } => {
-            let (sb, so) = ctx.resolve(src, vars);
-            let (db, doff) = ctx.resolve(dst, vars);
-            if sb.ptr == db.ptr && so == doff {
-                let buf = unsafe { db.f32(doff, dst.len) };
-                eltwise::unary_inplace(*op, buf);
-            } else {
-                assert_disjoint((sb, so, src.len), (db, doff, dst.len));
-                unsafe {
-                    eltwise::unary(*op, sb.f32(so, src.len), db.f32(doff, dst.len));
-                }
-            }
-        }
-        POp::Binary { op, a, b, dst } => {
-            let (ab, ao) = ctx.resolve(a, vars);
-            let (bb, bo) = ctx.resolve(b, vars);
-            let (db, doff) = ctx.resolve(dst, vars);
-            assert_disjoint((bb, bo, b.len), (db, doff, dst.len));
-            if ab.ptr == db.ptr && ao == doff {
-                unsafe {
-                    let dsl = db.f32(doff, dst.len);
-                    let bsl = bb.f32(bo, b.len);
-                    for (d, &y) in dsl.iter_mut().zip(bsl.iter()) {
-                        *d = op.apply(*d, y);
-                    }
-                }
-            } else {
-                assert_disjoint((ab, ao, a.len), (db, doff, dst.len));
-                unsafe {
-                    eltwise::binary(
-                        *op,
-                        ab.f32(ao, a.len),
-                        bb.f32(bo, b.len),
-                        db.f32(doff, dst.len),
-                    );
-                }
-            }
-        }
-        POp::BinaryScalar { op, a, scalar, dst } => {
-            let (ab, ao) = ctx.resolve(a, vars);
-            let (db, doff) = ctx.resolve(dst, vars);
-            if ab.ptr == db.ptr && ao == doff {
-                let dsl = unsafe { db.f32(doff, dst.len) };
-                for d in dsl.iter_mut() {
-                    *d = op.apply(*d, *scalar);
-                }
-            } else {
-                assert_disjoint((ab, ao, a.len), (db, doff, dst.len));
-                unsafe {
-                    eltwise::binary_scalar(*op, ab.f32(ao, a.len), *scalar, db.f32(doff, dst.len));
-                }
-            }
-        }
-        POp::BinaryRowBcast {
-            op,
-            a,
-            b,
-            dst,
-            rows,
-            cols,
-        } => {
-            let (ab, ao) = ctx.resolve_span(a, rows * cols, vars);
-            let (bb, bo) = ctx.resolve_span(b, *cols, vars);
-            let (db, doff) = ctx.resolve_span(dst, rows * cols, vars);
-            unsafe {
-                let bsl = bb.f32(bo, *cols);
-                for r in 0..*rows {
-                    let arow = ab.f32(ao + r * cols, *cols);
-                    let drow = db.f32(doff + r * cols, *cols);
-                    for ((d, &x), &y) in drow.iter_mut().zip(arow.iter()).zip(bsl.iter()) {
-                        *d = op.apply(x, y);
-                    }
-                }
-            }
-        }
-        POp::BinaryColBcast {
-            op,
-            a,
-            b,
-            dst,
-            rows,
-            cols,
-        } => {
-            let (ab, ao) = ctx.resolve_span(a, rows * cols, vars);
-            let (bb, bo) = ctx.resolve_span(b, *rows, vars);
-            let (db, doff) = ctx.resolve_span(dst, rows * cols, vars);
-            unsafe {
-                let bsl = bb.f32(bo, *rows);
-                for (r, &y) in bsl.iter().enumerate() {
-                    let arow = ab.f32(ao + r * cols, *cols);
-                    let drow = db.f32(doff + r * cols, *cols);
-                    match op {
-                        BinaryOp::Div => {
-                            let inv = 1.0 / y;
-                            for (d, &x) in drow.iter_mut().zip(arow.iter()) {
-                                *d = x * inv;
-                            }
-                        }
-                        _ => {
-                            for (d, &x) in drow.iter_mut().zip(arow.iter()) {
-                                *d = op.apply(x, y);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        POp::ReduceRows {
-            op,
-            src,
-            acc,
-            rows,
-            cols,
-            accumulate,
-        } => {
-            let (sb, so) = ctx.resolve_span(src, rows * cols, vars);
-            let (accb, acco) = ctx.resolve_span(acc, *rows, vars);
-            unsafe {
-                let ssl = sb.f32(so, rows * cols);
-                let asl = accb.f32(acco, *rows);
-                match (op, accumulate) {
-                    (ReduceOp::Max, false) => reduce::reduce_rows_max(ssl, *rows, *cols, asl),
-                    (ReduceOp::Sum, false) => reduce::reduce_rows_sum(ssl, *rows, *cols, asl),
-                    (ReduceOp::Max, true) => {
-                        for (a, row) in asl.iter_mut().zip(ssl.chunks_exact(*cols)) {
-                            let m = reduce::reduce_max(row);
-                            if m > *a {
-                                *a = m;
-                            }
-                        }
-                    }
-                    (ReduceOp::Sum, true) => {
-                        for (a, row) in asl.iter_mut().zip(ssl.chunks_exact(*cols)) {
-                            *a += reduce::reduce_sum(row);
-                        }
-                    }
-                }
-            }
-        }
-        POp::DequantAcc {
-            acc,
-            comp,
-            a_zero,
-            scale,
-            bias,
-            dst,
-            rows,
-            cols,
-        } => {
-            let (accb, acco) = ctx.resolve_span(acc, rows * cols, vars);
-            let (compb, compo) = ctx.resolve_span(comp, *cols, vars);
-            let (db, doff) = ctx.resolve_span(dst, rows * cols, vars);
-            unsafe {
-                let asl = accb.i32(acco, rows * cols);
-                let csl = compb.i32(compo, *cols);
-                let dsl = db.f32(doff, rows * cols);
-                match bias {
-                    Some(bv) => {
-                        let (bb, bo) = ctx.resolve_span(bv, *cols, vars);
-                        let bsl = bb.f32(bo, *cols);
-                        epilogue::dequant_acc_bias(
-                            asl, *rows, *cols, csl, *a_zero, *scale, bsl, dsl,
-                        );
-                    }
-                    None => epilogue::dequant_acc(asl, *rows, *cols, csl, *a_zero, *scale, dsl),
-                }
-            }
-        }
-        POp::QuantU8 {
-            src,
-            dst,
-            scale,
-            zero_point,
-        } => {
-            let (sb, so) = ctx.resolve(src, vars);
-            let (db, doff) = ctx.resolve(dst, vars);
-            unsafe {
-                epilogue::requant_u8(
-                    sb.f32(so, src.len),
-                    1.0 / *scale,
-                    *zero_point,
-                    db.u8(doff, dst.len),
-                );
-            }
-        }
-        POp::DequantU8 {
-            src,
-            dst,
-            scale,
-            zero_point,
-        } => {
-            let (sb, so) = ctx.resolve(src, vars);
-            let (db, doff) = ctx.resolve(dst, vars);
-            unsafe {
-                let ssl = sb.u8(so, src.len);
-                let dsl = db.f32(doff, dst.len);
-                for (d, &q) in dsl.iter_mut().zip(ssl.iter()) {
-                    *d = *scale * (q as i32 - zero_point) as f32;
-                }
-            }
-        }
-        POp::DequantI8 { src, dst, scale } => {
-            let (sb, so) = ctx.resolve(src, vars);
-            let (db, doff) = ctx.resolve(dst, vars);
-            unsafe {
-                let ssl = sb.i8(so, src.len);
-                let dsl = db.f32(doff, dst.len);
-                for (d, &q) in dsl.iter_mut().zip(ssl.iter()) {
-                    *d = *scale * q as f32;
-                }
-            }
-        }
-        POp::CompAccumulate {
-            b_tile,
-            comp,
-            nb,
-            kb,
-        } => {
-            let (bb, bo) = ctx.resolve_span(b_tile, nb * kb, vars);
-            let (cb, co) = ctx.resolve_span(comp, *nb, vars);
-            unsafe {
-                let bsl = bb.i8(bo, nb * kb);
-                let csl = cb.i32(co, *nb);
-                for (c, panel) in csl.iter_mut().zip(bsl.chunks_exact(*kb)) {
-                    *c += panel.iter().map(|&x| x as i32).sum::<i32>();
-                }
-            }
-        }
-        POp::CastI32F32 { src, dst } => {
-            let (sb, so) = ctx.resolve(src, vars);
-            let (db, doff) = ctx.resolve(dst, vars);
-            unsafe {
-                epilogue::i32_to_f32(sb.i32(so, src.len), db.f32(doff, dst.len));
-            }
-        }
-        POp::AddF32 { src, dst } => {
-            let (sb, so) = ctx.resolve(src, vars);
-            let (db, doff) = ctx.resolve(dst, vars);
-            assert_disjoint((sb, so, src.len), (db, doff, dst.len));
-            unsafe {
-                eltwise::acc_add_f32(sb.f32(so, src.len), db.f32(doff, dst.len));
-            }
-        }
-        POp::AddI32 { src, dst } => {
-            let (sb, so) = ctx.resolve(src, vars);
-            let (db, doff) = ctx.resolve(dst, vars);
-            assert_disjoint((sb, so, src.len), (db, doff, dst.len));
-            unsafe {
-                eltwise::acc_add_i32(sb.i32(so, src.len), db.i32(doff, dst.len));
             }
         }
     }

@@ -1,11 +1,7 @@
 //! Human-readable Tensor IR printer (diagnostics and golden tests).
 
-use crate::ir::{BufId, Func, Intrinsic, Module, Stmt, View};
+use crate::ir::{BufId, Footprint, Func, Intrinsic, Module, Op, Stmt};
 use std::fmt::Write;
-
-fn view_str(f: &Func, v: &View) -> String {
-    format!("{}[{} +{}]", buf_str(f, v.buf), v.offset, v.len)
-}
 
 fn buf_str(f: &Func, b: BufId) -> String {
     match b {
@@ -14,236 +10,104 @@ fn buf_str(f: &Func, b: BufId) -> String {
     }
 }
 
+/// One string per operand: `buf[offset +len]` for contiguous windows
+/// (the tile length for brgemm batches), `buf[offset rs= cs=]` for the
+/// strided side of a 2-D copy.
+fn operand_strs(f: &Func, i: &Intrinsic) -> Vec<String> {
+    let desc = i.op.desc(None);
+    i.operands
+        .iter()
+        .zip(desc.operands())
+        .map(|(o, s)| {
+            let buf = buf_str(f, o.buf);
+            match s.footprint {
+                Footprint::Dense(len) | Footprint::Tiles { len, .. } => {
+                    format!("{buf}[{} +{len}]", o.offset)
+                }
+                Footprint::Strided(g) => format!(
+                    "{buf}[{} rs={} cs={}]",
+                    o.offset, g.row_stride, g.col_stride
+                ),
+            }
+        })
+        .collect()
+}
+
 fn intr_str(f: &Func, i: &Intrinsic) -> String {
-    match i {
-        Intrinsic::BrgemmF32 {
-            a,
-            b,
-            c,
-            m,
-            n,
-            k,
-            batch,
-            ..
-        } => format!(
-            "brgemm.f32 {} += {} x {}  (m={m} n={n} k={k} bs={batch})",
-            view_str(f, c),
-            view_str(f, a),
-            view_str(f, b)
+    let o = operand_strs(f, i);
+    let c = &i.clamps;
+    if !i.arity_ok() {
+        return format!("{:?} {} <malformed>", i.op, o.join(", "));
+    }
+    match i.op {
+        Op::BrgemmF32(g) => format!(
+            "brgemm.f32 {} += {} x {}  (m={} n={} k={} bs={})",
+            o[2], o[0], o[1], g.m, g.n, g.k, g.batch
         ),
-        Intrinsic::BrgemmU8I8 {
-            a,
-            b,
-            c,
-            m,
-            n,
-            k,
-            batch,
-            ..
-        } => format!(
-            "brgemm.u8i8 {} += {} x {}  (m={m} n={n} k={k} bs={batch})",
-            view_str(f, c),
-            view_str(f, a),
-            view_str(f, b)
+        Op::BrgemmU8I8(g) => format!(
+            "brgemm.u8i8 {} += {} x {}  (m={} n={} k={} bs={})",
+            o[2], o[0], o[1], g.m, g.n, g.k, g.batch
         ),
-        Intrinsic::FillF32 { dst, value } => format!("fill {} = {value}", view_str(f, dst)),
-        Intrinsic::ZeroI32 { dst } => format!("zero.i32 {}", view_str(f, dst)),
-        Intrinsic::Pack2D {
-            src,
-            src_offset,
-            src_row_stride,
-            src_col_stride,
-            dst,
-            rows,
-            cols,
+        Op::FillF32 { value, .. } => format!("fill {} = {value}", o[0]),
+        Op::ZeroI32 { .. } => format!("zero.i32 {}", o[0]),
+        Op::Pack2D(g) => format!("pack2d {} = {} ({}x{})", o[1], o[0], g.rows, g.cols),
+        Op::Unpack2D(g) => format!("unpack2d {} = {} ({}x{})", o[1], o[0], g.rows, g.cols),
+        Op::Pack2DPad {
+            g,
+            row_logical,
+            col_logical,
         } => format!(
-            "pack2d {} = {}[{} rs={src_row_stride} cs={src_col_stride}] ({rows}x{cols})",
-            view_str(f, dst),
-            buf_str(f, *src),
-            src_offset
+            "pack2d.pad {} = {} ({}x{} rows@{}<{row_logical} cols@{}<{col_logical})",
+            o[1], o[0], g.rows, g.cols, c[0], c[1]
         ),
-        Intrinsic::Unpack2D {
-            src,
-            dst,
-            dst_offset,
-            dst_row_stride,
-            dst_col_stride,
-            rows,
-            cols,
+        Op::Unpack2DClamp {
+            g,
+            row_logical,
+            col_logical,
         } => format!(
-            "unpack2d {}[{} rs={dst_row_stride} cs={dst_col_stride}] = {} ({rows}x{cols})",
-            buf_str(f, *dst),
-            dst_offset,
-            view_str(f, src)
+            "unpack2d.clamp {} = {} ({}x{} rows@{}<{row_logical} cols@{}<{col_logical})",
+            o[1], o[0], g.rows, g.cols, c[0], c[1]
         ),
-        Intrinsic::Pack2DPad {
-            src,
-            src_offset,
-            src_row_stride,
-            src_col_stride,
-            dst,
-            rows,
-            cols,
-            row_clamp,
-            col_clamp,
-        } => format!(
-            "pack2d.pad {} = {}[{} rs={src_row_stride} cs={src_col_stride}] ({rows}x{cols} rows@{}<{} cols@{}<{})",
-            view_str(f, dst),
-            buf_str(f, *src),
-            src_offset,
-            row_clamp.base,
-            row_clamp.logical,
-            col_clamp.base,
-            col_clamp.logical
+        Op::BrgemmF32Tail { g, m_logical } => format!(
+            "brgemm.f32.tail {} += {} x {}  (m={} n={} k={} bs={} m@{}<{m_logical})",
+            o[2], o[0], o[1], g.m, g.n, g.k, g.batch, c[0]
         ),
-        Intrinsic::Unpack2DClamp {
-            src,
-            dst,
-            dst_offset,
-            dst_row_stride,
-            dst_col_stride,
-            rows,
-            cols,
-            row_clamp,
-            col_clamp,
-        } => format!(
-            "unpack2d.clamp {}[{} rs={dst_row_stride} cs={dst_col_stride}] = {} ({rows}x{cols} rows@{}<{} cols@{}<{})",
-            buf_str(f, *dst),
-            dst_offset,
-            view_str(f, src),
-            row_clamp.base,
-            row_clamp.logical,
-            col_clamp.base,
-            col_clamp.logical
+        Op::BrgemmU8I8Tail { g, m_logical } => format!(
+            "brgemm.u8i8.tail {} += {} x {}  (m={} n={} k={} bs={} m@{}<{m_logical})",
+            o[2], o[0], o[1], g.m, g.n, g.k, g.batch, c[0]
         ),
-        Intrinsic::BrgemmF32Tail {
-            a,
-            b,
-            c,
-            m,
-            n,
-            k,
-            batch,
-            m_clamp,
-            ..
-        } => format!(
-            "brgemm.f32.tail {} += {} x {}  (m={m} n={n} k={k} bs={batch} m@{}<{})",
-            view_str(f, c),
-            view_str(f, a),
-            view_str(f, b),
-            m_clamp.base,
-            m_clamp.logical
-        ),
-        Intrinsic::BrgemmU8I8Tail {
-            a,
-            b,
-            c,
-            m,
-            n,
-            k,
-            batch,
-            m_clamp,
-            ..
-        } => format!(
-            "brgemm.u8i8.tail {} += {} x {}  (m={m} n={n} k={k} bs={batch} m@{}<{})",
-            view_str(f, c),
-            view_str(f, a),
-            view_str(f, b),
-            m_clamp.base,
-            m_clamp.logical
-        ),
-        Intrinsic::Unary { op, src, dst } => {
-            format!("{op:?} {} = {}", view_str(f, dst), view_str(f, src))
+        Op::Unary { op, .. } => format!("{op:?} {} = {}", o[1], o[0]),
+        Op::Binary { op, .. } => format!("{op:?} {} = {}, {}", o[2], o[0], o[1]),
+        Op::BinaryScalar { op, scalar, .. } => format!("{op:?}.s {} = {}, {scalar}", o[1], o[0]),
+        Op::BinaryRowBcast { op, rows, cols } => {
+            format!("{op:?}.rowb {} = {}, {} ({rows}x{cols})", o[2], o[0], o[1])
         }
-        Intrinsic::Binary { op, a, b, dst } => format!(
-            "{op:?} {} = {}, {}",
-            view_str(f, dst),
-            view_str(f, a),
-            view_str(f, b)
-        ),
-        Intrinsic::BinaryScalar { op, a, scalar, dst } => format!(
-            "{op:?}.s {} = {}, {scalar}",
-            view_str(f, dst),
-            view_str(f, a)
-        ),
-        Intrinsic::BinaryRowBcast {
+        Op::BinaryColBcast { op, rows, cols } => {
+            format!("{op:?}.colb {} = {}, {} ({rows}x{cols})", o[2], o[0], o[1])
+        }
+        Op::ReduceRows {
             op,
-            a,
-            b,
-            dst,
-            rows,
-            cols,
-        } => format!(
-            "{op:?}.rowb {} = {}, {} ({rows}x{cols})",
-            view_str(f, dst),
-            view_str(f, a),
-            view_str(f, b)
-        ),
-        Intrinsic::BinaryColBcast {
-            op,
-            a,
-            b,
-            dst,
-            rows,
-            cols,
-        } => format!(
-            "{op:?}.colb {} = {}, {} ({rows}x{cols})",
-            view_str(f, dst),
-            view_str(f, a),
-            view_str(f, b)
-        ),
-        Intrinsic::ReduceRows {
-            op,
-            src,
-            acc,
             rows,
             cols,
             accumulate,
         } => format!(
             "reduce.{op:?}{} {} <- {} ({rows}x{cols})",
-            if *accumulate { ".acc" } else { "" },
-            view_str(f, acc),
-            view_str(f, src)
+            if accumulate { ".acc" } else { "" },
+            o[1],
+            o[0]
         ),
-        Intrinsic::DequantAcc {
-            acc,
-            dst,
-            rows,
-            cols,
-            ..
-        } => format!(
-            "dequant_acc {} = {} ({rows}x{cols})",
-            view_str(f, dst),
-            view_str(f, acc)
-        ),
-        Intrinsic::QuantU8 { src, dst, .. } => {
-            format!("quant.u8 {} = {}", view_str(f, dst), view_str(f, src))
+        Op::DequantAcc { rows, cols, .. } => {
+            format!("dequant_acc {} = {} ({rows}x{cols})", o[2], o[0])
         }
-        Intrinsic::DequantU8 { src, dst, .. } => {
-            format!("dequant.u8 {} = {}", view_str(f, dst), view_str(f, src))
+        Op::QuantU8 { .. } => format!("quant.u8 {} = {}", o[1], o[0]),
+        Op::DequantU8 { .. } => format!("dequant.u8 {} = {}", o[1], o[0]),
+        Op::DequantI8 { .. } => format!("dequant.i8 {} = {}", o[1], o[0]),
+        Op::CompAccumulate { nb, kb } => {
+            format!("comp_acc {} += colsums({}) (nb={nb} kb={kb})", o[1], o[0])
         }
-        Intrinsic::DequantI8 { src, dst, .. } => {
-            format!("dequant.i8 {} = {}", view_str(f, dst), view_str(f, src))
-        }
-        Intrinsic::CompAccumulate {
-            b_tile,
-            comp,
-            nb,
-            kb,
-        } => format!(
-            "comp_acc {} += colsums({}) (nb={nb} kb={kb})",
-            view_str(f, comp),
-            view_str(f, b_tile)
-        ),
-        Intrinsic::CastI32F32 { src, dst } => {
-            format!("cast.i32f32 {} = {}", view_str(f, dst), view_str(f, src))
-        }
-        Intrinsic::AddF32 { src, dst } => {
-            format!("add.f32.acc {} += {}", view_str(f, dst), view_str(f, src))
-        }
-        Intrinsic::AddI32 { src, dst } => {
-            format!("add.i32.acc {} += {}", view_str(f, dst), view_str(f, src))
-        }
+        Op::CastI32F32 { .. } => format!("cast.i32f32 {} = {}", o[1], o[0]),
+        Op::AddF32 { .. } => format!("add.f32.acc {} += {}", o[1], o[0]),
+        Op::AddI32 { .. } => format!("add.i32.acc {} += {}", o[1], o[0]),
     }
 }
 
@@ -315,7 +179,7 @@ pub fn print_module(m: &Module) -> String {
 mod tests {
     use super::*;
     use crate::expr::Expr;
-    use crate::ir::BufDecl;
+    use crate::ir::{BufDecl, View};
     use gc_microkernel::UnaryOp;
     use gc_tensor::DataType;
 
@@ -335,11 +199,17 @@ mod tests {
         f.body.push(Stmt::parallel(
             v,
             2,
-            vec![Stmt::Op(Intrinsic::Unary {
-                op: UnaryOp::Relu,
-                src: View::new(BufId::Param(0), Expr::v(v).mul(Expr::c(4)), 4),
-                dst: View::new(BufId::Param(1), Expr::v(v).mul(Expr::c(4)), 4),
-            })],
+            vec![Stmt::Op(Intrinsic::new(
+                Op::Unary {
+                    op: UnaryOp::Relu,
+                    len: 4,
+                },
+                [
+                    View::new(BufId::Param(0), Expr::v(v).mul(Expr::c(4)), 4),
+                    View::new(BufId::Param(1), Expr::v(v).mul(Expr::c(4)), 4),
+                ],
+                [],
+            ))],
         ));
         let text = print_func(&f);
         assert!(text.contains("parallel v0 in 0..2"));

@@ -14,9 +14,9 @@
 //! - every entry call costs one dispatch overhead (the framework API
 //!   cost the compiled partition amortizes over the whole subgraph).
 
-use crate::expr::{Expr, VarId};
-use crate::ir::{BufId, Func, Intrinsic, Module, Stmt};
-use crate::visit::{intrinsic_accesses, Access};
+use crate::expr::VarId;
+use crate::ir::{avail, BufId, Func, Intrinsic, Module, Op, Stmt, MAX_CLAMPS};
+use crate::visit::accesses_of;
 use gc_machine::{cost, CacheHierarchy, MachineDescriptor};
 use std::collections::HashMap;
 
@@ -190,141 +190,18 @@ fn set(vars: &mut [i64], var: VarId, v: i64) {
     vars[var.0] = v;
 }
 
-/// Accesses for the simulator. The clamped intrinsics get precise,
-/// runtime-evaluated windows here: the validator-facing
-/// [`intrinsic_accesses`] must report the whole logical region
-/// (clamp bases are excluded from its offsets), which would wildly
-/// overstate cache traffic during replay — the sim has concrete loop
-/// indices, so it can evaluate the clamps exactly.
-fn sim_accesses(i: &Intrinsic, vars: &[i64]) -> Vec<Access> {
-    let full = |v: &crate::ir::View, write: bool| Access {
-        buf: v.buf,
-        offset: v.offset.clone(),
-        len: v.len,
-        write,
-    };
-    match i {
-        Intrinsic::Pack2DPad {
-            src,
-            src_offset,
-            src_row_stride,
-            src_col_stride,
-            dst,
-            rows,
-            cols,
-            row_clamp,
-            col_clamp,
-        } => {
-            let rb = row_clamp.base.eval(vars).max(0) as usize;
-            let cb = col_clamp.base.eval(vars).max(0) as usize;
-            let (ar, ac) = (row_clamp.avail(rb, *rows), col_clamp.avail(cb, *cols));
-            let mut v = vec![full(dst, true)];
-            if ar > 0 && ac > 0 {
-                v.push(Access {
-                    buf: *src,
-                    offset: src_offset
-                        .clone()
-                        .add(Expr::from(rb * src_row_stride + cb * src_col_stride)),
-                    len: (ar - 1) * src_row_stride + (ac - 1) * src_col_stride + 1,
-                    write: false,
-                });
-            }
-            v
-        }
-        Intrinsic::Unpack2DClamp {
-            src,
-            dst,
-            dst_offset,
-            dst_row_stride,
-            dst_col_stride,
-            rows,
-            cols,
-            row_clamp,
-            col_clamp,
-        } => {
-            let rb = row_clamp.base.eval(vars).max(0) as usize;
-            let cb = col_clamp.base.eval(vars).max(0) as usize;
-            let (ar, ac) = (row_clamp.avail(rb, *rows), col_clamp.avail(cb, *cols));
-            if ar == 0 || ac == 0 {
-                return vec![];
-            }
-            vec![
-                Access {
-                    buf: src.buf,
-                    offset: src.offset.clone(),
-                    len: (ar - 1) * cols + ac,
-                    write: false,
-                },
-                Access {
-                    buf: *dst,
-                    offset: dst_offset
-                        .clone()
-                        .add(Expr::from(rb * dst_row_stride + cb * dst_col_stride)),
-                    len: (ar - 1) * dst_row_stride + (ac - 1) * dst_col_stride + 1,
-                    write: true,
-                },
-            ]
-        }
-        Intrinsic::BrgemmF32Tail {
-            a,
-            a_stride,
-            b,
-            b_stride,
-            c,
-            m,
-            n,
-            k,
-            batch,
-            m_clamp,
-        }
-        | Intrinsic::BrgemmU8I8Tail {
-            a,
-            a_stride,
-            b,
-            b_stride,
-            c,
-            m,
-            n,
-            k,
-            batch,
-            m_clamp,
-        } => {
-            let mb = m_clamp.base.eval(vars).max(0) as usize;
-            let m_eff = m_clamp.avail(mb, *m);
-            if m_eff == 0 {
-                return vec![];
-            }
-            let mut v = Vec::with_capacity(2 * batch + 1);
-            for i in 0..*batch {
-                v.push(Access {
-                    buf: a.buf,
-                    offset: a.offset.clone().add(Expr::from(i * a_stride)),
-                    len: m_eff * k,
-                    write: false,
-                });
-                v.push(Access {
-                    buf: b.buf,
-                    offset: b.offset.clone().add(Expr::from(i * b_stride)),
-                    len: n * k,
-                    write: false,
-                });
-            }
-            v.push(Access {
-                buf: c.buf,
-                offset: c.offset.clone(),
-                len: m_eff * n,
-                write: true,
-            });
-            v
-        }
-        _ => intrinsic_accesses(i),
-    }
-}
-
 fn sim_intrinsic(i: &Intrinsic, ctx: &mut SimCtx<'_>, vars: &[i64]) -> f64 {
+    // The sim has concrete loop indices, so it evaluates the clamps and
+    // replays the exact windows this call touches: the static envelope
+    // the validator sees (the whole logical region, clamp bases
+    // excluded) would wildly overstate edge-tile cache traffic.
+    let mut bases = [0usize; MAX_CLAMPS];
+    for (slot, c) in bases.iter_mut().zip(&i.clamps) {
+        *slot = c.eval(vars).max(0) as usize;
+    }
     // memory: replay every access through the cache hierarchy
     let mut mem = 0u64;
-    for a in sim_accesses(i, vars) {
+    for a in accesses_of(i, &i.op.desc(Some(&bases))) {
         let (base, es) = match a.buf {
             BufId::Param(p) => (ctx.param_base[p], ctx.elem_size[&(p, true)]),
             BufId::Local(l) => (ctx.local_base[l], ctx.elem_size[&(l, false)]),
@@ -334,99 +211,53 @@ fn sim_intrinsic(i: &Intrinsic, ctx: &mut SimCtx<'_>, vars: &[i64]) -> f64 {
             .cache
             .access(base + off * es as u64, (a.len * es) as u64);
     }
-    // compute
-    let comp = match i {
-        Intrinsic::BrgemmF32 { m, n, k, batch, .. } => {
-            let eff = cost::microkernel_efficiency(ctx.machine, *m, *n, *k, *batch, 4);
-            cost::compute_cycles(ctx.machine, 2.0 * (m * n * k * batch) as f64, 4, eff)
-        }
-        Intrinsic::BrgemmU8I8 { m, n, k, batch, .. } => {
-            let eff = cost::microkernel_efficiency(ctx.machine, *m, *n, *k, *batch, 1);
-            cost::compute_cycles(ctx.machine, 2.0 * (m * n * k * batch) as f64, 1, eff)
-        }
-        Intrinsic::BrgemmF32Tail {
-            m,
-            n,
-            k,
-            batch,
-            m_clamp,
-            ..
-        } => {
-            let mb = m_clamp.base.eval(vars).max(0) as usize;
-            let m_eff = m_clamp.avail(mb, *m);
-            let eff = cost::microkernel_efficiency(ctx.machine, m_eff.max(1), *n, *k, *batch, 4);
-            cost::compute_cycles(ctx.machine, 2.0 * (m_eff * n * k * batch) as f64, 4, eff)
-        }
-        Intrinsic::BrgemmU8I8Tail {
-            m,
-            n,
-            k,
-            batch,
-            m_clamp,
-            ..
-        } => {
-            let mb = m_clamp.base.eval(vars).max(0) as usize;
-            let m_eff = m_clamp.avail(mb, *m);
-            let eff = cost::microkernel_efficiency(ctx.machine, m_eff.max(1), *n, *k, *batch, 1);
-            cost::compute_cycles(ctx.machine, 2.0 * (m_eff * n * k * batch) as f64, 1, eff)
-        }
-        // vectorized elementwise: ~1 op per element
-        Intrinsic::Unary { dst, .. }
-        | Intrinsic::BinaryScalar { dst, .. }
-        | Intrinsic::Binary { dst, .. }
-        | Intrinsic::QuantU8 { dst, .. }
-        | Intrinsic::DequantU8 { dst, .. }
-        | Intrinsic::DequantI8 { dst, .. }
-        | Intrinsic::CastI32F32 { dst, .. }
-        | Intrinsic::AddF32 { dst, .. }
-        | Intrinsic::AddI32 { dst, .. }
-        | Intrinsic::FillF32 { dst, .. }
-        | Intrinsic::ZeroI32 { dst } => dst.len as f64 / ctx.machine.f32_lanes() as f64,
-        Intrinsic::BinaryRowBcast { rows, cols, .. }
-        | Intrinsic::BinaryColBcast { rows, cols, .. }
-        | Intrinsic::ReduceRows { rows, cols, .. } => {
-            (rows * cols) as f64 / ctx.machine.f32_lanes() as f64
-        }
-        Intrinsic::DequantAcc { rows, cols, .. } => {
-            2.0 * (rows * cols) as f64 / ctx.machine.f32_lanes() as f64
-        }
-        Intrinsic::Pack2D {
-            rows,
-            cols,
-            src_col_stride,
-            ..
-        }
-        | Intrinsic::Pack2DPad {
-            rows,
-            cols,
-            src_col_stride,
-            ..
-        } => {
-            // strided gathers don't vectorize as well; the padded
-            // variant still touches every dst element (zero fill)
-            let per = if *src_col_stride == 1 { 1.0 } else { 4.0 };
-            per * (rows * cols) as f64 / ctx.machine.f32_lanes() as f64
-        }
-        Intrinsic::Unpack2D {
-            rows,
-            cols,
-            dst_col_stride,
-            ..
-        }
-        | Intrinsic::Unpack2DClamp {
-            rows,
-            cols,
-            dst_col_stride,
-            ..
-        } => {
-            let per = if *dst_col_stride == 1 { 1.0 } else { 4.0 };
-            per * (rows * cols) as f64 / ctx.machine.f32_lanes() as f64
-        }
-        Intrinsic::CompAccumulate { nb, kb, .. } => (nb * kb) as f64 / 16.0,
-    };
+    let comp = compute_cycles(&i.op, ctx.machine, &bases);
     ctx.compute += comp;
     ctx.memory += mem as f64;
     comp.max(mem as f64)
+}
+
+/// Compute-side cycles of one call from the analytical model.
+fn compute_cycles(op: &Op, machine: &MachineDescriptor, bases: &[usize]) -> f64 {
+    let lanes = machine.f32_lanes() as f64;
+    let brgemm = |g: &crate::ir::Brgemm, m_eff: usize, elem_bytes: usize| {
+        let eff =
+            cost::microkernel_efficiency(machine, m_eff.max(1), g.n, g.k, g.batch, elem_bytes);
+        let flops = 2.0 * (m_eff * g.n * g.k * g.batch) as f64;
+        cost::compute_cycles(machine, flops, elem_bytes, eff)
+    };
+    // strided gathers/scatters don't vectorize as well; the padded
+    // variant still touches every dst element (zero fill)
+    let copy = |g: &crate::ir::Copy2D| {
+        let per = if g.col_stride == 1 { 1.0 } else { 4.0 };
+        per * (g.rows * g.cols) as f64 / lanes
+    };
+    match op {
+        Op::BrgemmF32(g) => brgemm(g, g.m, 4),
+        Op::BrgemmU8I8(g) => brgemm(g, g.m, 1),
+        Op::BrgemmF32Tail { g, m_logical } => brgemm(g, avail(*m_logical, bases[0], g.m), 4),
+        Op::BrgemmU8I8Tail { g, m_logical } => brgemm(g, avail(*m_logical, bases[0], g.m), 1),
+        // vectorized elementwise: ~1 op per element
+        Op::Unary { len, .. }
+        | Op::BinaryScalar { len, .. }
+        | Op::Binary { len, .. }
+        | Op::QuantU8 { len, .. }
+        | Op::DequantU8 { len, .. }
+        | Op::DequantI8 { len, .. }
+        | Op::CastI32F32 { len }
+        | Op::AddF32 { len }
+        | Op::AddI32 { len }
+        | Op::FillF32 { len, .. }
+        | Op::ZeroI32 { len } => *len as f64 / lanes,
+        Op::BinaryRowBcast { rows, cols, .. }
+        | Op::BinaryColBcast { rows, cols, .. }
+        | Op::ReduceRows { rows, cols, .. } => (rows * cols) as f64 / lanes,
+        Op::DequantAcc { rows, cols, .. } => 2.0 * (rows * cols) as f64 / lanes,
+        Op::Pack2D(g) | Op::Unpack2D(g) | Op::Pack2DPad { g, .. } | Op::Unpack2DClamp { g, .. } => {
+            copy(g)
+        }
+        Op::CompAccumulate { nb, kb } => (nb * kb) as f64 / 16.0,
+    }
 }
 
 #[cfg(test)]
@@ -454,11 +285,17 @@ mod tests {
             var: v,
             extent: chunks,
             parallel,
-            body: vec![Stmt::Op(Intrinsic::Unary {
-                op: UnaryOp::Relu,
-                src: View::new(BufId::Param(0), Expr::v(v).mul(Expr::from(per)), per),
-                dst: View::new(BufId::Param(1), Expr::v(v).mul(Expr::from(per)), per),
-            })],
+            body: vec![Stmt::Op(Intrinsic::new(
+                Op::Unary {
+                    op: UnaryOp::Relu,
+                    len: per,
+                },
+                [
+                    View::new(BufId::Param(0), Expr::v(v).mul(Expr::from(per)), per),
+                    View::new(BufId::Param(1), Expr::v(v).mul(Expr::from(per)), per),
+                ],
+                [],
+            ))],
         });
         let mut m = Module::new();
         let fi = m.add_func(f);
@@ -531,17 +368,22 @@ mod tests {
             ],
             locals: vec![],
             var_count: 0,
-            body: vec![Stmt::Op(Intrinsic::BrgemmF32 {
-                a: View::new(BufId::Param(0), 0usize, 64 * 64),
-                a_stride: 0,
-                b: View::new(BufId::Param(1), 0usize, 64 * 64),
-                b_stride: 0,
-                c: View::new(BufId::Param(2), 0usize, 64 * 64),
-                m: 64,
-                n: 64,
-                k: 64,
-                batch: 1,
-            })],
+            body: vec![Stmt::Op(Intrinsic::new(
+                Op::BrgemmF32(crate::ir::Brgemm {
+                    m: 64,
+                    n: 64,
+                    k: 64,
+                    batch: 1,
+                    a_stride: 0,
+                    b_stride: 0,
+                }),
+                [
+                    View::new(BufId::Param(0), 0usize, 64 * 64),
+                    View::new(BufId::Param(1), 0usize, 64 * 64),
+                    View::new(BufId::Param(2), 0usize, 64 * 64),
+                ],
+                [],
+            ))],
         };
         f.var_count = 0;
         let mut m = Module::new();

@@ -1,325 +1,9 @@
 //! Traversal helpers over Tensor IR.
 
 use crate::expr::Expr;
-use crate::ir::{AxisClamp, BufId, Intrinsic, Stmt, View};
+use crate::ir::{BufId, Footprint, Intrinsic, OpDesc, Role, Stmt};
 
-/// Apply `f` to every expression inside an intrinsic (view offsets,
-/// strided-copy base offsets, and axis-clamp bases).
-pub fn map_intrinsic_exprs(i: Intrinsic, f: &impl Fn(&Expr) -> Expr) -> Intrinsic {
-    let mv = |v: View| View {
-        buf: v.buf,
-        offset: f(&v.offset),
-        len: v.len,
-    };
-    let mc = |c: AxisClamp| AxisClamp {
-        base: f(&c.base),
-        logical: c.logical,
-    };
-    match i {
-        Intrinsic::BrgemmF32 {
-            a,
-            a_stride,
-            b,
-            b_stride,
-            c,
-            m,
-            n,
-            k,
-            batch,
-        } => Intrinsic::BrgemmF32 {
-            a: mv(a),
-            a_stride,
-            b: mv(b),
-            b_stride,
-            c: mv(c),
-            m,
-            n,
-            k,
-            batch,
-        },
-        Intrinsic::BrgemmU8I8 {
-            a,
-            a_stride,
-            b,
-            b_stride,
-            c,
-            m,
-            n,
-            k,
-            batch,
-        } => Intrinsic::BrgemmU8I8 {
-            a: mv(a),
-            a_stride,
-            b: mv(b),
-            b_stride,
-            c: mv(c),
-            m,
-            n,
-            k,
-            batch,
-        },
-        Intrinsic::FillF32 { dst, value } => Intrinsic::FillF32 {
-            dst: mv(dst),
-            value,
-        },
-        Intrinsic::ZeroI32 { dst } => Intrinsic::ZeroI32 { dst: mv(dst) },
-        Intrinsic::Pack2D {
-            src,
-            src_offset,
-            src_row_stride,
-            src_col_stride,
-            dst,
-            rows,
-            cols,
-        } => Intrinsic::Pack2D {
-            src,
-            src_offset: f(&src_offset),
-            src_row_stride,
-            src_col_stride,
-            dst: mv(dst),
-            rows,
-            cols,
-        },
-        Intrinsic::Unpack2D {
-            src,
-            dst,
-            dst_offset,
-            dst_row_stride,
-            dst_col_stride,
-            rows,
-            cols,
-        } => Intrinsic::Unpack2D {
-            src: mv(src),
-            dst,
-            dst_offset: f(&dst_offset),
-            dst_row_stride,
-            dst_col_stride,
-            rows,
-            cols,
-        },
-        Intrinsic::Pack2DPad {
-            src,
-            src_offset,
-            src_row_stride,
-            src_col_stride,
-            dst,
-            rows,
-            cols,
-            row_clamp,
-            col_clamp,
-        } => Intrinsic::Pack2DPad {
-            src,
-            src_offset: f(&src_offset),
-            src_row_stride,
-            src_col_stride,
-            dst: mv(dst),
-            rows,
-            cols,
-            row_clamp: mc(row_clamp),
-            col_clamp: mc(col_clamp),
-        },
-        Intrinsic::Unpack2DClamp {
-            src,
-            dst,
-            dst_offset,
-            dst_row_stride,
-            dst_col_stride,
-            rows,
-            cols,
-            row_clamp,
-            col_clamp,
-        } => Intrinsic::Unpack2DClamp {
-            src: mv(src),
-            dst,
-            dst_offset: f(&dst_offset),
-            dst_row_stride,
-            dst_col_stride,
-            rows,
-            cols,
-            row_clamp: mc(row_clamp),
-            col_clamp: mc(col_clamp),
-        },
-        Intrinsic::BrgemmF32Tail {
-            a,
-            a_stride,
-            b,
-            b_stride,
-            c,
-            m,
-            n,
-            k,
-            batch,
-            m_clamp,
-        } => Intrinsic::BrgemmF32Tail {
-            a: mv(a),
-            a_stride,
-            b: mv(b),
-            b_stride,
-            c: mv(c),
-            m,
-            n,
-            k,
-            batch,
-            m_clamp: mc(m_clamp),
-        },
-        Intrinsic::BrgemmU8I8Tail {
-            a,
-            a_stride,
-            b,
-            b_stride,
-            c,
-            m,
-            n,
-            k,
-            batch,
-            m_clamp,
-        } => Intrinsic::BrgemmU8I8Tail {
-            a: mv(a),
-            a_stride,
-            b: mv(b),
-            b_stride,
-            c: mv(c),
-            m,
-            n,
-            k,
-            batch,
-            m_clamp: mc(m_clamp),
-        },
-        Intrinsic::Unary { op, src, dst } => Intrinsic::Unary {
-            op,
-            src: mv(src),
-            dst: mv(dst),
-        },
-        Intrinsic::Binary { op, a, b, dst } => Intrinsic::Binary {
-            op,
-            a: mv(a),
-            b: mv(b),
-            dst: mv(dst),
-        },
-        Intrinsic::BinaryScalar { op, a, scalar, dst } => Intrinsic::BinaryScalar {
-            op,
-            a: mv(a),
-            scalar,
-            dst: mv(dst),
-        },
-        Intrinsic::BinaryRowBcast {
-            op,
-            a,
-            b,
-            dst,
-            rows,
-            cols,
-        } => Intrinsic::BinaryRowBcast {
-            op,
-            a: mv(a),
-            b: mv(b),
-            dst: mv(dst),
-            rows,
-            cols,
-        },
-        Intrinsic::BinaryColBcast {
-            op,
-            a,
-            b,
-            dst,
-            rows,
-            cols,
-        } => Intrinsic::BinaryColBcast {
-            op,
-            a: mv(a),
-            b: mv(b),
-            dst: mv(dst),
-            rows,
-            cols,
-        },
-        Intrinsic::ReduceRows {
-            op,
-            src,
-            acc,
-            rows,
-            cols,
-            accumulate,
-        } => Intrinsic::ReduceRows {
-            op,
-            src: mv(src),
-            acc: mv(acc),
-            rows,
-            cols,
-            accumulate,
-        },
-        Intrinsic::DequantAcc {
-            acc,
-            comp,
-            a_zero,
-            scale,
-            bias,
-            dst,
-            rows,
-            cols,
-        } => Intrinsic::DequantAcc {
-            acc: mv(acc),
-            comp: mv(comp),
-            a_zero,
-            scale,
-            bias: bias.map(mv),
-            dst: mv(dst),
-            rows,
-            cols,
-        },
-        Intrinsic::QuantU8 {
-            src,
-            dst,
-            scale,
-            zero_point,
-        } => Intrinsic::QuantU8 {
-            src: mv(src),
-            dst: mv(dst),
-            scale,
-            zero_point,
-        },
-        Intrinsic::DequantU8 {
-            src,
-            dst,
-            scale,
-            zero_point,
-        } => Intrinsic::DequantU8 {
-            src: mv(src),
-            dst: mv(dst),
-            scale,
-            zero_point,
-        },
-        Intrinsic::DequantI8 { src, dst, scale } => Intrinsic::DequantI8 {
-            src: mv(src),
-            dst: mv(dst),
-            scale,
-        },
-        Intrinsic::CompAccumulate {
-            b_tile,
-            comp,
-            nb,
-            kb,
-        } => Intrinsic::CompAccumulate {
-            b_tile: mv(b_tile),
-            comp: mv(comp),
-            nb,
-            kb,
-        },
-        Intrinsic::CastI32F32 { src, dst } => Intrinsic::CastI32F32 {
-            src: mv(src),
-            dst: mv(dst),
-        },
-        Intrinsic::AddF32 { src, dst } => Intrinsic::AddF32 {
-            src: mv(src),
-            dst: mv(dst),
-        },
-        Intrinsic::AddI32 { src, dst } => Intrinsic::AddI32 {
-            src: mv(src),
-            dst: mv(dst),
-        },
-    }
-}
-
-/// An access to a buffer: the view plus whether it is written.
+/// An access to a buffer: the window plus whether it is written.
 #[derive(Debug, Clone)]
 pub struct Access {
     /// Buffer accessed.
@@ -328,248 +12,57 @@ pub struct Access {
     pub offset: Expr,
     /// Window length.
     pub len: usize,
-    /// True if the access writes.
+    /// True if the access writes (accumulators included).
     pub write: bool,
 }
 
-fn acc(v: &View, write: bool) -> Access {
-    Access {
-        buf: v.buf,
-        offset: v.offset.clone(),
-        len: v.len,
-        write,
-    }
-}
-
-/// Enumerate the buffer accesses an intrinsic performs.
+/// Enumerate the buffer accesses an intrinsic performs over all of its
+/// iterations: the static envelope of its descriptor.
 pub fn intrinsic_accesses(i: &Intrinsic) -> Vec<Access> {
-    match i {
-        Intrinsic::BrgemmF32 {
-            a,
-            a_stride,
-            b,
-            b_stride,
-            c,
-            m,
-            n,
-            k,
-            batch,
-        }
-        | Intrinsic::BrgemmU8I8 {
-            a,
-            a_stride,
-            b,
-            b_stride,
-            c,
-            m,
-            n,
-            k,
-            batch,
-        }
-        | Intrinsic::BrgemmF32Tail {
-            a,
-            a_stride,
-            b,
-            b_stride,
-            c,
-            m,
-            n,
-            k,
-            batch,
-            ..
-        }
-        | Intrinsic::BrgemmU8I8Tail {
-            a,
-            a_stride,
-            b,
-            b_stride,
-            c,
-            m,
-            n,
-            k,
-            batch,
-            ..
-        } => {
-            // one access per tile: the batch tiles may be far apart in
-            // the blocked layouts, and a dense span would wildly
-            // overstate the traffic
-            let mut v = Vec::with_capacity(2 * batch + 1);
-            for i in 0..*batch {
-                v.push(Access {
-                    buf: a.buf,
-                    offset: a.offset.clone().add(Expr::from(i * a_stride)),
-                    len: m * k,
-                    write: false,
-                });
-                v.push(Access {
-                    buf: b.buf,
-                    offset: b.offset.clone().add(Expr::from(i * b_stride)),
-                    len: n * k,
-                    write: false,
-                });
+    accesses_of(i, &i.op.desc(None))
+}
+
+/// Expand a descriptor of `i.op` (static, or resolved against one
+/// call's clamp bases) into accesses: one per operand, except that
+/// brgemm batches are reported tile by tile, interleaved A0 B0 A1 B1 …
+/// in the order the kernel streams them.
+///
+/// # Panics
+///
+/// Panics if `i`'s operand count disagrees with the descriptor (see
+/// [`Intrinsic::arity_ok`]).
+pub fn accesses_of(i: &Intrinsic, desc: &OpDesc) -> Vec<Access> {
+    let specs = desc.operands();
+    assert_eq!(i.operands.len(), specs.len(), "{:?}: operand count", i.op);
+    let access = |k: usize, rel: usize, len: usize| Access {
+        buf: i.operands[k].buf,
+        offset: i.operands[k]
+            .offset
+            .clone()
+            .add(Expr::from(specs[k].shift + rel)),
+        len,
+        write: specs[k].role != Role::Read,
+    };
+    let mut out = Vec::new();
+    let tiles = specs.iter().map(|s| match s.footprint {
+        Footprint::Tiles { count, .. } => count,
+        _ => 0,
+    });
+    for t in 0..tiles.max().unwrap_or(0) {
+        for (k, s) in specs.iter().enumerate() {
+            if let Footprint::Tiles { count, stride, len } = s.footprint {
+                if t < count {
+                    out.push(access(k, t * stride, len));
+                }
             }
-            v.push(acc(c, true));
-            v
-        }
-        Intrinsic::FillF32 { dst, .. } | Intrinsic::ZeroI32 { dst } => vec![acc(dst, true)],
-        Intrinsic::Pack2D {
-            src,
-            src_offset,
-            src_row_stride,
-            src_col_stride,
-            dst,
-            rows,
-            cols,
-        } => vec![
-            Access {
-                buf: *src,
-                offset: src_offset.clone(),
-                len: (rows - 1) * src_row_stride + (cols - 1) * src_col_stride + 1,
-                write: false,
-            },
-            acc(dst, true),
-        ],
-        Intrinsic::Unpack2D {
-            src,
-            dst,
-            dst_offset,
-            dst_row_stride,
-            dst_col_stride,
-            rows,
-            cols,
-        } => vec![
-            acc(src, false),
-            Access {
-                buf: *dst,
-                offset: dst_offset.clone(),
-                len: (rows - 1) * dst_row_stride + (cols - 1) * dst_col_stride + 1,
-                write: true,
-            },
-        ],
-        Intrinsic::Pack2DPad {
-            src,
-            src_offset,
-            src_row_stride,
-            src_col_stride,
-            dst,
-            row_clamp,
-            col_clamp,
-            ..
-        } => vec![
-            Access {
-                buf: *src,
-                offset: src_offset.clone(),
-                // the clamp bases are excluded from `src_offset`, so
-                // the farthest reachable element is statically capped
-                // by the logical extents (runtime indices satisfy
-                // `base + r <= logical - 1` on each axis)
-                len: clamped_span(
-                    row_clamp.logical,
-                    *src_row_stride,
-                    col_clamp.logical,
-                    *src_col_stride,
-                ),
-                write: false,
-            },
-            acc(dst, true),
-        ],
-        Intrinsic::Unpack2DClamp {
-            src,
-            dst,
-            dst_offset,
-            dst_row_stride,
-            dst_col_stride,
-            row_clamp,
-            col_clamp,
-            ..
-        } => vec![
-            acc(src, false),
-            Access {
-                buf: *dst,
-                offset: dst_offset.clone(),
-                len: clamped_span(
-                    row_clamp.logical,
-                    *dst_row_stride,
-                    col_clamp.logical,
-                    *dst_col_stride,
-                ),
-                write: true,
-            },
-        ],
-        Intrinsic::Unary { src, dst, .. } => vec![acc(src, false), acc(dst, true)],
-        Intrinsic::Binary { a, b, dst, .. } => {
-            vec![acc(a, false), acc(b, false), acc(dst, true)]
-        }
-        Intrinsic::BinaryScalar { a, dst, .. } => vec![acc(a, false), acc(dst, true)],
-        Intrinsic::BinaryRowBcast { a, b, dst, .. }
-        | Intrinsic::BinaryColBcast { a, b, dst, .. } => {
-            vec![acc(a, false), acc(b, false), acc(dst, true)]
-        }
-        Intrinsic::ReduceRows { src, acc: a, .. } => vec![acc(src, false), self_acc(a)],
-        Intrinsic::DequantAcc {
-            acc: a,
-            comp,
-            bias,
-            dst,
-            ..
-        } => {
-            let mut v = vec![acc(a, false), acc(comp, false), acc(dst, true)];
-            if let Some(b) = bias {
-                v.push(acc(b, false));
-            }
-            v
-        }
-        Intrinsic::QuantU8 { src, dst, .. }
-        | Intrinsic::DequantU8 { src, dst, .. }
-        | Intrinsic::DequantI8 { src, dst, .. }
-        | Intrinsic::CastI32F32 { src, dst } => vec![acc(src, false), acc(dst, true)],
-        Intrinsic::CompAccumulate { b_tile, comp, .. } => {
-            vec![acc(b_tile, false), self_acc(comp)]
-        }
-        Intrinsic::AddF32 { src, dst } | Intrinsic::AddI32 { src, dst } => {
-            vec![acc(src, false), self_acc(dst)]
         }
     }
-}
-
-/// Span reachable by a clamped 2-D copy whose offset excludes the axis
-/// bases: indices are capped at `(logical - 1) * stride` per axis.
-fn clamped_span(logical_rows: usize, rs: usize, logical_cols: usize, cs: usize) -> usize {
-    logical_rows.saturating_sub(1) * rs + logical_cols.saturating_sub(1) * cs + 1
-}
-
-/// Axis-clamp base expressions of an intrinsic (empty for unclamped
-/// ops). These are real runtime indices: their `base * stride` terms
-/// are *excluded* from the offsets reported by [`intrinsic_accesses`],
-/// so validators must separately prove each base non-negative (the
-/// upper side is enforced by the runtime clamp itself).
-pub fn intrinsic_clamp_bases(i: &Intrinsic) -> Vec<&Expr> {
-    match i {
-        Intrinsic::Pack2DPad {
-            row_clamp,
-            col_clamp,
-            ..
+    for (k, s) in specs.iter().enumerate() {
+        if !matches!(s.footprint, Footprint::Tiles { .. }) {
+            out.push(access(k, 0, s.footprint.span()));
         }
-        | Intrinsic::Unpack2DClamp {
-            row_clamp,
-            col_clamp,
-            ..
-        } => vec![&row_clamp.base, &col_clamp.base],
-        Intrinsic::BrgemmF32Tail { m_clamp, .. } | Intrinsic::BrgemmU8I8Tail { m_clamp, .. } => {
-            vec![&m_clamp.base]
-        }
-        _ => vec![],
     }
-}
-
-fn self_acc(v: &View) -> Access {
-    // read-modify-write accumulator
-    Access {
-        buf: v.buf,
-        offset: v.offset.clone(),
-        len: v.len,
-        write: true,
-    }
+    out
 }
 
 /// Visit every intrinsic in a statement tree.
@@ -582,40 +75,60 @@ pub fn visit_intrinsics<'a>(stmts: &'a [Stmt], f: &mut impl FnMut(&'a Intrinsic)
     }
 }
 
+/// Visit every intrinsic in a statement tree, mutably (buffer renames,
+/// offset rewrites).
+pub fn visit_intrinsics_mut(stmts: &mut [Stmt], f: &mut impl FnMut(&mut Intrinsic)) {
+    for s in stmts {
+        match s {
+            Stmt::For { body, .. } => visit_intrinsics_mut(body, f),
+            Stmt::Op(i) => f(i),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::expr::VarId;
+    use crate::ir::{Brgemm, Op, View};
     use gc_microkernel::UnaryOp;
 
     #[test]
     fn map_exprs_substitutes_offsets() {
-        let i = Intrinsic::Unary {
-            op: UnaryOp::Relu,
-            src: View::new(BufId::Param(0), Expr::v(VarId(1)), 4),
-            dst: View::new(BufId::Param(1), Expr::v(VarId(1)), 4),
-        };
-        let j = map_intrinsic_exprs(i, &|e| e.subst(VarId(1), &Expr::c(7)));
-        let Intrinsic::Unary { src, dst, .. } = j else {
-            panic!()
-        };
-        assert_eq!(src.offset, Expr::c(7));
-        assert_eq!(dst.offset, Expr::c(7));
+        let mut i = Intrinsic::new(
+            Op::Unary {
+                op: UnaryOp::Relu,
+                len: 4,
+            },
+            [
+                View::new(BufId::Param(0), Expr::v(VarId(1)), 4),
+                View::new(BufId::Param(1), Expr::v(VarId(1)), 4),
+            ],
+            [],
+        );
+        i.map_exprs(|e| e.subst(VarId(1), &Expr::c(7)));
+        assert_eq!(i.operands[0].offset, Expr::c(7));
+        assert_eq!(i.operands[1].offset, Expr::c(7));
     }
 
     #[test]
     fn accesses_cover_brgemm_tiles() {
-        let i = Intrinsic::BrgemmF32 {
-            a: View::new(BufId::Param(0), 0usize, 8),
-            a_stride: 100,
-            b: View::new(BufId::Param(1), 0usize, 8),
-            b_stride: 200,
-            c: View::new(BufId::Param(2), 0usize, 4),
-            m: 2,
-            n: 2,
-            k: 4,
-            batch: 3,
-        };
+        let i = Intrinsic::new(
+            Op::BrgemmF32(Brgemm {
+                m: 2,
+                n: 2,
+                k: 4,
+                batch: 3,
+                a_stride: 100,
+                b_stride: 200,
+            }),
+            [
+                View::new(BufId::Param(0), 0usize, 8),
+                View::new(BufId::Param(1), 0usize, 8),
+                View::new(BufId::Param(2), 0usize, 4),
+            ],
+            [],
+        );
         let accs = intrinsic_accesses(&i);
         // 3 A tiles + 3 B tiles + C
         assert_eq!(accs.len(), 7);
@@ -632,16 +145,19 @@ mod tests {
             v,
             3,
             vec![
-                Stmt::Op(Intrinsic::FillF32 {
-                    dst: View::new(BufId::Param(0), 0usize, 4),
-                    value: 0.0,
-                }),
+                Stmt::Op(Intrinsic::new(
+                    Op::FillF32 { len: 4, value: 0.0 },
+                    [View::new(BufId::Param(0), 0usize, 4)],
+                    [],
+                )),
                 Stmt::loop_(
                     VarId(1),
                     2,
-                    vec![Stmt::Op(Intrinsic::ZeroI32 {
-                        dst: View::new(BufId::Param(1), 0usize, 4),
-                    })],
+                    vec![Stmt::Op(Intrinsic::new(
+                        Op::ZeroI32 { len: 4 },
+                        [View::new(BufId::Param(1), 0usize, 4)],
+                        [],
+                    ))],
                 ),
             ],
         )];

@@ -1,0 +1,492 @@
+//! Table-driven differential over every intrinsic kind.
+//!
+//! Each case is a one-op function. It runs on the interpreter, on the
+//! compiled plan and on the checked plan, which must agree bit for bit
+//! on every buffer; and because the validator, the plan builder and
+//! checked execution all trust the spans of `Op::desc`, each case also
+//! pins them from both sides:
+//!
+//! - **guarded layout** — every operand sits `GUARD` elements into its
+//!   buffer with `GUARD` more after its descriptor span. After a run,
+//!   nothing outside a write/accumulate span may have changed, so no
+//!   read-only operand changed and no kernel wrote past what its
+//!   descriptor claims;
+//! - **exact layout** — every buffer is exactly its operand's span. The
+//!   validator and the plan builder must accept it, checked execution
+//!   (hard asserts on every slice the kernels take) must run it, and a
+//!   buffer one element shorter must be rejected.
+//!
+//! What this cannot see is a kernel computing the wrong values in all
+//! three executors at once — they share `run_op`. Kernel semantics are
+//! checked against `gc_tensor::reference` and `gc-baseline` by the
+//! template, ragged and workload differentials.
+
+use gc_microkernel::{BinaryOp, UnaryOp};
+use gc_runtime::ThreadPool;
+use gc_tensor::{DataType, Storage};
+use gc_tir::exec::run_module;
+use gc_tir::ir::{Brgemm, Copy2D, ElemType, Role};
+use gc_tir::plan::{run_plan_call, PlanScratch};
+use gc_tir::{
+    compile_module, validate_module, BufDecl, BufId, Call, ExecOptions, Expr, Func, GlobalDecl,
+    GlobalKind, Intrinsic, Module, Op, Operand, ReduceOp, Stmt,
+};
+use std::collections::BTreeSet;
+
+const GUARD: usize = 5;
+
+/// Every intrinsic kind. A new `Op` variant stops [`kind`] compiling:
+/// name it there, list it here, and give it cases in [`cases`] — the
+/// coverage test fails until it has one.
+const KINDS: [&str; 24] = [
+    "BrgemmF32",
+    "BrgemmU8I8",
+    "FillF32",
+    "ZeroI32",
+    "Pack2D",
+    "Unpack2D",
+    "Pack2DPad",
+    "Unpack2DClamp",
+    "BrgemmF32Tail",
+    "BrgemmU8I8Tail",
+    "Unary",
+    "Binary",
+    "BinaryScalar",
+    "BinaryRowBcast",
+    "BinaryColBcast",
+    "ReduceRows",
+    "DequantAcc",
+    "QuantU8",
+    "DequantU8",
+    "DequantI8",
+    "CompAccumulate",
+    "CastI32F32",
+    "AddF32",
+    "AddI32",
+];
+
+fn kind(op: &Op) -> &'static str {
+    match op {
+        Op::BrgemmF32(_) => "BrgemmF32",
+        Op::BrgemmU8I8(_) => "BrgemmU8I8",
+        Op::FillF32 { .. } => "FillF32",
+        Op::ZeroI32 { .. } => "ZeroI32",
+        Op::Pack2D(_) => "Pack2D",
+        Op::Unpack2D(_) => "Unpack2D",
+        Op::Pack2DPad { .. } => "Pack2DPad",
+        Op::Unpack2DClamp { .. } => "Unpack2DClamp",
+        Op::BrgemmF32Tail { .. } => "BrgemmF32Tail",
+        Op::BrgemmU8I8Tail { .. } => "BrgemmU8I8Tail",
+        Op::Unary { .. } => "Unary",
+        Op::Binary { .. } => "Binary",
+        Op::BinaryScalar { .. } => "BinaryScalar",
+        Op::BinaryRowBcast { .. } => "BinaryRowBcast",
+        Op::BinaryColBcast { .. } => "BinaryColBcast",
+        Op::ReduceRows { .. } => "ReduceRows",
+        Op::DequantAcc { .. } => "DequantAcc",
+        Op::QuantU8 { .. } => "QuantU8",
+        Op::DequantU8 { .. } => "DequantU8",
+        Op::DequantI8 { .. } => "DequantI8",
+        Op::CompAccumulate { .. } => "CompAccumulate",
+        Op::CastI32F32 { .. } => "CastI32F32",
+        Op::AddF32 { .. } => "AddF32",
+        Op::AddI32 { .. } => "AddI32",
+    }
+}
+
+/// What a case's written operand must look like afterwards, beyond
+/// "identical in all three executors".
+#[derive(Clone, Copy, PartialEq)]
+enum Expect {
+    /// No extra claim.
+    Any,
+    /// The write span is untouched (a clamp with nothing available).
+    Untouched,
+    /// The write span is all zeros (a padded pack of nothing).
+    Zeroed,
+}
+
+struct Case {
+    name: String,
+    op: Op,
+    /// Buffer each operand lives in; operands sharing an index alias
+    /// the same window (the in-place modes).
+    bufs: Vec<usize>,
+    /// Constant clamp bases.
+    clamps: Vec<i64>,
+    /// Element type of `ElemType::Copied` operands.
+    copied: DataType,
+    expect: Expect,
+}
+
+fn case(name: &str, op: Op, bufs: &[usize]) -> Case {
+    Case {
+        name: name.to_string(),
+        op,
+        bufs: bufs.to_vec(),
+        clamps: vec![],
+        copied: DataType::F32,
+        expect: Expect::Any,
+    }
+}
+
+fn cases() -> Vec<Case> {
+    let g = Brgemm {
+        m: 4,
+        n: 3,
+        k: 5,
+        batch: 2,
+        a_stride: 23,
+        b_stride: 17,
+    };
+    let rows_of = Copy2D {
+        rows: 4,
+        cols: 4,
+        row_stride: 10,
+        col_stride: 1,
+    };
+    let transposed = Copy2D {
+        rows: 3,
+        cols: 4,
+        row_stride: 1,
+        col_stride: 5,
+    };
+    let mut v = vec![
+        case("brgemm f32", Op::BrgemmF32(g), &[0, 1, 2]),
+        case("brgemm u8i8", Op::BrgemmU8I8(g), &[0, 1, 2]),
+        case("fill", Op::FillF32 { len: 7, value: 1.5 }, &[0]),
+        case("zero", Op::ZeroI32 { len: 7 }, &[0]),
+        case("pack rows", Op::Pack2D(rows_of), &[0, 1]),
+        Case {
+            copied: DataType::U8,
+            ..case("pack transposed u8", Op::Pack2D(transposed), &[0, 1])
+        },
+        case("unpack rows", Op::Unpack2D(rows_of), &[0, 1]),
+        Case {
+            copied: DataType::I32,
+            ..case("unpack transposed i32", Op::Unpack2D(transposed), &[0, 1])
+        },
+    ];
+    // clamps: logical 6 against a tile of 4 gives avail 4 / 2 / 0 at
+    // bases 0 / 4 / 8
+    for (mode, base, expect_skip) in [("full", 0, false), ("partial", 4, false), ("zero", 8, true)]
+    {
+        let name = |what: &str| format!("{what} avail {mode}");
+        let skipped = if expect_skip {
+            Expect::Untouched
+        } else {
+            Expect::Any
+        };
+        v.push(Case {
+            clamps: vec![base, base],
+            copied: DataType::I8,
+            expect: if expect_skip {
+                Expect::Zeroed
+            } else {
+                Expect::Any
+            },
+            ..case(
+                &name("pack pad"),
+                Op::Pack2DPad {
+                    g: rows_of,
+                    row_logical: 6,
+                    col_logical: 6,
+                },
+                &[0, 1],
+            )
+        });
+        v.push(Case {
+            clamps: vec![base, base],
+            expect: skipped,
+            ..case(
+                &name("unpack clamp"),
+                Op::Unpack2DClamp {
+                    g: rows_of,
+                    row_logical: 6,
+                    col_logical: 6,
+                },
+                &[0, 1],
+            )
+        });
+        v.push(Case {
+            clamps: vec![base],
+            expect: skipped,
+            ..case(
+                &name("brgemm f32 tail"),
+                Op::BrgemmF32Tail { g, m_logical: 6 },
+                &[0, 1, 2],
+            )
+        });
+        v.push(Case {
+            clamps: vec![base],
+            expect: skipped,
+            ..case(
+                &name("brgemm u8i8 tail"),
+                Op::BrgemmU8I8Tail { g, m_logical: 6 },
+                &[0, 1, 2],
+            )
+        });
+    }
+    let unary = Op::Unary {
+        op: UnaryOp::Exp,
+        len: 9,
+    };
+    let binary = Op::Binary {
+        op: BinaryOp::Mul,
+        len: 9,
+    };
+    let scalar = Op::BinaryScalar {
+        op: BinaryOp::Sub,
+        scalar: 0.75,
+        len: 9,
+    };
+    let row_bcast = Op::BinaryRowBcast {
+        op: BinaryOp::Add,
+        rows: 3,
+        cols: 4,
+    };
+    let col_bcast = |op| Op::BinaryColBcast {
+        op,
+        rows: 3,
+        cols: 4,
+    };
+    let reduce = |op, accumulate| Op::ReduceRows {
+        op,
+        rows: 3,
+        cols: 4,
+        accumulate,
+    };
+    let dequant_acc = |bias| Op::DequantAcc {
+        rows: 3,
+        cols: 4,
+        a_zero: 3,
+        scale: 0.125,
+        bias,
+    };
+    v.extend([
+        case("unary", unary, &[0, 1]),
+        case("unary in place", unary, &[0, 0]),
+        case("binary", binary, &[0, 1, 2]),
+        case("binary in place", binary, &[0, 1, 0]),
+        case("binary scalar", scalar, &[0, 1]),
+        case("binary scalar in place", scalar, &[0, 0]),
+        case("row bcast", row_bcast, &[0, 1, 2]),
+        case("row bcast in place", row_bcast, &[0, 1, 0]),
+        case("col bcast div", col_bcast(BinaryOp::Div), &[0, 1, 2]),
+        case("col bcast sub", col_bcast(BinaryOp::Sub), &[0, 1, 2]),
+        case(
+            "col bcast div in place",
+            col_bcast(BinaryOp::Div),
+            &[0, 1, 0],
+        ),
+        case("reduce sum", reduce(ReduceOp::Sum, false), &[0, 1]),
+        case("reduce max", reduce(ReduceOp::Max, false), &[0, 1]),
+        case(
+            "reduce sum accumulate",
+            reduce(ReduceOp::Sum, true),
+            &[0, 1],
+        ),
+        case(
+            "reduce max accumulate",
+            reduce(ReduceOp::Max, true),
+            &[0, 1],
+        ),
+        case("dequant acc", dequant_acc(false), &[0, 1, 2]),
+        case("dequant acc bias", dequant_acc(true), &[0, 1, 2, 3]),
+        case(
+            "quant u8",
+            Op::QuantU8 {
+                len: 9,
+                scale: 0.25,
+                zero_point: 7,
+            },
+            &[0, 1],
+        ),
+        case(
+            "dequant u8",
+            Op::DequantU8 {
+                len: 9,
+                scale: 0.25,
+                zero_point: 7,
+            },
+            &[0, 1],
+        ),
+        case("dequant i8", Op::DequantI8 { len: 9, scale: 0.5 }, &[0, 1]),
+        case(
+            "comp accumulate",
+            Op::CompAccumulate { nb: 3, kb: 5 },
+            &[0, 1],
+        ),
+        case("cast", Op::CastI32F32 { len: 9 }, &[0, 1]),
+        case("add f32", Op::AddF32 { len: 9 }, &[0, 1]),
+        case("add i32", Op::AddI32 { len: 9 }, &[0, 1]),
+    ]);
+    v
+}
+
+/// Deterministic, NaN-free fill: small positive f32s (safe under exp,
+/// div and max), small integers elsewhere.
+fn fill(dtype: DataType, len: usize, salt: usize) -> Storage {
+    let x = |i: usize| (i * 7 + salt * 13) % 11;
+    match dtype {
+        DataType::F32 => Storage::F32((0..len).map(|i| 0.25 + x(i) as f32 * 0.125).collect()),
+        DataType::U8 => Storage::U8((0..len).map(|i| x(i) as u8 + 1).collect()),
+        DataType::I8 => Storage::I8((0..len).map(|i| x(i) as i8 - 5).collect()),
+        DataType::I32 => Storage::I32((0..len).map(|i| x(i) as i32 * 3 - 9).collect()),
+        other => panic!("no intrinsic operates on {other}"),
+    }
+}
+
+fn bits(s: &Storage) -> Vec<u64> {
+    (0..s.len()).map(|i| s.get_as_f64(i).to_bits()).collect()
+}
+
+/// The case as a one-op module: operand `k` at offset `lead` of buffer
+/// `bufs[k]`, each buffer sized `lead + span + trail - shrink` for the
+/// widest operand in it.
+fn build(c: &Case, lead: usize, trail: usize, shrink: usize) -> (Module, Vec<Storage>) {
+    let desc = c.op.desc(None);
+    let n_bufs = c.bufs.iter().max().unwrap() + 1;
+    let mut decls: Vec<Option<(DataType, usize)>> = vec![None; n_bufs];
+    for (spec, &b) in desc.operands().iter().zip(&c.bufs) {
+        let dtype = match spec.dtype {
+            ElemType::Is(dt) => dt,
+            ElemType::Copied => c.copied,
+        };
+        let elems = lead + spec.footprint.span() + trail - shrink;
+        let slot = decls[b].get_or_insert((dtype, elems));
+        assert_eq!(
+            slot.0, dtype,
+            "{}: aliased operands disagree on dtype",
+            c.name
+        );
+        slot.1 = slot.1.max(elems);
+    }
+    let decls: Vec<(DataType, usize)> = decls.into_iter().map(Option::unwrap).collect();
+    let func = Func {
+        name: "one_op".into(),
+        params: decls
+            .iter()
+            .enumerate()
+            .map(|(i, &(dt, n))| BufDecl::new(dt, n, format!("b{i}")))
+            .collect(),
+        locals: vec![],
+        var_count: 0,
+        body: vec![Stmt::Op(Intrinsic::new(
+            c.op,
+            c.bufs.iter().map(|&b| Operand::new(BufId::Param(b), lead)),
+            c.clamps.iter().map(|&b| Expr::c(b)),
+        ))],
+    };
+    let mut m = Module::new();
+    let f = m.add_func(func);
+    let mut globals = Vec::new();
+    for (i, &(dtype, elems)) in decls.iter().enumerate() {
+        m.add_global(GlobalDecl {
+            dtype,
+            elems,
+            // not Scratch: the module validator would (rightly) object to
+            // reading scratch no earlier call wrote
+            kind: GlobalKind::Weight,
+            name: format!("g{i}"),
+        });
+        globals.push(fill(dtype, elems, i));
+    }
+    m.main_calls.push(Call {
+        func: f,
+        args: (0..decls.len()).collect(),
+    });
+    (m, globals)
+}
+
+/// Run on the interpreter, the plan and the checked plan; all buffers
+/// must agree bit for bit. Returns the common result.
+fn run_all(name: &str, m: &Module, init: &[Storage]) -> Vec<Storage> {
+    let pool = ThreadPool::new(1);
+    let mut interp = init.to_vec();
+    run_module(m, &mut interp, &pool, true, ExecOptions::default()).expect("globals match");
+
+    let plan = compile_module(m, 1);
+    assert!(plan.func(0).is_some(), "{name}: plan builder rejected it");
+    for opts in [ExecOptions::default(), ExecOptions::checked()] {
+        let mut globals = init.to_vec();
+        let mut scratch = PlanScratch::for_plan(&plan);
+        let args = &m.main_calls[0].args;
+        run_plan_call(&plan, 0, args, &mut globals, &pool, &mut scratch, opts);
+        for (b, (got, want)) in globals.iter().zip(&interp).enumerate() {
+            assert_eq!(
+                bits(got),
+                bits(want),
+                "{name}: plan (checked={}) and interpreter differ in buffer {b}",
+                opts.checked
+            );
+        }
+    }
+    interp
+}
+
+#[test]
+fn every_kind_has_a_case() {
+    let covered: BTreeSet<&str> = cases().iter().map(|c| kind(&c.op)).collect();
+    let all: BTreeSet<&str> = KINDS.into_iter().collect();
+    assert_eq!(covered, all);
+}
+
+#[test]
+fn executors_agree_and_stay_inside_descriptor_spans() {
+    for c in cases() {
+        let desc = c.op.desc(None);
+        let (m, init) = build(&c, GUARD, GUARD, 0);
+        validate_module(&m).unwrap_or_else(|e| panic!("{}: {e}", c.name));
+        let after = run_all(&c.name, &m, &init);
+
+        // per buffer: the element ranges some operand may write
+        let mut writable = vec![Vec::new(); init.len()];
+        for (spec, &b) in desc.operands().iter().zip(&c.bufs) {
+            if spec.role != Role::Read {
+                writable[b].push(GUARD..GUARD + spec.footprint.span());
+            }
+        }
+        for (b, (before, after)) in init.iter().zip(&after).enumerate() {
+            let (before, after) = (bits(before), bits(after));
+            for i in 0..before.len() {
+                let in_span = writable[b].iter().any(|r| r.contains(&i));
+                assert!(
+                    in_span || before[i] == after[i],
+                    "{}: buffer {b} element {i} changed outside every write span",
+                    c.name
+                );
+                if in_span && c.expect != Expect::Any {
+                    let want = match c.expect {
+                        Expect::Zeroed => 0f64.to_bits(),
+                        _ => before[i],
+                    };
+                    assert_eq!(after[i], want, "{}: buffer {b} element {i}", c.name);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn descriptor_spans_are_what_the_bounds_checks_enforce() {
+    for c in cases() {
+        // exact fit: accepted, and checked execution finds every slice
+        // the kernels take inside its buffer
+        let (m, init) = build(&c, 0, 0, 0);
+        validate_module(&m).unwrap_or_else(|e| panic!("{} exact fit: {e}", c.name));
+        run_all(&c.name, &m, &init);
+        // one element short: the validator and the plan builder refuse
+        let (short, _) = build(&c, 0, 0, 1);
+        assert!(
+            validate_module(&short).is_err(),
+            "{}: validator accepted a buffer one element short of the span",
+            c.name
+        );
+        assert!(
+            compile_module(&short, 1).func(0).is_none(),
+            "{}: plan builder accepted a buffer one element short of the span",
+            c.name
+        );
+    }
+}

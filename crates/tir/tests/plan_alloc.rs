@@ -16,10 +16,10 @@ use gc_tensor::{DataType, Storage};
 use gc_tir::compile::compile_module;
 use gc_tir::expr::Expr;
 use gc_tir::ir::{
-    BufDecl, BufId, Call, Func, GlobalDecl, GlobalKind, Intrinsic, Module, Stmt, View,
+    Brgemm, BufDecl, BufId, Call, Func, GlobalDecl, GlobalKind, Intrinsic, Module, Op, Stmt, View,
 };
 use gc_tir::plan::{run_plan_call, PlanScratch};
-use gc_tir::VarId;
+use gc_tir::{ExecOptions, VarId};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -109,30 +109,41 @@ fn test_module(extent: usize) -> Module {
             extent,
             parallel: true,
             body: vec![
-                Stmt::Op(Intrinsic::BrgemmF32 {
-                    a: View::new(
-                        BufId::Param(0),
-                        Expr::v(v).mul(Expr::c((m_tile * k) as i64)),
-                        m_tile * k,
-                    ),
-                    a_stride: 0,
-                    b: View::new(BufId::Param(1), Expr::c(0), n_tile * k),
-                    b_stride: 0,
-                    c: View::new(BufId::Local(0), Expr::c(0), m_tile * n_tile),
-                    m: m_tile,
-                    n: n_tile,
-                    k,
-                    batch: 1,
-                }),
-                Stmt::Op(Intrinsic::Unary {
-                    op: gc_microkernel::UnaryOp::Relu,
-                    src: View::new(BufId::Local(0), Expr::c(0), m_tile * n_tile),
-                    dst: View::new(
-                        BufId::Param(2),
-                        Expr::v(v).mul(Expr::c((m_tile * n_tile) as i64)),
-                        m_tile * n_tile,
-                    ),
-                }),
+                Stmt::Op(Intrinsic::new(
+                    Op::BrgemmF32(Brgemm {
+                        m: m_tile,
+                        n: n_tile,
+                        k,
+                        batch: 1,
+                        a_stride: 0,
+                        b_stride: 0,
+                    }),
+                    [
+                        View::new(
+                            BufId::Param(0),
+                            Expr::v(v).mul(Expr::c((m_tile * k) as i64)),
+                            m_tile * k,
+                        ),
+                        View::new(BufId::Param(1), Expr::c(0), n_tile * k),
+                        View::new(BufId::Local(0), Expr::c(0), m_tile * n_tile),
+                    ],
+                    [],
+                )),
+                Stmt::Op(Intrinsic::new(
+                    Op::Unary {
+                        op: gc_microkernel::UnaryOp::Relu,
+                        len: m_tile * n_tile,
+                    },
+                    [
+                        View::new(BufId::Local(0), Expr::c(0), m_tile * n_tile),
+                        View::new(
+                            BufId::Param(2),
+                            Expr::v(v).mul(Expr::c((m_tile * n_tile) as i64)),
+                            m_tile * n_tile,
+                        ),
+                    ],
+                    [],
+                )),
             ],
         }],
     };
@@ -166,12 +177,13 @@ fn allocs_per_call(
     calls: usize,
 ) -> Vec<u64> {
     let call = &module.main_calls[0];
+    let opts = ExecOptions::default();
     // warm-up: first call may grow the scratch buffer table
-    run_plan_call(plan, call.func, &call.args, globals, pool, scratch);
+    run_plan_call(plan, call.func, &call.args, globals, pool, scratch, opts);
     (0..calls)
         .map(|_| {
             let before = ALLOCS.load(Ordering::Relaxed);
-            run_plan_call(plan, call.func, &call.args, globals, pool, scratch);
+            run_plan_call(plan, call.func, &call.args, globals, pool, scratch, opts);
             ALLOCS.load(Ordering::Relaxed) - before
         })
         .collect()

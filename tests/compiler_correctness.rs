@@ -237,10 +237,9 @@ fn has_acc_add(m: &gc_tir::Module) -> bool {
     fn in_stmts(stmts: &[gc_tir::Stmt]) -> bool {
         stmts.iter().any(|s| match s {
             gc_tir::Stmt::For { body, .. } => in_stmts(body),
-            gc_tir::Stmt::Op(i) => matches!(
-                i,
-                gc_tir::Intrinsic::AddF32 { .. } | gc_tir::Intrinsic::AddI32 { .. }
-            ),
+            gc_tir::Stmt::Op(i) => {
+                matches!(i.op, gc_tir::Op::AddF32 { .. } | gc_tir::Op::AddI32 { .. })
+            }
         })
     }
     m.funcs.iter().any(|f| in_stmts(&f.body))

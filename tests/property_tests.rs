@@ -223,10 +223,10 @@ proptest! {
         // if it mis-lowered the arithmetic, the bitwise compare fails.
         use gc_runtime::ThreadPool;
         use gc_tensor::Storage;
-        use gc_tir::plan::{run_plan_call_opts, PlanScratch};
+        use gc_tir::plan::{run_plan_call, PlanScratch};
         use gc_tir::{
             compile_module, validate_module, BufDecl, BufId, Call, Expr, ExecOptions, Func,
-            GlobalDecl, GlobalKind, Intrinsic, Module, Stmt, VarId, View,
+            GlobalDecl, GlobalKind, Intrinsic, Module, Op, Stmt, VarId, View,
         };
 
         const CAP: usize = 64;
@@ -265,11 +265,17 @@ proptest! {
         let cap_rem = |e: Expr| Expr::Rem(Box::new(e), Box::new(Expr::c(CAP as i64)));
         let src_off = cap_rem(gen_expr(&mut rng, n_vars, 3));
         let dst_off = cap_rem(gen_expr(&mut rng, n_vars, 3));
-        let mut body = vec![Stmt::Op(Intrinsic::Unary {
-            op: gc_microkernel::UnaryOp::Relu,
-            src: View::new(BufId::Param(0), src_off, 1),
-            dst: View::new(BufId::Param(1), dst_off, 1),
-        })];
+        let mut body = vec![Stmt::Op(Intrinsic::new(
+            Op::Unary {
+                op: gc_microkernel::UnaryOp::Relu,
+                len: 1,
+            },
+            [
+                View::new(BufId::Param(0), src_off, 1),
+                View::new(BufId::Param(1), dst_off, 1),
+            ],
+            [],
+        ))];
         for (i, &e) in extents.iter().enumerate().rev() {
             body = vec![Stmt::For {
                 var: VarId(i),
@@ -321,11 +327,17 @@ proptest! {
         let pool = ThreadPool::new(1);
         let x: Vec<f32> = (0..CAP).map(|i| i as f32 - 31.5).collect();
         let mut interp_globals = vec![Storage::F32(x.clone()), Storage::F32(vec![0.0; CAP])];
-        gc_tir::exec::run_calls(&m, &m.main_calls, &mut interp_globals, &pool);
+        gc_tir::exec::run_calls(
+            &m,
+            &m.main_calls,
+            &mut interp_globals,
+            &pool,
+            Default::default(),
+        );
 
         let mut plan_globals = vec![Storage::F32(x), Storage::F32(vec![0.0; CAP])];
         let mut scratch = PlanScratch::for_plan(&plan);
-        run_plan_call_opts(
+        run_plan_call(
             &plan,
             f,
             &m.main_calls[0].args,
