@@ -24,6 +24,8 @@
 //!   once and never changes).
 //!
 //! Usage: `ablations [anchors|layout|const|buffers|kslice|ragged|simd|all] [--threads N]`
+//! (`simd --quick`: only the brgemm rows and their not-slower-than-scalar
+//! assert, the form CI runs).
 
 use gc_bench::workloads::{self, mha_configs, random_inputs};
 use gc_core::{CompileOptions, Compiler};
@@ -283,7 +285,7 @@ fn main() {
     }
 
     if what == "simd" || what == "all" {
-        simd_ablation();
+        simd_ablation(args.iter().any(|a| a == "--quick"));
     }
 }
 
@@ -323,8 +325,21 @@ fn e2e_mlp1_wall_ns() -> u64 {
     }) * 1e9) as u64
 }
 
-fn simd_ablation() {
+/// Seconds per call of `f`, best of `reps` samples; a sample repeats
+/// the call until it spans about a millisecond, so sub-microsecond
+/// kernels are not timed at clock resolution.
+fn secs_per_call(reps: usize, mut f: impl FnMut()) -> f64 {
+    f(); // warm
+    let once = best_secs(3, &mut f).max(1e-9);
+    let iters = ((1e-3 / once) as usize).clamp(1, 100_000);
+    best_secs(reps, || (0..iters).for_each(|_| f())) / iters as f64
+}
+
+/// `quick` times only the brgemm rows (with their assert), on fewer
+/// samples: the form CI runs.
+fn simd_ablation(quick: bool) {
     use gc_microkernel::arch::{detected_isa, kernels, vnni_active, Isa, Kernels};
+    use gc_microkernel::BrgemmShape;
 
     println!("== ablation: explicit SIMD vs scalar-forced microkernels ==");
     let best = detected_isa();
@@ -332,59 +347,99 @@ fn simd_ablation() {
         "detected isa: {best} (vnni int8 dot: {})",
         vnni_active(best)
     );
-
-    let gflops = |k: &Kernels, m: usize, n: usize, kk: usize| -> f64 {
-        let a = xfill(1, m * kk);
-        let b = xfill(2, n * kk);
-        let mut c = vec![0f32; m * n];
-        k.gemm_f32(m, n, kk, &a, &b, &mut c); // warm
-        let secs = best_secs(7, || k.gemm_f32(m, n, kk, &a, &b, &mut c));
-        2.0 * (m * n * kk) as f64 / secs / 1e9
-    };
-    // Table 1 MLP layer shapes at batch 256 (MLP_1: 13->512->256->128,
-    // MLP_2 opens on the prime k=479), run as single packed tiles.
-    println!("-- brgemm f32 kernel (GFLOP/s, single core) --");
+    let reps = if quick { 3 } else { 7 };
     let scalar = kernels(Isa::Scalar);
     let simd = kernels(best);
-    let mut best_speedup = 0f64;
-    for (name, m, n, k) in [
-        ("MLP_1 L0 256x512x13", 256, 512, 13),
-        ("MLP_1 L1 256x256x512", 256, 256, 512),
-        ("MLP_1 L2 256x128x256", 256, 128, 256),
-        ("MLP_2 L0 256x1024x479", 256, 1024, 479),
-    ] {
-        let (gs, gv) = (gflops(&scalar, m, n, k), gflops(&simd, m, n, k));
-        let speedup = gv / gs;
-        best_speedup = best_speedup.max(speedup);
-        println!("{name:<24} scalar {gs:>6.2} | {best} {gv:>6.2} | speedup {speedup:.2}x");
-    }
-    assert!(
-        best == Isa::Scalar || best_speedup >= 1.3,
-        "explicit-SIMD brgemm f32 must clear 1.3x over scalar on a Table-1 MLP shape \
-         (best observed {best_speedup:.2}x)"
-    );
+    let explicit: Vec<Kernels> = [Isa::Avx2, Isa::Avx512]
+        .into_iter()
+        .filter(|isa| isa.supported())
+        .map(kernels)
+        .collect();
 
+    // The calls compiled plans actually make (tile shape x batch, from
+    // the benchmark's per-op profile of MLP_2 f32/int8, MHA_1 and the
+    // prime-k first layer), then the Table 1 MLP layers at batch 256 as
+    // one packed tile each (MLP_1: 13->512->256->128; MLP_2 opens on
+    // k=479).
+    /// `(label, m, n, k, bs)`.
+    type Row = (&'static str, usize, usize, usize, usize);
+    let rows: [Row; 9] = [
+        ("plan m8 n32 k32 bs8", 8, 32, 32, 8),
+        ("plan m8 n32 k16 bs8", 8, 32, 16, 8),
+        ("plan m8 n16 k479 bs1", 8, 16, 479, 1),
+        ("plan m8 n48 k32 bs4", 8, 48, 32, 4),
+        ("plan m8 n32 k13 bs1", 8, 32, 13, 1),
+        ("MLP_1 L0 256x512x13", 256, 512, 13, 1),
+        ("MLP_1 L1 256x256x512", 256, 256, 512, 1),
+        ("MLP_1 L2 256x128x256", 256, 128, 256, 1),
+        ("MLP_2 L0 256x1024x479", 256, 1024, 479, 1),
+    ];
+    // Every explicit backend must at least match scalar on every row —
+    // the k=13 layer and the small-k batched tiles used to lose.
+    let mut slower: Vec<String> = Vec::new();
+    let mut best_f32_speedup = 0f64;
+    // `secs` times one call of the row's shape on a backend.
+    let mut row = |what: &str, (name, m, n, k, bs): Row, secs: &dyn Fn(&Kernels) -> f64| {
+        let gops = |kr: &Kernels| 2.0 * (m * n * k * bs) as f64 / secs(kr) / 1e9;
+        let gs = gops(&scalar);
+        let mut line = format!("{name:<24} scalar {gs:>7.2}");
+        for kr in &explicit {
+            let (gv, isa) = (gops(kr), kr.isa());
+            line += &format!(" | {isa} {gv:>7.2} ({:.2}x)", gv / gs);
+            if gv < gs {
+                slower.push(format!("{what} {name} on {isa}: {:.2}x", gv / gs));
+            }
+            if what == "f32" {
+                best_f32_speedup = best_f32_speedup.max(gv / gs);
+            }
+        }
+        println!("{line}");
+    };
+    // Back-to-back tiles, one per batch element.
+    let offsets = |bs: usize, tile: usize| -> Vec<usize> { (0..bs).map(|i| i * tile).collect() };
+
+    println!("-- brgemm f32 kernel (GFLOP/s, single core) --");
+    for r in rows {
+        let (shape, bs) = (BrgemmShape::new(r.1, r.2, r.3), r.4);
+        let (a, b) = (xfill(1, bs * shape.a_len()), xfill(2, bs * shape.b_len()));
+        let (a_offs, b_offs) = (offsets(bs, shape.a_len()), offsets(bs, shape.b_len()));
+        row("f32", r, &|kr: &Kernels| {
+            let mut c = vec![0f32; shape.c_len()];
+            secs_per_call(reps, || {
+                kr.brgemm_f32(shape, &a, &a_offs, &b, &b_offs, &mut c);
+            })
+        });
+    }
     println!("-- brgemm u8xi8 kernel (Gop/s, single core) --");
-    for (name, m, n, k) in [
-        ("MLP_1 L1 256x256x512", 256usize, 256usize, 512usize),
-        ("MLP_2 L0 256x1024x479", 256, 1024, 479),
-    ] {
-        let a: Vec<u8> = xfill(3, m * k)
+    for r in rows {
+        let (shape, bs) = (BrgemmShape::new(r.1, r.2, r.3), r.4);
+        let a: Vec<u8> = xfill(3, bs * shape.a_len())
             .iter()
             .map(|x| (x.abs() * 200.0) as u8)
             .collect();
-        let b: Vec<i8> = xfill(4, n * k).iter().map(|x| (x * 100.0) as i8).collect();
-        let mut acc = vec![0i32; m * n];
-        let mut gops = |kr: &Kernels| {
-            kr.gemm_u8i8(m, n, k, &a, &b, &mut acc);
-            let secs = best_secs(7, || kr.gemm_u8i8(m, n, k, &a, &b, &mut acc));
-            2.0 * (m * n * k) as f64 / secs / 1e9
-        };
-        let (gs, gv) = (gops(&scalar), gops(&simd));
-        println!(
-            "{name:<24} scalar {gs:>6.2} | {best} {gv:>6.2} | speedup {:.2}x",
-            gv / gs
-        );
+        let b: Vec<i8> = xfill(4, bs * shape.b_len())
+            .iter()
+            .map(|x| (x * 100.0) as i8)
+            .collect();
+        let (a_offs, b_offs) = (offsets(bs, shape.a_len()), offsets(bs, shape.b_len()));
+        row("u8xi8", r, &|kr: &Kernels| {
+            let mut c = vec![0i32; shape.c_len()];
+            secs_per_call(reps, || {
+                kr.brgemm_u8i8(shape, &a, &a_offs, &b, &b_offs, &mut c);
+            })
+        });
+    }
+    assert!(
+        slower.is_empty(),
+        "explicit-SIMD brgemm slower than scalar: {slower:?}"
+    );
+    assert!(
+        best == Isa::Scalar || best_f32_speedup >= 1.3,
+        "explicit-SIMD brgemm f32 must clear 1.3x over scalar on a Table-1 MLP shape \
+         (best observed {best_f32_speedup:.2}x)"
+    );
+    if quick {
+        return;
     }
 
     println!("-- eltwise / reduce kernels (GB/s, single core, 256 KiB slices) --");

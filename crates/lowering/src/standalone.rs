@@ -263,8 +263,12 @@ fn lower_standalone_binary(
         ));
         return f;
     }
+    // The broadcast arms below are told apart by the rhs *shape*: its
+    // volume alone cannot distinguish a row vector `[cols]` from keepdim
+    // column stats `[rows, 1]` when `rows == cols`.
+    let rhs_last = rhs.shape().last().copied();
     // row vector [cols] (possibly with leading 1s)
-    if rhs.volume() == cols {
+    if rhs_last == Some(cols) && rhs.volume() == cols {
         f.body.push(Stmt::parallel(
             v,
             rows,
@@ -275,7 +279,7 @@ fn lower_standalone_binary(
     // batch-indexed row vector [B, 1, cols] against lhs [B, M, cols]
     // (the MHA mask pattern): row r uses vector (r / M)
     if lhs_shape.len() >= 2
-        && rhs.shape().last() == Some(&cols)
+        && rhs_last == Some(cols)
         && rhs.volume() < out_elems
         && rhs.volume().is_multiple_of(cols)
         && rhs.volume() / cols > 1
@@ -291,7 +295,7 @@ fn lower_standalone_binary(
         }
     }
     // keepdim column stats [rows, 1] (softmax sub/div pattern)
-    if rhs.volume() == rows && rhs.shape().last() == Some(&1) {
+    if rhs_last == Some(1) && rhs.volume() == rows {
         f.body.push(Stmt::parallel(
             v,
             rows,

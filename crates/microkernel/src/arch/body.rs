@@ -18,136 +18,251 @@
 use super::simd::{DotU8I8, SimdF32};
 
 /// Register-tile columns (B panels) of the brgemm bodies, shared by all
-/// backends; rows come from the backend's `MR`.
+/// backends and both dtypes; rows come from the backend's `MR`. The
+/// 4-wide horizontal reductions (`reduce_add4` / `reduce4`) are sized to
+/// it.
 pub(crate) const NR: usize = 4;
 
-/// One A×B tile product added into C: A is `[m, k]` row-major, B is
-/// `[n, k]` panel-major, C is `[m, n]` row-major. Walks C in
-/// `S::MR x NR` register blocks; ragged edges dispatch to narrower
-/// instantiations of the same const-generic micro body, which keeps
-/// each C element's reduction order independent of the block size (and
-/// therefore of `m`/`n`), so tail kernels match full kernels bit-exact
-/// within one backend.
+/// Walk an `m x n` C tile in register blocks of at most `mr_max x NR`,
+/// binding each block's origin to `$i`/`$j` and calling the matching
+/// `MR_ x NR_` instantiation of a const-generic micro body. Ragged edges
+/// of C get narrower instantiations of the *same* body, so a C element's
+/// reduction order never depends on which block it fell into.
+macro_rules! for_each_register_block {
+    ($m:expr, $n:expr, $mr_max:expr, |$i:ident, $j:ident| $micro:ident::<$backend:ty>($($arg:expr),*)) => {{
+        let mut $i = 0;
+        while $i < $m {
+            let mr = $mr_max.min($m - $i);
+            let mut $j = 0;
+            while $j < $n {
+                let nr = NR.min($n - $j);
+                match (mr, nr) {
+                    (1, 1) => $micro::<$backend, 1, 1>($($arg),*),
+                    (1, 2) => $micro::<$backend, 1, 2>($($arg),*),
+                    (1, 3) => $micro::<$backend, 1, 3>($($arg),*),
+                    (1, 4) => $micro::<$backend, 1, 4>($($arg),*),
+                    (2, 1) => $micro::<$backend, 2, 1>($($arg),*),
+                    (2, 2) => $micro::<$backend, 2, 2>($($arg),*),
+                    (2, 3) => $micro::<$backend, 2, 3>($($arg),*),
+                    (2, 4) => $micro::<$backend, 2, 4>($($arg),*),
+                    (3, 1) => $micro::<$backend, 3, 1>($($arg),*),
+                    (3, 2) => $micro::<$backend, 3, 2>($($arg),*),
+                    (3, 3) => $micro::<$backend, 3, 3>($($arg),*),
+                    (3, 4) => $micro::<$backend, 3, 4>($($arg),*),
+                    (4, 1) => $micro::<$backend, 4, 1>($($arg),*),
+                    (4, 2) => $micro::<$backend, 4, 2>($($arg),*),
+                    (4, 3) => $micro::<$backend, 4, 3>($($arg),*),
+                    (4, 4) => $micro::<$backend, 4, 4>($($arg),*),
+                    (mr, nr) => unreachable!("register block {mr}x{nr} out of table"),
+                }
+                $j += nr;
+            }
+            $i += mr;
+        }
+    }};
+}
+
+/// f32 batch-reduce GEMM, `C[m,n] += Σ_b A_b[m,k] × B_b[n,k]`: A tiles
+/// are row-major at `a_buf[a_offs[b]..]`, B tiles panel-major at
+/// `b_buf[b_offs[b]..]`, C is row-major with row stride `n`.
+///
+/// C is walked in `S::MR x NR` register blocks. A block's accumulators
+/// stay live across the whole batch and every k chunk — a k remainder
+/// shorter than a vector is one more FMA on a partial load — and are
+/// reduced horizontally once, so C is read and written exactly once per
+/// call. Each C element therefore sees the same operation sequence
+/// whatever block it falls into: its value depends on `k`, the batch and
+/// the operand values, never on `m`, `n` or the block split, which is
+/// what makes a tail call bit-identical to the row prefix of a full
+/// call within one backend.
 ///
 /// # Safety
 ///
-/// `a.len() >= m * k`, `b.len() >= n * k`, `c.len() >= m * n`, and the
+/// `a_offs.len() == b_offs.len()`; for every batch element
+/// `a_offs[b] + m * k <= a_buf.len()` and
+/// `b_offs[b] + n * k <= b_buf.len()`; `c.len() >= m * n`; and the
 /// backend's ISA is available.
 #[inline(always)]
-pub(crate) unsafe fn gemm_f32<S: SimdF32>(
+#[allow(clippy::too_many_arguments)]
+pub(crate) unsafe fn brgemm_f32<S: SimdF32>(
     m: usize,
     n: usize,
     k: usize,
-    a: &[f32],
-    b: &[f32],
+    a_buf: &[f32],
+    a_offs: &[usize],
+    b_buf: &[f32],
+    b_offs: &[usize],
     c: &mut [f32],
 ) {
-    debug_assert!(a.len() >= m * k && b.len() >= n * k && c.len() >= m * n);
+    debug_assert!(a_offs.len() == b_offs.len() && c.len() >= m * n);
+    debug_assert!(a_offs.iter().all(|&o| o + m * k <= a_buf.len()));
+    debug_assert!(b_offs.iter().all(|&o| o + n * k <= b_buf.len()));
     debug_assert!(S::MR <= 4 && S::MR >= 1);
-    let mut i = 0;
-    while i < m {
-        let mr = S::MR.min(m - i);
-        let mut j = 0;
-        while j < n {
-            let nr = NR.min(n - j);
-            let a_blk = &a[i * k..];
-            let b_blk = &b[j * k..];
-            let c_blk = &mut c[i * n + j..];
-            match (mr, nr) {
-                (1, 1) => micro::<S, 1, 1>(k, n, a_blk, b_blk, c_blk),
-                (1, 2) => micro::<S, 1, 2>(k, n, a_blk, b_blk, c_blk),
-                (1, 3) => micro::<S, 1, 3>(k, n, a_blk, b_blk, c_blk),
-                (1, 4) => micro::<S, 1, 4>(k, n, a_blk, b_blk, c_blk),
-                (2, 1) => micro::<S, 2, 1>(k, n, a_blk, b_blk, c_blk),
-                (2, 2) => micro::<S, 2, 2>(k, n, a_blk, b_blk, c_blk),
-                (2, 3) => micro::<S, 2, 3>(k, n, a_blk, b_blk, c_blk),
-                (2, 4) => micro::<S, 2, 4>(k, n, a_blk, b_blk, c_blk),
-                (3, 1) => micro::<S, 3, 1>(k, n, a_blk, b_blk, c_blk),
-                (3, 2) => micro::<S, 3, 2>(k, n, a_blk, b_blk, c_blk),
-                (3, 3) => micro::<S, 3, 3>(k, n, a_blk, b_blk, c_blk),
-                (3, 4) => micro::<S, 3, 4>(k, n, a_blk, b_blk, c_blk),
-                (4, 1) => micro::<S, 4, 1>(k, n, a_blk, b_blk, c_blk),
-                (4, 2) => micro::<S, 4, 2>(k, n, a_blk, b_blk, c_blk),
-                (4, 3) => micro::<S, 4, 3>(k, n, a_blk, b_blk, c_blk),
-                (4, 4) => micro::<S, 4, 4>(k, n, a_blk, b_blk, c_blk),
-                _ => unreachable!("register block {mr}x{nr} out of table"),
-            }
-            j += nr;
-        }
-        i += mr;
-    }
+    let (a, b, c) = (a_buf.as_ptr(), b_buf.as_ptr(), c.as_mut_ptr());
+    for_each_register_block!(m, n, S::MR, |i, j| micro_f32::<S>(
+        k,
+        n,
+        a,
+        i * k,
+        a_offs,
+        b,
+        j * k,
+        b_offs,
+        c.add(i * n + j)
+    ));
 }
 
-/// The register-tiled micro body: an `MR_ x NR_` block of C at `c[0]`
-/// (row stride `n`), A rows at `a[0]` (row stride `k`), B panels at
-/// `b[0]` (panel stride `k`). Each output keeps one vector accumulator
-/// reduced once at the end — the same order for every block size, so
-/// results are bit-identical across register-block dispatch decisions
-/// within a backend.
+/// One `MR_ x NR_` block of [`brgemm_f32`]: C block at `c` (row stride
+/// `n`), A rows of batch element `b` at `a + a_offs[b] + a_row` (row
+/// stride `k`), B panels at `b + b_offs[b] + b_row` (panel stride `k`).
 #[inline(always)]
-unsafe fn micro<S: SimdF32, const MR_: usize, const NR_: usize>(
+#[allow(clippy::too_many_arguments)]
+unsafe fn micro_f32<S: SimdF32, const MR_: usize, const NR_: usize>(
     k: usize,
     n: usize,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
+    a: *const f32,
+    a_row: usize,
+    a_offs: &[usize],
+    b: *const f32,
+    b_row: usize,
+    b_offs: &[usize],
+    c: *mut f32,
 ) {
-    let mut acc = [[S::zero(); NR_]; MR_];
-    let chunks = k / S::LANES;
-    let ap = a.as_ptr();
-    let bp = b.as_ptr();
-    for ch in 0..chunks {
-        let base = ch * S::LANES;
-        for jj in 0..NR_ {
-            let bv = S::load(bp.add(jj * k + base));
-            for ii in 0..MR_ {
-                let av = S::load(ap.add(ii * k + base));
-                acc[ii][jj] = S::fma(av, bv, acc[ii][jj]);
-            }
+    let mut acc = [[S::zero(); NR]; MR_];
+    let full = k - k % S::LANES;
+    for (&ao, &bo) in a_offs.iter().zip(b_offs) {
+        let ap = a.add(ao + a_row);
+        let bp = b.add(bo + b_row);
+        let mut l = 0;
+        while l < full {
+            fma_step::<S, MR_, NR_>(&mut acc, ap.add(l), bp.add(l), k, S::LANES);
+            l += S::LANES;
+        }
+        if full < k {
+            fma_step::<S, MR_, NR_>(&mut acc, ap.add(full), bp.add(full), k, k - full);
         }
     }
     for ii in 0..MR_ {
+        // Columns past NR_ stay zero vectors; `reduce_add4` reduces each
+        // lane of its argument independently.
+        let sums = S::reduce_add4(acc[ii]);
         for jj in 0..NR_ {
-            let mut s = S::reduce_add(acc[ii][jj]);
-            for l in chunks * S::LANES..k {
-                s += a[ii * k + l] * b[jj * k + l];
-            }
-            c[ii * n + jj] += s;
+            *c.add(ii * n + jj) += sums[jj];
         }
     }
 }
 
-/// Int8 tile product: u8 activations × i8 weights into i32, same
-/// layout as [`gemm_f32`]. Exact integer math in every backend.
+/// `acc[i][j] += a_i[0..len] · b_j[0..len]` lane-wise for one k chunk of
+/// `len <= S::LANES` elements; nothing past `len` is read.
+#[inline(always)]
+unsafe fn fma_step<S: SimdF32, const MR_: usize, const NR_: usize>(
+    acc: &mut [[S::V; NR]; MR_],
+    ap: *const f32,
+    bp: *const f32,
+    k: usize,
+    len: usize,
+) {
+    for jj in 0..NR_ {
+        let bv = S::load_len(bp.add(jj * k), len);
+        for ii in 0..MR_ {
+            let av = S::load_len(ap.add(ii * k), len);
+            acc[ii][jj] = S::fma(av, bv, acc[ii][jj]);
+        }
+    }
+}
+
+/// Int8 batch-reduce GEMM: u8 activations × i8 weights into i32, same
+/// layout, blocking and accumulate-across-batch structure as
+/// [`brgemm_f32`]. Exact integer math in every backend.
 ///
 /// # Safety
 ///
-/// `a.len() >= m * k`, `b.len() >= n * k`, `c.len() >= m * n`, and the
-/// backend's ISA is available.
+/// As for [`brgemm_f32`].
 #[inline(always)]
-pub(crate) unsafe fn gemm_u8i8<D: DotU8I8>(
+#[allow(clippy::too_many_arguments)]
+pub(crate) unsafe fn brgemm_u8i8<D: DotU8I8>(
     m: usize,
     n: usize,
     k: usize,
-    a: &[u8],
-    b: &[i8],
+    a_buf: &[u8],
+    a_offs: &[usize],
+    b_buf: &[i8],
+    b_offs: &[usize],
     c: &mut [i32],
 ) {
-    debug_assert!(a.len() >= m * k && b.len() >= n * k && c.len() >= m * n);
-    let steps = k / D::STEP;
-    for i in 0..m {
-        let ap = a.as_ptr().add(i * k);
-        for j in 0..n {
-            let bp = b.as_ptr().add(j * k);
-            let mut acc = D::zero();
-            for s in 0..steps {
-                acc = D::step(acc, ap.add(s * D::STEP), bp.add(s * D::STEP));
-            }
-            let mut sum = D::reduce(acc);
-            for l in steps * D::STEP..k {
-                sum += a[i * k + l] as i32 * b[j * k + l] as i32;
-            }
-            c[i * n + j] += sum;
+    debug_assert!(a_offs.len() == b_offs.len() && c.len() >= m * n);
+    debug_assert!(a_offs.iter().all(|&o| o + m * k <= a_buf.len()));
+    debug_assert!(b_offs.iter().all(|&o| o + n * k <= b_buf.len()));
+    debug_assert!(D::MR <= 4 && D::MR >= 1);
+    let (a, b, c) = (a_buf.as_ptr(), b_buf.as_ptr(), c.as_mut_ptr());
+    for_each_register_block!(m, n, D::MR, |i, j| micro_u8i8::<D>(
+        k,
+        n,
+        a,
+        i * k,
+        a_offs,
+        b,
+        j * k,
+        b_offs,
+        c.add(i * n + j)
+    ));
+}
+
+/// One `MR_ x NR_` block of [`brgemm_u8i8`]; operands as in
+/// [`micro_f32`].
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+unsafe fn micro_u8i8<D: DotU8I8, const MR_: usize, const NR_: usize>(
+    k: usize,
+    n: usize,
+    a: *const u8,
+    a_row: usize,
+    a_offs: &[usize],
+    b: *const i8,
+    b_row: usize,
+    b_offs: &[usize],
+    c: *mut i32,
+) {
+    let mut acc = [[D::zero(); NR]; MR_];
+    let full = k - k % D::STEP;
+    for (&ao, &bo) in a_offs.iter().zip(b_offs) {
+        let ap = a.add(ao + a_row);
+        let bp = b.add(bo + b_row);
+        let mut l = 0;
+        while l < full {
+            dot_step::<D, MR_, NR_>(&mut acc, ap.add(l), bp.add(l), k, D::STEP);
+            l += D::STEP;
+        }
+        if full < k {
+            dot_step::<D, MR_, NR_>(&mut acc, ap.add(full), bp.add(full), k, k - full);
+        }
+    }
+    for ii in 0..MR_ {
+        let sums = D::reduce4(acc[ii]);
+        for jj in 0..NR_ {
+            *c.add(ii * n + jj) += sums[jj];
+        }
+    }
+}
+
+/// `acc[i][j] += a_i[0..len] · b_j[0..len]` for one k chunk of
+/// `len <= D::STEP` elements; nothing past `len` is read.
+#[inline(always)]
+unsafe fn dot_step<D: DotU8I8, const MR_: usize, const NR_: usize>(
+    acc: &mut [[D::Acc; NR]; MR_],
+    ap: *const u8,
+    bp: *const i8,
+    k: usize,
+    len: usize,
+) {
+    let mut av = [D::load_a(ap, len); MR_];
+    for ii in 1..MR_ {
+        av[ii] = D::load_a(ap.add(ii * k), len);
+    }
+    for jj in 0..NR_ {
+        let bv = D::load_b(bp.add(jj * k), len);
+        for ii in 0..MR_ {
+            acc[ii][jj] = D::dot(acc[ii][jj], av[ii], bv);
         }
     }
 }
@@ -349,5 +464,41 @@ pub(crate) unsafe fn dequant<S: SimdF32>(
         for j in chunks * S::LANES..n {
             *orow.add(j) = (*arow.add(j)).wrapping_sub(a_zero.wrapping_mul(comp[j])) as f32 * scale;
         }
+    }
+}
+
+/// Requantize f32 to u8, `out[i] = clamp(round(xs[i] * inv_scale) +
+/// zero_point, 0, 255)` with ties away from zero and NaN mapping to the
+/// zero point — bit-identical to [`crate::epilogue::requant_one`], which
+/// also finishes the remainder. The zero point is added in f32: the sum
+/// of two integer-valued floats is exact whenever it lies in `0..=255`
+/// and lands on the right side of the clamp otherwise.
+///
+/// # Safety
+///
+/// `xs.len() == out.len()`, `zero_point` is exactly representable in
+/// f32, and the backend's ISA is available.
+#[inline(always)]
+pub(crate) unsafe fn requant_u8<S: SimdF32>(
+    xs: &[f32],
+    inv_scale: f32,
+    zero_point: i32,
+    out: &mut [u8],
+) {
+    debug_assert_eq!(xs.len(), out.len());
+    debug_assert_eq!(zero_point as f32 as i64, zero_point as i64);
+    let n = out.len();
+    let (inv, zp) = (S::splat(inv_scale), S::splat(zero_point as f32));
+    let (lo, hi) = (S::zero(), S::splat(255.0));
+    let chunks = n / S::LANES;
+    for ch in 0..chunks {
+        let p = ch * S::LANES;
+        let t = S::mul(S::load(xs.as_ptr().add(p)), inv);
+        let r = S::zero_nan(S::round_half_away(t));
+        let q = S::min(S::max(S::add(r, zp), lo), hi);
+        S::store_low_bytes(out.as_mut_ptr().add(p), S::f32_to_i32(q));
+    }
+    for l in chunks * S::LANES..n {
+        out[l] = crate::epilogue::requant_one(xs[l], inv_scale, zero_point);
     }
 }

@@ -6,8 +6,9 @@
 //! `arch::body`) written against a small SIMD-ops trait (`arch::simd`) and
 //! instantiated per backend:
 //!
-//! - **scalar** — the portable fallback, identical to the
-//!   pre-dispatch autovectorized kernels;
+//! - **scalar** — the portable fallback: autovectorized lane arrays,
+//!   bit-identical to the pre-dispatch kernels in every family except
+//!   f32 brgemm (which now sums the batch before it reduces);
 //! - **avx2** — `core::arch::x86_64` AVX2 + FMA (8 f32 lanes);
 //! - **avx512** — AVX-512 F/BW (16 f32 lanes), with a VNNI `vpdpbusd`
 //!   int8 dot where the CPU has it.
@@ -25,6 +26,13 @@
 //! shard's backend at thread start, and every other thread keeps
 //! dispatching on the process table.
 //!
+//! A brgemm table entry is the **whole batch-reduce call**, not one
+//! tile product: it receives the batch's offset arrays and keeps each
+//! `MR x NR` block of C in registers across all `bs` tile pairs and all
+//! k chunks (see `body::brgemm_f32`), which is the property the
+//! template's `kb`/`bs` choices assume. The full-tile and clamped-height
+//! ("tail") public entries are checked front-ends of that one entry.
+//!
 //! Every public kernel entry point counts its calls per
 //! (family × ISA) against the table that actually ran it;
 //! [`dispatch_report`] snapshots those process-wide counters so tests,
@@ -40,6 +48,7 @@ pub(crate) mod simd;
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod x86;
 
+use crate::brgemm::{check_batch, BrgemmShape};
 use simd::ScalarBackend;
 
 /// An instruction-set backend the dispatch table can select.
@@ -142,15 +151,19 @@ impl std::fmt::Display for Family {
     }
 }
 
+/// A batch-reduce GEMM entry: `(m, n, k, a_buf, a_offs, b_buf, b_offs,
+/// c)`, see `body::brgemm_f32` for the contract.
+type BrgemmFn<A, B, C> = unsafe fn(usize, usize, usize, &[A], &[usize], &[B], &[usize], &mut [C]);
+
 /// One backend's kernel entry points. Each pointer is an `unsafe fn`
-/// whose single precondition is that the backend's ISA is supported on
-/// the running CPU; slice extents are validated by the public entry
-/// points before the call.
+/// whose preconditions are that the backend's ISA is supported on the
+/// running CPU and that the slices cover the extents its body documents;
+/// the public entry points validate those before the call.
 #[allow(clippy::type_complexity)] // raw fn-pointer signatures are the point of the table
 pub(crate) struct KernelTable {
     pub(crate) isa: Isa,
-    pub(crate) gemm_f32: unsafe fn(usize, usize, usize, &[f32], &[f32], &mut [f32]),
-    pub(crate) gemm_u8i8: unsafe fn(usize, usize, usize, &[u8], &[i8], &mut [i32]),
+    pub(crate) brgemm_f32: BrgemmFn<f32, f32, f32>,
+    pub(crate) brgemm_u8i8: BrgemmFn<u8, i8, i32>,
     pub(crate) relu: unsafe fn(&[f32], &mut [f32]),
     pub(crate) relu_inplace: unsafe fn(&mut [f32]),
     pub(crate) binary_add: unsafe fn(&[f32], &[f32], &mut [f32]),
@@ -159,6 +172,7 @@ pub(crate) struct KernelTable {
     pub(crate) reduce_sum: unsafe fn(&[f32]) -> f32,
     pub(crate) reduce_max: unsafe fn(&[f32]) -> f32,
     pub(crate) dequant: unsafe fn(&[i32], usize, usize, &[i32], i32, f32, &mut [f32]),
+    pub(crate) requant_u8: unsafe fn(&[f32], f32, i32, &mut [u8]),
 }
 
 mod scalar_kernels {
@@ -168,25 +182,31 @@ mod scalar_kernels {
     use super::body;
     use super::simd::ScalarBackend as S;
 
-    pub(crate) unsafe fn gemm_f32(
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) unsafe fn brgemm_f32(
         m: usize,
         n: usize,
         k: usize,
-        a: &[f32],
-        b: &[f32],
+        a_buf: &[f32],
+        a_offs: &[usize],
+        b_buf: &[f32],
+        b_offs: &[usize],
         c: &mut [f32],
     ) {
-        body::gemm_f32::<S>(m, n, k, a, b, c)
+        body::brgemm_f32::<S>(m, n, k, a_buf, a_offs, b_buf, b_offs, c)
     }
-    pub(crate) unsafe fn gemm_u8i8(
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) unsafe fn brgemm_u8i8(
         m: usize,
         n: usize,
         k: usize,
-        a: &[u8],
-        b: &[i8],
+        a_buf: &[u8],
+        a_offs: &[usize],
+        b_buf: &[i8],
+        b_offs: &[usize],
         c: &mut [i32],
     ) {
-        body::gemm_u8i8::<S>(m, n, k, a, b, c)
+        body::brgemm_u8i8::<S>(m, n, k, a_buf, a_offs, b_buf, b_offs, c)
     }
     pub(crate) unsafe fn relu(src: &[f32], dst: &mut [f32]) {
         body::relu::<S>(src, dst)
@@ -221,12 +241,15 @@ mod scalar_kernels {
     ) {
         body::dequant::<S>(acc, m, n, comp, a_zero, scale, out)
     }
+    pub(crate) unsafe fn requant_u8(xs: &[f32], inv_scale: f32, zero_point: i32, out: &mut [u8]) {
+        body::requant_u8::<S>(xs, inv_scale, zero_point, out)
+    }
 }
 
 static SCALAR_TABLE: KernelTable = KernelTable {
     isa: Isa::Scalar,
-    gemm_f32: scalar_kernels::gemm_f32,
-    gemm_u8i8: scalar_kernels::gemm_u8i8,
+    brgemm_f32: scalar_kernels::brgemm_f32,
+    brgemm_u8i8: scalar_kernels::brgemm_u8i8,
     relu: scalar_kernels::relu,
     relu_inplace: scalar_kernels::relu_inplace,
     binary_add: scalar_kernels::binary_add,
@@ -235,13 +258,14 @@ static SCALAR_TABLE: KernelTable = KernelTable {
     reduce_sum: scalar_kernels::reduce_sum,
     reduce_max: scalar_kernels::reduce_max,
     dequant: scalar_kernels::dequant,
+    requant_u8: scalar_kernels::requant_u8,
 };
 
 #[cfg(target_arch = "x86_64")]
 static AVX2_TABLE: KernelTable = KernelTable {
     isa: Isa::Avx2,
-    gemm_f32: x86::avx2_kernels::gemm_f32,
-    gemm_u8i8: x86::avx2_kernels::gemm_u8i8,
+    brgemm_f32: x86::avx2_kernels::brgemm_f32,
+    brgemm_u8i8: x86::avx2_kernels::brgemm_u8i8,
     relu: x86::avx2_kernels::relu,
     relu_inplace: x86::avx2_kernels::relu_inplace,
     binary_add: x86::avx2_kernels::binary_add,
@@ -250,13 +274,14 @@ static AVX2_TABLE: KernelTable = KernelTable {
     reduce_sum: x86::avx2_kernels::reduce_sum,
     reduce_max: x86::avx2_kernels::reduce_max,
     dequant: x86::avx2_kernels::dequant,
+    requant_u8: x86::avx2_kernels::requant_u8,
 };
 
 #[cfg(target_arch = "x86_64")]
 static AVX512_TABLE: KernelTable = KernelTable {
     isa: Isa::Avx512,
-    gemm_f32: x86::avx512_kernels::gemm_f32,
-    gemm_u8i8: x86::avx512_kernels::gemm_u8i8,
+    brgemm_f32: x86::avx512_kernels::brgemm_f32,
+    brgemm_u8i8: x86::avx512_kernels::brgemm_u8i8,
     relu: x86::avx512_kernels::relu,
     relu_inplace: x86::avx512_kernels::relu_inplace,
     binary_add: x86::avx512_kernels::binary_add,
@@ -265,12 +290,13 @@ static AVX512_TABLE: KernelTable = KernelTable {
     reduce_sum: x86::avx512_kernels::reduce_sum,
     reduce_max: x86::avx512_kernels::reduce_max,
     dequant: x86::avx512_kernels::dequant,
+    requant_u8: x86::avx512_kernels::requant_u8,
 };
 
 /// AVX-512 table with the VNNI int8 dot swapped in.
 #[cfg(target_arch = "x86_64")]
 static AVX512_VNNI_TABLE: KernelTable = KernelTable {
-    gemm_u8i8: x86::gemm_u8i8_vnni,
+    brgemm_u8i8: x86::brgemm_u8i8_vnni,
     ..AVX512_TABLE
 };
 
@@ -553,24 +579,61 @@ impl Kernels {
         self.table.isa
     }
 
-    /// One f32 tile product `C[m,n] += A[m,k] × B[n,k]` (B panel-major).
+    /// f32 batch-reduce GEMM on this backend; the contract (and the
+    /// panics) of [`crate::brgemm::brgemm_f32`], uncounted.
+    pub fn brgemm_f32(
+        &self,
+        shape: BrgemmShape,
+        a_buf: &[f32],
+        a_offs: &[usize],
+        b_buf: &[f32],
+        b_offs: &[usize],
+        c: &mut [f32],
+    ) {
+        check_batch(shape, shape.m, a_buf, a_offs, b_buf, b_offs, c);
+        let BrgemmShape { m, n, k } = shape;
+        // SAFETY: extents checked above; `kernels` verified CPU support.
+        unsafe { (self.table.brgemm_f32)(m, n, k, a_buf, a_offs, b_buf, b_offs, c) }
+    }
+
+    /// u8×i8 batch-reduce GEMM on this backend; the contract of
+    /// [`crate::brgemm::brgemm_u8i8`], uncounted.
+    pub fn brgemm_u8i8(
+        &self,
+        shape: BrgemmShape,
+        a_buf: &[u8],
+        a_offs: &[usize],
+        b_buf: &[i8],
+        b_offs: &[usize],
+        c: &mut [i32],
+    ) {
+        check_batch(shape, shape.m, a_buf, a_offs, b_buf, b_offs, c);
+        let BrgemmShape { m, n, k } = shape;
+        // SAFETY: extents checked above; `kernels` verified CPU support.
+        unsafe { (self.table.brgemm_u8i8)(m, n, k, a_buf, a_offs, b_buf, b_offs, c) }
+    }
+
+    /// One f32 tile product `C[m,n] += A[m,k] × B[n,k]` (B panel-major):
+    /// a batch of one.
     ///
     /// # Panics
     ///
     /// Panics if any slice is shorter than its `m`/`n`/`k` extent.
     pub fn gemm_f32(&self, m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
         assert!(a.len() >= m * k && b.len() >= n * k && c.len() >= m * n);
-        unsafe { (self.table.gemm_f32)(m, n, k, a, b, c) }
+        // SAFETY: extents asserted; `kernels` verified CPU support.
+        unsafe { (self.table.brgemm_f32)(m, n, k, a, &[0], b, &[0], c) }
     }
 
-    /// One u8×i8 tile product into i32.
+    /// One u8×i8 tile product into i32: a batch of one.
     ///
     /// # Panics
     ///
     /// Panics if any slice is shorter than its `m`/`n`/`k` extent.
     pub fn gemm_u8i8(&self, m: usize, n: usize, k: usize, a: &[u8], b: &[i8], c: &mut [i32]) {
         assert!(a.len() >= m * k && b.len() >= n * k && c.len() >= m * n);
-        unsafe { (self.table.gemm_u8i8)(m, n, k, a, b, c) }
+        // SAFETY: extents asserted; `kernels` verified CPU support.
+        unsafe { (self.table.brgemm_u8i8)(m, n, k, a, &[0], b, &[0], c) }
     }
 
     /// `dst = max(src, 0)`.
@@ -642,6 +705,16 @@ impl Kernels {
     ) {
         assert!(acc.len() == m * n && out.len() == m * n && comp.len() == n);
         unsafe { (self.table.dequant)(acc, m, n, comp, a_zero, scale, out) }
+    }
+
+    /// Requantize f32 to u8 on this backend; see
+    /// [`crate::epilogue::requant_u8`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if lengths differ.
+    pub fn requant_u8(&self, xs: &[f32], inv_scale: f32, zero_point: i32, out: &mut [u8]) {
+        crate::epilogue::requant_u8_on(self.table, xs, inv_scale, zero_point, out);
     }
 }
 

@@ -11,7 +11,8 @@
 //!
 //! All trait methods are `unsafe`: callers must guarantee both that the
 //! backend's ISA is available on the running CPU and that every pointer
-//! is valid for `LANES` (or `STEP`) elements.
+//! is valid for `LANES` (or `STEP`) elements — or, for the loads that
+//! take a length, for exactly that many.
 
 /// Elementwise f32 SIMD operations (with the i32 subset used by the
 /// dequantize epilogue).
@@ -29,20 +30,43 @@ pub(crate) trait SimdF32: Copy {
     unsafe fn zero() -> Self::V;
     unsafe fn splat(x: f32) -> Self::V;
     unsafe fn load(p: *const f32) -> Self::V;
+    /// The first `1 <= len <= LANES` elements at `p`, remaining lanes zero.
+    /// A short load must not touch memory past `p + len` (masked or
+    /// narrower loads only): the brgemm k remainder ends where its tile
+    /// ends.
+    unsafe fn load_len(p: *const f32, len: usize) -> Self::V;
     unsafe fn store(p: *mut f32, v: Self::V);
     unsafe fn add(a: Self::V, b: Self::V) -> Self::V;
     unsafe fn mul(a: Self::V, b: Self::V) -> Self::V;
     /// IEEE `maxps` semantics: if one lane compares unordered (NaN) or
     /// equal, the lane of `b` is returned.
     unsafe fn max(a: Self::V, b: Self::V) -> Self::V;
+    /// IEEE `minps` semantics, the mirror of [`Self::max`].
+    unsafe fn min(a: Self::V, b: Self::V) -> Self::V;
     /// `a * b + acc` per lane. Backends with hardware FMA contract the
     /// rounding; the scalar backend rounds twice (mul then add), which
     /// is why cross-ISA f32 comparisons carry a 1e-5 tolerance.
     unsafe fn fma(a: Self::V, b: Self::V, acc: Self::V) -> Self::V;
     /// Horizontal sum in a fixed (backend-specific) order.
     unsafe fn reduce_add(v: Self::V) -> f32;
+    /// Four horizontal sums at once, each in a fixed (backend-specific)
+    /// order that reads only its own vector: `out[j]` is a function of
+    /// `v[j]` alone, so padding a ragged group with zero vectors changes
+    /// no live sum. Not required to match [`Self::reduce_add`]'s order.
+    unsafe fn reduce_add4(v: [Self::V; 4]) -> [f32; 4];
     /// Horizontal max.
     unsafe fn reduce_max(v: Self::V) -> f32;
+
+    /// Round to the nearest integer, ties away from zero: `f32::round`
+    /// per lane, bit for bit (NaN stays NaN, ±0 and ±inf keep sign).
+    unsafe fn round_half_away(v: Self::V) -> Self::V;
+    /// NaN lanes become `+0.0`; every other lane is unchanged.
+    unsafe fn zero_nan(v: Self::V) -> Self::V;
+    /// Lane-wise f32 → i32 of integer-valued lanes within i32 range.
+    unsafe fn f32_to_i32(v: Self::V) -> Self::VI;
+    /// Store the low byte of each lane, [`Self::LANES`] bytes in all
+    /// (lanes must hold `0..=255`).
+    unsafe fn store_low_bytes(p: *mut u8, v: Self::VI);
 
     unsafe fn load_i32(p: *const i32) -> Self::VI;
     unsafe fn splat_i32(x: i32) -> Self::VI;
@@ -54,25 +78,58 @@ pub(crate) trait SimdF32: Copy {
     unsafe fn i32_to_f32(v: Self::VI) -> Self::V;
 }
 
-/// One step of a u8×i8 dot product: consume [`Self::STEP`] elements of
-/// each operand into a running i32 accumulator. All implementations are
-/// exact integer math, so results are bit-identical across backends.
+/// The u8×i8 dot product of the int8 brgemm, split into operand loads
+/// and the multiply-accumulate so a register block loads (and, where the
+/// backend has to, widens) each A row and B panel chunk once. All
+/// implementations are exact integer math, so results are bit-identical
+/// across backends.
 pub(crate) trait DotU8I8: Copy {
     /// Accumulator state.
     type Acc: Copy;
+    /// A loaded chunk of u8 activations.
+    type A: Copy;
+    /// A loaded chunk of i8 weights.
+    type B: Copy;
     /// k elements consumed per step.
     const STEP: usize;
+    /// Register-tile rows of the int8 brgemm body for this backend.
+    const MR: usize;
 
     unsafe fn zero() -> Self::Acc;
-    unsafe fn step(acc: Self::Acc, a: *const u8, b: *const i8) -> Self::Acc;
-    unsafe fn reduce(acc: Self::Acc) -> i32;
+    /// The first `1 <= len <= STEP` bytes at `p`, the rest of the chunk zero.
+    /// A short load must not touch memory past `p + len`.
+    unsafe fn load_a(p: *const u8, len: usize) -> Self::A;
+    /// As [`Self::load_a`] for the weights.
+    unsafe fn load_b(p: *const i8, len: usize) -> Self::B;
+    /// `acc + a · b`, summed into whichever lanes the backend likes.
+    unsafe fn dot(acc: Self::Acc, a: Self::A, b: Self::B) -> Self::Acc;
+    /// Four accumulators reduced to their four totals.
+    unsafe fn reduce4(acc: [Self::Acc; 4]) -> [i32; 4];
+}
+
+/// The first `1 <= len <= N` elements at `p`, the rest zero, without a
+/// branch and without reading past `p + len`: lanes beyond `len` re-read
+/// the last live element and are then zeroed.
+#[inline(always)]
+unsafe fn load_prefix<T: Copy + Default, const N: usize>(p: *const T, len: usize) -> [T; N] {
+    debug_assert!(1 <= len && len <= N);
+    if len == N {
+        return (p as *const [T; N]).read_unaligned();
+    }
+    let mut v = [T::default(); N];
+    for (l, out) in v.iter_mut().enumerate() {
+        let x = *p.add(l.min(len - 1));
+        *out = if l < len { x } else { T::default() };
+    }
+    v
 }
 
 /// The portable fallback: 8-wide lane arrays that LLVM autovectorizes
-/// where it can. This reproduces the pre-dispatch kernels exactly —
-/// same lane width, same mul-then-add rounding, same sequential lane
-/// reduction — so `GC_FORCE_ISA=scalar` is bit-identical to the old
-/// code path.
+/// where it can, with mul-then-add rounding and a sequential lane
+/// reduction. The eltwise, reduce and int8 families reproduce the
+/// pre-dispatch kernels bit for bit; f32 brgemm does not — it sums the
+/// whole batch in its lanes before reducing, where the old kernels
+/// reduced and added into C once per batch element.
 #[derive(Clone, Copy)]
 pub(crate) struct ScalarBackend;
 
@@ -97,6 +154,10 @@ impl SimdF32 for ScalarBackend {
             *out = *p.add(l);
         }
         v
+    }
+    #[inline(always)]
+    unsafe fn load_len(p: *const f32, len: usize) -> Self::V {
+        load_prefix(p, len)
     }
     #[inline(always)]
     unsafe fn store(p: *mut f32, v: Self::V) {
@@ -130,6 +191,14 @@ impl SimdF32 for ScalarBackend {
         v
     }
     #[inline(always)]
+    unsafe fn min(a: Self::V, b: Self::V) -> Self::V {
+        let mut v = [0.0; 8];
+        for l in 0..8 {
+            v[l] = if a[l] < b[l] { a[l] } else { b[l] };
+        }
+        v
+    }
+    #[inline(always)]
     unsafe fn fma(a: Self::V, b: Self::V, acc: Self::V) -> Self::V {
         let mut v = [0.0; 8];
         for l in 0..8 {
@@ -142,6 +211,10 @@ impl SimdF32 for ScalarBackend {
         v.iter().sum()
     }
     #[inline(always)]
+    unsafe fn reduce_add4(v: [Self::V; 4]) -> [f32; 4] {
+        v.map(|x| x.iter().sum())
+    }
+    #[inline(always)]
     unsafe fn reduce_max(v: Self::V) -> f32 {
         let mut m = v[0];
         for &x in &v[1..] {
@@ -150,6 +223,25 @@ impl SimdF32 for ScalarBackend {
             }
         }
         m
+    }
+
+    #[inline(always)]
+    unsafe fn round_half_away(v: Self::V) -> Self::V {
+        v.map(f32::round)
+    }
+    #[inline(always)]
+    unsafe fn zero_nan(v: Self::V) -> Self::V {
+        v.map(|x| if x.is_nan() { 0.0 } else { x })
+    }
+    #[inline(always)]
+    unsafe fn f32_to_i32(v: Self::V) -> Self::VI {
+        v.map(|x| x as i32)
+    }
+    #[inline(always)]
+    unsafe fn store_low_bytes(p: *mut u8, v: Self::VI) {
+        for (l, x) in v.iter().enumerate() {
+            *p.add(l) = *x as u8;
+        }
     }
 
     #[inline(always)]
@@ -194,21 +286,32 @@ impl DotU8I8 for ScalarBackend {
     // 4-way accumulators mirror VNNI's 4-element dot-product groups,
     // exactly as the pre-dispatch `dot_u8i8` did.
     type Acc = [i32; 4];
+    type A = [u8; 4];
+    type B = [i8; 4];
     const STEP: usize = 4;
+    const MR: usize = 2;
 
     #[inline(always)]
     unsafe fn zero() -> Self::Acc {
         [0; 4]
     }
     #[inline(always)]
-    unsafe fn step(mut acc: Self::Acc, a: *const u8, b: *const i8) -> Self::Acc {
-        for (l, slot) in acc.iter_mut().enumerate() {
-            *slot += *a.add(l) as i32 * *b.add(l) as i32;
+    unsafe fn load_a(p: *const u8, len: usize) -> Self::A {
+        load_prefix(p, len)
+    }
+    #[inline(always)]
+    unsafe fn load_b(p: *const i8, len: usize) -> Self::B {
+        load_prefix(p, len)
+    }
+    #[inline(always)]
+    unsafe fn dot(mut acc: Self::Acc, a: Self::A, b: Self::B) -> Self::Acc {
+        for l in 0..4 {
+            acc[l] += a[l] as i32 * b[l] as i32;
         }
         acc
     }
     #[inline(always)]
-    unsafe fn reduce(acc: Self::Acc) -> i32 {
-        acc.iter().sum()
+    unsafe fn reduce4(acc: [Self::Acc; 4]) -> [i32; 4] {
+        acc.map(|x| x.iter().sum())
     }
 }

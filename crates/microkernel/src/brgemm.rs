@@ -16,11 +16,14 @@
 //! C accumulation is `+=`: the caller zeroes C once per k-loop, exactly
 //! as the template's `C'[...] = 0` statement does.
 //!
-//! The tile kernels themselves live in [`crate::arch`]: one generic
-//! register-tiled body instantiated per backend (scalar / AVX2 /
-//! AVX-512), selected once per process by runtime feature detection.
+//! The kernels themselves live in [`crate::arch`]: one generic
+//! register-tiled batch-reduce body per dtype, instantiated per backend
+//! (scalar / AVX2 / AVX-512) and selected once per process by runtime
+//! feature detection. A body keeps each register block of C live across
+//! the whole batch, so C is read and written once per call. The
+//! functions here are its checked front-ends.
 
-use crate::arch;
+use crate::arch::{self, Family};
 
 /// Tile geometry for one brgemm call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,6 +58,42 @@ impl BrgemmShape {
     }
 }
 
+/// What every brgemm entry establishes before it enters an unsafe body
+/// that computes the first `rows` rows of the C tile: equal batch sizes,
+/// `rows` within the tile height, a C of exactly `rows * n` elements,
+/// and every full-height A tile and B tile inside its buffer.
+///
+/// # Panics
+///
+/// Panics if any of those does not hold.
+pub(crate) fn check_batch<A, B, C>(
+    shape: BrgemmShape,
+    rows: usize,
+    a_buf: &[A],
+    a_offs: &[usize],
+    b_buf: &[B],
+    b_offs: &[usize],
+    c: &[C],
+) {
+    let BrgemmShape { m, n, .. } = shape;
+    assert!(rows <= m, "m_valid {rows} exceeds tile height {m}");
+    assert_eq!(a_offs.len(), b_offs.len(), "batch sizes must match");
+    assert_eq!(c.len(), rows * n, "C tile must be m*n");
+    let fits = |off: usize, tile: usize, len: usize| off <= len && tile <= len - off;
+    for (&ao, &bo) in a_offs.iter().zip(b_offs) {
+        assert!(
+            fits(ao, shape.a_len(), a_buf.len()),
+            "A tile at {ao} overruns its buffer of {}",
+            a_buf.len()
+        );
+        assert!(
+            fits(bo, shape.b_len(), b_buf.len()),
+            "B tile at {bo} overruns its buffer of {}",
+            b_buf.len()
+        );
+    }
+}
+
 /// f32 batch-reduce GEMM: `C += sum_b A_b x B_b`.
 ///
 /// `a_offs`/`b_offs` give the start of each tile in its buffer; the
@@ -72,28 +111,41 @@ pub fn brgemm_f32(
     b_offs: &[usize],
     c: &mut [f32],
 ) {
-    let BrgemmShape { m, n, k } = shape;
-    assert_eq!(a_offs.len(), b_offs.len(), "batch sizes must match");
-    assert_eq!(c.len(), m * n, "C tile must be m*n");
-    let table = arch::active();
-    arch::record(arch::Family::BrgemmF32, table.isa);
-    for (&ao, &bo) in a_offs.iter().zip(b_offs) {
-        let a = &a_buf[ao..ao + m * k];
-        let b = &b_buf[bo..bo + n * k];
-        // SAFETY: the table only holds backends the CPU supports, and
-        // the slices above cover the m/n/k extents.
-        unsafe { (table.gemm_f32)(m, n, k, a, b, c) };
-    }
+    brgemm_f32_rows(
+        Family::BrgemmF32,
+        shape,
+        shape.m,
+        a_buf,
+        a_offs,
+        b_buf,
+        b_offs,
+        c,
+    );
 }
 
-/// One A×B tile product added into C through the active dispatch
-/// table. A is `[m, k]` row-major, B is `[n, k]` panel-major; C is
-/// walked in backend-sized register blocks (see [`crate::arch`]).
-#[inline]
-pub(crate) fn gemm_tile_f32(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    assert!(a.len() >= m * k && b.len() >= n * k && c.len() >= m * n);
-    // SAFETY: extents asserted; table holds only supported backends.
-    unsafe { (arch::active().gemm_f32)(m, n, k, a, b, c) }
+/// [`brgemm_f32`] over the first `rows` rows of the tile, counted
+/// against `family`: the full-tile entry and the m-tail are this one
+/// call. A zero-height call does nothing and is not counted.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn brgemm_f32_rows(
+    family: Family,
+    shape: BrgemmShape,
+    rows: usize,
+    a_buf: &[f32],
+    a_offs: &[usize],
+    b_buf: &[f32],
+    b_offs: &[usize],
+    c: &mut [f32],
+) {
+    check_batch(shape, rows, a_buf, a_offs, b_buf, b_offs, c);
+    if rows == 0 {
+        return;
+    }
+    let table = arch::active();
+    arch::record(family, table.isa);
+    // SAFETY: the table only holds backends the CPU supports, and
+    // `check_batch` established the body's extents (`rows <= m`).
+    unsafe { (table.brgemm_f32)(rows, shape.n, shape.k, a_buf, a_offs, b_buf, b_offs, c) };
 }
 
 /// Int8 batch-reduce GEMM: u8 activations × i8 weights accumulated in
@@ -110,27 +162,38 @@ pub fn brgemm_u8i8(
     b_offs: &[usize],
     c: &mut [i32],
 ) {
-    let BrgemmShape { m, n, k } = shape;
-    assert_eq!(a_offs.len(), b_offs.len(), "batch sizes must match");
-    assert_eq!(c.len(), m * n, "C tile must be m*n");
-    let table = arch::active();
-    arch::record(arch::Family::BrgemmU8I8, table.isa);
-    for (&ao, &bo) in a_offs.iter().zip(b_offs) {
-        let a = &a_buf[ao..ao + m * k];
-        let b = &b_buf[bo..bo + n * k];
-        // SAFETY: the table only holds backends the CPU supports, and
-        // the slices above cover the m/n/k extents.
-        unsafe { (table.gemm_u8i8)(m, n, k, a, b, c) };
-    }
+    brgemm_u8i8_rows(
+        Family::BrgemmU8I8,
+        shape,
+        shape.m,
+        a_buf,
+        a_offs,
+        b_buf,
+        b_offs,
+        c,
+    );
 }
 
-/// One u8×i8 tile product through the active dispatch table; exact
-/// integer math in every backend.
-#[inline]
-pub(crate) fn gemm_tile_u8i8(m: usize, n: usize, k: usize, a: &[u8], b: &[i8], c: &mut [i32]) {
-    assert!(a.len() >= m * k && b.len() >= n * k && c.len() >= m * n);
-    // SAFETY: extents asserted; table holds only supported backends.
-    unsafe { (arch::active().gemm_u8i8)(m, n, k, a, b, c) }
+/// The int8 counterpart of [`brgemm_f32_rows`].
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn brgemm_u8i8_rows(
+    family: Family,
+    shape: BrgemmShape,
+    rows: usize,
+    a_buf: &[u8],
+    a_offs: &[usize],
+    b_buf: &[i8],
+    b_offs: &[usize],
+    c: &mut [i32],
+) {
+    check_batch(shape, rows, a_buf, a_offs, b_buf, b_offs, c);
+    if rows == 0 {
+        return;
+    }
+    let table = arch::active();
+    arch::record(family, table.isa);
+    // SAFETY: as in `brgemm_f32_rows`.
+    unsafe { (table.brgemm_u8i8)(rows, shape.n, shape.k, a_buf, a_offs, b_buf, b_offs, c) };
 }
 
 /// Reference (scalar, obviously-correct) versions used in tests.
@@ -295,6 +358,15 @@ mod tests {
         let shape = BrgemmShape::new(2, 2, 1);
         let mut c = vec![0f32; 3];
         brgemm_f32(shape, &[1.0, 1.0], &[0], &[1.0, 1.0], &[0], &mut c);
+    }
+
+    #[test]
+    #[should_panic(expected = "overruns its buffer")]
+    fn overrunning_tile_panics() {
+        // The second A tile starts one element too late to fit.
+        let shape = BrgemmShape::new(2, 2, 2);
+        let mut c = vec![0f32; 4];
+        brgemm_f32(shape, &[1.0; 8], &[0, 5], &[1.0; 8], &[0, 4], &mut c);
     }
 
     #[test]

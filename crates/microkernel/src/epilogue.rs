@@ -59,17 +59,48 @@ pub fn dequant_acc_bias(
     }
 }
 
-/// Requantize an f32 tile to u8 with round-to-nearest and saturation.
+/// Requantize an f32 tile to u8 with round-to-nearest (ties away from
+/// zero) and saturation; NaN maps to the zero point. Every backend
+/// returns exactly [`requant_one`] of each element.
 ///
 /// # Panics
 ///
 /// Panics if lengths differ.
 pub fn requant_u8(xs: &[f32], inv_scale: f32, zero_point: i32, out: &mut [u8]) {
+    requant_u8_on(crate::arch::active(), xs, inv_scale, zero_point, out);
+}
+
+/// [`requant_u8`] on an explicit backend table.
+pub(crate) fn requant_u8_on(
+    table: &crate::arch::KernelTable,
+    xs: &[f32],
+    inv_scale: f32,
+    zero_point: i32,
+    out: &mut [u8],
+) {
     assert_eq!(xs.len(), out.len());
-    for (o, &x) in out.iter_mut().zip(xs) {
-        let q = (x * inv_scale).round() as i64 + zero_point as i64;
-        *o = q.clamp(0, 255) as u8;
+    // The vector bodies add the zero point in f32, which is the scalar
+    // expression only while the zero point is exact there (|zp| <= 2^24;
+    // a u8 zero point is 0..=255). Anything else takes the definition.
+    if zero_point as f32 as i64 != zero_point as i64 {
+        for (o, &x) in out.iter_mut().zip(xs) {
+            *o = requant_one(x, inv_scale, zero_point);
+        }
+        return;
     }
+    // SAFETY: lengths and zero-point exactness checked above; the table
+    // holds only supported backends.
+    unsafe { (table.requant_u8)(xs, inv_scale, zero_point, out) };
+}
+
+/// The requantization of one element, and its definition. The add
+/// saturates: a product beyond the i64 range (±inf included) must
+/// saturate the u8 on its own side whatever the zero point, not wrap
+/// (release) or panic (debug).
+#[inline]
+pub(crate) fn requant_one(x: f32, inv_scale: f32, zero_point: i32) -> u8 {
+    let q = ((x * inv_scale).round() as i64).saturating_add(zero_point as i64);
+    q.clamp(0, 255) as u8
 }
 
 /// Widen a u8 tile to f32 (for mixed-precision post-ops).

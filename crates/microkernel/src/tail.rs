@@ -10,17 +10,17 @@
 //!   unchanged; the output store clips the dead rows/columns back off
 //!   ([`store_clamped_2d`]).
 //! - **Tail kernels** — the brgemm itself is clamped to the valid row
-//!   count ([`brgemm_f32_m_tail`], [`brgemm_u8i8_m_tail`]), computing
-//!   no wasted FLOPs but paying a per-call dispatch cost for the
-//!   narrower register tile.
+//!   count ([`brgemm_f32_m_tail`], [`brgemm_u8i8_m_tail`]): the same
+//!   batch-reduce body called with `m = m_valid`, computing no wasted
+//!   FLOPs and bit-identical to the row prefix of the full call.
 //!
 //! All kernels here are *masked-store* shaped: they never write outside
 //! the valid window of the destination, so a caller can alias the
 //! padded region with neighbouring data (the plan executor relies on
 //! this when the output buffer has exactly the logical extent).
 
-use crate::arch;
-use crate::brgemm::{gemm_tile_f32, gemm_tile_u8i8, BrgemmShape};
+use crate::arch::Family;
+use crate::brgemm::{brgemm_f32_rows, brgemm_u8i8_rows, BrgemmShape};
 use crate::eltwise::UnaryOp;
 
 /// f32 batch-reduce GEMM over a partial-height C tile.
@@ -44,19 +44,16 @@ pub fn brgemm_f32_m_tail(
     b_offs: &[usize],
     c: &mut [f32],
 ) {
-    let BrgemmShape { m, n, k } = shape;
-    assert!(m_valid <= m, "m_valid {m_valid} exceeds tile height {m}");
-    assert_eq!(a_offs.len(), b_offs.len(), "batch sizes must match");
-    assert_eq!(c.len(), m_valid * n, "C tile must be m_valid*n");
-    if m_valid == 0 {
-        return;
-    }
-    arch::record(arch::Family::TailF32, arch::active_isa());
-    for (&ao, &bo) in a_offs.iter().zip(b_offs) {
-        let a = &a_buf[ao..ao + m * k];
-        let b = &b_buf[bo..bo + n * k];
-        gemm_tile_f32(m_valid, n, k, &a[..m_valid * k], b, c);
-    }
+    brgemm_f32_rows(
+        Family::TailF32,
+        shape,
+        m_valid,
+        a_buf,
+        a_offs,
+        b_buf,
+        b_offs,
+        c,
+    );
 }
 
 /// Int8 batch-reduce GEMM over a partial-height C tile; see
@@ -74,19 +71,16 @@ pub fn brgemm_u8i8_m_tail(
     b_offs: &[usize],
     c: &mut [i32],
 ) {
-    let BrgemmShape { m, n, k } = shape;
-    assert!(m_valid <= m, "m_valid {m_valid} exceeds tile height {m}");
-    assert_eq!(a_offs.len(), b_offs.len(), "batch sizes must match");
-    assert_eq!(c.len(), m_valid * n, "C tile must be m_valid*n");
-    if m_valid == 0 {
-        return;
-    }
-    arch::record(arch::Family::TailU8I8, arch::active_isa());
-    for (&ao, &bo) in a_offs.iter().zip(b_offs) {
-        let a = &a_buf[ao..ao + m * k];
-        let b = &b_buf[bo..bo + n * k];
-        gemm_tile_u8i8(m_valid, n, k, &a[..m_valid * k], b, c);
-    }
+    brgemm_u8i8_rows(
+        Family::TailU8I8,
+        shape,
+        m_valid,
+        a_buf,
+        a_offs,
+        b_buf,
+        b_offs,
+        c,
+    );
 }
 
 /// Pack a `rows_valid × cols_valid` window of a strided source into a

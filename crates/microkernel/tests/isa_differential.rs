@@ -4,7 +4,9 @@
 //! within 1e-5 relative error (FMA contraction and lane-width reduction
 //! order differ per backend); integer families must be bit-exact.
 
-use gc_microkernel::arch::{kernels, Isa, Kernels};
+use gc_microkernel::arch::{kernels, set_thread_isa, Isa, Kernels};
+use gc_microkernel::brgemm::{self, BrgemmShape};
+use gc_microkernel::tail;
 
 /// Every backend the running CPU can execute, scalar first.
 fn available() -> Vec<Isa> {
@@ -131,6 +133,249 @@ fn brgemm_u8i8_matrix_bit_exact() {
     }
 }
 
+// ---- the batch-reduce body -------------------------------------------
+
+/// Batch sizes and reduction extents of the batch matrix: `k` on both
+/// sides of every backend's vector step (8 / 16 lanes, 4 / 16 / 64
+/// bytes) and the prime Table-1 `k`.
+const BATCHES: &[usize] = &[1, 2, 8];
+const KS: &[usize] = &[1, 3, 13, 16, 31, 32, 33, 63, 64, 65, 479];
+/// `(m, n)` around the register blocks (`MR` 2/3/4, `NR` 4): whole
+/// blocks, one short, one over.
+const BLOCK_EDGES: &[(usize, usize)] = &[
+    (1, 1),
+    (2, 3),
+    (3, 4),
+    (4, 5),
+    (5, 7),
+    (7, 9),
+    (8, 8),
+    (9, 6),
+];
+
+/// Tile starts for a batch drawn from three slots `tile + 3` apart, in
+/// the order 2, 1, 0, 2, 1, ...: repeated, non-monotone, unaligned, and
+/// slot 2 ends exactly at `pool_len(tile)`.
+fn batch_offsets(bs: usize, tile: usize) -> Vec<usize> {
+    (0..bs).map(|i| ((i * 5 + 2) % 3) * (tile + 3)).collect()
+}
+
+fn pool_len(tile: usize) -> usize {
+    2 * (tile + 3) + tile
+}
+
+/// `data` followed by 64 poison elements. Tests hand the kernels the
+/// `data.len()` prefix only, so a tile can end exactly at the end of its
+/// slice while a remainder step that reads past it picks up poison (NaN,
+/// or ints whose products are far from zero) instead of whatever the
+/// allocator left there.
+fn poisoned<T: Copy>(data: Vec<T>, poison: T) -> Vec<T> {
+    let mut v = data;
+    v.extend([poison; 64]);
+    v
+}
+
+/// One batch-reduce problem with its operand pools (poison past the
+/// live prefix) and offset tables.
+struct BatchCase<A, B> {
+    shape: BrgemmShape,
+    a: Vec<A>,
+    b: Vec<B>,
+    a_offs: Vec<usize>,
+    b_offs: Vec<usize>,
+}
+
+impl<A, B> BatchCase<A, B> {
+    fn a(&self) -> &[A] {
+        &self.a[..self.a.len() - 64]
+    }
+    fn b(&self) -> &[B] {
+        &self.b[..self.b.len() - 64]
+    }
+}
+
+fn f32_case(m: usize, n: usize, k: usize, bs: usize) -> BatchCase<f32, f32> {
+    let shape = BrgemmShape::new(m, n, k);
+    let seed = (m * 131 + n * 17 + k * 3 + bs) as u64;
+    BatchCase {
+        shape,
+        a: poisoned(fill_f32(seed, pool_len(shape.a_len())), f32::NAN),
+        b: poisoned(fill_f32(seed + 1, pool_len(shape.b_len())), f32::NAN),
+        a_offs: batch_offsets(bs, shape.a_len()),
+        b_offs: batch_offsets(bs, shape.b_len()),
+    }
+}
+
+fn u8i8_case(m: usize, n: usize, k: usize, bs: usize) -> BatchCase<u8, i8> {
+    let shape = BrgemmShape::new(m, n, k);
+    let seed = (m * 131 + n * 17 + k * 3 + bs) as u64;
+    BatchCase {
+        shape,
+        a: poisoned(fill_u8(seed, pool_len(shape.a_len())), 255),
+        b: poisoned(fill_i8(seed + 1, pool_len(shape.b_len())), 127),
+        a_offs: batch_offsets(bs, shape.a_len()),
+        b_offs: batch_offsets(bs, shape.b_len()),
+    }
+}
+
+/// Every `(bs, k, (m, n))` of the batch matrix.
+fn batch_matrix() -> impl Iterator<Item = (usize, usize, usize, usize)> {
+    BATCHES.iter().flat_map(|&bs| {
+        KS.iter()
+            .flat_map(move |&k| BLOCK_EDGES.iter().map(move |&(m, n)| (m, n, k, bs)))
+    })
+}
+
+#[test]
+fn brgemm_f32_batch_matrix() {
+    for (m, n, k, bs) in batch_matrix() {
+        let t = f32_case(m, n, k, bs);
+        let init = fill_f32(99, m * n);
+        // Reference summed in f64, so each backend is charged only its
+        // own rounding.
+        let want: Vec<f32> = (0..m * n)
+            .map(|i| {
+                let (row, col) = (i / n * k, i % n * k);
+                let mut s = init[i] as f64;
+                for (&ao, &bo) in t.a_offs.iter().zip(&t.b_offs) {
+                    for l in 0..k {
+                        s += t.a[ao + row + l] as f64 * t.b[bo + col + l] as f64;
+                    }
+                }
+                s as f32
+            })
+            .collect();
+        // `assert_close`'s tolerance holds for reductions of up to ~500
+        // O(1) terms (the longest the single-tile matrix has). The
+        // rounding error of an f32 sum grows like the square root of its
+        // length, so the longer batch reductions scale it the same way:
+        // 2.7x at k = 479, bs = 8.
+        let scale = ((k * bs) as f32 / 512.0).sqrt().max(1.0);
+        for isa in available() {
+            let mut got = init.clone();
+            kernels(isa).brgemm_f32(t.shape, t.a(), &t.a_offs, t.b(), &t.b_offs, &mut got);
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                let tol = 1e-5f32.max(w.abs() * 1e-5) * scale;
+                assert!(
+                    (g - w).abs() <= tol,
+                    "brgemm_f32 {isa} {m}x{n}x{k} bs{bs}: element {i}: {g} vs {w} (tol {tol})"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn brgemm_u8i8_batch_matrix_bit_exact() {
+    for (m, n, k, bs) in batch_matrix() {
+        let t = u8i8_case(m, n, k, bs);
+        let mut want = vec![3i32; m * n];
+        brgemm::scalar::brgemm_u8i8(t.shape, t.a(), &t.a_offs, t.b(), &t.b_offs, &mut want);
+        for isa in available() {
+            let mut got = vec![3i32; m * n];
+            kernels(isa).brgemm_u8i8(t.shape, t.a(), &t.a_offs, t.b(), &t.b_offs, &mut got);
+            assert_eq!(got, want, "brgemm_u8i8 {isa} {m}x{n}x{k} bs{bs}");
+        }
+    }
+}
+
+#[test]
+fn brgemm_m_tail_matches_full_prefix_across_the_batch() {
+    // The public tail entries against the public full entries, on every
+    // backend via the thread override: bit-exact in both dtypes, because
+    // a C element's reduction never depends on the rows around it.
+    let (m, n) = (8, 6);
+    for isa in available() {
+        let prev = set_thread_isa(Some(isa));
+        for &bs in &[2usize, 8] {
+            for &k in &[13usize, 32, 65] {
+                let f = f32_case(m, n, k, bs);
+                let mut full = vec![0f32; m * n];
+                brgemm::brgemm_f32(f.shape, f.a(), &f.a_offs, f.b(), &f.b_offs, &mut full);
+                let q = u8i8_case(m, n, k, bs);
+                let mut full_q = vec![0i32; m * n];
+                brgemm::brgemm_u8i8(q.shape, q.a(), &q.a_offs, q.b(), &q.b_offs, &mut full_q);
+                for m_valid in [0usize, 1, 2, 3, 5, 7, 8] {
+                    let ctx = format!("{isa} k{k} bs{bs} m_valid={m_valid}");
+                    let mut t = vec![0f32; m_valid * n];
+                    tail::brgemm_f32_m_tail(
+                        f.shape,
+                        m_valid,
+                        f.a(),
+                        &f.a_offs,
+                        f.b(),
+                        &f.b_offs,
+                        &mut t,
+                    );
+                    assert_eq!(bits(&t), bits(&full[..m_valid * n]), "f32 {ctx}");
+                    let mut t = vec![0i32; m_valid * n];
+                    tail::brgemm_u8i8_m_tail(
+                        q.shape,
+                        m_valid,
+                        q.a(),
+                        &q.a_offs,
+                        q.b(),
+                        &q.b_offs,
+                        &mut t,
+                    );
+                    assert_eq!(t, full_q[..m_valid * n], "u8i8 {ctx}");
+                }
+            }
+        }
+        set_thread_isa(prev);
+    }
+}
+
+fn bits(xs: &[f32]) -> Vec<u32> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
+#[test]
+fn one_call_of_eight_rows_equals_two_calls_of_four() {
+    // Register-block dispatch must not change any element's reduction
+    // order: rows 4..8 computed as their own call (other block
+    // boundaries, other ragged edges) are bit-identical.
+    let (m, n) = (8, 7);
+    for isa in available() {
+        let kern = kernels(isa);
+        for &bs in &[1usize, 8] {
+            for &k in &[13usize, 16, 33, 479] {
+                let half = BrgemmShape::new(m / 2, n, k);
+                let lower = |offs: &[usize]| -> Vec<usize> {
+                    offs.iter().map(|o| o + half.a_len()).collect()
+                };
+                let f = f32_case(m, n, k, bs);
+                let mut whole = fill_f32(7, m * n);
+                let mut split = whole.clone();
+                kern.brgemm_f32(f.shape, f.a(), &f.a_offs, f.b(), &f.b_offs, &mut whole);
+                let (top, bottom) = split.split_at_mut(half.c_len());
+                kern.brgemm_f32(half, f.a(), &f.a_offs, f.b(), &f.b_offs, top);
+                kern.brgemm_f32(half, f.a(), &lower(&f.a_offs), f.b(), &f.b_offs, bottom);
+                assert_eq!(bits(&whole), bits(&split), "f32 {isa} k{k} bs{bs}");
+
+                let q = u8i8_case(m, n, k, bs);
+                let mut whole = vec![5i32; m * n];
+                let mut split = whole.clone();
+                kern.brgemm_u8i8(q.shape, q.a(), &q.a_offs, q.b(), &q.b_offs, &mut whole);
+                let (top, bottom) = split.split_at_mut(half.c_len());
+                kern.brgemm_u8i8(half, q.a(), &q.a_offs, q.b(), &q.b_offs, top);
+                kern.brgemm_u8i8(half, q.a(), &lower(&q.a_offs), q.b(), &q.b_offs, bottom);
+                assert_eq!(whole, split, "u8i8 {isa} k{k} bs{bs}");
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "overruns its buffer")]
+fn handle_rejects_a_tile_past_its_buffer() {
+    // The harness handle makes the same checks as the dispatched entry
+    // before it enters the unsafe body.
+    let shape = BrgemmShape::new(2, 2, 3);
+    let mut c = vec![0i32; 4];
+    kernels(Isa::Scalar).brgemm_u8i8(shape, &[1; 12], &[0, 7], &[1; 12], &[0, 6], &mut c);
+}
+
 #[test]
 fn eltwise_matrix() {
     // relu and binary add/mul are elementwise-identical ops in every
@@ -198,6 +443,83 @@ fn epilogue_dequant_matrix_bit_exact() {
             kern.dequant(&acc, m, n, &comp, 3, 0.0173, &mut g);
             base.dequant(&acc, m, n, &comp, 3, 0.0173, &mut w);
             assert_eq!(g, w, "dequant {isa} {m}x{n}");
+        }
+    }
+}
+
+#[test]
+fn epilogue_requant_sweep_bit_exact() {
+    // The vector requantization against the scalar expression, spelled
+    // out here: every tie `n + 0.5` across and beyond the u8 range with
+    // both float neighbours, the integers themselves, signed zeros, the
+    // float just below one half, saturation at both ends, infinities,
+    // NaN, and magnitudes where f32 has no fraction bits left.
+    let mut xs: Vec<f32> = Vec::new();
+    for n in -300..=600 {
+        let tie = n as f32 + 0.5;
+        for x in [
+            n as f32,
+            tie,
+            f32::from_bits(tie.to_bits() + 1),
+            f32::from_bits(tie.to_bits() - 1),
+        ] {
+            xs.extend([x, -x]);
+        }
+    }
+    let half_pred = f32::from_bits(0.5f32.to_bits() - 1);
+    for x in [
+        0.0,
+        half_pred,
+        f32::MIN_POSITIVE,
+        f32::from_bits(1),
+        8_388_607.5,
+        8_388_608.0,
+        8_388_609.0,
+        16_777_216.0,
+        2_147_483_648.0,
+        9.3e18,
+        1e30,
+        f32::MAX,
+        f32::INFINITY,
+        f32::NAN,
+    ] {
+        xs.extend([x, -x]);
+    }
+    // whole vectors of every backend first, then a remainder
+    xs.resize(xs.len().next_multiple_of(16) + 5, 254.5);
+    let zero_points = [
+        0,
+        7,
+        128,
+        255,
+        -3,
+        300,
+        1 << 24,
+        (1 << 24) + 1, // not exact in f32: served by the definition
+        i32::MIN,
+        i32::MAX,
+    ];
+    for isa in available() {
+        let kern = kernels(isa);
+        for inv_scale in [1.0f32, 4.0, 0.5, 10.0, 1.0 / 3.0] {
+            for zp in zero_points {
+                let want: Vec<u8> = xs
+                    .iter()
+                    .map(|&x| {
+                        let r = (x * inv_scale).round() as i64;
+                        r.saturating_add(zp as i64).clamp(0, 255) as u8
+                    })
+                    .collect();
+                let mut got = vec![0u8; xs.len()];
+                kern.requant_u8(&xs, inv_scale, zp, &mut got);
+                for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(
+                        g, w,
+                        "requant {isa} x={:?} inv_scale={inv_scale} zp={zp}",
+                        xs[i]
+                    );
+                }
+            }
         }
     }
 }

@@ -298,30 +298,30 @@ pub(crate) fn run_op(
         }
         Op::BinaryRowBcast { op, rows, cols } => unsafe {
             let bsl: &[f32] = sl(o[1], cols);
-            for r in 0..rows {
-                let arow: &[f32] = sl((o[0].0, o[0].1 + r * cols), cols);
-                let drow: &mut [f32] = sl((o[2].0, o[2].1 + r * cols), cols);
-                for ((d, &x), &y) in drow.iter_mut().zip(arow.iter()).zip(bsl.iter()) {
-                    *d = op.apply(x, y);
-                }
-            }
-        },
-        Op::BinaryColBcast { op, rows, cols } => unsafe {
-            let bsl: &[f32] = sl(o[1], rows);
-            for (r, &y) in bsl.iter().enumerate() {
-                let arow: &[f32] = sl((o[0].0, o[0].1 + r * cols), cols);
-                let drow: &mut [f32] = sl((o[2].0, o[2].1 + r * cols), cols);
-                if op == BinaryOp::Div {
-                    let inv = 1.0 / y;
-                    for (d, &x) in drow.iter_mut().zip(arow.iter()) {
-                        *d = x * inv;
-                    }
-                } else {
-                    for (d, &x) in drow.iter_mut().zip(arow.iter()) {
+            for_each_row(o[0], o[2], rows, cols, |_, drow, arow| match arow {
+                Some(arow) => {
+                    for ((d, &x), &y) in drow.iter_mut().zip(arow).zip(bsl) {
                         *d = op.apply(x, y);
                     }
                 }
-            }
+                None => {
+                    for (d, &y) in drow.iter_mut().zip(bsl) {
+                        *d = op.apply(*d, y);
+                    }
+                }
+            });
+        },
+        Op::BinaryColBcast { op, rows, cols } => unsafe {
+            let bsl: &[f32] = sl(o[1], rows);
+            for_each_row(o[0], o[2], rows, cols, |r, drow, arow| {
+                let y = bsl[r];
+                if op == BinaryOp::Div {
+                    let inv = 1.0 / y;
+                    map_row(drow, arow, |x| x * inv);
+                } else {
+                    map_row(drow, arow, |x| op.apply(x, y));
+                }
+            });
         },
         Op::ReduceRows {
             op,
@@ -403,6 +403,50 @@ pub(crate) fn run_op(
         Op::AddI32 { len } => {
             assert_disjoint(o[0], o[1], len);
             unsafe { eltwise::acc_add_i32(sl(o[0], len), sl(o[1], len)) };
+        }
+    }
+}
+
+/// Visit the rows of a `[rows, cols]` lhs/dst operand pair as
+/// `(r, dst_row, lhs_row)`. In place (lhs and dst the same window) the
+/// lhs row is `None` and the dst row holds the lhs values, so a shared
+/// slice never overlaps the mutable one; otherwise the two windows must
+/// be disjoint.
+///
+/// # Safety
+/// As for [`sl`], for both windows.
+unsafe fn for_each_row(
+    a: Resolved<'_>,
+    dst: Resolved<'_>,
+    rows: usize,
+    cols: usize,
+    mut f: impl FnMut(usize, &mut [f32], Option<&[f32]>),
+) {
+    let in_place = same_window(a, dst);
+    if !in_place {
+        assert_disjoint(a, dst, rows * cols);
+    }
+    for r in 0..rows {
+        let drow: &mut [f32] = sl((dst.0, dst.1 + r * cols), cols);
+        let arow = (!in_place).then(|| &*sl::<f32>((a.0, a.1 + r * cols), cols));
+        f(r, drow, arow);
+    }
+}
+
+/// `dst[c] = f(lhs[c])`, reading the lhs from `dst` itself when the
+/// operation is in place.
+#[inline]
+fn map_row(dst: &mut [f32], lhs: Option<&[f32]>, f: impl Fn(f32) -> f32) {
+    match lhs {
+        Some(lhs) => {
+            for (d, &x) in dst.iter_mut().zip(lhs) {
+                *d = f(x);
+            }
+        }
+        None => {
+            for d in dst {
+                *d = f(*d);
+            }
         }
     }
 }

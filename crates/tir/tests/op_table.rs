@@ -279,6 +279,11 @@ fn cases() -> Vec<Case> {
             col_bcast(BinaryOp::Div),
             &[0, 1, 0],
         ),
+        case(
+            "col bcast sub in place",
+            col_bcast(BinaryOp::Sub),
+            &[0, 1, 0],
+        ),
         case("reduce sum", reduce(ReduceOp::Sum, false), &[0, 1]),
         case("reduce max", reduce(ReduceOp::Max, false), &[0, 1]),
         case(

@@ -111,3 +111,23 @@ fn baseline_projection_charges_per_primitive_dispatch() {
     let per = gc_machine::cost::dispatch_cycles(&machine);
     assert!((proj.dispatch_cycles - 3.0 * per).abs() < 1e-6);
 }
+
+#[test]
+fn baseline_decode_matches_reference_when_rows_equal_cap() {
+    // The baseline lowers the decomposed softmax standalone: `x - max`
+    // and `x / sum` take lhs `[rows, 1, cap]` and keepdim stats
+    // `[rows, 1, 1]`. At `rows == cap` the stats have as many elements as
+    // a row vector `[cap]` would; the lowering must still treat them as
+    // one value per row.
+    for rows in [1usize, 16, 64] {
+        for cap in [16usize, 32, 64, 128] {
+            let build = || workloads::decode_f32(rows, cap, 64);
+            let inputs = random_inputs(&build(), 13);
+            let want = reference_eval(&build(), &inputs);
+            let exe = baseline().build(build()).expect("build");
+            let (outs, _) = exe.execute(&inputs).expect("exec");
+            let label = format!("baseline decode rows {rows} cap {cap}");
+            assert_close_flat(&outs[0], &want[0], 1e-3, &label);
+        }
+    }
+}
