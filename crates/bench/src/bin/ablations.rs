@@ -22,10 +22,17 @@
 //!   and end-to-end MLP_1 wall time (via a `GC_FORCE_ISA=scalar`
 //!   subprocess, since the process-wide dispatch table is resolved
 //!   once and never changes).
+//! - `search`   — the template-parameter search: per Table-1 workload
+//!   and dtype, the branch-and-bound's traced counts for one
+//!   `Compiler::compile`, and the compile's logged queries replayed
+//!   through the pruned search next to the exhaustive walk
+//!   (`choose_params_ranked(.., 1)`), which must select the same
+//!   parameters. Rewrites `results/search.txt`.
 //!
-//! Usage: `ablations [anchors|layout|const|buffers|kslice|ragged|simd|all] [--threads N]`
+//! Usage: `ablations [anchors|layout|const|buffers|kslice|ragged|simd|search|all] [--threads N]`
 //! (`simd --quick`: only the brgemm rows and their not-slower-than-scalar
-//! assert, the form CI runs).
+//! assert; `search --quick`: only MLP_2, asserting >= 90 % of tiles
+//! pruned, and no file written — the forms CI runs).
 
 use gc_bench::workloads::{self, mha_configs, random_inputs};
 use gc_core::{CompileOptions, Compiler};
@@ -60,10 +67,18 @@ fn main() {
     }
     if !matches!(
         what.as_str(),
-        "anchors" | "layout" | "const" | "buffers" | "kslice" | "ragged" | "simd" | "all"
+        "anchors"
+            | "layout"
+            | "const"
+            | "buffers"
+            | "kslice"
+            | "ragged"
+            | "simd"
+            | "search"
+            | "all"
     ) {
         eprintln!(
-            "usage: ablations [anchors|layout|const|buffers|kslice|ragged|simd|all] [--threads N]"
+            "usage: ablations [anchors|layout|const|buffers|kslice|ragged|simd|search|all] [--threads N]"
         );
         std::process::exit(2);
     }
@@ -286,6 +301,147 @@ fn main() {
 
     if what == "simd" || what == "all" {
         simd_ablation(args.iter().any(|a| a == "--quick"));
+    }
+
+    if what == "search" || what == "all" {
+        search_ablation(args.iter().any(|a| a == "--quick"));
+    }
+}
+
+/// Template-parameter search: what one compile's branch-and-bound did
+/// (`CompileReport::search`), and its logged queries replayed pruned
+/// vs exhaustive. `quick` runs MLP_2 only and asserts the pruning
+/// ratio; the full run also rewrites `results/search.txt`.
+fn search_ablation(quick: bool) {
+    use gc_lowering::{choose_params, choose_params_ranked, ParamLog};
+    use std::fmt::Write as _;
+    use std::hint::black_box;
+    use std::sync::{Arc, Mutex};
+
+    let mut cases: Vec<(String, gc_graph::Graph)> = Vec::new();
+    for (wl, layers) in [
+        ("MLP_1", workloads::mlp1_layers()),
+        ("MLP_2", workloads::mlp2_layers()),
+    ] {
+        if quick && wl != "MLP_2" {
+            continue;
+        }
+        cases.push((
+            format!("{wl} b128 f32"),
+            workloads::mlp_f32(128, &layers, 1),
+        ));
+        cases.push((
+            format!("{wl} b128 int8"),
+            workloads::mlp_int8(128, &layers, 1),
+        ));
+    }
+    if !quick {
+        for cfg in mha_configs() {
+            cases.push((
+                format!("{} b32 f32", cfg.name),
+                workloads::mha_f32(32, &cfg).0,
+            ));
+            cases.push((
+                format!("{} b32 int8", cfg.name),
+                workloads::mha_int8(32, &cfg).0,
+            ));
+        }
+    }
+
+    let mut out = String::new();
+    writeln!(
+        out,
+        "== ablation: template-parameter search (xeon_8358 model, 1 thread) ==\n\
+         one Compiler::compile: lowerings, then the search counts summed over them\n\
+         (group_profitable's and plan_tunable's queries); replay: the compile's logged\n\
+         (plan_tunable) queries again, exhaustive walk vs branch-and-bound, same picks\n\
+         {:<16} {:>4} {:>7} {:>7} {:>14} {:>7} | {:>6} {:>10} {:>9} {:>8} | {:>10}",
+        "workload",
+        "low.",
+        "queries",
+        "tiles",
+        "pruned",
+        "scored",
+        "logged",
+        "exh. cand",
+        "exh. ms",
+        "b&b ms",
+        "compile ms"
+    )
+    .unwrap();
+    for (name, g) in cases {
+        let log: ParamLog = Arc::new(Mutex::new(Vec::new()));
+        let mut o = opts(Some(1));
+        o.param_log = Some(log.clone());
+        let machine = o.machine.clone();
+        let compiled = Compiler::new(o).compile(g.clone()).expect("compile");
+        let report = compiled.report().clone();
+        let logged = log.lock().unwrap().clone();
+        let compile_ms = 1e3
+            * best_secs(3, || {
+                black_box(
+                    Compiler::new(opts(Some(1)))
+                        .compile(g.clone())
+                        .expect("compile"),
+                );
+            });
+
+        let mut exhaustive = 0usize;
+        for c in &logged {
+            let all = choose_params_ranked(&machine, &c.problem, &c.constraints, usize::MAX);
+            assert_eq!(
+                all[0], c.params,
+                "{name}: branch-and-bound and exhaustive walk disagree at {:?} {:?}",
+                c.problem, c.constraints
+            );
+            exhaustive += all.len();
+        }
+        let exhaustive_ms = 1e3
+            * best_secs(3, || {
+                for c in &logged {
+                    black_box(choose_params_ranked(
+                        &machine,
+                        &c.problem,
+                        &c.constraints,
+                        1,
+                    ));
+                }
+            });
+        let pruned_ms = 1e3
+            * best_secs(3, || {
+                for c in &logged {
+                    black_box(choose_params(&machine, &c.problem, &c.constraints));
+                }
+            });
+        let s = report.search;
+        let pruned_share = 100.0 * s.tiles_pruned as f64 / s.tiles.max(1) as f64;
+        writeln!(
+            out,
+            "{name:<16} {:>4} {:>7} {:>7} {:>6} ({:>4.1}%) {:>7} | {:>6} {:>10} {:>9.2} {:>8.3} | {:>10.2}",
+            report.lowerings,
+            s.queries,
+            s.tiles,
+            s.tiles_pruned,
+            pruned_share,
+            s.scored,
+            logged.len(),
+            exhaustive,
+            exhaustive_ms,
+            pruned_ms,
+            compile_ms
+        )
+        .unwrap();
+        if quick {
+            assert!(
+                s.tiles_pruned * 10 >= s.tiles * 9,
+                "{name}: only {pruned_share:.1}% of tiles pruned ({s:?})"
+            );
+        }
+    }
+    print!("{out}");
+    if !quick {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/search.txt");
+        std::fs::write(path, &out).expect("write results/search.txt");
     }
 }
 

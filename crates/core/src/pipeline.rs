@@ -11,7 +11,8 @@ use gc_graph::passes::decompose::Decompose;
 use gc_graph::passes::low_precision::LowPrecision;
 use gc_graph::passes::PassManager;
 use gc_graph::{CoarseGroups, Graph, Partitioning};
-use gc_lowering::{lower_partitions, LowerOptions, Lowered};
+use gc_lowering::{lower_partitions, LowerOptions, Lowered, SearchStats};
+use std::cell::Cell;
 
 /// What the Graph IR stage decided (surfaced for tests, benches and the
 /// ablation harness).
@@ -40,6 +41,13 @@ pub struct CompileReport {
     /// True iff lowering warm-started from a tuning-database record
     /// (pinned schedule decisions, no projection gates).
     pub tuned: bool,
+    /// How many times the graph was lowered (1–4): the merged-vs-split
+    /// and ragged-vs-exact projection gates each lower it again to
+    /// compare, and a tuned warm start skips both.
+    pub lowerings: usize,
+    /// Template-parameter search work summed over every lowering,
+    /// including the ones the gates discarded.
+    pub search: SearchStats,
 }
 
 /// Run the Graph IR pass pipeline in the paper's order: decompose →
@@ -130,6 +138,17 @@ pub fn lower(
             .collect(),
     };
 
+    let lowerings = Cell::new(0usize);
+    let search = Cell::new(SearchStats::default());
+    let lower_with = |groups: &CoarseGroups, lower_opts: &LowerOptions| {
+        let lowered = lower_partitions(graph, parts, groups, lower_opts)?;
+        lowerings.set(lowerings.get() + 1);
+        let mut total = search.get();
+        total += lowered.search;
+        search.set(total);
+        Ok::<Lowered, CoreError>(lowered)
+    };
+
     // One coarse-gated lowering under a given ragged setting: lower,
     // then validate coarse-grain fusion against the performance
     // projector — if merging the loops projects slower than leaving
@@ -155,13 +174,13 @@ pub fn lower(
             param_log: opts.param_log.clone(),
         };
         match pin_merge {
-            Some(true) => return Ok(lower_partitions(graph, parts, groups, &lower_opts)?),
-            Some(false) => return Ok(lower_partitions(graph, parts, &singletons(), &lower_opts)?),
+            Some(true) => return lower_with(groups, &lower_opts),
+            Some(false) => return lower_with(&singletons(), &lower_opts),
             None => {}
         }
-        let mut lowered = lower_partitions(graph, parts, groups, &lower_opts)?;
+        let mut lowered = lower_with(groups, &lower_opts)?;
         if opts.coarse_fusion && lowered.merged_groups > 0 {
-            let split = lower_partitions(graph, parts, &singletons(), &lower_opts)?;
+            let split = lower_with(&singletons(), &lower_opts)?;
             let merged_proj = gc_tir::sim::project(&lowered.module, &opts.machine, 1);
             let split_proj = gc_tir::sim::project(&split.module, &opts.machine, 1);
             if std::env::var("GC_DEBUG_COARSE").is_ok() {
@@ -215,6 +234,8 @@ pub fn lower(
         ragged_partitions: lowered.ragged_partitions,
         ragged_kept,
         tuned: tuned.is_some(),
+        lowerings: lowerings.get(),
+        search: search.get(),
     };
     Ok((lowered, report))
 }

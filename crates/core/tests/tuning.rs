@@ -141,6 +141,82 @@ fn untuned_compile_is_unaffected_by_unrelated_records() {
     assert_eq!(log_db, plain_choices);
 }
 
+/// `ParamOverrides` is consulted *before* the analytic search: a
+/// compile whose every choice point has a tuned entry runs no search
+/// at all (coarse fusion off, so `group_profitable` — which prices
+/// grouped against free decompositions and is not a choice point —
+/// asks nothing either), and logs the choices an untuned compile makes.
+#[test]
+fn fully_overridden_compile_runs_no_search() {
+    use gc_core::{TuneKey, TunedRecord};
+    let g = mlp1(16);
+    let mut base = opts();
+    base.coarse_fusion = false;
+
+    let cold_log: ParamLog = Arc::new(Mutex::new(Vec::new()));
+    let mut cold_opts = base.clone();
+    cold_opts.param_log = Some(cold_log.clone());
+    let cold = Compiler::new(cold_opts).compile(g.clone()).unwrap();
+    let cold_report = cold.report().clone();
+    let choices = cold_log.lock().unwrap().clone();
+    assert!(cold_report.search.queries >= choices.len() && !choices.is_empty());
+    assert!(cold_report.search.scored > 0);
+
+    let key = {
+        let mut og = g.clone();
+        gc_core::pipeline::optimize_graph(&mut og, &base).unwrap();
+        TuneKey::for_graph(&og, &base).unwrap()
+    };
+    let record = |choices: Vec<gc_lowering::ParamChoice>| TunedRecord {
+        choices,
+        merge_coarse: Some(false),
+        ragged: Some(cold_report.ragged_kept),
+        projected_cycles: 0.0,
+        wall_ns: 0,
+    };
+    let warm_compile = |rec: TunedRecord| {
+        let db = Arc::new(TuningDb::in_memory());
+        db.insert(key, rec);
+        let log: ParamLog = Arc::new(Mutex::new(Vec::new()));
+        let mut o = base.clone();
+        o.tuning = Some(db);
+        o.param_log = Some(log.clone());
+        let report = Compiler::new(o)
+            .compile(g.clone())
+            .unwrap()
+            .report()
+            .clone();
+        let logged = log.lock().unwrap().clone();
+        (report, logged)
+    };
+
+    let (warm, warm_log) = warm_compile(record(choices.clone()));
+    assert!(warm.tuned);
+    assert_eq!(warm.lowerings, 1);
+    assert_eq!(
+        warm.search,
+        Default::default(),
+        "override hits still searched"
+    );
+    assert!(!warm_log.is_empty());
+    for c in &warm_log {
+        assert!(choices.contains(c), "warm start chose {c:?}");
+    }
+
+    // A stale entry (its params no longer tile the problem) falls back
+    // to the analytic choice at that point — and only there.
+    let mut stale = choices.clone();
+    stale[0].params.mpn = stale[0].problem.m + 1;
+    assert!(stale[0].params.validate(&stale[0].problem).is_err());
+    let (fell_back, stale_log) = warm_compile(record(stale));
+    assert_eq!(stale_log, warm_log);
+    let hits_at_stale_point = warm_log
+        .iter()
+        .filter(|c| (c.problem, c.constraints) == (choices[0].problem, choices[0].constraints))
+        .count();
+    assert_eq!(fell_back.search.queries, hits_at_stale_point);
+}
+
 #[test]
 fn tuning_beats_or_matches_analytic_on_mlp1() {
     // The acceptance workload: measured tuning on MLP_1 must find a

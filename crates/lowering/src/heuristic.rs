@@ -7,6 +7,12 @@
 //! heuristic picks a pair of these sizes [...] based on a cost model
 //! which considers multi-core load balancing and single-core kernel
 //! efficiency."
+//!
+//! The search is an exact branch-and-bound ([`choose_params`]) over a
+//! two-level enumeration — microkernel tiles, then the parallel
+//! decompositions of each — that [`choose_params_ranked`] walks
+//! unpruned; DESIGN.md "Parameter search" has the bound and why it is
+//! admissible.
 
 use crate::params::{divisors, EdgePolicy, MatmulParams, MatmulProblem};
 use gc_machine::{cost, MachineDescriptor};
@@ -145,27 +151,89 @@ fn fold_best(best: &mut Option<(f64, MatmulParams)>, c: f64, p: MatmulParams) {
     }
 }
 
+/// Deterministic counts of the work one or more parameter searches did
+/// (no timing). A *tile* is one `(mb, nb, kb, bs)` microkernel shape;
+/// each tile fans out into `(mpn, npn, kpn, edge)` decompositions, and
+/// only those are *scored* with the full cost model.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SearchStats {
+    /// Branch-and-bound searches run.
+    pub queries: usize,
+    /// Tiles enumerated.
+    pub tiles: usize,
+    /// Tiles skipped because their lower bound exceeded the incumbent.
+    pub tiles_pruned: usize,
+    /// Candidates scored with the full cost model.
+    pub scored: usize,
+}
+
+impl std::ops::AddAssign for SearchStats {
+    fn add_assign(&mut self, o: SearchStats) {
+        self.queries += o.queries;
+        self.tiles += o.tiles;
+        self.tiles_pruned += o.tiles_pruned;
+        self.scored += o.scored;
+    }
+}
+
 /// Pick template parameters for `problem` on `machine`.
 ///
 /// The returned parameters always validate against the problem.
 /// Selection is a deterministic total order: candidates are compared by
 /// [`estimate_cycles`] under `f64::total_cmp`, with cost ties broken on
 /// the canonical `(mb, nb, kb, bs, mpn, npn)` parameter tuple — the
-/// result never depends on enumeration order.
+/// result never depends on enumeration order, and is exactly the head
+/// of [`choose_params_ranked`].
 pub fn choose_params(
     machine: &MachineDescriptor,
     problem: &MatmulProblem,
     constraints: &Constraints,
 ) -> MatmulParams {
+    search(machine, problem, constraints).0
+}
+
+/// Relative slack on the prune test. The bound and the cost it bounds
+/// are the same real-valued terms rounded along different paths (about
+/// five operations each), so the computed bound can exceed the computed
+/// cost of a candidate it truly bounds by a few ulps; a tile is pruned
+/// only when its bound clears the incumbent by more than that.
+const BOUND_SLACK: f64 = 1.0 - 16.0 * f64::EPSILON;
+
+/// Exact branch-and-bound over the candidate space of
+/// [`for_each_tile`]: a tile whose [`TileCost::lower_bound`] is
+/// *strictly* greater than the incumbent's cost cannot hold the argmin
+/// nor tie with it, so skipping it leaves the `(cost, canonical key)`
+/// minimum — what the exhaustive walk of [`choose_params_ranked`]
+/// returns — unchanged.
+pub(crate) fn search(
+    machine: &MachineDescriptor,
+    problem: &MatmulProblem,
+    constraints: &Constraints,
+) -> (MatmulParams, SearchStats) {
     let mut best: Option<(f64, MatmulParams)> = None;
-    for_each_candidate(machine, problem, constraints, &mut |p| {
-        fold_best(&mut best, estimate_cycles(machine, problem, &p), p);
+    let mut stats = SearchStats {
+        queries: 1,
+        ..SearchStats::default()
+    };
+    for_each_tile(machine, problem, constraints, &mut |tile| {
+        stats.tiles += 1;
+        let cost = TileCost::new(machine, problem, tile.mb, tile.nb, tile.kb, tile.bs);
+        if let Some((incumbent, _)) = best {
+            if cost.lower_bound(machine, problem) * BOUND_SLACK > incumbent {
+                stats.tiles_pruned += 1;
+                return;
+            }
+        }
+        tile.for_each_decomposition(machine, problem, constraints, &mut |p| {
+            stats.scored += 1;
+            fold_best(&mut best, cost.cycles(machine, problem, &p), p);
+        });
     });
     let p = best
         .expect("at least the all-ones decomposition is valid")
         .1;
     debug_assert!(p.validate(problem).is_ok());
-    p
+    (p, stats)
 }
 
 /// The ranked top-`k` candidates for `problem`, cheapest first.
@@ -173,9 +241,11 @@ pub fn choose_params(
 /// This is the cost-model *pruning* half of measured autotuning: the
 /// analytic model shortlists `k` plausible instantiations, and the
 /// tuning orchestrator re-scores the shortlist on the cache simulator
-/// and wall clock. `choose_params` is exactly the head of this list.
-/// The ordering is the same deterministic total order `choose_params`
-/// uses, so rank 0 is stable across runs.
+/// and wall clock. It walks every candidate unpruned, which also makes
+/// it the differential oracle for the branch-and-bound:
+/// `choose_params` is exactly the head of this list. The ordering is
+/// the same deterministic total order `choose_params` uses, so rank 0
+/// is stable across runs.
 pub fn choose_params_ranked(
     machine: &MachineDescriptor,
     problem: &MatmulProblem,
@@ -187,27 +257,99 @@ pub fn choose_params_ranked(
         scored.push((estimate_cycles(machine, problem, &p), p));
     });
     scored.sort_by(scored_cmp);
-    // duplicate instantiations can be enumerated twice (e.g. a fixed
-    // tile size re-pushed into the candidate list); rank uniquely
     scored.dedup_by(|a, b| a.1 == b.1);
     scored.truncate(k);
     scored.into_iter().map(|(_, p)| p).collect()
 }
 
 /// Enumerate every valid instantiation for `problem` under
-/// `constraints`, calling `f` on each. The single source of truth for
-/// the candidate space shared by [`choose_params`] (argmin) and
-/// [`choose_params_ranked`] (top-k shortlist).
+/// `constraints`, calling `f` on each: the unpruned walk of the
+/// two-level enumerator [`search`] branches and bounds over.
 fn for_each_candidate(
     machine: &MachineDescriptor,
     problem: &MatmulProblem,
     constraints: &Constraints,
     f: &mut impl FnMut(MatmulParams),
 ) {
-    let mut m_tile_candidates = tile_candidates(
+    for_each_tile(machine, problem, constraints, &mut |tile| {
+        tile.for_each_decomposition(machine, problem, constraints, f);
+    });
+}
+
+/// One block-size candidate along an axis, with everything the inner
+/// loops need about it computed once per query.
+struct AxisBlock {
+    block: usize,
+    /// Whole-or-padded tiles along the axis.
+    tiles: usize,
+    ragged: bool,
+    /// Divisors of `tiles`, ascending: the parallel-decomposition (and,
+    /// along k, batch-size) candidates.
+    divs: Vec<usize>,
+}
+
+/// The blocks to try along one axis. A `fixed` block replaces the
+/// menu: it is the only candidate, and only if the menu holds it or it
+/// divides `dim`.
+fn axis_blocks(dim: usize, prefer: &[usize], ragged: bool, fixed: Option<usize>) -> Vec<AxisBlock> {
+    let mut blocks = tile_candidates(dim, prefer, ragged);
+    if let Some(f) = fixed {
+        let feasible = blocks.contains(&f) || dim.is_multiple_of(f);
+        blocks.clear();
+        if feasible {
+            blocks.push(f);
+        }
+    }
+    blocks
+        .into_iter()
+        .map(|block| {
+            let tiles = dim.div_ceil(block);
+            AxisBlock {
+                block,
+                tiles,
+                ragged: !dim.is_multiple_of(block),
+                divs: divisors(tiles),
+            }
+        })
+        .collect()
+}
+
+/// The tile level of the enumeration: one microkernel shape
+/// `(mb, nb, kb, bs)` plus the decomposition ranges it admits.
+struct Tile<'a> {
+    mb: usize,
+    nb: usize,
+    kb: usize,
+    bs: usize,
+    /// `MPN` candidates (divisors of the m-tile count).
+    mpns: &'a [usize],
+    /// `NPN` candidates (divisors of the n-tile count; just `1` under
+    /// `full_n_per_task`).
+    npns: &'a [usize],
+    /// Divisors of the k-tile count; `KPN` ranges over those that also
+    /// divide `k_chunks`.
+    k_divs: &'a [usize],
+    k_chunks: usize,
+    ragged_m: bool,
+    /// The k-sliced template has no edge-tile support, so slicing needs
+    /// `allow_k_slice` and exact tiling on all three axes.
+    sliceable: bool,
+}
+
+/// Enumerate the `(mb, nb, kb, bs)` tiles for `problem`, with the
+/// constraints applied by construction: `fixed_mb` / `fixed_kb` pin an
+/// axis to one block and `full_n_per_task` pins `NPN` to 1.
+fn for_each_tile(
+    machine: &MachineDescriptor,
+    problem: &MatmulProblem,
+    constraints: &Constraints,
+    f: &mut impl FnMut(&Tile<'_>),
+) {
+    let ms = axis_blocks(
         problem.m,
         &[64, 48, 32, 16, 8, 4, 2, 1],
         constraints.allow_ragged_m,
+        constraints.fixed_mb,
     );
     // nb candidates are lane-aligned for the target machine: whole
     // multiples of the SIMD width first (4/3/2/1 registers of columns),
@@ -222,102 +364,104 @@ fn for_each_candidate(
             n_prefer.push(b);
         }
     }
-    let n_tile_candidates = tile_candidates(problem.n, &n_prefer, constraints.allow_ragged_n);
-    let mut k_tile_candidates = tile_candidates(
+    let ns = axis_blocks(problem.n, &n_prefer, constraints.allow_ragged_n, None);
+    let ks = axis_blocks(
         problem.k,
         &[256, 128, 64, 32, 16, 8, 4, 2, 1],
         constraints.allow_ragged_k,
+        constraints.fixed_kb,
     );
-    if let Some(f) = constraints.fixed_kb {
-        if problem.k.is_multiple_of(f) && !k_tile_candidates.contains(&f) {
-            k_tile_candidates.push(f);
-        }
-    }
-    if let Some(f) = constraints.fixed_mb {
-        if problem.m.is_multiple_of(f) && !m_tile_candidates.contains(&f) {
-            m_tile_candidates.push(f);
-        }
-    }
 
-    for &mb in &m_tile_candidates {
-        if let Some(f) = constraints.fixed_mb {
-            if mb != f {
-                continue;
+    for m in &ms {
+        for n in &ns {
+            let npns = if constraints.full_n_per_task {
+                &n.divs[..n.divs.len().min(1)]
+            } else {
+                &n.divs[..]
+            };
+            for k in &ks {
+                for &bs in k.divs.iter().take_while(|&&bs| bs <= 8) {
+                    f(&Tile {
+                        mb: m.block,
+                        nb: n.block,
+                        kb: k.block,
+                        bs,
+                        mpns: &m.divs,
+                        npns,
+                        k_divs: &k.divs,
+                        k_chunks: k.tiles / bs,
+                        ragged_m: m.ragged,
+                        sliceable: constraints.allow_k_slice && !(m.ragged || n.ragged || k.ragged),
+                    });
+                }
             }
         }
-        let m_tiles = problem.m.div_ceil(mb);
-        let ragged_m = !problem.m.is_multiple_of(mb);
-        for &nb in &n_tile_candidates {
-            let n_tiles = problem.n.div_ceil(nb);
-            let ragged_n = !problem.n.is_multiple_of(nb);
-            for &kb in &k_tile_candidates {
-                if let Some(f) = constraints.fixed_kb {
-                    if kb != f {
+    }
+}
+
+impl Tile<'_> {
+    /// The decomposition level: every `(mpn, npn, kpn, edge)` this
+    /// tile admits. `fixed_tasks` solves for `NPN` instead of walking
+    /// the `MPN x NPN` grid for matches.
+    fn for_each_decomposition(
+        &self,
+        machine: &MachineDescriptor,
+        problem: &MatmulProblem,
+        constraints: &Constraints,
+        f: &mut impl FnMut(MatmulParams),
+    ) {
+        // A ragged m is a real policy choice: price pad-and-go against
+        // tail kernels and keep the cheaper. K/N raggedness is always
+        // pad-and-go (pack-time cost only), so no policy fork there.
+        let edges: &[EdgePolicy] = if self.ragged_m {
+            &[EdgePolicy::Pad, EdgePolicy::Tail]
+        } else {
+            &[EdgePolicy::Pad]
+        };
+        for &mpn in self.mpns {
+            let solved;
+            let npns = match constraints.fixed_tasks {
+                Some(ft) => {
+                    let per_npn = problem.batch * mpn;
+                    if !ft.is_multiple_of(per_npn) || !self.npns.contains(&(ft / per_npn)) {
                         continue;
                     }
+                    solved = [ft / per_npn];
+                    &solved[..]
                 }
-                let k_tiles = problem.k.div_ceil(kb);
-                let ragged_k = !problem.k.is_multiple_of(kb);
-                for bs in divisors(k_tiles) {
-                    if bs > 8 {
+                None => self.npns,
+            };
+            for &npn in npns {
+                let tasks = problem.batch * mpn * npn;
+                if constraints.fixed_tasks.is_none()
+                    && tasks > 4 * machine.cores
+                    && tasks > problem.batch
+                {
+                    // npn ascends, so every later one oversubscribes too
+                    break;
+                }
+                // k-slicing only pays when the plain decomposition
+                // underfills the pool, and only up to a modest fan-out.
+                let max_kpn = if self.sliceable && tasks < machine.cores {
+                    (4 * machine.cores / tasks).min(16)
+                } else {
+                    1
+                };
+                for &kpn in self.k_divs.iter().take_while(|&&kpn| kpn <= max_kpn) {
+                    if !self.k_chunks.is_multiple_of(kpn) {
                         continue;
                     }
-                    for mpn in divisors(m_tiles) {
-                        for npn in divisors(n_tiles) {
-                            if constraints.full_n_per_task && npn != 1 {
-                                continue;
-                            }
-                            let tasks = problem.batch * mpn * npn;
-                            if let Some(ft) = constraints.fixed_tasks {
-                                if problem.batch * mpn * npn != ft {
-                                    continue;
-                                }
-                            } else if tasks > 4 * machine.cores && tasks > problem.batch {
-                                continue;
-                            }
-                            let k_chunks = k_tiles / bs;
-                            for kpn in divisors(k_chunks) {
-                                if kpn > 1 {
-                                    // k-slicing only pays when the plain
-                                    // decomposition underfills the pool,
-                                    // and only up to a modest fan-out.
-                                    // The sliced template also has no
-                                    // edge-tile support.
-                                    if !constraints.allow_k_slice
-                                        || ragged_m
-                                        || ragged_n
-                                        || ragged_k
-                                        || tasks >= machine.cores
-                                        || tasks * kpn > 4 * machine.cores
-                                        || kpn > 16
-                                    {
-                                        continue;
-                                    }
-                                }
-                                // A ragged m is a real policy choice:
-                                // price pad-and-go against tail kernels
-                                // and keep the cheaper. K/N raggedness
-                                // is always pad-and-go (pack-time cost
-                                // only), so no policy fork there.
-                                let edges: &[EdgePolicy] = if ragged_m {
-                                    &[EdgePolicy::Pad, EdgePolicy::Tail]
-                                } else {
-                                    &[EdgePolicy::Pad]
-                                };
-                                for &edge in edges {
-                                    f(MatmulParams {
-                                        mpn,
-                                        npn,
-                                        mb,
-                                        nb,
-                                        kb,
-                                        bs,
-                                        kpn,
-                                        edge,
-                                    });
-                                }
-                            }
-                        }
+                    for &edge in edges {
+                        f(MatmulParams {
+                            mpn,
+                            npn,
+                            mb: self.mb,
+                            nb: self.nb,
+                            kb: self.kb,
+                            bs: self.bs,
+                            kpn,
+                            edge,
+                        });
                     }
                 }
             }
@@ -366,89 +510,168 @@ pub fn estimate_cycles(
     problem: &MatmulProblem,
     p: &MatmulParams,
 ) -> f64 {
-    // k-slicing widens the accumulation phase to `tasks * kpn` workers,
-    // each sweeping a 1/kpn-deep slab of the reduction.
-    let tasks = problem.batch * p.tasks() * p.kpn;
-    let m_pad = p.m_tiles(problem.m) * p.mb;
-    let n_pad = p.n_tiles(problem.n) * p.nb;
-    let k_pad = p.ksn(problem.k) * p.kb;
-    let use_tail = p.edge == EdgePolicy::Tail && p.ragged_m(problem.m);
-    // Rows of C the microkernels actually sweep, and the blended
-    // efficiency: under the tail policy the edge tile row runs a
-    // partial-height register tile, so its rows move slower — weight
-    // the efficiencies by row counts (time adds harmonically).
-    let (rows, eff) = {
-        let eff_full =
-            cost::microkernel_efficiency(machine, p.mb, p.nb, p.kb, p.bs, problem.elem_bytes);
-        if use_tail {
-            let rem = problem.m % p.mb;
-            let eff_edge =
-                cost::microkernel_efficiency(machine, rem, p.nb, p.kb, p.bs, problem.elem_bytes);
+    TileCost::new(machine, problem, p.mb, p.nb, p.kb, p.bs).cycles(machine, problem, p)
+}
+
+/// Fixed cycles of one microkernel call (loop bookkeeping, argument
+/// setup), before any tail-dispatch surcharge.
+const CALL_CYCLES: f64 = 40.0;
+
+/// The terms of [`estimate_cycles`] that depend only on the tile
+/// `(mb, nb, kb, bs)`, computed once and shared by every decomposition
+/// of it — and by the tile's [lower bound](TileCost::lower_bound).
+struct TileCost {
+    mb: usize,
+    nb: usize,
+    m_tiles: usize,
+    n_tiles: usize,
+    k_chunks: usize,
+    /// Padded reduction extent (packed buffers hold whole tiles).
+    k_pad: usize,
+    /// Total flops and microkernel efficiency under pad-and-go, which
+    /// sweeps the padded rows at the full tile's efficiency.
+    pad: (f64, f64),
+    /// The same under the tail policy (`Some` iff m is ragged): only
+    /// the logical rows are swept, but the edge tile row runs a
+    /// partial-height register tile, so its rows move slower — the
+    /// efficiencies blend by row counts (time adds harmonically).
+    tail: Option<(f64, f64)>,
+}
+
+impl TileCost {
+    fn new(
+        machine: &MachineDescriptor,
+        problem: &MatmulProblem,
+        mb: usize,
+        nb: usize,
+        kb: usize,
+        bs: usize,
+    ) -> Self {
+        let m_tiles = problem.m.div_ceil(mb);
+        let n_tiles = problem.n.div_ceil(nb);
+        let k_tiles = problem.k.div_ceil(kb);
+        let (n_pad, k_pad) = (n_tiles * nb, k_tiles * kb);
+        let flops = |rows: usize| 2.0 * (problem.batch * rows * n_pad * k_pad) as f64;
+        let eff = |rows: usize| {
+            cost::microkernel_efficiency(machine, rows, nb, kb, bs, problem.elem_bytes)
+        };
+        let eff_full = eff(mb);
+        let rem = problem.m % mb;
+        let tail = (rem > 0).then(|| {
             let full_rows = (problem.m - rem) as f64;
-            let blended = problem.m as f64 / (full_rows / eff_full + rem as f64 / eff_edge);
-            (problem.m, blended)
-        } else {
-            (m_pad, eff_full)
+            let blended = problem.m as f64 / (full_rows / eff_full + rem as f64 / eff(rem));
+            (flops(problem.m), blended)
+        });
+        TileCost {
+            mb,
+            nb,
+            m_tiles,
+            n_tiles,
+            k_chunks: k_tiles / bs,
+            k_pad,
+            pad: (flops(m_tiles * mb), eff_full),
+            tail,
         }
-    };
-    // Tasks beyond the core count just queue: the wall-clock is the
-    // per-task cost times the number of waves.
-    let waves = tasks.div_ceil(machine.cores) as f64;
-    let flops = 2.0 * (problem.batch * rows * n_pad * k_pad) as f64;
-    let flops_per_task = flops / tasks as f64;
-    let compute = waves * cost::compute_cycles(machine, flops_per_task, problem.elem_bytes, eff);
-    // memory traffic per task. The single-core kernel walks: for each of
-    // its MSN m-tiles, the whole task B slice (re-read each sweep, from
-    // whichever cache level holds it) and the m-tile's A panels. Packed
-    // buffers hold the padded extents, so traffic is padded too.
-    let msn = p.msn(problem.m).max(1);
-    let nsn = p.nsn(problem.n).max(1);
-    let k_slice = k_pad / p.kpn;
-    let a_bytes = (msn * p.mb * k_slice * problem.elem_bytes) as f64;
-    let b_slice = (nsn * p.nb * k_slice * problem.elem_bytes) as f64;
-    let c_bytes = (msn * p.mb * nsn * p.nb * 4) as f64;
-    // bandwidth tier by residency: a slice that stays in L2 / the LLC
-    // slice moves at cache bandwidth, not DRAM bandwidth
-    let tier = |bytes: f64| -> f64 {
-        if bytes as usize <= machine.l2_bytes() {
-            cost::l2_stream_cycles(machine, bytes)
-        } else if bytes as usize <= machine.llc_bytes() / machine.cores.max(1) {
-            cost::llc_stream_cycles(machine, bytes)
-        } else {
-            cost::stream_cycles(machine, bytes)
-        }
-    };
-    // Splitting the reduction into several k-chunks accumulates into C
-    // with beta=1: every chunk past the first re-reads and re-writes
-    // the task's C tile. With the whole accumulator state in flight the
-    // traffic rarely stays L1-resident, so this is what makes a deep
-    // single chunk (even one slightly over L1) beat many shallow ones.
-    let chunks = p.k_chunks_slice(problem.k).max(1) as f64;
-    let mem = waves
-        * (tier(a_bytes)
-            + msn as f64 * tier(b_slice)
-            + tier(c_bytes)
-            + (chunks - 1.0) * 2.0 * tier(c_bytes));
-    // per-microkernel-call fixed overhead; clamped (tail) calls pay the
-    // extra clamp/dispatch cost on every call — the template has no
-    // branches, so interior tiles also route through the tail entry.
-    let calls = waves * (msn * nsn * p.k_chunks_slice(problem.k).max(1)) as f64;
-    let per_call = if use_tail {
-        40.0 + cost::tail_call_cycles(machine)
-    } else {
-        40.0
-    };
-    let mut cycles = compute.max(mem) + calls * per_call + cost::barrier_cycles(machine);
-    if p.kpn > 1 {
-        // second parallel phase: each (m, n) task folds its kpn partial
-        // accumulators and runs the epilogue — dominated by re-reading
-        // the kpn partial slabs, plus one more barrier.
-        let red_tasks = problem.batch * p.tasks();
-        let red_waves = red_tasks.div_ceil(machine.cores) as f64;
-        let red_bytes = (p.kpn * msn * p.mb * nsn * p.nb * 4) as f64;
-        cycles += red_waves * tier(red_bytes) + cost::barrier_cycles(machine);
     }
-    cycles
+
+    /// Projected cycles of the decomposition `(mpn, npn, kpn, edge)` of
+    /// this tile.
+    fn cycles(
+        &self,
+        machine: &MachineDescriptor,
+        problem: &MatmulProblem,
+        p: &MatmulParams,
+    ) -> f64 {
+        // k-slicing widens the accumulation phase to `tasks * kpn`
+        // workers, each sweeping a 1/kpn-deep slab of the reduction.
+        let tasks = problem.batch * p.tasks() * p.kpn;
+        let ((flops, eff), use_tail) = match (p.edge, self.tail) {
+            (EdgePolicy::Tail, Some(tail)) => (tail, true),
+            _ => (self.pad, false),
+        };
+        // Tasks beyond the core count just queue: the wall-clock is the
+        // per-task cost times the number of waves.
+        let waves = tasks.div_ceil(machine.cores) as f64;
+        let flops_per_task = flops / tasks as f64;
+        let compute =
+            waves * cost::compute_cycles(machine, flops_per_task, problem.elem_bytes, eff);
+        // memory traffic per task. The single-core kernel walks: for each of
+        // its MSN m-tiles, the whole task B slice (re-read each sweep, from
+        // whichever cache level holds it) and the m-tile's A panels. Packed
+        // buffers hold the padded extents, so traffic is padded too.
+        let msn = (self.m_tiles / p.mpn).max(1);
+        let nsn = (self.n_tiles / p.npn).max(1);
+        let k_slice = self.k_pad / p.kpn;
+        let a_bytes = (msn * self.mb * k_slice * problem.elem_bytes) as f64;
+        let b_slice = (nsn * self.nb * k_slice * problem.elem_bytes) as f64;
+        let c_bytes = (msn * self.mb * nsn * self.nb * 4) as f64;
+        // bandwidth tier by residency: a slice that stays in L2 / the LLC
+        // slice moves at cache bandwidth, not DRAM bandwidth
+        let tier = |bytes: f64| -> f64 {
+            if bytes as usize <= machine.l2_bytes() {
+                cost::l2_stream_cycles(machine, bytes)
+            } else if bytes as usize <= machine.llc_bytes() / machine.cores.max(1) {
+                cost::llc_stream_cycles(machine, bytes)
+            } else {
+                cost::stream_cycles(machine, bytes)
+            }
+        };
+        // Splitting the reduction into several k-chunks accumulates into C
+        // with beta=1: every chunk past the first re-reads and re-writes
+        // the task's C tile. With the whole accumulator state in flight the
+        // traffic rarely stays L1-resident, so this is what makes a deep
+        // single chunk (even one slightly over L1) beat many shallow ones.
+        let chunks_slice = (self.k_chunks / p.kpn).max(1);
+        let chunks = chunks_slice as f64;
+        let mem = waves
+            * (tier(a_bytes)
+                + msn as f64 * tier(b_slice)
+                + tier(c_bytes)
+                + (chunks - 1.0) * 2.0 * tier(c_bytes));
+        // per-microkernel-call fixed overhead; clamped (tail) calls pay the
+        // extra clamp/dispatch cost on every call — the template has no
+        // branches, so interior tiles also route through the tail entry.
+        let calls = waves * (msn * nsn * chunks_slice) as f64;
+        let per_call = if use_tail {
+            CALL_CYCLES + cost::tail_call_cycles(machine)
+        } else {
+            CALL_CYCLES
+        };
+        let mut cycles = compute.max(mem) + calls * per_call + cost::barrier_cycles(machine);
+        if p.kpn > 1 {
+            // second parallel phase: each (m, n) task folds its kpn partial
+            // accumulators and runs the epilogue — dominated by re-reading
+            // the kpn partial slabs, plus one more barrier.
+            let red_tasks = problem.batch * p.tasks();
+            let red_waves = red_tasks.div_ceil(machine.cores) as f64;
+            let red_bytes = (p.kpn * msn * self.mb * nsn * self.nb * 4) as f64;
+            cycles += red_waves * tier(red_bytes) + cost::barrier_cycles(machine);
+        }
+        cycles
+    }
+
+    /// A lower bound on [`TileCost::cycles`] over every decomposition
+    /// the enumerator emits for this tile: the compute and call-overhead
+    /// terms at perfect balance. Admissible because `waves / tasks >=
+    /// 1 / cores` (so `compute >= compute_cycles(flops / cores)` and
+    /// `calls >= batch * m_tiles * n_tiles * k_chunks / cores`, the
+    /// decomposition factors dividing their tile counts), a ragged m
+    /// takes the cheaper of its two policies, and everything dropped —
+    /// memory over compute, the tail surcharge, the k-slice reduction
+    /// phase — is non-negative. Any edit to `cycles` must keep this
+    /// true; `bound_is_admissible_on_sweep` checks it.
+    fn lower_bound(&self, machine: &MachineDescriptor, problem: &MatmulProblem) -> f64 {
+        let cores = machine.cores as f64;
+        let compute = |(flops, eff): (f64, f64)| {
+            cost::compute_cycles(machine, flops / cores, problem.elem_bytes, eff)
+        };
+        let compute = match self.tail {
+            Some(tail) => compute(self.pad).min(compute(tail)),
+            None => compute(self.pad),
+        };
+        let calls = (problem.batch * self.m_tiles * self.n_tiles * self.k_chunks) as f64;
+        compute + CALL_CYCLES * calls / cores + cost::barrier_cycles(machine)
+    }
 }
 
 /// Parameter selection emulating a primitives *library*: a fixed menu
@@ -911,7 +1134,7 @@ mod tests {
     /// The ranked list is deterministic, deduplicated, cheapest-first,
     /// and headed by exactly the `choose_params` winner.
     #[test]
-    fn ranked_head_matches_choose_params() {
+    fn ranked_list_is_sorted_and_deterministic() {
         let machine = xeon();
         for &(m, n, k) in &[(512usize, 256usize, 512usize), (16, 256, 512)] {
             let problem = MatmulProblem::new(m, n, k, 4);
@@ -935,6 +1158,275 @@ mod tests {
             for p in &top {
                 p.validate(&problem).unwrap();
             }
+        }
+    }
+
+    /// The exactness sweep: machine presets x Table-1 layer shapes,
+    /// primes and non-divisors x dtype x every free flag combination,
+    /// plus the pinned shapes lowering issues (a coarse group's
+    /// `fixed_mb + fixed_tasks`, a blocked-A chain's `fixed_mb +
+    /// fixed_kb`, and both). A debug build (tier-1) keeps one large
+    /// problem per dtype on the Xeon and walks the small ones in full;
+    /// CI runs the whole sweep in release.
+    fn sweep() -> Vec<(MachineDescriptor, MatmulProblem, Constraints)> {
+        let full = !cfg!(debug_assertions);
+        let machines = [
+            xeon(),
+            MachineDescriptor::aarch64_small(),
+            MachineDescriptor::small_generic(),
+        ];
+        let flags = |bits: u32| Constraints {
+            full_n_per_task: bits & 1 != 0,
+            allow_k_slice: bits & 2 != 0,
+            allow_ragged_m: bits & 4 != 0,
+            allow_ragged_n: bits & 8 != 0,
+            allow_ragged_k: bits & 16 != 0,
+            ..Constraints::default()
+        };
+        let mut cases = Vec::new();
+        for (mi, machine) in machines.iter().enumerate() {
+            for eb in [1usize, 4] {
+                // (problem, large): MLP_2 at batch 128, MLP_1's first
+                // layer at batch 1, the MHA batch matmuls, then shapes
+                // no preferred block divides
+                let problems = [
+                    (MatmulProblem::new(128, 1024, 479, eb), true),
+                    (MatmulProblem::new(128, 1024, 1024, eb), true),
+                    (MatmulProblem::new(128, 512, 1024, eb), true),
+                    (MatmulProblem::new(128, 256, 512, eb), true),
+                    (MatmulProblem::new(128, 1, 256, eb), false),
+                    (MatmulProblem::new(1, 512, 13, eb), false),
+                    (MatmulProblem::batched(32, 128, 128, 96, eb), true),
+                    (MatmulProblem::batched(32, 128, 96, 128, eb), true),
+                    (MatmulProblem::new(100, 300, 479, eb), true),
+                    (MatmulProblem::new(17, 1000, 77, eb), false),
+                    (MatmulProblem::batched(4, 64, 64, 64, eb), false),
+                ];
+                for (problem, large) in problems {
+                    let the_large_one = mi == 0 && (problem.n, problem.k) == (1024, 1024);
+                    if !full && large && !the_large_one {
+                        continue;
+                    }
+                    let free: Vec<u32> = if full || !large {
+                        (0..32).collect()
+                    } else {
+                        vec![2, 30]
+                    };
+                    cases.extend(
+                        free.into_iter()
+                            .map(|b| (machine.clone(), problem, flags(b))),
+                    );
+                    for mb in [4usize, 32] {
+                        if !problem.m.is_multiple_of(mb) {
+                            continue;
+                        }
+                        let rows = machine.cores.div_ceil(problem.batch);
+                        let grouped = Constraints {
+                            full_n_per_task: true,
+                            fixed_mb: Some(mb),
+                            fixed_tasks: Some(
+                                problem.batch
+                                    * crate::largest_divisor_at_most(problem.m / mb, rows),
+                            ),
+                            allow_k_slice: true,
+                            ..Constraints::default()
+                        };
+                        cases.push((machine.clone(), problem, grouped));
+                        for kb in [16usize, 64] {
+                            if !problem.k.is_multiple_of(kb) {
+                                continue;
+                            }
+                            let chained = Constraints {
+                                fixed_mb: Some(mb),
+                                fixed_kb: Some(kb),
+                                allow_k_slice: true,
+                                ..Constraints::default()
+                            };
+                            cases.push((machine.clone(), problem, chained));
+                            cases.push((
+                                machine.clone(),
+                                problem,
+                                Constraints {
+                                    fixed_kb: Some(kb),
+                                    ..grouped
+                                },
+                            ));
+                        }
+                    }
+                }
+            }
+        }
+        cases
+    }
+
+    /// Branch-and-bound is exact: on the whole sweep `choose_params`
+    /// returns the head of the unpruned ranked walk.
+    #[test]
+    fn ranked_head_matches_choose_params() {
+        let mut pruned = 0usize;
+        for (machine, problem, constraints) in sweep() {
+            let oracle = choose_params_ranked(&machine, &problem, &constraints, 1);
+            let Some(&head) = oracle.first() else {
+                continue; // pinned blocks that admit no decomposition
+            };
+            let (got, stats) = search(&machine, &problem, &constraints);
+            assert_eq!(got, head, "{problem:?} {constraints:?}");
+            assert!(stats.tiles_pruned <= stats.tiles && stats.queries == 1);
+            pruned += stats.tiles_pruned;
+        }
+        assert!(pruned > 0, "the sweep never exercised the bound");
+    }
+
+    /// What makes the pruning exact: a tile's bound never exceeds the
+    /// cost of any decomposition of it (up to the prune test's slack).
+    /// A cost-model edit that adds a term the bound forgets still
+    /// passes this; one that *removes* or shrinks a term the bound
+    /// counts fails here rather than silently changing plans.
+    #[test]
+    fn bound_is_admissible_on_sweep() {
+        for (machine, problem, constraints) in sweep() {
+            for_each_tile(&machine, &problem, &constraints, &mut |tile| {
+                let cost = TileCost::new(&machine, &problem, tile.mb, tile.nb, tile.kb, tile.bs);
+                let bound = cost.lower_bound(&machine, &problem) * BOUND_SLACK;
+                tile.for_each_decomposition(&machine, &problem, &constraints, &mut |p| {
+                    let c = estimate_cycles(&machine, &problem, &p);
+                    assert!(
+                        bound <= c,
+                        "bound {bound} > cost {c} for {p:?} on {problem:?}"
+                    );
+                });
+            });
+        }
+    }
+
+    /// The cost model as one expression, before it was split into
+    /// tile-level and decomposition-level terms: the reference the
+    /// split [`estimate_cycles`] must reproduce bit for bit.
+    fn estimate_cycles_monolithic(
+        machine: &MachineDescriptor,
+        problem: &MatmulProblem,
+        p: &MatmulParams,
+    ) -> f64 {
+        let tasks = problem.batch * p.tasks() * p.kpn;
+        let m_pad = p.m_tiles(problem.m) * p.mb;
+        let n_pad = p.n_tiles(problem.n) * p.nb;
+        let k_pad = p.ksn(problem.k) * p.kb;
+        let use_tail = p.edge == EdgePolicy::Tail && p.ragged_m(problem.m);
+        let (rows, eff) = {
+            let eff_full =
+                cost::microkernel_efficiency(machine, p.mb, p.nb, p.kb, p.bs, problem.elem_bytes);
+            if use_tail {
+                let rem = problem.m % p.mb;
+                let eff_edge = cost::microkernel_efficiency(
+                    machine,
+                    rem,
+                    p.nb,
+                    p.kb,
+                    p.bs,
+                    problem.elem_bytes,
+                );
+                let full_rows = (problem.m - rem) as f64;
+                let blended = problem.m as f64 / (full_rows / eff_full + rem as f64 / eff_edge);
+                (problem.m, blended)
+            } else {
+                (m_pad, eff_full)
+            }
+        };
+        let waves = tasks.div_ceil(machine.cores) as f64;
+        let flops = 2.0 * (problem.batch * rows * n_pad * k_pad) as f64;
+        let flops_per_task = flops / tasks as f64;
+        let compute =
+            waves * cost::compute_cycles(machine, flops_per_task, problem.elem_bytes, eff);
+        let msn = p.msn(problem.m).max(1);
+        let nsn = p.nsn(problem.n).max(1);
+        let k_slice = k_pad / p.kpn;
+        let a_bytes = (msn * p.mb * k_slice * problem.elem_bytes) as f64;
+        let b_slice = (nsn * p.nb * k_slice * problem.elem_bytes) as f64;
+        let c_bytes = (msn * p.mb * nsn * p.nb * 4) as f64;
+        let tier = |bytes: f64| -> f64 {
+            if bytes as usize <= machine.l2_bytes() {
+                cost::l2_stream_cycles(machine, bytes)
+            } else if bytes as usize <= machine.llc_bytes() / machine.cores.max(1) {
+                cost::llc_stream_cycles(machine, bytes)
+            } else {
+                cost::stream_cycles(machine, bytes)
+            }
+        };
+        let chunks = p.k_chunks_slice(problem.k).max(1) as f64;
+        let mem = waves
+            * (tier(a_bytes)
+                + msn as f64 * tier(b_slice)
+                + tier(c_bytes)
+                + (chunks - 1.0) * 2.0 * tier(c_bytes));
+        let calls = waves * (msn * nsn * p.k_chunks_slice(problem.k).max(1)) as f64;
+        let per_call = if use_tail {
+            40.0 + cost::tail_call_cycles(machine)
+        } else {
+            40.0
+        };
+        let mut cycles = compute.max(mem) + calls * per_call + cost::barrier_cycles(machine);
+        if p.kpn > 1 {
+            let red_tasks = problem.batch * p.tasks();
+            let red_waves = red_tasks.div_ceil(machine.cores) as f64;
+            let red_bytes = (p.kpn * msn * p.mb * nsn * p.nb * 4) as f64;
+            cycles += red_waves * tier(red_bytes) + cost::barrier_cycles(machine);
+        }
+        cycles
+    }
+
+    #[test]
+    fn split_estimator_matches_monolithic_bit_for_bit() {
+        for (machine, problem, constraints) in sweep() {
+            for_each_candidate(&machine, &problem, &constraints, &mut |p| {
+                // also with the edge policy flipped: on an exact m the
+                // policy is irrelevant and must price as pad-and-go
+                for edge in [EdgePolicy::Pad, EdgePolicy::Tail] {
+                    let p = MatmulParams { edge, ..p };
+                    assert_eq!(
+                        estimate_cycles(&machine, &problem, &p).to_bits(),
+                        estimate_cycles_monolithic(&machine, &problem, &p).to_bits(),
+                        "{p:?} on {problem:?}"
+                    );
+                }
+            });
+        }
+    }
+
+    /// Constraints select the loop ranges instead of filtering a full
+    /// walk: a pinned query enumerates only matching candidates, and a
+    /// pinned block the menu lacks is taken iff it divides the axis.
+    #[test]
+    fn constraints_apply_by_construction() {
+        let machine = xeon();
+        let problem = MatmulProblem::new(128, 1024, 1024, 4);
+        let grouped = Constraints {
+            full_n_per_task: true,
+            fixed_mb: Some(4),
+            fixed_kb: Some(128),
+            fixed_tasks: Some(32),
+            allow_k_slice: true,
+            ..Constraints::default()
+        };
+        let mut n = 0;
+        for_each_candidate(&machine, &problem, &grouped, &mut |p| {
+            assert_eq!((p.mb, p.kb, p.npn, p.mpn), (4, 128, 1, 32), "{p:?}");
+            p.validate(&problem).unwrap();
+            n += 1;
+        });
+        assert!(n > 0);
+        // 24 is on no menu but divides 1008; 20 does not
+        let odd = MatmulProblem::new(1008, 64, 64, 4);
+        for (mb, feasible) in [(24usize, true), (20, false)] {
+            let c = Constraints {
+                fixed_mb: Some(mb),
+                ..Constraints::default()
+            };
+            let mut seen = false;
+            for_each_candidate(&machine, &odd, &c, &mut |p| {
+                assert_eq!(p.mb, mb);
+                seen = true;
+            });
+            assert_eq!(seen, feasible, "fixed_mb {mb}");
         }
     }
 

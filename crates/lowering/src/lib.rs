@@ -29,6 +29,7 @@ pub mod template;
 
 pub use heuristic::{
     choose_params, choose_params_ranked, Constraints, ParamChoice, ParamLog, ParamOverrides,
+    SearchStats,
 };
 pub use lower_graph::{lower_partitions, LowerError, LowerOptions, Lowered};
 pub use params::{EdgePolicy, MatmulParams, MatmulProblem};

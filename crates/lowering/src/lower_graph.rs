@@ -15,7 +15,7 @@
 //!   adjacent parallel loops the Tensor IR merge pass then fuses;
 //! - everything else lowers through the standalone op lowering.
 
-use crate::heuristic::{choose_params, Constraints};
+use crate::heuristic::{search, Constraints, SearchStats};
 use crate::params::MatmulProblem;
 use crate::standalone::{binary_op, lower_reorder, lower_standalone, unary_op};
 use crate::template::{
@@ -151,6 +151,10 @@ pub struct Lowered {
     /// pipeline's projection gate know a divisor-only re-lowering could
     /// produce a different plan worth comparing.
     pub ragged_partitions: usize,
+    /// Work the template-parameter searches of this lowering did
+    /// (`group_profitable`'s and `plan_tunable`'s; tuned overrides and
+    /// the library menu run none).
+    pub search: SearchStats,
 }
 
 struct Builder<'g> {
@@ -163,6 +167,7 @@ struct Builder<'g> {
     prepacked: HashMap<(LtId, usize, usize), usize>,
     /// memoized compensation vectors: (weight ltid, kb, nb) -> persistent
     comps: HashMap<(LtId, usize, usize), usize>,
+    search: SearchStats,
 }
 
 /// Per-part lowering decisions.
@@ -209,6 +214,7 @@ pub fn lower_partitions(
         weight_seeds: Vec::new(),
         prepacked: HashMap::new(),
         comps: HashMap::new(),
+        search: SearchStats::default(),
     };
 
     // -- graph-level init ops (constant-weight preprocessing the user's
@@ -225,7 +231,14 @@ pub fn lower_partitions(
         for group in &groups.groups {
             if group.len() > 1
                 && !opts.force_coarse_merge
-                && !group_profitable(&opts.machine, graph, parts, group, opts.k_slice)
+                && !group_profitable(
+                    &opts.machine,
+                    graph,
+                    parts,
+                    group,
+                    opts.k_slice,
+                    &mut b.search,
+                )
             {
                 out.extend(group.iter().map(|&pi| vec![pi]));
             } else {
@@ -382,6 +395,7 @@ pub fn lower_partitions(
         weight_seeds: b.weight_seeds,
         merged_groups,
         ragged_partitions,
+        search: b.search,
     })
 }
 
@@ -789,18 +803,23 @@ impl Builder<'_> {
         // blocked output pins MB/KB to the producer's MB/NB, which can
         // force a poor tiling. Compare against free parameters plus the
         // fused pack's streaming cost and keep the cheaper option.
-        let pick = |c: &Constraints| {
-            let analytic = if self.opts.library_params {
-                crate::heuristic::choose_params_library(machine, &problem, c)
-            } else {
-                choose_params(machine, &problem, c)
-            };
+        let mut searched = SearchStats::default();
+        let mut pick = |c: &Constraints| {
             // Measured-tuning override: exact (problem, constraints)
             // match only, and only if the tuned params still tile this
-            // problem — a stale database entry falls back silently.
-            let chosen = match self.opts.overrides.get(&problem, c) {
-                Some(p) if p.validate(&problem).is_ok() => p,
-                _ => analytic,
+            // problem — a stale database entry falls back to the
+            // analytic choice silently. A hit skips the search.
+            let tuned = self.opts.overrides.get(&problem, c);
+            let chosen = match tuned.filter(|p| p.validate(&problem).is_ok()) {
+                Some(p) => p,
+                None if self.opts.library_params => {
+                    crate::heuristic::choose_params_library(machine, &problem, c)
+                }
+                None => {
+                    let (p, stats) = search(machine, &problem, c);
+                    searched += stats;
+                    p
+                }
             };
             if let Some(log) = &self.opts.param_log {
                 log.lock().unwrap().push(crate::heuristic::ParamChoice {
@@ -846,6 +865,7 @@ impl Builder<'_> {
             }
             _ => (AInput::Plain, p_plain),
         };
+        self.search += searched;
 
         let spec = MatmulSpec {
             problem,
@@ -1098,7 +1118,9 @@ fn group_profitable(
     parts: &Partitioning,
     group: &[usize],
     k_slice: bool,
+    stats: &mut SearchStats,
 ) -> bool {
+    let debug = std::env::var("GC_DEBUG_GROUPS").is_ok();
     let mut probs = Vec::new();
     for &pi in group {
         match part_problem(graph, &parts.parts[pi]) {
@@ -1124,11 +1146,13 @@ fn group_profitable(
             allow_k_slice,
             ..Constraints::default()
         };
-        let pg = choose_params(machine, prob, &gc);
-        let pf = choose_params(machine, prob, &fc);
+        let (pg, sg) = search(machine, prob, &gc);
+        let (pf, sf) = search(machine, prob, &fc);
+        *stats += sg;
+        *stats += sf;
         let cg = crate::heuristic::estimate_cycles(machine, prob, &pg);
         let cf = crate::heuristic::estimate_cycles(machine, prob, &pf);
-        if std::env::var("GC_DEBUG_GROUPS").is_ok() {
+        if debug {
             eprintln!("  member {prob:?}: grouped {pg:?} = {cg:.0} | free {pf:?} = {cf:.0}");
         }
         merged += cg;
@@ -1149,7 +1173,7 @@ fn group_profitable(
     // k-slicing the free estimate can exploit reduction-splitting that a
     // shared row-only decomposition cannot, so degenerate groups (e.g.
     // MB = 1 row-slicing of tiny batches) now lose on cost and split.
-    if std::env::var("GC_DEBUG_GROUPS").is_ok() {
+    if debug {
         eprintln!(
             "[coarse] group of {}: merged {:.0} vs free {:.0} (+barrier {:.0} +locality {:.0})",
             group.len(),

@@ -227,9 +227,20 @@ impl MatmulParams {
 
 /// All divisors of `n`, ascending.
 pub fn divisors(n: usize) -> Vec<usize> {
-    let mut d: Vec<usize> = (1..=n).filter(|x| n.is_multiple_of(*x)).collect();
-    d.dedup();
-    d
+    let mut small = Vec::new();
+    let mut large = Vec::new();
+    let mut d = 1;
+    while d * d <= n {
+        if n.is_multiple_of(d) {
+            small.push(d);
+            if d != n / d {
+                large.push(n / d);
+            }
+        }
+        d += 1;
+    }
+    small.extend(large.into_iter().rev());
+    small
 }
 
 #[cfg(test)]
@@ -306,6 +317,11 @@ mod tests {
     fn divisors_of_12() {
         assert_eq!(divisors(12), vec![1, 2, 3, 4, 6, 12]);
         assert_eq!(divisors(1), vec![1]);
+        assert_eq!(divisors(0), Vec::<usize>::new());
+        for n in 1..200usize {
+            let naive: Vec<usize> = (1..=n).filter(|d| n.is_multiple_of(*d)).collect();
+            assert_eq!(divisors(n), naive);
+        }
     }
 
     #[test]

@@ -25,6 +25,7 @@ pub fn load_balance(machine: &MachineDescriptor, tasks: usize) -> f64 {
 /// distills from kernel development:
 ///
 /// - `nb` should be a multiple of the SIMD width (register blocking);
+///   off the lane grid costs a flat 0.6, whatever the remainder;
 /// - `mb` has a sweet spot — enough rows to hide FMA latency, few
 ///   enough to keep the accumulator tile in registers;
 /// - the working set `(mb + nb) * kb * bs + mb * nb` must fit in L1;
@@ -42,7 +43,7 @@ pub fn microkernel_efficiency(
 
     // Register blocking along n.
     if !nb.is_multiple_of(lanes) {
-        eff *= 0.6 + 0.4 * (nb % lanes) as f64 / lanes as f64 * 0.0;
+        eff *= 0.6;
     }
     let n_regs = nb.div_ceil(lanes);
 

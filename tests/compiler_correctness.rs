@@ -336,3 +336,57 @@ fn matmul_with_bias_and_gelu_chain() {
     let (outs, _) = compiled.execute(&inputs).expect("exec");
     assert_close(&outs[0], &want[0], 1e-3, "bias+gelu");
 }
+
+/// The template-parameter search is an exact branch-and-bound: MLP_2
+/// at batch 128 scores a few percent of what the exhaustive walk
+/// enumerates, and still logs the exhaustive walk's argmin
+/// (`choose_params_ranked(.., 1)`) at every choice point.
+#[test]
+fn mlp2_search_prunes_yet_matches_exhaustive_walk() {
+    use gc_lowering::{choose_params_ranked, MatmulParams, ParamLog};
+    use std::collections::HashMap;
+    use std::sync::{Arc, Mutex};
+    for int8 in [false, true] {
+        let layers = workloads::mlp2_layers();
+        let g = if int8 {
+            mlp_int8(128, &layers, 3)
+        } else {
+            mlp_f32(128, &layers, 3)
+        };
+        let log: ParamLog = Arc::new(Mutex::new(Vec::new()));
+        let mut o = opts();
+        o.param_log = Some(log.clone());
+        let machine = o.machine.clone();
+        let compiled = compile_with(o, g);
+        let report = compiled.report();
+        let logged = log.lock().unwrap().clone();
+        assert!((1..=4).contains(&report.lowerings));
+        assert!(report.search.queries >= logged.len() && !logged.is_empty());
+
+        // walk each distinct point once; the log repeats them per lowering
+        let mut walked: HashMap<_, (MatmulParams, usize)> = HashMap::new();
+        let mut exhaustive = 0usize;
+        for c in &logged {
+            let (want, n) = *walked.entry((c.problem, c.constraints)).or_insert_with(|| {
+                let all = choose_params_ranked(&machine, &c.problem, &c.constraints, usize::MAX);
+                (all[0], all.len())
+            });
+            assert_eq!(
+                c.params, want,
+                "int8={int8}: {:?} {:?}",
+                c.problem, c.constraints
+            );
+            exhaustive += n;
+        }
+        // `scored` also covers group_profitable's queries, which are
+        // not choice points and so not in the log: the real share is
+        // smaller still.
+        assert!(
+            report.search.scored * 20 < exhaustive,
+            "int8={int8}: scored {} of {exhaustive} logged candidates ({:?})",
+            report.search.scored,
+            report.search
+        );
+        assert!(report.search.tiles_pruned * 10 >= report.search.tiles * 9);
+    }
+}
