@@ -61,7 +61,7 @@ pub fn dequant_acc_bias(
 
 /// Requantize an f32 tile to u8 with round-to-nearest (ties away from
 /// zero) and saturation; NaN maps to the zero point. Every backend
-/// returns exactly [`requant_one`] of each element.
+/// returns exactly `requant_one` of each element.
 ///
 /// # Panics
 ///

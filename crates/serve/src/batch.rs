@@ -1,12 +1,13 @@
 //! Gather / pad / scatter helpers for dynamic batching.
 //!
-//! Coalescing concatenates each input across requests along dim 0 and
-//! zero-pads to the bucket's row count; scattering slices each
-//! request's rows back out of the batched output. Both are plain
-//! element copies — soundness (padded rows never influence real rows,
-//! and every output row belongs to exactly one request) is enforced at
-//! load time by [`crate::rebatch::check_row_independence`], which
-//! rejects templates whose ops are not row-independent along dim 0.
+//! Coalescing lays each input of the batched items end to end along dim
+//! 0 and zero-pads to the bucket's row count; scattering copies each
+//! item's rows back out of the batched output. Both are plain element
+//! copies (`copy_elems` is the one both batch functions use) —
+//! soundness (padded rows never influence real rows, and every output
+//! row belongs to exactly one request) is enforced at load time by
+//! [`crate::rebatch::check_row_independence`], which rejects templates
+//! whose ops are not row-independent along dim 0.
 
 use crate::ServeError;
 use gc_tensor::{Storage, Tensor, TensorDesc};
@@ -97,9 +98,16 @@ pub fn slice_elems(
     Tensor::from_parts(desc, sliced).map_err(|e| ServeError::Exec(e.to_string()))
 }
 
-/// Copy `n` elements between same-dtype storages (flat offsets). The
-/// decode scheduler uses this to gather session caches straight into a
-/// batch buffer without an intermediate per-session copy.
+/// Copy `n` elements between same-dtype storages (flat offsets). Both
+/// batch functions gather and scatter with this — request rows into a
+/// part's padded inputs, session caches into an iteration's batch
+/// buffer — straight from source to destination, no intermediate
+/// tensor.
+///
+/// # Errors
+///
+/// [`ServeError::Exec`] on a dtype mismatch or a range outside either
+/// storage (an error, not a panic: this runs on the batcher thread).
 pub(crate) fn copy_elems(
     src: &Storage,
     src_off: usize,
@@ -111,10 +119,17 @@ pub(crate) fn copy_elems(
         ($($var:ident),*) => {
             match (src, dst) {
                 $( (Storage::$var(s), Storage::$var(d)) => {
-                    d[dst_off..dst_off + n].copy_from_slice(&s[src_off..src_off + n]);
-                    Ok(())
+                    match (s.get(src_off..src_off + n), d.get_mut(dst_off..dst_off + n)) {
+                        (Some(s), Some(d)) => {
+                            d.copy_from_slice(s);
+                            Ok(())
+                        }
+                        _ => Err(ServeError::Exec(format!(
+                            "batch copy of {n} elements at {src_off} -> {dst_off} is out of range"
+                        ))),
+                    }
                 } )*
-                _ => Err(ServeError::InvalidRequest("dtype mismatch in batch copy".into())),
+                _ => Err(ServeError::Exec("dtype mismatch in batch copy".into())),
             }
         };
     }

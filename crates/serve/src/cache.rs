@@ -21,10 +21,13 @@
 //! plans, or [`PlanCache::with_capacity`]) so long-lived processes
 //! that churn through model variants cannot grow it without bound.
 
+use crate::hash::Fnv1a;
 use crate::ServeError;
+use gc_core::{CompileOptions, Compiler};
+use gc_graph::Graph;
 use gc_runtime::ThreadPool;
 use gc_tensor::TensorDesc;
-use gc_tir::{Executable, InitCache};
+use gc_tir::{Engine, Executable, InitCache};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -67,6 +70,78 @@ impl PlanKey {
     pub fn fold_digest(&self) -> u64 {
         crate::hash::combine(&[self.graph, self.units, self.opts, self.threads])
     }
+}
+
+/// The [`PlanKey::opts`] digest of `opts` for plans whose kernels
+/// dispatch on backend `isa` — the process-wide one, or a shard's
+/// per-thread override: sharded models key each shard's plans under the
+/// ISA its threads *actually* run.
+pub(crate) fn options_fingerprint(opts: &CompileOptions, isa: &str) -> u64 {
+    // Exhaustive destructuring: adding a knob to CompileOptions fails
+    // to compile here, forcing a decision on whether (and how) the new
+    // knob enters the fingerprint. Hashing the options' Debug string
+    // instead silently misses knobs whose Debug form is not
+    // value-bearing — a shared tuning database prints as a
+    // pointer-shaped struct, so two databases with different tuned
+    // entries would alias and two equal ones would not share — and
+    // drags in `param_log`'s contents.
+    let CompileOptions {
+        machine,
+        fusion,
+        coarse_fusion,
+        low_precision,
+        constant_weights,
+        propagate_layouts,
+        shrink_tensors,
+        reuse_buffers,
+        reuse_locals,
+        forced_post_anchor,
+        forced_pack,
+        library_params,
+        k_slice,
+        threads: _, // part of the plan key already; `None` resolves to
+        // a host-dependent width, so it must not enter this fingerprint
+        interpret,
+        validate,
+        checked,
+        ragged,
+        tuning,
+        param_log: _, // observability hook; never affects the plan
+    } = opts;
+    let mut h = Fnv1a::new();
+    h.write_str(&format!("{machine:?}"));
+    h.write_str(&format!("{fusion:?}"));
+    for flag in [
+        coarse_fusion,
+        low_precision,
+        constant_weights,
+        propagate_layouts,
+        shrink_tensors,
+        reuse_buffers,
+        reuse_locals,
+        library_params,
+        k_slice,
+        interpret,
+        validate,
+        checked,
+        ragged,
+    ] {
+        h.write(&[u8::from(*flag)]);
+    }
+    h.write_str(&format!("{forced_post_anchor:?}"));
+    h.write_str(&format!("{forced_pack:?}"));
+    // content fingerprint, not identity: two Arcs to equal databases
+    // share plans, two databases with different records never do
+    match tuning {
+        Some(db) => h.write_u64(db.fingerprint()),
+        None => h.write_str("untuned"),
+    }
+    // The microkernel backend the plan dispatches on: plans cached
+    // under one ISA (e.g. a GC_FORCE_ISA=scalar run sharing a plan
+    // store) must never alias plans for another.
+    h.write_str(" isa=");
+    h.write_str(isa);
+    h.finish()
 }
 
 /// One cached compilation product.
@@ -295,14 +370,74 @@ pub fn shared_pool(threads: usize) -> Arc<ThreadPool> {
     }))
 }
 
+/// One model's way to its plans: the caches it compiles through and the
+/// pool its unsharded plans run on.
+pub(crate) struct Plans {
+    cache: Arc<PlanCache>,
+    init_cache: Arc<InitCache>,
+    pub(crate) pool: Arc<ThreadPool>,
+}
+
+impl Plans {
+    /// Resolve a config's overrides (`None` = the process-wide cache,
+    /// `threads` `None` = host parallelism).
+    pub(crate) fn new(
+        threads: Option<usize>,
+        plan_cache: Option<&Arc<PlanCache>>,
+        init_cache: Option<&Arc<InitCache>>,
+    ) -> Plans {
+        Plans {
+            cache: plan_cache.map_or_else(self::plan_cache, Arc::clone),
+            init_cache: init_cache.map_or_else(self::init_cache, Arc::clone),
+            pool: shared_pool(threads.unwrap_or(0)),
+        }
+    }
+
+    /// The plan under `key`, compiling `graph()` with `opts` on a miss.
+    /// With `shard`, the plan is compiled for and runs on that engine:
+    /// its pool, options retargeted at its width (plan decisions —
+    /// parallel decomposition, buffer sizing — must match the pool that
+    /// runs them, not the model's total budget), executions charged to
+    /// its counters. Folded constants go through the init cache under
+    /// [`PlanKey::fold_digest`] either way.
+    pub(crate) fn plan(
+        &self,
+        key: PlanKey,
+        opts: &CompileOptions,
+        shard: Option<&Engine>,
+        graph: impl FnOnce() -> Result<Graph, ServeError>,
+    ) -> Result<Arc<CachedPlan>, ServeError> {
+        self.cache.get_or_compile(key, || {
+            let (opts, pool) = match shard {
+                Some(engine) => (opts.for_pool_width(engine.threads()), engine.pool()),
+                None => (opts.clone(), &self.pool),
+            };
+            let arts = Compiler::new(opts).compile_artifacts(graph()?, Arc::clone(pool))?;
+            let mut exe = arts
+                .exe
+                .with_init_cache(Arc::clone(&self.init_cache), key.fold_digest());
+            if let Some(engine) = shard {
+                exe = exe.with_counters(Arc::clone(engine.counters()));
+            }
+            Ok(CachedPlan {
+                exe: Arc::new(exe),
+                input_descs: arts.input_descs,
+                output_descs: arts.output_descs,
+            })
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::tests::{config_with_private_caches, mlp_graph};
+    use crate::Model;
+    use gc_tensor::{DataType, Tensor};
 
     fn dummy_plan() -> CachedPlan {
         use gc_core::{CompileOptions, Compiler};
-        use gc_graph::{Graph, OpKind};
-        use gc_tensor::{DataType, Tensor};
+        use gc_graph::OpKind;
         let mut g = Graph::new();
         let x = g.add_input(TensorDesc::new([2, 4], DataType::F32), "x");
         let w = g.add_constant(Tensor::random(&[4, 2], DataType::F32, 3), "w");
@@ -587,5 +722,232 @@ mod tests {
         assert_ne!(k.fold_digest(), PlanKey { units: 3, ..k }.fold_digest());
         assert_ne!(k.fold_digest(), PlanKey { opts: 4, ..k }.fold_digest());
         assert_ne!(k.fold_digest(), PlanKey { threads: 5, ..k }.fold_digest());
+    }
+
+    /// [`options_fingerprint`] under the process's kernel backend.
+    fn fingerprint(opts: &CompileOptions) -> u64 {
+        options_fingerprint(opts, gc_microkernel::arch::active_isa().name())
+    }
+
+    #[test]
+    fn options_fingerprint_sees_every_knob() {
+        use gc_core::TuningDb;
+        use gc_lowering::anchors::{PackPlacement, PostOpAnchor};
+        use gc_machine::MachineDescriptor;
+
+        let base = CompileOptions::default();
+        let fp = fingerprint(&base);
+        // Every public knob, toggled one at a time, must move the
+        // fingerprint — with the two deliberate exceptions asserted at
+        // the bottom. A knob missing here is a knob someone added to
+        // CompileOptions: extend both this list and (by the compile
+        // error it just produced) options_fingerprint itself.
+        let variants: Vec<(&str, CompileOptions)> = vec![
+            (
+                "machine",
+                CompileOptions {
+                    machine: MachineDescriptor::small_generic(),
+                    ..base.clone()
+                },
+            ),
+            (
+                "fusion",
+                CompileOptions {
+                    fusion: gc_graph::FusionOptions::disabled(),
+                    ..base.clone()
+                },
+            ),
+            (
+                "coarse_fusion",
+                CompileOptions {
+                    coarse_fusion: false,
+                    ..base.clone()
+                },
+            ),
+            (
+                "low_precision",
+                CompileOptions {
+                    low_precision: false,
+                    ..base.clone()
+                },
+            ),
+            (
+                "constant_weights",
+                CompileOptions {
+                    constant_weights: false,
+                    ..base.clone()
+                },
+            ),
+            (
+                "propagate_layouts",
+                CompileOptions {
+                    propagate_layouts: false,
+                    ..base.clone()
+                },
+            ),
+            (
+                "shrink_tensors",
+                CompileOptions {
+                    shrink_tensors: false,
+                    ..base.clone()
+                },
+            ),
+            (
+                "reuse_buffers",
+                CompileOptions {
+                    reuse_buffers: false,
+                    ..base.clone()
+                },
+            ),
+            (
+                "reuse_locals",
+                CompileOptions {
+                    reuse_locals: false,
+                    ..base.clone()
+                },
+            ),
+            (
+                "forced_post_anchor",
+                CompileOptions {
+                    forced_post_anchor: Some(PostOpAnchor::P2),
+                    ..base.clone()
+                },
+            ),
+            (
+                "forced_pack",
+                CompileOptions {
+                    forced_pack: Some(PackPlacement::PerTask),
+                    ..base.clone()
+                },
+            ),
+            (
+                "library_params",
+                CompileOptions {
+                    library_params: true,
+                    ..base.clone()
+                },
+            ),
+            (
+                "k_slice",
+                CompileOptions {
+                    k_slice: false,
+                    ..base.clone()
+                },
+            ),
+            (
+                "interpret",
+                CompileOptions {
+                    interpret: true,
+                    ..base.clone()
+                },
+            ),
+            (
+                "validate",
+                CompileOptions {
+                    validate: false,
+                    ..base.clone()
+                },
+            ),
+            (
+                "checked",
+                CompileOptions {
+                    checked: true,
+                    ..base.clone()
+                },
+            ),
+            (
+                "ragged",
+                CompileOptions {
+                    ragged: false,
+                    ..base.clone()
+                },
+            ),
+            (
+                "tuning",
+                CompileOptions {
+                    tuning: Some(Arc::new(TuningDb::in_memory())),
+                    ..base.clone()
+                },
+            ),
+        ];
+        for (name, v) in &variants {
+            assert_ne!(
+                fingerprint(v),
+                fp,
+                "toggling {name} must change the options fingerprint"
+            );
+        }
+        // Two tuning databases with *different contents* must not alias.
+        let db = Arc::new(TuningDb::in_memory());
+        db.insert(
+            gc_core::TuneKey {
+                graph: 1,
+                shape_bucket: 2,
+                machine: 3,
+                threads: 0,
+            },
+            gc_core::TunedRecord {
+                choices: vec![],
+                merge_coarse: None,
+                ragged: None,
+                projected_cycles: 1.0,
+                wall_ns: 1,
+            },
+        );
+        assert_ne!(
+            fingerprint(&CompileOptions {
+                tuning: Some(db),
+                ..base.clone()
+            }),
+            fingerprint(&CompileOptions {
+                tuning: Some(Arc::new(TuningDb::in_memory())),
+                ..base.clone()
+            }),
+        );
+        // Deliberate exceptions: the pool width is part of the plan key
+        // itself, and the decision log is pure observability.
+        assert_eq!(
+            fingerprint(&CompileOptions {
+                threads: Some(7),
+                ..base.clone()
+            }),
+            fp
+        );
+        assert_eq!(
+            fingerprint(&CompileOptions {
+                param_log: Some(Arc::new(std::sync::Mutex::new(Vec::new()))),
+                ..base.clone()
+            }),
+            fp
+        );
+    }
+
+    #[test]
+    fn checked_serving_bitmatches_and_gets_own_plan_cache_entry() {
+        let cfg = config_with_private_caches(1);
+        let checked_cfg = cfg.clone().checked();
+        assert_ne!(
+            fingerprint(&cfg.compile),
+            fingerprint(&checked_cfg.compile),
+            "checked mode must key its own plan-cache entries"
+        );
+        let plain = Model::load(mlp_graph(4, 1), cfg).unwrap();
+        let checked = Model::load(mlp_graph(4, 1), checked_cfg).unwrap();
+        let x = Tensor::random(&[4, 16], DataType::F32, 9);
+        let a = plain.session().infer(std::slice::from_ref(&x)).unwrap();
+        let b = checked.session().infer(&[x]).unwrap();
+        assert_eq!(a[0].f32_slice().unwrap(), b[0].f32_slice().unwrap());
+    }
+
+    #[test]
+    fn k_slice_knob_keys_its_own_plan_cache_entry() {
+        let cfg = config_with_private_caches(1);
+        let mut unsliced_cfg = cfg.clone();
+        unsliced_cfg.compile.k_slice = false;
+        assert_ne!(
+            fingerprint(&cfg.compile),
+            fingerprint(&unsliced_cfg.compile),
+            "toggling k_slice must never alias cached plans"
+        );
     }
 }

@@ -3,12 +3,14 @@
 //! The [`crate::Model`] batcher coalesces whole *requests*; decode
 //! workloads need something finer. An autoregressive session produces
 //! one token per step against a growing per-session KV cache, so the
-//! unit of batching is the *step*: every iteration, the scheduler
-//! drains one pending step from each session that has one, groups them
-//! by cache-capacity bucket, gathers the sessions' caches into one
-//! batched tensor, executes a single compiled plan, and scatters each
-//! session's output row back to its [`StepFuture`]. Sessions join and
-//! leave between iterations — nothing is pinned to a batch.
+//! unit of batching is the *step*. A [`DecodeModel`] is the second
+//! instantiation of the serving runtime's batcher (`batcher.rs` holds
+//! the protocol): its work item is one session's pending step, its
+//! group is the step's cache-capacity bucket, and its batch function is
+//! one *iteration* — gather the sessions' caches into one batched
+//! tensor, execute a single compiled plan, hand each session's output
+//! row back to its [`StepFuture`]. Sessions join and leave between
+//! iterations — nothing is pinned to a batch.
 //!
 //! # Template contract
 //!
@@ -43,21 +45,21 @@
 //! bucket-shaped (see DESIGN.md on why cross-bucket fold sharing would
 //! be unsound).
 
-use crate::batch::copy_elems;
-use crate::cache::{self, CachedPlan, PlanCache, PlanKey};
-use crate::hash::{graph_fingerprint, Fnv1a};
+use crate::batch::{copy_elems, slice_elems};
+use crate::batcher::{Batcher, Limits, Queued, Ticket, Work};
+use crate::cache::{options_fingerprint, CachedPlan, PlanCache, PlanKey, Plans};
+use crate::hash::graph_fingerprint;
 use crate::stats::{ModelStats, StatsSnapshot};
 use crate::ServeError;
-use gc_core::{CompileOptions, Compiler};
+use gc_core::CompileOptions;
 use gc_graph::Graph;
-use gc_runtime::ThreadPool;
+use gc_microkernel::arch::active_isa;
 use gc_tensor::{DataType, Storage, Tensor, TensorDesc};
 use gc_tir::InitCache;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex, PoisonError};
+use std::time::Duration;
 
 /// Mask value for cache slots at or past a session's length. Finite
 /// (not `-inf`) so `exp(masked - max)` underflows to exactly `0.0`
@@ -80,7 +82,8 @@ pub struct DecodeConfig {
     /// two). A step past it fails with [`ServeError::InvalidRequest`].
     pub max_capacity: usize,
     /// Most concurrently live sessions; [`DecodeModel::session`] fails
-    /// with [`ServeError::Busy`] at the bound.
+    /// with [`ServeError::Busy`] at the bound. Also the bound on queued
+    /// steps, which one step in flight per session already implies.
     pub max_sessions: usize,
     /// Plan cache override (`None` = the process-wide cache).
     pub plan_cache: Option<Arc<PlanCache>>,
@@ -117,27 +120,7 @@ type StepResult = Result<Tensor, ServeError>;
 /// flight) and [`StepFuture::wait`] when it needs the output row.
 #[derive(Debug)]
 pub struct StepFuture {
-    slot: Arc<StepSlot>,
-}
-
-#[derive(Debug)]
-struct StepSlot {
-    state: Mutex<Option<StepResult>>,
-    cv: Condvar,
-}
-
-impl StepSlot {
-    fn new() -> Arc<StepSlot> {
-        Arc::new(StepSlot {
-            state: Mutex::new(None),
-            cv: Condvar::new(),
-        })
-    }
-
-    fn put(&self, r: StepResult) {
-        *self.state.lock().unwrap() = Some(r);
-        self.cv.notify_all();
-    }
+    ticket: Arc<Ticket<Tensor>>,
 }
 
 impl StepFuture {
@@ -150,18 +133,12 @@ impl StepFuture {
     /// in ([`ServeError::Compile`], [`ServeError::Exec`]) or
     /// [`ServeError::Closed`] if the model shut down first.
     pub fn wait(self) -> StepResult {
-        let mut s = self.slot.state.lock().unwrap();
-        loop {
-            if let Some(r) = s.take() {
-                return r;
-            }
-            s = self.slot.cv.wait(s).unwrap();
-        }
+        self.ticket.wait()
     }
 
     /// Non-blocking poll: `None` while the step is still in flight.
     pub fn try_wait(&self) -> Option<StepResult> {
-        self.slot.state.lock().unwrap().take()
+        self.ticket.try_take()
     }
 }
 
@@ -181,18 +158,41 @@ struct SessionShared {
     state: Mutex<SessionState>,
 }
 
+/// One session's queued step. Dropping it — resolved, refused at
+/// submit, or stranded by a dying scheduler — is what clears the
+/// session's `busy` flag, which is why the batcher drops work before
+/// it wakes the waiter: a caller woken by step *t* must be able to
+/// submit step *t+1*.
 struct PendingStep {
     session: Arc<SessionShared>,
     q: Tensor,
     /// Valid length at execution time (set at enqueue, after append).
     len: usize,
     cap: usize,
-    slot: Arc<StepSlot>,
 }
 
-struct DecodeQueue {
-    pending: VecDeque<PendingStep>,
-    closed: bool,
+impl Work for PendingStep {
+    type Output = Tensor;
+    type Group = usize;
+
+    fn units(&self) -> usize {
+        1
+    }
+
+    fn group(&self) -> usize {
+        self.cap
+    }
+}
+
+impl Drop for PendingStep {
+    fn drop(&mut self) {
+        // Runs on unwind paths too: never panic on a poisoned session.
+        self.session
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .busy = false;
+    }
 }
 
 struct DecodeInner {
@@ -205,11 +205,7 @@ struct DecodeInner {
     min_capacity: usize,
     max_capacity: usize,
     opts_hash: u64,
-    pool: Arc<ThreadPool>,
-    plan_cache: Arc<PlanCache>,
-    init_cache: Arc<InitCache>,
-    queue: Mutex<DecodeQueue>,
-    cv: Condvar,
+    plans: Plans,
     live_sessions: AtomicUsize,
     stats: ModelStats,
 }
@@ -221,7 +217,7 @@ struct DecodeInner {
 /// [`ServeError::Closed`].
 pub struct DecodeModel {
     inner: Arc<DecodeInner>,
-    scheduler: Mutex<Option<JoinHandle<()>>>,
+    batcher: Arc<Batcher<PendingStep>>,
 }
 
 /// One autoregressive session: owns a growing KV cache and submits one
@@ -230,50 +226,8 @@ pub struct DecodeModel {
 /// keeps the cache alive until the future resolves).
 pub struct DecodeSession {
     inner: Arc<DecodeInner>,
+    batcher: Arc<Batcher<PendingStep>>,
     shared: Arc<SessionShared>,
-}
-
-/// Runs when the scheduler thread exits — normally or by panic: closes
-/// the queue and fails every still-pending step.
-struct SchedulerExitGuard(Arc<DecodeInner>);
-
-impl Drop for SchedulerExitGuard {
-    fn drop(&mut self) {
-        let stranded = {
-            let mut q = self
-                .0
-                .queue
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            q.closed = true;
-            std::mem::take(&mut q.pending)
-        };
-        self.0.cv.notify_all();
-        for p in stranded {
-            p.session.state.lock().unwrap().busy = false;
-            p.slot.put(Err(ServeError::Closed));
-        }
-    }
-}
-
-/// Fails every guarded step slot on drop unless disarmed (executor
-/// panic inside an iteration must not strand waiters).
-struct StepFanoutGuard {
-    steps: Vec<(Arc<SessionShared>, Arc<StepSlot>)>,
-    armed: bool,
-}
-
-impl Drop for StepFanoutGuard {
-    fn drop(&mut self) {
-        if self.armed {
-            for (sess, slot) in &self.steps {
-                sess.state.lock().unwrap().busy = false;
-                slot.put(Err(ServeError::Exec(
-                    "decode iteration panicked; step abandoned".into(),
-                )));
-            }
-        }
-    }
 }
 
 impl DecodeModel {
@@ -311,16 +265,17 @@ impl DecodeModel {
         }
         let probe = builder(heads, min_capacity);
         let (q_dtype, kv_dtype, head_dim) = validate_decode_template(&probe, heads, min_capacity)?;
-        let opts_hash = {
-            let mut canon = config.compile.clone();
-            canon.threads = None;
-            let mut h = Fnv1a::new();
-            h.write_str(&format!("{canon:?}"));
-            h.finish()
+        let opts_hash = options_fingerprint(&config.compile, active_isa().name());
+        let plans = Plans::new(
+            config.compile.threads,
+            config.plan_cache.as_ref(),
+            config.init_cache.as_ref(),
+        );
+        let limits = Limits {
+            max_batch: config.max_batch,
+            max_delay: config.max_delay,
+            queue_cap: config.max_sessions,
         };
-        let pool = cache::shared_pool(config.compile.threads.unwrap_or(0));
-        let plan_cache = config.plan_cache.clone().unwrap_or_else(cache::plan_cache);
-        let init_cache = config.init_cache.clone().unwrap_or_else(cache::init_cache);
         let inner = Arc::new(DecodeInner {
             builder: Box::new(builder),
             heads,
@@ -330,33 +285,18 @@ impl DecodeModel {
             min_capacity,
             max_capacity,
             opts_hash,
-            pool,
-            plan_cache,
-            init_cache,
+            plans,
             config,
-            queue: Mutex::new(DecodeQueue {
-                pending: VecDeque::new(),
-                closed: false,
-            }),
-            cv: Condvar::new(),
             live_sessions: AtomicUsize::new(0),
             stats: ModelStats::new(),
         });
         decode_plan(&inner, heads, min_capacity)?;
-        let scheduler = {
+        let batcher = Batcher::spawn("gc-serve-decode", limits, {
             let inner = Arc::clone(&inner);
-            std::thread::Builder::new()
-                .name("gc-serve-decode".into())
-                .spawn(move || {
-                    let exit = SchedulerExitGuard(inner);
-                    scheduler_loop(&exit.0);
-                })
-                .expect("spawn decode scheduler")
-        };
-        Ok(DecodeModel {
-            inner,
-            scheduler: Mutex::new(Some(scheduler)),
-        })
+            let mut plans = PlanMemo::new();
+            move |steps: &[Queued<PendingStep>]| execute_iteration(&inner, &mut plans, steps)
+        });
+        Ok(DecodeModel { inner, batcher })
     }
 
     /// Open a new session with an empty cache at the smallest capacity.
@@ -367,9 +307,7 @@ impl DecodeModel {
     /// bound, [`ServeError::Closed`] after shutdown.
     pub fn session(&self) -> Result<DecodeSession, ServeError> {
         let inner = &self.inner;
-        if inner.queue.lock().unwrap().closed {
-            return Err(ServeError::Closed);
-        }
+        self.batcher.is_empty()?; // `Closed` after shutdown
         let mut live = inner.live_sessions.load(Ordering::Relaxed);
         loop {
             if live >= inner.config.max_sessions {
@@ -392,6 +330,7 @@ impl DecodeModel {
         let vol = inner.heads * cap * inner.head_dim;
         Ok(DecodeSession {
             inner: Arc::clone(inner),
+            batcher: Arc::clone(&self.batcher),
             shared: Arc::new(SessionShared {
                 state: Mutex::new(SessionState {
                     k: zero_cache(inner, cap, vol),
@@ -406,7 +345,7 @@ impl DecodeModel {
 
     /// Point-in-time statistics (decode buckets + occupancy included).
     pub fn stats(&self) -> StatsSnapshot {
-        self.inner.stats.snapshot()
+        self.batcher.stamp(self.inner.stats.snapshot())
     }
 
     /// Sessions currently open.
@@ -414,20 +353,10 @@ impl DecodeModel {
         self.inner.live_sessions.load(Ordering::Relaxed)
     }
 
-    /// Stop accepting steps, fail what's pending, join the scheduler.
+    /// Stop accepting steps, drain what's pending, join the scheduler.
     /// Idempotent; also runs on drop.
     pub fn shutdown(&self) {
-        {
-            let mut q = self.inner.queue.lock().unwrap();
-            if q.closed {
-                return;
-            }
-            q.closed = true;
-        }
-        self.inner.cv.notify_all();
-        if let Some(h) = self.scheduler.lock().unwrap().take() {
-            let _ = h.join();
-        }
+        self.batcher.shutdown();
     }
 }
 
@@ -471,7 +400,10 @@ impl DecodeSession {
     ///
     /// [`ServeError::InvalidRequest`] on a shape/dtype mismatch, a step
     /// already in flight for this session, or a session at max
-    /// capacity; [`ServeError::Closed`] after shutdown.
+    /// capacity; [`ServeError::Closed`] after shutdown;
+    /// [`ServeError::Busy`] when more steps are queued than
+    /// [`DecodeConfig::max_sessions`] (sessions dropped with their last
+    /// step still pending).
     pub fn decode_step(
         &self,
         q_row: &Tensor,
@@ -494,7 +426,6 @@ impl DecodeSession {
                 )));
             }
         }
-        let slot = StepSlot::new();
         let (len, cap) = {
             let mut s = self.shared.state.lock().unwrap();
             if s.busy {
@@ -518,22 +449,14 @@ impl DecodeSession {
             s.busy = true;
             (s.len, s.cap)
         };
-        {
-            let mut q = inner.queue.lock().unwrap();
-            if q.closed {
-                self.shared.state.lock().unwrap().busy = false;
-                return Err(ServeError::Closed);
-            }
-            q.pending.push_back(PendingStep {
-                session: Arc::clone(&self.shared),
-                q: q_row.clone(),
-                len,
-                cap,
-                slot: Arc::clone(&slot),
-            });
-        }
-        inner.cv.notify_all();
-        Ok(StepFuture { slot })
+        // From here the step owns the busy flag (cleared on its drop).
+        let ticket = self.batcher.submit(PendingStep {
+            session: Arc::clone(&self.shared),
+            q: q_row.clone(),
+            len,
+            cap,
+        })?;
+        Ok(StepFuture { ticket })
     }
 
     /// Tokens appended so far.
@@ -671,21 +594,10 @@ fn decode_plan(
         graph: graph_fingerprint(&g)?,
         units: rows as u64,
         opts: inner.opts_hash,
-        threads: inner.pool.threads() as u64,
+        threads: inner.plans.pool.threads() as u64,
         shard: 0,
     };
-    inner.plan_cache.get_or_compile(key, || {
-        let arts = Compiler::new(inner.config.compile.clone())
-            .compile_artifacts(g, Arc::clone(&inner.pool))?;
-        let exe = arts
-            .exe
-            .with_init_cache(Arc::clone(&inner.init_cache), key.fold_digest());
-        Ok(CachedPlan {
-            exe: Arc::new(exe),
-            input_descs: arts.input_descs,
-            output_descs: arts.output_descs,
-        })
-    })
+    inner.plans.plan(key, &inner.config.compile, None, || Ok(g))
 }
 
 /// Per-scheduler memo of resolved plans. The process-wide
@@ -694,39 +606,16 @@ fn decode_plan(
 /// every iteration, so it keeps its own `(rows, cap) -> plan` map.
 type PlanMemo = HashMap<(usize, usize), Arc<CachedPlan>>;
 
-/// Execute one coalesced iteration for `steps`, all at capacity `cap`.
-fn run_iteration(inner: &DecodeInner, plans: &mut PlanMemo, steps: Vec<PendingStep>, cap: usize) {
-    let mut guard = StepFanoutGuard {
-        steps: steps
-            .iter()
-            .map(|p| (Arc::clone(&p.session), Arc::clone(&p.slot)))
-            .collect(),
-        armed: true,
-    };
-    let result = execute_iteration(inner, plans, &steps, cap);
-    match result {
-        Ok(outs) => {
-            for (p, out) in steps.into_iter().zip(outs) {
-                p.session.state.lock().unwrap().busy = false;
-                p.slot.put(Ok(out));
-            }
-        }
-        Err(e) => {
-            for p in steps {
-                p.session.state.lock().unwrap().busy = false;
-                p.slot.put(Err(e.clone()));
-            }
-        }
-    }
-    guard.armed = false;
-}
-
+/// Execute one coalesced iteration: `steps` is one batch from the
+/// batcher, so all at one capacity. This is the only place a decode
+/// batch meets an engine — routing iterations to engine shards would
+/// be a change here and nowhere else.
 fn execute_iteration(
     inner: &DecodeInner,
     plans: &mut PlanMemo,
-    steps: &[PendingStep],
-    cap: usize,
+    steps: &[Queued<PendingStep>],
 ) -> Result<Vec<Tensor>, ServeError> {
+    let cap = steps[0].work.cap;
     let sessions = steps.len();
     let session_slots = sessions.next_power_of_two();
     let (heads, d) = (inner.heads, inner.head_dim);
@@ -748,7 +637,7 @@ fn execute_iteration(
     let mut k_st = Storage::zeros(inner.kv_dtype, rows * cap * d);
     let mut v_st = Storage::zeros(inner.kv_dtype, rows * cap * d);
     let mut mask = vec![0f32; rows * cap];
-    for (i, p) in steps.iter().enumerate() {
+    for (i, p) in steps.iter().map(|s| &s.work).enumerate() {
         copy_elems(p.q.storage(), 0, &mut q_st, i * heads * d, heads * d)?;
         {
             let s = p.session.state.lock().unwrap();
@@ -809,7 +698,7 @@ fn execute_iteration(
     let per_session = heads * d;
     let mut per_step = Vec::with_capacity(sessions);
     for i in 0..sessions {
-        per_step.push(crate::batch::slice_elems(
+        per_step.push(slice_elems(
             out,
             i * per_session,
             per_session,
@@ -817,48 +706,6 @@ fn execute_iteration(
         )?);
     }
     Ok(per_step)
-}
-
-fn scheduler_loop(inner: &DecodeInner) {
-    let mut plans = PlanMemo::new();
-    let mut q = inner.queue.lock().unwrap();
-    loop {
-        if q.pending.is_empty() {
-            if q.closed {
-                return;
-            }
-            q = inner.cv.wait(q).unwrap();
-            continue;
-        }
-        // Coalescing window: hold the oldest step open until the batch
-        // fills or the delay budget runs out (skip when draining).
-        let deadline = Instant::now() + inner.config.max_delay;
-        while !q.closed && q.pending.len() < inner.config.max_batch {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            q = inner.cv.wait_timeout(q, deadline - now).unwrap().0;
-        }
-        // Drain one iteration: take the oldest step's capacity bucket
-        // and every same-capacity step behind it, up to the batch cap.
-        // Steps at other capacities stay queued for the next iteration
-        // (the loop immediately comes back around for them).
-        let cap = q.pending.front().expect("non-empty").cap;
-        let mut steps = Vec::new();
-        let mut rest = VecDeque::with_capacity(q.pending.len());
-        for p in q.pending.drain(..) {
-            if p.cap == cap && steps.len() < inner.config.max_batch {
-                steps.push(p);
-            } else {
-                rest.push_back(p);
-            }
-        }
-        q.pending = rest;
-        drop(q);
-        run_iteration(inner, &mut plans, steps, cap);
-        q = inner.queue.lock().unwrap();
-    }
 }
 
 #[cfg(test)]
@@ -1058,5 +905,109 @@ mod tests {
         // With 8 threads stepping concurrently, at least some
         // iterations must have coalesced more than one session.
         assert!(snap.decode_iterations() < 24, "{snap}");
+    }
+
+    /// Regression: the coalescing window is anchored at each step's own
+    /// enqueue time. The scheduler used to open a fresh `max_delay`
+    /// window every time round, so a step queued behind another
+    /// capacity group waited two windows.
+    #[test]
+    fn steps_behind_another_capacity_group_share_the_window() {
+        let (heads, d) = (1, 4);
+        let delay = Duration::from_millis(300);
+        let mut cfg = config();
+        cfg.min_capacity = 2;
+        cfg.max_batch = 64;
+        // Warm the cap-2 and cap-4 plans through a fast sibling model
+        // on the same plan cache, so no compile lands in the window.
+        {
+            let warm =
+                DecodeModel::load(move |r, c| decode_graph(r, c, d), heads, cfg.clone()).unwrap();
+            let s = warm.session().unwrap();
+            for t in 0..3 {
+                s.decode_step(&rows(heads, d, t), &rows(heads, d, t), &rows(heads, d, t))
+                    .unwrap()
+                    .wait()
+                    .unwrap();
+            }
+            assert_eq!(s.capacity(), 4);
+        }
+        cfg.max_delay = delay;
+        let model = DecodeModel::load(move |r, c| decode_graph(r, c, d), heads, cfg).unwrap();
+        let (small, large) = (model.session().unwrap(), model.session().unwrap());
+        for t in 0..2 {
+            large
+                .decode_step(&rows(heads, d, t), &rows(heads, d, t), &rows(heads, d, t))
+                .unwrap()
+                .wait()
+                .unwrap();
+        }
+        // `small` steps at capacity 2, `large` grows to 4 on this step.
+        let t0 = std::time::Instant::now();
+        let first = small
+            .decode_step(&rows(heads, d, 7), &rows(heads, d, 8), &rows(heads, d, 9))
+            .unwrap();
+        let second = large
+            .decode_step(&rows(heads, d, 7), &rows(heads, d, 8), &rows(heads, d, 9))
+            .unwrap();
+        assert_eq!((small.capacity(), large.capacity()), (2, 4));
+        first.wait().unwrap();
+        second.wait().unwrap();
+        let waited = t0.elapsed();
+        assert!(waited >= delay, "window closed early: {waited:?}");
+        assert!(waited < delay * 3 / 2, "second group waited {waited:?}");
+        assert_eq!(model.stats().decode_iterations(), 4);
+    }
+
+    /// Regression: the plan key's options digest is the shared
+    /// `options_fingerprint`, not a hash of the options' `Debug` string
+    /// — which printed a tuning database as a pointer-shaped struct and
+    /// included the decision log's contents.
+    #[test]
+    fn equal_tuning_databases_and_a_filled_param_log_share_plans() {
+        use gc_core::{TuneKey, TunedRecord, TuningDb};
+        let (heads, d) = (2, 8);
+        let db = || {
+            let db = TuningDb::in_memory();
+            for graph in 0..8 {
+                db.insert(
+                    TuneKey {
+                        graph,
+                        shape_bucket: 2,
+                        machine: 3,
+                        threads: 0,
+                    },
+                    TunedRecord {
+                        choices: vec![],
+                        merge_coarse: None,
+                        ragged: None,
+                        projected_cycles: 1.0,
+                        wall_ns: 1,
+                    },
+                );
+            }
+            Arc::new(db)
+        };
+        let (db_a, db_b) = (db(), db());
+        assert!(!Arc::ptr_eq(&db_a, &db_b));
+        assert_eq!(db_a.fingerprint(), db_b.fingerprint());
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let cache = Arc::new(PlanCache::new());
+        let cfg = |db| {
+            let mut cfg = config();
+            cfg.compile.tuning = Some(db);
+            cfg.compile.param_log = Some(Arc::clone(&log));
+            cfg.plan_cache = Some(Arc::clone(&cache));
+            cfg
+        };
+        let load = |db| DecodeModel::load(move |r, c| decode_graph(r, c, d), heads, cfg(db));
+        let _a = load(Arc::clone(&db_a)).unwrap();
+        assert_eq!((cache.misses(), cache.hits()), (1, 0));
+        assert!(!log.lock().unwrap().is_empty(), "the compile logs choices");
+        let _b = load(db_a).unwrap();
+        assert_eq!(cache.misses(), 1, "the log's contents are not identity");
+        let _c = load(db_b).unwrap();
+        assert_eq!(cache.misses(), 1, "equal content, same plan");
+        assert!(cache.hits() >= 2);
     }
 }

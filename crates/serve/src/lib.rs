@@ -8,32 +8,39 @@
 //! few models without recompiling, re-folding weights, or serializing
 //! every request through one executor.
 //!
-//! Three pieces:
+//! The pieces:
 //!
-//! 1. **Model / Session API** ([`Model`], [`Session`]) —
-//!    [`Model::load`] canonicalizes and fingerprints the Graph IR and
-//!    compiles through a process-wide *plan cache*, so loading the same
-//!    model twice (or in two sessions) yields the same
-//!    `Arc<Executable>` and runs constant-weight folding exactly once.
-//! 2. **Shape-bucketed dynamic batching** — concurrent requests on one
-//!    model are coalesced into power-of-two row buckets, padded,
-//!    executed once, and scattered back to per-request futures. An
-//!    idle model takes a synchronous fast path with no queue hop.
-//! 3. **Backpressure + observability** — bounded per-model queues
-//!    ([`ServeError::Busy`]), graceful shutdown, and per-model /
-//!    per-bucket counters ([`StatsSnapshot`]) with p50/p99 latency.
+//! 1. **Plan cache** ([`PlanCache`], [`PlanKey`]) — [`Model::load`]
+//!    canonicalizes and fingerprints the Graph IR and compiles through
+//!    a process-wide cache, so loading the same model twice (or in two
+//!    sessions) yields the same `Arc<Executable>` and runs
+//!    constant-weight folding exactly once. One options digest and one
+//!    compile helper serve request models, decode models and shards.
+//! 2. **One batcher core** (`batcher.rs`, crate-private) — the
+//!    scheduling protocol, written once: a bounded queue
+//!    ([`ServeError::Busy`] at the bound), a coalescing window anchored
+//!    at the oldest item's enqueue time, one batch-function call per
+//!    batch, panic-safe fan-out to per-item futures, and one shutdown
+//!    meaning (drain, then [`ServeError::Closed`]). The two models below
+//!    are its two instantiations; neither spawns a thread of its own.
+//! 3. **Request batching** ([`Model`], [`Session`]) — concurrent
+//!    requests on one model are coalesced into power-of-two row
+//!    buckets, padded, executed once, and copied back out per request.
+//!    An idle model takes a synchronous fast path with no queue hop.
 //! 4. **KV-cache autoregressive decode** ([`DecodeModel`],
 //!    [`DecodeSession`]) — per-session KV caches at power-of-two
-//!    capacity buckets and a continuous-batching scheduler that
-//!    coalesces one pending decode step from many sessions into a
-//!    single plan execution per iteration (see [`decode`]).
-//! 5. **Sharded execution** ([`EngineShard`], [`shard`]) — a model can
-//!    scatter large batches across several independent engine shards
-//!    (each with its own thread pool, exec-state checkout pool,
-//!    optional core pin, and optional per-thread kernel backend) and
-//!    fuse the partial results back into one batch, with per-shard
-//!    counters folded into [`StatsSnapshot`]. Enable with
-//!    [`ServeConfig::with_shards`]; see DESIGN.md "Sharded execution".
+//!    capacity buckets; the batcher coalesces one pending decode step
+//!    from many sessions, grouped by capacity, into a single plan
+//!    execution per iteration (see [`decode`]).
+//! 5. **Sharded execution** ([`EngineShard`], [`shard`]) — a request
+//!    batch is always a list of `(engine, unit range)` parts; with
+//!    [`ServeConfig::with_shards`] the parts run concurrently on
+//!    independent engine shards (own thread pool, exec-state checkout
+//!    pool, optional core pin and per-thread kernel backend) and each
+//!    request's outputs are read straight from the parts it spans. See
+//!    DESIGN.md "Sharded execution".
+//! 6. **Observability** — per-model / per-bucket / per-shard counters
+//!    ([`StatsSnapshot`]) with p50/p99 latency.
 //!
 //! ```
 //! use gc_graph::{Graph, OpKind, UnaryKind};
@@ -57,6 +64,7 @@
 #![warn(missing_docs)]
 
 pub mod batch;
+mod batcher;
 pub mod cache;
 pub mod decode;
 pub mod hash;

@@ -1,11 +1,13 @@
-//! The Model / Session serving API and the dynamic batcher.
+//! The Model / Session serving API: whole requests, batched.
 //!
 //! [`Model::load`] fingerprints the graph and compiles through the
 //! process-wide plan cache; [`Session::infer`] either executes
-//! synchronously (idle model, no queue hop) or enqueues into the
-//! model's bounded request queue, where a dispatcher thread coalesces
-//! same-model requests into power-of-two unit buckets, executes each
-//! bucket once, and scatters row slices back to per-request futures.
+//! synchronously (idle model, no queue hop) or submits to the model's
+//! batcher, which coalesces same-model requests up to `max_batch`
+//! units (the scheduling protocol lives in `batcher.rs`; this file
+//! supplies the batch function). A batch is padded to power-of-two
+//! unit buckets, executed once — on the local engine or across the
+//! shard fleet — and each request's rows are copied back out.
 //!
 //! # Batching units
 //!
@@ -16,22 +18,23 @@
 //! dimensions. By default `template_units` is input 0's leading
 //! dimension, making one unit of work one template row.
 
-use crate::batch::{concat_rows, slice_elems};
-use crate::cache::{self, CachedPlan, PlanCache, PlanKey};
-use crate::hash::{combine, graph_fingerprint, Fnv1a};
+use crate::batch::copy_elems;
+use crate::batcher::{Batcher, Limits, Queued, Work};
+use crate::cache::{options_fingerprint, CachedPlan, PlanCache, PlanKey, Plans};
+use crate::hash::graph_fingerprint;
 use crate::rebatch::{rebatch, validate_template};
-use crate::shard::{EngineShard, ShardConfig, ShardPlan, ShardRuntime};
+use crate::shard::{ShardConfig, ShardJob, ShardPlan, ShardRuntime};
 use crate::stats::{ModelStats, StatsSnapshot};
 use crate::ServeError;
-use gc_core::{CompileOptions, Compiler};
+use gc_core::CompileOptions;
 use gc_graph::Graph;
-use gc_runtime::{ExecStats, ThreadPool};
-use gc_tensor::{Tensor, TensorDesc};
+use gc_microkernel::arch::active_isa;
+use gc_runtime::ExecStats;
+use gc_tensor::{Storage, Tensor, TensorDesc};
 use gc_tir::{Executable, InitCache};
-use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Configuration for [`Model::load`].
@@ -42,8 +45,8 @@ pub struct ServeConfig {
     /// Coalescing cap: a dispatched batch carries at most this many
     /// units (a single larger request still executes alone).
     pub max_batch: usize,
-    /// How long the dispatcher holds the oldest queued request open
-    /// for coalescing before executing what it has.
+    /// How long the batcher holds the oldest queued request open for
+    /// coalescing before executing what it has.
     pub max_delay: Duration,
     /// Bounded queue capacity in *requests*; enqueueing past it fails
     /// with [`ServeError::Busy`].
@@ -122,93 +125,19 @@ struct Request {
     units: usize,
 }
 
-type InferResult = Result<(Vec<Tensor>, ExecStats), ServeError>;
+/// What a request resolves to: shaped outputs and the stats of the
+/// batch it rode in.
+type Inferred = (Vec<Tensor>, ExecStats);
 
-struct Slot {
-    state: Mutex<Option<InferResult>>,
-    cv: Condvar,
-}
+impl Work for Request {
+    type Output = Inferred;
+    type Group = ();
 
-impl Slot {
-    fn new() -> Arc<Slot> {
-        Arc::new(Slot {
-            state: Mutex::new(None),
-            cv: Condvar::new(),
-        })
+    fn units(&self) -> usize {
+        self.units
     }
 
-    fn put(&self, r: InferResult) {
-        *self.state.lock().unwrap() = Some(r);
-        self.cv.notify_all();
-    }
-
-    fn take(&self) -> InferResult {
-        let mut s = self.state.lock().unwrap();
-        loop {
-            if let Some(r) = s.take() {
-                return r;
-            }
-            s = self.cv.wait(s).unwrap();
-        }
-    }
-}
-
-struct Pending {
-    req: Request,
-    slot: Arc<Slot>,
-    enqueued_at: Instant,
-}
-
-/// Fails every guarded slot on drop unless disarmed: if batch execution
-/// unwinds (a panic inside the executor), the waiters blocked in
-/// [`Slot::take`] get an error instead of hanging forever.
-struct FanoutGuard {
-    slots: Vec<Arc<Slot>>,
-    armed: bool,
-}
-
-impl Drop for FanoutGuard {
-    fn drop(&mut self) {
-        if self.armed {
-            for s in &self.slots {
-                s.put(Err(ServeError::Exec(
-                    "batch execution panicked; request abandoned".into(),
-                )));
-            }
-        }
-    }
-}
-
-/// Runs when the dispatcher thread exits — normally or by panic: closes
-/// the queue (later requests fail with [`ServeError::Closed`]) and
-/// fails every still-queued request so no caller blocks on a dead
-/// dispatcher.
-struct DispatcherExitGuard(Arc<ModelInner>);
-
-impl Drop for DispatcherExitGuard {
-    fn drop(&mut self) {
-        let stranded = {
-            // The dispatcher never panics while holding the queue lock
-            // (batches run with it released), but recover from poison
-            // anyway rather than stranding waiters.
-            let mut q = self
-                .0
-                .queue
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            q.closed = true;
-            std::mem::take(&mut q.pending)
-        };
-        self.0.cv.notify_all();
-        for p in stranded {
-            p.slot.put(Err(ServeError::Closed));
-        }
-    }
-}
-
-struct QueueState {
-    pending: VecDeque<Pending>,
-    closed: bool,
+    fn group(&self) {}
 }
 
 struct ModelInner {
@@ -221,23 +150,19 @@ struct ModelInner {
     unit_dims: Vec<usize>,
     /// Template (pre-optimization) input descriptors for validation.
     template_descs: Vec<TensorDesc>,
-    pool: Arc<ThreadPool>,
-    plan_cache: Arc<PlanCache>,
-    init_cache: Arc<InitCache>,
+    plans: Plans,
     /// The shard fleet, when sharded execution is configured.
     shards: Option<ShardRuntime>,
-    queue: Mutex<QueueState>,
-    cv: Condvar,
     inflight: AtomicUsize,
     stats: ModelStats,
 }
 
-/// A loaded, servable model. Owns the dispatcher thread; dropping the
+/// A loaded, servable model. Owns the batcher thread; dropping the
 /// model (or calling [`Model::shutdown`]) drains the queue, then every
 /// later request fails with [`ServeError::Closed`].
 pub struct Model {
     inner: Arc<ModelInner>,
-    dispatcher: Mutex<Option<JoinHandle<()>>>,
+    batcher: Arc<Batcher<Request>>,
 }
 
 /// A cheap handle for submitting requests to a [`Model`]. Clone one per
@@ -245,80 +170,7 @@ pub struct Model {
 #[derive(Clone)]
 pub struct Session {
     inner: Arc<ModelInner>,
-}
-
-fn options_fingerprint(opts: &CompileOptions) -> u64 {
-    options_fingerprint_isa(opts, gc_microkernel::arch::active_isa().name())
-}
-
-/// [`options_fingerprint`] under an explicit kernel backend: sharded
-/// models key each shard's plans under the ISA its threads *actually*
-/// dispatch on (the per-thread override), not the process-wide one.
-fn options_fingerprint_isa(opts: &CompileOptions, isa: &str) -> u64 {
-    // Exhaustive destructuring: adding a knob to CompileOptions fails
-    // to compile here, forcing a decision on whether (and how) the new
-    // knob enters the fingerprint. The previous Debug-string shortcut
-    // silently missed knobs whose Debug form is not value-bearing —
-    // e.g. a shared tuning database prints as a pointer-shaped struct,
-    // so two processes with different tuned entries would have aliased
-    // plan-cache keys.
-    let CompileOptions {
-        machine,
-        fusion,
-        coarse_fusion,
-        low_precision,
-        constant_weights,
-        propagate_layouts,
-        shrink_tensors,
-        reuse_buffers,
-        reuse_locals,
-        forced_post_anchor,
-        forced_pack,
-        library_params,
-        k_slice,
-        threads: _, // part of the plan key already; `None` resolves to
-        // a host-dependent width, so it must not enter this fingerprint
-        interpret,
-        validate,
-        checked,
-        ragged,
-        tuning,
-        param_log: _, // observability hook; never affects the plan
-    } = opts;
-    let mut h = Fnv1a::new();
-    h.write_str(&format!("{machine:?}"));
-    h.write_str(&format!("{fusion:?}"));
-    for flag in [
-        coarse_fusion,
-        low_precision,
-        constant_weights,
-        propagate_layouts,
-        shrink_tensors,
-        reuse_buffers,
-        reuse_locals,
-        library_params,
-        k_slice,
-        interpret,
-        validate,
-        checked,
-        ragged,
-    ] {
-        h.write(&[u8::from(*flag)]);
-    }
-    h.write_str(&format!("{forced_post_anchor:?}"));
-    h.write_str(&format!("{forced_pack:?}"));
-    // content fingerprint, not identity: two Arcs to equal databases
-    // share plans, two databases with different records never do
-    match tuning {
-        Some(db) => h.write_u64(db.fingerprint()),
-        None => h.write_str("untuned"),
-    }
-    // The microkernel backend the plan dispatches on: plans cached
-    // under one ISA (e.g. a GC_FORCE_ISA=scalar run sharing a plan
-    // store) must never alias plans for another.
-    h.write_str(" isa=");
-    h.write_str(isa);
-    h.finish()
+    batcher: Arc<Batcher<Request>>,
 }
 
 impl Model {
@@ -353,54 +205,15 @@ impl Model {
             ));
         }
         let graph_hash = graph_fingerprint(&graph)?;
-        let opts_hash = options_fingerprint(&config.compile);
-        let pool = cache::shared_pool(config.compile.threads.unwrap_or(0));
-        let plan_cache = config.plan_cache.clone().unwrap_or_else(cache::plan_cache);
-        let init_cache = config.init_cache.clone().unwrap_or_else(cache::init_cache);
+        let opts_hash = options_fingerprint(&config.compile, active_isa().name());
+        let plans = Plans::new(
+            config.compile.threads,
+            config.plan_cache.as_ref(),
+            config.init_cache.as_ref(),
+        );
         let shards = match &config.sharding {
+            Some(sc) => Some(ShardRuntime::spawn(sc, &config.compile)?),
             None => None,
-            Some(sc) => {
-                if sc.shards.is_empty() {
-                    return Err(ServeError::InvalidModel(
-                        "sharding configured with zero shards".into(),
-                    ));
-                }
-                // `compile.threads` is the *total* budget when sharded;
-                // auto-width specs get an even share.
-                let total = config
-                    .compile
-                    .threads
-                    .filter(|&t| t > 0)
-                    .unwrap_or_else(|| {
-                        std::thread::available_parallelism()
-                            .map(std::num::NonZeroUsize::get)
-                            .unwrap_or(1)
-                    });
-                let per_shard = (total / sc.shards.len()).max(1);
-                let fleet: Vec<EngineShard> = sc
-                    .shards
-                    .iter()
-                    .enumerate()
-                    .map(|(id, spec)| EngineShard::new(id, spec, per_shard))
-                    .collect::<Result<_, _>>()?;
-                // The fleet topology keys plans: resharding a model
-                // (count, widths, or backends) must never reuse plans
-                // compiled for another layout.
-                let mut topo = Fnv1a::new();
-                topo.write_u64(fleet.len() as u64);
-                for s in &fleet {
-                    topo.write_u64(s.threads() as u64);
-                    topo.write_str(s.isa_name());
-                }
-                let topo = topo.finish();
-                let shard_opts = fleet
-                    .iter()
-                    .map(|s| {
-                        combine(&[options_fingerprint_isa(&config.compile, s.isa_name()), topo])
-                    })
-                    .collect();
-                Some(ShardRuntime::new(fleet, sc.min_units_per_shard, shard_opts))
-            }
         };
         let unit_dims: Vec<usize> = graph
             .inputs()
@@ -412,6 +225,11 @@ impl Model {
             .iter()
             .map(|&i| graph.desc(i).clone())
             .collect();
+        let limits = Limits {
+            max_batch: config.max_batch,
+            max_delay: config.max_delay,
+            queue_cap: config.queue_cap,
+        };
         let inner = Arc::new(ModelInner {
             graph,
             graph_hash,
@@ -419,16 +237,9 @@ impl Model {
             template_units,
             unit_dims,
             template_descs,
-            pool,
-            plan_cache,
-            init_cache,
+            plans,
             shards,
             config,
-            queue: Mutex::new(QueueState {
-                pending: VecDeque::new(),
-                closed: false,
-            }),
-            cv: Condvar::new(),
             inflight: AtomicUsize::new(0),
             stats: ModelStats::new(),
         });
@@ -439,58 +250,54 @@ impl Model {
         // round-robin routing eventually reaches them all.
         match &inner.shards {
             None => {
-                plan_for_units(&inner, inner.template_units.next_power_of_two())?;
+                plan_for(&inner, None, inner.template_units.next_power_of_two())?;
             }
             Some(rt) => {
                 inner
                     .stats
                     .register_shards(rt.shards.iter().map(|s| Arc::clone(s.stats())).collect());
-                match ShardPlan::partition(
+                let parts = match ShardPlan::partition(
                     inner.template_units,
                     rt.shards.len(),
                     rt.min_units_per_shard,
                     0,
                 ) {
-                    ShardPlan::Single(_) => {
-                        let bucket = inner.template_units.next_power_of_two();
-                        for sid in 0..rt.shards.len() {
-                            plan_for_shard(&inner, rt, sid, bucket)?;
-                        }
-                    }
-                    ShardPlan::Scatter(parts) => {
-                        for (sid, r) in parts {
-                            plan_for_shard(&inner, rt, sid, r.len().next_power_of_two())?;
-                        }
-                    }
+                    ShardPlan::Single(_) => (0..rt.shards.len())
+                        .map(|sid| (sid, 0..inner.template_units))
+                        .collect(),
+                    ShardPlan::Scatter(parts) => parts,
+                };
+                for (sid, r) in parts {
+                    plan_for(&inner, Some(sid), r.len().next_power_of_two())?;
                 }
             }
         }
-        let dispatcher = {
+        let batcher = Batcher::spawn("gc-serve-dispatch", limits, {
             let inner = Arc::clone(&inner);
-            std::thread::Builder::new()
-                .name("gc-serve-dispatch".into())
-                .spawn(move || {
-                    let exit = DispatcherExitGuard(inner);
-                    dispatcher_loop(&exit.0);
-                })
-                .expect("spawn dispatcher")
-        };
-        Ok(Model {
-            inner,
-            dispatcher: Mutex::new(Some(dispatcher)),
-        })
+            move |batch: &[Queued<Request>]| {
+                let started = Instant::now();
+                let reqs: Vec<&Request> = batch.iter().map(|q| &q.work).collect();
+                let mut results = execute(&inner, &reqs)?;
+                for ((_, stats), q) in results.iter_mut().zip(batch) {
+                    stats.queue_wait = started.duration_since(q.enqueued_at);
+                }
+                Ok(results)
+            }
+        });
+        Ok(Model { inner, batcher })
     }
 
     /// A new request handle.
     pub fn session(&self) -> Session {
         Session {
             inner: Arc::clone(&self.inner),
+            batcher: Arc::clone(&self.batcher),
         }
     }
 
     /// Point-in-time serving statistics.
     pub fn stats(&self) -> StatsSnapshot {
-        self.inner.stats.snapshot()
+        self.batcher.stamp(self.inner.stats.snapshot())
     }
 
     /// The canonical graph fingerprint this model is cached under.
@@ -511,23 +318,13 @@ impl Model {
     ///
     /// Returns [`ServeError::Compile`] if the bucket fails to compile.
     pub fn executable_for_units(&self, units: usize) -> Result<Arc<Executable>, ServeError> {
-        Ok(Arc::clone(&plan_for_units(&self.inner, units)?.exe))
+        Ok(Arc::clone(&plan_for(&self.inner, None, units)?.exe))
     }
 
     /// Stop accepting requests, drain what's queued, and join the
-    /// dispatcher. Idempotent; also runs on drop.
+    /// batcher thread. Idempotent; also runs on drop.
     pub fn shutdown(&self) {
-        {
-            let mut q = self.inner.queue.lock().unwrap();
-            if q.closed {
-                return;
-            }
-            q.closed = true;
-        }
-        self.inner.cv.notify_all();
-        if let Some(h) = self.dispatcher.lock().unwrap().take() {
-            let _ = h.join();
-        }
+        self.batcher.shutdown();
     }
 }
 
@@ -583,47 +380,18 @@ impl Session {
         };
 
         // Fast path: idle model, nothing queued — execute synchronously
-        // on the caller thread, no queue hop, no dispatcher wakeup.
+        // on the caller thread, no queue hop, no batcher wakeup.
+        if self.batcher.is_empty()?
+            && inner.config.fast_path
+            && inner.inflight.load(Ordering::Relaxed) == 0
         {
-            let q = inner.queue.lock().unwrap();
-            if q.closed {
-                return Err(ServeError::Closed);
-            }
-            if inner.config.fast_path
-                && q.pending.is_empty()
-                && inner.inflight.load(Ordering::Relaxed) == 0
-            {
-                drop(q);
-                let mut out = execute_bucket(inner, &[req])?;
-                let (outs, stats) = out.pop().expect("one request in, one result out");
-                inner.stats.record_fast_path(t0.elapsed());
-                return Ok((outs, stats));
-            }
+            let mut out = execute(inner, &[&req])?;
+            let result = out.pop().expect("one request in, one result out");
+            inner.stats.record_fast_path(t0.elapsed());
+            return Ok(result);
         }
 
-        // Queued path.
-        let slot = Slot::new();
-        {
-            let mut q = inner.queue.lock().unwrap();
-            if q.closed {
-                return Err(ServeError::Closed);
-            }
-            if q.pending.len() >= inner.config.queue_cap {
-                inner.stats.record_busy();
-                return Err(ServeError::Busy {
-                    queued: q.pending.len(),
-                    cap: inner.config.queue_cap,
-                });
-            }
-            q.pending.push_back(Pending {
-                req,
-                slot: Arc::clone(&slot),
-                enqueued_at: Instant::now(),
-            });
-            inner.stats.enqueued();
-        }
-        inner.cv.notify_all();
-        let result = slot.take();
+        let result = self.batcher.submit(req)?.wait();
         if result.is_ok() {
             inner.stats.record_request_latency(t0.elapsed());
         }
@@ -632,7 +400,7 @@ impl Session {
 
     /// Point-in-time serving statistics for the underlying model.
     pub fn stats(&self) -> StatsSnapshot {
-        self.inner.stats.snapshot()
+        self.batcher.stamp(self.inner.stats.snapshot())
     }
 }
 
@@ -680,292 +448,216 @@ fn validate_request(inner: &ModelInner, inputs: &[Tensor]) -> Result<usize, Serv
     Ok(units)
 }
 
-/// Look up (or compile) the plan serving bucket `units`.
-fn plan_for_units(inner: &ModelInner, units: usize) -> Result<Arc<CachedPlan>, ServeError> {
-    let key = PlanKey {
-        graph: inner.graph_hash,
-        units: units as u64,
-        opts: inner.opts_hash,
-        threads: inner.pool.threads() as u64,
-        shard: 0,
-    };
-    inner.plan_cache.get_or_compile(key, || {
-        let g = rebatch(&inner.graph, inner.template_units, units)?;
-        let arts = Compiler::new(inner.config.compile.clone())
-            .compile_artifacts(g, Arc::clone(&inner.pool))?;
-        let exe = arts
-            .exe
-            .with_init_cache(Arc::clone(&inner.init_cache), key.fold_digest());
-        Ok(CachedPlan {
-            exe: Arc::new(exe),
-            input_descs: arts.input_descs,
-            output_descs: arts.output_descs,
-        })
-    })
-}
-
-/// Look up (or compile) shard `sid`'s private plan for bucket `units`.
+/// Look up (or compile) the plan serving bucket `units` on engine shard
+/// `shard`, or on the local engine for `None`.
 ///
-/// The key's `opts` component carries the shard's *effective* ISA and
-/// the fleet topology hash; `shard` is the 1-based slot giving the
-/// shard a private executable (and exec-state checkout pool). Folded
-/// constants still share across shards with equal options/width via
+/// A shard's key carries its *effective* ISA and the fleet topology in
+/// `opts`, its own pool width, and the 1-based slot that gives it a
+/// private executable (and exec-state checkout pool). Folded constants
+/// still share across shards with equal options/width via
 /// [`PlanKey::fold_digest`].
-fn plan_for_shard(
+fn plan_for(
     inner: &ModelInner,
-    rt: &ShardRuntime,
-    sid: usize,
+    shard: Option<usize>,
     units: usize,
 ) -> Result<Arc<CachedPlan>, ServeError> {
-    let shard = &rt.shards[sid];
+    let shard = shard.zip(inner.shards.as_ref());
     let key = PlanKey {
         graph: inner.graph_hash,
         units: units as u64,
-        opts: rt.opts_hash[sid],
-        threads: shard.threads() as u64,
-        shard: sid as u64 + 1,
+        opts: shard.map_or(inner.opts_hash, |(sid, rt)| rt.opts_hash[sid]),
+        threads: shard.map_or(inner.plans.pool.threads(), |(sid, rt)| {
+            rt.shards[sid].threads()
+        }) as u64,
+        shard: shard.map_or(0, |(sid, _)| sid as u64 + 1),
     };
-    inner.plan_cache.get_or_compile(key, || {
-        let g = rebatch(&inner.graph, inner.template_units, units)?;
-        // Plan decisions (parallel decomposition, buffer sizing) must
-        // match the shard's pool, not the process default.
-        let copts = inner.config.compile.for_pool_width(shard.threads());
-        let arts = Compiler::new(copts).compile_artifacts(g, Arc::clone(shard.pool()))?;
-        let exe = arts
-            .exe
-            .with_init_cache(Arc::clone(&inner.init_cache), key.fold_digest())
-            .with_counters(Arc::clone(shard.engine().counters()));
-        Ok(CachedPlan {
-            exe: Arc::new(exe),
-            input_descs: arts.input_descs,
-            output_descs: arts.output_descs,
-        })
-    })
+    inner.plans.plan(
+        key,
+        &inner.config.compile,
+        shard.map(|(sid, rt)| rt.shards[sid].engine()),
+        || rebatch(&inner.graph, inner.template_units, units),
+    )
 }
 
-/// Concatenate each input across `reqs` along dim 0 and zero-pad to
-/// `bucket` units.
-fn gather_inputs(
-    inner: &ModelInner,
-    reqs: &[Request],
-    bucket: usize,
-) -> Result<Vec<Tensor>, ServeError> {
-    let mut batched = Vec::with_capacity(inner.template_descs.len());
-    for i in 0..inner.template_descs.len() {
-        let parts: Vec<&Tensor> = reqs.iter().map(|r| &r.inputs[i]).collect();
-        batched.push(concat_rows(&parts, inner.unit_dims[i] * bucket)?);
-    }
-    Ok(batched)
-}
-
-/// Scatter batch-level outputs back per request: request r at unit
-/// offset `off` owns rows [off * k_out, (off + r.units) * k_out) of
-/// every output. `outs` hold `units_in_out` units along dim 0 (the
-/// requests occupy the leading real units); `descs` carry the logical
-/// output shapes (executed tensors may come back layout-flattened).
-fn scatter_outputs(
-    reqs: &[Request],
-    outs: &[Tensor],
-    descs: &[TensorDesc],
-    units_in_out: usize,
-    stats: &ExecStats,
-) -> Result<Vec<(Vec<Tensor>, ExecStats)>, ServeError> {
-    let mut per_req = Vec::with_capacity(reqs.len());
-    let mut off = 0usize;
-    for r in reqs {
-        let mut req_outs = Vec::with_capacity(outs.len());
-        for (o, out) in outs.iter().enumerate() {
-            let desc = &descs[o];
-            let vol = desc.volume();
-            if !vol.is_multiple_of(units_in_out)
-                || desc.shape().is_empty()
-                || !desc.shape()[0].is_multiple_of(units_in_out)
-            {
-                return Err(ServeError::Exec(format!(
-                    "output {o} ({desc}) does not scale with the batch"
-                )));
-            }
-            let unit_vol = vol / units_in_out;
-            let mut shape = desc.shape().to_vec();
-            shape[0] = shape[0] / units_in_out * r.units;
-            req_outs.push(slice_elems(
-                out,
-                off * unit_vol,
-                r.units * unit_vol,
-                TensorDesc::new(shape, desc.dtype()),
-            )?);
-        }
-        per_req.push((req_outs, stats.clone()));
-        off += r.units;
-    }
-    Ok(per_req)
-}
-
-/// Coalesce `reqs` into one padded bucket execution and scatter the
-/// outputs back per request. Every request gets the same base
-/// [`ExecStats`] with `batch_rows` set; `queue_wait` is the caller's
-/// business. Sharded models route through the fleet instead (see
-/// [`execute_sharded`]).
-fn execute_bucket(
-    inner: &ModelInner,
-    reqs: &[Request],
-) -> Result<Vec<(Vec<Tensor>, ExecStats)>, ServeError> {
-    if let Some(rt) = &inner.shards {
-        return execute_sharded(inner, rt, reqs);
-    }
-    let total_units: usize = reqs.iter().map(|r| r.units).sum();
-    let bucket = total_units.next_power_of_two();
-    let plan = plan_for_units(inner, bucket)?;
-    let batched = gather_inputs(inner, reqs, bucket)?;
-
-    inner.inflight.fetch_add(1, Ordering::SeqCst);
-    let result = plan.exe.execute(&batched);
-    inner.inflight.fetch_sub(1, Ordering::SeqCst);
-    let (outs, mut stats) = result?;
-    stats.batch_rows = (inner.unit_dims[0] * bucket) as u64;
-
-    inner.stats.record_batch(
-        bucket as u64,
-        reqs.len() as u64,
-        total_units as u64,
-        (bucket - total_units) as u64,
-    );
-    scatter_outputs(reqs, &outs, &plan.output_descs, bucket, &stats)
-}
-
-/// Sharded execution: route the batch per the fleet's [`ShardPlan`] —
-/// whole to one shard (small batches), or scattered into contiguous
-/// unit ranges that execute concurrently and fuse back into one batch.
-fn execute_sharded(
-    inner: &ModelInner,
-    rt: &ShardRuntime,
-    reqs: &[Request],
-) -> Result<Vec<(Vec<Tensor>, ExecStats)>, ServeError> {
-    let total_units: usize = reqs.iter().map(|r| r.units).sum();
-    match rt.plan(total_units) {
-        ShardPlan::Single(sid) => execute_on_shard(inner, rt, sid, reqs, total_units),
-        ShardPlan::Scatter(parts) => execute_scattered(inner, rt, parts, reqs, total_units),
-    }
-}
-
-/// Whole-batch routing: identical to the serial path, except the
-/// execution happens on one shard's engine (its executor thread and
-/// pool, under its ISA/pinning setup).
-fn execute_on_shard(
-    inner: &ModelInner,
-    rt: &ShardRuntime,
-    sid: usize,
-    reqs: &[Request],
-    total_units: usize,
-) -> Result<Vec<(Vec<Tensor>, ExecStats)>, ServeError> {
-    let fuse_t0 = Instant::now();
-    let bucket = total_units.next_power_of_two();
-    let plan = plan_for_shard(inner, rt, sid, bucket)?;
-    let batched = gather_inputs(inner, reqs, bucket)?;
-    let fuse = fuse_t0.elapsed();
-
-    inner.inflight.fetch_add(1, Ordering::SeqCst);
-    let exe = Arc::clone(&plan.exe);
-    let job = rt.shards[sid].run(move || {
-        let t0 = Instant::now();
-        (exe.execute(&batched), t0.elapsed())
-    });
-    let waited = job.wait();
-    inner.inflight.fetch_sub(1, Ordering::SeqCst);
-    let (result, wall) = waited?;
-    let (outs, mut stats) = result?;
-    rt.shards[sid]
-        .stats()
-        .record_exec(total_units as u64, bucket as u64, wall);
-    stats.batch_rows = (inner.unit_dims[0] * bucket) as u64;
-
-    inner.stats.record_batch(
-        bucket as u64,
-        reqs.len() as u64,
-        total_units as u64,
-        (bucket - total_units) as u64,
-    );
-    inner.stats.record_scatter(1, fuse);
-    scatter_outputs(reqs, &outs, &plan.output_descs, bucket, &stats)
-}
-
-/// One shard's share of a scattered batch, after execution.
-struct Partial {
-    units: std::ops::Range<usize>,
+/// One contiguous unit range of a batch on the engine that runs it.
+struct Part {
+    shard: Option<usize>,
+    units: Range<usize>,
+    /// `units` padded to the power of two the plan is compiled at.
     bucket: usize,
     plan: Arc<CachedPlan>,
-    outs: Vec<Tensor>,
-    stats: ExecStats,
 }
 
-/// Scatter-execute-fuse: gather the batch once (unpadded), slice each
-/// shard's contiguous unit range and pad it to the shard's own
-/// power-of-two bucket, execute all shards concurrently, then fuse the
-/// partial outputs (padding dropped) back into one `total_units`-unit
-/// batch for the ordinary per-request scatter.
-fn execute_scattered(
+/// One part's execution result and its wall time.
+type Ran = (Result<Inferred, gc_tir::exec::ExecError>, Duration);
+
+/// A part in flight: already run (the local engine executes on the
+/// calling thread) or queued on its shard's executor.
+enum Launched {
+    Local(Ran),
+    Shard(ShardJob<Ran>),
+}
+
+/// `a ∩ b`; empty when `start >= end`.
+fn overlap(a: &Range<usize>, b: &Range<usize>) -> Range<usize> {
+    a.start.max(b.start)..a.end.min(b.end)
+}
+
+/// The padded inputs of the part covering `units`: per model input, a
+/// zeroed `bucket`-unit tensor into which every request's overlap with
+/// the part is copied at its place. Requests lie back to back in unit
+/// order, so a request may straddle two parts.
+fn gather(
     inner: &ModelInner,
-    rt: &ShardRuntime,
-    parts: Vec<(usize, std::ops::Range<usize>)>,
-    reqs: &[Request],
-    total_units: usize,
-) -> Result<Vec<(Vec<Tensor>, ExecStats)>, ServeError> {
-    let fuse_t0 = Instant::now();
-    let full = gather_inputs(inner, reqs, total_units)?;
-    let mut prepared = Vec::with_capacity(parts.len());
-    for (sid, r) in parts {
-        let bucket = r.len().next_power_of_two();
-        let plan = plan_for_shard(inner, rt, sid, bucket)?;
-        let mut sub = Vec::with_capacity(full.len());
-        for (i, f) in full.iter().enumerate() {
-            let k = inner.unit_dims[i];
-            let unit_vol = f.desc().volume() / total_units;
-            let mut shape = f.desc().shape().to_vec();
-            shape[0] = k * r.len();
-            let slice = slice_elems(
-                f,
-                r.start * unit_vol,
-                r.len() * unit_vol,
-                TensorDesc::new(shape, f.desc().dtype()),
-            )?;
-            sub.push(concat_rows(&[&slice], k * bucket)?);
+    reqs: &[&Request],
+    units: &Range<usize>,
+    bucket: usize,
+) -> Result<Vec<Tensor>, ServeError> {
+    let mut inputs = Vec::with_capacity(inner.template_descs.len());
+    for (i, desc) in inner.template_descs.iter().enumerate() {
+        let unit_vol = desc.volume() / inner.template_units;
+        let mut padded = Storage::zeros(desc.dtype(), bucket * unit_vol);
+        let mut off = 0;
+        for r in reqs {
+            let ov = overlap(&(off..off + r.units), units);
+            if !ov.is_empty() {
+                copy_elems(
+                    r.inputs[i].storage(),
+                    (ov.start - off) * unit_vol,
+                    &mut padded,
+                    (ov.start - units.start) * unit_vol,
+                    ov.len() * unit_vol,
+                )?;
+            }
+            off += r.units;
         }
-        prepared.push((sid, r, bucket, plan, sub));
+        let mut shape = desc.shape().to_vec();
+        shape[0] = inner.unit_dims[i] * bucket;
+        inputs.push(
+            Tensor::from_parts(TensorDesc::new(shape, desc.dtype()), padded)
+                .map_err(|e| ServeError::Exec(e.to_string()))?,
+        );
     }
-    let fuse_partition = fuse_t0.elapsed();
+    Ok(inputs)
+}
+
+/// The mirror of [`gather`]: output `o` of the request covering `span`,
+/// assembled from every part it overlaps. A part's padding units are
+/// simply never read.
+fn scatter(
+    parts: &[(Part, Vec<Tensor>)],
+    o: usize,
+    span: &Range<usize>,
+) -> Result<Tensor, ServeError> {
+    // Shapes come from the plans' descriptors: executed tensors may
+    // come back layout-flattened.
+    let (first, _) = &parts[0];
+    let desc = &first.plan.output_descs[o];
+    let unit_vol = desc.volume() / first.bucket;
+    let mut out = Storage::zeros(desc.dtype(), span.len() * unit_vol);
+    for (part, outs) in parts {
+        let d = &part.plan.output_descs[o];
+        if d.shape().is_empty()
+            || !d.shape()[0].is_multiple_of(part.bucket)
+            || d.volume() != unit_vol * part.bucket
+        {
+            return Err(ServeError::Exec(format!(
+                "output {o} ({d}) does not scale with the batch"
+            )));
+        }
+        let ov = overlap(span, &part.units);
+        if !ov.is_empty() {
+            copy_elems(
+                outs[o].storage(),
+                (ov.start - part.units.start) * unit_vol,
+                &mut out,
+                (ov.start - span.start) * unit_vol,
+                ov.len() * unit_vol,
+            )?;
+        }
+    }
+    let mut shape = desc.shape().to_vec();
+    shape[0] = shape[0] / first.bucket * span.len();
+    Tensor::from_parts(TensorDesc::new(shape, desc.dtype()), out)
+        .map_err(|e| ServeError::Exec(e.to_string()))
+}
+
+/// Execute `reqs` as one batch and return each request's outputs.
+///
+/// A batch is always a list of parts — contiguous unit ranges, each on
+/// one engine and padded to its own power-of-two bucket. The unsharded
+/// model has one part on the local engine; a sharded model routes per
+/// its [`ShardPlan`], whole to one shard or split across the fleet to
+/// run concurrently. Inputs are written once, from the requests
+/// straight into each part's padded tensors, and outputs are read once,
+/// from the parts' outputs straight into each request's: one shard does
+/// exactly the copies the local engine does. Every request gets the
+/// first part's [`ExecStats`] with `batch_rows` covering what all parts
+/// executed (padding included); `queue_wait` is the caller's business.
+fn execute(inner: &ModelInner, reqs: &[&Request]) -> Result<Vec<Inferred>, ServeError> {
+    let t0 = Instant::now();
+    let total_units: usize = reqs.iter().map(|r| r.units).sum();
+    let route = match &inner.shards {
+        None => vec![(None, 0..total_units)],
+        Some(rt) => match rt.plan(total_units) {
+            ShardPlan::Single(sid) => vec![(Some(sid), 0..total_units)],
+            ShardPlan::Scatter(parts) => parts.into_iter().map(|(s, r)| (Some(s), r)).collect(),
+        },
+    };
+    let mut prepared = Vec::with_capacity(route.len());
+    for (shard, units) in route {
+        let bucket = units.len().next_power_of_two();
+        let plan = plan_for(inner, shard, bucket)?;
+        let inputs = gather(inner, reqs, &units, bucket)?;
+        prepared.push((
+            Part {
+                shard,
+                units,
+                bucket,
+                plan,
+            },
+            inputs,
+        ));
+    }
+    let mut copy_wall = t0.elapsed();
 
     inner.inflight.fetch_add(1, Ordering::SeqCst);
-    let jobs: Vec<_> = prepared
+    let launched: Vec<(Part, Launched)> = prepared
         .into_iter()
-        .map(|(sid, r, bucket, plan, sub)| {
-            let exe = Arc::clone(&plan.exe);
-            let job = rt.shards[sid].run(move || {
+        .map(|(part, inputs)| {
+            let exe = Arc::clone(&part.plan.exe);
+            let run = move || {
                 let t0 = Instant::now();
-                (exe.execute(&sub), t0.elapsed())
-            });
-            (sid, r, bucket, plan, job)
+                (exe.execute(&inputs), t0.elapsed())
+            };
+            let launched = match part.shard.zip(inner.shards.as_ref()) {
+                Some((sid, rt)) => Launched::Shard(rt.shards[sid].run(run)),
+                None => Launched::Local(run()),
+            };
+            (part, launched)
         })
         .collect();
-    // Wait for *every* shard before failing: abandoning a live job
+    // Wait for *every* part before failing: abandoning a live job
     // would let its pool race the next batch on the same shard.
-    let mut partials: Vec<Partial> = Vec::with_capacity(jobs.len());
+    let mut parts = Vec::with_capacity(launched.len());
+    let mut stats: Option<ExecStats> = None;
     let mut first_err: Option<ServeError> = None;
-    for (sid, r, bucket, plan, job) in jobs {
-        match job.wait() {
-            Ok((Ok((outs, stats)), wall)) => {
-                rt.shards[sid]
-                    .stats()
-                    .record_exec(r.len() as u64, bucket as u64, wall);
-                partials.push(Partial {
-                    units: r,
-                    bucket,
-                    plan,
-                    outs,
-                    stats,
-                });
-            }
-            Ok((Err(e), _)) => {
-                first_err.get_or_insert(e.into());
+    for (part, launched) in launched {
+        let ran = match launched {
+            Launched::Local(ran) => Ok(ran),
+            Launched::Shard(job) => job.wait(),
+        };
+        match ran.and_then(|(result, wall)| Ok((result?, wall))) {
+            Ok(((outs, part_stats), wall)) => {
+                if let Some((sid, rt)) = part.shard.zip(inner.shards.as_ref()) {
+                    rt.shards[sid].stats().record_exec(
+                        part.units.len() as u64,
+                        part.bucket as u64,
+                        wall,
+                    );
+                }
+                stats.get_or_insert(part_stats);
+                parts.push((part, outs));
             }
             Err(e) => {
                 first_err.get_or_insert(e);
@@ -976,145 +668,48 @@ fn execute_scattered(
     if let Some(e) = first_err {
         return Err(e);
     }
+    let mut stats = stats.expect("a batch has at least one part");
 
-    // Fuse: per output, drop each shard's padding units and concatenate
-    // the real ranges back — they are contiguous and in unit order, so
-    // the result is exactly the unpadded batch output.
-    let fuse_t1 = Instant::now();
-    let n_outs = partials[0].outs.len();
-    let mut fused = Vec::with_capacity(n_outs);
-    for o in 0..n_outs {
-        let mut slices = Vec::with_capacity(partials.len());
-        for p in &partials {
-            let desc = &p.plan.output_descs[o];
-            let vol = desc.volume();
-            if vol % p.bucket != 0 || desc.shape().is_empty() || desc.shape()[0] % p.bucket != 0 {
-                return Err(ServeError::Exec(format!(
-                    "output {o} ({desc}) does not scale with the batch"
-                )));
-            }
-            let unit_vol = vol / p.bucket;
-            let mut shape = desc.shape().to_vec();
-            shape[0] = shape[0] / p.bucket * p.units.len();
-            slices.push(slice_elems(
-                &p.outs[o],
-                0,
-                p.units.len() * unit_vol,
-                TensorDesc::new(shape, desc.dtype()),
-            )?);
-        }
-        let rows: usize = slices.iter().map(|s| s.desc().shape()[0]).sum();
-        let refs: Vec<&Tensor> = slices.iter().collect();
-        fused.push(concat_rows(&refs, rows)?);
-    }
-    let fuse = fuse_partition + fuse_t1.elapsed();
-
-    // Base request stats: shard 0's execution, with batch_rows covering
-    // what the whole fleet executed (per-shard padding included).
-    let mut stats = partials[0].stats.clone();
-    stats.batch_rows = partials
+    let t1 = Instant::now();
+    stats.batch_rows = parts
         .iter()
-        .map(|p| (inner.unit_dims[0] * p.bucket) as u64)
+        .map(|(p, _)| (inner.unit_dims[0] * p.bucket) as u64)
         .sum();
-    let padded_total: usize = partials.iter().map(|p| p.bucket - p.units.len()).sum();
+    let n_outs = parts[0].0.plan.output_descs.len();
+    let mut results = Vec::with_capacity(reqs.len());
+    let mut off = 0;
+    for r in reqs {
+        let span = off..off + r.units;
+        let outs = (0..n_outs)
+            .map(|o| scatter(&parts, o, &span))
+            .collect::<Result<Vec<_>, _>>()?;
+        results.push((outs, stats.clone()));
+        off += r.units;
+    }
+    copy_wall += t1.elapsed();
+
     // Bucket key = what a single engine would have used; the padding
-    // reflects what the shards actually executed.
+    // is what the parts actually executed.
+    let padded: usize = parts.iter().map(|(p, _)| p.bucket - p.units.len()).sum();
     inner.stats.record_batch(
         total_units.next_power_of_two() as u64,
         reqs.len() as u64,
         total_units as u64,
-        padded_total as u64,
+        padded as u64,
     );
-    inner.stats.record_scatter(partials.len(), fuse);
-    let fused_descs: Vec<TensorDesc> = fused.iter().map(|t| t.desc().clone()).collect();
-    scatter_outputs(reqs, &fused, &fused_descs, total_units, &stats)
-}
-
-/// Run one drained batch and fan results (or the shared error) out to
-/// every waiter. Panic-safe: if the executor unwinds, every waiter is
-/// failed on the way out instead of blocking forever.
-fn run_batch(inner: &ModelInner, batch: Vec<Pending>) {
-    let started = Instant::now();
-    let mut guard = FanoutGuard {
-        slots: batch.iter().map(|p| Arc::clone(&p.slot)).collect(),
-        armed: true,
-    };
-    let reqs: Vec<Request> = batch
-        .iter()
-        .map(|p| Request {
-            inputs: p.req.inputs.clone(),
-            units: p.req.units,
-        })
-        .collect();
-    match execute_bucket(inner, &reqs) {
-        Ok(results) => {
-            for (p, (outs, mut stats)) in batch.into_iter().zip(results) {
-                stats.queue_wait = started.duration_since(p.enqueued_at);
-                p.slot.put(Ok((outs, stats)));
-            }
-        }
-        Err(e) => {
-            for p in batch {
-                p.slot.put(Err(e.clone()));
-            }
-        }
+    if inner.shards.is_some() {
+        inner.stats.record_scatter(parts.len(), copy_wall);
     }
-    guard.armed = false;
-}
-
-fn dispatcher_loop(inner: &ModelInner) {
-    let mut q = inner.queue.lock().unwrap();
-    loop {
-        if q.pending.is_empty() {
-            if q.closed {
-                return;
-            }
-            q = inner.cv.wait(q).unwrap();
-            continue;
-        }
-        // Hold the oldest request open for coalescing until the batch
-        // fills or its delay budget runs out (skip the wait entirely
-        // when draining after shutdown).
-        let deadline = q.pending.front().unwrap().enqueued_at + inner.config.max_delay;
-        while !q.closed {
-            let units: usize = q.pending.iter().map(|p| p.req.units).sum();
-            if units >= inner.config.max_batch {
-                break;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            q = inner.cv.wait_timeout(q, deadline - now).unwrap().0;
-        }
-        // Drain whole requests up to the unit cap; an oversized first
-        // request still goes out (alone).
-        let mut batch: Vec<Pending> = Vec::new();
-        let mut units = 0usize;
-        while let Some(p) = q.pending.front() {
-            if !batch.is_empty() && units + p.req.units > inner.config.max_batch {
-                break;
-            }
-            units += p.req.units;
-            batch.push(q.pending.pop_front().expect("front exists"));
-            if units >= inner.config.max_batch {
-                break;
-            }
-        }
-        inner.stats.dequeued(batch.len() as u64);
-        drop(q);
-        run_batch(inner, batch);
-        q = inner.queue.lock().unwrap();
-    }
+    Ok(results)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use gc_graph::{OpKind, UnaryKind};
     use gc_tensor::DataType;
 
-    fn mlp_graph(batch: usize, seed: u64) -> Graph {
+    pub(crate) fn mlp_graph(batch: usize, seed: u64) -> Graph {
         let mut g = Graph::new();
         let x = g.add_input(TensorDesc::new([batch, 16], DataType::F32), "x");
         let w1 = g.add_constant(Tensor::random(&[16, 32], DataType::F32, seed), "w1");
@@ -1126,7 +721,7 @@ mod tests {
         g
     }
 
-    fn config_with_private_caches(threads: usize) -> ServeConfig {
+    pub(crate) fn config_with_private_caches(threads: usize) -> ServeConfig {
         ServeConfig {
             compile: CompileOptions {
                 threads: Some(threads),
@@ -1152,228 +747,6 @@ mod tests {
         let snap = model.stats();
         assert_eq!(snap.requests, 1);
         assert_eq!(snap.fast_path, 1);
-    }
-
-    #[test]
-    fn options_fingerprint_sees_every_knob() {
-        use gc_core::TuningDb;
-        use gc_lowering::anchors::{PackPlacement, PostOpAnchor};
-        use gc_machine::MachineDescriptor;
-
-        let base = CompileOptions::default();
-        let fp = options_fingerprint(&base);
-        // Every public knob, toggled one at a time, must move the
-        // fingerprint — with the two deliberate exceptions asserted at
-        // the bottom. A knob missing here is a knob someone added to
-        // CompileOptions: extend both this list and (by the compile
-        // error it just produced) options_fingerprint itself.
-        let variants: Vec<(&str, CompileOptions)> = vec![
-            (
-                "machine",
-                CompileOptions {
-                    machine: MachineDescriptor::small_generic(),
-                    ..base.clone()
-                },
-            ),
-            (
-                "fusion",
-                CompileOptions {
-                    fusion: gc_graph::FusionOptions::disabled(),
-                    ..base.clone()
-                },
-            ),
-            (
-                "coarse_fusion",
-                CompileOptions {
-                    coarse_fusion: false,
-                    ..base.clone()
-                },
-            ),
-            (
-                "low_precision",
-                CompileOptions {
-                    low_precision: false,
-                    ..base.clone()
-                },
-            ),
-            (
-                "constant_weights",
-                CompileOptions {
-                    constant_weights: false,
-                    ..base.clone()
-                },
-            ),
-            (
-                "propagate_layouts",
-                CompileOptions {
-                    propagate_layouts: false,
-                    ..base.clone()
-                },
-            ),
-            (
-                "shrink_tensors",
-                CompileOptions {
-                    shrink_tensors: false,
-                    ..base.clone()
-                },
-            ),
-            (
-                "reuse_buffers",
-                CompileOptions {
-                    reuse_buffers: false,
-                    ..base.clone()
-                },
-            ),
-            (
-                "reuse_locals",
-                CompileOptions {
-                    reuse_locals: false,
-                    ..base.clone()
-                },
-            ),
-            (
-                "forced_post_anchor",
-                CompileOptions {
-                    forced_post_anchor: Some(PostOpAnchor::P2),
-                    ..base.clone()
-                },
-            ),
-            (
-                "forced_pack",
-                CompileOptions {
-                    forced_pack: Some(PackPlacement::PerTask),
-                    ..base.clone()
-                },
-            ),
-            (
-                "library_params",
-                CompileOptions {
-                    library_params: true,
-                    ..base.clone()
-                },
-            ),
-            (
-                "k_slice",
-                CompileOptions {
-                    k_slice: false,
-                    ..base.clone()
-                },
-            ),
-            (
-                "interpret",
-                CompileOptions {
-                    interpret: true,
-                    ..base.clone()
-                },
-            ),
-            (
-                "validate",
-                CompileOptions {
-                    validate: false,
-                    ..base.clone()
-                },
-            ),
-            (
-                "checked",
-                CompileOptions {
-                    checked: true,
-                    ..base.clone()
-                },
-            ),
-            (
-                "ragged",
-                CompileOptions {
-                    ragged: false,
-                    ..base.clone()
-                },
-            ),
-            (
-                "tuning",
-                CompileOptions {
-                    tuning: Some(Arc::new(TuningDb::in_memory())),
-                    ..base.clone()
-                },
-            ),
-        ];
-        for (name, v) in &variants {
-            assert_ne!(
-                options_fingerprint(v),
-                fp,
-                "toggling {name} must change the options fingerprint"
-            );
-        }
-        // Two tuning databases with *different contents* must not alias.
-        let db = Arc::new(TuningDb::in_memory());
-        db.insert(
-            gc_core::TuneKey {
-                graph: 1,
-                shape_bucket: 2,
-                machine: 3,
-                threads: 0,
-            },
-            gc_core::TunedRecord {
-                choices: vec![],
-                merge_coarse: None,
-                ragged: None,
-                projected_cycles: 1.0,
-                wall_ns: 1,
-            },
-        );
-        assert_ne!(
-            options_fingerprint(&CompileOptions {
-                tuning: Some(db),
-                ..base.clone()
-            }),
-            options_fingerprint(&CompileOptions {
-                tuning: Some(Arc::new(TuningDb::in_memory())),
-                ..base.clone()
-            }),
-        );
-        // Deliberate exceptions: the pool width is part of the plan key
-        // itself, and the decision log is pure observability.
-        assert_eq!(
-            options_fingerprint(&CompileOptions {
-                threads: Some(7),
-                ..base.clone()
-            }),
-            fp
-        );
-        assert_eq!(
-            options_fingerprint(&CompileOptions {
-                param_log: Some(Arc::new(std::sync::Mutex::new(Vec::new()))),
-                ..base.clone()
-            }),
-            fp
-        );
-    }
-
-    #[test]
-    fn checked_serving_bitmatches_and_gets_own_plan_cache_entry() {
-        let cfg = config_with_private_caches(1);
-        let checked_cfg = cfg.clone().checked();
-        assert_ne!(
-            options_fingerprint(&cfg.compile),
-            options_fingerprint(&checked_cfg.compile),
-            "checked mode must key its own plan-cache entries"
-        );
-        let plain = Model::load(mlp_graph(4, 1), cfg).unwrap();
-        let checked = Model::load(mlp_graph(4, 1), checked_cfg).unwrap();
-        let x = Tensor::random(&[4, 16], DataType::F32, 9);
-        let a = plain.session().infer(std::slice::from_ref(&x)).unwrap();
-        let b = checked.session().infer(&[x]).unwrap();
-        assert_eq!(a[0].f32_slice().unwrap(), b[0].f32_slice().unwrap());
-    }
-
-    #[test]
-    fn k_slice_knob_keys_its_own_plan_cache_entry() {
-        let cfg = config_with_private_caches(1);
-        let mut unsliced_cfg = cfg.clone();
-        unsliced_cfg.compile.k_slice = false;
-        assert_ne!(
-            options_fingerprint(&cfg.compile),
-            options_fingerprint(&unsliced_cfg.compile),
-            "toggling k_slice must never alias cached plans"
-        );
     }
 
     #[test]
@@ -1440,39 +813,39 @@ mod tests {
 
     #[test]
     fn busy_when_queue_full() {
-        // Stuff the queue to capacity behind the dispatcher's back (a
-        // long coalescing window keeps it from draining even if it
-        // wakes), then watch the next request bounce with Busy.
+        // Two callers fill the queue (a long coalescing window keeps
+        // the batcher from draining it); the third bounces with Busy.
         let mut cfg = config_with_private_caches(1);
         cfg.template_units = Some(1);
+        cfg.fast_path = false;
         cfg.queue_cap = 2;
-        cfg.max_delay = Duration::from_secs(10);
+        cfg.max_delay = Duration::from_secs(30);
         cfg.max_batch = 64;
         let model = Model::load(mlp_graph(1, 6), cfg).unwrap();
-        let s = model.session();
-        {
-            let mut q = model.inner.queue.lock().unwrap();
-            for seed in 0..2 {
-                q.pending.push_back(Pending {
-                    req: Request {
-                        inputs: vec![Tensor::random(&[1, 16], DataType::F32, seed)],
-                        units: 1,
-                    },
-                    slot: Slot::new(),
-                    enqueued_at: Instant::now(),
-                });
-                model.inner.stats.enqueued();
-            }
+        let queued: Vec<_> = (0..2)
+            .map(|seed| {
+                let s = model.session();
+                std::thread::spawn(move || {
+                    s.infer(&[Tensor::random(&[1, 16], DataType::F32, seed)])
+                })
+            })
+            .collect();
+        while model.stats().queue_depth < 2 {
+            std::thread::yield_now();
         }
         let x = Tensor::random(&[1, 16], DataType::F32, 9);
-        match s.infer(&[x]) {
+        match model.session().infer(&[x]) {
             Err(ServeError::Busy { queued, cap }) => assert_eq!((queued, cap), (2, 2)),
             other => panic!("expected Busy, got {other:?}"),
         }
         assert_eq!(model.stats().busy_rejections, 1);
-        // Shutdown drains the stuffed requests and joins cleanly.
+        // Shutdown drains the queued requests and joins cleanly.
         model.shutdown();
         assert_eq!(model.stats().queue_depth, 0);
+        for h in queued {
+            let outs = h.join().unwrap().unwrap();
+            assert_eq!(outs[0].desc().shape(), &[1, 8]);
+        }
     }
 
     #[test]
@@ -1526,49 +899,6 @@ mod tests {
         let snap = model.stats();
         assert_eq!(snap.fast_path, 0); // went through the dispatcher
         assert_eq!(snap.requests, 1);
-    }
-
-    #[test]
-    fn panicked_batch_fails_waiters_instead_of_hanging() {
-        let slot = Slot::new();
-        let s2 = Arc::clone(&slot);
-        let h = std::thread::spawn(move || {
-            let _guard = FanoutGuard {
-                slots: vec![s2],
-                armed: true,
-            };
-            panic!("executor blew up");
-        });
-        assert!(h.join().is_err());
-        assert!(matches!(slot.take(), Err(ServeError::Exec(_))));
-    }
-
-    #[test]
-    fn dispatcher_exit_fails_stranded_requests() {
-        // Simulate a dispatcher death with a request still queued: the
-        // exit guard must close the model and fail the waiter.
-        let mut cfg = config_with_private_caches(1);
-        cfg.template_units = Some(1);
-        let model = Model::load(mlp_graph(1, 21), cfg).unwrap();
-        model.shutdown();
-        let slot = Slot::new();
-        {
-            let mut q = model.inner.queue.lock().unwrap();
-            q.pending.push_back(Pending {
-                req: Request {
-                    inputs: vec![Tensor::random(&[1, 16], DataType::F32, 1)],
-                    units: 1,
-                },
-                slot: Arc::clone(&slot),
-                enqueued_at: Instant::now(),
-            });
-        }
-        drop(DispatcherExitGuard(Arc::clone(&model.inner)));
-        assert!(matches!(slot.take(), Err(ServeError::Closed)));
-        assert!(model.inner.queue.lock().unwrap().pending.is_empty());
-        let s = model.session();
-        let x = Tensor::random(&[1, 16], DataType::F32, 2);
-        assert!(matches!(s.infer(&[x]), Err(ServeError::Closed)));
     }
 
     #[test]

@@ -18,8 +18,11 @@
 //! fleet. The full lifecycle and the shard-count decision table are in
 //! DESIGN.md, section "Sharded execution".
 
+use crate::cache::options_fingerprint;
+use crate::hash::{combine, Fnv1a};
 use crate::stats::ShardStats;
 use crate::ServeError;
+use gc_core::CompileOptions;
 use gc_microkernel::arch;
 use gc_microkernel::Isa;
 use gc_runtime::{affinity, ThreadPool, WorkerSetup};
@@ -341,18 +344,55 @@ pub(crate) struct ShardRuntime {
 }
 
 impl ShardRuntime {
-    pub(crate) fn new(
-        shards: Vec<EngineShard>,
-        min_units_per_shard: usize,
-        opts_hash: Vec<u64>,
-    ) -> ShardRuntime {
-        debug_assert_eq!(shards.len(), opts_hash.len());
-        ShardRuntime {
+    /// Spawn the fleet `config` lays out for a model compiled with
+    /// `compile`, whose `threads` (or the host width when unset) is the
+    /// *total* budget: auto-width specs get an even share.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::InvalidModel`] for an empty fleet or a spec
+    /// [`EngineShard::new`] rejects.
+    pub(crate) fn spawn(
+        config: &ShardConfig,
+        compile: &CompileOptions,
+    ) -> Result<ShardRuntime, ServeError> {
+        if config.shards.is_empty() {
+            return Err(ServeError::InvalidModel(
+                "sharding configured with zero shards".into(),
+            ));
+        }
+        let total = compile.threads.filter(|&t| t > 0).unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(std::num::NonZeroUsize::get)
+                .unwrap_or(1)
+        });
+        let per_shard = (total / config.shards.len()).max(1);
+        let shards: Vec<EngineShard> = config
+            .shards
+            .iter()
+            .enumerate()
+            .map(|(id, spec)| EngineShard::new(id, spec, per_shard))
+            .collect::<Result<_, _>>()?;
+        // The fleet topology keys plans: resharding a model (count,
+        // widths, or backends) must never reuse plans compiled for
+        // another layout.
+        let mut topo = Fnv1a::new();
+        topo.write_u64(shards.len() as u64);
+        for s in &shards {
+            topo.write_u64(s.threads() as u64);
+            topo.write_str(s.isa_name());
+        }
+        let topo = topo.finish();
+        let opts_hash = shards
+            .iter()
+            .map(|s| combine(&[options_fingerprint(compile, s.isa_name()), topo]))
+            .collect();
+        Ok(ShardRuntime {
             shards,
-            min_units_per_shard,
+            min_units_per_shard: config.min_units_per_shard,
             opts_hash,
             rr: AtomicUsize::new(0),
-        }
+        })
     }
 
     /// Plan the next batch, advancing the round-robin route.

@@ -12,11 +12,11 @@
 //! A sharded model (DESIGN.md "Sharded execution") registers one
 //! [`ShardStats`] per engine shard at load. The shard's executor
 //! records every sub-batch it runs (units, padding, execution wall
-//! time, panics), and the *fusion* step's overhead — partitioning
-//! inputs and merging partial outputs back together — is accounted
-//! separately in [`StatsSnapshot::fuse_us`], because that copy cost is
-//! exactly where shard scaling goes to die on small batches (see the
-//! shard-count decision table in DESIGN.md). [`ModelStats::snapshot`]
+//! time, panics), and the *fusion* step's overhead — copying request
+//! inputs into per-shard tensors and partial outputs back out — is
+//! accounted separately in [`StatsSnapshot::fuse_us`], because that
+//! copy cost is exactly where shard scaling goes to die on small
+//! batches (see the shard-count decision table in DESIGN.md). [`ModelStats::snapshot`]
 //! folds all of it into the existing [`StatsSnapshot`], so `model
 //! .stats()` is still the single observability entry point.
 
@@ -193,8 +193,6 @@ impl ShardStats {
 pub struct ModelStats {
     fast_path: AtomicU64,
     batches: AtomicU64,
-    busy_rejections: AtomicU64,
-    queue_depth: AtomicU64,
     buckets: Mutex<HashMap<u64, BucketCounters>>,
     latency: Mutex<LatencyHistogram>,
     /// Decode iterations keyed by (cache capacity, row bucket).
@@ -206,8 +204,8 @@ pub struct ModelStats {
     shards: Mutex<Vec<Arc<ShardStats>>>,
     /// Batches whose units were scattered across more than one shard.
     scattered_batches: AtomicU64,
-    /// Wall time spent in the fuse step (input partitioning + partial-
-    /// output merge), outside any shard's own execution.
+    /// Wall time spent in the fuse step (the input and output copies of
+    /// a batch on a sharded model), outside any shard's own execution.
     fuse_ns: AtomicU64,
 }
 
@@ -263,8 +261,8 @@ impl ModelStats {
         *self.shards.lock().unwrap() = shards;
     }
 
-    /// One batch was scatter-executed across `shards` shards, with
-    /// `fuse` spent partitioning inputs and merging partial outputs.
+    /// One batch ran on `shards` shards, with `fuse` spent copying
+    /// inputs into per-shard tensors and partial outputs back out.
     pub(crate) fn record_scatter(&self, shards: usize, fuse: Duration) {
         if shards > 1 {
             self.scattered_batches.fetch_add(1, Ordering::Relaxed);
@@ -275,18 +273,6 @@ impl ModelStats {
         );
     }
 
-    pub(crate) fn record_busy(&self) {
-        self.busy_rejections.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn enqueued(&self) {
-        self.queue_depth.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn dequeued(&self, n: u64) {
-        self.queue_depth.fetch_sub(n, Ordering::Relaxed);
-    }
-
     /// Consistent-enough point-in-time copy of every counter.
     ///
     /// The completed-request count is derived from the latency
@@ -295,6 +281,10 @@ impl ModelStats {
     /// taken from the same locked histogram. Reading the separate
     /// relaxed atomic instead could disagree with the histogram by
     /// however many requests completed between the two reads.
+    ///
+    /// `queue_depth` and `busy_rejections` belong to the queue, not to
+    /// these counters: they read 0 here and the owning model's batcher
+    /// fills them in.
     pub fn snapshot(&self) -> StatsSnapshot {
         let hist = self.latency.lock().unwrap().clone();
         let mut buckets: Vec<BucketSnapshot> = self
@@ -337,8 +327,8 @@ impl ModelStats {
             requests: hist.total(),
             fast_path: self.fast_path.load(Ordering::Relaxed),
             batches: self.batches.load(Ordering::Relaxed),
-            busy_rejections: self.busy_rejections.load(Ordering::Relaxed),
-            queue_depth: self.queue_depth.load(Ordering::Relaxed),
+            busy_rejections: 0,
+            queue_depth: 0,
             p50_us: hist.quantile_us(0.50),
             p99_us: hist.quantile_us(0.99),
             buckets,
@@ -498,9 +488,10 @@ pub struct StatsSnapshot {
     /// Batches whose units were split across more than one shard (a
     /// batch routed whole to a single shard does not count).
     pub scattered_batches: u64,
-    /// Cumulative wall time (µs) in the fuse step — slicing inputs into
-    /// per-shard sub-batches and merging partial outputs — outside any
-    /// shard's own execution time.
+    /// Cumulative wall time (µs) in the fuse step — writing each
+    /// shard's padded inputs from the requests and each request's
+    /// outputs from the shards' partial outputs — outside any shard's
+    /// own execution time.
     pub fuse_us: u64,
 }
 
