@@ -34,6 +34,7 @@ fn main() {
                 &pool,
                 &mut scratch,
                 gc_tir::ExecOptions::default(),
+                Default::default(),
             );
         }
         let n = 2000;
@@ -48,6 +49,7 @@ fn main() {
                     &pool,
                     &mut scratch,
                     gc_tir::ExecOptions::default(),
+                    Default::default(),
                 );
             }
             let per = t0.elapsed() / n;

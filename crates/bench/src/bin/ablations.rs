@@ -17,11 +17,10 @@
 //!   projected cycles with ragged blocking on vs the divisor-only
 //!   degenerate blocking (`KB ∈ {1, k}` when k is prime);
 //! - `simd`     — the explicit-SIMD microkernel backends vs the
-//!   scalar-forced fallback: kernel-level GFLOP/s per family (via
-//!   explicit [`gc_microkernel::arch::kernels`] handles, same process)
-//!   and end-to-end MLP_1 wall time (via a `GC_FORCE_ISA=scalar`
-//!   subprocess, since the process-wide dispatch table is resolved
-//!   once and never changes).
+//!   scalar fallback: kernel-level GFLOP/s per family (on explicit
+//!   [`gc_microkernel::arch::kernels`] handles) and end-to-end MLP_1
+//!   wall time (compiled onto a scalar engine and a best-ISA engine),
+//!   all in one process.
 //! - `search`   — the template-parameter search: per Table-1 workload
 //!   and dtype, the branch-and-bound's traced counts for one
 //!   `Compiler::compile`, and the compile's logged queries replayed
@@ -58,13 +57,6 @@ fn main() {
         .find(|a| !a.starts_with("--"))
         .cloned()
         .unwrap_or_else(|| "all".to_string());
-    // Hidden re-exec entry: measure MLP_1 end-to-end under whatever
-    // GC_FORCE_ISA the parent set (the dispatch table is per-process).
-    if args.iter().any(|a| a == "--e2e-child") {
-        let ns = e2e_mlp1_wall_ns();
-        println!("E2E_WALL_NS {ns}");
-        return;
-    }
     if !matches!(
         what.as_str(),
         "anchors"
@@ -470,14 +462,18 @@ fn best_secs(reps: usize, mut f: impl FnMut()) -> f64 {
     best
 }
 
-/// End-to-end MLP_1 b256 f32: compile once, best-of-5 execute wall ns.
-fn e2e_mlp1_wall_ns() -> u64 {
+/// End-to-end MLP_1 b256 f32 on an engine running `kernels`: compile
+/// once for it, best-of-5 execute wall ns.
+fn e2e_mlp1_wall_ns(kernels: gc_microkernel::Kernels) -> u64 {
     let g = workloads::mlp_f32(256, &workloads::mlp1_layers(), 1);
     let inputs = random_inputs(&g, 3);
-    let c = Compiler::new(opts(None)).compile(g).expect("compile");
-    c.execute(&inputs).expect("warmup");
+    let pool = std::sync::Arc::new(gc_runtime::ThreadPool::with_host_parallelism());
+    let engine = gc_tir::Engine::new(pool).with_kernels(kernels);
+    let arts = Compiler::new(opts(None)).compile_artifacts(g, &engine);
+    let exe = arts.expect("compile").exe;
+    exe.execute(&inputs).expect("warmup");
     (best_secs(5, || {
-        c.execute(&inputs).expect("exec");
+        exe.execute(&inputs).expect("exec");
     }) * 1e9) as u64
 }
 
@@ -562,7 +558,7 @@ fn simd_ablation(quick: bool) {
         row("f32", r, &|kr: &Kernels| {
             let mut c = vec![0f32; shape.c_len()];
             secs_per_call(reps, || {
-                kr.brgemm_f32(shape, &a, &a_offs, &b, &b_offs, &mut c);
+                kr.brgemm_f32(shape, shape.m, &a, &a_offs, &b, &b_offs, &mut c);
             })
         });
     }
@@ -581,7 +577,7 @@ fn simd_ablation(quick: bool) {
         row("u8xi8", r, &|kr: &Kernels| {
             let mut c = vec![0i32; shape.c_len()];
             secs_per_call(reps, || {
-                kr.brgemm_u8i8(shape, &a, &a_offs, &b, &b_offs, &mut c);
+                kr.brgemm_u8i8(shape, shape.m, &a, &a_offs, &b, &b_offs, &mut c);
             })
         });
     }
@@ -636,25 +632,12 @@ fn simd_ablation(quick: bool) {
     };
     report("reduce_sum", gbs_sum(&scalar), gbs_sum(&simd));
 
-    // End-to-end: the dispatch table is resolved once per process, so
-    // the scalar-forced run is a re-exec of this binary.
+    // End-to-end: the same graph compiled for, and run on, two engines
+    // that differ only in their kernel backend.
     println!("-- end-to-end MLP_1 b256 f32 (wall ms, this host) --");
-    let exe = std::env::current_exe().expect("current_exe");
-    let child_ns = |isa: &str| -> u64 {
-        let out = std::process::Command::new(&exe)
-            .args(["simd", "--e2e-child"])
-            .env("GC_FORCE_ISA", isa)
-            .output()
-            .expect("spawn e2e child");
-        assert!(out.status.success(), "e2e child failed: {out:?}");
-        String::from_utf8_lossy(&out.stdout)
-            .lines()
-            .find_map(|l| l.strip_prefix("E2E_WALL_NS ").and_then(|v| v.parse().ok()))
-            .expect("child printed no E2E_WALL_NS")
-    };
-    let (ns_scalar, ns_simd) = (child_ns("scalar"), child_ns(best.name()));
+    let (ns_scalar, ns_simd) = (e2e_mlp1_wall_ns(scalar), e2e_mlp1_wall_ns(simd));
     println!(
-        "MLP_1 b256 f32           scalar-forced {:.3} | {best} {:.3} | speedup {:.2}x",
+        "MLP_1 b256 f32           scalar engine {:.3} | {best} {:.3} | speedup {:.2}x",
         ns_scalar as f64 / 1e6,
         ns_simd as f64 / 1e6,
         ns_scalar as f64 / ns_simd as f64

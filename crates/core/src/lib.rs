@@ -42,7 +42,7 @@ use gc_graph::Graph;
 use gc_machine::MachineDescriptor;
 use gc_runtime::{ExecStats, ThreadPool};
 use gc_tensor::Tensor;
-use gc_tir::engine::Executable;
+use gc_tir::engine::{Engine, Executable};
 use gc_tir::sim::Projection;
 use std::fmt;
 use std::sync::Arc;
@@ -129,7 +129,7 @@ impl Compiler {
             Some(n) => ThreadPool::new(n),
             None => ThreadPool::with_host_parallelism(),
         });
-        let arts = self.compile_artifacts(graph, pool)?;
+        let arts = self.compile_artifacts(graph, &Engine::new(pool))?;
         Ok(CompiledPartition {
             exe: arts.exe,
             report: arts.report,
@@ -143,9 +143,12 @@ impl Compiler {
     /// pipeline on `graph` and return the raw [`Executable`] plus the
     /// compile report and post-optimization input/output descriptors.
     ///
-    /// Unlike [`Compiler::compile`], the caller supplies the thread
-    /// pool, so serving runtimes can share one pool (and thus one set
-    /// of workers) across many compiled models.
+    /// Unlike [`Compiler::compile`], the caller supplies the [`Engine`]
+    /// the plan is compiled for and runs on: its pool (so serving
+    /// runtimes share one set of workers across many compiled models),
+    /// its kernel backend (which also keys the tuning-database lookup)
+    /// and its counters. The engine's mode and exec options are
+    /// replaced by what `options.interpret` / `options.checked` ask for.
     ///
     /// # Errors
     ///
@@ -154,7 +157,7 @@ impl Compiler {
     pub fn compile_artifacts(
         &self,
         mut graph: Graph,
-        pool: Arc<ThreadPool>,
+        engine: &Engine,
     ) -> Result<CompiledArtifacts, CoreError> {
         pipeline::optimize_graph(&mut graph, &self.options)?;
         let input_descs: Vec<gc_tensor::TensorDesc> = graph
@@ -168,18 +171,21 @@ impl Compiler {
             .map(|&o| graph.desc(o).clone())
             .collect();
         let (parts, groups) = pipeline::partition_graph(&graph, &self.options)?;
-        let (lowered, report) = pipeline::lower(&graph, &parts, &groups, &self.options)?;
-        let mode = if self.options.interpret {
-            gc_tir::ExecMode::Interpret
-        } else {
-            gc_tir::ExecMode::Compiled
-        };
-        let exe = Executable::with_mode(lowered.module, lowered.weight_seeds, pool, 1, mode)
+        let isa = engine.kernels().isa().name();
+        let (lowered, report) = pipeline::lower_for(&graph, &parts, &groups, &self.options, isa)?;
+        let exe = engine
+            .clone()
+            .with_mode(if self.options.interpret {
+                gc_tir::ExecMode::Interpret
+            } else {
+                gc_tir::ExecMode::Compiled
+            })
             .with_exec_options(if self.options.checked {
                 gc_tir::ExecOptions::checked()
             } else {
                 gc_tir::ExecOptions::default()
-            });
+            })
+            .build(lowered.module, lowered.weight_seeds, 1);
         Ok(CompiledArtifacts {
             exe,
             report,

@@ -94,7 +94,8 @@ pub fn partition_graph(
     Ok((parts, groups))
 }
 
-/// Lower the partitioned graph to an executable Tensor IR module.
+/// [`lower_for`] the process-default kernel backend — the one an engine
+/// built without an explicit `Kernels` handle runs on.
 ///
 /// # Errors
 ///
@@ -105,13 +106,31 @@ pub fn lower(
     groups: &CoarseGroups,
     opts: &CompileOptions,
 ) -> Result<(Lowered, CompileReport), CoreError> {
+    let isa = gc_microkernel::arch::active_isa().name();
+    lower_for(graph, parts, groups, opts, isa)
+}
+
+/// Lower the partitioned graph to an executable Tensor IR module for an
+/// engine whose kernels run on `isa`: the tuning database is consulted
+/// under that backend's [`crate::TuneKey`], never the calling thread's.
+///
+/// # Errors
+///
+/// Propagates lowering errors.
+pub fn lower_for(
+    graph: &Graph,
+    parts: &Partitioning,
+    groups: &CoarseGroups,
+    opts: &CompileOptions,
+    isa: &str,
+) -> Result<(Lowered, CompileReport), CoreError> {
     // Tuning-database warm start: a hit supplies measured parameter
     // overrides plus (once tuned, not during trials) the pinned
     // merged-vs-split and ragged-vs-exact decisions, so the projection
     // gates below — each of which lowers the graph a second time — are
     // skipped entirely.
     let tuned: Option<crate::tune::TunedRecord> = match &opts.tuning {
-        Some(db) => crate::tune::TuneKey::for_graph(graph, opts)
+        Some(db) => crate::tune::TuneKey::for_graph(graph, opts, isa)
             .ok()
             .and_then(|k| db.lookup(&k)),
         None => None,

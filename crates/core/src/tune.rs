@@ -56,31 +56,27 @@ pub struct TuneKey {
     /// fingerprint already covers all shapes exactly; keeping the
     /// bucket explicit makes entries legible in the database file.
     pub shape_bucket: u64,
-    /// FNV-1a of the machine descriptor's debug form *and* the active
-    /// microkernel ISA: wall-clock measurements taken under one backend
-    /// (say `GC_FORCE_ISA=scalar`) must never warm-start a process
-    /// running another.
+    /// FNV-1a of the machine descriptor's debug form *and* the
+    /// microkernel ISA of the engine the plan runs on: wall-clock
+    /// measurements taken under one backend (say a scalar shard, or
+    /// `GC_FORCE_ISA=scalar`) must never warm-start a plan running on
+    /// another.
     pub machine: u64,
     /// Worker thread count (0 = host parallelism).
     pub threads: u64,
 }
 
 impl TuneKey {
-    /// The key for an optimized graph under `opts`, bound to the
-    /// process-wide active microkernel ISA.
+    /// The key for an optimized graph under `opts`, compiled for an
+    /// engine whose kernels run on `isa` ([`gc_microkernel::Isa::name`]
+    /// of `Engine::kernels`). The only constructor: a key always names
+    /// the backend its measurements were, or will be, taken on.
     ///
     /// # Errors
     ///
     /// Propagates fingerprinting errors (cyclic graph, unbound
     /// constant).
-    pub fn for_graph(graph: &Graph, opts: &CompileOptions) -> Result<TuneKey, CoreError> {
-        Self::for_graph_with_isa(graph, opts, gc_microkernel::arch::active_isa().name())
-    }
-
-    /// [`Self::for_graph`] with an explicit ISA name, so tests can
-    /// exercise the keying without flipping the process-wide dispatch
-    /// table (which is resolved once and never changes).
-    pub fn for_graph_with_isa(
+    pub fn for_graph(
         graph: &Graph,
         opts: &CompileOptions,
         isa: &str,
@@ -584,11 +580,12 @@ pub fn tune_graph(
     base.param_log = None;
 
     // The key is computed over the optimized graph, matching the
-    // lookup the warm-start path performs inside the pipeline.
+    // lookup the warm-start path performs inside the pipeline, under
+    // the backend `Compiler::compile` — what `measure` runs — uses.
     let key = {
         let mut g = graph.clone();
         crate::pipeline::optimize_graph(&mut g, &base)?;
-        TuneKey::for_graph(&g, &base)?
+        TuneKey::for_graph(&g, &base, gc_microkernel::arch::active_isa().name())?
     };
     if let Some(rec) = db.lookup(&key) {
         return Ok(TuneReport {

@@ -165,7 +165,7 @@ fn fully_overridden_compile_runs_no_search() {
     let key = {
         let mut og = g.clone();
         gc_core::pipeline::optimize_graph(&mut og, &base).unwrap();
-        TuneKey::for_graph(&og, &base).unwrap()
+        TuneKey::for_graph(&og, &base, gc_microkernel::arch::active_isa().name()).unwrap()
     };
     let record = |choices: Vec<gc_lowering::ParamChoice>| TunedRecord {
         choices,
@@ -235,16 +235,17 @@ fn tuning_beats_or_matches_analytic_on_mlp1() {
 
 #[test]
 fn tune_keys_never_mix_isa_variants() {
-    // Warm starts carry wall-clock winners; a measurement taken under
-    // GC_FORCE_ISA=scalar must never replay onto an AVX2/AVX-512
-    // process. Every ISA name must land in its own key, and the active
-    // ISA's key must be exactly what TuneKey::for_graph produces.
-    use gc_core::TuneKey;
-    let g = mlp1(16);
+    // Warm starts carry wall-clock winners; a measurement taken on a
+    // scalar engine must never replay onto an AVX2/AVX-512 one. Every
+    // ISA name must land in its own key, and the default ISA's key must
+    // be exactly what the default engine (`tune_graph`, `compile`) uses.
+    use gc_core::{TuneKey, TunedRecord};
+    let mut g = mlp1(16);
     let o = opts();
+    gc_core::pipeline::optimize_graph(&mut g, &o).unwrap();
     let keys: Vec<TuneKey> = ["scalar", "avx2", "avx512"]
         .iter()
-        .map(|isa| TuneKey::for_graph_with_isa(&g, &o, isa).unwrap())
+        .map(|isa| TuneKey::for_graph(&g, &o, isa).unwrap())
         .collect();
     for i in 0..keys.len() {
         for j in i + 1..keys.len() {
@@ -255,11 +256,20 @@ fn tune_keys_never_mix_isa_variants() {
         assert_eq!(keys[i].shape_bucket, keys[0].shape_bucket);
         assert_eq!(keys[i].threads, keys[0].threads);
     }
-    let live = TuneKey::for_graph(&g, &o).unwrap();
     let active = gc_microkernel::arch::active_isa().name();
-    assert_eq!(
-        live,
-        TuneKey::for_graph_with_isa(&g, &o, active).unwrap(),
-        "for_graph must key under the process-wide active ISA"
+    let db = Arc::new(TuningDb::in_memory());
+    let record = TunedRecord {
+        choices: vec![],
+        merge_coarse: None,
+        ragged: None,
+        projected_cycles: 1.0,
+        wall_ns: 1,
+    };
+    db.insert(TuneKey::for_graph(&g, &o, active).unwrap(), record);
+    let live = tune_graph(&mlp1(16), &o, &db, &TuneConfig::default()).unwrap();
+    assert!(
+        live.warm_start,
+        "the default engine must key under the process default ISA"
     );
+    assert_eq!(live.key, TuneKey::for_graph(&g, &o, active).unwrap());
 }

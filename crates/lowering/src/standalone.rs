@@ -608,6 +608,7 @@ mod tests {
             &ThreadPool::new(2),
             true,
             Default::default(),
+            Default::default(),
         )
         .unwrap();
         globals.pop().unwrap()

@@ -69,6 +69,7 @@ fn run(spec: &MatmulSpec, tensors: Vec<Storage>) -> Vec<Storage> {
         &ThreadPool::new(2),
         true,
         Default::default(),
+        Default::default(),
     )
     .expect("run");
     globals
@@ -270,6 +271,7 @@ fn int8_ragged_plan_matches_interpreter_bitexact() {
             &pool,
             &mut scratch,
             ExecOptions::checked(),
+            Default::default(),
         );
 
         match (&interp[3], &globals[3]) {

@@ -62,6 +62,7 @@ fn run(spec: &MatmulSpec, tensors: Vec<Storage>) -> Vec<Storage> {
         &ThreadPool::new(2),
         true,
         Default::default(),
+        Default::default(),
     )
     .expect("run");
     globals

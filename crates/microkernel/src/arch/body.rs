@@ -7,9 +7,9 @@
 //! Every function here is `unsafe` with the same two-part contract:
 //!
 //! - the caller runs on a CPU supporting the backend's ISA (upheld by
-//!   the dispatch table, which only hands out detected backends);
+//!   `kernels`, which only hands out handles to detected backends);
 //! - slice arguments cover the strided extents documented per function
-//!   (upheld by the asserts in the public microkernel entry points).
+//!   (upheld by the asserts in the `Kernels` methods).
 
 // The register-tile loops index fixed-size accumulator arrays and
 // strided tail ranges on purpose; iterator forms obscure the blocking.

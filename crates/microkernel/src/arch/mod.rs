@@ -13,32 +13,37 @@
 //! - **avx512** — AVX-512 F/BW (16 f32 lanes), with a VNNI `vpdpbusd`
 //!   int8 dot where the CPU has it.
 //!
-//! The default backend is selected **once per process**: the first
-//! kernel call (or an explicit [`init`], which the TIR engine performs
-//! at plan construction) resolves a table of function pointers from
-//! `is_x86_feature_detected!`, clamped by the `GC_FORCE_ISA`
-//! environment variable (`scalar` / `avx2` / `avx512` / `auto`). A
-//! forced ISA the CPU cannot run is clamped down to the best supported
-//! one with a warning rather than faulting. A *thread* can override
-//! that choice with [`set_thread_isa`] — this is how heterogeneous
-//! engine shards (gc-serve, DESIGN.md "Sharded execution") mix ISAs in
-//! one process: each shard's executor and pool workers install the
-//! shard's backend at thread start, and every other thread keeps
-//! dispatching on the process table.
+//! The only way into a backend's kernels is a [`Kernels`] handle, a
+//! `Copy` pointer to one table of function pointers. [`kernels`] hands
+//! one out after verifying the CPU supports the ISA, which is what makes
+//! every method on it safe; the checked kernel entry points themselves
+//! are `impl Kernels` blocks next to their families (`brgemm`,
+//! `eltwise`, `reduce`, `epilogue`, `tail`). Whoever runs kernels
+//! carries the handle: a `gc_tir::Engine` owns one and every plan it
+//! builds runs on it from whichever thread touches the plan, so one
+//! process mixes backends by holding several engines (gc-serve's
+//! heterogeneous shards, DESIGN.md "Sharded execution"). There is no
+//! ambient dispatch state — no process table, no per-thread override.
+//!
+//! [`active_isa`] is only the *default value* for callers that do not
+//! choose: detection clamped by the `GC_FORCE_ISA` environment variable
+//! (`scalar` / `avx2` / `avx512` / `auto`), resolved once per process.
+//! A forced ISA the CPU cannot run is clamped down to the best
+//! supported one with a warning rather than faulting.
+//! `Kernels::default()` is the handle for it.
 //!
 //! A brgemm table entry is the **whole batch-reduce call**, not one
 //! tile product: it receives the batch's offset arrays and keeps each
 //! `MR x NR` block of C in registers across all `bs` tile pairs and all
 //! k chunks (see `body::brgemm_f32`), which is the property the
-//! template's `kb`/`bs` choices assume. The full-tile and clamped-height
-//! ("tail") public entries are checked front-ends of that one entry.
+//! template's `kb`/`bs` choices assume. The full tile and the
+//! clamped-height ("tail") call are one entry told how many rows to
+//! compute.
 //!
-//! Every public kernel entry point counts its calls per
-//! (family × ISA) against the table that actually ran it;
-//! [`dispatch_report`] snapshots those process-wide counters so tests,
-//! stats, and benches can verify which variant actually executed.
-//! Tests that need a *specific* backend regardless of the dispatch
-//! choice use [`kernels`] to address a table explicitly.
+//! Every counted `Kernels` method records its call per (family × ISA)
+//! against the handle that ran it; [`dispatch_report`] snapshots those
+//! process-wide counters so tests, stats, and benches can verify which
+//! variant actually executed.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -48,10 +53,7 @@ pub(crate) mod simd;
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod x86;
 
-use crate::brgemm::{check_batch, BrgemmShape};
-use simd::ScalarBackend;
-
-/// An instruction-set backend the dispatch table can select.
+/// An instruction-set backend a [`Kernels`] handle can address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Isa {
     /// Portable lane-array kernels (the autovectorized fallback).
@@ -158,7 +160,7 @@ type BrgemmFn<A, B, C> = unsafe fn(usize, usize, usize, &[A], &[usize], &[B], &[
 /// One backend's kernel entry points. Each pointer is an `unsafe fn`
 /// whose preconditions are that the backend's ISA is supported on the
 /// running CPU and that the slices cover the extents its body documents;
-/// the public entry points validate those before the call.
+/// the [`Kernels`] methods validate those before the call.
 #[allow(clippy::type_complexity)] // raw fn-pointer signatures are the point of the table
 pub(crate) struct KernelTable {
     pub(crate) isa: Isa,
@@ -353,112 +355,41 @@ fn table_for(isa: Isa) -> &'static KernelTable {
     }
 }
 
-/// Resolve the process-wide ISA choice: `GC_FORCE_ISA` if set (clamped
-/// to what the CPU supports), else the best detected backend.
-fn resolve_isa() -> Isa {
-    let detected = detected_isa();
-    match std::env::var("GC_FORCE_ISA") {
-        Ok(v) if !v.is_empty() && !v.eq_ignore_ascii_case("auto") => match Isa::from_name(&v) {
-            Some(forced) if forced <= detected => forced,
-            Some(forced) => {
+/// The process's *default* backend: `GC_FORCE_ISA` if set (clamped to
+/// what the CPU supports), else the best detected one, resolved once.
+/// Nothing dispatches through it — it is what [`Kernels::default`], and
+/// so an engine built without an explicit handle, starts from.
+pub fn active_isa() -> Isa {
+    static DEFAULT: OnceLock<Isa> = OnceLock::new();
+    *DEFAULT.get_or_init(|| {
+        let detected = detected_isa();
+        let forced = match std::env::var("GC_FORCE_ISA") {
+            Ok(v) if !v.is_empty() && !v.eq_ignore_ascii_case("auto") => v,
+            _ => return detected,
+        };
+        match Isa::from_name(&forced) {
+            Some(isa) if isa <= detected => isa,
+            Some(isa) => {
                 eprintln!(
-                    "[gc-microkernel] GC_FORCE_ISA={forced} not supported on this CPU; \
+                    "[gc-microkernel] GC_FORCE_ISA={isa} not supported on this CPU; \
                      clamping to {detected}"
                 );
                 detected
             }
             None => {
                 eprintln!(
-                    "[gc-microkernel] unknown GC_FORCE_ISA value {v:?} \
+                    "[gc-microkernel] unknown GC_FORCE_ISA value {forced:?} \
                      (expected scalar|avx2|avx512|auto); using {detected}"
                 );
                 detected
             }
-        },
-        _ => detected,
-    }
-}
-
-static ACTIVE: OnceLock<&'static KernelTable> = OnceLock::new();
-
-thread_local! {
-    /// Per-thread kernel-table override installed by [`set_thread_isa`].
-    /// `None` means "dispatch on the process-wide table" — the common
-    /// case, and the only one before sharded serving existed.
-    static THREAD_TABLE: std::cell::Cell<Option<&'static KernelTable>> =
-        const { std::cell::Cell::new(None) };
-}
-
-/// The dispatch table for the current thread: the thread-local override
-/// when one is installed, else the process-wide active table (resolving
-/// it on first use).
-#[inline]
-pub(crate) fn active() -> &'static KernelTable {
-    if let Some(table) = THREAD_TABLE.get() {
-        return table;
-    }
-    ACTIVE.get_or_init(|| table_for(resolve_isa()))
-}
-
-/// Install (or clear, with `None`) a kernel-backend override for the
-/// *calling thread only*. While installed, every dispatched kernel call
-/// made from this thread runs on `isa`'s table instead of the
-/// process-wide choice, and is counted against `isa` in the dispatch
-/// report. Returns the previously installed override so scoped callers
-/// can restore it.
-///
-/// This is the mechanism behind heterogeneous engine shards
-/// (DESIGN.md "Sharded execution"): a shard's executor thread and its
-/// pool workers install the shard's ISA once at thread start, so one
-/// process can serve scalar and AVX-512 shards side by side. The
-/// process-wide table, `GC_FORCE_ISA` handling, and every thread
-/// without an override are unaffected.
-///
-/// # Panics
-///
-/// Panics if the running CPU does not support `isa` — check
-/// [`Isa::supported`] first when probing, exactly as with [`kernels`].
-pub fn set_thread_isa(isa: Option<Isa>) -> Option<Isa> {
-    let table = isa.map(|isa| {
-        assert!(
-            isa.supported(),
-            "ISA {isa} not supported on this CPU (detected: {})",
-            detected_isa()
-        );
-        table_for(isa)
-    });
-    THREAD_TABLE.replace(table).map(|t| t.isa)
-}
-
-/// The calling thread's installed backend override, if any.
-pub fn thread_isa() -> Option<Isa> {
-    THREAD_TABLE.get().map(|t| t.isa)
-}
-
-/// Resolve the dispatch table now (idempotent). The TIR engine calls
-/// this when an executable is constructed so the choice is made at
-/// engine init, not in the middle of the first hot loop.
-pub fn init() {
-    let _ = active();
-}
-
-/// The ISA the *current thread* dispatches on: the thread override when
-/// one is installed via [`set_thread_isa`], else the process-wide
-/// selection (detection clamped by `GC_FORCE_ISA`). Resolves the
-/// process table if not yet resolved.
-pub fn active_isa() -> Isa {
-    active().isa
+        }
+    })
 }
 
 /// Per-(family × ISA) call counters.
 static COUNTS: [[AtomicU64; ISA_COUNT]; FAMILY_COUNT] =
     [const { [const { AtomicU64::new(0) }; ISA_COUNT] }; FAMILY_COUNT];
-
-/// Record one kernel-family invocation against an ISA.
-#[inline]
-pub(crate) fn record(family: Family, isa: Isa) {
-    COUNTS[family as usize][isa as usize].fetch_add(1, Ordering::Relaxed);
-}
 
 /// One (family, ISA) counter in a [`DispatchReport`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -474,11 +405,11 @@ pub struct DispatchCount {
 /// Snapshot of which kernel variants actually executed.
 #[derive(Debug, Clone)]
 pub struct DispatchReport {
-    /// The process-wide selected backend.
+    /// The process's default backend ([`active_isa`]).
     pub active: Isa,
     /// Best backend the CPU supports.
     pub detected: Isa,
-    /// Whether the int8 dot runs on VNNI under the active backend.
+    /// Whether the int8 dot runs on VNNI under the default backend.
     pub vnni: bool,
     /// Non-zero (family × ISA) call counters, family-major.
     pub counts: Vec<DispatchCount>,
@@ -544,16 +475,13 @@ pub fn dispatch_report() -> DispatchReport {
     }
 }
 
-/// Safe handle to one backend's kernels, for differential tests and
-/// benches that must compare backends within a single process (the
-/// process-wide table is resolved once and never changes). Obtained via
-/// [`kernels`], which verifies CPU support, so all methods are safe.
-///
-/// Calls through a `Kernels` handle are *not* recorded in the dispatch
-/// counters — they are for harnesses, not the serving path.
+/// Safe handle to one backend's kernels — the only way into a
+/// `KernelTable`. Obtained via [`kernels`], which verifies CPU
+/// support, so every method is safe; a `Copy` of one pointer, so it is
+/// carried by value from an engine down to each kernel call.
 #[derive(Clone, Copy)]
 pub struct Kernels {
-    table: &'static KernelTable,
+    pub(crate) table: &'static KernelTable,
 }
 
 /// Kernels for a specific backend.
@@ -573,156 +501,24 @@ pub fn kernels(isa: Isa) -> Kernels {
     }
 }
 
+impl Default for Kernels {
+    /// The handle for the process default, [`active_isa`].
+    fn default() -> Self {
+        kernels(active_isa())
+    }
+}
+
 impl Kernels {
     /// Which backend this handle addresses.
     pub fn isa(&self) -> Isa {
         self.table.isa
     }
 
-    /// f32 batch-reduce GEMM on this backend; the contract (and the
-    /// panics) of [`crate::brgemm::brgemm_f32`], uncounted.
-    pub fn brgemm_f32(
-        &self,
-        shape: BrgemmShape,
-        a_buf: &[f32],
-        a_offs: &[usize],
-        b_buf: &[f32],
-        b_offs: &[usize],
-        c: &mut [f32],
-    ) {
-        check_batch(shape, shape.m, a_buf, a_offs, b_buf, b_offs, c);
-        let BrgemmShape { m, n, k } = shape;
-        // SAFETY: extents checked above; `kernels` verified CPU support.
-        unsafe { (self.table.brgemm_f32)(m, n, k, a_buf, a_offs, b_buf, b_offs, c) }
+    /// Record one kernel-family invocation against this handle's ISA.
+    #[inline]
+    pub(crate) fn record(&self, family: Family) {
+        COUNTS[family as usize][self.table.isa as usize].fetch_add(1, Ordering::Relaxed);
     }
-
-    /// u8×i8 batch-reduce GEMM on this backend; the contract of
-    /// [`crate::brgemm::brgemm_u8i8`], uncounted.
-    pub fn brgemm_u8i8(
-        &self,
-        shape: BrgemmShape,
-        a_buf: &[u8],
-        a_offs: &[usize],
-        b_buf: &[i8],
-        b_offs: &[usize],
-        c: &mut [i32],
-    ) {
-        check_batch(shape, shape.m, a_buf, a_offs, b_buf, b_offs, c);
-        let BrgemmShape { m, n, k } = shape;
-        // SAFETY: extents checked above; `kernels` verified CPU support.
-        unsafe { (self.table.brgemm_u8i8)(m, n, k, a_buf, a_offs, b_buf, b_offs, c) }
-    }
-
-    /// One f32 tile product `C[m,n] += A[m,k] × B[n,k]` (B panel-major):
-    /// a batch of one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any slice is shorter than its `m`/`n`/`k` extent.
-    pub fn gemm_f32(&self, m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-        assert!(a.len() >= m * k && b.len() >= n * k && c.len() >= m * n);
-        // SAFETY: extents asserted; `kernels` verified CPU support.
-        unsafe { (self.table.brgemm_f32)(m, n, k, a, &[0], b, &[0], c) }
-    }
-
-    /// One u8×i8 tile product into i32: a batch of one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any slice is shorter than its `m`/`n`/`k` extent.
-    pub fn gemm_u8i8(&self, m: usize, n: usize, k: usize, a: &[u8], b: &[i8], c: &mut [i32]) {
-        assert!(a.len() >= m * k && b.len() >= n * k && c.len() >= m * n);
-        // SAFETY: extents asserted; `kernels` verified CPU support.
-        unsafe { (self.table.brgemm_u8i8)(m, n, k, a, &[0], b, &[0], c) }
-    }
-
-    /// `dst = max(src, 0)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths differ.
-    pub fn relu(&self, src: &[f32], dst: &mut [f32]) {
-        assert_eq!(src.len(), dst.len());
-        unsafe { (self.table.relu)(src, dst) }
-    }
-
-    /// `dst = a + b` elementwise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths differ.
-    pub fn binary_add(&self, a: &[f32], b: &[f32], dst: &mut [f32]) {
-        assert!(a.len() == dst.len() && b.len() == dst.len());
-        unsafe { (self.table.binary_add)(a, b, dst) }
-    }
-
-    /// `dst = a * b` elementwise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths differ.
-    pub fn binary_mul(&self, a: &[f32], b: &[f32], dst: &mut [f32]) {
-        assert!(a.len() == dst.len() && b.len() == dst.len());
-        unsafe { (self.table.binary_mul)(a, b, dst) }
-    }
-
-    /// `dst += src` elementwise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths differ.
-    pub fn acc_add(&self, src: &[f32], dst: &mut [f32]) {
-        assert_eq!(src.len(), dst.len());
-        unsafe { (self.table.acc_add)(src, dst) }
-    }
-
-    /// Sum of a slice.
-    pub fn reduce_sum(&self, xs: &[f32]) -> f32 {
-        unsafe { (self.table.reduce_sum)(xs) }
-    }
-
-    /// Max of a slice (`-inf` when empty).
-    pub fn reduce_max(&self, xs: &[f32]) -> f32 {
-        unsafe { (self.table.reduce_max)(xs) }
-    }
-
-    /// Dequantize an i32 accumulator tile; see
-    /// [`crate::epilogue::dequant_acc`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on any length mismatch.
-    #[allow(clippy::too_many_arguments)]
-    pub fn dequant(
-        &self,
-        acc: &[i32],
-        m: usize,
-        n: usize,
-        comp: &[i32],
-        a_zero: i32,
-        scale: f32,
-        out: &mut [f32],
-    ) {
-        assert!(acc.len() == m * n && out.len() == m * n && comp.len() == n);
-        unsafe { (self.table.dequant)(acc, m, n, comp, a_zero, scale, out) }
-    }
-
-    /// Requantize f32 to u8 on this backend; see
-    /// [`crate::epilogue::requant_u8`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths differ.
-    pub fn requant_u8(&self, xs: &[f32], inv_scale: f32, zero_point: i32, out: &mut [u8]) {
-        crate::epilogue::requant_u8_on(self.table, xs, inv_scale, zero_point, out);
-    }
-}
-
-// Referenced by module docs; silences the unused-import style warning
-// on non-x86 builds where only the scalar backend exists.
-#[allow(unused)]
-fn _scalar_backend_is_referenced() -> ScalarBackend {
-    ScalarBackend
 }
 
 #[cfg(test)]
@@ -746,7 +542,7 @@ mod tests {
 
     #[test]
     fn active_isa_is_detected_unless_forced() {
-        // The process-wide choice must follow detection except under an
+        // The process default must follow detection except under an
         // explicit GC_FORCE_ISA — this is the CI smoke test that the
         // AVX2/AVX-512 path is actually selected on capable runners.
         match std::env::var("GC_FORCE_ISA") {
@@ -756,70 +552,34 @@ mod tests {
             }
             _ => assert_eq!(active_isa(), detected_isa()),
         }
+        assert_eq!(Kernels::default().isa(), active_isa());
     }
 
     #[test]
-    fn dispatch_report_counts_brgemm_calls() {
-        let before = dispatch_report().calls_for_family(Family::BrgemmF32);
+    fn dispatch_report_counts_calls_against_the_handle_that_ran_them() {
+        // Counters are process-wide and other tests in this binary run
+        // kernels too, so only "moved by at least our calls" is exact.
         let shape = crate::brgemm::BrgemmShape::new(2, 2, 8);
         let a = vec![1.0f32; shape.a_len()];
         let b = vec![1.0f32; shape.b_len()];
-        let mut c = vec![0.0f32; shape.c_len()];
-        crate::brgemm::brgemm_f32(shape, &a, &[0], &b, &[0], &mut c);
-        let after = dispatch_report();
-        assert!(after.calls_for_family(Family::BrgemmF32) > before);
-        assert!(after.counts.iter().all(|c| c.calls > 0));
-        // This thread has no override, so the call above landed on the
-        // active backend. (Other tests in this binary may legitimately
-        // record off-active calls through thread overrides, so we only
-        // assert the active counter moved.)
-        assert!(after
-            .counts
-            .iter()
-            .any(|c| c.isa == after.active && c.family == Family::BrgemmF32));
-    }
-
-    #[test]
-    fn thread_isa_override_redirects_dispatch() {
-        // Dispatch on this thread with a scalar override: calls must be
-        // recorded against scalar regardless of the process-wide table.
-        let before = dispatch_report().calls_for_isa(Isa::Scalar);
-        let prev = set_thread_isa(Some(Isa::Scalar));
-        assert_eq!(thread_isa(), Some(Isa::Scalar));
-        assert_eq!(active_isa(), Isa::Scalar);
-        let shape = crate::brgemm::BrgemmShape::new(2, 2, 8);
-        let a = vec![1.0f32; shape.a_len()];
-        let b = vec![1.0f32; shape.b_len()];
-        let mut c = vec![0.0f32; shape.c_len()];
-        crate::brgemm::brgemm_f32(shape, &a, &[0], &b, &[0], &mut c);
-        assert_eq!(set_thread_isa(prev), Some(Isa::Scalar));
-        assert_eq!(thread_isa(), None);
-        let after = dispatch_report().calls_for_isa(Isa::Scalar);
-        assert!(after > before);
-        // The result is still correct: 2x2 of k=8 ones-dot-ones.
-        assert!(c.iter().all(|&v| v == 8.0));
-    }
-
-    #[test]
-    fn thread_isa_override_is_thread_local() {
-        let _ = set_thread_isa(None);
-        std::thread::spawn(|| {
-            let _ = set_thread_isa(Some(Isa::Scalar));
-            assert_eq!(thread_isa(), Some(Isa::Scalar));
-        })
-        .join()
-        .unwrap();
-        // The spawning thread is unaffected.
-        assert_eq!(thread_isa(), None);
-        assert_eq!(
-            active_isa(),
-            ACTIVE.get().map(|t| t.isa).unwrap_or(active_isa())
-        );
+        for isa in [Isa::Scalar, detected_isa()] {
+            let count = |r: &DispatchReport| {
+                let hit = |c: &&DispatchCount| c.isa == isa && c.family == Family::BrgemmF32;
+                r.counts.iter().find(hit).map_or(0, |c| c.calls)
+            };
+            let before = count(&dispatch_report());
+            let mut c = vec![0.0f32; shape.c_len()];
+            kernels(isa).brgemm_f32(shape, shape.m, &a, &[0], &b, &[0], &mut c);
+            let after = dispatch_report();
+            assert!(count(&after) > before, "{isa}");
+            assert!(after.counts.iter().all(|c| c.calls > 0));
+            // 2x2 of k=8 ones-dot-ones, whichever backend.
+            assert!(c.iter().all(|&v| v == 8.0));
+        }
     }
 
     #[test]
     fn report_displays() {
-        init();
         let r = dispatch_report();
         let s = r.to_string();
         assert!(s.contains("isa dispatch"), "{s}");

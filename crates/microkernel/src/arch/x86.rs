@@ -6,7 +6,7 @@
 //! `#[inline(always)]` methods; the `avx2_kernels` / `avx512_kernels`
 //! modules wrap each generic body from [`super::body`] in a
 //! `#[target_feature]` function so the whole kernel compiles as one
-//! vectorized unit. The wrappers are what the dispatch table stores —
+//! vectorized unit. The wrappers are what a backend's table stores —
 //! they are `unsafe fn`s whose single precondition is that the features
 //! named in their attribute are supported by the running CPU.
 

@@ -18,12 +18,11 @@
 //!
 //! The kernels themselves live in [`crate::arch`]: one generic
 //! register-tiled batch-reduce body per dtype, instantiated per backend
-//! (scalar / AVX2 / AVX-512) and selected once per process by runtime
-//! feature detection. A body keeps each register block of C live across
-//! the whole batch, so C is read and written once per call. The
-//! functions here are its checked front-ends.
+//! (scalar / AVX2 / AVX-512). A body keeps each register block of C
+//! live across the whole batch, so C is read and written once per call.
+//! The [`Kernels`] methods here are its checked front-ends.
 
-use crate::arch::{self, Family};
+use crate::arch::{Family, Kernels};
 
 /// Tile geometry for one brgemm call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,7 +65,7 @@ impl BrgemmShape {
 /// # Panics
 ///
 /// Panics if any of those does not hold.
-pub(crate) fn check_batch<A, B, C>(
+fn check_batch<A, B, C>(
     shape: BrgemmShape,
     rows: usize,
     a_buf: &[A],
@@ -94,114 +93,126 @@ pub(crate) fn check_batch<A, B, C>(
     }
 }
 
-/// f32 batch-reduce GEMM: `C += sum_b A_b x B_b`.
-///
-/// `a_offs`/`b_offs` give the start of each tile in its buffer; the
-/// batch size is `a_offs.len()`.
-///
-/// # Panics
-///
-/// Panics if the offset arrays differ in length, any tile overruns its
-/// buffer, or `c` is not exactly `m * n` elements.
-pub fn brgemm_f32(
-    shape: BrgemmShape,
-    a_buf: &[f32],
-    a_offs: &[usize],
-    b_buf: &[f32],
-    b_offs: &[usize],
-    c: &mut [f32],
-) {
-    brgemm_f32_rows(
-        Family::BrgemmF32,
-        shape,
-        shape.m,
-        a_buf,
-        a_offs,
-        b_buf,
-        b_offs,
-        c,
-    );
-}
-
-/// [`brgemm_f32`] over the first `rows` rows of the tile, counted
-/// against `family`: the full-tile entry and the m-tail are this one
-/// call. A zero-height call does nothing and is not counted.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn brgemm_f32_rows(
-    family: Family,
-    shape: BrgemmShape,
-    rows: usize,
-    a_buf: &[f32],
-    a_offs: &[usize],
-    b_buf: &[f32],
-    b_offs: &[usize],
-    c: &mut [f32],
-) {
-    check_batch(shape, rows, a_buf, a_offs, b_buf, b_offs, c);
-    if rows == 0 {
-        return;
+impl Kernels {
+    /// f32 batch-reduce GEMM over the first `rows` rows of the tile:
+    /// `C[0:rows, 0:n] += sum_b A_b x B_b`.
+    ///
+    /// `a_offs`/`b_offs` give the start of each tile in its buffer; the
+    /// batch size is `a_offs.len()`. `rows == shape.m` is the full tile;
+    /// fewer is the m-tail of a ragged shape — the A tiles keep their
+    /// full `[m, k]` footprint in memory (only the valid rows are read),
+    /// `c` is the `rows * n` prefix, and the result is bit-identical to
+    /// the row prefix of the full call. Counted as
+    /// [`Family::BrgemmF32`] or, when clamped, [`Family::TailF32`]; a
+    /// zero-height call does nothing and is not counted.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows > shape.m`, the offset arrays differ in length,
+    /// any tile overruns its buffer, or `c` is not exactly `rows * n`
+    /// elements.
+    #[allow(clippy::too_many_arguments)]
+    pub fn brgemm_f32(
+        &self,
+        shape: BrgemmShape,
+        rows: usize,
+        a_buf: &[f32],
+        a_offs: &[usize],
+        b_buf: &[f32],
+        b_offs: &[usize],
+        c: &mut [f32],
+    ) {
+        check_batch(shape, rows, a_buf, a_offs, b_buf, b_offs, c);
+        if rows == 0 {
+            return;
+        }
+        self.record(if rows < shape.m {
+            Family::TailF32
+        } else {
+            Family::BrgemmF32
+        });
+        // SAFETY: `kernels` verified the CPU supports this table's ISA,
+        // and `check_batch` established the body's extents.
+        unsafe { (self.table.brgemm_f32)(rows, shape.n, shape.k, a_buf, a_offs, b_buf, b_offs, c) };
     }
-    let table = arch::active();
-    arch::record(family, table.isa);
-    // SAFETY: the table only holds backends the CPU supports, and
-    // `check_batch` established the body's extents (`rows <= m`).
-    unsafe { (table.brgemm_f32)(rows, shape.n, shape.k, a_buf, a_offs, b_buf, b_offs, c) };
-}
 
-/// Int8 batch-reduce GEMM: u8 activations × i8 weights accumulated in
-/// i32, uncompensated (zero-point correction is applied by the epilogue).
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`brgemm_f32`].
-pub fn brgemm_u8i8(
-    shape: BrgemmShape,
-    a_buf: &[u8],
-    a_offs: &[usize],
-    b_buf: &[i8],
-    b_offs: &[usize],
-    c: &mut [i32],
-) {
-    brgemm_u8i8_rows(
-        Family::BrgemmU8I8,
-        shape,
-        shape.m,
-        a_buf,
-        a_offs,
-        b_buf,
-        b_offs,
-        c,
-    );
-}
-
-/// The int8 counterpart of [`brgemm_f32_rows`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn brgemm_u8i8_rows(
-    family: Family,
-    shape: BrgemmShape,
-    rows: usize,
-    a_buf: &[u8],
-    a_offs: &[usize],
-    b_buf: &[i8],
-    b_offs: &[usize],
-    c: &mut [i32],
-) {
-    check_batch(shape, rows, a_buf, a_offs, b_buf, b_offs, c);
-    if rows == 0 {
-        return;
+    /// Int8 batch-reduce GEMM: u8 activations × i8 weights accumulated
+    /// in i32, uncompensated (zero-point correction is applied by the
+    /// epilogue). `rows` clamps the tile height as in
+    /// [`Kernels::brgemm_f32`]; counted as [`Family::BrgemmU8I8`] or
+    /// [`Family::TailU8I8`].
+    ///
+    /// # Panics
+    ///
+    /// Panics under the same conditions as [`Kernels::brgemm_f32`].
+    #[allow(clippy::too_many_arguments)]
+    pub fn brgemm_u8i8(
+        &self,
+        shape: BrgemmShape,
+        rows: usize,
+        a_buf: &[u8],
+        a_offs: &[usize],
+        b_buf: &[i8],
+        b_offs: &[usize],
+        c: &mut [i32],
+    ) {
+        check_batch(shape, rows, a_buf, a_offs, b_buf, b_offs, c);
+        if rows == 0 {
+            return;
+        }
+        self.record(if rows < shape.m {
+            Family::TailU8I8
+        } else {
+            Family::BrgemmU8I8
+        });
+        // SAFETY: as in `brgemm_f32`.
+        unsafe {
+            (self.table.brgemm_u8i8)(rows, shape.n, shape.k, a_buf, a_offs, b_buf, b_offs, c)
+        };
     }
-    let table = arch::active();
-    arch::record(family, table.isa);
-    // SAFETY: as in `brgemm_f32_rows`.
-    unsafe { (table.brgemm_u8i8)(rows, shape.n, shape.k, a_buf, a_offs, b_buf, b_offs, c) };
+
+    /// One f32 tile product `C[m,n] += A[m,k] × B[n,k]` (B panel-major):
+    /// a batch of one over the leading `m * n` elements of `c`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any slice is shorter than its `m`/`n`/`k` extent.
+    pub fn gemm_f32(&self, m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+        self.brgemm_f32(
+            BrgemmShape::new(m, n, k),
+            m,
+            a,
+            &[0],
+            b,
+            &[0],
+            &mut c[..m * n],
+        );
+    }
+
+    /// One u8×i8 tile product into i32: a batch of one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any slice is shorter than its `m`/`n`/`k` extent.
+    pub fn gemm_u8i8(&self, m: usize, n: usize, k: usize, a: &[u8], b: &[i8], c: &mut [i32]) {
+        self.brgemm_u8i8(
+            BrgemmShape::new(m, n, k),
+            m,
+            a,
+            &[0],
+            b,
+            &[0],
+            &mut c[..m * n],
+        );
+    }
 }
 
 /// Reference (scalar, obviously-correct) versions used in tests.
 pub mod scalar {
     use super::BrgemmShape;
 
-    /// Scalar f32 brgemm with identical semantics to
-    /// [`super::brgemm_f32`].
+    /// Scalar f32 brgemm with identical semantics to a full-height
+    /// [`crate::arch::Kernels::brgemm_f32`].
     ///
     /// # Panics
     ///
@@ -230,8 +241,8 @@ pub mod scalar {
         }
     }
 
-    /// Scalar int8 brgemm with identical semantics to
-    /// [`super::brgemm_u8i8`].
+    /// Scalar int8 brgemm with identical semantics to a full-height
+    /// [`crate::arch::Kernels::brgemm_u8i8`].
     ///
     /// # Panics
     ///
@@ -269,6 +280,29 @@ mod tests {
 
     fn rand_f32(n: usize, rng: &mut StdRng) -> Vec<f32> {
         (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect()
+    }
+
+    /// Full-height call on the process-default backend.
+    fn brgemm_f32(
+        shape: BrgemmShape,
+        a_buf: &[f32],
+        a_offs: &[usize],
+        b_buf: &[f32],
+        b_offs: &[usize],
+        c: &mut [f32],
+    ) {
+        Kernels::default().brgemm_f32(shape, shape.m, a_buf, a_offs, b_buf, b_offs, c);
+    }
+
+    fn brgemm_u8i8(
+        shape: BrgemmShape,
+        a_buf: &[u8],
+        a_offs: &[usize],
+        b_buf: &[i8],
+        b_offs: &[usize],
+        c: &mut [i32],
+    ) {
+        Kernels::default().brgemm_u8i8(shape, shape.m, a_buf, a_offs, b_buf, b_offs, c);
     }
 
     #[test]
@@ -393,5 +427,54 @@ mod tests {
                 assert!((x - y).abs() < 1e-4);
             }
         }
+    }
+
+    #[test]
+    fn f32_m_tail_matches_full_prefix() {
+        // a clamped call over m_valid rows == the full call's first
+        // m_valid rows, bit-exact (same per-row reduction order).
+        let mut rng = StdRng::seed_from_u64(7);
+        let shape = BrgemmShape::new(8, 6, 24);
+        let bs = 3;
+        let a = rand_f32(bs * shape.a_len(), &mut rng);
+        let b = rand_f32(bs * shape.b_len(), &mut rng);
+        let a_offs: Vec<usize> = (0..bs).map(|i| i * shape.a_len()).collect();
+        let b_offs: Vec<usize> = (0..bs).map(|i| i * shape.b_len()).collect();
+        let mut full = vec![0f32; shape.c_len()];
+        brgemm_f32(shape, &a, &a_offs, &b, &b_offs, &mut full);
+        for m_valid in [0usize, 1, 3, 5, 8] {
+            let mut tail = vec![0f32; m_valid * shape.n];
+            Kernels::default().brgemm_f32(shape, m_valid, &a, &a_offs, &b, &b_offs, &mut tail);
+            assert_eq!(tail, full[..m_valid * shape.n]);
+        }
+    }
+
+    #[test]
+    fn u8i8_m_tail_matches_scalar() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let shape = BrgemmShape::new(5, 7, 13);
+        let bs = 2;
+        let a: Vec<u8> = (0..bs * shape.a_len())
+            .map(|_| rng.gen_range(0..64))
+            .collect();
+        let b: Vec<i8> = (0..bs * shape.b_len())
+            .map(|_| rng.gen_range(-32..32))
+            .collect();
+        let a_offs: Vec<usize> = (0..bs).map(|i| i * shape.a_len()).collect();
+        let b_offs: Vec<usize> = (0..bs).map(|i| i * shape.b_len()).collect();
+        let mut full = vec![0i32; shape.c_len()];
+        scalar::brgemm_u8i8(shape, &a, &a_offs, &b, &b_offs, &mut full);
+        let m_valid = 3;
+        let mut tail = vec![0i32; m_valid * shape.n];
+        Kernels::default().brgemm_u8i8(shape, m_valid, &a, &a_offs, &b, &b_offs, &mut tail);
+        assert_eq!(tail, full[..m_valid * shape.n]);
+    }
+
+    #[test]
+    #[should_panic(expected = "m_valid")]
+    fn overlong_tail_panics() {
+        let shape = BrgemmShape::new(2, 2, 2);
+        let mut c = vec![0f32; 6];
+        Kernels::default().brgemm_f32(shape, 3, &[0.0; 8], &[0], &[0.0; 8], &[0], &mut c);
     }
 }

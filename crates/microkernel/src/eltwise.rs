@@ -3,11 +3,11 @@
 //! Fusible OPs lowered into a template anchor become loops whose
 //! innermost dimension is executed by one of these slice kernels — the
 //! reproduction's stand-in for the vectorized code the JIT emits. The
-//! hottest kernels (relu, add, mul, accumulate) route through the
-//! [`crate::arch`] dispatch table to the explicit-SIMD backend selected
-//! for this process; the rest are scalar loops LLVM autovectorizes.
+//! hottest kernels (relu, add, mul, accumulate) are [`Kernels`] methods
+//! that run, and are counted, on the handle's explicit-SIMD backend; the
+//! rest are scalar loops LLVM autovectorizes, the same on every handle.
 
-use crate::arch;
+use crate::arch::{Family, Kernels};
 
 /// Unary elementwise operations available to fused post-ops.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -83,87 +83,116 @@ impl BinaryOp {
     }
 }
 
-/// Apply a unary op over `src` into `dst`.
-///
-/// # Panics
-///
-/// Panics if lengths differ.
-pub fn unary(op: UnaryOp, src: &[f32], dst: &mut [f32]) {
-    assert_eq!(src.len(), dst.len());
-    match op {
-        // Relu is the hottest post-op: explicit SIMD via the dispatch
-        // table.
-        UnaryOp::Relu => {
-            let table = arch::active();
-            arch::record(arch::Family::Eltwise, table.isa);
-            // SAFETY: lengths asserted equal; table holds only
-            // supported backends.
-            unsafe { (table.relu)(src, dst) };
-        }
-        UnaryOp::Identity => dst.copy_from_slice(src),
-        UnaryOp::Square => {
-            for (d, &s) in dst.iter_mut().zip(src) {
-                *d = s * s;
+impl Kernels {
+    /// Apply a unary op over `src` into `dst`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if lengths differ.
+    pub fn unary(&self, op: UnaryOp, src: &[f32], dst: &mut [f32]) {
+        assert_eq!(src.len(), dst.len());
+        match op {
+            // Relu is the hottest post-op: explicit SIMD.
+            UnaryOp::Relu => {
+                self.record(Family::Eltwise);
+                // SAFETY: lengths asserted equal; `kernels` verified
+                // CPU support.
+                unsafe { (self.table.relu)(src, dst) };
             }
-        }
-        UnaryOp::Neg => {
-            for (d, &s) in dst.iter_mut().zip(src) {
-                *d = -s;
+            UnaryOp::Identity => dst.copy_from_slice(src),
+            UnaryOp::Square => {
+                for (d, &s) in dst.iter_mut().zip(src) {
+                    *d = s * s;
+                }
             }
-        }
-        _ => {
-            for (d, &s) in dst.iter_mut().zip(src) {
-                *d = op.apply(s);
+            UnaryOp::Neg => {
+                for (d, &s) in dst.iter_mut().zip(src) {
+                    *d = -s;
+                }
             }
-        }
-    }
-}
-
-/// Apply a unary op in place.
-pub fn unary_inplace(op: UnaryOp, buf: &mut [f32]) {
-    match op {
-        UnaryOp::Relu => {
-            let table = arch::active();
-            arch::record(arch::Family::Eltwise, table.isa);
-            // SAFETY: table holds only supported backends.
-            unsafe { (table.relu_inplace)(buf) };
-        }
-        UnaryOp::Identity => {}
-        _ => {
-            for x in buf.iter_mut() {
-                *x = op.apply(*x);
+            _ => {
+                for (d, &s) in dst.iter_mut().zip(src) {
+                    *d = op.apply(s);
+                }
             }
         }
     }
-}
 
-/// Apply a binary op elementwise: `dst[i] = op(a[i], b[i])`.
-///
-/// # Panics
-///
-/// Panics if lengths differ.
-pub fn binary(op: BinaryOp, a: &[f32], b: &[f32], dst: &mut [f32]) {
-    assert_eq!(a.len(), dst.len());
-    assert_eq!(b.len(), dst.len());
-    match op {
+    /// Apply a unary op in place.
+    pub fn unary_inplace(&self, op: UnaryOp, buf: &mut [f32]) {
+        match op {
+            UnaryOp::Relu => {
+                self.record(Family::Eltwise);
+                // SAFETY: `kernels` verified CPU support.
+                unsafe { (self.table.relu_inplace)(buf) };
+            }
+            UnaryOp::Identity => {}
+            _ => {
+                for x in buf.iter_mut() {
+                    *x = op.apply(*x);
+                }
+            }
+        }
+    }
+
+    /// `dst = max(src, 0)`: [`Kernels::unary`] with [`UnaryOp::Relu`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if lengths differ.
+    pub fn relu(&self, src: &[f32], dst: &mut [f32]) {
+        self.unary(UnaryOp::Relu, src, dst);
+    }
+
+    /// Apply a binary op elementwise: `dst[i] = op(a[i], b[i])`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if lengths differ.
+    pub fn binary(&self, op: BinaryOp, a: &[f32], b: &[f32], dst: &mut [f32]) {
+        assert_eq!(a.len(), dst.len());
+        assert_eq!(b.len(), dst.len());
         // Add and Mul dominate fused binary post-ops: explicit SIMD.
-        BinaryOp::Add => {
-            let table = arch::active();
-            arch::record(arch::Family::Eltwise, table.isa);
-            // SAFETY: lengths asserted equal above.
-            unsafe { (table.binary_add)(a, b, dst) };
-        }
-        BinaryOp::Mul => {
-            let table = arch::active();
-            arch::record(arch::Family::Eltwise, table.isa);
-            // SAFETY: lengths asserted equal above.
-            unsafe { (table.binary_mul)(a, b, dst) };
-        }
-        _ => {
-            for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
-                *d = op.apply(x, y);
+        let kernel = match op {
+            BinaryOp::Add => self.table.binary_add,
+            BinaryOp::Mul => self.table.binary_mul,
+            _ => {
+                for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
+                    *d = op.apply(x, y);
+                }
+                return;
             }
-        }
+        };
+        self.record(Family::Eltwise);
+        // SAFETY: lengths asserted equal above.
+        unsafe { kernel(a, b, dst) };
+    }
+
+    /// `dst = a + b` elementwise: [`Kernels::binary`] with
+    /// [`BinaryOp::Add`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if lengths differ.
+    pub fn binary_add(&self, a: &[f32], b: &[f32], dst: &mut [f32]) {
+        self.binary(BinaryOp::Add, a, b, dst);
+    }
+
+    /// Accumulate one f32 partial buffer into another:
+    /// `dst[i] += src[i]`.
+    ///
+    /// The reduction step of the k-slicing template: each k-slice's
+    /// partial accumulator is folded into the task's final accumulator
+    /// with this kernel.
+    ///
+    /// # Panics
+    ///
+    /// Panics if lengths differ.
+    pub fn acc_add_f32(&self, src: &[f32], dst: &mut [f32]) {
+        assert_eq!(src.len(), dst.len());
+        self.record(Family::Eltwise);
+        // SAFETY: lengths asserted equal above.
+        unsafe { (self.table.acc_add)(src, dst) };
     }
 }
 
@@ -218,23 +247,6 @@ pub fn copy(src: &[f32], dst: &mut [f32]) {
     dst.copy_from_slice(src);
 }
 
-/// Accumulate one f32 partial buffer into another: `dst[i] += src[i]`.
-///
-/// The reduction step of the k-slicing template: each k-slice's partial
-/// accumulator is folded into the task's final accumulator with this
-/// kernel.
-///
-/// # Panics
-///
-/// Panics if lengths differ.
-pub fn acc_add_f32(src: &[f32], dst: &mut [f32]) {
-    assert_eq!(src.len(), dst.len());
-    let table = arch::active();
-    arch::record(arch::Family::Eltwise, table.isa);
-    // SAFETY: lengths asserted equal above.
-    unsafe { (table.acc_add)(src, dst) };
-}
-
 /// Accumulate one i32 partial buffer into another: `dst[i] += src[i]`.
 ///
 /// The u8×i8 variant of the k-slicing reduction; integer addition is
@@ -258,7 +270,7 @@ mod tests {
     fn relu_kernel() {
         let src = [-1.0f32, 2.0, -3.0, 4.0];
         let mut dst = [0f32; 4];
-        unary(UnaryOp::Relu, &src, &mut dst);
+        Kernels::default().relu(&src, &mut dst);
         assert_eq!(dst, [0.0, 2.0, 0.0, 4.0]);
     }
 
@@ -276,7 +288,7 @@ mod tests {
             UnaryOp::Identity,
         ] {
             let mut dst = vec![0f32; src.len()];
-            unary(op, &src, &mut dst);
+            Kernels::default().unary(op, &src, &mut dst);
             for (d, &s) in dst.iter().zip(&src) {
                 assert_eq!(*d, op.apply(s), "{op:?}");
             }
@@ -288,9 +300,9 @@ mod tests {
         let src: Vec<f32> = (-5..5).map(|i| i as f32).collect();
         for op in [UnaryOp::Relu, UnaryOp::Exp, UnaryOp::Identity] {
             let mut a = src.clone();
-            unary_inplace(op, &mut a);
+            Kernels::default().unary_inplace(op, &mut a);
             let mut b = vec![0f32; src.len()];
-            unary(op, &src, &mut b);
+            Kernels::default().unary(op, &src, &mut b);
             assert_eq!(a, b, "{op:?}");
         }
     }
@@ -300,11 +312,12 @@ mod tests {
         let a = [1.0f32, 2.0, 3.0];
         let b = [4.0f32, 5.0, 6.0];
         let mut d = [0f32; 3];
-        binary(BinaryOp::Add, &a, &b, &mut d);
+        let k = Kernels::default();
+        k.binary_add(&a, &b, &mut d);
         assert_eq!(d, [5.0, 7.0, 9.0]);
-        binary(BinaryOp::Div, &a, &b, &mut d);
+        k.binary(BinaryOp::Div, &a, &b, &mut d);
         assert_eq!(d, [0.25, 0.4, 0.5]);
-        binary(BinaryOp::Max, &a, &b, &mut d);
+        k.binary(BinaryOp::Max, &a, &b, &mut d);
         assert_eq!(d, [4.0, 5.0, 6.0]);
     }
 
@@ -333,7 +346,7 @@ mod tests {
     #[test]
     fn acc_add_kernels() {
         let mut d = [1.0f32, 2.0, 3.0];
-        acc_add_f32(&[0.5, -2.0, 1.0], &mut d);
+        Kernels::default().acc_add_f32(&[0.5, -2.0, 1.0], &mut d);
         assert_eq!(d, [1.5, 0.0, 4.0]);
         let mut di = [10i32, -4, 7];
         acc_add_i32(&[1, 4, -7], &mut di);
@@ -344,13 +357,13 @@ mod tests {
     #[should_panic]
     fn acc_add_length_mismatch_panics() {
         let mut d = [0f32; 2];
-        acc_add_f32(&[1.0, 2.0, 3.0], &mut d);
+        Kernels::default().acc_add_f32(&[1.0, 2.0, 3.0], &mut d);
     }
 
     #[test]
     #[should_panic]
     fn length_mismatch_panics() {
         let mut d = [0f32; 2];
-        unary(UnaryOp::Relu, &[1.0, 2.0, 3.0], &mut d);
+        Kernels::default().unary(UnaryOp::Relu, &[1.0, 2.0, 3.0], &mut d);
     }
 }

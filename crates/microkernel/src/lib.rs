@@ -20,23 +20,26 @@
 //! In the original system these are JIT-generated AVX-512/AMX code;
 //! here each kernel family has one generic body written against a
 //! small SIMD-ops trait, instantiated per backend (portable scalar,
-//! AVX2+FMA, AVX-512/VNNI) and selected once per process by runtime
-//! feature detection — see [`arch`]. The interface — offsets into
-//! packed, blocked buffers — is the same as the paper's, which is what
-//! the lowering templates depend on. Set `GC_FORCE_ISA=scalar` (or
-//! `avx2`/`avx512`) to pin the backend; [`arch::dispatch_report`]
-//! shows which variants actually ran.
+//! AVX2+FMA, AVX-512/VNNI). Every kernel that has a per-backend body is
+//! a method on one [`Kernels`] handle ([`kernels`]`(isa)` checks the CPU
+//! can run it); whoever executes a plan owns the handle, so the backend
+//! is a value, never ambient state — see [`arch`]. The interface —
+//! offsets into packed, blocked buffers — is the same as the paper's,
+//! which is what the lowering templates depend on. `GC_FORCE_ISA=scalar`
+//! (or `avx2`/`avx512`) picks the *default* handle;
+//! [`arch::dispatch_report`] shows which variants actually ran.
 //!
 //! # Examples
 //!
 //! ```
-//! use gc_microkernel::brgemm::{brgemm_f32, BrgemmShape};
+//! use gc_microkernel::{kernels, BrgemmShape, Isa};
 //!
 //! // One 2x2x2 tile pair: C += A x B, B stored as [n][k] panels.
 //! let a = [1.0f32, 2.0, 3.0, 4.0]; // [[1,2],[3,4]]
 //! let b = [1.0f32, 0.0, 0.0, 1.0]; // panels: n0=[1,0], n1=[0,1] => identity
 //! let mut c = [0.0f32; 4];
-//! brgemm_f32(BrgemmShape::new(2, 2, 2), &a, &[0], &b, &[0], &mut c);
+//! let shape = BrgemmShape::new(2, 2, 2);
+//! kernels(Isa::Scalar).brgemm_f32(shape, shape.m, &a, &[0], &b, &[0], &mut c);
 //! assert_eq!(c, a);
 //! ```
 
@@ -49,6 +52,6 @@ pub mod epilogue;
 pub mod reduce;
 pub mod tail;
 
-pub use arch::{dispatch_report, DispatchReport, Isa};
-pub use brgemm::{brgemm_f32, brgemm_u8i8, BrgemmShape};
+pub use arch::{dispatch_report, kernels, DispatchReport, Isa, Kernels};
+pub use brgemm::BrgemmShape;
 pub use eltwise::{BinaryOp, UnaryOp};

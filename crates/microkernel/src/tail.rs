@@ -10,78 +10,18 @@
 //!   unchanged; the output store clips the dead rows/columns back off
 //!   ([`store_clamped_2d`]).
 //! - **Tail kernels** — the brgemm itself is clamped to the valid row
-//!   count ([`brgemm_f32_m_tail`], [`brgemm_u8i8_m_tail`]): the same
-//!   batch-reduce body called with `m = m_valid`, computing no wasted
-//!   FLOPs and bit-identical to the row prefix of the full call.
+//!   count ([`Kernels::brgemm_f32`] / [`Kernels::brgemm_u8i8`] with
+//!   `rows < m`): the same batch-reduce body called with `m = rows`,
+//!   computing no wasted FLOPs and bit-identical to the row prefix of
+//!   the full call.
 //!
 //! All kernels here are *masked-store* shaped: they never write outside
 //! the valid window of the destination, so a caller can alias the
 //! padded region with neighbouring data (the plan executor relies on
 //! this when the output buffer has exactly the logical extent).
 
-use crate::arch::Family;
-use crate::brgemm::{brgemm_f32_rows, brgemm_u8i8_rows, BrgemmShape};
+use crate::arch::Kernels;
 use crate::eltwise::UnaryOp;
-
-/// f32 batch-reduce GEMM over a partial-height C tile.
-///
-/// Semantics match [`crate::brgemm::brgemm_f32`] restricted to the
-/// first `m_valid` rows: `C[0:m_valid, 0:NB] += Σ_b A_b × B_b`. The A
-/// tiles keep their full `[MB, KB]` footprint in memory (only the
-/// valid rows are read); `c` is the valid prefix, `m_valid * n`
-/// elements with row stride `n`. A `m_valid` of zero is a no-op.
-///
-/// # Panics
-///
-/// Panics if `m_valid > shape.m`, the offset arrays differ in length,
-/// any tile overruns its buffer, or `c` is not `m_valid * n` elements.
-pub fn brgemm_f32_m_tail(
-    shape: BrgemmShape,
-    m_valid: usize,
-    a_buf: &[f32],
-    a_offs: &[usize],
-    b_buf: &[f32],
-    b_offs: &[usize],
-    c: &mut [f32],
-) {
-    brgemm_f32_rows(
-        Family::TailF32,
-        shape,
-        m_valid,
-        a_buf,
-        a_offs,
-        b_buf,
-        b_offs,
-        c,
-    );
-}
-
-/// Int8 batch-reduce GEMM over a partial-height C tile; see
-/// [`brgemm_f32_m_tail`] for the clamping contract.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`brgemm_f32_m_tail`].
-pub fn brgemm_u8i8_m_tail(
-    shape: BrgemmShape,
-    m_valid: usize,
-    a_buf: &[u8],
-    a_offs: &[usize],
-    b_buf: &[i8],
-    b_offs: &[usize],
-    c: &mut [i32],
-) {
-    brgemm_u8i8_rows(
-        Family::TailU8I8,
-        shape,
-        m_valid,
-        a_buf,
-        a_offs,
-        b_buf,
-        b_offs,
-        c,
-    );
-}
 
 /// Pack a `rows_valid × cols_valid` window of a strided source into a
 /// dense `rows × cols` tile, zero-filling the padded remainder.
@@ -162,71 +102,31 @@ pub fn store_clamped_2d<T: Copy>(
     }
 }
 
-/// Apply a unary post-op to the valid row prefix of a dense `[rows, n]`
-/// accumulator tile, skipping the padded rows entirely.
-///
-/// The pad-and-go epilogue runs unary ops over the full tile (the
-/// padding is discarded at the output store anyway); the tail epilogue
-/// uses this variant so ops like `exp` never touch the zero-filled pad
-/// rows.
-///
-/// # Panics
-///
-/// Panics if `tile` is shorter than `rows_valid * n`.
-pub fn unary_rows_tail(op: UnaryOp, tile: &mut [f32], n: usize, rows_valid: usize) {
-    crate::eltwise::unary_inplace(op, &mut tile[..rows_valid * n]);
+impl Kernels {
+    /// Apply a unary post-op to the valid row prefix of a dense
+    /// `[rows, n]` accumulator tile, skipping the padded rows entirely.
+    ///
+    /// The pad-and-go epilogue runs unary ops over the full tile (the
+    /// padding is discarded at the output store anyway); the tail
+    /// epilogue uses this variant so ops like `exp` never touch the
+    /// zero-filled pad rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tile` is shorter than `rows_valid * n`.
+    pub fn unary_rows_tail(&self, op: UnaryOp, tile: &mut [f32], n: usize, rows_valid: usize) {
+        self.unary_inplace(op, &mut tile[..rows_valid * n]);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::brgemm::scalar;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
     fn rand_f32(n: usize, rng: &mut StdRng) -> Vec<f32> {
         (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect()
-    }
-
-    #[test]
-    fn f32_m_tail_matches_full_prefix() {
-        // tail kernel over m_valid rows == full kernel's first m_valid
-        // rows, bit-exact (same per-row reduction order).
-        let mut rng = StdRng::seed_from_u64(7);
-        let shape = BrgemmShape::new(8, 6, 24);
-        let bs = 3;
-        let a = rand_f32(bs * shape.a_len(), &mut rng);
-        let b = rand_f32(bs * shape.b_len(), &mut rng);
-        let a_offs: Vec<usize> = (0..bs).map(|i| i * shape.a_len()).collect();
-        let b_offs: Vec<usize> = (0..bs).map(|i| i * shape.b_len()).collect();
-        let mut full = vec![0f32; shape.c_len()];
-        crate::brgemm::brgemm_f32(shape, &a, &a_offs, &b, &b_offs, &mut full);
-        for m_valid in [0usize, 1, 3, 5, 8] {
-            let mut tail = vec![0f32; m_valid * shape.n];
-            brgemm_f32_m_tail(shape, m_valid, &a, &a_offs, &b, &b_offs, &mut tail);
-            assert_eq!(tail, full[..m_valid * shape.n]);
-        }
-    }
-
-    #[test]
-    fn u8i8_m_tail_matches_scalar() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let shape = BrgemmShape::new(5, 7, 13);
-        let bs = 2;
-        let a: Vec<u8> = (0..bs * shape.a_len())
-            .map(|_| rng.gen_range(0..64))
-            .collect();
-        let b: Vec<i8> = (0..bs * shape.b_len())
-            .map(|_| rng.gen_range(-32..32))
-            .collect();
-        let a_offs: Vec<usize> = (0..bs).map(|i| i * shape.a_len()).collect();
-        let b_offs: Vec<usize> = (0..bs).map(|i| i * shape.b_len()).collect();
-        let mut full = vec![0i32; shape.c_len()];
-        scalar::brgemm_u8i8(shape, &a, &a_offs, &b, &b_offs, &mut full);
-        let m_valid = 3;
-        let mut tail = vec![0i32; m_valid * shape.n];
-        brgemm_u8i8_m_tail(shape, m_valid, &a, &a_offs, &b, &b_offs, &mut tail);
-        assert_eq!(tail, full[..m_valid * shape.n]);
     }
 
     #[test]
@@ -271,16 +171,8 @@ mod tests {
     fn unary_tail_skips_pad_rows() {
         let n = 4;
         let mut tile = vec![-2.0f32; 3 * n];
-        unary_rows_tail(UnaryOp::Relu, &mut tile, n, 2);
+        Kernels::default().unary_rows_tail(UnaryOp::Relu, &mut tile, n, 2);
         assert!(tile[..2 * n].iter().all(|&x| x == 0.0));
         assert!(tile[2 * n..].iter().all(|&x| x == -2.0), "pad row touched");
-    }
-
-    #[test]
-    #[should_panic(expected = "m_valid")]
-    fn overlong_tail_panics() {
-        let shape = BrgemmShape::new(2, 2, 2);
-        let mut c = vec![0f32; 6];
-        brgemm_f32_m_tail(shape, 3, &[0.0; 8], &[0], &[0.0; 8], &[0], &mut c);
     }
 }

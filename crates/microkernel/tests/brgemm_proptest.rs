@@ -3,6 +3,7 @@
 //! combination of the `MR x NR` dispatch table and k-loop tails.
 
 use gc_microkernel::brgemm::{self, BrgemmShape};
+use gc_microkernel::Kernels;
 use proptest::prelude::*;
 
 /// Deterministic pseudo-random tile data — the proptest strategies draw
@@ -46,7 +47,7 @@ proptest! {
         let b_offs: Vec<usize> = (0..batch).map(|i| i * shape.b_len()).collect();
         let mut got = fill_f32(shape.c_len(), seed ^ 0x55); // nonzero: += semantics
         let mut want = got.clone();
-        brgemm::brgemm_f32(shape, &a_buf, &a_offs, &b_buf, &b_offs, &mut got);
+        Kernels::default().brgemm_f32(shape, m, &a_buf, &a_offs, &b_buf, &b_offs, &mut got);
         brgemm::scalar::brgemm_f32(shape, &a_buf, &a_offs, &b_buf, &b_offs, &mut want);
         for (i, (&x, &y)) in got.iter().zip(want.iter()).enumerate() {
             prop_assert!(
@@ -72,7 +73,7 @@ proptest! {
         let b_offs: Vec<usize> = (0..batch).map(|i| i * shape.b_len()).collect();
         let mut got = vec![7i32; shape.c_len()];
         let mut want = got.clone();
-        brgemm::brgemm_u8i8(shape, &a_buf, &a_offs, &b_buf, &b_offs, &mut got);
+        Kernels::default().brgemm_u8i8(shape, m, &a_buf, &a_offs, &b_buf, &b_offs, &mut got);
         brgemm::scalar::brgemm_u8i8(shape, &a_buf, &a_offs, &b_buf, &b_offs, &mut want);
         prop_assert_eq!(got, want);
     }
@@ -90,7 +91,7 @@ fn ragged_edge_grid_matches_scalar() {
                 let b = fill_f32(shape.b_len(), (n * 100 + k) as u64);
                 let mut got = vec![0f32; shape.c_len()];
                 let mut want = vec![0f32; shape.c_len()];
-                brgemm::brgemm_f32(shape, &a, &[0], &b, &[0], &mut got);
+                Kernels::default().gemm_f32(m, n, k, &a, &b, &mut got);
                 brgemm::scalar::brgemm_f32(shape, &a, &[0], &b, &[0], &mut want);
                 for (x, y) in got.iter().zip(&want) {
                     assert!(

@@ -4,9 +4,9 @@
 //! within 1e-5 relative error (FMA contraction and lane-width reduction
 //! order differ per backend); integer families must be bit-exact.
 
-use gc_microkernel::arch::{kernels, set_thread_isa, Isa, Kernels};
+use gc_microkernel::arch::{kernels, Isa, Kernels};
 use gc_microkernel::brgemm::{self, BrgemmShape};
-use gc_microkernel::tail;
+use gc_microkernel::BinaryOp;
 
 /// Every backend the running CPU can execute, scalar first.
 fn available() -> Vec<Isa> {
@@ -253,7 +253,7 @@ fn brgemm_f32_batch_matrix() {
         let scale = ((k * bs) as f32 / 512.0).sqrt().max(1.0);
         for isa in available() {
             let mut got = init.clone();
-            kernels(isa).brgemm_f32(t.shape, t.a(), &t.a_offs, t.b(), &t.b_offs, &mut got);
+            kernels(isa).brgemm_f32(t.shape, m, t.a(), &t.a_offs, t.b(), &t.b_offs, &mut got);
             for (i, (g, w)) in got.iter().zip(&want).enumerate() {
                 let tol = 1e-5f32.max(w.abs() * 1e-5) * scale;
                 assert!(
@@ -273,7 +273,7 @@ fn brgemm_u8i8_batch_matrix_bit_exact() {
         brgemm::scalar::brgemm_u8i8(t.shape, t.a(), &t.a_offs, t.b(), &t.b_offs, &mut want);
         for isa in available() {
             let mut got = vec![3i32; m * n];
-            kernels(isa).brgemm_u8i8(t.shape, t.a(), &t.a_offs, t.b(), &t.b_offs, &mut got);
+            kernels(isa).brgemm_u8i8(t.shape, m, t.a(), &t.a_offs, t.b(), &t.b_offs, &mut got);
             assert_eq!(got, want, "brgemm_u8i8 {isa} {m}x{n}x{k} bs{bs}");
         }
     }
@@ -281,48 +281,31 @@ fn brgemm_u8i8_batch_matrix_bit_exact() {
 
 #[test]
 fn brgemm_m_tail_matches_full_prefix_across_the_batch() {
-    // The public tail entries against the public full entries, on every
-    // backend via the thread override: bit-exact in both dtypes, because
-    // a C element's reduction never depends on the rows around it.
+    // The clamped-height call against the full one, on every backend's
+    // own handle: bit-exact in both dtypes, because a C element's
+    // reduction never depends on the rows around it.
     let (m, n) = (8, 6);
     for isa in available() {
-        let prev = set_thread_isa(Some(isa));
+        let kern = kernels(isa);
         for &bs in &[2usize, 8] {
             for &k in &[13usize, 32, 65] {
                 let f = f32_case(m, n, k, bs);
                 let mut full = vec![0f32; m * n];
-                brgemm::brgemm_f32(f.shape, f.a(), &f.a_offs, f.b(), &f.b_offs, &mut full);
+                kern.brgemm_f32(f.shape, m, f.a(), &f.a_offs, f.b(), &f.b_offs, &mut full);
                 let q = u8i8_case(m, n, k, bs);
                 let mut full_q = vec![0i32; m * n];
-                brgemm::brgemm_u8i8(q.shape, q.a(), &q.a_offs, q.b(), &q.b_offs, &mut full_q);
+                kern.brgemm_u8i8(q.shape, m, q.a(), &q.a_offs, q.b(), &q.b_offs, &mut full_q);
                 for m_valid in [0usize, 1, 2, 3, 5, 7, 8] {
                     let ctx = format!("{isa} k{k} bs{bs} m_valid={m_valid}");
                     let mut t = vec![0f32; m_valid * n];
-                    tail::brgemm_f32_m_tail(
-                        f.shape,
-                        m_valid,
-                        f.a(),
-                        &f.a_offs,
-                        f.b(),
-                        &f.b_offs,
-                        &mut t,
-                    );
+                    kern.brgemm_f32(f.shape, m_valid, f.a(), &f.a_offs, f.b(), &f.b_offs, &mut t);
                     assert_eq!(bits(&t), bits(&full[..m_valid * n]), "f32 {ctx}");
                     let mut t = vec![0i32; m_valid * n];
-                    tail::brgemm_u8i8_m_tail(
-                        q.shape,
-                        m_valid,
-                        q.a(),
-                        &q.a_offs,
-                        q.b(),
-                        &q.b_offs,
-                        &mut t,
-                    );
+                    kern.brgemm_u8i8(q.shape, m_valid, q.a(), &q.a_offs, q.b(), &q.b_offs, &mut t);
                     assert_eq!(t, full_q[..m_valid * n], "u8i8 {ctx}");
                 }
             }
         }
-        set_thread_isa(prev);
     }
 }
 
@@ -347,19 +330,35 @@ fn one_call_of_eight_rows_equals_two_calls_of_four() {
                 let f = f32_case(m, n, k, bs);
                 let mut whole = fill_f32(7, m * n);
                 let mut split = whole.clone();
-                kern.brgemm_f32(f.shape, f.a(), &f.a_offs, f.b(), &f.b_offs, &mut whole);
+                kern.brgemm_f32(f.shape, m, f.a(), &f.a_offs, f.b(), &f.b_offs, &mut whole);
                 let (top, bottom) = split.split_at_mut(half.c_len());
-                kern.brgemm_f32(half, f.a(), &f.a_offs, f.b(), &f.b_offs, top);
-                kern.brgemm_f32(half, f.a(), &lower(&f.a_offs), f.b(), &f.b_offs, bottom);
+                kern.brgemm_f32(half, half.m, f.a(), &f.a_offs, f.b(), &f.b_offs, top);
+                kern.brgemm_f32(
+                    half,
+                    half.m,
+                    f.a(),
+                    &lower(&f.a_offs),
+                    f.b(),
+                    &f.b_offs,
+                    bottom,
+                );
                 assert_eq!(bits(&whole), bits(&split), "f32 {isa} k{k} bs{bs}");
 
                 let q = u8i8_case(m, n, k, bs);
                 let mut whole = vec![5i32; m * n];
                 let mut split = whole.clone();
-                kern.brgemm_u8i8(q.shape, q.a(), &q.a_offs, q.b(), &q.b_offs, &mut whole);
+                kern.brgemm_u8i8(q.shape, m, q.a(), &q.a_offs, q.b(), &q.b_offs, &mut whole);
                 let (top, bottom) = split.split_at_mut(half.c_len());
-                kern.brgemm_u8i8(half, q.a(), &q.a_offs, q.b(), &q.b_offs, top);
-                kern.brgemm_u8i8(half, q.a(), &lower(&q.a_offs), q.b(), &q.b_offs, bottom);
+                kern.brgemm_u8i8(half, half.m, q.a(), &q.a_offs, q.b(), &q.b_offs, top);
+                kern.brgemm_u8i8(
+                    half,
+                    half.m,
+                    q.a(),
+                    &lower(&q.a_offs),
+                    q.b(),
+                    &q.b_offs,
+                    bottom,
+                );
                 assert_eq!(whole, split, "u8i8 {isa} k{k} bs{bs}");
             }
         }
@@ -369,11 +368,10 @@ fn one_call_of_eight_rows_equals_two_calls_of_four() {
 #[test]
 #[should_panic(expected = "overruns its buffer")]
 fn handle_rejects_a_tile_past_its_buffer() {
-    // The harness handle makes the same checks as the dispatched entry
-    // before it enters the unsafe body.
+    // The handle checks every tile before it enters the unsafe body.
     let shape = BrgemmShape::new(2, 2, 3);
     let mut c = vec![0i32; 4];
-    kernels(Isa::Scalar).brgemm_u8i8(shape, &[1; 12], &[0, 7], &[1; 12], &[0, 6], &mut c);
+    kernels(Isa::Scalar).brgemm_u8i8(shape, 2, &[1; 12], &[0, 7], &[1; 12], &[0, 6], &mut c);
 }
 
 #[test]
@@ -393,13 +391,13 @@ fn eltwise_matrix() {
             kern.binary_add(&a, &b, &mut g);
             base.binary_add(&a, &b, &mut w);
             assert_eq!(g, w, "add {isa} n={n}");
-            kern.binary_mul(&a, &b, &mut g);
-            base.binary_mul(&a, &b, &mut w);
+            kern.binary(BinaryOp::Mul, &a, &b, &mut g);
+            base.binary(BinaryOp::Mul, &a, &b, &mut w);
             assert_eq!(g, w, "mul {isa} n={n}");
             let mut gacc = a.clone();
             let mut wacc = a.clone();
-            kern.acc_add(&b, &mut gacc);
-            base.acc_add(&b, &mut wacc);
+            kern.acc_add_f32(&b, &mut gacc);
+            base.acc_add_f32(&b, &mut wacc);
             assert_eq!(gacc, wacc, "acc_add {isa} n={n}");
         }
     }
@@ -440,8 +438,8 @@ fn epilogue_dequant_matrix_bit_exact() {
                 .map(|x| (x * 1000.0) as i32)
                 .collect();
             let (mut g, mut w) = (vec![0f32; m * n], vec![0f32; m * n]);
-            kern.dequant(&acc, m, n, &comp, 3, 0.0173, &mut g);
-            base.dequant(&acc, m, n, &comp, 3, 0.0173, &mut w);
+            kern.dequant_acc(&acc, m, n, &comp, 3, 0.0173, &mut g);
+            base.dequant_acc(&acc, m, n, &comp, 3, 0.0173, &mut w);
             assert_eq!(g, w, "dequant {isa} {m}x{n}");
         }
     }

@@ -17,8 +17,8 @@
 //! [`ThreadPool`], and several pools coexist in one process (that is
 //! what gc-serve's engine shards are — see DESIGN.md "Sharded
 //! execution"). [`ThreadPool::with_worker_setup`] lets a shard
-//! configure its workers at spawn (per-thread kernel backend, affinity
-//! via [`affinity::pin_current_thread`]).
+//! configure its workers at spawn (affinity via
+//! [`affinity::pin_current_thread`]).
 
 #![warn(missing_docs)]
 

@@ -115,11 +115,10 @@ impl ThreadPool {
     /// every spawned worker thread before it starts claiming chunks.
     ///
     /// This is how engine shards configure their pools: the hook pins
-    /// the worker to the shard's core range and installs the shard's
-    /// per-thread kernel backend, so every thread that executes kernels
-    /// for the shard — workers here, the executor thread by running the
-    /// same hook itself — is set up identically (DESIGN.md "Sharded
-    /// execution").
+    /// the worker to the shard's core range, so every thread that
+    /// executes kernels for the shard — workers here, the executor
+    /// thread by pinning itself the same way — is set up identically
+    /// (DESIGN.md "Sharded execution").
     pub fn with_worker_setup(threads: usize, setup: WorkerSetup) -> Self {
         Self::build(threads, Some(setup))
     }

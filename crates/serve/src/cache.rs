@@ -72,10 +72,9 @@ impl PlanKey {
     }
 }
 
-/// The [`PlanKey::opts`] digest of `opts` for plans whose kernels
-/// dispatch on backend `isa` — the process-wide one, or a shard's
-/// per-thread override: sharded models key each shard's plans under the
-/// ISA its threads *actually* run.
+/// The [`PlanKey::opts`] digest of `opts` for plans compiled for an
+/// engine whose kernels run on backend `isa` — the local engine's or a
+/// shard's: every plan is keyed under the ISA that runs it.
 pub(crate) fn options_fingerprint(opts: &CompileOptions, isa: &str) -> u64 {
     // Exhaustive destructuring: adding a knob to CompileOptions fails
     // to compile here, forcing a decision on whether (and how) the new
@@ -355,8 +354,8 @@ pub fn init_cache() -> Arc<InitCache> {
 /// per worker count, shared by every unsharded model compiled at that
 /// width. `0` means host parallelism. Sharded models do **not** draw
 /// from this registry — each [`crate::shard::EngineShard`] constructs
-/// its own first-class [`gc_tir::Engine`] (own pool, own worker setup
-/// for ISA/affinity), which is the point of sharding.
+/// its own first-class [`gc_tir::Engine`] (own pool with its affinity
+/// setup, own kernel backend), which is the point of sharding.
 pub fn shared_pool(threads: usize) -> Arc<ThreadPool> {
     static POOLS: OnceLock<Mutex<HashMap<usize, Arc<ThreadPool>>>> = OnceLock::new();
     let pools = POOLS.get_or_init(|| Mutex::new(HashMap::new()));
@@ -371,11 +370,12 @@ pub fn shared_pool(threads: usize) -> Arc<ThreadPool> {
 }
 
 /// One model's way to its plans: the caches it compiles through and the
-/// pool its unsharded plans run on.
+/// local engine (a shared pool, the default kernel backend) its
+/// unsharded plans run on.
 pub(crate) struct Plans {
     cache: Arc<PlanCache>,
     init_cache: Arc<InitCache>,
-    pub(crate) pool: Arc<ThreadPool>,
+    pub(crate) engine: Engine,
 }
 
 impl Plans {
@@ -389,16 +389,21 @@ impl Plans {
         Plans {
             cache: plan_cache.map_or_else(self::plan_cache, Arc::clone),
             init_cache: init_cache.map_or_else(self::init_cache, Arc::clone),
-            pool: shared_pool(threads.unwrap_or(0)),
+            engine: Engine::new(shared_pool(threads.unwrap_or(0))),
         }
     }
 
-    /// The plan under `key`, compiling `graph()` with `opts` on a miss.
-    /// With `shard`, the plan is compiled for and runs on that engine:
-    /// its pool, options retargeted at its width (plan decisions —
-    /// parallel decomposition, buffer sizing — must match the pool that
-    /// runs them, not the model's total budget), executions charged to
-    /// its counters. Folded constants go through the init cache under
+    /// [`options_fingerprint`] of `opts` under the local engine's ISA.
+    pub(crate) fn local_opts_hash(&self, opts: &CompileOptions) -> u64 {
+        options_fingerprint(opts, self.engine.kernels().isa().name())
+    }
+
+    /// The plan under `key`, compiling `graph()` with `opts` on a miss,
+    /// for the engine that runs it (pool, kernel backend, tuning key,
+    /// counters): the local one, or `shard` with the options retargeted
+    /// at its width (plan decisions — parallel decomposition, buffer
+    /// sizing — must match the pool that runs them, not the model's
+    /// total budget). Folded constants go through the init cache under
     /// [`PlanKey::fold_digest`] either way.
     pub(crate) fn plan(
         &self,
@@ -408,17 +413,14 @@ impl Plans {
         graph: impl FnOnce() -> Result<Graph, ServeError>,
     ) -> Result<Arc<CachedPlan>, ServeError> {
         self.cache.get_or_compile(key, || {
-            let (opts, pool) = match shard {
-                Some(engine) => (opts.for_pool_width(engine.threads()), engine.pool()),
-                None => (opts.clone(), &self.pool),
+            let (opts, engine) = match shard {
+                Some(engine) => (opts.for_pool_width(engine.threads()), engine),
+                None => (opts.clone(), &self.engine),
             };
-            let arts = Compiler::new(opts).compile_artifacts(graph()?, Arc::clone(pool))?;
-            let mut exe = arts
+            let arts = Compiler::new(opts).compile_artifacts(graph()?, engine)?;
+            let exe = arts
                 .exe
                 .with_init_cache(Arc::clone(&self.init_cache), key.fold_digest());
-            if let Some(engine) = shard {
-                exe = exe.with_counters(Arc::clone(engine.counters()));
-            }
             Ok(CachedPlan {
                 exe: Arc::new(exe),
                 input_descs: arts.input_descs,
@@ -448,7 +450,7 @@ mod tests {
             ..CompileOptions::default()
         };
         let arts = Compiler::new(opts)
-            .compile_artifacts(g, shared_pool(1))
+            .compile_artifacts(g, &Engine::new(shared_pool(1)))
             .unwrap();
         CachedPlan {
             exe: Arc::new(arts.exe),
@@ -724,9 +726,24 @@ mod tests {
         assert_ne!(k.fold_digest(), PlanKey { threads: 5, ..k }.fold_digest());
     }
 
-    /// [`options_fingerprint`] under the process's kernel backend.
+    /// Plan-cache and tuning-database identities are persistent: a
+    /// refactor that moves either orphans every stored entry. Pinned to
+    /// the values of the commit that introduced the engine-owned kernel
+    /// handle (identical at its parent).
+    #[test]
+    fn plan_and_tune_key_identities_are_pinned() {
+        let opts = CompileOptions::new(gc_machine::MachineDescriptor::xeon_8358());
+        assert_eq!(options_fingerprint(&opts, "scalar"), 0x969f_50f6_b725_0c37);
+        let mut g = mlp_graph(16, 1);
+        gc_core::pipeline::optimize_graph(&mut g, &opts).unwrap();
+        let key = gc_core::TuneKey::for_graph(&g, &opts, "scalar").unwrap();
+        assert_eq!(key.machine, 0xa029_fb7b_a4de_1579);
+        assert_eq!((key.shape_bucket, key.threads), (16, 0));
+    }
+
+    /// [`options_fingerprint`] under the process-default kernel backend.
     fn fingerprint(opts: &CompileOptions) -> u64 {
-        options_fingerprint(opts, gc_microkernel::arch::active_isa().name())
+        options_fingerprint(opts, gc_microkernel::Kernels::default().isa().name())
     }
 
     #[test]

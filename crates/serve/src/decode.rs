@@ -47,13 +47,12 @@
 
 use crate::batch::{copy_elems, slice_elems};
 use crate::batcher::{Batcher, Limits, Queued, Ticket, Work};
-use crate::cache::{options_fingerprint, CachedPlan, PlanCache, PlanKey, Plans};
+use crate::cache::{CachedPlan, PlanCache, PlanKey, Plans};
 use crate::hash::graph_fingerprint;
 use crate::stats::{ModelStats, StatsSnapshot};
 use crate::ServeError;
 use gc_core::CompileOptions;
 use gc_graph::Graph;
-use gc_microkernel::arch::active_isa;
 use gc_tensor::{DataType, Storage, Tensor, TensorDesc};
 use gc_tir::InitCache;
 use std::collections::HashMap;
@@ -265,12 +264,12 @@ impl DecodeModel {
         }
         let probe = builder(heads, min_capacity);
         let (q_dtype, kv_dtype, head_dim) = validate_decode_template(&probe, heads, min_capacity)?;
-        let opts_hash = options_fingerprint(&config.compile, active_isa().name());
         let plans = Plans::new(
             config.compile.threads,
             config.plan_cache.as_ref(),
             config.init_cache.as_ref(),
         );
+        let opts_hash = plans.local_opts_hash(&config.compile);
         let limits = Limits {
             max_batch: config.max_batch,
             max_delay: config.max_delay,
@@ -594,7 +593,7 @@ fn decode_plan(
         graph: graph_fingerprint(&g)?,
         units: rows as u64,
         opts: inner.opts_hash,
-        threads: inner.plans.pool.threads() as u64,
+        threads: inner.plans.engine.threads() as u64,
         shard: 0,
     };
     inner.plans.plan(key, &inner.config.compile, None, || Ok(g))

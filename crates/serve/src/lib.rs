@@ -36,7 +36,7 @@
 //!    batch is always a list of `(engine, unit range)` parts; with
 //!    [`ServeConfig::with_shards`] the parts run concurrently on
 //!    independent engine shards (own thread pool, exec-state checkout
-//!    pool, optional core pin and per-thread kernel backend) and each
+//!    pool and kernel backend, optional core pin) and each
 //!    request's outputs are read straight from the parts it spans. See
 //!    DESIGN.md "Sharded execution".
 //! 6. **Observability** — per-model / per-bucket / per-shard counters

@@ -20,7 +20,7 @@
 
 use crate::batch::copy_elems;
 use crate::batcher::{Batcher, Limits, Queued, Work};
-use crate::cache::{options_fingerprint, CachedPlan, PlanCache, PlanKey, Plans};
+use crate::cache::{CachedPlan, PlanCache, PlanKey, Plans};
 use crate::hash::graph_fingerprint;
 use crate::rebatch::{rebatch, validate_template};
 use crate::shard::{ShardConfig, ShardJob, ShardPlan, ShardRuntime};
@@ -28,7 +28,6 @@ use crate::stats::{ModelStats, StatsSnapshot};
 use crate::ServeError;
 use gc_core::CompileOptions;
 use gc_graph::Graph;
-use gc_microkernel::arch::active_isa;
 use gc_runtime::ExecStats;
 use gc_tensor::{Storage, Tensor, TensorDesc};
 use gc_tir::{Executable, InitCache};
@@ -205,12 +204,12 @@ impl Model {
             ));
         }
         let graph_hash = graph_fingerprint(&graph)?;
-        let opts_hash = options_fingerprint(&config.compile, active_isa().name());
         let plans = Plans::new(
             config.compile.threads,
             config.plan_cache.as_ref(),
             config.init_cache.as_ref(),
         );
+        let opts_hash = plans.local_opts_hash(&config.compile);
         let shards = match &config.sharding {
             Some(sc) => Some(ShardRuntime::spawn(sc, &config.compile)?),
             None => None,
@@ -466,7 +465,7 @@ fn plan_for(
         graph: inner.graph_hash,
         units: units as u64,
         opts: shard.map_or(inner.opts_hash, |(sid, rt)| rt.opts_hash[sid]),
-        threads: shard.map_or(inner.plans.pool.threads(), |(sid, rt)| {
+        threads: shard.map_or(inner.plans.engine.threads(), |(sid, rt)| {
             rt.shards[sid].threads()
         }) as u64,
         shard: shard.map_or(0, |(sid, _)| sid as u64 + 1),

@@ -2,12 +2,12 @@
 //! engines in one process.
 //!
 //! One [`EngineShard`] bundles a private [`gc_tir::Engine`] (its own
-//! [`ThreadPool`] and exec-state checkout pool), an optional pinned
-//! core range, an optional per-thread kernel-backend override
-//! (heterogeneous shards mix ISAs in one process via
-//! `gc_microkernel::arch::set_thread_isa`), and a dedicated executor
-//! thread that runs submitted jobs with panic isolation: a job that
-//! unwinds fails only its own waiter — the shard keeps serving.
+//! [`ThreadPool`], exec-state checkout pool and kernel backend — a
+//! shard's ISA is its engine's `Kernels` handle, so heterogeneous shards
+//! mix ISAs in one process by construction), an optional pinned core
+//! range, and a dedicated executor thread that runs submitted jobs with
+//! panic isolation: a job that unwinds fails only its own waiter — the
+//! shard keeps serving.
 //!
 //! A [`ShardPlan`] decides how a batch meets the shards: large batches
 //! are *scattered* — split into contiguous unit ranges, one per shard,
@@ -23,8 +23,7 @@ use crate::hash::{combine, Fnv1a};
 use crate::stats::ShardStats;
 use crate::ServeError;
 use gc_core::CompileOptions;
-use gc_microkernel::arch;
-use gc_microkernel::Isa;
+use gc_microkernel::{arch, Isa, Kernels};
 use gc_runtime::{affinity, ThreadPool, WorkerSetup};
 use gc_tir::Engine;
 use std::ops::Range;
@@ -43,9 +42,10 @@ pub const DEFAULT_MIN_UNITS_PER_SHARD: usize = 4;
 pub struct ShardSpec {
     /// Pool width; `0` = an even share of the model's thread budget.
     pub threads: usize,
-    /// Kernel-backend override for every thread of this shard; `None`
-    /// dispatches on the process-wide active backend. Must be
-    /// supported by the CPU ([`Isa::supported`]) or load fails.
+    /// Kernel backend of this shard's engine — every plan compiled for
+    /// the shard runs, and is keyed, on it; `None` takes the process
+    /// default ([`arch::active_isa`]). Must be supported by the CPU
+    /// ([`Isa::supported`]) or load fails.
     pub isa: Option<Isa>,
     /// Core range to pin this shard's threads to (best-effort; see
     /// [`gc_runtime::affinity`]). `None` = unpinned.
@@ -63,7 +63,7 @@ pub struct ShardConfig {
 
 impl ShardConfig {
     /// `n` identical shards, each with an even share of the thread
-    /// budget, no pinning, no ISA override.
+    /// budget, no pinning, the default kernel backend.
     pub fn uniform(n: usize) -> ShardConfig {
         ShardConfig {
             shards: vec![ShardSpec::default(); n],
@@ -80,11 +80,10 @@ type Job = Box<dyn FnOnce() + Send>;
 /// Jobs submitted through [`EngineShard::run`] execute on the executor
 /// thread, which participates in the shard pool's parallel loops
 /// (caller-runs model) — so it receives the same per-thread setup as
-/// the pool's workers: the ISA override and the core pin. Different
-/// shards run concurrently; jobs on one shard run in submission order.
+/// the pool's workers: the core pin. Different shards run concurrently;
+/// jobs on one shard run in submission order.
 pub struct EngineShard {
     id: usize,
-    isa: Option<Isa>,
     engine: Engine,
     stats: Arc<ShardStats>,
     tx: Option<mpsc::Sender<Job>>,
@@ -116,15 +115,17 @@ impl EngineShard {
                 "shard {id}: zero threads"
             )));
         }
-        if let Some(isa) = spec.isa {
-            if !isa.supported() {
+        let kernels = match spec.isa {
+            Some(isa) if !isa.supported() => {
                 return Err(ServeError::InvalidModel(format!(
                     "shard {id}: ISA {} not supported on this CPU (detected {})",
                     isa.name(),
                     arch::detected_isa().name()
                 )));
             }
-        }
+            Some(isa) => arch::kernels(isa),
+            None => Kernels::default(),
+        };
         if let Some(c) = &spec.cores {
             if c.is_empty() || c.end > affinity::MAX_PINNABLE_CORE + 1 {
                 return Err(ServeError::InvalidModel(format!(
@@ -132,21 +133,16 @@ impl EngineShard {
                 )));
             }
         }
-        let isa = spec.isa;
         let cores: Option<Vec<usize>> = spec.cores.clone().map(Iterator::collect);
 
-        let setup_isa = isa;
         let setup_cores = cores.clone();
         let setup: WorkerSetup = Arc::new(move |_worker| {
-            if let Some(i) = setup_isa {
-                arch::set_thread_isa(Some(i));
-            }
             if let Some(c) = &setup_cores {
                 let _ = affinity::pin_current_thread(c);
             }
         });
         let pool = Arc::new(ThreadPool::with_worker_setup(threads, setup));
-        let engine = Engine::new(Arc::clone(&pool));
+        let engine = Engine::new(pool).with_kernels(kernels);
 
         let (tx, rx) = mpsc::channel::<Job>();
         let (pin_tx, pin_rx) = mpsc::channel();
@@ -155,9 +151,6 @@ impl EngineShard {
             .spawn(move || {
                 // Same setup as the pool workers: the executor is the
                 // caller-participant in every parallel loop it runs.
-                if let Some(i) = isa {
-                    arch::set_thread_isa(Some(i));
-                }
                 let pinned = cores.as_deref().is_some_and(affinity::pin_current_thread);
                 let _ = pin_tx.send(pinned);
                 for job in rx {
@@ -166,11 +159,9 @@ impl EngineShard {
             })
             .expect("spawn shard executor");
         let pinned = pin_rx.recv().unwrap_or(false);
-        let isa_name = isa.map_or_else(|| arch::active_isa().name(), Isa::name);
-        let stats = Arc::new(ShardStats::new(id, threads, isa_name, pinned));
+        let stats = Arc::new(ShardStats::new(id, threads, kernels.isa().name(), pinned));
         Ok(EngineShard {
             id,
-            isa,
             engine,
             stats,
             tx: Some(tx),
@@ -188,15 +179,14 @@ impl EngineShard {
         self.engine.threads()
     }
 
-    /// The ISA override, if any.
-    pub fn isa(&self) -> Option<Isa> {
-        self.isa
+    /// The backend this shard's engine runs every plan on.
+    pub fn isa(&self) -> Isa {
+        self.engine.kernels().isa()
     }
 
-    /// Name of the backend this shard's threads dispatch on.
+    /// [`Isa::name`] of [`Self::isa`] (what plan and tuning keys hash).
     pub fn isa_name(&self) -> &'static str {
-        self.isa
-            .map_or_else(|| arch::active_isa().name(), Isa::name)
+        self.isa().name()
     }
 
     /// The shard's private thread pool (compile bucket plans against
@@ -205,8 +195,9 @@ impl EngineShard {
         self.engine.pool()
     }
 
-    /// The shard's engine instance (attach its counters to compiled
-    /// executables for per-shard [`gc_tir::EngineTotals`]).
+    /// The shard's engine instance: compile bucket plans *for* it
+    /// (`Compiler::compile_artifacts`) and they run on its pool and
+    /// backend and count into its [`gc_tir::EngineTotals`].
     pub fn engine(&self) -> &Engine {
         &self.engine
     }
@@ -337,7 +328,7 @@ pub(crate) struct ShardRuntime {
     pub(crate) shards: Vec<EngineShard>,
     pub(crate) min_units_per_shard: usize,
     /// Per-shard `PlanKey::opts` component: the compile-options
-    /// fingerprint under the shard's *effective* ISA, combined with the
+    /// fingerprint under the shard engine's ISA, combined with the
     /// fleet topology hash (so shard count and layout key plans).
     pub(crate) opts_hash: Vec<u64>,
     rr: AtomicUsize,
@@ -466,7 +457,7 @@ mod tests {
     }
 
     #[test]
-    fn isa_override_applies_on_executor_thread() {
+    fn spec_isa_becomes_the_engines_backend() {
         let shard = EngineShard::new(
             0,
             &ShardSpec {
@@ -476,11 +467,11 @@ mod tests {
             1,
         )
         .unwrap();
+        assert_eq!(shard.isa(), Isa::Scalar);
+        assert_eq!(shard.engine().kernels().isa(), Isa::Scalar);
         assert_eq!(shard.isa_name(), "scalar");
-        let seen = shard.run(|| arch::active_isa().name()).wait().unwrap();
-        assert_eq!(seen, "scalar");
-        // The override is confined to the shard's threads.
-        assert_eq!(arch::thread_isa(), None);
+        let dflt = EngineShard::new(1, &ShardSpec::default(), 1).unwrap();
+        assert_eq!(dflt.isa(), Kernels::default().isa());
     }
 
     #[test]

@@ -119,7 +119,7 @@ pub struct ShardStats {
     pub(crate) id: usize,
     /// The shard pool's width (cores it keeps busy).
     pub(crate) threads: usize,
-    /// Kernel backend the shard's threads dispatch on.
+    /// Kernel backend of the shard's engine.
     pub(crate) isa: &'static str,
     /// Whether the kernel accepted the shard's core-range pin.
     pub(crate) pinned: bool,
@@ -348,9 +348,9 @@ pub struct ShardSnapshot {
     pub id: u64,
     /// Pool width the shard runs at.
     pub threads: u64,
-    /// Kernel backend (`scalar` / `avx2` / `avx512`) the shard's
-    /// threads dispatch on — may differ from the process-wide active
-    /// backend on heterogeneous shard layouts.
+    /// Kernel backend (`scalar` / `avx2` / `avx512`) of the shard's
+    /// engine, which runs every plan compiled for the shard — may
+    /// differ from the process default on heterogeneous shard layouts.
     pub isa: String,
     /// Whether the kernel accepted the shard's core-range pin at spawn.
     pub pinned: bool,
@@ -395,19 +395,20 @@ pub struct BucketSnapshot {
     pub padded_rows: u64,
 }
 
-/// Which microkernel backend the process dispatched to, and how many
+/// Which microkernel backend the process defaults to, and how many
 /// kernel calls each (family × ISA) variant has executed. Taken from
 /// the process-wide dispatch counters ([`gc_microkernel::dispatch_report`]),
 /// so the counts cover every model in the process, not just this one —
 /// the point is verifying *which code* served the traffic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KernelDispatchSnapshot {
-    /// The selected backend (`scalar` / `avx2` / `avx512`), after
-    /// `GC_FORCE_ISA` clamping.
+    /// The default backend (`scalar` / `avx2` / `avx512`), after
+    /// `GC_FORCE_ISA` clamping — what every engine built without an
+    /// explicit ISA runs on.
     pub active: String,
     /// Best backend the CPU supports.
     pub detected: String,
-    /// Whether the int8 dot runs on VNNI under the active backend.
+    /// Whether the int8 dot runs on VNNI under the default backend.
     pub vnni: bool,
     /// Cumulative `(family, isa, calls)` counters, family-major,
     /// zero-count variants omitted.
@@ -436,12 +437,11 @@ impl KernelDispatchSnapshot {
         }
     }
 
-    /// Total kernel calls recorded on backends other than the
-    /// process-wide `active` table. Zero in an unsharded process (the
-    /// table is resolved once); legitimately non-zero when
-    /// heterogeneous engine shards install per-thread overrides via
-    /// `gc_microkernel::arch::set_thread_isa` — those calls are
-    /// counted against the backend that actually ran.
+    /// Total kernel calls recorded on backends other than the default
+    /// `active` one. Zero while every engine in the process takes the
+    /// default; legitimately non-zero when an engine was given another
+    /// backend (a heterogeneous shard's `ShardSpec::isa`) — calls are
+    /// counted against the handle that ran them.
     pub fn off_active_calls(&self) -> u64 {
         self.counts
             .iter()
@@ -685,18 +685,14 @@ mod tests {
         // Run one kernel so at least one (family × ISA) counter is
         // non-zero, then check the snapshot carries the dispatch state.
         let mut out = [0f32; 4];
-        gc_microkernel::eltwise::unary(
-            gc_microkernel::UnaryOp::Relu,
-            &[-1.0, 1.0, -2.0, 2.0],
-            &mut out,
-        );
+        gc_microkernel::Kernels::default().relu(&[-1.0, 1.0, -2.0, 2.0], &mut out);
         let snap = ModelStats::new().snapshot();
         let kd = &snap.kernel_dispatch;
         assert!(["scalar", "avx2", "avx512"].contains(&kd.active.as_str()));
         assert!(!kd.counts.is_empty());
         // No assertion on off_active_calls(): shard tests in this
-        // binary install per-thread ISA overrides, which legitimately
-        // record calls against non-active tables.
+        // binary build scalar engines, which legitimately record calls
+        // against a non-default backend.
         let shown = format!("{snap}");
         assert!(
             shown.contains(&format!("isa active={}", kd.active)),

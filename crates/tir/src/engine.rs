@@ -5,9 +5,9 @@
 //! produced by the init stage ("these runtime constants only be
 //! executed once in the first execution"), its thread pool, and
 //! execution statistics. Engines are **first-class values**, not a
-//! process singleton: an [`Engine`] bundles one thread pool with an
-//! execution policy and per-instance counters, and any number of them
-//! coexist in a process — gc-serve runs one per `EngineShard` so
+//! process singleton: an [`Engine`] bundles one thread pool and one
+//! microkernel backend ([`Kernels`]) with an execution policy and
+//! per-instance counters, and any number of them coexist in a process — gc-serve runs one per `EngineShard` so
 //! heterogeneous shards (different widths, different kernel ISAs,
 //! different core ranges) serve side by side (DESIGN.md "Sharded
 //! execution").
@@ -32,6 +32,7 @@ use crate::ir::{GlobalKind, Module};
 use crate::plan::{run_plan_call, ExecOptions, Plan, PlanScratch, PlanStats};
 use crate::sim::{project, Projection};
 use gc_machine::MachineDescriptor;
+use gc_microkernel::Kernels;
 use gc_runtime::{ConstantCache, ExecStats, ThreadPool};
 use gc_tensor::{Storage, Tensor, TensorDesc};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -103,35 +104,45 @@ pub fn engine_totals() -> EngineTotals {
     GLOBAL_COUNTERS.totals()
 }
 
-/// A first-class engine instance: a thread pool plus the execution
-/// policy (mode, options) and counters for everything built on it.
+/// A first-class engine instance: a thread pool and a kernel backend
+/// plus the execution policy (mode, options) and counters for everything
+/// built on it.
 ///
 /// Historically the pool/options pair was threaded through every
 /// [`Executable`] constructor by hand and observability was process
 /// wide only. `Engine` names that bundle so several instances can
 /// coexist deliberately in one process — gc-serve's `EngineShard`s each
-/// own one, giving every shard its own pool, its own exec-state
-/// checkout pools (via the executables it builds), and its own totals
-/// (DESIGN.md "Sharded execution"). Construction is cheap beyond the
+/// own one, giving every shard its own pool, its own ISA, its own
+/// exec-state checkout pools (via the executables it builds), and its
+/// own totals (DESIGN.md "Sharded execution"). Construction is cheap beyond the
 /// pool itself; clone the `Arc`s freely.
 #[derive(Clone)]
 pub struct Engine {
     pool: Arc<ThreadPool>,
+    kernels: Kernels,
     mode: ExecMode,
     exec_options: ExecOptions,
     counters: Arc<EngineCounters>,
 }
 
 impl Engine {
-    /// An engine instance on `pool` with default (compiled, unchecked)
-    /// execution policy and fresh counters.
+    /// An engine instance on `pool` with the process-default kernel
+    /// backend, default (compiled, unchecked) execution policy and
+    /// fresh counters.
     pub fn new(pool: Arc<ThreadPool>) -> Self {
         Engine {
             pool,
+            kernels: Kernels::default(),
             mode: ExecMode::default(),
             exec_options: ExecOptions::default(),
             counters: Arc::new(EngineCounters::new()),
         }
+    }
+
+    /// Set the kernel backend executables built by this engine run on.
+    pub fn with_kernels(mut self, kernels: Kernels) -> Self {
+        self.kernels = kernels;
+        self
     }
 
     /// Set the dispatch mode for executables built by this engine.
@@ -152,6 +163,12 @@ impl Engine {
         &self.pool
     }
 
+    /// The kernel backend everything built on this engine runs on —
+    /// also the ISA its plan-cache and tuning-database keys carry.
+    pub fn kernels(&self) -> Kernels {
+        self.kernels
+    }
+
     /// Cores this engine keeps busy (its pool's width).
     pub fn threads(&self) -> usize {
         self.pool.threads()
@@ -170,7 +187,8 @@ impl Engine {
     }
 
     /// Wrap a lowered module into an [`Executable`] running on this
-    /// engine: its pool, its mode and options, its counters.
+    /// engine: its pool, its kernels, its mode and options, its
+    /// counters.
     pub fn build(
         &self,
         module: Module,
@@ -185,6 +203,7 @@ impl Engine {
             self.mode,
         )
         .with_exec_options(self.exec_options)
+        .with_kernels(self.kernels)
         .with_counters(Arc::clone(&self.counters))
     }
 }
@@ -193,6 +212,7 @@ impl std::fmt::Debug for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
             .field("threads", &self.pool.threads())
+            .field("isa", &self.kernels.isa())
             .field("mode", &self.mode)
             .finish()
     }
@@ -244,6 +264,10 @@ pub struct Executable {
     plan: Plan,
     mode: ExecMode,
     exec_options: ExecOptions,
+    /// The backend every kernel of this plan runs on — init stage,
+    /// interpreter fallback and pool workers included — whichever
+    /// thread calls [`Self::execute`].
+    kernels: Kernels,
     /// Optional cross-executable init cache (see [`InitCache`]).
     init_cache: Option<(Arc<InitCache>, u64)>,
     template: OnceLock<InitTemplate>,
@@ -298,7 +322,9 @@ impl Executable {
 
     /// Wrap a lowered module with an explicit execution mode. The plan
     /// is compiled either way (it is cheap and [`Self::plan_stats`]
-    /// stays meaningful); `mode` only selects the dispatch path.
+    /// stays meaningful); `mode` only selects the dispatch path. Runs on
+    /// the process-default kernel backend unless [`Self::with_kernels`]
+    /// says otherwise.
     pub fn with_mode(
         module: Module,
         weight_seeds: Vec<(usize, Tensor)>,
@@ -306,10 +332,6 @@ impl Executable {
         dispatch_count: usize,
         mode: ExecMode,
     ) -> Self {
-        // Resolve the microkernel ISA dispatch table now, so backend
-        // selection (feature detection + GC_FORCE_ISA) happens at
-        // engine init rather than inside the first hot loop.
-        gc_microkernel::arch::init();
         let plan = compile_module(&module, pool.threads());
         let max_idle_states = pool.threads().max(1);
         Executable {
@@ -320,6 +342,7 @@ impl Executable {
             plan,
             mode,
             exec_options: ExecOptions::default(),
+            kernels: Kernels::default(),
             init_cache: None,
             template: OnceLock::new(),
             states: Mutex::new(Vec::new()),
@@ -327,6 +350,13 @@ impl Executable {
             init_runs: AtomicU64::new(0),
             counters: None,
         }
+    }
+
+    /// Run on `kernels`' backend (normally an [`Engine`]'s, via
+    /// [`Engine::build`]).
+    pub fn with_kernels(mut self, kernels: Kernels) -> Self {
+        self.kernels = kernels;
+        self
     }
 
     /// Attach per-instance [`EngineCounters`] (normally an [`Engine`]'s,
@@ -435,6 +465,7 @@ impl Executable {
             globals,
             &self.pool,
             opts,
+            self.kernels,
         );
     }
 
@@ -549,6 +580,7 @@ impl Executable {
                     &self.pool,
                     &mut state.scratch,
                     self.exec_options,
+                    self.kernels,
                 );
             } else {
                 self.count(|c| &c.interp_dispatches);

@@ -18,6 +18,7 @@ use crate::expr::{Expr, VarId};
 use crate::ir::{BufId, Call, Func, Intrinsic, Module, Operand, Stmt, MAX_CLAMPS, MAX_OPERANDS};
 use crate::kernel::{run_op, RawBuf, Resolved};
 use crate::plan::ExecOptions;
+use gc_microkernel::Kernels;
 use gc_runtime::ThreadPool;
 use gc_tensor::Storage;
 
@@ -39,6 +40,7 @@ struct Frame<'a> {
     n_params: usize,
     pool: &'a ThreadPool,
     checked: bool,
+    kernels: Kernels,
 }
 
 impl Frame<'_> {
@@ -70,9 +72,9 @@ impl Frame<'_> {
 }
 
 /// Execute a module's init and/or main call sequences against `globals`
-/// (one [`Storage`] per module global, in declaration order). With
-/// `opts.checked`, out-of-bounds views are hard asserts in release
-/// builds too.
+/// (one [`Storage`] per module global, in declaration order), running
+/// every kernel on `kernels`' backend. With `opts.checked`,
+/// out-of-bounds views are hard asserts in release builds too.
 ///
 /// # Errors
 ///
@@ -89,6 +91,7 @@ pub fn run_module(
     pool: &ThreadPool,
     include_init: bool,
     opts: ExecOptions,
+    kernels: Kernels,
 ) -> Result<(), ExecError> {
     if globals.len() != module.globals.len() {
         return Err(ExecError(format!(
@@ -110,9 +113,9 @@ pub fn run_module(
         }
     }
     if include_init {
-        run_calls(module, &module.init_calls, globals, pool, opts);
+        run_calls(module, &module.init_calls, globals, pool, opts, kernels);
     }
-    run_calls(module, &module.main_calls, globals, pool, opts);
+    run_calls(module, &module.main_calls, globals, pool, opts, kernels);
     Ok(())
 }
 
@@ -127,10 +130,11 @@ pub fn run_calls(
     globals: &mut [Storage],
     pool: &ThreadPool,
     opts: ExecOptions,
+    kernels: Kernels,
 ) {
     for call in calls {
         let func = &module.funcs[call.func];
-        run_func(func, call, globals, pool, opts);
+        run_func(func, call, globals, pool, opts, kernels);
     }
 }
 
@@ -140,6 +144,7 @@ pub(crate) fn run_func(
     globals: &mut [Storage],
     pool: &ThreadPool,
     opts: ExecOptions,
+    kernels: Kernels,
 ) {
     // Materialize raw param pointers (sequentially, one &mut at a time).
     // A global may be bound to several parameters (e.g. a residual graph
@@ -175,6 +180,7 @@ pub(crate) fn run_func(
         n_params: func.params.len(),
         pool,
         checked: opts.checked,
+        kernels,
     };
     let mut vars = vec![0i64; func.var_count];
     exec_stmts(&func.body, &frame, &mut vars);
@@ -240,7 +246,7 @@ fn exec_intrinsic(intr: &Intrinsic, frame: &Frame<'_>, vars: &[i64]) {
     for (slot, c) in bases.iter_mut().zip(&intr.clamps) {
         *slot = frame.index(c, vars);
     }
-    run_op(&intr.op, &operands, &bases, &desc.tables());
+    run_op(&intr.op, &operands, &bases, &desc.tables(), frame.kernels);
 }
 
 #[cfg(test)]
@@ -251,7 +257,14 @@ mod tests {
     use gc_tensor::DataType;
 
     fn run(m: &Module, globals: &mut [Storage]) -> Result<(), ExecError> {
-        run_module(m, globals, &pool(), true, ExecOptions::default())
+        run_module(
+            m,
+            globals,
+            &pool(),
+            true,
+            ExecOptions::default(),
+            Kernels::default(),
+        )
     }
 
     fn pool() -> ThreadPool {

@@ -7,7 +7,9 @@
 //! `(RawBuf, offset)` pairs, and then call `run_op`. What differs
 //! between them (expression trees vs strength-reduced offsets, tables
 //! rebuilt per call vs precomputed, debug vs proven bounds) stays on
-//! their side of this call; the kernel semantics cannot diverge.
+//! their side of this call; the kernel semantics cannot diverge. Both
+//! also hand it the [`Kernels`] handle of the engine the plan was built
+//! for, so a plan runs on its own backend whichever thread executes it.
 //!
 //! # Safety model
 //!
@@ -21,7 +23,7 @@
 //! agreement on every slice.
 
 use crate::ir::{avail, Brgemm, Copy2D, Op, ReduceOp, MAX_CLAMPS, MAX_OPERANDS};
-use gc_microkernel::{brgemm, eltwise, epilogue, reduce, tail, BinaryOp};
+use gc_microkernel::{eltwise, epilogue, tail, BinaryOp, Kernels};
 use gc_tensor::{DataType, Storage};
 
 #[derive(Clone, Copy)]
@@ -178,8 +180,9 @@ macro_rules! by_dtype {
 /// Execute one intrinsic. `o` holds the resolved operands in the op's
 /// operand order, `bases` the evaluated clamp bases (slots past the op's
 /// counts are ignored; fixed-size arrays keep the constant indices below
-/// free of bounds checks), and `tables` the brgemm batch-offset tables
-/// of operands 0 and 1 (empty for every other kind).
+/// free of bounds checks), `tables` the brgemm batch-offset tables of
+/// operands 0 and 1 (empty for every other kind), and `k` the backend
+/// every kernel with a per-ISA body runs (and is counted) on.
 ///
 /// The caller guarantees what the op's descriptor states: each operand's
 /// span from its offset lies inside its buffer, and write spans of
@@ -196,6 +199,7 @@ pub(crate) fn run_op(
     o: &[Resolved<'_>; MAX_OPERANDS],
     bases: &[usize; MAX_CLAMPS],
     tables: &[Box<[usize]>; 2],
+    k: Kernels,
 ) {
     // SAFETY (every arm): spans are in bounds per the caller's
     // contract, and distinct operands are disjoint unless the arm has
@@ -203,18 +207,18 @@ pub(crate) fn run_op(
     match *op {
         Op::BrgemmF32(g) => unsafe {
             let (a, b, c) = brgemm_slices(&g, o, g.m);
-            brgemm::brgemm_f32(g.shape(), a, &tables[0], b, &tables[1], c);
+            k.brgemm_f32(g.shape(), g.m, a, &tables[0], b, &tables[1], c);
         },
         Op::BrgemmU8I8(g) => unsafe {
             let (a, b, c) = brgemm_slices(&g, o, g.m);
-            brgemm::brgemm_u8i8(g.shape(), a, &tables[0], b, &tables[1], c);
+            k.brgemm_u8i8(g.shape(), g.m, a, &tables[0], b, &tables[1], c);
         },
         Op::BrgemmF32Tail { g, m_logical } => {
             let m_eff = avail(m_logical, bases[0], g.m);
             if m_eff > 0 {
                 unsafe {
                     let (a, b, c) = brgemm_slices(&g, o, m_eff);
-                    tail::brgemm_f32_m_tail(g.shape(), m_eff, a, &tables[0], b, &tables[1], c);
+                    k.brgemm_f32(g.shape(), m_eff, a, &tables[0], b, &tables[1], c);
                 }
             }
         }
@@ -223,7 +227,7 @@ pub(crate) fn run_op(
             if m_eff > 0 {
                 unsafe {
                     let (a, b, c) = brgemm_slices(&g, o, m_eff);
-                    tail::brgemm_u8i8_m_tail(g.shape(), m_eff, a, &tables[0], b, &tables[1], c);
+                    k.brgemm_u8i8(g.shape(), m_eff, a, &tables[0], b, &tables[1], c);
                 }
             }
         }
@@ -260,10 +264,10 @@ pub(crate) fn run_op(
         Op::Unary { op, len } => {
             let (src, dst) = (o[0], o[1]);
             if same_window(src, dst) {
-                eltwise::unary_inplace(op, unsafe { sl(dst, len) });
+                k.unary_inplace(op, unsafe { sl(dst, len) });
             } else {
                 assert_disjoint(src, dst, len);
-                unsafe { eltwise::unary(op, sl(src, len), sl(dst, len)) };
+                unsafe { k.unary(op, sl(src, len), sl(dst, len)) };
             }
         }
         Op::Binary { op, len } => {
@@ -280,7 +284,7 @@ pub(crate) fn run_op(
                     }
                 } else {
                     assert_disjoint(a, dst, len);
-                    eltwise::binary(op, sl(a, len), bsl, dsl);
+                    k.binary(op, sl(a, len), bsl, dsl);
                 }
             }
         }
@@ -332,11 +336,11 @@ pub(crate) fn run_op(
             let ssl: &[f32] = sl(o[0], rows * cols);
             let asl: &mut [f32] = sl(o[1], rows);
             match (op, accumulate) {
-                (ReduceOp::Max, false) => reduce::reduce_rows_max(ssl, rows, cols, asl),
-                (ReduceOp::Sum, false) => reduce::reduce_rows_sum(ssl, rows, cols, asl),
+                (ReduceOp::Max, false) => k.reduce_rows_max(ssl, rows, cols, asl),
+                (ReduceOp::Sum, false) => k.reduce_rows_sum(ssl, rows, cols, asl),
                 (ReduceOp::Max, true) => {
                     for (a, row) in asl.iter_mut().zip(ssl.chunks_exact(cols)) {
-                        let m = reduce::reduce_max(row);
+                        let m = k.reduce_max(row);
                         if m > *a {
                             *a = m;
                         }
@@ -344,7 +348,7 @@ pub(crate) fn run_op(
                 }
                 (ReduceOp::Sum, true) => {
                     for (a, row) in asl.iter_mut().zip(ssl.chunks_exact(cols)) {
-                        *a += reduce::reduce_sum(row);
+                        *a += k.reduce_sum(row);
                     }
                 }
             }
@@ -359,9 +363,9 @@ pub(crate) fn run_op(
             let (asl, csl, dsl) = (sl(o[0], rows * cols), sl(o[1], cols), sl(o[2], rows * cols));
             if bias {
                 let bsl = sl(o[3], cols);
-                epilogue::dequant_acc_bias(asl, rows, cols, csl, a_zero, scale, bsl, dsl);
+                k.dequant_acc_bias(asl, rows, cols, csl, a_zero, scale, bsl, dsl);
             } else {
-                epilogue::dequant_acc(asl, rows, cols, csl, a_zero, scale, dsl);
+                k.dequant_acc(asl, rows, cols, csl, a_zero, scale, dsl);
             }
         },
         Op::QuantU8 {
@@ -369,7 +373,7 @@ pub(crate) fn run_op(
             scale,
             zero_point,
         } => unsafe {
-            epilogue::requant_u8(sl(o[0], len), 1.0 / scale, zero_point, sl(o[1], len));
+            k.requant_u8(sl(o[0], len), 1.0 / scale, zero_point, sl(o[1], len));
         },
         Op::DequantU8 {
             len,
@@ -398,7 +402,7 @@ pub(crate) fn run_op(
         },
         Op::AddF32 { len } => {
             assert_disjoint(o[0], o[1], len);
-            unsafe { eltwise::acc_add_f32(sl(o[0], len), sl(o[1], len)) };
+            unsafe { k.acc_add_f32(sl(o[0], len), sl(o[1], len)) };
         }
         Op::AddI32 { len } => {
             assert_disjoint(o[0], o[1], len);

@@ -467,6 +467,7 @@ mod tests {
                 &ThreadPool::new(1),
                 true,
                 Default::default(),
+                Default::default(),
             )
             .unwrap();
             globals[1].as_slice::<f32>().unwrap().to_vec()

@@ -26,6 +26,7 @@
 
 use crate::ir::{Op, MAX_CLAMPS, MAX_OPERANDS};
 use crate::kernel::{run_op, RawBuf, Resolved};
+use gc_microkernel::Kernels;
 use gc_runtime::ThreadPool;
 use gc_tensor::{DataType, Storage};
 
@@ -349,12 +350,14 @@ fn zero_storage(s: &mut Storage) {
 }
 
 /// Execute one compiled call: bind `args` (global indices) to the
-/// function's parameters, zero its locals, run the instruction stream.
+/// function's parameters, zero its locals, run the instruction stream
+/// with every kernel on `kernels`' backend.
 ///
 /// # Panics
 ///
 /// Panics if `func_idx` has no compiled plan (callers must check
 /// [`Plan::func`] and fall back to the interpreter).
+#[allow(clippy::too_many_arguments)]
 pub fn run_plan_call(
     plan: &Plan,
     func_idx: usize,
@@ -363,6 +366,7 @@ pub fn run_plan_call(
     pool: &ThreadPool,
     scratch: &mut PlanScratch,
     opts: ExecOptions,
+    kernels: Kernels,
 ) {
     let pf = plan.funcs[func_idx]
         .as_ref()
@@ -384,6 +388,7 @@ pub fn run_plan_call(
         bufs: &scratch.bufs,
         pool,
         checked: opts.checked,
+        kernels,
     };
     let mut vars = [0i64; MAX_VARS];
     run_range(&pf.instrs, 0, pf.instrs.len(), &ctx, &mut vars);
@@ -394,6 +399,7 @@ struct Ctx<'a> {
     bufs: &'a [RawBuf],
     pool: &'a ThreadPool,
     checked: bool,
+    kernels: Kernels,
 }
 
 impl Ctx<'_> {
@@ -431,7 +437,7 @@ impl Ctx<'_> {
         for (slot, c) in bases.iter_mut().zip(p.clamps()) {
             *slot = self.clamp_base(c, vars);
         }
-        run_op(&p.op, &operands, &bases, &p.tables);
+        run_op(&p.op, &operands, &bases, &p.tables, self.kernels);
     }
 }
 

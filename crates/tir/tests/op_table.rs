@@ -2,7 +2,10 @@
 //!
 //! Each case is a one-op function. It runs on the interpreter, on the
 //! compiled plan and on the checked plan, which must agree bit for bit
-//! on every buffer; and because the validator, the plan builder and
+//! on every buffer — once per kernel backend the CPU supports, each
+//! handed to the executors as a `Kernels` handle and compared against
+//! the scalar one (integer, copy and fill kinds bit for bit, f32
+//! arithmetic to 1e-5); and because the validator, the plan builder and
 //! checked execution all trust the spans of `Op::desc`, each case also
 //! pins them from both sides:
 //!
@@ -21,7 +24,7 @@
 //! checked against `gc_tensor::reference` and `gc-baseline` by the
 //! template, ragged and workload differentials.
 
-use gc_microkernel::{BinaryOp, UnaryOp};
+use gc_microkernel::{kernels, BinaryOp, Isa, Kernels, UnaryOp};
 use gc_runtime::ThreadPool;
 use gc_tensor::{DataType, Storage};
 use gc_tir::exec::run_module;
@@ -227,14 +230,10 @@ fn cases() -> Vec<Case> {
             )
         });
     }
-    let unary = Op::Unary {
-        op: UnaryOp::Exp,
-        len: 9,
-    };
-    let binary = Op::Binary {
-        op: BinaryOp::Mul,
-        len: 9,
-    };
+    // Relu has a per-backend body, Exp is the same loop on every one
+    let unary = |op| Op::Unary { op, len: 9 };
+    // Mul has a per-backend body, Div is the same loop on every one
+    let binary = |op| Op::Binary { op, len: 9 };
     let scalar = Op::BinaryScalar {
         op: BinaryOp::Sub,
         scalar: 0.75,
@@ -264,10 +263,13 @@ fn cases() -> Vec<Case> {
         bias,
     };
     v.extend([
-        case("unary", unary, &[0, 1]),
-        case("unary in place", unary, &[0, 0]),
-        case("binary", binary, &[0, 1, 2]),
-        case("binary in place", binary, &[0, 1, 0]),
+        case("unary exp", unary(UnaryOp::Exp), &[0, 1]),
+        case("unary exp in place", unary(UnaryOp::Exp), &[0, 0]),
+        case("unary relu", unary(UnaryOp::Relu), &[0, 1]),
+        case("unary relu in place", unary(UnaryOp::Relu), &[0, 0]),
+        case("binary mul", binary(BinaryOp::Mul), &[0, 1, 2]),
+        case("binary mul in place", binary(BinaryOp::Mul), &[0, 1, 0]),
+        case("binary div", binary(BinaryOp::Div), &[0, 1, 2]),
         case("binary scalar", scalar, &[0, 1]),
         case("binary scalar in place", scalar, &[0, 0]),
         case("row bcast", row_bcast, &[0, 1, 2]),
@@ -404,12 +406,12 @@ fn build(c: &Case, lead: usize, trail: usize, shrink: usize) -> (Module, Vec<Sto
     (m, globals)
 }
 
-/// Run on the interpreter, the plan and the checked plan; all buffers
-/// must agree bit for bit. Returns the common result.
-fn run_all(name: &str, m: &Module, init: &[Storage]) -> Vec<Storage> {
+/// Run on the interpreter, the plan and the checked plan of backend
+/// `k`; all buffers must agree bit for bit. Returns the common result.
+fn run_on(name: &str, m: &Module, init: &[Storage], k: Kernels) -> Vec<Storage> {
     let pool = ThreadPool::new(1);
     let mut interp = init.to_vec();
-    run_module(m, &mut interp, &pool, true, ExecOptions::default()).expect("globals match");
+    run_module(m, &mut interp, &pool, true, ExecOptions::default(), k).expect("globals match");
 
     let plan = compile_module(m, 1);
     assert!(plan.func(0).is_some(), "{name}: plan builder rejected it");
@@ -417,17 +419,53 @@ fn run_all(name: &str, m: &Module, init: &[Storage]) -> Vec<Storage> {
         let mut globals = init.to_vec();
         let mut scratch = PlanScratch::for_plan(&plan);
         let args = &m.main_calls[0].args;
-        run_plan_call(&plan, 0, args, &mut globals, &pool, &mut scratch, opts);
+        run_plan_call(&plan, 0, args, &mut globals, &pool, &mut scratch, opts, k);
         for (b, (got, want)) in globals.iter().zip(&interp).enumerate() {
             assert_eq!(
                 bits(got),
                 bits(want),
-                "{name}: plan (checked={}) and interpreter differ in buffer {b}",
-                opts.checked
+                "{name}: plan (checked={}) and interpreter differ in buffer {b} on {}",
+                opts.checked,
+                k.isa()
             );
         }
     }
     interp
+}
+
+/// [`run_on`] every backend the CPU supports, each against the scalar
+/// result: bit for bit, except that f32 arithmetic (lane-width reduction
+/// order, FMA contraction) may differ by 1e-5. Returns the scalar
+/// result.
+fn run_all(c: &Case, m: &Module, init: &[Storage]) -> Vec<Storage> {
+    let moves_data = matches!(
+        c.op,
+        Op::FillF32 { .. }
+            | Op::Pack2D(_)
+            | Op::Unpack2D(_)
+            | Op::Pack2DPad { .. }
+            | Op::Unpack2DClamp { .. }
+    );
+    let scalar = run_on(&c.name, m, init, kernels(Isa::Scalar));
+    for isa in [Isa::Avx2, Isa::Avx512]
+        .into_iter()
+        .filter(|i| i.supported())
+    {
+        let got = run_on(&c.name, m, init, kernels(isa));
+        for (b, (g, w)) in got.iter().zip(&scalar).enumerate() {
+            let exact = moves_data || g.dtype() != DataType::F32;
+            for i in 0..w.len() {
+                let (x, y) = (g.get_as_f64(i), w.get_as_f64(i));
+                let tol = if exact { 0.0 } else { 1e-5 * y.abs().max(1.0) };
+                assert!(
+                    x.to_bits() == y.to_bits() || (x - y).abs() <= tol,
+                    "{}: buffer {b} element {i}: {isa} {x} vs scalar {y}",
+                    c.name
+                );
+            }
+        }
+    }
+    scalar
 }
 
 #[test]
@@ -443,7 +481,7 @@ fn executors_agree_and_stay_inside_descriptor_spans() {
         let desc = c.op.desc(None);
         let (m, init) = build(&c, GUARD, GUARD, 0);
         validate_module(&m).unwrap_or_else(|e| panic!("{}: {e}", c.name));
-        let after = run_all(&c.name, &m, &init);
+        let after = run_all(&c, &m, &init);
 
         // per buffer: the element ranges some operand may write
         let mut writable = vec![Vec::new(); init.len()];
@@ -480,7 +518,7 @@ fn descriptor_spans_are_what_the_bounds_checks_enforce() {
         // the kernels take inside its buffer
         let (m, init) = build(&c, 0, 0, 0);
         validate_module(&m).unwrap_or_else(|e| panic!("{} exact fit: {e}", c.name));
-        run_all(&c.name, &m, &init);
+        run_all(&c, &m, &init);
         // one element short: the validator and the plan builder refuse
         let (short, _) = build(&c, 0, 0, 1);
         assert!(

@@ -177,13 +177,18 @@ fn allocs_per_call(
     calls: usize,
 ) -> Vec<u64> {
     let call = &module.main_calls[0];
-    let opts = ExecOptions::default();
+    let (opts, kernels) = (ExecOptions::default(), Default::default());
+    let mut run = || {
+        run_plan_call(
+            plan, call.func, &call.args, globals, pool, scratch, opts, kernels,
+        )
+    };
     // warm-up: first call may grow the scratch buffer table
-    run_plan_call(plan, call.func, &call.args, globals, pool, scratch, opts);
+    run();
     (0..calls)
         .map(|_| {
             let before = ALLOCS.load(Ordering::Relaxed);
-            run_plan_call(plan, call.func, &call.args, globals, pool, scratch, opts);
+            run();
             ALLOCS.load(Ordering::Relaxed) - before
         })
         .collect()

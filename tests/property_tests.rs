@@ -333,6 +333,7 @@ proptest! {
             &mut interp_globals,
             &pool,
             Default::default(),
+            Default::default(),
         );
 
         let mut plan_globals = vec![Storage::F32(x), Storage::F32(vec![0.0; CAP])];
@@ -345,6 +346,7 @@ proptest! {
             &pool,
             &mut scratch,
             ExecOptions::checked(),
+            Default::default(),
         );
 
         match (&interp_globals[g_out], &plan_globals[g_out]) {

@@ -53,9 +53,9 @@ fn assert_storage_close(got: &Storage, want: &Storage, tol: f32, what: &str) {
 #[test]
 fn concurrent_execute_stress_bitmatches_serial() {
     let g = workloads::mlp_f32(8, &workloads::mlp1_layers(), 42);
-    let pool = Arc::new(ThreadPool::new(2));
+    let engine = gc_tir::Engine::new(Arc::new(ThreadPool::new(2)));
     let arts = Compiler::new(options(2))
-        .compile_artifacts(g, pool)
+        .compile_artifacts(g, &engine)
         .expect("compile");
     let exe = Arc::new(arts.exe);
 

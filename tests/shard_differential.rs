@@ -4,7 +4,8 @@
 //! for int8 (integer accumulation is order-independent), to a small
 //! accumulation-order tolerance for f32 (each shard pads its slice to
 //! its own bucket, so kernel blocking may differ). Also covers ragged
-//! uneven splits across heterogeneous shards and panic isolation.
+//! uneven splits across heterogeneous shards, panic isolation, and
+//! tuning-database warm starts keyed by the shard engine's ISA.
 
 use gc_bench::workloads;
 use gc_core::{CompileOptions, Compiler};
@@ -241,4 +242,86 @@ fn sharded_model_serves_concurrent_requests() {
     let snap = model.stats();
     assert_eq!(snap.requests, 32);
     assert_eq!(snap.queue_depth, 0);
+}
+
+/// A shard's plans are compiled on the loader thread but *for* the
+/// shard's engine, so they warm-start from tuning records measured on
+/// that engine's ISA and from no others: a scalar shard on a SIMD host
+/// ignores a record keyed under the host's default backend (a) and
+/// replays one keyed under `scalar` (b).
+#[test]
+fn scalar_shard_warm_starts_only_from_scalar_tuning_records() {
+    use gc_core::{TuneKey, TunedRecord, TuningDb};
+    use gc_lowering::{choose_params_ranked, ParamChoice, ParamLog};
+    use gc_microkernel::{arch::active_isa, Isa};
+    use std::sync::Mutex;
+
+    if active_isa() == Isa::Scalar {
+        return; // the default backend *is* scalar: one key, nothing to mix
+    }
+    let graph = workloads::mlp_f32(16, &workloads::mlp1_layers(), 7);
+    // What a model with one 1-thread scalar shard logs while it loads
+    // (the eager warm compiles the template-sized bucket on the shard).
+    let served = |db: Option<Arc<TuningDb>>| -> Vec<ParamChoice> {
+        let log: ParamLog = Arc::new(Mutex::new(Vec::new()));
+        let mut config = serve_config(1);
+        config.compile.tuning = db;
+        config.compile.param_log = Some(log.clone());
+        config.sharding = Some(ShardConfig {
+            shards: vec![ShardSpec {
+                threads: 1,
+                isa: Some(Isa::Scalar),
+                ..ShardSpec::default()
+            }],
+            min_units_per_shard: 1,
+        });
+        Model::load(graph.clone(), config).expect("load");
+        let choices = log.lock().unwrap().clone();
+        assert!(!choices.is_empty());
+        choices
+    };
+    let analytic = served(None);
+
+    // A marker record: the analytic runner-up at every choice point.
+    let opts = options(1);
+    let point = |c: &ParamChoice| (c.problem, c.constraints);
+    let mut marker: Vec<ParamChoice> = Vec::new();
+    for c in &analytic {
+        if marker.iter().any(|m| point(m) == point(c)) {
+            continue;
+        }
+        let ranked = choose_params_ranked(&opts.machine, &c.problem, &c.constraints, 2);
+        if let Some(&params) = ranked.get(1) {
+            marker.push(ParamChoice { params, ..*c });
+        }
+    }
+    assert!(!marker.is_empty(), "no choice point has a runner-up");
+    let db_keyed_under = |isa: &str| {
+        let mut optimized = graph.clone();
+        gc_core::pipeline::optimize_graph(&mut optimized, &opts).unwrap();
+        let db = Arc::new(TuningDb::in_memory());
+        db.insert(
+            TuneKey::for_graph(&optimized, &opts, isa).unwrap(),
+            TunedRecord {
+                choices: marker.clone(),
+                merge_coarse: None,
+                ragged: None,
+                projected_cycles: 0.0,
+                wall_ns: 0,
+            },
+        );
+        Some(db)
+    };
+
+    // (a) measured on the default backend: not this shard's business
+    assert_eq!(served(db_keyed_under(active_isa().name())), analytic);
+    // (b) measured on scalar: replayed wherever the record has the
+    // point (downstream points' constraints move with the new params)
+    let warm = served(db_keyed_under("scalar"));
+    assert!(warm.iter().any(|c| marker.contains(c)), "record ignored");
+    for c in &warm {
+        if let Some(m) = marker.iter().find(|m| point(m) == point(c)) {
+            assert_eq!(c.params, m.params, "analytic choice at a tuned point");
+        }
+    }
 }
