@@ -14,6 +14,11 @@
 //!   (every primitive consumes and produces plain tensors), cross-op
 //!   buffer planning — and it pays one framework dispatch per primitive.
 //!
+//! A softmax left between two matmuls is one primitive of its own, the
+//! way a library ships an internally optimized softmax: fusion groups the
+//! decomposed chain and it runs the same row-chain program the compiler
+//! fuses at its matmul anchor, over the plain tensor in memory.
+//!
 //! Its kernels come from a fixed menu of mature blockings
 //! ([`gc_lowering::heuristic::choose_params_library`]) instead of the
 //! compiler's free parameter search.

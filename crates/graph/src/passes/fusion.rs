@@ -14,7 +14,17 @@
 use crate::error::{GraphError, Result};
 use crate::graph::{Graph, LtId, OpId, Property};
 use crate::op::{OpCategory, OpKind, Stage};
+use gc_tensor::DataType;
 use std::collections::{HashMap, HashSet};
+
+/// Most side inputs (non-chain operands, scalar constants included) a
+/// post-op chain that reduces may read. Such a chain lowers to one fixed
+/// row-chain program (`gc_microkernel::RowChain`), which has room for
+/// two.
+pub const MAX_REDUCING_SIDE_INPUTS: usize = 2;
+/// Most ops a post-op chain that reduces may hold (the row-chain
+/// program's step capacity).
+pub const MAX_REDUCING_CHAIN_OPS: usize = 12;
 
 /// Limits for the fine-grain fusion heuristic.
 #[derive(Debug, Clone, Copy)]
@@ -220,6 +230,20 @@ pub fn fuse(g: &Graph, opts: &FusionOptions) -> Result<Partitioning> {
         }
     }
 
+    // A row reduction nothing absorbed anchors a standalone reducing
+    // chain (an unfused softmax), lowered as one row-chain primitive.
+    if opts.enabled {
+        for &id in &order {
+            if assigned.contains(&id) || !matches!(g.op(id).kind, OpKind::Reduce(_)) {
+                continue;
+            }
+            if let Some(part) = grow_row_chain(g, id, &order, &assigned) {
+                assigned.extend(part.ops());
+                parts.push(part);
+            }
+        }
+    }
+
     // Remaining Main-stage ops: standalone partitions.
     for &id in &order {
         if !assigned.contains(&id) {
@@ -327,6 +351,7 @@ fn grow_partition(
     }
     let mut n_reorders = 0usize;
     let mut n_reductions = 0usize;
+    let mut n_side = 0usize;
     let mut extra_bytes = 0usize;
     let order = g.topo_order()?;
 
@@ -358,11 +383,13 @@ fn grow_partition(
             // every external input must be computable before this fused
             // op runs (its producer must not depend on us)
             let mut cand_extra = 0usize;
+            let mut cand_side = 0usize;
             let mut ok = true;
             for &i in &op.inputs {
                 if produced.contains(&i) {
                     continue;
                 }
+                cand_side += 1;
                 if let Some(p) = g.producer(i) {
                     if reaches(g, &in_part, p) {
                         ok = false;
@@ -379,12 +406,21 @@ fn grow_partition(
             if extra_bytes + cand_extra > opts.max_extra_operand_bytes {
                 continue;
             }
+            // a chain that reduces must fit one row-chain program
+            let reduces = n_reductions > 0 || is_reduction;
+            if reduces
+                && (n_side + cand_side > MAX_REDUCING_SIDE_INPUTS
+                    || post_ops.len() + 1 > MAX_REDUCING_CHAIN_OPS)
+            {
+                continue;
+            }
             // absorb
             in_part.insert(cand);
             post_ops.push(cand);
             produced.extend(op.outputs.iter().copied());
             n_reorders += usize::from(is_reorder);
             n_reductions += usize::from(is_reduction);
+            n_side += cand_side;
             extra_bytes += cand_extra;
             continue 'grow;
         }
@@ -413,6 +449,111 @@ fn grow_partition(
         post_ops,
         stage: Stage::Main,
     })
+}
+
+/// The standalone reducing chain seeded at row reduction `seed`: from
+/// the reduction's input (the anchor), the ops that each take the chain's
+/// running value as their first input — unaries and binaries (whose other
+/// input is a side operand or the latest reduction's stat) update it,
+/// reductions read it — within the [`MAX_REDUCING_CHAIN_OPS`] /
+/// [`MAX_REDUCING_SIDE_INPUTS`] budget, trimmed from the end until the
+/// running value is the group's only escaping tensor. `None` when no such
+/// chain exists (the reduction's stat itself escapes, say).
+fn grow_row_chain(
+    g: &Graph,
+    seed: OpId,
+    order: &[OpId],
+    assigned: &HashSet<OpId>,
+) -> Option<FusedOp> {
+    let anchor = g.op(seed).inputs[0];
+    let a = g.desc(anchor);
+    if a.dtype() != DataType::F32 || !a.layout().is_plain() {
+        return None;
+    }
+    let start = order.iter().position(|&id| id == seed)?;
+    let mut ops: Vec<OpId> = Vec::new();
+    let mut current = anchor;
+    let mut stats: Vec<LtId> = Vec::new();
+    let mut n_side = 0usize;
+    for &id in &order[start..] {
+        let op = g.op(id);
+        if assigned.contains(&id)
+            || op.stage != Stage::Main
+            || op.inputs.first() != Some(&current)
+            || ops.len() == MAX_REDUCING_CHAIN_OPS
+        {
+            continue;
+        }
+        match op.kind {
+            OpKind::Reduce(_) => stats.push(op.outputs[0]),
+            OpKind::Unary(_) => current = op.outputs[0],
+            OpKind::Binary(_) => {
+                let rhs = op.inputs[1];
+                if stats.contains(&rhs) {
+                    // a stat step broadcasts the latest reduction only
+                    if stats.last() != Some(&rhs) {
+                        continue;
+                    }
+                } else {
+                    // a side operand must exist before the chain runs
+                    let chain: HashSet<OpId> = ops.iter().copied().collect();
+                    let late = g.producer(rhs).is_some_and(|p| reaches(g, &chain, p));
+                    if rhs == anchor
+                        || late
+                        || n_side == MAX_REDUCING_SIDE_INPUTS
+                        || !side_operand_fits(g, anchor, rhs)
+                    {
+                        continue;
+                    }
+                    n_side += 1;
+                }
+                current = op.outputs[0];
+            }
+            _ => continue,
+        }
+        ops.push(id);
+    }
+    // trim until the running value alone escapes
+    while !ops.is_empty() {
+        let value = ops
+            .iter()
+            .rev()
+            .map(|&id| g.op(id))
+            .find(|op| !matches!(op.kind, OpKind::Reduce(_)))
+            .map(|op| op.outputs[0]);
+        if value.is_some_and(|v| escaping_tensors(g, &ops) == [v]) {
+            break;
+        }
+        ops.pop();
+    }
+    let reduces = ops
+        .iter()
+        .any(|&id| matches!(g.op(id).kind, OpKind::Reduce(_)));
+    reduces.then(|| FusedOp {
+        tunable: None,
+        pre_ops: vec![],
+        post_ops: ops,
+        stage: Stage::Main,
+    })
+}
+
+/// Whether `rhs` can be a side operand of a row chain over `anchor`
+/// (`[.., M, N]`): a compile-time f32 scalar, one value per column — `[N]`,
+/// or one such row per leading batch index — or a tensor of the anchor's
+/// shape. Lowering classifies side operands by exactly these shapes.
+fn side_operand_fits(g: &Graph, anchor: LtId, rhs: LtId) -> bool {
+    let (a, r) = (g.desc(anchor), g.desc(rhs));
+    if r.volume() == 1 {
+        return r.dtype() == DataType::F32 && g.const_value(rhs).is_some();
+    }
+    let shape = a.shape();
+    let n = shape.last().copied().unwrap_or(1);
+    let m = shape.len().checked_sub(2).map_or(1, |i| shape[i]);
+    let batch = a.volume() / (m * n).max(1);
+    r.dtype() == DataType::F32
+        && r.layout().is_plain()
+        && r.shape().last() == Some(&n)
+        && (r.volume() == n || r.volume() == batch * n || r.shape() == shape)
 }
 
 // `grow_partition` returns a FusedOp; alias kept for readability above.
@@ -510,6 +651,61 @@ mod tests {
         // too), softmax ops standalone
         assert!(parts.parts.len() > 1);
         assert!(parts.parts[0].post_ops.is_empty());
+    }
+
+    #[test]
+    fn unfused_softmax_is_one_standalone_chain() {
+        // the baseline's envelope: no reductions on the matmul, so the
+        // decomposed softmax is left over — and grouped as one chain
+        let mut g = Graph::new();
+        let q = g.add_input(TensorDesc::new([2, 16, 16], DataType::F32), "q");
+        let k = g.add_input(TensorDesc::new([2, 16, 16], DataType::F32), "k");
+        let s = g.add_op(OpKind::MatMul, &[q, k]).unwrap();
+        let sm = g.add_op(OpKind::Softmax, &[s]).unwrap();
+        let out = g.add_op(OpKind::MatMul, &[sm, q]).unwrap();
+        g.mark_output(out);
+        Decompose.run(&mut g).unwrap();
+        let opts = FusionOptions {
+            max_reductions: 0,
+            ..FusionOptions::default()
+        };
+        let parts = fuse(&g, &opts).unwrap();
+        assert_eq!(parts.parts.len(), 3, "{:?}", parts.parts);
+        let chain = &parts.parts[1];
+        assert!(chain.tunable.is_none());
+        assert_eq!(chain.post_ops.len(), 5);
+        assert_eq!(chain.output(&g), sm_output(&g, &parts.parts[2]));
+        // with fusion off every op stays on its own
+        assert_eq!(fuse(&g, &FusionOptions::disabled()).unwrap().parts.len(), 7);
+    }
+
+    /// The tensor the second matmul of `part` reads as its lhs.
+    fn sm_output(g: &Graph, part: &FusedOp) -> LtId {
+        g.op(part.tunable.unwrap()).inputs[0]
+    }
+
+    #[test]
+    fn reducing_chain_reads_at_most_two_side_inputs() {
+        // matmul -> + a -> + b -> + c -> softmax: the third side input
+        // would not fit one row-chain program, so the reductions (and the
+        // ops after them) stay off the matmul
+        let mut g = Graph::new();
+        let x = g.add_input(TensorDesc::new([16, 16], DataType::F32), "x");
+        let w = g.add_input(TensorDesc::new([16, 16], DataType::F32), "w");
+        let mut cur = g.add_op(OpKind::MatMul, &[x, w]).unwrap();
+        for name in ["a", "b", "c"] {
+            let v = g.add_input(TensorDesc::new([16], DataType::F32), name);
+            cur = g
+                .add_op(OpKind::Binary(BinaryKind::Add), &[cur, v])
+                .unwrap();
+        }
+        let sm = g.add_op(OpKind::Softmax, &[cur]).unwrap();
+        g.mark_output(sm);
+        Decompose.run(&mut g).unwrap();
+        let parts = fuse(&g, &FusionOptions::default()).unwrap();
+        let mm = parts.parts.iter().find(|p| p.tunable.is_some()).unwrap();
+        assert_eq!(mm.post_ops.len(), 3, "the three adds only");
+        assert!(parts.parts.len() > 1);
     }
 
     #[test]

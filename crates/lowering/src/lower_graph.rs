@@ -17,11 +17,13 @@
 
 use crate::heuristic::{search, Constraints, SearchStats};
 use crate::params::MatmulProblem;
-use crate::standalone::{binary_op, lower_reorder, lower_standalone, unary_op};
+use crate::standalone::{binary_op, lower_reorder, lower_row_chain, lower_standalone, unary_op};
 use crate::template::{
     lower_matmul, AInput, BInput, Int8Spec, MatmulSpec, OutLayout, ParamRole, PostOpSpec,
 };
-use gc_graph::{CoarseGroups, FusedOp, Graph, LtId, OpKind, Partitioning, Property, ReduceKind};
+use gc_graph::{
+    CoarseGroups, FusedOp, Graph, LtId, OpId, OpKind, Partitioning, Property, ReduceKind,
+};
 use gc_machine::MachineDescriptor;
 use gc_tensor::{DataType, Layout, Tensor};
 use gc_tir::passes::{
@@ -648,80 +650,8 @@ impl Builder<'_> {
         let problem = MatmulProblem::batched(batch, m, n, k, elem_bytes);
 
         // --- post-op translation
-        let mut post_ops = Vec::new();
-        let mut produced: Vec<LtId> = vec![t_op.outputs[0]];
-        let mut reduce_outputs: Vec<LtId> = Vec::new();
-        let mut operand_binds: Vec<(usize, LtId)> = Vec::new();
-        for &po_id in &part.post_ops {
-            let po = graph.op(po_id);
-            let idx = post_ops.len();
-            match &po.kind {
-                OpKind::Unary(u) => post_ops.push(PostOpSpec::Unary(unary_op(*u))),
-                OpKind::Binary(bk) => {
-                    let op = binary_op(*bk);
-                    // identify the non-chain operand
-                    let rhs = po
-                        .inputs
-                        .iter()
-                        .copied()
-                        .find(|i| !produced.contains(i))
-                        .unwrap_or(po.inputs[1]);
-                    if reduce_outputs.contains(&rhs) {
-                        post_ops.push(PostOpSpec::BinaryColStat { op });
-                    } else if let Some(v) = self.scalar_const(rhs) {
-                        post_ops.push(PostOpSpec::BinaryScalarConst(op, v));
-                    } else {
-                        let rd = graph.desc(rhs);
-                        if rd.volume() == n {
-                            post_ops.push(PostOpSpec::BinaryRowVec {
-                                op,
-                                batch_indexed: false,
-                            });
-                            operand_binds.push((idx, rhs));
-                        } else if rd.volume() == batch * n {
-                            post_ops.push(PostOpSpec::BinaryRowVec {
-                                op,
-                                batch_indexed: true,
-                            });
-                            operand_binds.push((idx, rhs));
-                        } else if rd.shape() == out_desc.shape() {
-                            post_ops.push(PostOpSpec::BinaryFull { op });
-                            operand_binds.push((idx, rhs));
-                        } else {
-                            return Err(err(format!(
-                                "unsupported fused binary operand shape {:?}",
-                                rd.shape()
-                            )));
-                        }
-                    }
-                }
-                OpKind::Reduce(rk) => {
-                    let op = match rk {
-                        ReduceKind::Sum => gc_tir::ReduceOp::Sum,
-                        ReduceKind::Max => gc_tir::ReduceOp::Max,
-                    };
-                    post_ops.push(PostOpSpec::ReduceRow(op));
-                    reduce_outputs.push(po.outputs[0]);
-                }
-                OpKind::Quantize { dtype, params } => {
-                    if *dtype != DataType::U8 {
-                        return Err(err("fused quantize must target u8"));
-                    }
-                    post_ops.push(PostOpSpec::Quantize {
-                        scale: params.scale,
-                        zero_point: params.zero_point,
-                    });
-                }
-                OpKind::Reorder { target } => {
-                    if !target.is_plain() {
-                        return Err(err("fused output reorder must target plain layout"));
-                    }
-                    // plain output is the default; nothing to add
-                }
-                other => return Err(err(format!("unsupported fused post-op {other}"))),
-            }
-            produced.push(po.outputs[0]);
-        }
+        let (post_ops, operand_binds) =
+            self.translate_post_ops(&part.post_ops, t_op.outputs[0], batch, &out_desc)?;
         // quantize, if present, must be last (output write handles it)
         if let Some(qpos) = post_ops
             .iter()
@@ -731,7 +661,9 @@ impl Builder<'_> {
                 return Err(err("fused quantize must be the final post-op"));
             }
         }
-        let has_reduce = !reduce_outputs.is_empty();
+        let has_reduce = post_ops
+            .iter()
+            .any(|p| matches!(p, PostOpSpec::ReduceRow(_)));
 
         // --- rhs arrival (decided early: k-slicing requires a blocked
         // constant weight, so the constraint depends on it)
@@ -854,7 +786,12 @@ impl Builder<'_> {
                     let p_blocked = pick(&blocked);
                     let cost_blocked =
                         crate::heuristic::estimate_cycles(machine, &problem, &p_blocked);
-                    if cost_blocked <= cost_plain {
+                    // the blocked read needs the producer's exact tiles: a
+                    // choice that does not honour the pins (the library
+                    // menu ignores them) reads plain
+                    let pinned =
+                        p_blocked.mb == prev.spec.params.mb && p_blocked.kb == prev.spec.params.nb;
+                    if pinned && cost_blocked <= cost_plain {
                         (AInput::Blocked, p_blocked)
                     } else {
                         (AInput::Plain, p_plain)
@@ -897,6 +834,101 @@ impl Builder<'_> {
         binds.push(Bind::Tensor(out_lt));
 
         Ok(PartPlan { spec, binds })
+    }
+
+    /// Translate fused graph ops into template post-ops. `chain_in` is the
+    /// value the chain starts from (the matmul's output, or a standalone
+    /// chain's anchor); `out` the chain's output, `batch` copies of
+    /// `[M, N]`. Returns the post-ops and, for each one that reads a side
+    /// operand, `(post-op index, tensor)`.
+    #[allow(clippy::type_complexity)]
+    fn translate_post_ops(
+        &self,
+        ops: &[OpId],
+        chain_in: LtId,
+        batch: usize,
+        out: &gc_tensor::TensorDesc,
+    ) -> Result<(Vec<PostOpSpec>, Vec<(usize, LtId)>), LowerError> {
+        let graph = self.graph;
+        let n = *out
+            .shape()
+            .last()
+            .expect("post-op chain output has rank >= 1");
+        let mut post_ops = Vec::new();
+        let mut produced: Vec<LtId> = vec![chain_in];
+        let mut reduce_outputs: Vec<LtId> = Vec::new();
+        let mut operand_binds: Vec<(usize, LtId)> = Vec::new();
+        for &po_id in ops {
+            let po = graph.op(po_id);
+            let idx = post_ops.len();
+            match &po.kind {
+                OpKind::Unary(u) => post_ops.push(PostOpSpec::Unary(unary_op(*u))),
+                OpKind::Binary(bk) => {
+                    let op = binary_op(*bk);
+                    // identify the non-chain operand
+                    let rhs = po
+                        .inputs
+                        .iter()
+                        .copied()
+                        .find(|i| !produced.contains(i))
+                        .unwrap_or(po.inputs[1]);
+                    if reduce_outputs.contains(&rhs) {
+                        post_ops.push(PostOpSpec::BinaryColStat { op });
+                    } else if let Some(v) = self.scalar_const(rhs) {
+                        post_ops.push(PostOpSpec::BinaryScalarConst(op, v));
+                    } else {
+                        let rd = graph.desc(rhs);
+                        if rd.volume() == n {
+                            post_ops.push(PostOpSpec::BinaryRowVec {
+                                op,
+                                batch_indexed: false,
+                            });
+                            operand_binds.push((idx, rhs));
+                        } else if rd.volume() == batch * n {
+                            post_ops.push(PostOpSpec::BinaryRowVec {
+                                op,
+                                batch_indexed: true,
+                            });
+                            operand_binds.push((idx, rhs));
+                        } else if rd.shape() == out.shape() {
+                            post_ops.push(PostOpSpec::BinaryFull { op });
+                            operand_binds.push((idx, rhs));
+                        } else {
+                            return Err(err(format!(
+                                "unsupported fused binary operand shape {:?}",
+                                rd.shape()
+                            )));
+                        }
+                    }
+                }
+                OpKind::Reduce(rk) => {
+                    let op = match rk {
+                        ReduceKind::Sum => gc_tir::ReduceOp::Sum,
+                        ReduceKind::Max => gc_tir::ReduceOp::Max,
+                    };
+                    post_ops.push(PostOpSpec::ReduceRow(op));
+                    reduce_outputs.push(po.outputs[0]);
+                }
+                OpKind::Quantize { dtype, params } => {
+                    if *dtype != DataType::U8 {
+                        return Err(err("fused quantize must target u8"));
+                    }
+                    post_ops.push(PostOpSpec::Quantize {
+                        scale: params.scale,
+                        zero_point: params.zero_point,
+                    });
+                }
+                OpKind::Reorder { target } => {
+                    if !target.is_plain() {
+                        return Err(err("fused output reorder must target plain layout"));
+                    }
+                    // plain output is the default; nothing to add
+                }
+                other => return Err(err(format!("unsupported fused post-op {other}"))),
+            }
+            produced.push(po.outputs[0]);
+        }
+        Ok((post_ops, operand_binds))
     }
 
     fn resolve_bind(&mut self, bind: Bind, spec: &MatmulSpec) -> Result<usize, LowerError> {
@@ -1017,6 +1049,9 @@ impl Builder<'_> {
     }
 
     fn lower_standalone_part(&mut self, part: &FusedOp) -> Result<(), LowerError> {
+        if part.post_ops.len() > 1 {
+            return self.lower_row_chain_part(part);
+        }
         let op_id = part.ops()[0];
         let op = self.graph.op(op_id).clone();
         // scalar-const rhs for binary ops
@@ -1051,6 +1086,26 @@ impl Builder<'_> {
                 n_params
             )));
         }
+        self.module.main_calls.push(Call { func: fi, args });
+        Ok(())
+    }
+
+    /// A standalone reducing chain (fusion's `grow_row_chain`): one
+    /// row-chain function from the chain's anchor to its output.
+    fn lower_row_chain_part(&mut self, part: &FusedOp) -> Result<(), LowerError> {
+        let anchor = self.graph.op(part.post_ops[0]).inputs[0];
+        let out_lt = part.output(self.graph);
+        let out = self.desc(out_lt).clone();
+        let shape = out.shape();
+        let n = *shape.last().expect("reduced tensors have rank >= 1");
+        let m = shape.len().checked_sub(2).map_or(1, |i| shape[i]);
+        let batch = out.volume() / (m * n);
+        let (post_ops, binds) = self.translate_post_ops(&part.post_ops, anchor, batch, &out)?;
+        let func = lower_row_chain(&post_ops, batch, m, n, "op_row_chain");
+        let mut args = vec![self.global_for(anchor)];
+        args.extend(binds.into_iter().map(|(_, lt)| self.global_for(lt)));
+        args.push(self.global_for(out_lt));
+        let fi = self.module.add_func(func);
         self.module.main_calls.push(Call { func: fi, args });
         Ok(())
     }

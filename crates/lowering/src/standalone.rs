@@ -2,10 +2,13 @@
 //!
 //! When fine-grain fusion is disabled — or an op cannot be fused — each
 //! Fusible OP lowers to its own small function: a parallel loop over row
-//! blocks with the op's slice kernel in the body. Reorders lower to
-//! tile pack/unpack loops (also used by the init stage for constant
-//! weight prepacking).
+//! blocks with the op's slice kernel in the body. A chain that reduces
+//! and was left unfused as a whole (a softmax the primitives baseline
+//! does not fuse into its matmul) lowers to one function of row-chain
+//! calls instead. Reorders lower to tile pack/unpack loops (also used by
+//! the init stage for constant weight prepacking).
 
+use crate::template::{row_chain_program, PostOpSpec, SideKind};
 use gc_graph::{BinaryKind, OpKind, ReduceKind, UnaryKind};
 use gc_microkernel::{BinaryOp, UnaryOp};
 use gc_tensor::{DataType, Layout, TensorDesc};
@@ -164,12 +167,7 @@ pub fn lower_standalone(
                 body: vec![],
             };
             let v = f.fresh_var();
-            let reduce = |rows| Op::ReduceRows {
-                op,
-                rows,
-                cols,
-                accumulate: false,
-            };
+            let reduce = |rows| Op::ReduceRows { op, rows, cols };
             let row_block = 8.min(rows);
             let blocks = rows / row_block;
             f.body.push(Stmt::parallel(
@@ -311,6 +309,61 @@ fn lower_standalone_binary(
         lhs_shape,
         rhs.shape()
     );
+}
+
+/// Lower a standalone post-op chain that reduces (an unfused softmax)
+/// over `batch` plain `[m, n]` matrices: one storing [`Op::RowChain`] per
+/// block of rows, the same program and kernel the matmul template runs
+/// at its anchor. Parameters: the chain's input, its side operands in
+/// program order (sized as `lower_graph` classified them), the output.
+///
+/// # Panics
+///
+/// Panics if the chain does not fit one row-chain program (fusion bounds
+/// reducing chains so that it does).
+pub fn lower_row_chain(
+    post_ops: &[PostOpSpec],
+    batch: usize,
+    m: usize,
+    n: usize,
+    name: &str,
+) -> Func {
+    let elems = batch * m * n;
+    // a block never straddles two matrices (batch-indexed row vectors)
+    let rows = crate::largest_divisor_at_most(m, 8);
+    let (chain, side) = row_chain_program(post_ops, rows, n, 1, true);
+    let mut f = Func {
+        name: name.to_string(),
+        params: vec![BufDecl::new(DataType::F32, elems, "in")],
+        locals: vec![],
+        var_count: 0,
+        body: vec![],
+    };
+    let v = f.fresh_var();
+    let block = Expr::v(v).mul(Expr::from(rows * n));
+    let mut operands = vec![Operand::new(BufId::Param(0), block.clone())];
+    for (i, s) in side.iter().enumerate() {
+        let (len, offset) = match s.kind {
+            SideKind::RowVec {
+                batch_indexed: false,
+            } => (n, Expr::c(0)),
+            SideKind::RowVec {
+                batch_indexed: true,
+            } => (batch * n, Expr::v(v).div_floor(m / rows).mul(Expr::from(n))),
+            SideKind::Full => (elems, block.clone()),
+        };
+        f.params
+            .push(BufDecl::new(DataType::F32, len, format!("opnd{i}")));
+        operands.push(Operand::new(BufId::Param(1 + i), offset));
+    }
+    f.params.push(BufDecl::new(DataType::F32, elems, "out"));
+    operands.push(Operand::new(BufId::Param(1 + side.len()), block));
+    f.body.push(Stmt::parallel(
+        v,
+        batch * m / rows,
+        vec![Stmt::Op(Intrinsic::new(Op::RowChain(chain), operands, []))],
+    ));
+    f
 }
 
 /// Lower a reorder between plain and the canonical blocked layouts.

@@ -16,8 +16,9 @@
 //!         C'[nsi] += batch_reduce_gemm(A tiles, B tiles, BS)
 //!       }
 //!     }
-//!     [anchor#1 post-ops: int8 epilogue, eltwise stages split at
-//!      reductions, output write]                 // Figure 4 post-ops
+//!     [anchor#1 post-ops: int8 epilogue, then an eltwise sweep per
+//!      column tile — or, for a chain that reduces, one row-chain call
+//!      over all of them — and the output write]   // Figure 4 post-ops
 //!   }
 //! }
 //! ```
@@ -27,7 +28,7 @@ use crate::params::{EdgePolicy, MatmulParams, MatmulProblem};
 use gc_machine::MachineDescriptor;
 use gc_microkernel::{BinaryOp, UnaryOp};
 use gc_tensor::DataType;
-use gc_tir::ir::{Brgemm, Copy2D};
+use gc_tir::ir::{Brgemm, Copy2D, RowChain};
 use gc_tir::{BufDecl, BufId, Expr, Func, Intrinsic, Op, Operand, ReduceOp, Stmt, VarId, View};
 
 /// Int8 epilogue attributes (from the low-precision conversion).
@@ -374,20 +375,6 @@ pub fn lower_matmul(machine: &MachineDescriptor, spec: &MatmulSpec, name: &str) 
         ))),
         BInput::BlockedWeight => None,
     };
-    let n_reductions = spec
-        .post_ops
-        .iter()
-        .filter(|p| matches!(p, PostOpSpec::ReduceRow(_)))
-        .count();
-    let rowstats: Vec<BufId> = (0..n_reductions)
-        .map(|i| {
-            func.add_local(BufDecl::new(
-                DataType::F32,
-                ctx.total_tasks * buf_msn * p.mb,
-                format!("rowstat{i}"),
-            ))
-        })
-        .collect();
     // scratch tile for quantize-then-unpack
     let needs_qtile = spec.out_dtype == DataType::U8 && spec.out == OutLayout::Plain;
     let qtile = if needs_qtile {
@@ -524,7 +511,7 @@ pub fn lower_matmul(machine: &MachineDescriptor, spec: &MatmulSpec, name: &str) 
     // ---- post-op anchor #1 (or buffered for #2): emitted per m-tile
     if post_anchor == PostOpAnchor::P1 {
         msi_body.extend(emit_post_ops(
-            spec, &ctx, &e, &param_of, cprime, cpf, &rowstats, qtile, nsi2, buf_msn,
+            spec, &ctx, &e, &param_of, cprime, cpf, qtile, nsi2, buf_msn,
         ));
     }
 
@@ -533,9 +520,8 @@ pub fn lower_matmul(machine: &MachineDescriptor, spec: &MatmulSpec, name: &str) 
     // anchor #2/#3 post-ops: process all buffered m-tiles after the msi
     // loop (ablation path)
     if post_anchor != PostOpAnchor::P1 {
-        let mut per_msi = emit_post_ops(
-            spec, &ctx, &e, &param_of, cprime, cpf, &rowstats, qtile, nsi2, buf_msn,
-        );
+        let mut per_msi =
+            emit_post_ops(spec, &ctx, &e, &param_of, cprime, cpf, qtile, nsi2, buf_msn);
         let mut body = Vec::new();
         body.append(&mut per_msi);
         task_body.push(Stmt::loop_(msi, ctx.msn, body));
@@ -968,16 +954,7 @@ fn lower_matmul_ksliced(
         vec![Stmt::Op(Intrinsic::new(fold, [part_slice, acc_all], []))],
     ));
     m_body.extend(emit_post_ops(
-        spec,
-        &ctx,
-        &e2,
-        &param_of,
-        cprime,
-        cpf,
-        &[],
-        qtile,
-        nsi2,
-        1,
+        spec, &ctx, &e2, &param_of, cprime, cpf, qtile, nsi2, 1,
     ));
     func.body.push(Stmt::parallel(
         t2,
@@ -988,7 +965,10 @@ fn lower_matmul_ksliced(
     LoweredMatmul { func, roles }
 }
 
-/// Emits the staged post-op pipeline for the current m-tile.
+/// Emits the post-op pipeline for the current m-tile: the int8
+/// epilogue or bias, then the chain — per-op sweeps over the column
+/// tiles for an elementwise chain, one [`emit_row_chain`] for a chain that
+/// reduces — and the output write.
 #[allow(clippy::too_many_arguments)]
 fn emit_post_ops(
     spec: &MatmulSpec,
@@ -997,7 +977,6 @@ fn emit_post_ops(
     param_of: &dyn Fn(ParamRole) -> BufId,
     cprime: BufId,
     cpf: BufId,
-    rowstats: &[BufId],
     qtile: Option<BufId>,
     nsi2: VarId,
     buf_msn: usize,
@@ -1073,208 +1052,238 @@ fn emit_post_ops(
         ));
     }
 
-    // split post-ops into stages at reductions
-    let mut stages: Vec<Vec<&PostOpSpec>> = vec![Vec::new()];
-    let mut reduce_of_stage: Vec<Option<(usize, ReduceOp)>> = Vec::new();
-    let mut ridx = 0usize;
-    for po in &spec.post_ops {
-        if let PostOpSpec::ReduceRow(op) = po {
-            reduce_of_stage.push(Some((ridx, *op)));
-            ridx += 1;
-            stages.push(Vec::new());
-        } else {
-            stages.last_mut().unwrap().push(po);
+    let quant = spec.post_ops.iter().find_map(|po| match po {
+        PostOpSpec::Quantize { scale, zero_point } => Some((*scale, *zero_point)),
+        _ => None,
+    });
+    if spec
+        .post_ops
+        .iter()
+        .any(|po| matches!(po, PostOpSpec::ReduceRow(_)))
+    {
+        let store = spec.out == OutLayout::BlockedMbNb && quant.is_none();
+        stmts.push(emit_row_chain(spec, ctx, e, param_of, cpf, buf_msn, store));
+        if !store {
+            let write = emit_out_write(spec, ctx, e, param_of, cpf_tile(nsi2), quant, qtile, nsi2);
+            stmts.push(Stmt::loop_(nsi2, ctx.nsn, write));
         }
+        return stmts;
     }
-    reduce_of_stage.push(None);
 
-    let rowstat_view = |r: usize| {
-        View::new(
-            rowstats[r],
-            e.cprime_base(buf_msn).mul(Expr::from(p.mb)),
-            p.mb,
-        )
-    };
-
-    let n_stages = stages.len();
-    let mut current_stat: Option<usize> = None;
-    for (si, stage) in stages.iter().enumerate() {
-        let is_last = si + 1 == n_stages;
-        let mut sweep: Vec<Stmt> = Vec::new();
-        for po in stage {
-            let tile_v = cpf_tile(nsi2);
-            let stmt = match po {
-                PostOpSpec::Unary(op) => Intrinsic::new(
-                    Op::Unary { op: *op, len: tile },
-                    [tile_v.clone(), tile_v],
-                    [],
-                ),
-                PostOpSpec::BinaryScalarConst(op, s) => Intrinsic::new(
-                    Op::BinaryScalar {
+    // one elementwise sweep over the column tiles, then the output write
+    let mut sweep: Vec<Stmt> = Vec::new();
+    for (pi, po) in spec.post_ops.iter().enumerate() {
+        let tile_v = cpf_tile(nsi2);
+        let stmt = match po {
+            PostOpSpec::Unary(op) => Intrinsic::new(
+                Op::Unary { op: *op, len: tile },
+                [tile_v.clone(), tile_v],
+                [],
+            ),
+            PostOpSpec::BinaryScalarConst(op, s) => Intrinsic::new(
+                Op::BinaryScalar {
+                    op: *op,
+                    scalar: *s,
+                    len: tile,
+                },
+                [tile_v.clone(), tile_v],
+                [],
+            ),
+            PostOpSpec::BinaryRowVec { op, batch_indexed } => {
+                let base = if *batch_indexed {
+                    e.batch_idx().mul(Expr::from(ctx.n))
+                } else {
+                    Expr::c(0)
+                };
+                let row_vec = View::new(
+                    param_of(ParamRole::PostOperand(pi)),
+                    base.add(e.npsi(nsi2).mul(Expr::from(p.nb))),
+                    p.nb,
+                );
+                Intrinsic::new(
+                    Op::BinaryRowBcast {
                         op: *op,
-                        scalar: *s,
-                        len: tile,
+                        rows: p.mb,
+                        cols: p.nb,
                     },
-                    [tile_v.clone(), tile_v],
+                    [tile_v.clone(), row_vec, tile_v],
                     [],
-                ),
-                PostOpSpec::BinaryRowVec { op, batch_indexed } => {
-                    let pi = spec
-                        .post_ops
-                        .iter()
-                        .position(|x| std::ptr::eq(x, *po))
-                        .unwrap();
-                    let base = if *batch_indexed {
-                        e.batch_idx().mul(Expr::from(ctx.n))
-                    } else {
-                        Expr::c(0)
-                    };
-                    let row_vec = View::new(
-                        param_of(ParamRole::PostOperand(pi)),
-                        base.add(e.npsi(nsi2).mul(Expr::from(p.nb))),
-                        p.nb,
-                    );
-                    Intrinsic::new(
-                        Op::BinaryRowBcast {
-                            op: *op,
-                            rows: p.mb,
-                            cols: p.nb,
-                        },
-                        [tile_v.clone(), row_vec, tile_v],
+                )
+            }
+            PostOpSpec::BinaryFull { op } => {
+                // the operand is plain [.., M, N]: one Binary per tile
+                // row, over a serial loop reusing `bsi`
+                let r = e.bsi;
+                let a_row = View::new(
+                    cpf,
+                    e.cprime_base(buf_msn)
+                        .mul(Expr::from(ctx.nsn))
+                        .add(Expr::v(nsi2))
+                        .mul(Expr::from(tile))
+                        .add(Expr::v(r).mul(Expr::from(p.nb))),
+                    p.nb,
+                );
+                let opnd_row = View::new(
+                    param_of(ParamRole::PostOperand(pi)),
+                    e.batch_idx()
+                        .mul(Expr::from(ctx.m * ctx.n))
+                        .add(
+                            e.mpsi(e.msi)
+                                .mul(Expr::from(p.mb))
+                                .add(Expr::v(r))
+                                .mul(Expr::from(ctx.n)),
+                        )
+                        .add(e.npsi(nsi2).mul(Expr::from(p.nb))),
+                    p.nb,
+                );
+                sweep.push(Stmt::loop_(
+                    r,
+                    p.mb,
+                    vec![Stmt::Op(Intrinsic::new(
+                        Op::Binary { op: *op, len: p.nb },
+                        [a_row.clone(), opnd_row, a_row],
                         [],
-                    )
-                }
-                PostOpSpec::BinaryFull { op } => {
-                    // pack the operand tile from its plain buffer lazily:
-                    // use Pack2D into qtile-sized scratch is avoided by
-                    // reading strided via Pack2D into a dedicated tile;
-                    // to keep the template lean we require the operand
-                    // plain and apply row by row through Unpack-style
-                    // strided access. Simplest correct approach: pack
-                    // into the (f32) rowstat-sized... use a Binary with
-                    // a packed tile is required -> use Pack2D into the
-                    // cprime_f32 of a scratch region is unsafe; instead
-                    // we emit per-row BinaryRowBcast over the operand's
-                    // row slices.
-                    let pi = spec
-                        .post_ops
-                        .iter()
-                        .position(|x| std::ptr::eq(x, *po))
-                        .unwrap();
-                    // operand plain [.., M, N]: row r of tile = offset
-                    // batch*M*N + (mpsi*MB + r)*N + npsi*NB. Emit a
-                    // per-tile strided binary via rows loop unrolled in
-                    // the executor: use BinaryRowBcast per row is wrong
-                    // (rhs varies per row) -> use Binary on each row.
-                    // We express it as `rows` Binary calls via a serial
-                    // loop variable reusing bsi.
-                    let r = e.bsi;
-                    let a_row = View::new(
-                        cpf,
-                        e.cprime_base(buf_msn)
-                            .mul(Expr::from(ctx.nsn))
-                            .add(Expr::v(nsi2))
-                            .mul(Expr::from(tile))
-                            .add(Expr::v(r).mul(Expr::from(p.nb))),
-                        p.nb,
-                    );
-                    let opnd_row = View::new(
-                        param_of(ParamRole::PostOperand(pi)),
-                        e.batch_idx()
-                            .mul(Expr::from(ctx.m * ctx.n))
-                            .add(
-                                e.mpsi(e.msi)
-                                    .mul(Expr::from(p.mb))
-                                    .add(Expr::v(r))
-                                    .mul(Expr::from(ctx.n)),
-                            )
-                            .add(e.npsi(nsi2).mul(Expr::from(p.nb))),
-                        p.nb,
-                    );
-                    sweep.push(Stmt::loop_(
-                        r,
-                        p.mb,
-                        vec![Stmt::Op(Intrinsic::new(
-                            Op::Binary { op: *op, len: p.nb },
-                            [a_row.clone(), opnd_row, a_row],
-                            [],
-                        ))],
-                    ));
-                    continue;
-                }
-                PostOpSpec::BinaryColStat { op } => {
-                    let stat = current_stat.expect("col-stat op needs a preceding reduction");
-                    Intrinsic::new(
-                        Op::BinaryColBcast {
-                            op: *op,
-                            rows: p.mb,
-                            cols: p.nb,
-                        },
-                        [tile_v.clone(), rowstat_view(stat), tile_v],
-                        [],
-                    )
-                }
-                PostOpSpec::Quantize { scale, zero_point } => {
-                    // quantize happens as part of the output write below
-                    // when it is the last op; otherwise into the same
-                    // tile is impossible (dtype change), so it must be
-                    // last — enforced by construction in lower_graph.
-                    let _ = (scale, zero_point);
-                    continue;
-                }
-                PostOpSpec::ReduceRow(_) => unreachable!("split into stages"),
-            };
-            sweep.push(Stmt::Op(stmt));
-        }
-        // reduction closing this stage
-        if let Some((r, op)) = reduce_of_stage[si] {
-            // init the accumulator before the sweep
-            let init = match op {
-                ReduceOp::Sum => 0.0,
-                ReduceOp::Max => f32::NEG_INFINITY,
-            };
-            stmts.push(Stmt::Op(Intrinsic::new(
-                Op::FillF32 {
-                    len: p.mb,
-                    value: init,
-                },
-                [rowstat_view(r)],
-                [],
-            )));
-            sweep.push(Stmt::Op(Intrinsic::new(
-                Op::ReduceRows {
-                    op,
-                    rows: p.mb,
-                    cols: p.nb,
-                    accumulate: true,
-                },
-                [cpf_tile(nsi2), rowstat_view(r)],
-                [],
-            )));
-            current_stat = Some(r);
-        }
-        // final stage: write the output tile
-        if is_last {
-            let quant = spec.post_ops.iter().find_map(|po| match po {
-                PostOpSpec::Quantize { scale, zero_point } => Some((*scale, *zero_point)),
-                _ => None,
-            });
-            sweep.extend(emit_out_write(
-                spec,
-                ctx,
-                e,
-                param_of,
-                cpf_tile(nsi2),
-                quant,
-                qtile,
-                nsi2,
-            ));
-        }
-        if !sweep.is_empty() {
-            stmts.push(Stmt::loop_(nsi2, ctx.nsn, sweep));
-        }
+                    ))],
+                ));
+                continue;
+            }
+            // the output write below quantizes; lower_graph keeps it last
+            PostOpSpec::Quantize { .. } => continue,
+            PostOpSpec::ReduceRow(_) | PostOpSpec::BinaryColStat { .. } => {
+                unreachable!("reducing chains are row chains")
+            }
+        };
+        sweep.push(Stmt::Op(stmt));
     }
+    sweep.extend(emit_out_write(
+        spec,
+        ctx,
+        e,
+        param_of,
+        cpf_tile(nsi2),
+        quant,
+        qtile,
+        nsi2,
+    ));
+    stmts.push(Stmt::loop_(nsi2, ctx.nsn, sweep));
     stmts
+}
+
+/// How a row chain's side operand reads its post-op operand.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum SideKind {
+    /// One value per column (`[N]`, or `[.., 1, N]` indexed by batch).
+    RowVec {
+        /// Operand carries leading batch dims.
+        batch_indexed: bool,
+    },
+    /// A plain operand of the output's shape.
+    Full,
+}
+
+/// One side operand of a row chain: the post-op that supplies it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct SideOperand {
+    /// Index of the post-op (its [`ParamRole::PostOperand`]).
+    pub(crate) post_op: usize,
+    /// How it is read.
+    pub(crate) kind: SideKind,
+}
+
+/// The [`RowChain`] program of a post-op chain that reduces, over
+/// `rows x (tiles x cols)`, and its side operands in program order. A
+/// trailing quantize is not a step: the output write applies it.
+///
+/// # Panics
+///
+/// Panics if the chain does not fit one program; fusion bounds reducing
+/// chains so that it does.
+pub(crate) fn row_chain_program(
+    post_ops: &[PostOpSpec],
+    rows: usize,
+    cols: usize,
+    tiles: usize,
+    store: bool,
+) -> (RowChain, Vec<SideOperand>) {
+    let mut chain = RowChain::new(rows, cols, tiles, store);
+    let mut side = Vec::new();
+    for (post_op, po) in post_ops.iter().enumerate() {
+        let mut read = |kind| side.push(SideOperand { post_op, kind });
+        let fits = match *po {
+            PostOpSpec::Unary(op) => chain.unary(op),
+            PostOpSpec::BinaryScalarConst(op, s) => chain.scalar(op, s),
+            PostOpSpec::BinaryRowVec { op, batch_indexed } => {
+                read(SideKind::RowVec { batch_indexed });
+                chain.row_vec(op)
+            }
+            PostOpSpec::BinaryFull { op } => {
+                read(SideKind::Full);
+                chain.full(op)
+            }
+            PostOpSpec::BinaryColStat { op } => chain.stat(op),
+            PostOpSpec::ReduceRow(op) => chain.reduce(op),
+            PostOpSpec::Quantize { .. } => Some(()),
+        };
+        fits.expect("reducing chain exceeds a row-chain program (fusion bounds it)");
+    }
+    (chain, side)
+}
+
+// fusion's reducing-chain budget must fit a row-chain program
+const _: () = {
+    use gc_graph::passes::fusion::{MAX_REDUCING_CHAIN_OPS, MAX_REDUCING_SIDE_INPUTS};
+    use gc_microkernel::chain::{MAX_BUFFERS, MAX_CONSTS, MAX_STEPS};
+    assert!(MAX_REDUCING_CHAIN_OPS <= MAX_STEPS);
+    assert!(MAX_REDUCING_SIDE_INPUTS <= MAX_CONSTS);
+    // the tile, every side operand and a destination
+    assert!(MAX_REDUCING_SIDE_INPUTS + 2 <= MAX_BUFFERS);
+};
+
+/// A post-op chain that reduces, as one [`Op::RowChain`] over the m-tile's
+/// `nsn` column tiles (reductions force `npn == 1`, so they are whole
+/// rows): the row stats live inside the call, and with `store` (a
+/// blocked f32 output) it writes the output itself.
+fn emit_row_chain(
+    spec: &MatmulSpec,
+    ctx: &Ctx,
+    e: &ExprBuilder<'_>,
+    param_of: &dyn Fn(ParamRole) -> BufId,
+    cpf: BufId,
+    buf_msn: usize,
+    store: bool,
+) -> Stmt {
+    let p = ctx.p;
+    let tile = p.mb * p.nb;
+    let (chain, side) = row_chain_program(&spec.post_ops, p.mb, p.nb, ctx.nsn, store);
+    let block = e.cprime_base(buf_msn).mul(Expr::from(ctx.nsn * tile));
+    let mut operands = vec![Operand::new(cpf, block)];
+    for s in side {
+        let opnd = param_of(ParamRole::PostOperand(s.post_op));
+        let offset = match s.kind {
+            SideKind::RowVec {
+                batch_indexed: true,
+            } => e.batch_idx().mul(Expr::from(ctx.n)),
+            SideKind::RowVec {
+                batch_indexed: false,
+            } => Expr::c(0),
+            // plain [.., M, N]: the m-tile's rows are contiguous
+            SideKind::Full => e
+                .batch_idx()
+                .mul(Expr::from(ctx.m))
+                .add(e.mpsi(e.msi).mul(Expr::from(p.mb)))
+                .mul(Expr::from(ctx.n)),
+        };
+        operands.push(Operand::new(opnd, offset));
+    }
+    if store {
+        let out = e
+            .batch_idx()
+            .mul(Expr::from(ctx.m_tiles))
+            .add(e.mpsi(e.msi))
+            .mul(Expr::from(ctx.n_tiles * tile));
+        operands.push(Operand::new(param_of(ParamRole::Out), out));
+    }
+    Stmt::Op(Intrinsic::new(Op::RowChain(chain), operands, []))
 }
 
 #[allow(clippy::too_many_arguments)]

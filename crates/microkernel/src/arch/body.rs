@@ -16,6 +16,8 @@
 #![allow(clippy::needless_range_loop)]
 
 use super::simd::{DotU8I8, SimdF32};
+use crate::chain::{ChainStep, RowChain, MAX_BUFFERS, MAX_CONSTS};
+use crate::{BinaryOp, ReduceOp, UnaryOp};
 
 /// Register-tile columns (B panels) of the brgemm bodies, shared by all
 /// backends and both dtypes; rows come from the backend's `MR`. The
@@ -311,6 +313,256 @@ pub(crate) unsafe fn relu_inplace<S: SimdF32>(buf: &mut [f32]) {
     for l in chunks * S::LANES..n {
         let x = buf[l];
         buf[l] = if x > 0.0 { x } else { 0.0 };
+    }
+}
+
+/// Store the first `len <= S::LANES` lanes of `v` at `p`, touching
+/// nothing past `p + len`.
+#[inline(always)]
+unsafe fn store_prefix<S: SimdF32>(p: *mut f32, v: S::V, len: usize) {
+    if len == S::LANES {
+        return S::store(p, v);
+    }
+    let mut lanes = [0.0f32; 16];
+    debug_assert!(S::LANES <= lanes.len());
+    S::store(lanes.as_mut_ptr(), v);
+    std::ptr::copy_nonoverlapping(lanes.as_ptr(), p, len);
+}
+
+/// `dst[i] = e^src[i]` ([`SimdF32::exp`]) over `n` elements; `src` may
+/// equal `dst`.
+///
+/// # Safety
+///
+/// Both pointers are valid for `n` elements and the backend's ISA is
+/// available.
+#[inline(always)]
+pub(crate) unsafe fn exp<S: SimdF32>(src: *const f32, dst: *mut f32, n: usize) {
+    let mut i = 0;
+    while i < n {
+        let len = S::LANES.min(n - i);
+        store_prefix::<S>(dst.add(i), S::exp(S::load_len(src.add(i), len)), len);
+        i += S::LANES;
+    }
+}
+
+/// Rows a [`row_chain`] call works on at once: as many as keep a group's
+/// working set near 8 KiB (L1-resident between steps), at most this many.
+const CHAIN_GROUP_ROWS: usize = 64;
+/// See [`CHAIN_GROUP_ROWS`].
+const CHAIN_GROUP_ELEMS: usize = 2048;
+
+/// `$dst[k] = $f` for `k` in `0..$len`, a vector at a time: `$v` is the
+/// vector loaded from `$src` at element `$at`, `$n <= S::LANES` its width
+/// (zero lanes past it are loaded, never stored). A macro rather than a
+/// closure so the body inlines into the `#[target_feature]` entry point.
+macro_rules! map_run {
+    ($src:expr, $dst:expr, $len:expr, |$v:ident, $at:ident, $n:ident| $f:expr) => {{
+        let (src, dst, len) = ($src, $dst, $len);
+        let mut $at = 0;
+        while $at < len {
+            let $n = S::LANES.min(len - $at);
+            let $v = S::load_len(src.add($at), $n);
+            store_prefix::<S>(dst.add($at), $f, $n);
+            $at += S::LANES;
+        }
+    }};
+}
+
+/// [`crate::RowChain`]'s kernel: see `crate::chain` for the program and
+/// the layout. The block is processed in groups of rows; within a group
+/// the program runs step by step, each step one tight vector loop over
+/// the group's row segments from where the values are (`src` before the
+/// first elementwise step, `dst` after) into `dst`. A reduction folds
+/// each row into the group's row stats, which the following stat steps
+/// broadcast. Width tails are partial vectors, reduced lane by lane.
+///
+/// # Safety
+///
+/// `src` and `dst` are valid for [`crate::RowChain::elems`] elements and
+/// either equal or disjoint; `side[i]` is valid for
+/// [`crate::RowChain::side_len`]`(i)` for every side operand; the
+/// backend's ISA is available.
+#[inline(always)]
+pub(crate) unsafe fn row_chain<S: SimdF32>(
+    c: &RowChain,
+    src: *const f32,
+    dst: *mut f32,
+    side: &[*const f32; MAX_BUFFERS - 1],
+) {
+    let (rows, cols, tiles) = (c.rows(), c.cols(), c.tiles());
+    let tile = rows * cols;
+    let group = (CHAIN_GROUP_ELEMS / (tiles * cols).max(1)).clamp(1, CHAIN_GROUP_ROWS);
+    // scalar operands as vectors; a division becomes a reciprocal product
+    let mut consts = [S::zero(); MAX_CONSTS];
+    for s in c.steps() {
+        if let ChainStep::Scalar(op, k) = *s {
+            let x = c.constant(k);
+            consts[usize::from(k)] = S::splat(if op == BinaryOp::Div { 1.0 / x } else { x });
+        }
+    }
+    let mut stats = [0.0f32; CHAIN_GROUP_ROWS];
+    let mut r0 = 0;
+    while r0 < rows {
+        let g = group.min(rows - r0);
+        let mut cur = src;
+        for s in c.steps() {
+            match *s {
+                ChainStep::Reduce(op) => {
+                    for (r, stat) in stats[..g].iter_mut().enumerate() {
+                        *stat = reduce_row::<S>(op, cur.add((r0 + r) * cols), cols, tiles, tile);
+                    }
+                    continue;
+                }
+                // the group's rows of one tile are one contiguous run
+                ChainStep::Unary(op) => {
+                    for t in 0..tiles {
+                        let run = t * tile + r0 * cols;
+                        map_run!(cur.add(run), dst.add(run), g * cols, |v, _at, _n| {
+                            unary_v::<S>(op, v)
+                        });
+                    }
+                }
+                ChainStep::Scalar(op, k) => {
+                    let rhs = consts[usize::from(k)];
+                    for t in 0..tiles {
+                        let run = t * tile + r0 * cols;
+                        map_run!(cur.add(run), dst.add(run), g * cols, |v, _at, _n| {
+                            binary_v::<S>(op, v, rhs, true)
+                        });
+                    }
+                }
+                ChainStep::RowVec(op, i) => {
+                    for t in 0..tiles {
+                        let vec = side[usize::from(i)].add(t * cols);
+                        for r in r0..r0 + g {
+                            let seg = t * tile + r * cols;
+                            map_run!(cur.add(seg), dst.add(seg), cols, |v, at, n| {
+                                binary_v::<S>(op, v, S::load_len(vec.add(at), n), false)
+                            });
+                        }
+                    }
+                }
+                ChainStep::Full(op, i) => {
+                    for r in r0..r0 + g {
+                        for t in 0..tiles {
+                            let seg = t * tile + r * cols;
+                            let f = side[usize::from(i)].add((r * tiles + t) * cols);
+                            map_run!(cur.add(seg), dst.add(seg), cols, |v, at, n| {
+                                binary_v::<S>(op, v, S::load_len(f.add(at), n), false)
+                            });
+                        }
+                    }
+                }
+                ChainStep::Stat(op) => {
+                    for (r, &stat) in stats[..g].iter().enumerate() {
+                        let rhs = S::splat(if op == BinaryOp::Div {
+                            1.0 / stat
+                        } else {
+                            stat
+                        });
+                        for t in 0..tiles {
+                            let seg = t * tile + (r0 + r) * cols;
+                            map_run!(cur.add(seg), dst.add(seg), cols, |v, _at, _n| {
+                                binary_v::<S>(op, v, rhs, true)
+                            });
+                        }
+                    }
+                }
+            }
+            cur = dst.cast_const();
+        }
+        if cur != dst.cast_const() {
+            // a storing chain that never changed the values copies them
+            for t in 0..tiles {
+                let run = t * tile + r0 * cols;
+                std::ptr::copy_nonoverlapping(cur.add(run), dst.add(run), g * cols);
+            }
+        }
+        r0 += g;
+    }
+}
+
+/// One row's reduction across its `tiles` segments of `cols` (segment
+/// `t` at `row + t * tile`): full vectors into a vector accumulator,
+/// tail lanes one by one.
+#[inline(always)]
+unsafe fn reduce_row<S: SimdF32>(
+    op: ReduceOp,
+    row: *const f32,
+    cols: usize,
+    tiles: usize,
+    tile: usize,
+) -> f32 {
+    let init = match op {
+        ReduceOp::Sum => 0.0,
+        ReduceOp::Max => f32::NEG_INFINITY,
+    };
+    let (mut acc, mut tail) = (S::splat(init), init);
+    let full = cols - cols % S::LANES;
+    for t in 0..tiles {
+        let seg = row.add(t * tile);
+        let mut j = 0;
+        while j < full {
+            let v = S::load(seg.add(j));
+            acc = match op {
+                ReduceOp::Sum => S::add(acc, v),
+                ReduceOp::Max => S::max(acc, v),
+            };
+            j += S::LANES;
+        }
+        for k in full..cols {
+            let x = *seg.add(k);
+            tail = match op {
+                ReduceOp::Sum => tail + x,
+                ReduceOp::Max if x > tail => x,
+                ReduceOp::Max => tail,
+            };
+        }
+    }
+    match op {
+        ReduceOp::Sum => S::reduce_add(acc) + tail,
+        ReduceOp::Max => S::reduce_max(acc).max(tail),
+    }
+}
+
+/// One vector of a row chain's unary step. Ops without a vector form
+/// run lane by lane.
+#[inline(always)]
+unsafe fn unary_v<S: SimdF32>(op: UnaryOp, v: S::V) -> S::V {
+    let one = S::splat(1.0);
+    match op {
+        UnaryOp::Identity => v,
+        UnaryOp::Relu => S::max(v, S::zero()),
+        UnaryOp::Exp => S::exp(v),
+        UnaryOp::Square => S::mul(v, v),
+        UnaryOp::Neg => S::mul(v, S::splat(-1.0)),
+        UnaryOp::Sigmoid => S::div(one, S::add(one, S::exp(S::mul(v, S::splat(-1.0))))),
+        UnaryOp::Gelu | UnaryOp::Tanh => {
+            let mut lanes = [0.0f32; 16];
+            S::store(lanes.as_mut_ptr(), v);
+            for x in &mut lanes[..S::LANES] {
+                *x = op.apply(*x);
+            }
+            S::load(lanes.as_ptr())
+        }
+    }
+}
+
+/// `op(v, rhs)` for one vector; with `inverted` a division's `rhs`
+/// already holds the reciprocal.
+#[inline(always)]
+unsafe fn binary_v<S: SimdF32>(op: BinaryOp, v: S::V, rhs: S::V, inverted: bool) -> S::V {
+    match op {
+        BinaryOp::Add => S::add(v, rhs),
+        BinaryOp::Sub => S::sub(v, rhs),
+        BinaryOp::Mul => S::mul(v, rhs),
+        BinaryOp::Div if inverted => S::mul(v, rhs),
+        BinaryOp::Div => S::div(v, rhs),
+        // IEEE max/min lane order: `v` wins when `rhs` is NaN, like
+        // `f32::max`
+        BinaryOp::Max => S::max(rhs, v),
+        BinaryOp::Min => S::min(rhs, v),
     }
 }
 

@@ -45,6 +45,7 @@
 //! process-wide counters so tests, stats, and benches can verify which
 //! variant actually executed.
 
+use crate::chain::{RowChain, MAX_BUFFERS};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
@@ -168,6 +169,7 @@ pub(crate) struct KernelTable {
     pub(crate) brgemm_u8i8: BrgemmFn<u8, i8, i32>,
     pub(crate) relu: unsafe fn(&[f32], &mut [f32]),
     pub(crate) relu_inplace: unsafe fn(&mut [f32]),
+    pub(crate) exp: unsafe fn(*const f32, *mut f32, usize),
     pub(crate) binary_add: unsafe fn(&[f32], &[f32], &mut [f32]),
     pub(crate) binary_mul: unsafe fn(&[f32], &[f32], &mut [f32]),
     pub(crate) acc_add: unsafe fn(&[f32], &mut [f32]),
@@ -175,7 +177,11 @@ pub(crate) struct KernelTable {
     pub(crate) reduce_max: unsafe fn(&[f32]) -> f32,
     pub(crate) dequant: unsafe fn(&[i32], usize, usize, &[i32], i32, f32, &mut [f32]),
     pub(crate) requant_u8: unsafe fn(&[f32], f32, i32, &mut [u8]),
+    pub(crate) row_chain: RowChainFn,
 }
+
+/// A row-chain entry: `(chain, src, dst, side)`, see `body::row_chain`.
+type RowChainFn = unsafe fn(&RowChain, *const f32, *mut f32, &[*const f32; MAX_BUFFERS - 1]);
 
 mod scalar_kernels {
     //! Scalar entry points: the generic bodies instantiated with the
@@ -183,6 +189,7 @@ mod scalar_kernels {
     //! share the [`KernelTable`] pointer signature.
     use super::body;
     use super::simd::ScalarBackend as S;
+    use crate::chain::{RowChain, MAX_BUFFERS};
 
     #[allow(clippy::too_many_arguments)]
     pub(crate) unsafe fn brgemm_f32(
@@ -216,6 +223,9 @@ mod scalar_kernels {
     pub(crate) unsafe fn relu_inplace(buf: &mut [f32]) {
         body::relu_inplace::<S>(buf)
     }
+    pub(crate) unsafe fn exp(src: *const f32, dst: *mut f32, n: usize) {
+        body::exp::<S>(src, dst, n)
+    }
     pub(crate) unsafe fn binary_add(a: &[f32], b: &[f32], dst: &mut [f32]) {
         body::binary_add::<S>(a, b, dst)
     }
@@ -246,6 +256,14 @@ mod scalar_kernels {
     pub(crate) unsafe fn requant_u8(xs: &[f32], inv_scale: f32, zero_point: i32, out: &mut [u8]) {
         body::requant_u8::<S>(xs, inv_scale, zero_point, out)
     }
+    pub(crate) unsafe fn row_chain(
+        c: &RowChain,
+        src: *const f32,
+        dst: *mut f32,
+        side: &[*const f32; MAX_BUFFERS - 1],
+    ) {
+        body::row_chain::<S>(c, src, dst, side)
+    }
 }
 
 static SCALAR_TABLE: KernelTable = KernelTable {
@@ -254,6 +272,7 @@ static SCALAR_TABLE: KernelTable = KernelTable {
     brgemm_u8i8: scalar_kernels::brgemm_u8i8,
     relu: scalar_kernels::relu,
     relu_inplace: scalar_kernels::relu_inplace,
+    exp: scalar_kernels::exp,
     binary_add: scalar_kernels::binary_add,
     binary_mul: scalar_kernels::binary_mul,
     acc_add: scalar_kernels::acc_add,
@@ -261,6 +280,7 @@ static SCALAR_TABLE: KernelTable = KernelTable {
     reduce_max: scalar_kernels::reduce_max,
     dequant: scalar_kernels::dequant,
     requant_u8: scalar_kernels::requant_u8,
+    row_chain: scalar_kernels::row_chain,
 };
 
 #[cfg(target_arch = "x86_64")]
@@ -270,6 +290,7 @@ static AVX2_TABLE: KernelTable = KernelTable {
     brgemm_u8i8: x86::avx2_kernels::brgemm_u8i8,
     relu: x86::avx2_kernels::relu,
     relu_inplace: x86::avx2_kernels::relu_inplace,
+    exp: x86::avx2_kernels::exp,
     binary_add: x86::avx2_kernels::binary_add,
     binary_mul: x86::avx2_kernels::binary_mul,
     acc_add: x86::avx2_kernels::acc_add,
@@ -277,6 +298,7 @@ static AVX2_TABLE: KernelTable = KernelTable {
     reduce_max: x86::avx2_kernels::reduce_max,
     dequant: x86::avx2_kernels::dequant,
     requant_u8: x86::avx2_kernels::requant_u8,
+    row_chain: x86::avx2_kernels::row_chain,
 };
 
 #[cfg(target_arch = "x86_64")]
@@ -286,6 +308,7 @@ static AVX512_TABLE: KernelTable = KernelTable {
     brgemm_u8i8: x86::avx512_kernels::brgemm_u8i8,
     relu: x86::avx512_kernels::relu,
     relu_inplace: x86::avx512_kernels::relu_inplace,
+    exp: x86::avx512_kernels::exp,
     binary_add: x86::avx512_kernels::binary_add,
     binary_mul: x86::avx512_kernels::binary_mul,
     acc_add: x86::avx512_kernels::acc_add,
@@ -293,6 +316,7 @@ static AVX512_TABLE: KernelTable = KernelTable {
     reduce_max: x86::avx512_kernels::reduce_max,
     dequant: x86::avx512_kernels::dequant,
     requant_u8: x86::avx512_kernels::requant_u8,
+    row_chain: x86::avx512_kernels::row_chain,
 };
 
 /// AVX-512 table with the VNNI int8 dot swapped in.

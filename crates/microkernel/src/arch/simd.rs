@@ -37,7 +37,9 @@ pub(crate) trait SimdF32: Copy {
     unsafe fn load_len(p: *const f32, len: usize) -> Self::V;
     unsafe fn store(p: *mut f32, v: Self::V);
     unsafe fn add(a: Self::V, b: Self::V) -> Self::V;
+    unsafe fn sub(a: Self::V, b: Self::V) -> Self::V;
     unsafe fn mul(a: Self::V, b: Self::V) -> Self::V;
+    unsafe fn div(a: Self::V, b: Self::V) -> Self::V;
     /// IEEE `maxps` semantics: if one lane compares unordered (NaN) or
     /// equal, the lane of `b` is returned.
     unsafe fn max(a: Self::V, b: Self::V) -> Self::V;
@@ -76,7 +78,66 @@ pub(crate) trait SimdF32: Copy {
     /// Lane-wise i32 → f32 conversion (round to nearest even, exactly
     /// the semantics of a scalar `as f32` cast).
     unsafe fn i32_to_f32(v: Self::VI) -> Self::V;
+    /// `2^n` per lane, built in the exponent field; exact for
+    /// `-126 <= n <= 127`, garbage (never a fault) outside.
+    unsafe fn pow2i(n: Self::VI) -> Self::V;
+
+    /// `e^x` per lane: Cephes' `expf` range reduction `x = n ln2 + r`,
+    /// `|r| <= ln2 / 2`, a degree-7 polynomial for `e^r`, then `2^n`.
+    /// Within 2 ulp of the f64 result wherever that is a normal f32
+    /// (`-87.3 <= x <= 88.7`); past `ln(f32::MAX)`, `+inf`. Below, a lane whose `n` is
+    /// under -126 is an exact `+0` (off by less than 1e-38; `-inf` gives
+    /// `+0`): `2^n` is applied as `2^clamp(n, -127, 127)` — exactly zero
+    /// at -127 — times the small remainder `2^(n - clamp)`, so masked-out
+    /// logits (`-1e4` in attention) never make a multiply round into the
+    /// subnormals, which costs a microcode assist per lane on x86. Only
+    /// `n = -126` with `e^r < 1` lands there. NaN propagates: the input
+    /// clamps return the lane of `x` when unordered.
+    #[inline(always)]
+    unsafe fn exp(x: Self::V) -> Self::V {
+        let x = Self::min(Self::splat(EXP_HI), Self::max(Self::splat(EXP_LO), x));
+        // round to nearest by adding and removing 1.5 * 2^23, which leaves
+        // no fraction bits (exact while |x log2 e| < 2^22)
+        let t = Self::mul(x, Self::splat(std::f32::consts::LOG2_E));
+        let shift = Self::splat(12_582_912.0);
+        let n = Self::sub(Self::add(t, shift), shift);
+        let r = Self::fma(n, Self::splat(-LN2_HI), x);
+        let r = Self::fma(n, Self::splat(-LN2_LO), r);
+        let mut p = Self::splat(EXP_POLY[0]);
+        for &c in &EXP_POLY[1..] {
+            p = Self::fma(p, r, Self::splat(c));
+        }
+        let p = Self::fma(p, Self::mul(r, r), Self::add(r, Self::splat(1.0)));
+        let scale = Self::min(Self::splat(127.0), Self::max(n, Self::splat(-127.0)));
+        let rest = Self::f32_to_i32(Self::sub(n, scale));
+        Self::mul(
+            Self::mul(p, Self::pow2i(rest)),
+            Self::pow2i(Self::f32_to_i32(scale)),
+        )
+    }
 }
+
+/// [`SimdF32::exp`]'s input clamps: below `EXP_LO` the result is zero,
+/// above `EXP_HI` infinity, and in between `-151 <= n <= 145`, so the
+/// remainder `n - clamp(n, -127, 127)` is a normal power of two.
+const EXP_LO: f32 = -104.0;
+/// See [`EXP_LO`].
+const EXP_HI: f32 = 100.0;
+/// `ln 2` split so that `n * LN2_HI` is exact for `|n| < 2^15`: this is
+/// 355/512 exactly.
+const LN2_HI: f32 = 0.693_359_4;
+/// `ln 2 - LN2_HI`.
+const LN2_LO: f32 = -2.121_944_4e-4;
+/// Cephes' `expf` coefficients for `(e^r - 1 - r) / r^2`, highest
+/// degree first.
+const EXP_POLY: [f32; 6] = [
+    1.987_569_1e-4,
+    1.398_199_9e-3,
+    8.333_452e-3,
+    4.166_579_6e-2,
+    1.666_666_5e-1,
+    0.5,
+];
 
 /// The u8×i8 dot product of the int8 brgemm, split into operand loads
 /// and the multiply-accumulate so a register block loads (and, where the
@@ -174,10 +235,26 @@ impl SimdF32 for ScalarBackend {
         v
     }
     #[inline(always)]
+    unsafe fn sub(a: Self::V, b: Self::V) -> Self::V {
+        let mut v = [0.0; 8];
+        for l in 0..8 {
+            v[l] = a[l] - b[l];
+        }
+        v
+    }
+    #[inline(always)]
     unsafe fn mul(a: Self::V, b: Self::V) -> Self::V {
         let mut v = [0.0; 8];
         for l in 0..8 {
             v[l] = a[l] * b[l];
+        }
+        v
+    }
+    #[inline(always)]
+    unsafe fn div(a: Self::V, b: Self::V) -> Self::V {
+        let mut v = [0.0; 8];
+        for l in 0..8 {
+            v[l] = a[l] / b[l];
         }
         v
     }
@@ -279,6 +356,10 @@ impl SimdF32 for ScalarBackend {
             o[l] = v[l] as f32;
         }
         o
+    }
+    #[inline(always)]
+    unsafe fn pow2i(n: Self::VI) -> Self::V {
+        n.map(|n| f32::from_bits((n.wrapping_add(127) as u32).wrapping_shl(23)))
     }
 }
 

@@ -14,6 +14,7 @@
 
 use super::body;
 use super::simd::{DotU8I8, SimdF32};
+use crate::chain::{RowChain, MAX_BUFFERS};
 use core::arch::x86_64::*;
 
 /// `vmaskmovps` masks: the 8 lanes starting at index `8 - len` have
@@ -103,8 +104,16 @@ impl SimdF32 for Avx2 {
         _mm256_add_ps(a, b)
     }
     #[inline(always)]
+    unsafe fn sub(a: Self::V, b: Self::V) -> Self::V {
+        _mm256_sub_ps(a, b)
+    }
+    #[inline(always)]
     unsafe fn mul(a: Self::V, b: Self::V) -> Self::V {
         _mm256_mul_ps(a, b)
+    }
+    #[inline(always)]
+    unsafe fn div(a: Self::V, b: Self::V) -> Self::V {
+        _mm256_div_ps(a, b)
     }
     #[inline(always)]
     unsafe fn max(a: Self::V, b: Self::V) -> Self::V {
@@ -183,6 +192,11 @@ impl SimdF32 for Avx2 {
     #[inline(always)]
     unsafe fn i32_to_f32(v: Self::VI) -> Self::V {
         _mm256_cvtepi32_ps(v)
+    }
+    #[inline(always)]
+    unsafe fn pow2i(n: Self::VI) -> Self::V {
+        let biased = _mm256_add_epi32(n, _mm256_set1_epi32(127));
+        _mm256_castsi256_ps(_mm256_slli_epi32::<23>(biased))
     }
 }
 
@@ -301,8 +315,16 @@ impl SimdF32 for Avx512 {
         _mm512_add_ps(a, b)
     }
     #[inline(always)]
+    unsafe fn sub(a: Self::V, b: Self::V) -> Self::V {
+        _mm512_sub_ps(a, b)
+    }
+    #[inline(always)]
     unsafe fn mul(a: Self::V, b: Self::V) -> Self::V {
         _mm512_mul_ps(a, b)
+    }
+    #[inline(always)]
+    unsafe fn div(a: Self::V, b: Self::V) -> Self::V {
+        _mm512_div_ps(a, b)
     }
     #[inline(always)]
     unsafe fn max(a: Self::V, b: Self::V) -> Self::V {
@@ -370,6 +392,11 @@ impl SimdF32 for Avx512 {
     #[inline(always)]
     unsafe fn i32_to_f32(v: Self::VI) -> Self::V {
         _mm512_cvtepi32_ps(v)
+    }
+    #[inline(always)]
+    unsafe fn pow2i(n: Self::VI) -> Self::V {
+        let biased = _mm512_add_epi32(n, _mm512_set1_epi32(127));
+        _mm512_castsi512_ps(_mm512_slli_epi32::<23>(biased))
     }
 }
 
@@ -473,6 +500,21 @@ macro_rules! isa_entry_points {
             #[target_feature(enable = $feat)]
             pub(crate) unsafe fn relu_inplace(buf: &mut [f32]) {
                 body::relu_inplace::<$simd>(buf)
+            }
+
+            #[target_feature(enable = $feat)]
+            pub(crate) unsafe fn exp(src: *const f32, dst: *mut f32, n: usize) {
+                body::exp::<$simd>(src, dst, n)
+            }
+
+            #[target_feature(enable = $feat)]
+            pub(crate) unsafe fn row_chain(
+                c: &RowChain,
+                src: *const f32,
+                dst: *mut f32,
+                side: &[*const f32; MAX_BUFFERS - 1],
+            ) {
+                body::row_chain::<$simd>(c, src, dst, side)
             }
 
             #[target_feature(enable = $feat)]

@@ -3,9 +3,11 @@
 //! Fusible OPs lowered into a template anchor become loops whose
 //! innermost dimension is executed by one of these slice kernels — the
 //! reproduction's stand-in for the vectorized code the JIT emits. The
-//! hottest kernels (relu, add, mul, accumulate) are [`Kernels`] methods
-//! that run, and are counted, on the handle's explicit-SIMD backend; the
-//! rest are scalar loops LLVM autovectorizes, the same on every handle.
+//! hottest kernels (relu, exp, add, mul, accumulate) are [`Kernels`]
+//! methods that run, and are counted, on the handle's explicit-SIMD
+//! backend; the rest are scalar loops LLVM autovectorizes, the same on
+//! every handle. The vector `exp` is a polynomial within 2 ulp of
+//! [`UnaryOp::apply`]'s libm `expf`, not bit-identical to it.
 
 use crate::arch::{Family, Kernels};
 
@@ -99,6 +101,12 @@ impl Kernels {
                 // CPU support.
                 unsafe { (self.table.relu)(src, dst) };
             }
+            UnaryOp::Exp => {
+                self.record(Family::Eltwise);
+                // SAFETY: lengths asserted equal; `kernels` verified CPU
+                // support.
+                unsafe { (self.table.exp)(src.as_ptr(), dst.as_mut_ptr(), dst.len()) };
+            }
             UnaryOp::Identity => dst.copy_from_slice(src),
             UnaryOp::Square => {
                 for (d, &s) in dst.iter_mut().zip(src) {
@@ -125,6 +133,12 @@ impl Kernels {
                 self.record(Family::Eltwise);
                 // SAFETY: `kernels` verified CPU support.
                 unsafe { (self.table.relu_inplace)(buf) };
+            }
+            UnaryOp::Exp => {
+                self.record(Family::Eltwise);
+                // SAFETY: `kernels` verified CPU support; the body allows
+                // `src == dst`.
+                unsafe { (self.table.exp)(buf.as_ptr(), buf.as_mut_ptr(), buf.len()) };
             }
             UnaryOp::Identity => {}
             _ => {
@@ -290,7 +304,9 @@ mod tests {
             let mut dst = vec![0f32; src.len()];
             Kernels::default().unary(op, &src, &mut dst);
             for (d, &s) in dst.iter().zip(&src) {
-                assert_eq!(*d, op.apply(s), "{op:?}");
+                // the vector exp is within 2 ulp of libm's
+                let ulps = (d.to_bits() as i64 - op.apply(s).to_bits() as i64).abs();
+                assert!(ulps <= if op == UnaryOp::Exp { 2 } else { 0 }, "{op:?}");
             }
         }
     }

@@ -10,8 +10,9 @@
 //!   for differential testing;
 //! - [`eltwise`] — vectorizable slice kernels for fused unary/binary
 //!   post-ops;
-//! - [`reduce`] — reduction kernels, including the running accumulators
-//!   used by split (two-anchor) reduction post-ops;
+//! - [`reduce`] — row and slice reduction kernels;
+//! - [`chain`] — the row-chain kernel: a post-op chain that reduces (a
+//!   fused softmax) as one program per row block;
 //! - [`epilogue`] — the int8 dequantize/compensate/requantize epilogue
 //!   from the paper's low-precision equation;
 //! - [`tail`] — edge-tile variants for ragged shapes: clamped-height
@@ -47,6 +48,7 @@
 
 pub mod arch;
 pub mod brgemm;
+pub mod chain;
 pub mod eltwise;
 pub mod epilogue;
 pub mod reduce;
@@ -54,4 +56,6 @@ pub mod tail;
 
 pub use arch::{dispatch_report, kernels, DispatchReport, Isa, Kernels};
 pub use brgemm::BrgemmShape;
+pub use chain::{ChainStep, RowChain};
 pub use eltwise::{BinaryOp, UnaryOp};
+pub use reduce::ReduceOp;

@@ -1,26 +1,18 @@
-//! Reduction kernels for fused reduction post-ops (softmax's max and
-//! sum, bias gradients, etc.). Slice reductions are [`Kernels`] methods
-//! that run on the handle's backend; lane-width accumulators mean the
-//! f32 summation order differs across backends (within the 1e-5
-//! cross-ISA tolerance), but is fixed for one handle.
+//! Reduction kernels for standalone row reductions (an unfused softmax's
+//! max and sum run inside [`crate::RowChain`] instead). Slice reductions
+//! are [`Kernels`] methods that run on the handle's backend; lane-width
+//! accumulators mean the f32 summation order differs across backends
+//! (within the 1e-5 cross-ISA tolerance), but is fixed for one handle.
 
 use crate::arch::{Family, Kernels};
 
-/// Elementwise running maximum: `acc[i] = max(acc[i], xs[i])`.
-///
-/// Used for the *partial* half of a split reduction post-op (the paper's
-/// two-anchor reduction: partials at anchor #1, final at #2/#3).
-///
-/// # Panics
-///
-/// Panics if lengths differ.
-pub fn accumulate_max(acc: &mut [f32], xs: &[f32]) {
-    assert_eq!(acc.len(), xs.len());
-    for (a, &x) in acc.iter_mut().zip(xs) {
-        if x > *a {
-            *a = x;
-        }
-    }
+/// Row reduction flavour (fused reduction post-ops, row-chain stages).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReduceOp {
+    /// Row-wise sum.
+    Sum,
+    /// Row-wise max.
+    Max,
 }
 
 impl Kernels {
@@ -36,18 +28,6 @@ impl Kernels {
         self.record(Family::Reduce);
         // SAFETY: `kernels` verified CPU support.
         unsafe { (self.table.reduce_sum)(xs) }
-    }
-
-    /// Elementwise running sum: `acc[i] += xs[i]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths differ.
-    pub fn accumulate_sum(&self, acc: &mut [f32], xs: &[f32]) {
-        assert_eq!(acc.len(), xs.len());
-        self.record(Family::Reduce);
-        // SAFETY: lengths asserted equal above.
-        unsafe { (self.table.acc_add)(xs, acc) };
     }
 
     /// Row-wise max of a `[rows, cols]` tile into `out[rows]`, counted
@@ -107,18 +87,6 @@ mod tests {
             let naive: f32 = xs.iter().sum();
             assert!((Kernels::default().reduce_sum(&xs) - naive).abs() < 1e-5);
         }
-    }
-
-    #[test]
-    fn running_accumulators() {
-        let mut mx = vec![f32::NEG_INFINITY; 3];
-        accumulate_max(&mut mx, &[1.0, 5.0, -1.0]);
-        accumulate_max(&mut mx, &[2.0, 3.0, -2.0]);
-        assert_eq!(mx, vec![2.0, 5.0, -1.0]);
-        let mut s = vec![0f32; 3];
-        Kernels::default().accumulate_sum(&mut s, &[1.0, 2.0, 3.0]);
-        Kernels::default().accumulate_sum(&mut s, &[1.0, 2.0, 3.0]);
-        assert_eq!(s, vec![2.0, 4.0, 6.0]);
     }
 
     #[test]

@@ -522,6 +522,78 @@ fn epilogue_requant_sweep_bit_exact() {
     }
 }
 
+/// `|got - exact|` in units of the f32 spacing at `exact`.
+fn ulps(got: f32, exact: f64) -> f64 {
+    let spacing =
+        f64::from(f32::from_bits((exact as f32).abs().to_bits() & 0x7f80_0000)) * 2f64.powi(-23);
+    (f64::from(got) - exact).abs() / spacing
+}
+
+#[test]
+fn exp_within_two_ulp_of_f64_and_saturates_cleanly() {
+    // a dense sweep of the normal-result range, odd-length so every
+    // backend also runs its remainder path, plus the range ends
+    let (lo, hi) = (-87.3f32, 88.7f32);
+    let n = 400_001;
+    let mut xs: Vec<f32> = (0..n)
+        .map(|i| lo + (hi - lo) * (i as f32 / (n - 1) as f32))
+        .collect();
+    xs.extend([lo, hi, 0.0, -0.0, 1e-30, -1e-30, f32::MIN_POSITIVE]);
+    for isa in available() {
+        let kern = kernels(isa);
+        let mut got = vec![0f32; xs.len()];
+        kern.unary(gc_microkernel::UnaryOp::Exp, &xs, &mut got);
+        for (&x, &g) in xs.iter().zip(&got) {
+            let e = ulps(g, f64::from(x).exp());
+            assert!(e <= 2.0, "exp {isa} x={x:e}: {g:e} is {e:.2} ulp off");
+        }
+        // in place is the same kernel
+        let mut again = xs.clone();
+        kern.unary_inplace(gc_microkernel::UnaryOp::Exp, &mut again);
+        assert_eq!(bits(&again), bits(&got), "exp in place {isa}");
+
+        // below the range: zero or a subnormal close to the true value;
+        // -inf is exactly zero
+        let under = [
+            -87.4f32,
+            -88.0,
+            -95.0,
+            -103.9,
+            -104.0,
+            -150.0,
+            -1e30,
+            f32::MIN,
+        ];
+        let mut u = vec![0f32; under.len()];
+        kern.unary(gc_microkernel::UnaryOp::Exp, &under, &mut u);
+        for (&x, &g) in under.iter().zip(&u) {
+            let exact = f64::from(x).exp();
+            assert!(
+                g >= 0.0 && (f64::from(g) - exact).abs() < 1e-37,
+                "exp {isa} x={x:e}: {g:e}"
+            );
+        }
+        // above it, and the non-finite inputs
+        let special = [
+            88.73f32,
+            89.0,
+            100.0,
+            1e30,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ];
+        let mut s = vec![0f32; special.len()];
+        kern.unary(gc_microkernel::UnaryOp::Exp, &special, &mut s);
+        assert!(
+            s[..5].iter().all(|&g| g == f32::INFINITY),
+            "exp {isa} overflow: {s:?}"
+        );
+        assert_eq!(s[5].to_bits(), 0, "exp {isa} -inf");
+        assert!(s[6].is_nan(), "exp {isa} NaN");
+    }
+}
+
 #[test]
 fn best_detected_isa_is_exercised() {
     // Guards against the matrix silently collapsing to scalar-only: on

@@ -520,7 +520,6 @@ mod tests {
                 op: ReduceOp::Sum,
                 rows: 2,
                 cols: 4,
-                accumulate: false,
             },
             [
                 View::new(BufId::Param(1), 0usize, 8),

@@ -10,6 +10,7 @@
 use crate::expr::{Expr, VarId};
 use gc_microkernel::brgemm::BrgemmShape;
 use gc_microkernel::{BinaryOp, UnaryOp};
+pub use gc_microkernel::{ReduceOp, RowChain};
 use gc_tensor::DataType;
 
 /// Reference to a buffer visible inside a function.
@@ -73,15 +74,6 @@ impl From<View> for Operand {
             offset: v.offset,
         }
     }
-}
-
-/// Reduction flavour for [`Op::ReduceRows`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReduceOp {
-    /// Row-wise sum.
-    Sum,
-    /// Row-wise max.
-    Max,
 }
 
 /// Geometry shared by the batch-reduce GEMM kinds. Operands are
@@ -293,8 +285,8 @@ pub enum Op {
         /// Columns.
         cols: usize,
     },
-    /// Row-wise reduction of a tile into `acc[rows]`. Operands `src`
-    /// (tile), `acc`.
+    /// Row-wise reduction of a tile into `out[rows]`. Operands `src`
+    /// (tile), `out`.
     ReduceRows {
         /// Sum or max.
         op: ReduceOp,
@@ -302,9 +294,6 @@ pub enum Op {
         rows: usize,
         /// Columns.
         cols: usize,
-        /// Combine with existing accumulator contents (the partial half
-        /// of a split reduction post-op).
-        accumulate: bool,
     },
     /// Int8 epilogue: dequantize an i32 accumulator tile applying
     /// zero-point compensation, combined scale and optional bias.
@@ -375,10 +364,21 @@ pub enum Op {
         /// Elements.
         len: usize,
     },
+    /// A fused post-op chain that reduces (softmax), run over one row
+    /// block of `rows x tiles x cols` f32 elements in the blocked
+    /// `[tiles][rows][cols]` layout — see [`RowChain`]. Operands: the
+    /// tile, the program's side operands in order (row vectors of
+    /// `tiles * cols`, plain `[rows][tiles * cols]` blocks) and, when the
+    /// chain [`RowChain::stores`], the destination in the tile's layout;
+    /// otherwise the tile is updated in place. Row stats live inside the
+    /// call.
+    RowChain(RowChain),
 }
 
-/// Most operands any op takes (`DequantAcc` with bias).
+/// Most operands any op takes (`DequantAcc` with bias, a full
+/// [`RowChain`]).
 pub const MAX_OPERANDS: usize = 4;
+const _: () = assert!(gc_microkernel::chain::MAX_BUFFERS <= MAX_OPERANDS);
 /// Most axis clamps any op takes (the clamped 2-D copies).
 pub const MAX_CLAMPS: usize = 2;
 
@@ -687,15 +687,7 @@ impl Op {
             Op::BinaryColBcast { rows, cols, .. } => {
                 unclamped(&[rd(F32, rows * cols), rd(F32, rows), wr(F32, rows * cols)])
             }
-            Op::ReduceRows {
-                rows,
-                cols,
-                accumulate,
-                ..
-            } => {
-                let out = if accumulate { acc } else { wr };
-                unclamped(&[rd(F32, rows * cols), out(F32, rows)])
-            }
+            Op::ReduceRows { rows, cols, .. } => unclamped(&[rd(F32, rows * cols), wr(F32, rows)]),
             Op::DequantAcc {
                 rows, cols, bias, ..
             } => {
@@ -710,6 +702,24 @@ impl Op {
             Op::CastI32F32 { len } => unclamped(&[rd(I32, len), wr(F32, len)]),
             Op::AddF32 { len } => unclamped(&[rd(F32, len), acc(F32, len)]),
             Op::AddI32 { len } => unclamped(&[rd(I32, len), acc(I32, len)]),
+            Op::RowChain(c) => {
+                let n = c.elems();
+                let mut all = [rd(F32, n); MAX_OPERANDS];
+                if !c.stores() {
+                    all[0] = acc(F32, n);
+                }
+                let side = c.side_operands();
+                for (i, s) in all[1..=side].iter_mut().enumerate() {
+                    *s = rd(F32, c.side_len(i));
+                }
+                if c.stores() {
+                    all[side + 1] = wr(F32, n);
+                }
+                let mut d = unclamped(&all[..c.buffers()]);
+                // one unit per element per step
+                d.work = (n * c.steps().len().max(1)) as u64;
+                d
+            }
         }
     }
 }
@@ -1031,6 +1041,13 @@ mod tests {
             ))],
         ));
         f
+    }
+
+    #[test]
+    fn op_stays_one_cache_line() {
+        // plans store `Op` inline in every compiled intrinsic; a row
+        // chain's program is sized to fit, not boxed
+        assert_eq!(std::mem::size_of::<Op>(), 64);
     }
 
     #[test]

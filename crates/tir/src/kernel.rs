@@ -327,30 +327,11 @@ pub(crate) fn run_op(
                 }
             });
         },
-        Op::ReduceRows {
-            op,
-            rows,
-            cols,
-            accumulate,
-        } => unsafe {
-            let ssl: &[f32] = sl(o[0], rows * cols);
-            let asl: &mut [f32] = sl(o[1], rows);
-            match (op, accumulate) {
-                (ReduceOp::Max, false) => k.reduce_rows_max(ssl, rows, cols, asl),
-                (ReduceOp::Sum, false) => k.reduce_rows_sum(ssl, rows, cols, asl),
-                (ReduceOp::Max, true) => {
-                    for (a, row) in asl.iter_mut().zip(ssl.chunks_exact(cols)) {
-                        let m = k.reduce_max(row);
-                        if m > *a {
-                            *a = m;
-                        }
-                    }
-                }
-                (ReduceOp::Sum, true) => {
-                    for (a, row) in asl.iter_mut().zip(ssl.chunks_exact(cols)) {
-                        *a += k.reduce_sum(row);
-                    }
-                }
+        Op::ReduceRows { op, rows, cols } => unsafe {
+            let (ssl, osl) = (sl(o[0], rows * cols), sl(o[1], rows));
+            match op {
+                ReduceOp::Max => k.reduce_rows_max(ssl, rows, cols, osl),
+                ReduceOp::Sum => k.reduce_rows_sum(ssl, rows, cols, osl),
             }
         },
         Op::DequantAcc {
@@ -408,6 +389,20 @@ pub(crate) fn run_op(
             assert_disjoint(o[0], o[1], len);
             unsafe { eltwise::acc_add_i32(sl(o[0], len), sl(o[1], len)) };
         }
+        Op::RowChain(c) => unsafe {
+            let (n, side) = (c.elems(), c.side_operands());
+            let mut reads: [&[f32]; MAX_OPERANDS] = [&[]; MAX_OPERANDS];
+            for (i, r) in reads[..side].iter_mut().enumerate() {
+                *r = sl(o[1 + i], c.side_len(i));
+            }
+            if c.stores() {
+                let dst = o[1 + side];
+                assert_disjoint(o[0], dst, n);
+                k.row_chain(&c, Some(sl(o[0], n)), sl(dst, n), &reads[..side]);
+            } else {
+                k.row_chain(&c, None, sl(o[0], n), &reads[..side]);
+            }
+        },
     }
 }
 

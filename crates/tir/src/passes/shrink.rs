@@ -104,16 +104,22 @@ fn upper_bound(e: &Expr, max_of: &HashMap<VarId, i64>) -> Option<i64> {
     }
 }
 
+/// A serial loop: its ordinal in the function (sibling loops may reuse a
+/// variable, so the variable alone does not name the loop) and its
+/// variable.
+type LoopId = (usize, VarId);
+
 struct AccessRec {
     offset: Expr,
     len: usize,
-    /// serial loop vars enclosing this access (outermost first)
-    serial_vars: Vec<VarId>,
+    /// serial loops enclosing this access (outermost first)
+    serial_loops: Vec<LoopId>,
 }
 
 fn collect(
     stmts: &[Stmt],
-    serial_stack: &mut Vec<VarId>,
+    serial_stack: &mut Vec<LoopId>,
+    loops: &mut usize,
     extents: &mut HashMap<VarId, i64>,
     out: &mut HashMap<usize, Vec<AccessRec>>,
 ) {
@@ -126,10 +132,11 @@ fn collect(
                 body,
             } => {
                 extents.insert(*var, (*extent as i64 - 1).max(0));
+                *loops += 1;
                 if !*parallel {
-                    serial_stack.push(*var);
+                    serial_stack.push((*loops, *var));
                 }
-                collect(body, serial_stack, extents, out);
+                collect(body, serial_stack, loops, extents, out);
                 if !*parallel {
                     serial_stack.pop();
                 }
@@ -140,7 +147,7 @@ fn collect(
                         out.entry(l).or_default().push(AccessRec {
                             offset: a.offset,
                             len: a.len,
-                            serial_vars: serial_stack.clone(),
+                            serial_loops: serial_stack.clone(),
                         });
                     }
                 }
@@ -154,7 +161,13 @@ pub fn shrink_locals(func: &mut Func) -> ShrinkStats {
     let bytes_before = func.local_bytes();
     let mut accesses: HashMap<usize, Vec<AccessRec>> = HashMap::new();
     let mut extents: HashMap<VarId, i64> = HashMap::new();
-    collect(&func.body, &mut Vec::new(), &mut extents, &mut accesses);
+    collect(
+        &func.body,
+        &mut Vec::new(),
+        &mut 0,
+        &mut extents,
+        &mut accesses,
+    );
 
     let mut shrunk = 0usize;
     let mut rewrites: Vec<(usize, VarId)> = Vec::new();
@@ -162,14 +175,14 @@ pub fn shrink_locals(func: &mut Func) -> ShrinkStats {
         if recs.is_empty() {
             continue;
         }
-        // candidate vars: serial vars enclosing every access
-        let mut common: Vec<VarId> = recs[0].serial_vars.clone();
+        // candidates: serial loops enclosing every access
+        let mut common: Vec<LoopId> = recs[0].serial_loops.clone();
         for r in &recs[1..] {
-            let set: HashSet<_> = r.serial_vars.iter().copied().collect();
-            common.retain(|v| set.contains(v));
+            let set: HashSet<_> = r.serial_loops.iter().copied().collect();
+            common.retain(|l| set.contains(l));
         }
         // try outermost candidates first (biggest shrink)
-        'vars: for v in common {
+        'vars: for (_, v) in common {
             let mut coef: Option<i64> = None;
             let mut ok = true;
             for r in recs {
@@ -362,6 +375,45 @@ mod tests {
         let stats = shrink_locals(&mut f);
         assert_eq!(stats.shrunk, 0);
         assert_eq!(f.locals[0].elems, 64);
+    }
+
+    #[test]
+    fn sibling_loops_sharing_a_var_are_not_one_loop() {
+        // producer `for v { local[v*8..] = .. }` then consumer
+        // `for v { .. = local[v*8..] }`: per loop the window is 8, but the
+        // consumer needs every producer iteration's window, so the local
+        // must keep all 32 elements
+        let v = VarId(0);
+        let sweep = |op, from: BufId, to: BufId| {
+            Stmt::loop_(
+                v,
+                4,
+                vec![Stmt::Op(Intrinsic::new(
+                    Op::Unary { op, len: 8 },
+                    [
+                        View::new(from, Expr::v(v).mul(Expr::c(8)), 8),
+                        View::new(to, Expr::v(v).mul(Expr::c(8)), 8),
+                    ],
+                    [],
+                ))],
+            )
+        };
+        let mut f = Func {
+            name: "f".into(),
+            params: vec![
+                BufDecl::new(DataType::F32, 32, "in"),
+                BufDecl::new(DataType::F32, 32, "out"),
+            ],
+            locals: vec![BufDecl::new(DataType::F32, 32, "t")],
+            var_count: 1,
+            body: vec![
+                sweep(UnaryOp::Relu, BufId::Param(0), BufId::Local(0)),
+                sweep(UnaryOp::Identity, BufId::Local(0), BufId::Param(1)),
+            ],
+        };
+        let stats = shrink_locals(&mut f);
+        assert_eq!(stats.shrunk, 0);
+        assert_eq!(f.locals[0].elems, 32);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Human-readable Tensor IR printer (diagnostics and golden tests).
 
 use crate::ir::{BufId, Footprint, Func, Intrinsic, Module, Op, Stmt};
+use gc_microkernel::ChainStep;
 use std::fmt::Write;
 
 fn buf_str(f: &Func, b: BufId) -> String {
@@ -85,17 +86,9 @@ fn intr_str(f: &Func, i: &Intrinsic) -> String {
         Op::BinaryColBcast { op, rows, cols } => {
             format!("{op:?}.colb {} = {}, {} ({rows}x{cols})", o[2], o[0], o[1])
         }
-        Op::ReduceRows {
-            op,
-            rows,
-            cols,
-            accumulate,
-        } => format!(
-            "reduce.{op:?}{} {} <- {} ({rows}x{cols})",
-            if accumulate { ".acc" } else { "" },
-            o[1],
-            o[0]
-        ),
+        Op::ReduceRows { op, rows, cols } => {
+            format!("reduce.{op:?} {} <- {} ({rows}x{cols})", o[1], o[0])
+        }
         Op::DequantAcc { rows, cols, .. } => {
             format!("dequant_acc {} = {} ({rows}x{cols})", o[2], o[0])
         }
@@ -108,6 +101,32 @@ fn intr_str(f: &Func, i: &Intrinsic) -> String {
         Op::CastI32F32 { .. } => format!("cast.i32f32 {} = {}", o[1], o[0]),
         Op::AddF32 { .. } => format!("add.f32.acc {} += {}", o[1], o[0]),
         Op::AddI32 { .. } => format!("add.i32.acc {} += {}", o[1], o[0]),
+        Op::RowChain(c) => {
+            let steps: Vec<String> = c
+                .steps()
+                .iter()
+                .map(|s| match *s {
+                    ChainStep::Unary(op) => format!("{op:?}"),
+                    ChainStep::Scalar(op, k) => format!("{op:?}.s {}", c.constant(k)),
+                    ChainStep::RowVec(op, i) => format!("{op:?}.rowb {}", o[1 + usize::from(i)]),
+                    ChainStep::Full(op, i) => format!("{op:?}.full {}", o[1 + usize::from(i)]),
+                    ChainStep::Stat(op) => format!("{op:?}.colb"),
+                    ChainStep::Reduce(op) => format!("reduce.{op:?}"),
+                })
+                .collect();
+            let io = if c.stores() {
+                format!("{} = {}", o[o.len() - 1], o[0])
+            } else {
+                o[0].clone()
+            };
+            format!(
+                "row_chain {io} ({}x{} x{}): {}",
+                c.rows(),
+                c.cols(),
+                c.tiles(),
+                steps.join("; ")
+            )
+        }
     }
 }
 

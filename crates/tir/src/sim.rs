@@ -257,6 +257,8 @@ fn compute_cycles(op: &Op, machine: &MachineDescriptor, bases: &[usize]) -> f64 
             copy(g)
         }
         Op::CompAccumulate { nb, kb } => (nb * kb) as f64 / 16.0,
+        // one vector op per element per step, as the per-op kinds charge
+        Op::RowChain(c) => (c.elems() * c.steps().len()) as f64 / lanes,
     }
 }
 

@@ -28,7 +28,7 @@ use gc_microkernel::{kernels, BinaryOp, Isa, Kernels, UnaryOp};
 use gc_runtime::ThreadPool;
 use gc_tensor::{DataType, Storage};
 use gc_tir::exec::run_module;
-use gc_tir::ir::{Brgemm, Copy2D, ElemType, Role};
+use gc_tir::ir::{Brgemm, Copy2D, ElemType, Role, RowChain};
 use gc_tir::plan::{run_plan_call, PlanScratch};
 use gc_tir::{
     compile_module, validate_module, BufDecl, BufId, Call, ExecOptions, Expr, Func, GlobalDecl,
@@ -41,7 +41,7 @@ const GUARD: usize = 5;
 /// Every intrinsic kind. A new `Op` variant stops [`kind`] compiling:
 /// name it there, list it here, and give it cases in [`cases`] — the
 /// coverage test fails until it has one.
-const KINDS: [&str; 24] = [
+const KINDS: [&str; 25] = [
     "BrgemmF32",
     "BrgemmU8I8",
     "FillF32",
@@ -66,6 +66,7 @@ const KINDS: [&str; 24] = [
     "CastI32F32",
     "AddF32",
     "AddI32",
+    "RowChain",
 ];
 
 fn kind(op: &Op) -> &'static str {
@@ -94,6 +95,7 @@ fn kind(op: &Op) -> &'static str {
         Op::CastI32F32 { .. } => "CastI32F32",
         Op::AddF32 { .. } => "AddF32",
         Op::AddI32 { .. } => "AddI32",
+        Op::RowChain(_) => "RowChain",
     }
 }
 
@@ -249,11 +251,10 @@ fn cases() -> Vec<Case> {
         rows: 3,
         cols: 4,
     };
-    let reduce = |op, accumulate| Op::ReduceRows {
+    let reduce = |op| Op::ReduceRows {
         op,
         rows: 3,
         cols: 4,
-        accumulate,
     };
     let dequant_acc = |bias| Op::DequantAcc {
         rows: 3,
@@ -286,18 +287,8 @@ fn cases() -> Vec<Case> {
             col_bcast(BinaryOp::Sub),
             &[0, 1, 0],
         ),
-        case("reduce sum", reduce(ReduceOp::Sum, false), &[0, 1]),
-        case("reduce max", reduce(ReduceOp::Max, false), &[0, 1]),
-        case(
-            "reduce sum accumulate",
-            reduce(ReduceOp::Sum, true),
-            &[0, 1],
-        ),
-        case(
-            "reduce max accumulate",
-            reduce(ReduceOp::Max, true),
-            &[0, 1],
-        ),
+        case("reduce sum", reduce(ReduceOp::Sum), &[0, 1]),
+        case("reduce max", reduce(ReduceOp::Max), &[0, 1]),
         case("dequant acc", dequant_acc(false), &[0, 1, 2]),
         case("dequant acc bias", dequant_acc(true), &[0, 1, 2, 3]),
         case(
@@ -328,6 +319,65 @@ fn cases() -> Vec<Case> {
         case("add f32", Op::AddF32 { len: 9 }, &[0, 1]),
         case("add i32", Op::AddI32 { len: 9 }, &[0, 1]),
     ]);
+    v.extend(row_chain_cases());
+    v
+}
+
+/// Row chains over a 3-row block of two 5-column tiles (odd widths, so
+/// every backend runs its tail path), each once in place and once
+/// storing to a separate destination: a fused softmax, every other step
+/// kind, a first pass with no steps (a standalone softmax) and a chain
+/// that ends in a reduction.
+fn row_chain_cases() -> Vec<Case> {
+    type Build = fn(&mut RowChain) -> Option<()>;
+    let programs: [(&str, Build); 4] = [
+        ("softmax", |c| {
+            c.scalar(BinaryOp::Div, 1.5)?;
+            c.row_vec(BinaryOp::Add)?;
+            c.reduce(ReduceOp::Max)?;
+            c.stat(BinaryOp::Sub)?;
+            c.unary(UnaryOp::Exp)?;
+            c.reduce(ReduceOp::Sum)?;
+            c.stat(BinaryOp::Div)
+        }),
+        ("every step", |c| {
+            c.full(BinaryOp::Sub)?;
+            for op in [UnaryOp::Neg, UnaryOp::Square, UnaryOp::Tanh, UnaryOp::Gelu] {
+                c.unary(op)?;
+            }
+            c.scalar(BinaryOp::Mul, 0.75)?;
+            c.reduce(ReduceOp::Sum)?;
+            c.stat(BinaryOp::Max)?;
+            c.row_vec(BinaryOp::Min)?;
+            c.unary(UnaryOp::Sigmoid)?;
+            c.reduce(ReduceOp::Max)?;
+            c.stat(BinaryOp::Mul)
+        }),
+        ("empty first pass", |c| {
+            c.reduce(ReduceOp::Max)?;
+            c.stat(BinaryOp::Sub)?;
+            c.unary(UnaryOp::Relu)?;
+            c.full(BinaryOp::Div)
+        }),
+        ("ends in a reduction", |c| {
+            c.unary(UnaryOp::Exp)?;
+            c.reduce(ReduceOp::Sum)
+        }),
+    ];
+    let mut v = Vec::new();
+    for (name, build) in programs {
+        for store in [false, true] {
+            let mut c = RowChain::new(3, 5, 2, store);
+            build(&mut c).expect("program fits");
+            let bufs: Vec<usize> = (0..c.buffers()).collect();
+            let mode = if store { "storing" } else { "in place" };
+            v.push(case(
+                &format!("row chain {name} {mode}"),
+                Op::RowChain(c),
+                &bufs,
+            ));
+        }
+    }
     v
 }
 

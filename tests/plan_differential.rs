@@ -125,6 +125,52 @@ fn mha_f32_multi_thread() {
     );
 }
 
+/// The fused softmax runs as one row-chain call per row block: the plan,
+/// the interpreter and the checked plan (every slice bounds-checked
+/// against the row chain's descriptor spans) must agree bit for bit —
+/// they share the kernel, so any difference is an addressing bug.
+fn row_chain_three_ways(build: impl Fn() -> Graph) {
+    let run = |interpret: bool, checked: bool| {
+        let mut opts = CompileOptions::new(MachineDescriptor::xeon_8358());
+        opts.threads = Some(2);
+        opts.interpret = interpret;
+        opts.checked = checked;
+        let p = Compiler::new(opts).compile(build()).expect("compile");
+        let mut chains = 0;
+        for f in &p.executable().module().funcs {
+            gc_tir::visit::visit_intrinsics(&f.body, &mut |i| {
+                chains += usize::from(matches!(i.op, gc_tir::Op::RowChain(_)));
+            });
+        }
+        assert!(chains > 0, "the softmax must lower to a row chain");
+        let inputs = random_inputs_for(&p, 11);
+        let (outs, _) = p.execute(&inputs).expect("execute");
+        outs[0].f32_slice().expect("f32 output").to_vec()
+    };
+    let plan = run(false, false);
+    for (label, other) in [
+        ("interpreter", run(true, false)),
+        ("checked", run(false, true)),
+    ] {
+        assert_eq!(plan.len(), other.len());
+        for (i, (x, y)) in plan.iter().zip(&other).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{label} [{i}]: {x} vs {y}");
+        }
+    }
+}
+
+#[test]
+fn mha1_b4_row_chain_plan_interpreter_and_checked_agree() {
+    row_chain_three_ways(|| workloads::mha_f32(4, &workloads::mha_configs()[0]).0);
+}
+
+#[test]
+fn decode_row_chain_plan_interpreter_and_checked_agree() {
+    for cap in [64, 128] {
+        row_chain_three_ways(|| workloads::decode_f32(16, cap, 64));
+    }
+}
+
 /// The interpreter mode must actually bypass the plan (guards against
 /// the reference path silently becoming the thing under test).
 #[test]
