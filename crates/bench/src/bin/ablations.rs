@@ -7,11 +7,6 @@
 //!   init stage) vs steady state;
 //! - `buffers`  — memory-buffer reuse + tensor-size optimization:
 //!   peak temporary footprint and projected cycles;
-//! - `kslice`   — the k-slicing matmul template: projected cycles with
-//!   the knob on/off where the tunable-config search selects it (deep-K
-//!   small-M×N on a wide pool), and the merged coarse-fusion path of
-//!   small-batch MLP_1 with and without k-slicing (bypassing the merge
-//!   gate, which on cost grounds prefers the split schedules);
 //! - `ragged`   — pack-time padding + edge-tile kernels on Table 1's
 //!   irregular shapes (MLP_2's prime k=479 first layer and friends):
 //!   projected cycles with ragged blocking on vs the divisor-only
@@ -28,7 +23,7 @@
 //!   (`choose_params_ranked(.., 1)`), which must select the same
 //!   parameters. Rewrites `results/search.txt`.
 //!
-//! Usage: `ablations [anchors|layout|const|buffers|kslice|ragged|simd|search|all] [--threads N]`
+//! Usage: `ablations [anchors|layout|const|buffers|ragged|simd|search|all] [--threads N]`
 //! (`simd --quick`: only the brgemm rows and their not-slower-than-scalar
 //! assert; `search --quick`: only MLP_2, asserting >= 90 % of tiles
 //! pruned, and no file written — the forms CI runs).
@@ -59,18 +54,10 @@ fn main() {
         .unwrap_or_else(|| "all".to_string());
     if !matches!(
         what.as_str(),
-        "anchors"
-            | "layout"
-            | "const"
-            | "buffers"
-            | "kslice"
-            | "ragged"
-            | "simd"
-            | "search"
-            | "all"
+        "anchors" | "layout" | "const" | "buffers" | "ragged" | "simd" | "search" | "all"
     ) {
         eprintln!(
-            "usage: ablations [anchors|layout|const|buffers|kslice|ragged|simd|search|all] [--threads N]"
+            "usage: ablations [anchors|layout|const|buffers|ragged|simd|search|all] [--threads N]"
         );
         std::process::exit(2);
     }
@@ -154,71 +141,6 @@ fn main() {
             println!(
                 "MLP_2 b512   reuse={reuse:<5} shrink={shrink:<5} : peak temp {:>10} bytes, projected {ms:.4} ms",
                 stats.peak_temp_bytes
-            );
-        }
-        println!();
-    }
-
-    if what == "kslice" || what == "all" {
-        use gc_core::pipeline::{optimize_graph, partition_graph};
-        use gc_lowering::{lower_partitions, LowerOptions};
-
-        println!("== ablation: k-slicing template (projected ms) ==");
-        // where the search selects it end-to-end: deep reduction, small
-        // M x N, pool wider than the M x N block grid
-        let mut wide = MachineDescriptor::xeon_8358();
-        wide.cores = 128;
-        for on in [true, false] {
-            let mut o = CompileOptions::new(wide.clone());
-            o.threads = threads;
-            o.k_slice = on;
-            let ms = project_ms(
-                o,
-                workloads::single_matmul(16, 64, 8192, workloads::Precision::F32, 1),
-            );
-            println!("16x64x8192 fp32 @128 cores   k_slice={on:<5} : {ms:.4}");
-        }
-        // the merged coarse-fusion path of small-batch MLP_1, with the
-        // merge gate bypassed: this is what coarse fusion would cost
-        // with and without k-slicing, versus the split schedules the
-        // cost model actually keeps
-        let machine = MachineDescriptor::xeon_8358();
-        for (name, build) in [
-            (
-                "MLP_1 b16 fp32",
-                Box::new(|| workloads::mlp_f32(16, &workloads::mlp1_layers(), 1))
-                    as Box<dyn Fn() -> gc_graph::Graph>,
-            ),
-            (
-                "MLP_1 b16 int8",
-                Box::new(|| workloads::mlp_int8(16, &workloads::mlp1_layers(), 1)),
-            ),
-        ] {
-            let opts = CompileOptions::new(machine.clone());
-            let mut g = build();
-            optimize_graph(&mut g, &opts).expect("optimize");
-            let (parts, _) = partition_graph(&g, &opts).expect("partition");
-            // one forced group over every main partition
-            let merged_groups = gc_graph::CoarseGroups {
-                groups: vec![(0..parts.parts.len()).collect()],
-            };
-            let split_groups = gc_graph::CoarseGroups {
-                groups: (0..parts.parts.len()).map(|pi| vec![pi]).collect(),
-            };
-            let p = |groups: &gc_graph::CoarseGroups, k_slice: bool| {
-                let lo = LowerOptions {
-                    k_slice,
-                    force_coarse_merge: true,
-                    ..LowerOptions::new(machine.clone())
-                };
-                let l = lower_partitions(&g, &parts, groups, &lo).expect("lower");
-                machine.cycles_to_ms(gc_tir::sim::project(&l.module, &machine, 1).cycles)
-            };
-            println!(
-                "{name}   merged+kslice {:.4} | merged-plain {:.4} | split (chosen) {:.4}",
-                p(&merged_groups, true),
-                p(&merged_groups, false),
-                p(&split_groups, true),
             );
         }
         println!();

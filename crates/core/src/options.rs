@@ -36,11 +36,6 @@ pub struct CompileOptions {
     /// Use the primitives-library kernel menu instead of the compiler
     /// heuristic (the baseline runs through this).
     pub library_params: bool,
-    /// Allow the k-slicing matmul template variant: when the `M x N`
-    /// block decomposition underfills the thread pool, split the
-    /// reduction dimension across workers into per-slice partial
-    /// accumulators plus a parallel reduction/epilogue phase.
-    pub k_slice: bool,
     /// Worker threads for execution (None = host parallelism).
     pub threads: Option<usize>,
     /// Run the main stage on the tree-walking interpreter instead of
@@ -92,7 +87,6 @@ impl CompileOptions {
             forced_post_anchor: None,
             forced_pack: None,
             library_params: false,
-            k_slice: true,
             threads: None,
             interpret: false,
             validate: true,

@@ -186,8 +186,6 @@ pub fn lower_for(
             forced_post_anchor: opts.forced_post_anchor,
             forced_pack: opts.forced_pack,
             library_params: opts.library_params,
-            k_slice: opts.k_slice,
-            force_coarse_merge: false,
             ragged,
             overrides: overrides.clone(),
             param_log: opts.param_log.clone(),

@@ -208,7 +208,7 @@ impl TuningDb {
         let entries = self.entries.lock().unwrap();
         let mut keys: Vec<TuneKey> = entries.keys().copied().collect();
         keys.sort();
-        let mut out = String::from("gc-tunedb v1\n");
+        let mut out = String::from("gc-tunedb v2\n");
         for k in keys {
             write_record(&mut out, &k, &entries[&k]);
         }
@@ -280,7 +280,6 @@ fn write_record(out: &mut String, key: &TuneKey, r: &TunedRecord) {
             fixed_mb,
             fixed_kb,
             fixed_tasks,
-            allow_k_slice,
             allow_ragged_m,
             allow_ragged_n,
             allow_ragged_k,
@@ -292,7 +291,6 @@ fn write_record(out: &mut String, key: &TuneKey, r: &TunedRecord) {
             nb,
             kb,
             bs,
-            kpn,
             edge,
         } = c.params;
         let edge = match edge {
@@ -300,13 +298,12 @@ fn write_record(out: &mut String, key: &TuneKey, r: &TunedRecord) {
             EdgePolicy::Tail => "tail",
         };
         out.push_str(&format!(
-            "choice {batch} {m} {n} {k} {elem_bytes} | {} {} {} {} {} {} {} {} | \
-             {mpn} {npn} {mb} {nb} {kb} {bs} {kpn} {edge}\n",
+            "choice {batch} {m} {n} {k} {elem_bytes} | {} {} {} {} {} {} {} | \
+             {mpn} {npn} {mb} {nb} {kb} {bs} {edge}\n",
             u8::from(full_n_per_task),
             opt_usize(fixed_mb),
             opt_usize(fixed_kb),
             opt_usize(fixed_tasks),
-            u8::from(allow_k_slice),
             u8::from(allow_ragged_m),
             u8::from(allow_ragged_n),
             u8::from(allow_ragged_k),
@@ -372,22 +369,21 @@ fn parse_choice(rest: &str) -> io::Result<ParamChoice> {
         elem_bytes: parse_usize(eb)?,
     };
     let c: Vec<&str> = cons.split_whitespace().collect();
-    let [fnt, fmb, fkb, ft, ks, rm, rn, rk] = c[..] else {
-        return Err(bad("constraints section needs 8 fields"));
+    let [fnt, fmb, fkb, ft, rm, rn, rk] = c[..] else {
+        return Err(bad("constraints section needs 7 fields"));
     };
     let constraints = Constraints {
         full_n_per_task: parse_bool(fnt)?,
         fixed_mb: parse_opt_usize(fmb)?,
         fixed_kb: parse_opt_usize(fkb)?,
         fixed_tasks: parse_opt_usize(ft)?,
-        allow_k_slice: parse_bool(ks)?,
         allow_ragged_m: parse_bool(rm)?,
         allow_ragged_n: parse_bool(rn)?,
         allow_ragged_k: parse_bool(rk)?,
     };
     let q: Vec<&str> = par.split_whitespace().collect();
-    let [mpn, npn, mb, nb, kb, bs, kpn, edge] = q[..] else {
-        return Err(bad("params section needs 8 fields"));
+    let [mpn, npn, mb, nb, kb, bs, edge] = q[..] else {
+        return Err(bad("params section needs 7 fields"));
     };
     let params = MatmulParams {
         mpn: parse_usize(mpn)?,
@@ -396,7 +392,6 @@ fn parse_choice(rest: &str) -> io::Result<ParamChoice> {
         nb: parse_usize(nb)?,
         kb: parse_usize(kb)?,
         bs: parse_usize(bs)?,
-        kpn: parse_usize(kpn)?,
         edge: match edge {
             "pad" => EdgePolicy::Pad,
             "tail" => EdgePolicy::Tail,
@@ -413,7 +408,7 @@ fn parse_choice(rest: &str) -> io::Result<ParamChoice> {
 fn parse_db(text: &str) -> io::Result<HashMap<TuneKey, TunedRecord>> {
     let mut lines = text.lines();
     match lines.next() {
-        Some("gc-tunedb v1") => {}
+        Some("gc-tunedb v2") => {}
         other => return Err(bad(format!("bad header {other:?}"))),
     }
     let mut entries = HashMap::new();
@@ -728,7 +723,6 @@ mod tests {
                 fixed_mb: Some(32),
                 fixed_kb: None,
                 fixed_tasks: Some(16),
-                allow_k_slice: true,
                 allow_ragged_m: false,
                 allow_ragged_n: true,
                 allow_ragged_k: true,
@@ -740,7 +734,6 @@ mod tests {
                 nb: 64,
                 kb: 60,
                 bs: 2,
-                kpn: 1,
                 edge: EdgePolicy::Tail,
             },
         }
@@ -799,16 +792,24 @@ mod tests {
     #[test]
     fn malformed_db_is_rejected() {
         assert!(parse_db("not a db").is_err());
-        assert!(parse_db("gc-tunedb v1\nrecord 0 0 0 0 - -\n").is_err());
+        assert!(parse_db("gc-tunedb v2\nrecord 0 0 0 0 - -\n").is_err());
         assert!(
-            parse_db("gc-tunedb v1\nchoice 1 2 3 4 4 | 0 - - - 0 0 0 0 | 1 1 1 1 1 1 1 pad\n")
-                .is_err()
+            parse_db("gc-tunedb v2\nchoice 1 2 3 4 4 | 0 - - - 0 0 0 | 1 1 1 1 1 1 pad\n").is_err()
         );
         // unterminated record
         assert!(parse_db(
-            "gc-tunedb v1\nrecord 0000000000000001 2 0000000000000003 4 - - 0000000000000000 0\n"
+            "gc-tunedb v2\nrecord 0000000000000001 2 0000000000000003 4 - - 0000000000000000 0\n"
         )
         .is_err());
+        // a well-formed v1 database (8 constraint and 8 param fields)
+        // is refused by its header, not half-parsed
+        let v1 = "gc-tunedb v1\n\
+                  record 0000000000000001 2 0000000000000003 4 - - 0000000000000000 0\n\
+                  choice 1 2 3 4 4 | 0 - - - 0 0 0 0 | 1 1 1 1 1 1 1 pad\n\
+                  end\n";
+        let err = parse_db(v1).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("bad header"), "{err}");
     }
 
     #[test]

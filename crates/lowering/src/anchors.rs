@@ -191,7 +191,6 @@ mod tests {
             nb: 32,
             kb: 64,
             bs: 2,
-            kpn: 1,
             edge: EdgePolicy::Pad,
         };
         let prob = MatmulProblem::new(512, 256, 512, 4);
@@ -251,7 +250,6 @@ mod tests {
             nb: 32,
             kb: 64,
             bs: 2,
-            kpn: 1,
             edge: EdgePolicy::Pad,
         };
         let prob = MatmulProblem::new(128, 512, 8192, 4);

@@ -37,10 +37,6 @@ pub struct Constraints {
     /// parallel loop, so every member must decompose into the same
     /// number of tasks).
     pub fixed_tasks: Option<usize>,
-    /// Permit `KPN > 1` (k-slicing): when `batch * MPN * NPN` underfills
-    /// the thread pool, split the reduction across extra workers with
-    /// per-slice partial accumulators and a second reduction phase.
-    pub allow_k_slice: bool,
     /// Permit `MB` that does not divide m: the edge row of tiles is
     /// zero-padded at pack time or clamped by tail kernels, per the
     /// chosen [`EdgePolicy`]. Only safe when the lowering context can
@@ -120,10 +116,10 @@ impl ParamOverrides {
 
 /// The canonical tie-break key: under equal projected cost the search
 /// prefers the lexicographically smallest `(mb, nb, kb, bs, mpn, npn,
-/// kpn, edge)` tuple, making selection independent of candidate
+/// edge)` tuple, making selection independent of candidate
 /// enumeration order (and therefore stable across refactors of the
 /// search loops — a requirement for persistent tuning-database keys).
-fn canonical_key(p: &MatmulParams) -> (usize, usize, usize, usize, usize, usize, usize, u8) {
+fn canonical_key(p: &MatmulParams) -> (usize, usize, usize, usize, usize, usize, u8) {
     (
         p.mb,
         p.nb,
@@ -131,7 +127,6 @@ fn canonical_key(p: &MatmulParams) -> (usize, usize, usize, usize, usize, usize,
         p.bs,
         p.mpn,
         p.npn,
-        p.kpn,
         (p.edge == EdgePolicy::Tail) as u8,
     )
 }
@@ -153,7 +148,7 @@ fn fold_best(best: &mut Option<(f64, MatmulParams)>, c: f64, p: MatmulParams) {
 
 /// Deterministic counts of the work one or more parameter searches did
 /// (no timing). A *tile* is one `(mb, nb, kb, bs)` microkernel shape;
-/// each tile fans out into `(mpn, npn, kpn, edge)` decompositions, and
+/// each tile fans out into `(mpn, npn, edge)` decompositions, and
 /// only those are *scored* with the full cost model.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
@@ -280,11 +275,9 @@ fn for_each_candidate(
 /// loops need about it computed once per query.
 struct AxisBlock {
     block: usize,
-    /// Whole-or-padded tiles along the axis.
-    tiles: usize,
     ragged: bool,
-    /// Divisors of `tiles`, ascending: the parallel-decomposition (and,
-    /// along k, batch-size) candidates.
+    /// Divisors of the whole-or-padded tile count, ascending: the
+    /// parallel-decomposition (and, along k, batch-size) candidates.
     divs: Vec<usize>,
 }
 
@@ -302,14 +295,10 @@ fn axis_blocks(dim: usize, prefer: &[usize], ragged: bool, fixed: Option<usize>)
     }
     blocks
         .into_iter()
-        .map(|block| {
-            let tiles = dim.div_ceil(block);
-            AxisBlock {
-                block,
-                tiles,
-                ragged: !dim.is_multiple_of(block),
-                divs: divisors(tiles),
-            }
+        .map(|block| AxisBlock {
+            block,
+            ragged: !dim.is_multiple_of(block),
+            divs: divisors(dim.div_ceil(block)),
         })
         .collect()
 }
@@ -326,14 +315,7 @@ struct Tile<'a> {
     /// `NPN` candidates (divisors of the n-tile count; just `1` under
     /// `full_n_per_task`).
     npns: &'a [usize],
-    /// Divisors of the k-tile count; `KPN` ranges over those that also
-    /// divide `k_chunks`.
-    k_divs: &'a [usize],
-    k_chunks: usize,
     ragged_m: bool,
-    /// The k-sliced template has no edge-tile support, so slicing needs
-    /// `allow_k_slice` and exact tiling on all three axes.
-    sliceable: bool,
 }
 
 /// Enumerate the `(mb, nb, kb, bs)` tiles for `problem`, with the
@@ -388,10 +370,7 @@ fn for_each_tile(
                         bs,
                         mpns: &m.divs,
                         npns,
-                        k_divs: &k.divs,
-                        k_chunks: k.tiles / bs,
                         ragged_m: m.ragged,
-                        sliceable: constraints.allow_k_slice && !(m.ragged || n.ragged || k.ragged),
                     });
                 }
             }
@@ -400,7 +379,7 @@ fn for_each_tile(
 }
 
 impl Tile<'_> {
-    /// The decomposition level: every `(mpn, npn, kpn, edge)` this
+    /// The decomposition level: every `(mpn, npn, edge)` this
     /// tile admits. `fixed_tasks` solves for `NPN` instead of walking
     /// the `MPN x NPN` grid for matches.
     fn for_each_decomposition(
@@ -440,29 +419,16 @@ impl Tile<'_> {
                     // npn ascends, so every later one oversubscribes too
                     break;
                 }
-                // k-slicing only pays when the plain decomposition
-                // underfills the pool, and only up to a modest fan-out.
-                let max_kpn = if self.sliceable && tasks < machine.cores {
-                    (4 * machine.cores / tasks).min(16)
-                } else {
-                    1
-                };
-                for &kpn in self.k_divs.iter().take_while(|&&kpn| kpn <= max_kpn) {
-                    if !self.k_chunks.is_multiple_of(kpn) {
-                        continue;
-                    }
-                    for &edge in edges {
-                        f(MatmulParams {
-                            mpn,
-                            npn,
-                            mb: self.mb,
-                            nb: self.nb,
-                            kb: self.kb,
-                            bs: self.bs,
-                            kpn,
-                            edge,
-                        });
-                    }
+                for &edge in edges {
+                    f(MatmulParams {
+                        mpn,
+                        npn,
+                        mb: self.mb,
+                        nb: self.nb,
+                        kb: self.kb,
+                        bs: self.bs,
+                        edge,
+                    });
                 }
             }
         }
@@ -574,17 +540,15 @@ impl TileCost {
         }
     }
 
-    /// Projected cycles of the decomposition `(mpn, npn, kpn, edge)` of
-    /// this tile.
+    /// Projected cycles of the decomposition `(mpn, npn, edge)` of this
+    /// tile.
     fn cycles(
         &self,
         machine: &MachineDescriptor,
         problem: &MatmulProblem,
         p: &MatmulParams,
     ) -> f64 {
-        // k-slicing widens the accumulation phase to `tasks * kpn`
-        // workers, each sweeping a 1/kpn-deep slab of the reduction.
-        let tasks = problem.batch * p.tasks() * p.kpn;
+        let tasks = problem.batch * p.tasks();
         let ((flops, eff), use_tail) = match (p.edge, self.tail) {
             (EdgePolicy::Tail, Some(tail)) => (tail, true),
             _ => (self.pad, false),
@@ -601,9 +565,8 @@ impl TileCost {
         // buffers hold the padded extents, so traffic is padded too.
         let msn = (self.m_tiles / p.mpn).max(1);
         let nsn = (self.n_tiles / p.npn).max(1);
-        let k_slice = self.k_pad / p.kpn;
-        let a_bytes = (msn * self.mb * k_slice * problem.elem_bytes) as f64;
-        let b_slice = (nsn * self.nb * k_slice * problem.elem_bytes) as f64;
+        let a_bytes = (msn * self.mb * self.k_pad * problem.elem_bytes) as f64;
+        let b_slice = (nsn * self.nb * self.k_pad * problem.elem_bytes) as f64;
         let c_bytes = (msn * self.mb * nsn * self.nb * 4) as f64;
         // bandwidth tier by residency: a slice that stays in L2 / the LLC
         // slice moves at cache bandwidth, not DRAM bandwidth
@@ -621,8 +584,8 @@ impl TileCost {
         // the task's C tile. With the whole accumulator state in flight the
         // traffic rarely stays L1-resident, so this is what makes a deep
         // single chunk (even one slightly over L1) beat many shallow ones.
-        let chunks_slice = (self.k_chunks / p.kpn).max(1);
-        let chunks = chunks_slice as f64;
+        let k_chunks = self.k_chunks.max(1);
+        let chunks = k_chunks as f64;
         let mem = waves
             * (tier(a_bytes)
                 + msn as f64 * tier(b_slice)
@@ -631,23 +594,13 @@ impl TileCost {
         // per-microkernel-call fixed overhead; clamped (tail) calls pay the
         // extra clamp/dispatch cost on every call — the template has no
         // branches, so interior tiles also route through the tail entry.
-        let calls = waves * (msn * nsn * chunks_slice) as f64;
+        let calls = waves * (msn * nsn * k_chunks) as f64;
         let per_call = if use_tail {
             CALL_CYCLES + cost::tail_call_cycles(machine)
         } else {
             CALL_CYCLES
         };
-        let mut cycles = compute.max(mem) + calls * per_call + cost::barrier_cycles(machine);
-        if p.kpn > 1 {
-            // second parallel phase: each (m, n) task folds its kpn partial
-            // accumulators and runs the epilogue — dominated by re-reading
-            // the kpn partial slabs, plus one more barrier.
-            let red_tasks = problem.batch * p.tasks();
-            let red_waves = red_tasks.div_ceil(machine.cores) as f64;
-            let red_bytes = (p.kpn * msn * self.mb * nsn * self.nb * 4) as f64;
-            cycles += red_waves * tier(red_bytes) + cost::barrier_cycles(machine);
-        }
-        cycles
+        compute.max(mem) + calls * per_call + cost::barrier_cycles(machine)
     }
 
     /// A lower bound on [`TileCost::cycles`] over every decomposition
@@ -657,8 +610,7 @@ impl TileCost {
     /// `calls >= batch * m_tiles * n_tiles * k_chunks / cores`, the
     /// decomposition factors dividing their tile counts), a ragged m
     /// takes the cheaper of its two policies, and everything dropped —
-    /// memory over compute, the tail surcharge, the k-slice reduction
-    /// phase — is non-negative. Any edit to `cycles` must keep this
+    /// memory over compute and the tail surcharge — is non-negative. Any edit to `cycles` must keep this
     /// true; `bound_is_admissible_on_sweep` checks it.
     fn lower_bound(&self, machine: &MachineDescriptor, problem: &MatmulProblem) -> f64 {
         let cores = machine.cores as f64;
@@ -716,9 +668,9 @@ pub fn choose_params_library(
                             if tasks > 4 * machine.cores && tasks > problem.batch {
                                 continue;
                             }
-                            // the library menu has no k-sliced kernels
-                            // and no edge-tile kernels (divisor-only
-                            // blocking, like a fixed primitive set)
+                            // the library menu has no edge-tile kernels
+                            // (divisor-only blocking, like a fixed
+                            // primitive set)
                             let p = MatmulParams {
                                 mpn,
                                 npn,
@@ -726,7 +678,6 @@ pub fn choose_params_library(
                                 nb,
                                 kb,
                                 bs,
-                                kpn: 1,
                                 edge: EdgePolicy::Pad,
                             };
                             fold_best(&mut best, estimate_cycles(machine, problem, &p), p);
@@ -960,91 +911,6 @@ mod tests {
         pi.validate(&prob_i).unwrap();
     }
 
-    /// Small-batch MLP_1 layers under coarse-fusion constraints: a
-    /// shared row-only decomposition of 16 rows yields at most 4-16
-    /// M x N tasks on a 32-core machine — the underfilled pool of the
-    /// paper's Figure 8 — so with `allow_k_slice` the search must split
-    /// the reduction (`kpn > 1`) to widen the accumulation phase, and
-    /// without it must stay at `kpn = 1`.
-    #[test]
-    fn mlp1_full_n_constraints_select_k_slicing() {
-        let machine = xeon();
-        // the shallow int8 layer (16x128x256, eb = 1) stays unsliced:
-        // VNNI quarters the compute share, so splitting k = 256 no
-        // longer covers the extra barrier — that boundary is the point
-        // of the cost model, not a gap in it
-        for &(m, n, k, eb) in &[
-            (16usize, 256usize, 512usize, 4usize),
-            (16, 256, 512, 1),
-            (16, 128, 256, 4),
-        ] {
-            {
-                let prob = MatmulProblem::new(m, n, k, eb);
-                let sliced = choose_params(
-                    &machine,
-                    &prob,
-                    &Constraints {
-                        full_n_per_task: true,
-                        allow_k_slice: true,
-                        ..Constraints::default()
-                    },
-                );
-                sliced.validate(&prob).unwrap();
-                assert!(
-                    sliced.kpn > 1,
-                    "{m}x{n}x{k} eb{eb} full-N must k-slice, got {sliced:?}"
-                );
-                assert!(
-                    prob.batch * sliced.tasks() < machine.cores,
-                    "k-slicing is only chosen when M x N tasks underfill the pool"
-                );
-                let plain = choose_params(
-                    &machine,
-                    &prob,
-                    &Constraints {
-                        full_n_per_task: true,
-                        ..Constraints::default()
-                    },
-                );
-                assert_eq!(plain.kpn, 1);
-            }
-        }
-    }
-
-    /// Free (unconstrained) search on the default 32-core machine fills
-    /// the pool by shattering N for MLP_1-sized shapes, so it must not
-    /// pay the k-slicing barrier there; on a 128-core pool a deep-K
-    /// narrow-M x N problem cannot be filled any other way and must
-    /// slice.
-    #[test]
-    fn free_search_slices_only_on_underfilled_pools() {
-        let machine = xeon();
-        let prob = MatmulProblem::new(16, 256, 512, 4);
-        let p = choose_params(
-            &machine,
-            &prob,
-            &Constraints {
-                allow_k_slice: true,
-                ..Constraints::default()
-            },
-        );
-        assert_eq!(p.kpn, 1, "N-shattering fills 32 cores: {p:?}");
-
-        let mut wide = xeon();
-        wide.cores = 128;
-        let deep = MatmulProblem::new(16, 64, 8192, 4);
-        let p = choose_params(
-            &wide,
-            &deep,
-            &Constraints {
-                allow_k_slice: true,
-                ..Constraints::default()
-            },
-        );
-        p.validate(&deep).unwrap();
-        assert!(p.kpn > 1, "16x64x8192 @128 cores must k-slice, got {p:?}");
-    }
-
     /// Satellite regression: selection must be a pure function of the
     /// candidate *set*, not the enumeration order. Fold the same scored
     /// candidate list in several permutations and require the identical
@@ -1062,7 +928,6 @@ mod tests {
         ] {
             let problem = MatmulProblem::new(m, n, k, eb);
             let constraints = Constraints {
-                allow_k_slice: true,
                 allow_ragged_m: true,
                 allow_ragged_n: true,
                 allow_ragged_k: true,
@@ -1115,7 +980,6 @@ mod tests {
             nb: 32,
             kb: 64,
             bs: 1,
-            kpn: 1,
             edge: EdgePolicy::Pad,
         };
         let b = MatmulParams { mb: 32, ..a };
@@ -1138,10 +1002,7 @@ mod tests {
         let machine = xeon();
         for &(m, n, k) in &[(512usize, 256usize, 512usize), (16, 256, 512)] {
             let problem = MatmulProblem::new(m, n, k, 4);
-            let constraints = Constraints {
-                allow_k_slice: true,
-                ..Constraints::default()
-            };
+            let constraints = Constraints::default();
             let top = choose_params_ranked(&machine, &problem, &constraints, 8);
             assert!(!top.is_empty() && top.len() <= 8);
             assert_eq!(top[0], choose_params(&machine, &problem, &constraints));
@@ -1177,10 +1038,9 @@ mod tests {
         ];
         let flags = |bits: u32| Constraints {
             full_n_per_task: bits & 1 != 0,
-            allow_k_slice: bits & 2 != 0,
-            allow_ragged_m: bits & 4 != 0,
-            allow_ragged_n: bits & 8 != 0,
-            allow_ragged_k: bits & 16 != 0,
+            allow_ragged_m: bits & 2 != 0,
+            allow_ragged_n: bits & 4 != 0,
+            allow_ragged_k: bits & 8 != 0,
             ..Constraints::default()
         };
         let mut cases = Vec::new();
@@ -1208,9 +1068,9 @@ mod tests {
                         continue;
                     }
                     let free: Vec<u32> = if full || !large {
-                        (0..32).collect()
+                        (0..16).collect()
                     } else {
-                        vec![2, 30]
+                        vec![0, 14]
                     };
                     cases.extend(
                         free.into_iter()
@@ -1228,7 +1088,6 @@ mod tests {
                                 problem.batch
                                     * crate::largest_divisor_at_most(problem.m / mb, rows),
                             ),
-                            allow_k_slice: true,
                             ..Constraints::default()
                         };
                         cases.push((machine.clone(), problem, grouped));
@@ -1239,7 +1098,6 @@ mod tests {
                             let chained = Constraints {
                                 fixed_mb: Some(mb),
                                 fixed_kb: Some(kb),
-                                allow_k_slice: true,
                                 ..Constraints::default()
                             };
                             cases.push((machine.clone(), problem, chained));
@@ -1307,7 +1165,7 @@ mod tests {
         problem: &MatmulProblem,
         p: &MatmulParams,
     ) -> f64 {
-        let tasks = problem.batch * p.tasks() * p.kpn;
+        let tasks = problem.batch * p.tasks();
         let m_pad = p.m_tiles(problem.m) * p.mb;
         let n_pad = p.n_tiles(problem.n) * p.nb;
         let k_pad = p.ksn(problem.k) * p.kb;
@@ -1339,9 +1197,8 @@ mod tests {
             waves * cost::compute_cycles(machine, flops_per_task, problem.elem_bytes, eff);
         let msn = p.msn(problem.m).max(1);
         let nsn = p.nsn(problem.n).max(1);
-        let k_slice = k_pad / p.kpn;
-        let a_bytes = (msn * p.mb * k_slice * problem.elem_bytes) as f64;
-        let b_slice = (nsn * p.nb * k_slice * problem.elem_bytes) as f64;
+        let a_bytes = (msn * p.mb * k_pad * problem.elem_bytes) as f64;
+        let b_slice = (nsn * p.nb * k_pad * problem.elem_bytes) as f64;
         let c_bytes = (msn * p.mb * nsn * p.nb * 4) as f64;
         let tier = |bytes: f64| -> f64 {
             if bytes as usize <= machine.l2_bytes() {
@@ -1352,26 +1209,19 @@ mod tests {
                 cost::stream_cycles(machine, bytes)
             }
         };
-        let chunks = p.k_chunks_slice(problem.k).max(1) as f64;
+        let chunks = p.k_chunks(problem.k).max(1) as f64;
         let mem = waves
             * (tier(a_bytes)
                 + msn as f64 * tier(b_slice)
                 + tier(c_bytes)
                 + (chunks - 1.0) * 2.0 * tier(c_bytes));
-        let calls = waves * (msn * nsn * p.k_chunks_slice(problem.k).max(1)) as f64;
+        let calls = waves * (msn * nsn * p.k_chunks(problem.k).max(1)) as f64;
         let per_call = if use_tail {
             40.0 + cost::tail_call_cycles(machine)
         } else {
             40.0
         };
-        let mut cycles = compute.max(mem) + calls * per_call + cost::barrier_cycles(machine);
-        if p.kpn > 1 {
-            let red_tasks = problem.batch * p.tasks();
-            let red_waves = red_tasks.div_ceil(machine.cores) as f64;
-            let red_bytes = (p.kpn * msn * p.mb * nsn * p.nb * 4) as f64;
-            cycles += red_waves * tier(red_bytes) + cost::barrier_cycles(machine);
-        }
-        cycles
+        compute.max(mem) + calls * per_call + cost::barrier_cycles(machine)
     }
 
     #[test]
@@ -1404,7 +1254,6 @@ mod tests {
             fixed_mb: Some(4),
             fixed_kb: Some(128),
             fixed_tasks: Some(32),
-            allow_k_slice: true,
             ..Constraints::default()
         };
         let mut n = 0;
@@ -1441,7 +1290,6 @@ mod tests {
             nb: 32,
             kb: 64,
             bs: 1,
-            kpn: 1,
             edge: EdgePolicy::Pad,
         };
         let mut ov = ParamOverrides::new();
@@ -1468,7 +1316,6 @@ mod tests {
             nb: 32,
             kb: 64,
             bs: 2,
-            kpn: 1,
             edge: EdgePolicy::Pad,
         };
         let bad = MatmulParams {
@@ -1478,7 +1325,6 @@ mod tests {
             nb: 1,
             kb: 1,
             bs: 1,
-            kpn: 1,
             edge: EdgePolicy::Pad,
         };
         assert!(estimate_cycles(&machine, &prob, &good) < estimate_cycles(&machine, &prob, &bad));

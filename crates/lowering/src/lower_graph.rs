@@ -82,17 +82,6 @@ pub struct LowerOptions {
     /// Choose template parameters from the primitives library's fixed
     /// kernel menu instead of the compiler heuristic (baseline mode).
     pub library_params: bool,
-    /// Allow the k-slicing template variant: when a matmul's
-    /// `M_blocks × N_blocks` decomposition underfills the thread pool,
-    /// the heuristic may split the reduction across `KPN` extra workers
-    /// (per-slice partial accumulators, parallel reduction + fused
-    /// epilogue). Off = always the plain single-phase template.
-    pub k_slice: bool,
-    /// Skip the analytic merge-profitability gate and merge every
-    /// multi-member coarse group unconditionally (ablation: measures
-    /// what the merged path would cost where the cost model prefers
-    /// split schedules).
-    pub force_coarse_merge: bool,
     /// Allow ragged (non-divisor) tile sizes for blocked-weight matmuls:
     /// edge tiles are zero-padded at pack time (K/N, and M under
     /// [`crate::EdgePolicy::Pad`]) or clamped by tail kernels (M under
@@ -128,8 +117,6 @@ impl LowerOptions {
             forced_post_anchor: None,
             forced_pack: None,
             library_params: false,
-            k_slice: true,
-            force_coarse_merge: false,
             ragged: true,
             overrides: crate::heuristic::ParamOverrides::default(),
             param_log: None,
@@ -232,15 +219,7 @@ pub fn lower_partitions(
         let mut out: Vec<Vec<usize>> = Vec::new();
         for group in &groups.groups {
             if group.len() > 1
-                && !opts.force_coarse_merge
-                && !group_profitable(
-                    &opts.machine,
-                    graph,
-                    parts,
-                    group,
-                    opts.k_slice,
-                    &mut b.search,
-                )
+                && !group_profitable(&opts.machine, graph, parts, group, &mut b.search)
             {
                 out.extend(group.iter().map(|&pi| vec![pi]));
             } else {
@@ -665,8 +644,8 @@ impl Builder<'_> {
             .iter()
             .any(|p| matches!(p, PostOpSpec::ReduceRow(_)));
 
-        // --- rhs arrival (decided early: k-slicing requires a blocked
-        // constant weight, so the constraint depends on it)
+        // --- rhs arrival (decided early: ragged tiling requires a
+        // blocked constant weight, so the constraints depend on it)
         let b_is_const = graph.tensor(b_src).property == Property::Constant;
         let b_input = if b_is_const && graph.const_value(b_src).is_some() {
             BInput::BlockedWeight
@@ -679,16 +658,6 @@ impl Builder<'_> {
         // --- constraints (grouping + layout negotiation)
         let mut constraints = Constraints {
             full_n_per_task: has_reduce || grouped,
-            // the k-sliced template's phase-2 epilogue handles every
-            // post-op except row reductions, and only the blocked-weight
-            // rhs path is lowered. Grouped members may k-slice too: the
-            // two-phase loops keep their implicit barrier inside the
-            // merged function (the paper's barrier between layers), and
-            // this is exactly the case where a shared row-only
-            // decomposition underfills the pool.
-            allow_k_slice: self.opts.k_slice
-                && !has_reduce
-                && matches!(b_input, BInput::BlockedWeight),
             ..Constraints::default()
         };
         // Edge-tile (ragged) eligibility: only the prepacked blocked-
@@ -708,7 +677,7 @@ impl Builder<'_> {
         constraints.allow_ragged_k = ragged_ok;
         if grouped {
             if group_mb.is_none() {
-                let (mb, tasks) = group_decomposition(machine, batch, m, self.opts.k_slice);
+                let (mb, tasks) = group_decomposition(machine, batch, m);
                 *group_mb = Some(mb);
                 *group_tasks = Some(tasks);
             }
@@ -1122,10 +1091,8 @@ impl Builder<'_> {
 
 /// Extract the matmul problem of a tunable partition (for group
 /// profitability analysis; mirrors `plan_tunable`'s size derivation).
-/// Returns `(problem, has_reduce, b_blocked)` where `b_blocked` says the
-/// rhs is a constant weight that will arrive pre-packed (the k-sliced
-/// template requires it).
-fn part_problem(graph: &Graph, part: &FusedOp) -> Option<(MatmulProblem, bool, bool)> {
+/// Returns `(problem, has_reduce)`.
+fn part_problem(graph: &Graph, part: &FusedOp) -> Option<(MatmulProblem, bool)> {
     let t_op = graph.op(part.tunable?);
     let mut a_src = t_op.inputs[0];
     for &pre in &part.pre_ops {
@@ -1151,28 +1118,17 @@ fn part_problem(graph: &Graph, part: &FusedOp) -> Option<(MatmulProblem, bool, b
         .post_ops
         .iter()
         .any(|&o| matches!(graph.op(o).kind, OpKind::Reduce(_)));
-    let b_src = t_op.inputs[1];
-    let b_blocked =
-        graph.tensor(b_src).property == Property::Constant && graph.const_value(b_src).is_some();
-    Some((
-        MatmulProblem::batched(batch, m, n, k, elem),
-        has_reduce,
-        b_blocked,
-    ))
+    Some((MatmulProblem::batched(batch, m, n, k, elem), has_reduce))
 }
 
 /// Decide whether merging a coarse group is profitable: the shared
-/// row-only decomposition can force poor tilings (e.g. MB = 1 for tiny
-/// batches), in which case the group is split. With k-slicing enabled
-/// the grouped estimate may recover the lost parallelism by splitting
-/// the reduction instead, so small-batch groups are judged by the cost
-/// model rather than rejected outright.
+/// row-only decomposition can force poor tilings or leave cores idle
+/// for tiny batches, in which case the group is split.
 fn group_profitable(
     machine: &MachineDescriptor,
     graph: &Graph,
     parts: &Partitioning,
     group: &[usize],
-    k_slice: bool,
     stats: &mut SearchStats,
 ) -> bool {
     let debug = std::env::var("GC_DEBUG_GROUPS").is_ok();
@@ -1184,21 +1140,18 @@ fn group_profitable(
         }
     }
     let (batch, m) = (probs[0].0.batch, probs[0].0.m);
-    let (mb_g, tasks_g) = group_decomposition(machine, batch, m, k_slice);
+    let (mb_g, tasks_g) = group_decomposition(machine, batch, m);
     let mut merged = 0.0;
     let mut free = 0.0;
-    for (prob, has_reduce, b_blocked) in &probs {
-        let allow_k_slice = k_slice && !has_reduce && *b_blocked;
+    for (prob, has_reduce) in &probs {
         let gc = Constraints {
             full_n_per_task: true,
             fixed_mb: Some(mb_g),
             fixed_tasks: Some(tasks_g),
-            allow_k_slice,
             ..Constraints::default()
         };
         let fc = Constraints {
             full_n_per_task: *has_reduce,
-            allow_k_slice,
             ..Constraints::default()
         };
         let (pg, sg) = search(machine, prob, &gc);
@@ -1217,17 +1170,14 @@ fn group_profitable(
     // slice hot instead of round-tripping it through memory
     let barrier_savings = (group.len() - 1) as f64 * gc_machine::cost::barrier_cycles(machine);
     let mut locality_savings = 0.0;
-    for (prob, _, _) in probs.iter().take(probs.len() - 1) {
+    for (prob, _) in probs.iter().take(probs.len() - 1) {
         let bytes = (prob.batch * prob.m * prob.n * 4) as f64;
         locality_savings +=
             2.0 * gc_machine::cost::stream_cycles(machine, bytes) / machine.cores as f64;
     }
     // The analytic model cannot see the merged loop's inter-op cache
     // locality (each core's activation slice stays hot between members),
-    // so the comparison carries a tolerance in favour of merging. With
-    // k-slicing the free estimate can exploit reduction-splitting that a
-    // shared row-only decomposition cannot, so degenerate groups (e.g.
-    // MB = 1 row-slicing of tiny batches) now lose on cost and split.
+    // so the comparison carries a tolerance in favour of merging.
     if debug {
         eprintln!(
             "[coarse] group of {}: merged {:.0} vs free {:.0} (+barrier {:.0} +locality {:.0})",
@@ -1244,24 +1194,19 @@ fn group_profitable(
 /// Pick the shared (MB, task-count) decomposition for a coarse group:
 /// row-only parallelism sized to the machine.
 ///
-/// Without k-slicing, manufacturing enough row-tasks for the pool is the
-/// only lever, so small-batch groups degenerate to `MB = 1`. With
-/// `k_slice` the template can widen the accumulation phase by `KPN`
-/// instead, so the decomposition keeps a sane tile (`MB >= 4`) and
-/// accepts fewer row-tasks — the per-member parameter search fills the
-/// remaining cores by splitting each member's reduction.
-fn group_decomposition(
-    machine: &MachineDescriptor,
-    batch: usize,
-    m: usize,
-    k_slice: bool,
-) -> (usize, usize) {
+/// The tile keeps `MB >= 4` whenever 4 divides m, even if that leaves
+/// fewer row-tasks than cores. Shrinking MB to 1 or 2 only to manufacture
+/// row-tasks would leave most of the microkernel's 2–4-row register tile
+/// empty and multiply the per-call overhead of every member; a group
+/// whose shared decomposition still loses to free per-member parameters
+/// is split by `group_profitable`.
+fn group_decomposition(machine: &MachineDescriptor, batch: usize, m: usize) -> (usize, usize) {
     if batch >= machine.cores {
         // batch parallelism suffices; keep comfortable tiles
         return (crate::largest_divisor_at_most(m, 32), batch);
     }
     let want_mpn = machine.cores.div_ceil(batch);
-    let mb_floor = if k_slice && m.is_multiple_of(4) { 4 } else { 1 };
+    let mb_floor = if m.is_multiple_of(4) { 4 } else { 1 };
     // choose mb as large as possible while still allowing >= want_mpn
     // row-tasks (or as many as m allows)
     let mut best = (

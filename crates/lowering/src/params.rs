@@ -43,11 +43,6 @@ pub struct MatmulParams {
     pub kb: usize,
     /// Batch-reduce batch size (k tiles per microkernel call).
     pub bs: usize,
-    /// Parallel decomposition along k (k-slicing). 1 means the plain
-    /// template; `kpn > 1` splits the reduction across `kpn` workers
-    /// per `(m, n)` task, each producing a partial accumulator that a
-    /// second parallel phase reduces and feeds into the epilogue.
-    pub kpn: usize,
     /// Edge policy for a ragged m (`m % mb != 0`); irrelevant (and
     /// conventionally [`EdgePolicy::Pad`]) when mb divides m.
     pub edge: EdgePolicy,
@@ -148,23 +143,8 @@ impl MatmulParams {
     }
 
     /// Parallel tasks per matrix (`MPN * NPN`).
-    ///
-    /// k-slicing does not change this count: `kpn` widens the
-    /// *accumulation* phase to `tasks * kpn` workers, but the output
-    /// decomposition (and thus the epilogue/reduction phase) still has
-    /// one task per `(m, n)` block.
     pub fn tasks(&self) -> usize {
         self.mpn * self.npn
-    }
-
-    /// k-tiles per k-slice (`KSN / KPN`).
-    pub fn k_tiles_slice(&self, k: usize) -> usize {
-        self.ksn(k) / self.kpn
-    }
-
-    /// Microkernel invocations in one k-slice's sweep.
-    pub fn k_chunks_slice(&self, k: usize) -> usize {
-        self.k_chunks(k) / self.kpn
     }
 
     /// Check the parameters tile the problem.
@@ -173,9 +153,7 @@ impl MatmulParams {
     /// its block still validates — the edge tile is zero-padded at pack
     /// time (or, for m under [`EdgePolicy::Tail`], clamped at run
     /// time) — but the resulting whole-tile counts must divide evenly
-    /// across the parallel decomposition. K-slicing (`kpn > 1`) keeps
-    /// the strict rules: the sliced template splits the reduction by
-    /// exact arithmetic on all three axes and has no edge-tile support.
+    /// across the parallel decomposition.
     pub fn validate(&self, p: &MatmulProblem) -> Result<(), String> {
         let MatmulParams {
             mpn,
@@ -184,22 +162,10 @@ impl MatmulParams {
             nb,
             kb,
             bs,
-            kpn,
             edge: _,
         } = *self;
-        if mb == 0 || nb == 0 || kb == 0 || bs == 0 || mpn == 0 || npn == 0 || kpn == 0 {
+        if mb == 0 || nb == 0 || kb == 0 || bs == 0 || mpn == 0 || npn == 0 {
             return Err("zero parameter".to_string());
-        }
-        if kpn > 1 {
-            if !p.m.is_multiple_of(mb) {
-                return Err(format!("k-sliced: mb {mb} does not divide m {}", p.m));
-            }
-            if !p.n.is_multiple_of(nb) {
-                return Err(format!("k-sliced: nb {nb} does not divide n {}", p.n));
-            }
-            if !p.k.is_multiple_of(kb) {
-                return Err(format!("k-sliced: kb {kb} does not divide k {}", p.k));
-            }
         }
         let m_tiles = p.m.div_ceil(mb);
         let n_tiles = p.n.div_ceil(nb);
@@ -212,14 +178,6 @@ impl MatmulParams {
         }
         if !k_tiles.is_multiple_of(bs) {
             return Err(format!("bs {bs} does not divide k-tiles {k_tiles}"));
-        }
-        // Each k-slice must hold a whole number of brgemm chunks so the
-        // sliced sweep is `k_chunks / kpn` full-width microkernel calls.
-        if !k_tiles.is_multiple_of(bs * kpn) {
-            return Err(format!(
-                "kpn {kpn} does not evenly slice k-chunks {}",
-                k_tiles / bs
-            ));
         }
         Ok(())
     }
@@ -256,7 +214,6 @@ mod tests {
             nb: 32,
             kb: 64,
             bs: 2,
-            kpn: 1,
             edge: EdgePolicy::Pad,
         };
         // M=512: 16 m-tiles, 4 per kernel; N=256: 8 n-tiles, 4 per kernel
@@ -276,7 +233,6 @@ mod tests {
             nb: 32,
             kb: 64,
             bs: 2,
-            kpn: 1,
             edge: EdgePolicy::Pad,
         };
         let prob = MatmulProblem::new(512, 256, 256, 4);
@@ -290,27 +246,6 @@ mod tests {
         // m = 420 gives ceil(420/32) = 14 tiles, not divisible by 4.
         let bad = MatmulProblem::new(420, 256, 256, 4);
         assert!(p.validate(&bad).is_err());
-    }
-
-    #[test]
-    fn validate_k_sliced_requires_exact_tiling() {
-        let p = MatmulParams {
-            mpn: 2,
-            npn: 1,
-            mb: 32,
-            nb: 32,
-            kb: 64,
-            bs: 1,
-            kpn: 2,
-            edge: EdgePolicy::Pad,
-        };
-        p.validate(&MatmulProblem::new(128, 256, 256, 4)).unwrap();
-        // Ragged m validates at kpn = 1 but must be rejected once the
-        // reduction is k-sliced (the sliced template has no edge tiles).
-        let ragged = MatmulProblem::new(100, 256, 256, 4);
-        assert!(p.validate(&ragged).is_err());
-        let unsliced = MatmulParams { kpn: 1, ..p };
-        unsliced.validate(&ragged).unwrap();
     }
 
     #[test]

@@ -237,9 +237,6 @@ pub fn lower_matmul(machine: &MachineDescriptor, spec: &MatmulSpec, name: &str) 
     spec.params
         .validate(&spec.problem)
         .expect("params must tile the problem");
-    if spec.params.kpn > 1 {
-        return lower_matmul_ksliced(machine, spec, name);
-    }
     let has_reduce = spec
         .post_ops
         .iter()
@@ -533,8 +530,7 @@ pub fn lower_matmul(machine: &MachineDescriptor, spec: &MatmulSpec, name: &str) 
     LoweredMatmul { func, roles }
 }
 
-/// Declare the template function's parameters (shared by the plain and
-/// k-sliced lowerings — the signature does not depend on `KPN`).
+/// Declare the template function's parameters.
 fn build_params(spec: &MatmulSpec, ctx: &Ctx) -> (Vec<BufDecl>, Vec<ParamRole>) {
     let in_dtype = if spec.int8.is_some() {
         DataType::U8
@@ -597,372 +593,6 @@ fn build_params(spec: &MatmulSpec, ctx: &Ctx) -> (Vec<BufDecl>, Vec<ParamRole>) 
     ));
     roles.push(ParamRole::Out);
     (params, roles)
-}
-
-/// Lower the k-sliced template variant (`KPN > 1`).
-///
-/// Two top-level parallel phases, separated by the implicit barrier
-/// between parallel loops:
-///
-/// ```text
-/// parallel t in 0..batch*MPN*NPN*KPN {        // widened pool
-///   (task, kpi) = (t / KPN, t % KPN)
-///   [pack this slice's A panels]
-///   loop msi in 0..MSN {
-///     kpart[t][msi] = 0
-///     loop kchunk in 0..KCH/KPN {             // 1/KPN of the reduction
-///       loop nsi in 0..NSN { kpart[t][msi][nsi] += brgemm(...) }
-///     }
-///   }
-/// }
-/// parallel t2 in 0..batch*MPN*NPN {           // reduction + epilogue
-///   loop msi2 in 0..MSN {
-///     C'[t2] = 0
-///     loop kpi2 in 0..KPN { C'[t2] += kpart[t2*KPN + kpi2][msi2] }
-///     [post-ops + output write, same anchor as the plain template]
-///   }
-/// }
-/// ```
-///
-/// Each phase-1 worker owns one `[MSN, NSN, MB*NB]` slab of `kpart`
-/// (f32, or i32 for u8×i8), so phase 1 is write-disjoint; phase 2 folds
-/// the `KPN` partials per task and runs the unchanged fused epilogue.
-/// Integer addition is associative, so the int8 path is bit-identical
-/// to the unsliced template; f32 differs only by summation order.
-///
-/// Restricted to blocked-weight rhs and reduction-free post-op chains —
-/// exactly the small-batch MLP matmuls whose `M_blocks × N_blocks`
-/// underfill the pool (the heuristic only proposes `KPN > 1` there).
-#[allow(clippy::too_many_lines)]
-fn lower_matmul_ksliced(
-    machine: &MachineDescriptor,
-    spec: &MatmulSpec,
-    name: &str,
-) -> LoweredMatmul {
-    assert!(
-        matches!(spec.b_input, BInput::BlockedWeight),
-        "k-slicing requires a blocked-weight rhs"
-    );
-    assert!(
-        !spec
-            .post_ops
-            .iter()
-            .any(|q| matches!(q, PostOpSpec::ReduceRow(_))),
-        "k-slicing does not support reduction post-ops"
-    );
-
-    let p = spec.params;
-    let prob = spec.problem;
-    let ctx = Ctx::new(&prob, p, spec.int8);
-    assert!(
-        !ctx.ragged(),
-        "k-slicing requires exact tiling (enforced by validate)"
-    );
-    let kpn = p.kpn;
-    let k_tiles_slice = p.k_tiles_slice(prob.k);
-    let kch_slice = p.k_chunks_slice(prob.k);
-    let tile = p.mb * p.nb;
-
-    let acc_dtype = if spec.int8.is_some() {
-        DataType::I32
-    } else {
-        DataType::F32
-    };
-    let in_dtype = if spec.int8.is_some() {
-        DataType::U8
-    } else {
-        DataType::F32
-    };
-
-    let (params, roles) = build_params(spec, &ctx);
-    let mut func = Func {
-        name: name.to_string(),
-        params,
-        locals: vec![],
-        var_count: 0,
-        body: vec![],
-    };
-    let param_of = |role: ParamRole| -> BufId {
-        BufId::Param(roles.iter().position(|&r| r == role).expect("role"))
-    };
-
-    // ---- locals
-    // per-slice partial accumulators: [phase-1 task][msi][nsi][MB*NB]
-    let kpart = func.add_local(BufDecl::new(
-        acc_dtype,
-        ctx.total_tasks * kpn * ctx.msn * ctx.nsn * tile,
-        "kpart",
-    ));
-    // phase-2 working accumulator; one m-tile row at a time (buf_msn=1)
-    let cprime = func.add_local(BufDecl::new(
-        acc_dtype,
-        ctx.total_tasks * ctx.nsn * tile,
-        "cprime",
-    ));
-    let cpf = if spec.int8.is_some() {
-        func.add_local(BufDecl::new(
-            DataType::F32,
-            ctx.total_tasks * ctx.nsn * tile,
-            "cprime_f32",
-        ))
-    } else {
-        cprime
-    };
-    let pack_place = match spec.a_input {
-        AInput::Plain => Some(
-            spec.forced_pack
-                .unwrap_or_else(|| choose_a_pack(machine, &p, &prob)),
-        ),
-        AInput::Blocked => None,
-    };
-    let aprime = pack_place.map(|pp| {
-        let elems = match pp {
-            PackPlacement::PerKChunk => ctx.total_tasks * kpn * p.bs * p.mb * p.kb,
-            PackPlacement::PerTask => ctx.total_tasks * kpn * ctx.msn * k_tiles_slice * p.mb * p.kb,
-        };
-        func.add_local(BufDecl::new(in_dtype, elems, "aprime"))
-    });
-    let needs_qtile = spec.out_dtype == DataType::U8 && spec.out == OutLayout::Plain;
-    let qtile = needs_qtile
-        .then(|| func.add_local(BufDecl::new(DataType::U8, ctx.total_tasks * tile, "qtile")));
-
-    // ---- phase 1: widened accumulation over k slices
-    let t = func.fresh_var();
-    let msi = func.fresh_var();
-    let kchunk = func.fresh_var();
-    let nsi = func.fresh_var();
-    let bsi = func.fresh_var();
-
-    // phase-1 decomposition: t = task * KPN + kpi
-    let t_mn = Expr::Div(Box::new(Expr::v(t)), Box::new(Expr::from(kpn)));
-    let kpi = Expr::Rem(Box::new(Expr::v(t)), Box::new(Expr::from(kpn)));
-    let batch_idx = if ctx.batch == 1 {
-        Expr::c(0)
-    } else {
-        Expr::Div(
-            Box::new(t_mn.clone()),
-            Box::new(Expr::from(ctx.tasks_per_mat)),
-        )
-    };
-    let task_in_mat = if ctx.batch == 1 {
-        t_mn
-    } else {
-        Expr::Rem(
-            Box::new(t_mn.clone()),
-            Box::new(Expr::from(ctx.tasks_per_mat)),
-        )
-    };
-    let mpi = if p.npn == 1 {
-        task_in_mat.clone()
-    } else {
-        Expr::Div(Box::new(task_in_mat.clone()), Box::new(Expr::from(p.npn)))
-    };
-    let npi = if p.npn == 1 {
-        Expr::c(0)
-    } else {
-        Expr::Rem(Box::new(task_in_mat), Box::new(Expr::from(p.npn)))
-    };
-    let mpsi = mpi.mul(Expr::from(ctx.msn)).add(Expr::v(msi));
-    let npsi = npi.mul(Expr::from(ctx.nsn)).add(Expr::v(nsi));
-    // first k-tile of this worker's slice
-    let k0 = kpi.mul(Expr::from(k_tiles_slice));
-
-    let mut task_body: Vec<Stmt> = Vec::new();
-    if let (Some(ap), Some(PackPlacement::PerTask)) = (aprime, pack_place) {
-        // anchor #2: pack this slice's A panels [task][msi][kt][MB*KB]
-        let src_off = batch_idx
-            .clone()
-            .mul(Expr::from(ctx.m * ctx.k))
-            .add(mpsi.clone().mul(Expr::from(p.mb * ctx.k)))
-            .add(k0.clone().add(Expr::v(kchunk)).mul(Expr::from(p.kb)));
-        let dst = View::new(
-            ap,
-            Expr::v(t)
-                .mul(Expr::from(ctx.msn * k_tiles_slice))
-                .add(Expr::v(msi).mul(Expr::from(k_tiles_slice)))
-                .add(Expr::v(kchunk))
-                .mul(Expr::from(p.mb * p.kb)),
-            p.mb * p.kb,
-        );
-        task_body.push(Stmt::loop_(
-            msi,
-            ctx.msn,
-            vec![Stmt::loop_(
-                kchunk,
-                k_tiles_slice,
-                vec![Stmt::Op(pack_a(
-                    &ctx,
-                    Operand::new(param_of(ParamRole::A), src_off),
-                    dst,
-                ))],
-            )],
-        ));
-    }
-
-    let mut msi_body: Vec<Stmt> = Vec::new();
-    let kpart_row = View::new(
-        kpart,
-        Expr::v(t)
-            .mul(Expr::from(ctx.msn))
-            .add(Expr::v(msi))
-            .mul(Expr::from(ctx.nsn * tile)),
-        ctx.nsn * tile,
-    );
-    msi_body.push(zero_acc(spec.int8.is_some(), kpart_row));
-
-    let mut kchunk_body: Vec<Stmt> = Vec::new();
-    if let (Some(ap), Some(PackPlacement::PerKChunk)) = (aprime, pack_place) {
-        // anchor #4: pack one BS-chunk of this worker's slice
-        let src_off = batch_idx
-            .clone()
-            .mul(Expr::from(ctx.m * ctx.k))
-            .add(mpsi.clone().mul(Expr::from(p.mb * ctx.k)))
-            .add(
-                k0.clone()
-                    .add(Expr::v(kchunk).mul(Expr::from(p.bs)))
-                    .add(Expr::v(bsi))
-                    .mul(Expr::from(p.kb)),
-            );
-        let dst = View::new(
-            ap,
-            Expr::v(t)
-                .mul(Expr::from(p.bs))
-                .add(Expr::v(bsi))
-                .mul(Expr::from(p.mb * p.kb)),
-            p.mb * p.kb,
-        );
-        kchunk_body.push(Stmt::loop_(
-            bsi,
-            p.bs,
-            vec![Stmt::Op(pack_a(
-                &ctx,
-                Operand::new(param_of(ParamRole::A), src_off),
-                dst,
-            ))],
-        ));
-    }
-    let (a_view, a_stride) = match (spec.a_input, pack_place) {
-        (AInput::Blocked, _) => {
-            // A blocked [.., M/MB, K/KB, MB, KB]: first tile of the
-            // chunk sits at k-tile `k0 + kchunk*BS`
-            let off = batch_idx
-                .clone()
-                .mul(Expr::from(ctx.m_tiles))
-                .add(mpsi.clone())
-                .mul(Expr::from(ctx.k_tiles))
-                .add(k0.clone())
-                .add(Expr::v(kchunk).mul(Expr::from(p.bs)))
-                .mul(Expr::from(p.mb * p.kb));
-            (
-                View::new(param_of(ParamRole::A), off, p.mb * p.kb),
-                p.mb * p.kb,
-            )
-        }
-        (AInput::Plain, Some(PackPlacement::PerKChunk)) => (
-            View::new(
-                aprime.unwrap(),
-                Expr::v(t).mul(Expr::from(p.bs * p.mb * p.kb)),
-                p.mb * p.kb,
-            ),
-            p.mb * p.kb,
-        ),
-        (AInput::Plain, Some(PackPlacement::PerTask)) => {
-            let off = Expr::v(t)
-                .mul(Expr::from(ctx.msn * k_tiles_slice))
-                .add(Expr::v(msi).mul(Expr::from(k_tiles_slice)))
-                .add(Expr::v(kchunk).mul(Expr::from(p.bs)))
-                .mul(Expr::from(p.mb * p.kb));
-            (View::new(aprime.unwrap(), off, p.mb * p.kb), p.mb * p.kb)
-        }
-        (AInput::Plain, None) => unreachable!(),
-    };
-    // blocked weight [K/KB, N/NB, NB, KB]: tile (k0 + kchunk*BS, npsi)
-    let b_off = k0
-        .clone()
-        .add(Expr::v(kchunk).mul(Expr::from(p.bs)))
-        .mul(Expr::from(ctx.n_tiles))
-        .add(npsi)
-        .mul(Expr::from(p.nb * p.kb));
-    let b_view = View::new(param_of(ParamRole::B), b_off, p.nb * p.kb);
-    let b_stride = ctx.n_tiles * p.nb * p.kb;
-    let c_tile = View::new(
-        kpart,
-        Expr::v(t)
-            .mul(Expr::from(ctx.msn))
-            .add(Expr::v(msi))
-            .mul(Expr::from(ctx.nsn))
-            .add(Expr::v(nsi))
-            .mul(Expr::from(tile)),
-        tile,
-    );
-    let g = Brgemm {
-        m: p.mb,
-        n: p.nb,
-        k: p.kb,
-        batch: p.bs,
-        a_stride,
-        b_stride,
-    };
-    let brgemm = brgemm_op(spec.int8.is_some(), g, [a_view, b_view, c_tile], None);
-    kchunk_body.push(Stmt::loop_(nsi, ctx.nsn, vec![Stmt::Op(brgemm)]));
-    msi_body.push(Stmt::loop_(kchunk, kch_slice, kchunk_body));
-    task_body.push(Stmt::loop_(msi, ctx.msn, msi_body));
-    func.body
-        .push(Stmt::parallel(t, ctx.total_tasks * kpn, task_body));
-
-    // ---- phase 2: fold the KPN partials per task, then the epilogue
-    let t2 = func.fresh_var();
-    let msi2 = func.fresh_var();
-    let kpi2 = func.fresh_var();
-    let nsi2 = func.fresh_var();
-    let bsi2 = func.fresh_var();
-    let e2 = ExprBuilder {
-        ctx: &ctx,
-        t: t2,
-        msi: msi2,
-        kchunk: kpi2,
-        nsi: nsi2,
-        bsi: bsi2,
-    };
-
-    let mut m_body: Vec<Stmt> = Vec::new();
-    let acc_all = View::new(
-        cprime,
-        Expr::v(t2).mul(Expr::from(ctx.nsn * tile)),
-        ctx.nsn * tile,
-    );
-    m_body.push(zero_acc(spec.int8.is_some(), acc_all.clone()));
-    let part_slice = View::new(
-        kpart,
-        Expr::v(t2)
-            .mul(Expr::from(kpn))
-            .add(Expr::v(kpi2))
-            .mul(Expr::from(ctx.msn))
-            .add(Expr::v(msi2))
-            .mul(Expr::from(ctx.nsn * tile)),
-        ctx.nsn * tile,
-    );
-    let len = ctx.nsn * tile;
-    let fold = if spec.int8.is_some() {
-        Op::AddI32 { len }
-    } else {
-        Op::AddF32 { len }
-    };
-    m_body.push(Stmt::loop_(
-        kpi2,
-        kpn,
-        vec![Stmt::Op(Intrinsic::new(fold, [part_slice, acc_all], []))],
-    ));
-    m_body.extend(emit_post_ops(
-        spec, &ctx, &e2, &param_of, cprime, cpf, qtile, nsi2, 1,
-    ));
-    func.body.push(Stmt::parallel(
-        t2,
-        ctx.total_tasks,
-        vec![Stmt::loop_(msi2, ctx.msn, m_body)],
-    ));
-
-    LoweredMatmul { func, roles }
 }
 
 /// Emits the post-op pipeline for the current m-tile: the int8

@@ -141,7 +141,6 @@ fn f32_residue_sweep_pad_and_tail() {
                         nb,
                         kb,
                         bs: 1,
-                        kpn: 1,
                         edge,
                     };
                     let prob = MatmulProblem::new(m, n, k, 4);
@@ -179,7 +178,6 @@ fn f32_ragged_batched_multi_chunk() {
             nb: 8,
             kb: 8,
             bs: 2,
-            kpn: 1,
             edge,
         };
         let prob = MatmulProblem::batched(batch, m, n, k, 4);
@@ -225,7 +223,6 @@ fn int8_ragged_plan_matches_interpreter_bitexact() {
             nb: 8,
             kb: 8,
             bs: 1,
-            kpn: 1,
             edge,
         };
         let prob = MatmulProblem::new(m, n, k, 1);

@@ -90,7 +90,6 @@ fn f32_plain_in_plain_out() {
         nb: 8,
         kb: 16,
         bs: 2,
-        kpn: 1,
         edge: EdgePolicy::Pad,
     };
     let prob = MatmulProblem::new(m, n, k, 4);
@@ -120,7 +119,6 @@ fn f32_every_post_op_kind_chained() {
         nb: 8,
         kb: 8,
         bs: 1,
-        kpn: 1,
         edge: EdgePolicy::Pad,
     };
     let prob = MatmulProblem::new(m, n, k, 4);
@@ -184,7 +182,6 @@ fn f32_bias_slot() {
         nb: 8,
         kb: 8,
         bs: 1,
-        kpn: 1,
         edge: EdgePolicy::Pad,
     };
     let mut spec = default_spec(MatmulProblem::new(m, n, k, 4), p);
@@ -215,7 +212,6 @@ fn int8_epilogue_with_quantized_output() {
         nb: 8,
         kb: 8,
         bs: 2,
-        kpn: 1,
         edge: EdgePolicy::Pad,
     };
     let prob = MatmulProblem::new(m, n, k, 1);
@@ -267,7 +263,6 @@ fn batched_in_loop_rhs_with_transpose() {
         nb: 8,
         kb: 8,
         bs: 1,
-        kpn: 1,
         edge: EdgePolicy::Pad,
     };
     let prob = MatmulProblem::batched(bh, s, s, d, 4);
@@ -298,7 +293,6 @@ fn split_reduction_softmax_post_ops() {
         nb: 4,
         kb: 8,
         bs: 1,
-        kpn: 1,
         edge: EdgePolicy::Pad,
     };
     let mut spec = default_spec(MatmulProblem::new(m, n, k, 4), p);
@@ -333,7 +327,6 @@ fn both_post_anchors_agree() {
         nb: 8,
         kb: 8,
         bs: 2,
-        kpn: 1,
         edge: EdgePolicy::Pad,
     };
     let a = Tensor::random(&[m, k], DataType::F32, 15);
@@ -366,7 +359,6 @@ fn both_pack_placements_agree() {
         nb: 8,
         kb: 8,
         bs: 2,
-        kpn: 1,
         edge: EdgePolicy::Pad,
     };
     let a = Tensor::random(&[m, k], DataType::F32, 17);
@@ -402,7 +394,6 @@ fn blocked_a_input_matches_plain() {
         nb: 8,
         kb: 8,
         bs: 1,
-        kpn: 1,
         edge: EdgePolicy::Pad,
     };
     let a = Tensor::random(&[m, k], DataType::F32, 19);
@@ -423,193 +414,6 @@ fn blocked_a_input_matches_plain() {
     assert!(max_diff(&out[2], &want) < 1e-4);
 }
 
-/// k-sliced template, f32: for several slice counts, the two-phase
-/// lowering must agree with the unsliced template to float-reduction
-/// tolerance (the only difference is the order of the k summation).
-#[test]
-fn k_sliced_matches_unsliced_f32() {
-    let (m, n, k) = (16, 16, 336); // k_chunks = 42 = 2 * 3 * 7
-    let a = Tensor::random(&[m, k], DataType::F32, 24);
-    let w = Tensor::random(&[k, n], DataType::F32, 25);
-    let want = reference::matmul_f32(&a, &w).unwrap();
-    let mut base: Option<Vec<f32>> = None;
-    for kpn in [1, 2, 3, 7] {
-        let p = MatmulParams {
-            mpn: 2,
-            npn: 1,
-            mb: 8,
-            nb: 8,
-            kb: 8,
-            bs: 1,
-            kpn,
-            edge: EdgePolicy::Pad,
-        };
-        let spec = default_spec(MatmulProblem::new(m, n, k, 4), p);
-        let out = run(
-            &spec,
-            vec![
-                a.storage().clone(),
-                blocked_weight(&w, p.kb, p.nb),
-                Storage::F32(vec![0.0; m * n]),
-            ],
-        );
-        assert!(max_diff(&out[2], &want) < 1e-4, "kpn={kpn} vs reference");
-        let flat = out[2].as_slice::<f32>().unwrap().to_vec();
-        match &base {
-            None => base = Some(flat),
-            Some(b) => {
-                for (i, (x, y)) in flat.iter().zip(b).enumerate() {
-                    assert!(
-                        (x - y).abs() < 1e-5,
-                        "kpn={kpn} elem {i}: {x} vs unsliced {y}"
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// k-sliced template with a fused epilogue chain: the phase-2 reduction
-/// must feed the same post-ops the plain template anchors in its inner
-/// loop.
-#[test]
-fn k_sliced_epilogue_chain() {
-    let (m, n, k) = (8, 16, 64);
-    let p = MatmulParams {
-        mpn: 1,
-        npn: 1,
-        mb: 4,
-        nb: 8,
-        kb: 8,
-        bs: 2,
-        kpn: 4, // k_chunks = 4, one brgemm call per slice
-        edge: EdgePolicy::Pad,
-    };
-    let mut spec = default_spec(MatmulProblem::new(m, n, k, 4), p);
-    spec.post_ops = vec![
-        PostOpSpec::BinaryScalarConst(BinaryOp::Mul, 2.0),
-        PostOpSpec::BinaryRowVec {
-            op: BinaryOp::Add,
-            batch_indexed: false,
-        },
-        PostOpSpec::Unary(UnaryOp::Relu),
-    ];
-    let a = Tensor::random(&[m, k], DataType::F32, 26);
-    let w = Tensor::random(&[k, n], DataType::F32, 27);
-    let bias = Tensor::random(&[n], DataType::F32, 28);
-    let mm = reference::matmul_f32(&a, &w).unwrap();
-    let scaled = reference::binary(
-        reference::BinaryKind::Mul,
-        &mm,
-        &Tensor::from_vec_f32(&[1], vec![2.0]).unwrap(),
-    )
-    .unwrap();
-    let want = reference::relu(&reference::bias_add(&scaled, &bias).unwrap()).unwrap();
-    let out = run(
-        &spec,
-        vec![
-            a.storage().clone(),
-            blocked_weight(&w, p.kb, p.nb),
-            bias.storage().clone(),
-            Storage::F32(vec![0.0; m * n]),
-        ],
-    );
-    assert!(max_diff(&out[3], &want) < 1e-4);
-}
-
-/// k-sliced template on a batched problem (the `batch * tasks * kpn`
-/// index unflattening path).
-#[test]
-fn k_sliced_batched() {
-    let (b, m, n, k) = (3, 8, 8, 128);
-    let p = MatmulParams {
-        mpn: 2,
-        npn: 1,
-        mb: 4,
-        nb: 8,
-        kb: 8,
-        bs: 2,
-        kpn: 2, // k_chunks = 8, 4 per slice
-        edge: EdgePolicy::Pad,
-    };
-    let spec = default_spec(MatmulProblem::batched(b, m, n, k, 4), p);
-    let a = Tensor::random(&[b, m, k], DataType::F32, 29);
-    let w = Tensor::random(&[k, n], DataType::F32, 30);
-    let want = {
-        // shared rhs across the batch
-        let mut outs = vec![0.0f32; b * m * n];
-        for bi in 0..b {
-            let a2 = Tensor::from_vec_f32(
-                &[m, k],
-                a.f32_slice().unwrap()[bi * m * k..(bi + 1) * m * k].to_vec(),
-            )
-            .unwrap();
-            let r = reference::matmul_f32(&a2, &w).unwrap();
-            outs[bi * m * n..(bi + 1) * m * n].copy_from_slice(r.f32_slice().unwrap());
-        }
-        outs
-    };
-    let out = run(
-        &spec,
-        vec![
-            a.storage().clone(),
-            blocked_weight(&w, p.kb, p.nb),
-            Storage::F32(vec![0.0; b * m * n]),
-        ],
-    );
-    let got = out[2].as_slice::<f32>().unwrap();
-    for (i, (x, y)) in got.iter().zip(&want).enumerate() {
-        assert!((x - y).abs() < 1e-4, "elem {i}: {x} vs {y}");
-    }
-}
-
-/// k-sliced int8: integer accumulation is associative, so the sliced
-/// path must match the unsliced template bit-for-bit.
-#[test]
-fn k_sliced_int8_bit_exact() {
-    let (m, n, k) = (8, 8, 128);
-    let a = Tensor::random(&[m, k], DataType::U8, 31);
-    let w = Tensor::random(&[k, n], DataType::I8, 32);
-    let comp = gc_tensor::quant::weight_compensation(w.i8_slice().unwrap(), k, n);
-    let mut base: Option<Vec<u8>> = None;
-    for kpn in [1, 2, 4] {
-        let p = MatmulParams {
-            mpn: 2,
-            npn: 1,
-            mb: 4,
-            nb: 8,
-            kb: 8,
-            bs: 2,
-            kpn,
-            edge: EdgePolicy::Pad,
-        };
-        let mut spec = default_spec(MatmulProblem::new(m, n, k, 1), p);
-        spec.int8 = Some(Int8Spec {
-            a_zero: 5,
-            scale: 0.1 * 0.2,
-        });
-        spec.post_ops = vec![PostOpSpec::Quantize {
-            scale: 0.05,
-            zero_point: 9,
-        }];
-        spec.out_dtype = DataType::U8;
-        let out = run(
-            &spec,
-            vec![
-                a.storage().clone(),
-                blocked_weight(&w, p.kb, p.nb),
-                Storage::I32(comp.clone()),
-                Storage::U8(vec![0; m * n]),
-            ],
-        );
-        let flat = out[3].as_slice::<u8>().unwrap().to_vec();
-        match &base {
-            None => base = Some(flat),
-            Some(b) => assert_eq!(&flat, b, "kpn={kpn} differs from unsliced int8 output"),
-        }
-    }
-}
-
 #[test]
 fn full_shape_binary_operand() {
     let (m, n, k) = (8, 8, 8);
@@ -620,7 +424,6 @@ fn full_shape_binary_operand() {
         nb: 8,
         kb: 8,
         bs: 1,
-        kpn: 1,
         edge: EdgePolicy::Pad,
     };
     let mut spec = default_spec(MatmulProblem::new(m, n, k, 4), p);

@@ -612,28 +612,6 @@ pub(crate) unsafe fn binary_mul<S: SimdF32>(a: &[f32], b: &[f32], dst: &mut [f32
     }
 }
 
-/// `dst[i] += src[i]` — the k-slicing reduction step.
-///
-/// # Safety
-///
-/// `src.len() == dst.len()` and the backend's ISA is available.
-#[inline(always)]
-pub(crate) unsafe fn acc_add<S: SimdF32>(src: &[f32], dst: &mut [f32]) {
-    debug_assert_eq!(src.len(), dst.len());
-    let n = dst.len();
-    let chunks = n / S::LANES;
-    for ch in 0..chunks {
-        let p = ch * S::LANES;
-        S::store(
-            dst.as_mut_ptr().add(p),
-            S::add(S::load(dst.as_ptr().add(p)), S::load(src.as_ptr().add(p))),
-        );
-    }
-    for l in chunks * S::LANES..n {
-        dst[l] += src[l];
-    }
-}
-
 /// Sum of a slice: `LANES` vector accumulators reduced once at the
 /// end, scalar remainder.
 ///

@@ -172,7 +172,6 @@ pub(crate) struct KernelTable {
     pub(crate) exp: unsafe fn(*const f32, *mut f32, usize),
     pub(crate) binary_add: unsafe fn(&[f32], &[f32], &mut [f32]),
     pub(crate) binary_mul: unsafe fn(&[f32], &[f32], &mut [f32]),
-    pub(crate) acc_add: unsafe fn(&[f32], &mut [f32]),
     pub(crate) reduce_sum: unsafe fn(&[f32]) -> f32,
     pub(crate) reduce_max: unsafe fn(&[f32]) -> f32,
     pub(crate) dequant: unsafe fn(&[i32], usize, usize, &[i32], i32, f32, &mut [f32]),
@@ -232,9 +231,6 @@ mod scalar_kernels {
     pub(crate) unsafe fn binary_mul(a: &[f32], b: &[f32], dst: &mut [f32]) {
         body::binary_mul::<S>(a, b, dst)
     }
-    pub(crate) unsafe fn acc_add(src: &[f32], dst: &mut [f32]) {
-        body::acc_add::<S>(src, dst)
-    }
     pub(crate) unsafe fn reduce_sum(xs: &[f32]) -> f32 {
         body::reduce_sum::<S>(xs)
     }
@@ -275,7 +271,6 @@ static SCALAR_TABLE: KernelTable = KernelTable {
     exp: scalar_kernels::exp,
     binary_add: scalar_kernels::binary_add,
     binary_mul: scalar_kernels::binary_mul,
-    acc_add: scalar_kernels::acc_add,
     reduce_sum: scalar_kernels::reduce_sum,
     reduce_max: scalar_kernels::reduce_max,
     dequant: scalar_kernels::dequant,
@@ -293,7 +288,6 @@ static AVX2_TABLE: KernelTable = KernelTable {
     exp: x86::avx2_kernels::exp,
     binary_add: x86::avx2_kernels::binary_add,
     binary_mul: x86::avx2_kernels::binary_mul,
-    acc_add: x86::avx2_kernels::acc_add,
     reduce_sum: x86::avx2_kernels::reduce_sum,
     reduce_max: x86::avx2_kernels::reduce_max,
     dequant: x86::avx2_kernels::dequant,
@@ -311,7 +305,6 @@ static AVX512_TABLE: KernelTable = KernelTable {
     exp: x86::avx512_kernels::exp,
     binary_add: x86::avx512_kernels::binary_add,
     binary_mul: x86::avx512_kernels::binary_mul,
-    acc_add: x86::avx512_kernels::acc_add,
     reduce_sum: x86::avx512_kernels::reduce_sum,
     reduce_max: x86::avx512_kernels::reduce_max,
     dequant: x86::avx512_kernels::dequant,

@@ -528,11 +528,6 @@ macro_rules! isa_entry_points {
             }
 
             #[target_feature(enable = $feat)]
-            pub(crate) unsafe fn acc_add(src: &[f32], dst: &mut [f32]) {
-                body::acc_add::<$simd>(src, dst)
-            }
-
-            #[target_feature(enable = $feat)]
             pub(crate) unsafe fn reduce_sum(xs: &[f32]) -> f32 {
                 body::reduce_sum::<$simd>(xs)
             }

@@ -191,23 +191,6 @@ impl Kernels {
     pub fn binary_add(&self, a: &[f32], b: &[f32], dst: &mut [f32]) {
         self.binary(BinaryOp::Add, a, b, dst);
     }
-
-    /// Accumulate one f32 partial buffer into another:
-    /// `dst[i] += src[i]`.
-    ///
-    /// The reduction step of the k-slicing template: each k-slice's
-    /// partial accumulator is folded into the task's final accumulator
-    /// with this kernel.
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths differ.
-    pub fn acc_add_f32(&self, src: &[f32], dst: &mut [f32]) {
-        assert_eq!(src.len(), dst.len());
-        self.record(Family::Eltwise);
-        // SAFETY: lengths asserted equal above.
-        unsafe { (self.table.acc_add)(src, dst) };
-    }
 }
 
 /// `dst[i] = op(a[i], scalar)` — binary with a broadcast scalar rhs.
@@ -259,21 +242,6 @@ pub fn zero_i32(buf: &mut [i32]) {
 /// Panics if lengths differ.
 pub fn copy(src: &[f32], dst: &mut [f32]) {
     dst.copy_from_slice(src);
-}
-
-/// Accumulate one i32 partial buffer into another: `dst[i] += src[i]`.
-///
-/// The u8×i8 variant of the k-slicing reduction; integer addition is
-/// associative, so sliced and unsliced int8 matmuls agree bit-for-bit.
-///
-/// # Panics
-///
-/// Panics if lengths differ.
-pub fn acc_add_i32(src: &[i32], dst: &mut [i32]) {
-    assert_eq!(src.len(), dst.len());
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d += s;
-    }
 }
 
 #[cfg(test)]
@@ -357,23 +325,6 @@ mod tests {
         let mut acc = [5i32, 6];
         zero_i32(&mut acc);
         assert_eq!(acc, [0, 0]);
-    }
-
-    #[test]
-    fn acc_add_kernels() {
-        let mut d = [1.0f32, 2.0, 3.0];
-        Kernels::default().acc_add_f32(&[0.5, -2.0, 1.0], &mut d);
-        assert_eq!(d, [1.5, 0.0, 4.0]);
-        let mut di = [10i32, -4, 7];
-        acc_add_i32(&[1, 4, -7], &mut di);
-        assert_eq!(di, [11, 0, 0]);
-    }
-
-    #[test]
-    #[should_panic]
-    fn acc_add_length_mismatch_panics() {
-        let mut d = [0f32; 2];
-        Kernels::default().acc_add_f32(&[1.0, 2.0, 3.0], &mut d);
     }
 
     #[test]

@@ -25,49 +25,6 @@ macro_rules! for_each_storage {
     };
 }
 
-/// Concatenate `parts` along dim 0 and zero-pad the result to
-/// `total_rows` rows. All parts must share dtype and trailing dims.
-///
-/// # Errors
-///
-/// Returns [`ServeError::InvalidRequest`] on shape/dtype mismatch or if
-/// the parts hold more than `total_rows` rows.
-pub fn concat_rows(parts: &[&Tensor], total_rows: usize) -> Result<Tensor, ServeError> {
-    let first = parts
-        .first()
-        .ok_or_else(|| ServeError::InvalidRequest("empty batch".into()))?;
-    let dtype = first.desc().dtype();
-    let tail: Vec<usize> = first.desc().shape()[1..].to_vec();
-    let row_vol: usize = tail.iter().product::<usize>().max(1);
-    let mut rows = 0usize;
-    for p in parts {
-        if p.desc().dtype() != dtype || p.desc().shape()[1..] != tail[..] {
-            return Err(ServeError::InvalidRequest(format!(
-                "batch part mismatch: {} vs {}",
-                p.desc(),
-                first.desc()
-            )));
-        }
-        rows += p.desc().shape()[0];
-    }
-    if rows > total_rows {
-        return Err(ServeError::InvalidRequest(format!(
-            "{rows} rows exceed bucket of {total_rows}"
-        )));
-    }
-    let mut out = Storage::zeros(dtype, total_rows * row_vol);
-    let mut off = 0usize;
-    for p in parts {
-        let n = p.desc().volume();
-        copy_elems(p.storage(), 0, &mut out, off, n)?;
-        off += n;
-    }
-    let mut shape = vec![total_rows];
-    shape.extend_from_slice(&tail);
-    Tensor::from_parts(TensorDesc::new(shape, dtype), out)
-        .map_err(|e| ServeError::InvalidRequest(e.to_string()))
-}
-
 /// Slice `len` elements starting at `start` out of `t`'s flat storage
 /// and shape them as `desc`.
 ///
@@ -142,18 +99,6 @@ mod tests {
     use gc_tensor::DataType;
 
     #[test]
-    fn concat_pads_with_zeros() {
-        let a = Tensor::from_vec_f32(&[1, 2], vec![1.0, 2.0]).unwrap();
-        let b = Tensor::from_vec_f32(&[2, 2], vec![3.0, 4.0, 5.0, 6.0]).unwrap();
-        let c = concat_rows(&[&a, &b], 4).unwrap();
-        assert_eq!(c.desc().shape(), &[4, 2]);
-        assert_eq!(
-            c.f32_slice().unwrap(),
-            &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 0.0, 0.0]
-        );
-    }
-
-    #[test]
     fn slice_recovers_rows() {
         let t =
             Tensor::from_vec_f32(&[4, 2], vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 0.0, 0.0]).unwrap();
@@ -162,27 +107,13 @@ mod tests {
     }
 
     #[test]
-    fn mismatched_parts_rejected() {
-        let a = Tensor::from_vec_f32(&[1, 2], vec![1.0, 2.0]).unwrap();
-        let b = Tensor::from_vec_f32(&[1, 3], vec![3.0, 4.0, 5.0]).unwrap();
-        assert!(concat_rows(&[&a, &b], 4).is_err());
-    }
-
-    #[test]
-    fn overflow_rejected() {
-        let a = Tensor::from_vec_f32(&[3, 1], vec![1.0, 2.0, 3.0]).unwrap();
-        assert!(concat_rows(&[&a], 2).is_err());
-    }
-
-    #[test]
-    fn int8_roundtrip_is_exact() {
+    fn int8_slice_is_exact() {
         let a = Tensor::from_parts(
-            TensorDesc::new([2, 2], DataType::I8),
-            Storage::I8(vec![-1, 2, -3, 4]),
+            TensorDesc::new([4, 2], DataType::I8),
+            Storage::I8(vec![-1, 2, -3, 4, 0, 0, 0, 0]),
         )
         .unwrap();
-        let c = concat_rows(&[&a], 4).unwrap();
-        let back = slice_elems(&c, 0, 4, TensorDesc::new([2, 2], DataType::I8)).unwrap();
+        let back = slice_elems(&a, 0, 4, TensorDesc::new([2, 2], DataType::I8)).unwrap();
         match back.storage() {
             Storage::I8(v) => assert_eq!(v, &[-1, 2, -3, 4]),
             _ => unreachable!(),

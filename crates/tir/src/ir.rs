@@ -350,20 +350,6 @@ pub enum Op {
         /// Elements.
         len: usize,
     },
-    /// `dst[i] += src[i]` over f32 windows. Operands `src, dst`. The
-    /// reduction step of the k-slicing template: folds one k-slice's
-    /// partial accumulator into the task's final accumulator.
-    AddF32 {
-        /// Elements.
-        len: usize,
-    },
-    /// `dst[i] += src[i]` over i32 windows. Operands `src, dst`. The
-    /// u8×i8 variant of the k-slicing reduction; exact, so sliced and
-    /// unsliced int8 plans agree bit-for-bit.
-    AddI32 {
-        /// Elements.
-        len: usize,
-    },
     /// A fused post-op chain that reduces (softmax), run over one row
     /// block of `rows x tiles x cols` f32 elements in the blocked
     /// `[tiles][rows][cols]` layout — see [`RowChain`]. Operands: the
@@ -700,8 +686,6 @@ impl Op {
             Op::DequantI8 { len, .. } => unclamped(&[rd(I8, len), wr(F32, len)]),
             Op::CompAccumulate { nb, kb } => unclamped(&[rd(I8, nb * kb), acc(I32, nb)]),
             Op::CastI32F32 { len } => unclamped(&[rd(I32, len), wr(F32, len)]),
-            Op::AddF32 { len } => unclamped(&[rd(F32, len), acc(F32, len)]),
-            Op::AddI32 { len } => unclamped(&[rd(I32, len), acc(I32, len)]),
             Op::RowChain(c) => {
                 let n = c.elems();
                 let mut all = [rd(F32, n); MAX_OPERANDS];

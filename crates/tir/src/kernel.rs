@@ -381,14 +381,6 @@ pub(crate) fn run_op(
         Op::CastI32F32 { len } => unsafe {
             epilogue::i32_to_f32(sl(o[0], len), sl(o[1], len));
         },
-        Op::AddF32 { len } => {
-            assert_disjoint(o[0], o[1], len);
-            unsafe { k.acc_add_f32(sl(o[0], len), sl(o[1], len)) };
-        }
-        Op::AddI32 { len } => {
-            assert_disjoint(o[0], o[1], len);
-            unsafe { eltwise::acc_add_i32(sl(o[0], len), sl(o[1], len)) };
-        }
         Op::RowChain(c) => unsafe {
             let (n, side) = (c.elems(), c.side_operands());
             let mut reads: [&[f32]; MAX_OPERANDS] = [&[]; MAX_OPERANDS];

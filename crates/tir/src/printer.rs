@@ -99,8 +99,6 @@ fn intr_str(f: &Func, i: &Intrinsic) -> String {
             format!("comp_acc {} += colsums({}) (nb={nb} kb={kb})", o[1], o[0])
         }
         Op::CastI32F32 { .. } => format!("cast.i32f32 {} = {}", o[1], o[0]),
-        Op::AddF32 { .. } => format!("add.f32.acc {} += {}", o[1], o[0]),
-        Op::AddI32 { .. } => format!("add.i32.acc {} += {}", o[1], o[0]),
         Op::RowChain(c) => {
             let steps: Vec<String> = c
                 .steps()

@@ -245,8 +245,6 @@ fn compute_cycles(op: &Op, machine: &MachineDescriptor, bases: &[usize]) -> f64 
         | Op::DequantU8 { len, .. }
         | Op::DequantI8 { len, .. }
         | Op::CastI32F32 { len }
-        | Op::AddF32 { len }
-        | Op::AddI32 { len }
         | Op::FillF32 { len, .. }
         | Op::ZeroI32 { len } => *len as f64 / lanes,
         Op::BinaryRowBcast { rows, cols, .. }

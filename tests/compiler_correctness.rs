@@ -2,7 +2,8 @@
 //! across shapes, precisions, and optimization settings.
 
 use gc_bench::workloads::{
-    self, mha_configs, mlp1_layers, mlp_f32, mlp_int8, random_inputs, reference_eval, MhaConfig,
+    self, mha_configs, mlp1_layers, mlp2_layers, mlp_f32, mlp_int8, random_inputs, reference_eval,
+    MhaConfig,
 };
 use gc_core::{CompileOptions, CompiledPartition, Compiler};
 use gc_machine::MachineDescriptor;
@@ -230,80 +231,38 @@ fn report_reflects_fusion_decisions() {
     assert_eq!(nc.report().merged_groups, 0);
 }
 
-/// The phase-2 partial-accumulator fold (`add.f32.acc` / `add.i32.acc`)
-/// only appears in k-sliced lowerings, so its presence in a compiled
-/// module pins template selection end-to-end.
-fn has_acc_add(m: &gc_tir::Module) -> bool {
-    fn in_stmts(stmts: &[gc_tir::Stmt]) -> bool {
-        stmts.iter().any(|s| match s {
-            gc_tir::Stmt::For { body, .. } => in_stmts(body),
-            gc_tir::Stmt::Op(i) => {
-                matches!(i.op, gc_tir::Op::AddF32 { .. } | gc_tir::Op::AddI32 { .. })
-            }
-        })
-    }
-    m.funcs.iter().any(|f| in_stmts(&f.body))
-}
-
-/// A small-batch, deep-reduction matmul on a wide pool: 16x64 rows/cols
-/// block into at most `4 x 4 = 16` M x N tasks, which underfills a
-/// 128-core pool eightfold, so the tunable-config search must pick the
-/// k-sliced template (it chooses `kpn = 16`, putting 256 workers on the
-/// reduction). The lowered module must carry the phase-2 accumulator
-/// fold, validate, and match the reference; disabling the `k_slice`
-/// knob must both remove the reduction phase and leave results
-/// unchanged.
+/// Matmuls whose M x N block grid is narrower than the pool: a deep-K
+/// 16x64x8192 f32 matmul on a 128-core descriptor (at most 16 M x N
+/// tasks), and MLP_2 f32 at batch 8 on `aarch64_small`. Both lower to
+/// the one matmul template, pass the TIR validator, and match the
+/// reference to f32 summation-order noise (1e-5 of the output's scale).
 #[test]
-fn underfilled_pool_selects_k_sliced_template() {
-    let mut machine = MachineDescriptor::xeon_8358();
-    machine.cores = 128;
-    let build = || workloads::single_matmul(16, 64, 8192, workloads::Precision::F32, 51);
-
-    let g = build();
-    let inputs = random_inputs(&g, 53);
-    let want = reference_eval(&g, &inputs);
-
-    let mut o = CompileOptions::new(machine.clone());
-    o.threads = Some(2);
-    let sliced = compile_with(o.clone(), build());
-    assert!(
-        has_acc_add(sliced.executable().module()),
-        "16x64x8192 on a 128-core pool must lower k-sliced"
+fn underfilled_pool_matmuls_validate_and_match_reference() {
+    let check = |label: &str, machine: MachineDescriptor, build: &dyn Fn() -> gc_graph::Graph| {
+        let g = build();
+        let inputs = random_inputs(&g, 53);
+        let want = reference_eval(&g, &inputs);
+        let mut o = CompileOptions::new(machine);
+        o.threads = Some(2);
+        let compiled = compile_with(o, build());
+        gc_tir::validate_module(compiled.executable().module())
+            .unwrap_or_else(|e| panic!("{label}: {e}"));
+        let (outs, _) = compiled.execute(&inputs).expect("exec");
+        let scale = (0..want[0].desc().volume())
+            .map(|i| want[0].storage().get_as_f64(i).abs())
+            .fold(1.0, f64::max);
+        assert_close(&outs[0], &want[0], 1e-5 * scale, label);
+    };
+    let mut wide = MachineDescriptor::xeon_8358();
+    wide.cores = 128;
+    check("16x64x8192 f32 @128 cores", wide, &|| {
+        workloads::single_matmul(16, 64, 8192, workloads::Precision::F32, 51)
+    });
+    check(
+        "aarch64_small MLP_2 f32 b8",
+        MachineDescriptor::aarch64_small(),
+        &|| mlp_f32(8, &mlp2_layers(), 51),
     );
-    gc_tir::validate_module(sliced.executable().module())
-        .expect("k-sliced reduction nests must pass the TIR validator");
-    let (outs, _) = sliced.execute(&inputs).expect("exec sliced");
-    assert_close(&outs[0], &want[0], 1e-1, "k-sliced deep-K matmul");
-
-    o.k_slice = false;
-    let plain = compile_with(o, build());
-    assert!(
-        !has_acc_add(plain.executable().module()),
-        "k_slice = false must keep the unsliced template"
-    );
-    let (outs, _) = plain.execute(&inputs).expect("exec plain");
-    assert_close(&outs[0], &want[0], 1e-1, "unsliced deep-K matmul");
-}
-
-/// Small-batch MLP_1 at the default 32-core machine: the cost model
-/// keeps the free (split) schedules, which fill the pool by
-/// N-shattering, so the end-to-end module must stay unsliced — and must
-/// still match the reference with the knob on. This pins the selection
-/// boundary from the other side: k-slicing is a targeted template, not
-/// a default.
-#[test]
-fn small_batch_mlp_stays_unsliced_on_narrow_pool() {
-    let g = mlp_f32(16, &mlp1_layers(), 51);
-    let inputs = random_inputs(&g, 53);
-    let want = reference_eval(&g, &inputs);
-
-    let compiled = compile_with(opts(), mlp_f32(16, &mlp1_layers(), 51));
-    assert!(
-        !has_acc_add(compiled.executable().module()),
-        "MLP_1 b=16 at 32 cores: free N-shattered schedules fill the pool"
-    );
-    let (outs, _) = compiled.execute(&inputs).expect("exec");
-    assert_close(&outs[0], &want[0], 1e-2, "MLP_1 b=16 default pipeline");
 }
 
 #[test]

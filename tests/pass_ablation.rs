@@ -92,11 +92,6 @@ fn ablations(threads: usize) -> Vec<(&'static str, CompileOptions)> {
         o.constant_weights = false;
         o
     }));
-    m.push(("without-k-slicing", {
-        let mut o = base.clone();
-        o.k_slice = false;
-        o
-    }));
     m.push(("without-plans (interpret)", {
         let mut o = base;
         o.interpret = true;
