@@ -6,8 +6,10 @@
 //!
 //! - **projected ms** — cycles from the machine-model projector
 //!   (32-core Xeon 8358), the primary, paper-shape-comparable series;
-//! - **wall ms** — measured on this host (secondary; the host has
-//!   neither 32 cores nor AVX-512).
+//! - **wall ms** — measured on the host running the binary (secondary;
+//!   compiled plans run on the kernel backend CPU detection picks —
+//!   AVX-512 where the CPU has it — but on the host's few cores, not
+//!   the Xeon's 32).
 
 use crate::workloads::{self, random_inputs, MhaConfig, Precision};
 use gc_baseline::{Baseline, BaselineOptions};
@@ -168,8 +170,9 @@ impl Harness {
         let exe = self.compile(setting, graph.clone());
         let mut walls = vec![0.0f64];
         let mut barriers = 0;
-        // very large problems are projection-only (the host is a single
-        // interpreting core; wall time there carries no signal)
+        // very large problems are projection-only (a few host cores take
+        // seconds per rep, and that wall time says nothing about the
+        // projected 32-core run)
         if flops <= self.wall_flop_cap {
             let inputs = random_inputs(&graph, seed);
             exe.execute(&inputs); // warm the constant cache

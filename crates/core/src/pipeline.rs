@@ -200,13 +200,6 @@ pub fn lower_for(
             let split = lower_with(&singletons(), &lower_opts)?;
             let merged_proj = gc_tir::sim::project(&lowered.module, &opts.machine, 1);
             let split_proj = gc_tir::sim::project(&split.module, &opts.machine, 1);
-            if std::env::var("GC_DEBUG_COARSE").is_ok() {
-                eprintln!(
-                    "[coarse] merged: total {:.0} comp {:.0} mem {:.0} sync {:.0} | split: total {:.0} comp {:.0} mem {:.0} sync {:.0}",
-                    merged_proj.cycles, merged_proj.compute_cycles, merged_proj.memory_cycles, merged_proj.sync_cycles,
-                    split_proj.cycles, split_proj.compute_cycles, split_proj.memory_cycles, split_proj.sync_cycles,
-                );
-            }
             if split_proj.cycles < merged_proj.cycles {
                 lowered = split;
             }
@@ -228,12 +221,6 @@ pub fn lower_for(
                 let exact = lower_once(false)?;
                 let ragged_proj = gc_tir::sim::project(&lowered.module, &opts.machine, 1);
                 let exact_proj = gc_tir::sim::project(&exact.module, &opts.machine, 1);
-                if std::env::var("GC_DEBUG_RAGGED").is_ok() {
-                    eprintln!(
-                        "[ragged] padded/edge: total {:.0} | divisor-only: total {:.0}",
-                        ragged_proj.cycles, exact_proj.cycles,
-                    );
-                }
                 if exact_proj.cycles < ragged_proj.cycles {
                     lowered = exact;
                     ragged_kept = false;

@@ -1131,7 +1131,6 @@ fn group_profitable(
     group: &[usize],
     stats: &mut SearchStats,
 ) -> bool {
-    let debug = std::env::var("GC_DEBUG_GROUPS").is_ok();
     let mut probs = Vec::new();
     for &pi in group {
         match part_problem(graph, &parts.parts[pi]) {
@@ -1158,13 +1157,8 @@ fn group_profitable(
         let (pf, sf) = search(machine, prob, &fc);
         *stats += sg;
         *stats += sf;
-        let cg = crate::heuristic::estimate_cycles(machine, prob, &pg);
-        let cf = crate::heuristic::estimate_cycles(machine, prob, &pf);
-        if debug {
-            eprintln!("  member {prob:?}: grouped {pg:?} = {cg:.0} | free {pf:?} = {cf:.0}");
-        }
-        merged += cg;
-        free += cf;
+        merged += crate::heuristic::estimate_cycles(machine, prob, &pg);
+        free += crate::heuristic::estimate_cycles(machine, prob, &pf);
     }
     // merging removes the inter-op barriers and keeps each intermediate
     // slice hot instead of round-tripping it through memory
@@ -1178,16 +1172,6 @@ fn group_profitable(
     // The analytic model cannot see the merged loop's inter-op cache
     // locality (each core's activation slice stays hot between members),
     // so the comparison carries a tolerance in favour of merging.
-    if debug {
-        eprintln!(
-            "[coarse] group of {}: merged {:.0} vs free {:.0} (+barrier {:.0} +locality {:.0})",
-            group.len(),
-            merged,
-            free,
-            barrier_savings,
-            locality_savings
-        );
-    }
     merged <= free + barrier_savings + locality_savings
 }
 

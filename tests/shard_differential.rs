@@ -10,7 +10,7 @@
 use gc_bench::workloads;
 use gc_core::{CompileOptions, Compiler};
 use gc_machine::MachineDescriptor;
-use gc_serve::{EngineShard, Model, PlanCache, ServeConfig, ShardConfig, ShardSpec};
+use gc_serve::{EngineShard, Model, PlanCache, ServeConfig, ShardConfig, ShardSpec, StatsSnapshot};
 use gc_tensor::Storage;
 use gc_tir::InitCache;
 use std::sync::Arc;
@@ -61,7 +61,8 @@ fn assert_storage_close(got: &Storage, want: &Storage, tol: f32, what: &str) {
 /// *serially* (unsharded, same pipeline — the ISSUE's serial ≡ sharded
 /// contract, `serial_tol`) and (b) a raw unbatched single-engine
 /// compile at the exact request shape (`unbatched_tol`; looser for f32
-/// because bucketing changes kernel blocking).
+/// because bucketing changes kernel blocking). Returns the sharded
+/// model's final stats.
 fn sharded_vs_serial(
     template: gc_graph::Graph,
     build_rows: impl Fn(usize) -> gc_graph::Graph,
@@ -69,7 +70,7 @@ fn sharded_vs_serial(
     config: ServeConfig,
     serial_tol: f32,
     unbatched_tol: f32,
-) {
+) -> StatsSnapshot {
     let shard_count = config.sharding.as_ref().map_or(0, |s| s.shards.len());
     let serial = Model::load(
         template.clone(),
@@ -116,6 +117,7 @@ fn sharded_vs_serial(
     let total_units: u64 = rows_list.iter().map(|&r| r as u64).sum();
     assert_eq!(shard_units, total_units, "{snap}");
     assert!(snap.scattered_batches > 0, "{snap}");
+    snap
 }
 
 /// Tentpole: sharded f32 serving agrees with the serial (unsharded)
@@ -188,6 +190,39 @@ fn ragged_split_across_heterogeneous_shards() {
         0.0, // int8: exact even across backends
         0.0,
     );
+}
+
+/// `ServeConfig::with_shards(n)` divides the model's thread budget
+/// evenly: four threads over two shards is two each, and an 8-row
+/// request (at the default scatter threshold) splits across both and
+/// bit-matches the unsharded model.
+#[test]
+fn with_shards_splits_the_thread_budget_evenly() {
+    let layers = workloads::mlp1_layers();
+    let snap = sharded_vs_serial(
+        workloads::mlp_int8(1, &layers, 13),
+        |rows| workloads::mlp_int8(rows, &workloads::mlp1_layers(), 13),
+        &[8],
+        serve_config(4).with_shards(2),
+        0.0,
+        0.0,
+    );
+    let threads: Vec<u64> = snap.shards.iter().map(|s| s.threads).collect();
+    assert_eq!(threads, [2, 2], "{snap}");
+}
+
+/// A budget smaller than the shard count still gives every shard one
+/// thread.
+#[test]
+fn with_shards_gives_every_shard_at_least_one_thread() {
+    let model = Model::load(
+        workloads::mlp_int8(1, &workloads::mlp1_layers(), 13),
+        serve_config(2).with_shards(4),
+    )
+    .expect("load");
+    let snap = model.stats();
+    let threads: Vec<u64> = snap.shards.iter().map(|s| s.threads).collect();
+    assert_eq!(threads, [1, 1, 1, 1], "{snap}");
 }
 
 /// Panic isolation: a job that panics on one shard fails only its own
