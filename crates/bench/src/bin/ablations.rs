@@ -8,9 +8,9 @@
 //! - `buffers`  — memory-buffer reuse + tensor-size optimization:
 //!   peak temporary footprint and projected cycles;
 //! - `ragged`   — pack-time padding + edge-tile kernels on Table 1's
-//!   irregular shapes (MLP_2's prime k=479 first layer and friends):
-//!   projected cycles with ragged blocking on vs the divisor-only
-//!   degenerate blocking (`KB ∈ {1, k}` when k is prime);
+//!   irregular shapes: projected cycles with ragged m/n blocking on vs
+//!   the divisor-only blocking (`KB` divides k either way, so MLP_2's
+//!   prime k=479 first layer is one whole-depth block on both sides);
 //! - `simd`     — the explicit-SIMD microkernel backends vs the
 //!   scalar fallback: kernel-level GFLOP/s per family (on explicit
 //!   [`gc_microkernel::arch::kernels`] handles) and end-to-end MLP_1
@@ -150,8 +150,8 @@ fn main() {
         println!("== ablation: ragged blocking (pack-time padding + edge tiles, projected ms) ==");
         // Table 1's irregular workload is MLP_2: its feature chain
         // 479 -> 1024 -> 1024 -> 512 -> 256 -> 1 opens on a prime
-        // reduction dim (479), where divisor-only blocking degenerates
-        // to KB ∈ {1, 479}, and closes on an n=1 head.
+        // reduction dim (479, one whole-depth KB on both sides) and
+        // closes on an n=1 head.
         for b in [32usize, 128, 256, 512] {
             for prec in [workloads::Precision::F32, workloads::Precision::Int8] {
                 let ms_for = |ragged: bool| {
@@ -176,11 +176,8 @@ fn main() {
         }
         // Isolated irregular single matmuls: the m/n remainders against
         // power-of-two tiles are where divisor-only truly degenerates
-        // (nb=1 register tiles). The 1.00x rows are the projection gate
-        // at work: padding k to the lane grid buys compute efficiency
-        // but streams ~7% more bytes, so on memory-bound layers (and
-        // under VNNI's 4-element dot groups, which shrug off prime k)
-        // the compiler falls back to the exact divisor-only plan.
+        // (nb=1 register tiles). A prime k alone changes nothing: both
+        // sides take KB = k.
         let shapes = [
             ("255x255x255 fp32", 255, 255, 255, workloads::Precision::F32),
             ("257x512x512 fp32", 257, 512, 512, workloads::Precision::F32),
@@ -266,12 +263,11 @@ fn search_ablation(quick: bool) {
     writeln!(
         out,
         "== ablation: template-parameter search (xeon_8358 model, 1 thread) ==\n\
-         one Compiler::compile: lowerings, then the search counts summed over them\n\
+         one Compiler::compile: the search counts of its one lowering\n\
          (group_profitable's and plan_tunable's queries); replay: the compile's logged\n\
          (plan_tunable) queries again, exhaustive walk vs branch-and-bound, same picks\n\
-         {:<16} {:>4} {:>7} {:>7} {:>14} {:>7} | {:>6} {:>10} {:>9} {:>8} | {:>10}",
+         {:<16} {:>7} {:>7} {:>14} {:>7} | {:>6} {:>10} {:>9} {:>8} | {:>10}",
         "workload",
-        "low.",
         "queries",
         "tiles",
         "pruned",
@@ -331,8 +327,7 @@ fn search_ablation(quick: bool) {
         let pruned_share = 100.0 * s.tiles_pruned as f64 / s.tiles.max(1) as f64;
         writeln!(
             out,
-            "{name:<16} {:>4} {:>7} {:>7} {:>6} ({:>4.1}%) {:>7} | {:>6} {:>10} {:>9.2} {:>8.3} | {:>10.2}",
-            report.lowerings,
+            "{name:<16} {:>7} {:>7} {:>6} ({:>4.1}%) {:>7} | {:>6} {:>10} {:>9.2} {:>8.3} | {:>10.2}",
             s.queries,
             s.tiles,
             s.tiles_pruned,

@@ -51,17 +51,18 @@ pub struct CompileOptions {
     /// offset lands in-bounds (debug mode; costs address-arithmetic
     /// work per intrinsic, off by default).
     pub checked: bool,
-    /// Allow ragged (non-divisor) tile sizes for blocked-weight
-    /// matmuls: edge tiles are zero-padded at pack time or clamped by
-    /// tail kernels. Off = divisor-only blocking (ablation: prime dims
-    /// degenerate to `KB ∈ {1, K}`).
+    /// Allow ragged (non-divisor) `MB`/`NB` for blocked-weight matmuls:
+    /// m/n edge tiles are zero-padded at pack time or clamped by tail
+    /// kernels. Off = divisor-only blocking of m and n (ablation: a
+    /// prime m or n degenerates to a block of 1 or the whole axis).
+    /// `KB` divides k either way.
     pub ragged: bool,
     /// Measured-tuning database. When set, compilation looks up the
     /// graph's [`crate::tune::TuneKey`] and — on a hit — warm-starts
-    /// lowering with the recorded parameters and schedule decisions,
-    /// skipping the analytic search's double-lowering projection gates
-    /// entirely. A miss compiles analytically as usual (nothing is
-    /// written back; populating the database is the tuner's job).
+    /// lowering with the recorded parameters, skipping the analytic
+    /// search at every recorded choice point. A miss compiles
+    /// analytically as usual (nothing is written back; populating the
+    /// database is the tuner's job).
     pub tuning: Option<std::sync::Arc<crate::tune::TuningDb>>,
     /// When set, lowering appends every template-parameter decision it
     /// makes (problem, constraints, chosen params) to this log.

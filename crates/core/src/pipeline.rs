@@ -12,7 +12,6 @@ use gc_graph::passes::low_precision::LowPrecision;
 use gc_graph::passes::PassManager;
 use gc_graph::{CoarseGroups, Graph, Partitioning};
 use gc_lowering::{lower_partitions, LowerOptions, Lowered, SearchStats};
-use std::cell::Cell;
 
 /// What the Graph IR stage decided (surfaced for tests, benches and the
 /// ablation harness).
@@ -28,25 +27,14 @@ pub struct CompileReport {
     pub fused_post_ops: usize,
     /// Live graph ops after optimization.
     pub graph_ops: usize,
-    /// Tunable partitions in the final plan whose chosen parameters
-    /// tile some axis raggedly (pack-time padding / edge tiles). Zero
-    /// when the ragged-vs-exact gate kept the divisor-only plan.
+    /// Tunable partitions in the plan whose chosen parameters tile the
+    /// m or n axis raggedly (pack-time padding / edge tiles).
     pub ragged_partitions: usize,
-    /// True iff the final plan came out of a ragged-*enabled* lowering
-    /// (the divisor-only re-lowering, if the gate ran one, lost). This
-    /// is the knob setting a warm start must replay to reproduce the
-    /// plan — distinct from `ragged_partitions`, since a ragged-enabled
-    /// lowering can happen to choose all-divisor tiles.
-    pub ragged_kept: bool,
     /// True iff lowering warm-started from a tuning-database record
-    /// (pinned schedule decisions, no projection gates).
+    /// (measured parameter overrides).
     pub tuned: bool,
-    /// How many times the graph was lowered (1–4): the merged-vs-split
-    /// and ragged-vs-exact projection gates each lower it again to
-    /// compare, and a tuned warm start skips both.
-    pub lowerings: usize,
-    /// Template-parameter search work summed over every lowering,
-    /// including the ones the gates discarded.
+    /// Template-parameter search work of the lowering
+    /// (`group_profitable`'s and `plan_tunable`'s queries).
     pub search: SearchStats,
 }
 
@@ -125,110 +113,28 @@ pub fn lower_for(
     isa: &str,
 ) -> Result<(Lowered, CompileReport), CoreError> {
     // Tuning-database warm start: a hit supplies measured parameter
-    // overrides plus (once tuned, not during trials) the pinned
-    // merged-vs-split and ragged-vs-exact decisions, so the projection
-    // gates below — each of which lowers the graph a second time — are
-    // skipped entirely.
+    // overrides for the choice points it recorded.
     let tuned: Option<crate::tune::TunedRecord> = match &opts.tuning {
         Some(db) => crate::tune::TuneKey::for_graph(graph, opts, isa)
             .ok()
             .and_then(|k| db.lookup(&k)),
         None => None,
     };
-    let overrides = tuned.as_ref().map(|r| r.overrides()).unwrap_or_default();
-    // Pins only apply where the corresponding gate could run at all:
-    // with the knob off, the baseline path never double-lowers, and
-    // honoring a pin would produce a structurally different plan than
-    // an untuned compile with the same options.
-    let pin_merge = tuned
-        .as_ref()
-        .and_then(|r| r.merge_coarse)
-        .filter(|_| opts.coarse_fusion);
-    let pin_ragged = tuned
-        .as_ref()
-        .and_then(|r| r.ragged)
-        .filter(|_| opts.ragged);
-
-    let singletons = || gc_graph::CoarseGroups {
-        groups: groups
-            .groups
-            .iter()
-            .flat_map(|g| g.iter().map(|&pi| vec![pi]).collect::<Vec<_>>())
-            .collect(),
+    let lower_opts = LowerOptions {
+        machine: opts.machine.clone(),
+        propagate_layouts: opts.propagate_layouts,
+        shrink_tensors: opts.shrink_tensors,
+        reuse_buffers: opts.reuse_buffers,
+        reuse_locals: opts.reuse_locals,
+        validate: opts.validate,
+        forced_post_anchor: opts.forced_post_anchor,
+        forced_pack: opts.forced_pack,
+        library_params: opts.library_params,
+        ragged: opts.ragged,
+        overrides: tuned.as_ref().map(|r| r.overrides()).unwrap_or_default(),
+        param_log: opts.param_log.clone(),
     };
-
-    let lowerings = Cell::new(0usize);
-    let search = Cell::new(SearchStats::default());
-    let lower_with = |groups: &CoarseGroups, lower_opts: &LowerOptions| {
-        let lowered = lower_partitions(graph, parts, groups, lower_opts)?;
-        lowerings.set(lowerings.get() + 1);
-        let mut total = search.get();
-        total += lowered.search;
-        search.set(total);
-        Ok::<Lowered, CoreError>(lowered)
-    };
-
-    // One coarse-gated lowering under a given ragged setting: lower,
-    // then validate coarse-grain fusion against the performance
-    // projector — if merging the loops projects slower than leaving
-    // the fused ops separate (the analytic model is only a shortlist),
-    // keep the unmerged lowering. A pinned decision replaces the gate
-    // with a single lowering of the recorded shape.
-    let lower_once = |ragged: bool| -> Result<Lowered, CoreError> {
-        let lower_opts = LowerOptions {
-            machine: opts.machine.clone(),
-            merge_coarse_groups: opts.coarse_fusion,
-            propagate_layouts: opts.propagate_layouts,
-            shrink_tensors: opts.shrink_tensors,
-            reuse_buffers: opts.reuse_buffers,
-            reuse_locals: opts.reuse_locals,
-            validate: opts.validate,
-            forced_post_anchor: opts.forced_post_anchor,
-            forced_pack: opts.forced_pack,
-            library_params: opts.library_params,
-            ragged,
-            overrides: overrides.clone(),
-            param_log: opts.param_log.clone(),
-        };
-        match pin_merge {
-            Some(true) => return lower_with(groups, &lower_opts),
-            Some(false) => return lower_with(&singletons(), &lower_opts),
-            None => {}
-        }
-        let mut lowered = lower_with(groups, &lower_opts)?;
-        if opts.coarse_fusion && lowered.merged_groups > 0 {
-            let split = lower_with(&singletons(), &lower_opts)?;
-            let merged_proj = gc_tir::sim::project(&lowered.module, &opts.machine, 1);
-            let split_proj = gc_tir::sim::project(&split.module, &opts.machine, 1);
-            if split_proj.cycles < merged_proj.cycles {
-                lowered = split;
-            }
-        }
-        Ok(lowered)
-    };
-    let (lowered, ragged_kept) = match pin_ragged {
-        Some(r) => (lower_once(r)?, r),
-        None => {
-            let mut ragged_kept = opts.ragged;
-            let mut lowered = lower_once(opts.ragged)?;
-            // Ragged blocking is gated the same way as coarse fusion:
-            // the heuristic's analytic model favors dense microkernel
-            // tiles, but pack-time padding streams extra bytes — on
-            // memory-bound shapes the exact divisor-only plan can win.
-            // Re-lower with ragged off and keep whichever the projector
-            // prefers.
-            if opts.ragged && lowered.ragged_partitions > 0 {
-                let exact = lower_once(false)?;
-                let ragged_proj = gc_tir::sim::project(&lowered.module, &opts.machine, 1);
-                let exact_proj = gc_tir::sim::project(&exact.module, &opts.machine, 1);
-                if exact_proj.cycles < ragged_proj.cycles {
-                    lowered = exact;
-                    ragged_kept = false;
-                }
-            }
-            (lowered, ragged_kept)
-        }
-    };
+    let lowered = lower_partitions(graph, parts, groups, &lower_opts)?;
     let report = CompileReport {
         partitions: parts.parts.len(),
         init_partitions: parts.init_parts.len(),
@@ -236,10 +142,8 @@ pub fn lower_for(
         fused_post_ops: parts.parts.iter().map(|p| p.post_ops.len()).sum(),
         graph_ops: graph.live_ops().count(),
         ragged_partitions: lowered.ragged_partitions,
-        ragged_kept,
         tuned: tuned.is_some(),
-        lowerings: lowerings.get(),
-        search: search.get(),
+        search: lowered.search,
     };
     Ok((lowered, report))
 }

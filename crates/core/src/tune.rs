@@ -15,14 +15,13 @@
 //!    database hit uses* (a throwaway in-memory [`TuningDb`] holding
 //!    the trial record), projected on the target machine's cache
 //!    simulator and timed on the host wall clock;
-//! 4. the winning record — parameter overrides plus the pinned
-//!    merged-vs-split and ragged-vs-exact decisions of the winning
+//! 4. the winning record — the parameter overrides of the winning
 //!    plan — is persisted in a [`TuningDb`] keyed by
 //!    (graph fingerprint, shape bucket, machine, threads).
 //!
 //! A later compile with [`crate::CompileOptions::tuning`] set to that
-//! database warm-starts: one lowering, no candidate search, no
-//! double-lowering projection gates, zero re-measurement.
+//! database warm-starts: no candidate search at the recorded choice
+//! points, zero re-measurement.
 //!
 //! Winner selection is by *projected* cycles on the target machine
 //! model (the host running the tuner is rarely the 32-core target);
@@ -100,20 +99,12 @@ impl TuneKey {
     }
 }
 
-/// One tuned compilation plan: the measured parameter winners plus the
-/// schedule decisions of the winning plan, pinned so a warm start does
-/// exactly one lowering.
+/// One tuned compilation plan: the measured parameter winners.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TunedRecord {
     /// Winning parameters per choice point (exact
     /// `(problem, constraints)` identity).
     pub choices: Vec<ParamChoice>,
-    /// Pinned merged-vs-split decision. `None` leaves the projection
-    /// gate active (used for trial records, where the gate *is* part
-    /// of what is being measured).
-    pub merge_coarse: Option<bool>,
-    /// Pinned ragged-vs-exact decision; `None` as above.
-    pub ragged: Option<bool>,
     /// Projected steady-state cycles of the winning plan.
     pub projected_cycles: f64,
     /// Best host wall time observed for the winning plan
@@ -208,7 +199,7 @@ impl TuningDb {
         let entries = self.entries.lock().unwrap();
         let mut keys: Vec<TuneKey> = entries.keys().copied().collect();
         keys.sort();
-        let mut out = String::from("gc-tunedb v2\n");
+        let mut out = String::from("gc-tunedb v3\n");
         for k in keys {
             write_record(&mut out, &k, &entries[&k]);
         }
@@ -235,14 +226,6 @@ fn opt_usize(v: Option<usize>) -> String {
     }
 }
 
-fn opt_bool(v: Option<bool>) -> &'static str {
-    match v {
-        Some(true) => "1",
-        Some(false) => "0",
-        None => "-",
-    }
-}
-
 fn write_record(out: &mut String, key: &TuneKey, r: &TunedRecord) {
     // Exhaustive destructuring throughout: adding a field to the key,
     // the record, or any of the three choice-point structs is a
@@ -256,15 +239,11 @@ fn write_record(out: &mut String, key: &TuneKey, r: &TunedRecord) {
     } = *key;
     let TunedRecord {
         choices,
-        merge_coarse,
-        ragged,
         projected_cycles,
         wall_ns,
     } = r;
     out.push_str(&format!(
-        "record {graph:016x} {shape_bucket} {machine:016x} {threads} {} {} {:016x} {wall_ns}\n",
-        opt_bool(*merge_coarse),
-        opt_bool(*ragged),
+        "record {graph:016x} {shape_bucket} {machine:016x} {threads} {:016x} {wall_ns}\n",
         projected_cycles.to_bits(),
     ));
     for c in choices {
@@ -282,7 +261,6 @@ fn write_record(out: &mut String, key: &TuneKey, r: &TunedRecord) {
             fixed_tasks,
             allow_ragged_m,
             allow_ragged_n,
-            allow_ragged_k,
         } = c.constraints;
         let MatmulParams {
             mpn,
@@ -298,7 +276,7 @@ fn write_record(out: &mut String, key: &TuneKey, r: &TunedRecord) {
             EdgePolicy::Tail => "tail",
         };
         out.push_str(&format!(
-            "choice {batch} {m} {n} {k} {elem_bytes} | {} {} {} {} {} {} {} | \
+            "choice {batch} {m} {n} {k} {elem_bytes} | {} {} {} {} {} {} | \
              {mpn} {npn} {mb} {nb} {kb} {bs} {edge}\n",
             u8::from(full_n_per_task),
             opt_usize(fixed_mb),
@@ -306,7 +284,6 @@ fn write_record(out: &mut String, key: &TuneKey, r: &TunedRecord) {
             opt_usize(fixed_tasks),
             u8::from(allow_ragged_m),
             u8::from(allow_ragged_n),
-            u8::from(allow_ragged_k),
         ));
     }
     out.push_str("end\n");
@@ -328,15 +305,6 @@ fn parse_opt_usize(s: &str) -> io::Result<Option<usize>> {
         Ok(None)
     } else {
         parse_usize(s).map(Some)
-    }
-}
-
-fn parse_opt_bool(s: &str) -> io::Result<Option<bool>> {
-    match s {
-        "-" => Ok(None),
-        "0" => Ok(Some(false)),
-        "1" => Ok(Some(true)),
-        _ => Err(bad(format!("bad flag {s:?}"))),
     }
 }
 
@@ -369,8 +337,8 @@ fn parse_choice(rest: &str) -> io::Result<ParamChoice> {
         elem_bytes: parse_usize(eb)?,
     };
     let c: Vec<&str> = cons.split_whitespace().collect();
-    let [fnt, fmb, fkb, ft, rm, rn, rk] = c[..] else {
-        return Err(bad("constraints section needs 7 fields"));
+    let [fnt, fmb, fkb, ft, rm, rn] = c[..] else {
+        return Err(bad("constraints section needs 6 fields"));
     };
     let constraints = Constraints {
         full_n_per_task: parse_bool(fnt)?,
@@ -379,7 +347,6 @@ fn parse_choice(rest: &str) -> io::Result<ParamChoice> {
         fixed_tasks: parse_opt_usize(ft)?,
         allow_ragged_m: parse_bool(rm)?,
         allow_ragged_n: parse_bool(rn)?,
-        allow_ragged_k: parse_bool(rk)?,
     };
     let q: Vec<&str> = par.split_whitespace().collect();
     let [mpn, npn, mb, nb, kb, bs, edge] = q[..] else {
@@ -408,7 +375,7 @@ fn parse_choice(rest: &str) -> io::Result<ParamChoice> {
 fn parse_db(text: &str) -> io::Result<HashMap<TuneKey, TunedRecord>> {
     let mut lines = text.lines();
     match lines.next() {
-        Some("gc-tunedb v2") => {}
+        Some("gc-tunedb v3") => {}
         other => return Err(bad(format!("bad header {other:?}"))),
     }
     let mut entries = HashMap::new();
@@ -425,8 +392,8 @@ fn parse_db(text: &str) -> io::Result<HashMap<TuneKey, TunedRecord>> {
                     return Err(bad("record without closing end"));
                 }
                 let f: Vec<&str> = rest.split_whitespace().collect();
-                let [graph, bucket, machine, threads, merge, ragged, cycles, wall] = f[..] else {
-                    return Err(bad("record line needs 8 fields"));
+                let [graph, bucket, machine, threads, cycles, wall] = f[..] else {
+                    return Err(bad("record line needs 6 fields"));
                 };
                 let key = TuneKey {
                     graph: parse_hex(graph)?,
@@ -436,8 +403,6 @@ fn parse_db(text: &str) -> io::Result<HashMap<TuneKey, TunedRecord>> {
                 };
                 let rec = TunedRecord {
                     choices: Vec::new(),
-                    merge_coarse: parse_opt_bool(merge)?,
-                    ragged: parse_opt_bool(ragged)?,
                     projected_cycles: f64::from_bits(parse_hex(cycles)?),
                     wall_ns: parse_usize(wall)? as u64,
                 };
@@ -554,9 +519,8 @@ fn random_inputs(
 
 /// Measured autotuning: discover the graph's template-parameter choice
 /// points, measure the analytic top-k candidates at each, and persist
-/// the winning record (parameters + pinned schedule decisions) in
-/// `db`. Returns immediately (zero trials) if `db` already holds the
-/// graph's key.
+/// the winning parameters in `db`. Returns immediately (zero trials)
+/// if `db` already holds the graph's key.
 ///
 /// `opts` is the compilation configuration to tune *for*; its `tuning`
 /// and `param_log` fields are ignored (the tuner manages both).
@@ -602,10 +566,8 @@ pub fn tune_graph(
     logged_opts.param_log = Some(log.clone());
     let (analytic_cycles, analytic_wall) = measure(&logged_opts, graph, &inputs, cfg.wall_reps)?;
 
-    // Choice points: first-seen order, deduplicated by identity. The
-    // log may contain several entries per point (the projection gates
-    // lower more than once); the *choice* at a given point is the same
-    // in each pass, so first-seen wins.
+    // Choice points: first-seen order, deduplicated by identity (two
+    // layers of one shape share a point and its choice).
     let mut points: Vec<ParamChoice> = Vec::new();
     for c in log.lock().unwrap().iter() {
         if !points
@@ -647,8 +609,6 @@ pub fn tune_graph(
                 key,
                 TunedRecord {
                     choices: trial.clone(),
-                    merge_coarse: None, // gates stay active during trials
-                    ragged: None,
                     projected_cycles: 0.0,
                     wall_ns: 0,
                 },
@@ -665,36 +625,10 @@ pub fn tune_graph(
         }
     }
 
-    // Final pass: compile the winner once more (gates active) to learn
-    // which schedule decisions the winning plan actually uses, then pin
-    // them so warm starts lower exactly once.
-    let final_db = Arc::new(TuningDb::in_memory());
-    final_db.insert(
-        key,
-        TunedRecord {
-            choices: best.clone(),
-            merge_coarse: None,
-            ragged: None,
-            projected_cycles: 0.0,
-            wall_ns: 0,
-        },
-    );
-    let mut final_opts = base.clone();
-    final_opts.tuning = Some(final_db);
-    let report = Compiler::new(final_opts)
-        .compile(graph.clone())?
-        .report()
-        .clone();
-
     db.insert(
         key,
         TunedRecord {
             choices: best,
-            merge_coarse: Some(report.merged_groups > 0),
-            // pin the knob setting that produced the plan, not whether
-            // the plan has ragged tiles: choice-point identities carry
-            // the lowering's allow_ragged_* context
-            ragged: Some(report.ragged_kept),
             projected_cycles: best_cycles,
             wall_ns: best_wall,
         },
@@ -725,15 +659,14 @@ mod tests {
                 fixed_tasks: Some(16),
                 allow_ragged_m: false,
                 allow_ragged_n: true,
-                allow_ragged_k: true,
             },
             params: MatmulParams {
                 mpn: 8,
                 npn: 4,
                 mb: 32,
                 nb: 64,
-                kb: 60,
-                bs: 2,
+                kb: 479,
+                bs: 1,
                 edge: EdgePolicy::Tail,
             },
         }
@@ -742,8 +675,6 @@ mod tests {
     fn sample_record() -> TunedRecord {
         TunedRecord {
             choices: vec![sample_choice()],
-            merge_coarse: Some(true),
-            ragged: None,
             // one ULP above 1234567.0 — no short decimal form, to
             // prove bit-exact round-tripping
             projected_cycles: f64::from_bits(0x4132_D687_0000_0001),
@@ -792,24 +723,31 @@ mod tests {
     #[test]
     fn malformed_db_is_rejected() {
         assert!(parse_db("not a db").is_err());
-        assert!(parse_db("gc-tunedb v2\nrecord 0 0 0 0 - -\n").is_err());
+        assert!(parse_db("gc-tunedb v3\nrecord 0 0 0 0\n").is_err());
         assert!(
-            parse_db("gc-tunedb v2\nchoice 1 2 3 4 4 | 0 - - - 0 0 0 | 1 1 1 1 1 1 pad\n").is_err()
+            parse_db("gc-tunedb v3\nchoice 1 2 3 4 4 | 0 - - - 0 0 | 1 1 1 1 1 1 pad\n").is_err()
         );
         // unterminated record
         assert!(parse_db(
-            "gc-tunedb v2\nrecord 0000000000000001 2 0000000000000003 4 - - 0000000000000000 0\n"
+            "gc-tunedb v3\nrecord 0000000000000001 2 0000000000000003 4 0000000000000000 0\n"
         )
         .is_err());
-        // a well-formed v1 database (8 constraint and 8 param fields)
-        // is refused by its header, not half-parsed
+        // well-formed older databases are refused by their header, not
+        // half-parsed: v1 (8 constraint and 8 param fields) and v2
+        // (merge/ragged pins on the record, a ragged-K flag on choices)
         let v1 = "gc-tunedb v1\n\
                   record 0000000000000001 2 0000000000000003 4 - - 0000000000000000 0\n\
                   choice 1 2 3 4 4 | 0 - - - 0 0 0 0 | 1 1 1 1 1 1 1 pad\n\
                   end\n";
-        let err = parse_db(v1).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("bad header"), "{err}");
+        let v2 = "gc-tunedb v2\n\
+                  record 0000000000000001 2 0000000000000003 4 1 - 0000000000000000 0\n\
+                  choice 1 2 3 4 4 | 0 - - - 0 0 1 | 1 1 1 1 1 1 pad\n\
+                  end\n";
+        for old in [v1, v2] {
+            let err = parse_db(old).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("bad header"), "{err}");
+        }
     }
 
     #[test]

@@ -169,8 +169,6 @@ fn fully_overridden_compile_runs_no_search() {
     };
     let record = |choices: Vec<gc_lowering::ParamChoice>| TunedRecord {
         choices,
-        merge_coarse: Some(false),
-        ragged: Some(cold_report.ragged_kept),
         projected_cycles: 0.0,
         wall_ns: 0,
     };
@@ -192,7 +190,6 @@ fn fully_overridden_compile_runs_no_search() {
 
     let (warm, warm_log) = warm_compile(record(choices.clone()));
     assert!(warm.tuned);
-    assert_eq!(warm.lowerings, 1);
     assert_eq!(
         warm.search,
         Default::default(),
@@ -260,8 +257,6 @@ fn tune_keys_never_mix_isa_variants() {
     let db = Arc::new(TuningDb::in_memory());
     let record = TunedRecord {
         choices: vec![],
-        merge_coarse: None,
-        ragged: None,
         projected_cycles: 1.0,
         wall_ns: 1,
     };

@@ -46,10 +46,6 @@ pub struct Constraints {
     /// prepacked weight and the int8 compensation are padded to whole
     /// `NB` panels; the clamped output store drops the pad columns).
     pub allow_ragged_n: bool,
-    /// Permit `KB` that does not divide k (pad-and-go only: both the
-    /// packed A tiles and the prepacked weight zero-fill the k tail, so
-    /// the padded products contribute zero to the accumulator).
-    pub allow_ragged_k: bool,
 }
 
 /// One recorded template-parameter decision: the problem, the
@@ -281,11 +277,17 @@ struct AxisBlock {
     divs: Vec<usize>,
 }
 
-/// The blocks to try along one axis. A `fixed` block replaces the
-/// menu: it is the only candidate, and only if the menu holds it or it
-/// divides `dim`.
-fn axis_blocks(dim: usize, prefer: &[usize], ragged: bool, fixed: Option<usize>) -> Vec<AxisBlock> {
-    let mut blocks = tile_candidates(dim, prefer, ragged);
+/// The blocks to try along one axis ([`tile_candidates`]). A `fixed`
+/// block replaces the menu: it is the only candidate, and only if the
+/// menu holds it or it divides `dim`.
+fn axis_blocks(
+    dim: usize,
+    prefer: &[usize],
+    ragged: bool,
+    whole_max: usize,
+    fixed: Option<usize>,
+) -> Vec<AxisBlock> {
+    let mut blocks = tile_candidates(dim, prefer, ragged, whole_max);
     if let Some(f) = fixed {
         let feasible = blocks.contains(&f) || dim.is_multiple_of(f);
         blocks.clear();
@@ -331,6 +333,7 @@ fn for_each_tile(
         problem.m,
         &[64, 48, 32, 16, 8, 4, 2, 1],
         constraints.allow_ragged_m,
+        1024,
         constraints.fixed_mb,
     );
     // nb candidates are lane-aligned for the target machine: whole
@@ -346,11 +349,15 @@ fn for_each_tile(
             n_prefer.push(b);
         }
     }
-    let ns = axis_blocks(problem.n, &n_prefer, constraints.allow_ragged_n, None);
+    let ns = axis_blocks(problem.n, &n_prefer, constraints.allow_ragged_n, 1024, None);
+    // KB always divides k, and the whole depth stays on the menu at any
+    // size: the k-vectorised brgemm body finishes any depth with one
+    // masked step, so a prime k never degenerates to KB = 1.
     let ks = axis_blocks(
         problem.k,
         &[256, 128, 64, 32, 16, 8, 4, 2, 1],
-        constraints.allow_ragged_k,
+        false,
+        usize::MAX,
         constraints.fixed_kb,
     );
 
@@ -438,13 +445,12 @@ impl Tile<'_> {
 /// Block-size candidates for one dimension.
 ///
 /// Without `ragged`, only divisors of `dim` from the preferred list
-/// qualify (plus 1 as a fallback and `dim` itself for prime dims like
-/// k=479 — the degenerate blocking this PR's ragged mode exists to
-/// avoid). With `ragged`, every preferred size no larger than `dim`
-/// qualifies: the near-target non-divisors (e.g. `kb = 64` for k=479)
-/// cost a little pack-time padding but keep the microkernel on its
-/// tuned tile shape.
-fn tile_candidates(dim: usize, prefer: &[usize], ragged: bool) -> Vec<usize> {
+/// qualify, plus `dim` itself when it is at most `whole_max`: a prime
+/// m or n above that degenerates to a block of 1. With `ragged`, every
+/// preferred size no larger than `dim` qualifies: the near-target
+/// non-divisors (e.g. `mb = 32` for m = 255) cost a padded or clamped
+/// edge tile but keep the microkernel on its tuned tile shape.
+fn tile_candidates(dim: usize, prefer: &[usize], ragged: bool, whole_max: usize) -> Vec<usize> {
     let mut out: Vec<usize> = prefer
         .iter()
         .copied()
@@ -456,7 +462,7 @@ fn tile_candidates(dim: usize, prefer: &[usize], ragged: bool) -> Vec<usize> {
             *prefer.first().unwrap_or(&64),
         ));
     }
-    if !out.contains(&dim) && dim <= 1024 {
+    if !out.contains(&dim) && dim <= whole_max {
         out.push(dim);
     }
     out.dedup();
@@ -492,8 +498,6 @@ struct TileCost {
     m_tiles: usize,
     n_tiles: usize,
     k_chunks: usize,
-    /// Padded reduction extent (packed buffers hold whole tiles).
-    k_pad: usize,
     /// Total flops and microkernel efficiency under pad-and-go, which
     /// sweeps the padded rows at the full tile's efficiency.
     pad: (f64, f64),
@@ -515,9 +519,9 @@ impl TileCost {
     ) -> Self {
         let m_tiles = problem.m.div_ceil(mb);
         let n_tiles = problem.n.div_ceil(nb);
-        let k_tiles = problem.k.div_ceil(kb);
-        let (n_pad, k_pad) = (n_tiles * nb, k_tiles * kb);
-        let flops = |rows: usize| 2.0 * (problem.batch * rows * n_pad * k_pad) as f64;
+        let k_tiles = problem.k / kb;
+        let n_pad = n_tiles * nb;
+        let flops = |rows: usize| 2.0 * (problem.batch * rows * n_pad * problem.k) as f64;
         let eff = |rows: usize| {
             cost::microkernel_efficiency(machine, rows, nb, kb, bs, problem.elem_bytes)
         };
@@ -534,7 +538,6 @@ impl TileCost {
             m_tiles,
             n_tiles,
             k_chunks: k_tiles / bs,
-            k_pad,
             pad: (flops(m_tiles * mb), eff_full),
             tail,
         }
@@ -565,8 +568,8 @@ impl TileCost {
         // buffers hold the padded extents, so traffic is padded too.
         let msn = (self.m_tiles / p.mpn).max(1);
         let nsn = (self.n_tiles / p.npn).max(1);
-        let a_bytes = (msn * self.mb * self.k_pad * problem.elem_bytes) as f64;
-        let b_slice = (nsn * self.nb * self.k_pad * problem.elem_bytes) as f64;
+        let a_bytes = (msn * self.mb * problem.k * problem.elem_bytes) as f64;
+        let b_slice = (nsn * self.nb * problem.k * problem.elem_bytes) as f64;
         let c_bytes = (msn * self.mb * nsn * self.nb * 4) as f64;
         // bandwidth tier by residency: a slice that stays in L2 / the LLC
         // slice moves at cache bandwidth, not DRAM bandwidth
@@ -809,43 +812,36 @@ mod tests {
     }
 
     #[test]
-    fn prime_k_degenerate_without_ragged_near_target_with() {
+    fn prime_m_degenerate_without_ragged_near_target_with() {
         let machine = xeon();
         let ragged_c = Constraints {
             allow_ragged_m: true,
             allow_ragged_n: true,
-            allow_ragged_k: true,
             ..Constraints::default()
         };
-        // f32: a prime k = 479 forces kb = 1 (no reduction depth) or
-        // kb = 479 (a 61 KB working set that blows L1) on the
+        // f32: a prime m = 479 forces mb = 1 (a one-row register tile)
+        // or mb = 479 (one m tile, no row parallelism) on the
         // divisor-only search.
-        let prob = MatmulProblem::new(256, 1024, 479, 4);
+        let prob = MatmulProblem::new(479, 1024, 256, 4);
         let p = choose_params(&machine, &prob, &Constraints::default());
-        assert!(p.kb == 1 || p.kb == 479, "{p:?}");
+        assert!(p.mb == 1 || p.mb == 479, "{p:?}");
         p.validate(&prob).unwrap();
-        // With ragged k allowed, the search takes a near-target block
-        // with a zero-padded remainder tile instead of the degenerate
-        // extremes: e.g. 479 = 7*64 + 31 wastes 6.9% of the k sweep
-        // but keeps the microkernel's working set cache-resident.
+        // With ragged m allowed, the search takes a near-target block
+        // with a padded or clamped edge tile instead of the degenerate
+        // extremes.
         let ragged = choose_params(&machine, &prob, &ragged_c);
         ragged.validate(&prob).unwrap();
         assert!(
-            ragged.kb != 1 && ragged.kb != 479,
+            ragged.mb != 1 && ragged.mb != 479,
             "ragged search must escape degenerate prime blocking, got {ragged:?}"
         );
         assert!(
-            (16..=256).contains(&ragged.kb),
-            "near-target kb expected, got {ragged:?}"
-        );
-        assert!(
             estimate_cycles(&machine, &prob, &ragged) < estimate_cycles(&machine, &prob, &p),
-            "padded blocking must beat degenerate blocking in the model"
+            "edge-tiled blocking must beat degenerate blocking in the model"
         );
-        // int8 halves the working set, so kb = 479 fits L1 and stays
-        // legitimately competitive — the ragged search considers a
-        // superset of candidates, so it can never do worse.
-        let prob_i8 = MatmulProblem::new(256, 1024, 479, 1);
+        // The ragged search considers a superset of candidates, so it
+        // can never do worse, int8 included.
+        let prob_i8 = MatmulProblem::new(479, 1024, 256, 1);
         let p_i8 = choose_params(&machine, &prob_i8, &Constraints::default());
         let ragged_i8 = choose_params(&machine, &prob_i8, &ragged_c);
         ragged_i8.validate(&prob_i8).unwrap();
@@ -853,6 +849,19 @@ mod tests {
             estimate_cycles(&machine, &prob_i8, &ragged_i8)
                 <= estimate_cycles(&machine, &prob_i8, &p_i8)
         );
+    }
+
+    /// A prime k past the menu's top still offers `kb = k` (the whole
+    /// depth in one block), not only `kb = 1`.
+    #[test]
+    fn prime_k_keeps_the_whole_depth_on_the_menu() {
+        let machine = xeon();
+        for eb in [4usize, 1] {
+            let prob = MatmulProblem::new(64, 256, 1031, eb);
+            let p = choose_params(&machine, &prob, &Constraints::default());
+            p.validate(&prob).unwrap();
+            assert_eq!(p.kb, 1031, "eb {eb}: {p:?}");
+        }
     }
 
     /// The pad-vs-tail decision must flip with the edge-tile size: a
@@ -930,7 +939,6 @@ mod tests {
             let constraints = Constraints {
                 allow_ragged_m: true,
                 allow_ragged_n: true,
-                allow_ragged_k: true,
                 ..Constraints::default()
             };
             let mut cands: Vec<MatmulParams> = Vec::new();
@@ -1040,7 +1048,6 @@ mod tests {
             full_n_per_task: bits & 1 != 0,
             allow_ragged_m: bits & 2 != 0,
             allow_ragged_n: bits & 4 != 0,
-            allow_ragged_k: bits & 8 != 0,
             ..Constraints::default()
         };
         let mut cases = Vec::new();
@@ -1068,9 +1075,9 @@ mod tests {
                         continue;
                     }
                     let free: Vec<u32> = if full || !large {
-                        (0..16).collect()
+                        (0..8).collect()
                     } else {
-                        vec![0, 14]
+                        vec![0, 6]
                     };
                     cases.extend(
                         free.into_iter()

@@ -57,10 +57,6 @@ fn err(msg: impl Into<String>) -> LowerError {
 pub struct LowerOptions {
     /// Target machine (drives every heuristic).
     pub machine: MachineDescriptor,
-    /// Merge the parallel loops of coarse-fusion groups (the paper's
-    /// coarse-grain fusion; groups still share one function when off,
-    /// but loops stay separate).
-    pub merge_coarse_groups: bool,
     /// Keep intermediate activations blocked between chained matmuls
     /// (layout propagation).
     pub propagate_layouts: bool,
@@ -82,12 +78,11 @@ pub struct LowerOptions {
     /// Choose template parameters from the primitives library's fixed
     /// kernel menu instead of the compiler heuristic (baseline mode).
     pub library_params: bool,
-    /// Allow ragged (non-divisor) tile sizes for blocked-weight matmuls:
-    /// edge tiles are zero-padded at pack time (K/N, and M under
-    /// [`crate::EdgePolicy::Pad`]) or clamped by tail kernels (M under
-    /// [`crate::EdgePolicy::Tail`]). Off = the heuristic only considers
-    /// exact divisors of each dimension (ablation: degenerate blocking
-    /// on prime dims).
+    /// Allow ragged (non-divisor) `MB`/`NB` for blocked-weight matmuls:
+    /// the n edge is zero-padded at pack time, the m edge padded under
+    /// [`crate::EdgePolicy::Pad`] or clamped by tail kernels under
+    /// [`crate::EdgePolicy::Tail`]. Off = the heuristic only considers
+    /// exact divisors of m and n (ablation). `KB` always divides k.
     pub ragged: bool,
     /// Measured-tuning overrides: exact `(problem, constraints)` pairs
     /// whose parameters replace the analytic choice. Overrides that
@@ -108,7 +103,6 @@ impl LowerOptions {
     pub fn new(machine: MachineDescriptor) -> Self {
         LowerOptions {
             machine,
-            merge_coarse_groups: true,
             propagate_layouts: true,
             shrink_tensors: true,
             reuse_buffers: true,
@@ -135,10 +129,8 @@ pub struct Lowered {
     pub weight_seeds: Vec<(usize, Tensor)>,
     /// Number of merged coarse groups (diagnostics).
     pub merged_groups: usize,
-    /// Number of tunable partitions whose chosen params tile some axis
-    /// raggedly (pack-time padding / edge tiles in play). Lets the
-    /// pipeline's projection gate know a divisor-only re-lowering could
-    /// produce a different plan worth comparing.
+    /// Number of tunable partitions whose chosen params tile the m or
+    /// n axis raggedly (pack-time padding / edge tiles in play).
     pub ragged_partitions: usize,
     /// Work the template-parameter searches of this lowering did
     /// (`group_profitable`'s and `plan_tunable`'s; tuned overrides and
@@ -295,7 +287,7 @@ pub fn lower_partitions(
         .values()
         .filter(|p| {
             let (prob, par) = (&p.spec.problem, &p.spec.params);
-            par.ragged_m(prob.m) || par.ragged_n(prob.n) || par.ragged_k(prob.k)
+            par.ragged_m(prob.m) || par.ragged_n(prob.n)
         })
         .count();
 
@@ -447,12 +439,12 @@ impl Builder<'_> {
         let plain_g = self.global_for(w);
         let layout = Layout::blocked_b(desc.rank(), kb, nb);
         let func = lower_reorder(&desc, &layout, &format!("prepack_w{}", w.0));
-        // pack-time padding: the blocked buffer holds whole [KB, NB]
-        // tiles even when the blocks do not divide K/N (pad is zero)
+        // pack-time padding: the blocked buffer holds whole NB panels
+        // even when NB does not divide N (pad is zero)
         let shape = desc.shape();
         let (k, n) = (shape[shape.len() - 2], shape[shape.len() - 1]);
         let wbatch = desc.volume() / (k * n);
-        let padded = wbatch * k.div_ceil(kb) * kb * n.div_ceil(nb) * nb;
+        let padded = wbatch * k * n.div_ceil(nb) * nb;
         let persistent = self.module.add_global(GlobalDecl {
             dtype: desc.dtype(),
             elems: padded,
@@ -480,7 +472,7 @@ impl Builder<'_> {
         let (k, n) = (shape[shape.len() - 2], shape[shape.len() - 1]);
         // sized to the padded weight: one i32 per packed column; pad
         // columns hold zero-weight sums, i.e. zero
-        let (k_tiles, n_tiles) = (k.div_ceil(kb), n.div_ceil(nb));
+        let (k_tiles, n_tiles) = (k / kb, n.div_ceil(nb));
         let n_pad = n_tiles * nb;
         let comp_g = self.module.add_global(GlobalDecl {
             dtype: DataType::I32,
@@ -492,7 +484,7 @@ impl Builder<'_> {
         let mut f = Func {
             name: format!("comp_w{}", w.0),
             params: vec![
-                BufDecl::new(DataType::I8, k_tiles * kb * n_pad, "wb"),
+                BufDecl::new(DataType::I8, k * n_pad, "wb"),
                 BufDecl::new(DataType::I32, n_pad, "comp"),
             ],
             locals: vec![],
@@ -674,7 +666,6 @@ impl Builder<'_> {
             self.opts.ragged && matches!(b_input, BInput::BlockedWeight) && !has_reduce && !grouped;
         constraints.allow_ragged_m = ragged_ok && !has_full;
         constraints.allow_ragged_n = ragged_ok && !has_full && !has_rowvec;
-        constraints.allow_ragged_k = ragged_ok;
         if grouped {
             if group_mb.is_none() {
                 let (mb, tasks) = group_decomposition(machine, batch, m);
@@ -746,7 +737,6 @@ impl Builder<'_> {
                 // no clamped packs exist on that path
                 blocked.allow_ragged_m = false;
                 blocked.allow_ragged_n = false;
-                blocked.allow_ragged_k = false;
                 // pinned MB/KB may be infeasible together with a fixed
                 // group task count; fall back to plain if so
                 let feasible = problem.m.is_multiple_of(prev.spec.params.mb)
@@ -926,8 +916,8 @@ impl Builder<'_> {
         Ok(())
     }
 
-    /// Lower a coarse group into a single function, then (optionally)
-    /// merge its parallel loops.
+    /// Lower a coarse group into a single function, then merge its
+    /// parallel loops.
     fn lower_group(
         &mut self,
         parts: &Partitioning,
@@ -1001,16 +991,14 @@ impl Builder<'_> {
             }
         }
 
-        if self.opts.merge_coarse_groups {
-            let _ = merge_parallel_loops(&mut combined);
-            if self.opts.validate {
-                validate_func(&combined).map_err(|e| {
-                    err(format!(
-                        "validator after merge_parallel_loops in `{}`: {e}",
-                        combined.name
-                    ))
-                })?;
-            }
+        let _ = merge_parallel_loops(&mut combined);
+        if self.opts.validate {
+            validate_func(&combined).map_err(|e| {
+                err(format!(
+                    "validator after merge_parallel_loops in `{}`: {e}",
+                    combined.name
+                ))
+            })?;
         }
         let fi = self.module.add_func(combined);
         self.module.main_calls.push(Call { func: fi, args });
@@ -1160,19 +1148,9 @@ fn group_profitable(
         merged += crate::heuristic::estimate_cycles(machine, prob, &pg);
         free += crate::heuristic::estimate_cycles(machine, prob, &pf);
     }
-    // merging removes the inter-op barriers and keeps each intermediate
-    // slice hot instead of round-tripping it through memory
+    // merging removes the inter-op barriers
     let barrier_savings = (group.len() - 1) as f64 * gc_machine::cost::barrier_cycles(machine);
-    let mut locality_savings = 0.0;
-    for (prob, _) in probs.iter().take(probs.len() - 1) {
-        let bytes = (prob.batch * prob.m * prob.n * 4) as f64;
-        locality_savings +=
-            2.0 * gc_machine::cost::stream_cycles(machine, bytes) / machine.cores as f64;
-    }
-    // The analytic model cannot see the merged loop's inter-op cache
-    // locality (each core's activation slice stays hot between members),
-    // so the comparison carries a tolerance in favour of merging.
-    merged <= free + barrier_savings + locality_savings
+    merged <= free + barrier_savings
 }
 
 /// Pick the shared (MB, task-count) decomposition for a coarse group:

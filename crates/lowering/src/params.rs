@@ -8,11 +8,12 @@
 
 /// How the template handles a ragged m edge (`m % MB != 0`).
 ///
-/// K and N raggedness always use pad-and-go: the prepacked weight is
-/// zero-padded to whole `[KB, NB]` tiles at pack time (a one-off
+/// N raggedness always uses pad-and-go: the prepacked weight is
+/// zero-padded to whole `NB` panels at pack time (a one-off
 /// constant-fold cost), so the steady-state loops never see a partial
-/// B tile. The m axis is the runtime-activation axis, so both policies
-/// are real choices and the heuristic prices them against each other.
+/// B tile. K is never ragged: `KB` divides k. The m axis is the
+/// runtime-activation axis, so both policies are real choices and the
+/// heuristic prices them against each other.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum EdgePolicy {
     /// Zero-pad the packed A edge tile to full `MB` rows and run only
@@ -116,11 +117,6 @@ impl MatmulParams {
         !n.is_multiple_of(self.nb)
     }
 
-    /// True iff `kb` does not divide k.
-    pub fn ragged_k(&self, k: usize) -> bool {
-        !k.is_multiple_of(self.kb)
-    }
-
     /// m-tiles per single-core kernel (`MSN`).
     pub fn msn(&self, m: usize) -> usize {
         self.m_tiles(m) / self.mpn
@@ -131,10 +127,9 @@ impl MatmulParams {
         self.n_tiles(n) / self.npn
     }
 
-    /// k-tiles total (`KSN`), counting a partial (zero-padded) edge
-    /// tile as whole.
+    /// k-tiles total (`KSN`).
     pub fn ksn(&self, k: usize) -> usize {
-        k.div_ceil(self.kb)
+        k / self.kb
     }
 
     /// Microkernel invocations in one k-sweep (`KSN / BS`).
@@ -149,11 +144,12 @@ impl MatmulParams {
 
     /// Check the parameters tile the problem.
     ///
-    /// Tiling is *ceil-based*: a dimension that is not a multiple of
-    /// its block still validates — the edge tile is zero-padded at pack
-    /// time (or, for m under [`EdgePolicy::Tail`], clamped at run
-    /// time) — but the resulting whole-tile counts must divide evenly
-    /// across the parallel decomposition.
+    /// Tiling along m and n is *ceil-based*: a dimension that is not a
+    /// multiple of its block still validates — the edge tile is
+    /// zero-padded at pack time (or, for m under [`EdgePolicy::Tail`],
+    /// clamped at run time) — but the resulting whole-tile counts must
+    /// divide evenly across the parallel decomposition. `kb` must
+    /// divide k: the reduction has no edge tile.
     pub fn validate(&self, p: &MatmulProblem) -> Result<(), String> {
         let MatmulParams {
             mpn,
@@ -169,7 +165,10 @@ impl MatmulParams {
         }
         let m_tiles = p.m.div_ceil(mb);
         let n_tiles = p.n.div_ceil(nb);
-        let k_tiles = p.k.div_ceil(kb);
+        if !p.k.is_multiple_of(kb) {
+            return Err(format!("kb {kb} does not divide k {}", p.k));
+        }
+        let k_tiles = p.k / kb;
         if !m_tiles.is_multiple_of(mpn) {
             return Err(format!("mpn {mpn} does not divide m-tiles {m_tiles}"));
         }
@@ -241,11 +240,15 @@ mod tests {
         // padded tiles still split 4 ways — valid under ceil tiling.
         let ragged = MatmulProblem::new(500, 256, 256, 4);
         p.validate(&ragged).unwrap();
-        assert!(p.ragged_m(500) && !p.ragged_n(256) && !p.ragged_k(256));
+        assert!(p.ragged_m(500) && !p.ragged_n(256));
         assert_eq!(p.m_tiles(500), 16);
         // m = 420 gives ceil(420/32) = 14 tiles, not divisible by 4.
         let bad = MatmulProblem::new(420, 256, 256, 4);
         assert!(p.validate(&bad).is_err());
+        // k has no edge tile: kb = 64 on k = 479 is refused even though
+        // its 8 ceil-tiles would split into bs = 2 chunks.
+        let ragged_k = MatmulProblem::new(512, 256, 479, 4);
+        assert!(p.validate(&ragged_k).unwrap_err().contains("kb 64"));
     }
 
     #[test]

@@ -194,9 +194,9 @@ struct Ctx {
     // edge-tile state: which axes have a partial (padded or clamped)
     // edge tile. Tile counts above are ceil-based, so when a flag is
     // set the corresponding `*_tiles * block` exceeds the logical size.
+    // k has no edge tile (`KB` divides k).
     ragged_m: bool,
     ragged_n: bool,
-    ragged_k: bool,
 }
 
 impl Ctx {
@@ -218,12 +218,7 @@ impl Ctx {
             int8,
             ragged_m: p.ragged_m(prob.m),
             ragged_n: p.ragged_n(prob.n),
-            ragged_k: p.ragged_k(prob.k),
         }
-    }
-
-    fn ragged(&self) -> bool {
-        self.ragged_m || self.ragged_n || self.ragged_k
     }
 }
 
@@ -249,13 +244,14 @@ pub fn lower_matmul(machine: &MachineDescriptor, spec: &MatmulSpec, name: &str) 
     let p = spec.params;
     let prob = spec.problem;
     let ctx = Ctx::new(&prob, p, spec.int8);
-    if ctx.ragged() {
+    if ctx.ragged_m || ctx.ragged_n {
         // Edge tiles exist only on the padded-blocked-weight fast path:
-        // B must already be zero-padded to whole [KB, NB] tiles (the
+        // B must already be zero-padded to whole NB panels (the
         // pack-time padding done by the weight prepack), A is packed
         // through the zero-filling Pack2DPad, and the plain output is
-        // written through the clamped unpack. Every other combination
-        // still requires exact divisibility.
+        // written through the clamped unpack, which discards the pad
+        // rows/columns of C. Every other combination still requires
+        // exact divisibility.
         assert!(
             matches!(spec.b_input, BInput::BlockedWeight),
             "ragged shapes require a prepacked (pad-to-tile) blocked weight"
@@ -268,11 +264,6 @@ pub fn lower_matmul(machine: &MachineDescriptor, spec: &MatmulSpec, name: &str) 
             !has_reduce,
             "ragged shapes do not support reduction post-ops"
         );
-    }
-    if ctx.ragged_m || ctx.ragged_n {
-        // A ragged k only pads the reduction (zero products); ragged m/n
-        // additionally put pad rows/columns in C, which only the plain
-        // clamped output store can discard.
         assert_eq!(
             spec.out,
             OutLayout::Plain,
@@ -547,9 +538,9 @@ fn build_params(spec: &MatmulSpec, ctx: &Ctx) -> (Vec<BufDecl>, Vec<ParamRole>) 
     params.push(BufDecl::new(in_dtype, ctx.batch * ctx.m * ctx.k, "A"));
     roles.push(ParamRole::A);
     let b_elems = match spec.b_input {
-        // Prepacked blocked weight is padded to whole [KB, NB] tiles at
-        // pack time; for exactly-tiled shapes this is just k * n.
-        BInput::BlockedWeight => ctx.k_tiles * ctx.p.kb * ctx.n_tiles * ctx.p.nb,
+        // Prepacked blocked weight is padded to whole NB panels at pack
+        // time; for exactly-tiled shapes this is just k * n.
+        BInput::BlockedWeight => ctx.k * ctx.n_tiles * ctx.p.nb,
         BInput::PlainInLoop { .. } => ctx.batch * ctx.k * ctx.n,
     };
     params.push(BufDecl::new(w_dtype, b_elems, "B"));
@@ -1168,12 +1159,12 @@ impl ExprBuilder<'_> {
     /// The A-pack intrinsic for tile (row_base, col_base) of the plain
     /// `[M, K]` operand: the exact [`Op::Pack2D`] when the shape
     /// tiles evenly, the zero-filling [`Op::Pack2DPad`] when the
-    /// m or k edge is ragged. Clamp bases carry the tile origin in axis
+    /// m edge is ragged. Clamp bases carry the tile origin in axis
     /// units; the batch term stays in the flat offset.
     fn pack_a_tile(&self, a: BufId, dst: View, row_base: Expr, col_base: Expr) -> Intrinsic {
         let p = self.ctx.p;
         let batch_off = self.batch_idx().mul(Expr::from(self.ctx.m * self.ctx.k));
-        if self.ctx.ragged_m || self.ctx.ragged_k {
+        if self.ctx.ragged_m {
             let g = Copy2D {
                 rows: p.mb,
                 cols: p.kb,

@@ -1,8 +1,10 @@
-//! Ragged-shape template tests: drive every M/N/K residue class modulo
+//! Ragged-shape template tests: drive every M/N residue class modulo
 //! the block sizes through pack → brgemm → unpack under both edge
-//! policies (pad-and-go and tail kernels), check int8 stays bit-exact
-//! between the interpreter and the checked plan executor, and prove the
-//! validator rejects an edge tile that would overrun logical bounds.
+//! policies (pad-and-go and tail kernels), with k depths that leave a
+//! remainder to the brgemm body's vector width; check int8 stays
+//! bit-exact between the interpreter and the checked plan executor, and
+//! prove the validator rejects an edge tile that would overrun logical
+//! bounds.
 
 use gc_lowering::template::{AInput, BInput, Int8Spec, OutLayout, PostOpSpec};
 use gc_lowering::{lower_matmul, EdgePolicy, MatmulParams, MatmulProblem, MatmulSpec};
@@ -123,13 +125,14 @@ fn max_diff(a: &Storage, want: &Tensor) -> f64 {
         .fold(0.0, f64::max)
 }
 
-/// Every residue class of m, n, k modulo the 8-element blocks (9..=16
-/// covers residues 1..=7 and the exact case), under both edge policies.
-/// Pad zero-fills A/B edge tiles at pack time; Tail clamps the brgemm M
-/// extent. Both must match the naive reference within 1e-5.
+/// Every residue class of m, n modulo the 8-element blocks (9..=16
+/// covers residues 1..=7 and the exact case), under both edge policies,
+/// with k = 9..=16 taken as one whole-depth block. Pad zero-fills A/B
+/// edge tiles at pack time; Tail clamps the brgemm M extent. Both must
+/// match the naive reference within 1e-5.
 #[test]
 fn f32_residue_sweep_pad_and_tail() {
-    let (mb, nb, kb) = (8, 8, 8);
+    let (mb, nb) = (8, 8);
     for edge in [EdgePolicy::Pad, EdgePolicy::Tail] {
         for m in 9..=16 {
             for n in 9..=16 {
@@ -139,7 +142,7 @@ fn f32_residue_sweep_pad_and_tail() {
                         npn: 1,
                         mb,
                         nb,
-                        kb,
+                        kb: k,
                         bs: 1,
                         edge,
                     };
@@ -152,7 +155,7 @@ fn f32_residue_sweep_pad_and_tail() {
                         &spec,
                         vec![
                             a.storage().clone(),
-                            padded_blocked_f32(&w, k, n, kb, nb),
+                            padded_blocked_f32(&w, k, n, k, nb),
                             Storage::F32(vec![0.0; m * n]),
                         ],
                     );
@@ -169,7 +172,7 @@ fn f32_residue_sweep_pad_and_tail() {
 /// full or properly clamped tiles.
 #[test]
 fn f32_ragged_batched_multi_chunk() {
-    let (m, n, k, batch) = (13, 21, 27, 3);
+    let (m, n, k, batch) = (13, 21, 32, 3);
     for edge in [EdgePolicy::Pad, EdgePolicy::Tail] {
         let p = MatmulParams {
             mpn: 2,
@@ -206,11 +209,12 @@ fn f32_ragged_batched_multi_chunk() {
     }
 }
 
-/// int8 with zero-point compensation on an all-ragged shape: padded A
-/// columns multiply padded B rows (both zero), comp over the padded
-/// weight equals the logical column sums, and the clamped unpack
-/// discards the pad rows/cols — so the result must be exactly the
-/// interpreter's, bit for bit, under checked plan execution.
+/// int8 with zero-point compensation on a ragged m/n shape with an odd
+/// depth (k = 15, one whole-depth block): padded A rows and B columns
+/// are zero, comp over the padded weight equals the logical column
+/// sums, and the clamped unpack discards the pad rows/cols — so the
+/// result must be exactly the interpreter's, bit for bit, under checked
+/// plan execution.
 #[test]
 fn int8_ragged_plan_matches_interpreter_bitexact() {
     let (m, n, k) = (13, 11, 15);
@@ -221,7 +225,7 @@ fn int8_ragged_plan_matches_interpreter_bitexact() {
             npn: 1,
             mb: 8,
             nb: 8,
-            kb: 8,
+            kb: k,
             bs: 1,
             edge,
         };

@@ -898,8 +898,6 @@ mod tests {
             },
             gc_core::TunedRecord {
                 choices: vec![],
-                merge_coarse: None,
-                ragged: None,
                 projected_cycles: 1.0,
                 wall_ns: 1,
             },

@@ -978,8 +978,6 @@ mod tests {
                     },
                     TunedRecord {
                         choices: vec![],
-                        merge_coarse: None,
-                        ragged: None,
                         projected_cycles: 1.0,
                         wall_ns: 1,
                     },

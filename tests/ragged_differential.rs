@@ -136,55 +136,56 @@ proptest! {
     }
 }
 
-/// Table 1's irregular reduction dim: k = 479 is prime, so divisor-only
-/// blocking degenerates to KB ∈ {1, 479}. With ragged blocking the
-/// compile must stay validator-clean and exact.
+/// Largest relative error of `g`'s compiled output against the
+/// reference, on inputs from `seed`.
+fn max_rel_err(compiled: &gc_core::CompiledPartition, g: &Graph, seed: u64) -> f64 {
+    let inputs = random_inputs(g, seed);
+    let want = reference_eval(g, &inputs);
+    let (outs, _) = compiled.execute(&inputs).unwrap();
+    (0..want[0].desc().volume())
+        .map(|i| {
+            let a = outs[0].storage().get_as_f64(i);
+            let b = want[0].storage().get_as_f64(i);
+            (a - b).abs() / b.abs().max(1.0)
+        })
+        .fold(0.0, f64::max)
+}
+
+/// Table 1's irregular reduction dim: k = 479 is prime, so the k
+/// blocking is KB = 479, one whole-depth tile. The compile must stay
+/// validator-clean and exact.
 #[test]
 fn table1_prime_k479_is_validator_clean_and_exact() {
     let (m, n, k) = (64, 256, 479);
-    let g = matmul_graph(m, n, k, false, 42);
-    let inputs = random_inputs(&g, 43);
-    let want = reference_eval(&g, &inputs);
     let compiled = Compiler::new(compile_opts())
         .compile(matmul_graph(m, n, k, false, 42))
         .unwrap();
-    let (outs, _) = compiled.execute(&inputs).unwrap();
-    let mut max_rel = 0.0f64;
-    for i in 0..want[0].desc().volume() {
-        let a = outs[0].storage().get_as_f64(i);
-        let b = want[0].storage().get_as_f64(i);
-        let rel = (a - b).abs() / b.abs().max(1.0);
-        max_rel = max_rel.max(rel);
-    }
     // k=479 accumulation chains: allow reassociation error but nothing
-    // structural (a misplaced edge tile would be off by whole products).
-    assert!(max_rel < 1e-4, "max relative error {max_rel}");
+    // structural (a misplaced tile would be off by whole products).
+    let err = max_rel_err(&compiled, &matmul_graph(m, n, k, false, 42), 43);
+    assert!(err < 1e-4, "max relative error {err}");
 }
 
-/// The ragged-blocking win on Table 1's irregular workload, pinned: the
-/// MLP_2 chain (479 -> 1024 -> 1024 -> 512 -> 256 -> 1, prime first
-/// reduction dim, n=1 head) must project at least 1.15x faster with
-/// ragged blocking than with the divisor-only degenerate blocking.
-/// (The pin was 1.2x before the projector gained the cross-layer LLC
-/// reuse term; keeping inter-layer lines warm in the LLC narrows the
-/// gap a hair — to ~1.199x — because the divisor-only schedule's extra
-/// inter-layer traffic now partially hits the LLC instead of DRAM.)
+/// A prime k above the tile menu's 1024 cap: the whole depth stays a
+/// candidate, so the chosen KB is k itself rather than 1, and the plan
+/// is validator-clean and exact.
 #[test]
-fn ragged_mlp2_projects_1_2x_over_degenerate_blocking() {
-    use gc_bench::workloads;
-    let project = |ragged: bool| {
-        let mut o = compile_opts();
-        o.ragged = ragged;
-        Compiler::new(o)
-            .compile(workloads::mlp_f32(256, &workloads::mlp2_layers(), 1))
-            .unwrap()
-            .project()
-            .cycles
-    };
-    let (on, off) = (project(true), project(false));
-    let speedup = off / on;
-    assert!(
-        speedup >= 1.15,
-        "ragged {on:.0} vs divisor-only {off:.0}: speedup {speedup:.2} < 1.15"
-    );
+fn prime_k1031_keeps_a_deep_block_and_is_exact() {
+    use std::sync::{Arc, Mutex};
+    let (m, n, k) = (64, 256, 1031);
+    let log: gc_lowering::ParamLog = Arc::new(Mutex::new(Vec::new()));
+    let mut o = compile_opts();
+    o.param_log = Some(log.clone());
+    let compiled = Compiler::new(o)
+        .compile(matmul_graph(m, n, k, false, 44))
+        .unwrap();
+    gc_tir::validate_module(compiled.executable().module()).unwrap();
+    let chosen = log.lock().unwrap().clone();
+    assert!(!chosen.is_empty());
+    for c in &chosen {
+        assert_eq!(c.problem.k, k);
+        assert!(c.params.kb > 1, "{c:?}");
+    }
+    let err = max_rel_err(&compiled, &matmul_graph(m, n, k, false, 44), 45);
+    assert!(err < 1e-4, "max relative error {err}");
 }

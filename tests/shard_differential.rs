@@ -339,8 +339,6 @@ fn scalar_shard_warm_starts_only_from_scalar_tuning_records() {
             TuneKey::for_graph(&optimized, &opts, isa).unwrap(),
             TunedRecord {
                 choices: marker.clone(),
-                merge_coarse: None,
-                ragged: None,
                 projected_cycles: 0.0,
                 wall_ns: 0,
             },
