@@ -63,23 +63,20 @@ fn main() {
         }
     }
     for threads in [1usize, 4] {
-        for interpret in [false, true] {
-            let mut opts = CompileOptions::new(MachineDescriptor::xeon_8358());
-            opts.threads = Some(threads);
-            opts.interpret = interpret;
-            let exe = Compiler::new(opts).compile(graph.clone()).expect("compile");
-            exe.execute(&inputs).expect("warm-up");
-            let n = 2000;
-            let t0 = Instant::now();
-            for _ in 0..n {
-                exe.execute(&inputs).expect("exec");
-            }
-            let per = t0.elapsed() / n;
-            println!(
-                "t{threads} interpret={interpret}: {:?}/call   stats={:?}",
-                per,
-                exe.executable().plan_stats()
-            );
+        let mut opts = CompileOptions::new(MachineDescriptor::xeon_8358());
+        opts.threads = Some(threads);
+        let exe = Compiler::new(opts).compile(graph.clone()).expect("compile");
+        exe.execute(&inputs).expect("warm-up");
+        let n = 2000;
+        let t0 = Instant::now();
+        for _ in 0..n {
+            exe.execute(&inputs).expect("exec");
         }
+        let per = t0.elapsed() / n;
+        println!(
+            "t{threads}: {:?}/call   stats={:?}",
+            per,
+            exe.executable().plan_stats()
+        );
     }
 }

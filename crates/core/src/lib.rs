@@ -147,13 +147,14 @@ impl Compiler {
     /// the plan is compiled for and runs on: its pool (so serving
     /// runtimes share one set of workers across many compiled models),
     /// its kernel backend (which also keys the tuning-database lookup)
-    /// and its counters. The engine's mode and exec options are
-    /// replaced by what `options.interpret` / `options.checked` ask for.
+    /// and its counters. The engine's exec options are replaced by what
+    /// `options.checked` asks for.
     ///
     /// # Errors
     ///
     /// Returns an error if the graph is invalid or uses an unsupported
-    /// pattern.
+    /// pattern, or if the plan builder rejected a lowered function (the
+    /// error names it).
     pub fn compile_artifacts(
         &self,
         mut graph: Graph,
@@ -175,17 +176,13 @@ impl Compiler {
         let (lowered, report) = pipeline::lower_for(&graph, &parts, &groups, &self.options, isa)?;
         let exe = engine
             .clone()
-            .with_mode(if self.options.interpret {
-                gc_tir::ExecMode::Interpret
-            } else {
-                gc_tir::ExecMode::Compiled
-            })
             .with_exec_options(if self.options.checked {
                 gc_tir::ExecOptions::checked()
             } else {
                 gc_tir::ExecOptions::default()
             })
             .build(lowered.module, lowered.weight_seeds, 1);
+        exe.check_plan()?;
         Ok(CompiledArtifacts {
             exe,
             report,

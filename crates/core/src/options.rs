@@ -38,15 +38,6 @@ pub struct CompileOptions {
     pub library_params: bool,
     /// Worker threads for execution (None = host parallelism).
     pub threads: Option<usize>,
-    /// Run the main stage on the tree-walking interpreter instead of
-    /// compiled execution plans (`--interpret`; the reference path for
-    /// differential testing).
-    pub interpret: bool,
-    /// Run the Tensor IR validator after every lowering-time
-    /// optimization pass; a failed check aborts compilation with an
-    /// error naming the guilty pass. Cheap (microseconds per function),
-    /// on by default.
-    pub validate: bool,
     /// Checked execution: assert at runtime that every evaluated plan
     /// offset lands in-bounds (debug mode; costs address-arithmetic
     /// work per intrinsic, off by default).
@@ -89,8 +80,6 @@ impl CompileOptions {
             forced_pack: None,
             library_params: false,
             threads: None,
-            interpret: false,
-            validate: true,
             checked: false,
             ragged: true,
             tuning: None,
@@ -148,7 +137,7 @@ mod tests {
     fn presets() {
         let o = CompileOptions::default();
         assert!(o.coarse_fusion && o.fusion.enabled);
-        assert!(o.validate && !o.checked && o.reuse_locals);
+        assert!(!o.checked && o.reuse_locals);
         let m = CompileOptions::without_coarse_fusion(MachineDescriptor::xeon_8358());
         assert!(!m.coarse_fusion && m.fusion.enabled);
         let u = CompileOptions::unfused(MachineDescriptor::xeon_8358());

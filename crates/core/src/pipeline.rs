@@ -126,7 +126,6 @@ pub fn lower_for(
         shrink_tensors: opts.shrink_tensors,
         reuse_buffers: opts.reuse_buffers,
         reuse_locals: opts.reuse_locals,
-        validate: opts.validate,
         forced_post_anchor: opts.forced_post_anchor,
         forced_pack: opts.forced_pack,
         library_params: opts.library_params,

@@ -39,7 +39,6 @@ fn compile_logged(
     let log: ParamLog = Arc::new(Mutex::new(Vec::new()));
     let mut o = CompileOptions::new(machine);
     o.threads = Some(1);
-    assert!(o.validate, "validator must be on for this test");
     o.param_log = Some(log.clone());
     let compiled = Compiler::new(o).compile(graph.clone()).unwrap();
     let choices = log.lock().unwrap().clone();

@@ -67,10 +67,6 @@ pub struct LowerOptions {
     /// Run function-local buffer merging (the within-function half of
     /// memory-buffer reuse).
     pub reuse_locals: bool,
-    /// Run the Tensor IR validator after every optimization pass; a
-    /// failed check aborts lowering with an error naming the pass that
-    /// broke the module.
-    pub validate: bool,
     /// Force the post-op anchor (ablation).
     pub forced_post_anchor: Option<crate::anchors::PostOpAnchor>,
     /// Force the A-pack placement (ablation).
@@ -107,7 +103,6 @@ impl LowerOptions {
             shrink_tensors: true,
             reuse_buffers: true,
             reuse_locals: true,
-            validate: true,
             forced_post_anchor: None,
             forced_pack: None,
             library_params: false,
@@ -310,55 +305,43 @@ pub fn lower_partitions(
         }
     }
 
-    // -- Tensor IR optimizations. With `opts.validate` each pass is
-    // followed by the validator, so a miscompile aborts lowering with
-    // an error naming the guilty pass instead of producing a module
-    // that silently computes garbage. The buffer-reuse passes
-    // additionally get a before/after shadow check proving no read was
-    // rewritten onto a slot whose live range it overlaps.
+    // -- Tensor IR optimizations. Each pass is followed by the
+    // validator, so a miscompile aborts lowering with an error naming
+    // the guilty pass instead of producing a module that silently
+    // computes garbage. The buffer-reuse passes additionally get a
+    // before/after shadow check proving no read was rewritten onto a
+    // slot whose live range it overlaps.
     for f in &mut b.module.funcs {
         if opts.shrink_tensors {
             let _ = shrink_locals(f);
-            if opts.validate {
-                validate_func(f).map_err(|e| {
+            validate_func(f).map_err(|e| {
+                err(format!(
+                    "validator after shrink_locals in `{}`: {e}",
+                    f.name
+                ))
+            })?;
+        }
+        if opts.reuse_locals {
+            let before = f.clone();
+            let _ = reuse_func_locals(f);
+            check_func_reuse(&before, f)
+                .and_then(|()| validate_func(f))
+                .map_err(|e| {
                     err(format!(
-                        "validator after shrink_locals in `{}`: {e}",
+                        "validator after reuse_func_locals in `{}`: {e}",
                         f.name
                     ))
                 })?;
-            }
-        }
-        if opts.reuse_locals {
-            let before = if opts.validate { Some(f.clone()) } else { None };
-            let _ = reuse_func_locals(f);
-            if let Some(before) = before {
-                check_func_reuse(&before, f)
-                    .and_then(|()| validate_func(f))
-                    .map_err(|e| {
-                        err(format!(
-                            "validator after reuse_func_locals in `{}`: {e}",
-                            f.name
-                        ))
-                    })?;
-            }
         }
     }
     if opts.reuse_buffers {
-        let before = if opts.validate {
-            Some(b.module.clone())
-        } else {
-            None
-        };
+        let before = b.module.clone();
         let _ = reuse_module_scratch(&mut b.module);
-        if let Some(before) = before {
-            check_module_reuse(&before, &b.module)
-                .and_then(|()| validate_module(&b.module))
-                .map_err(|e| err(format!("validator after reuse_module_scratch: {e}")))?;
-        }
+        check_module_reuse(&before, &b.module)
+            .and_then(|()| validate_module(&b.module))
+            .map_err(|e| err(format!("validator after reuse_module_scratch: {e}")))?;
     }
-    if opts.validate {
-        validate_module(&b.module).map_err(|e| err(format!("validator after lowering: {e}")))?;
-    }
+    validate_module(&b.module).map_err(|e| err(format!("validator after lowering: {e}")))?;
     b.module
         .validate()
         .map_err(|e| err(format!("module validation: {e}")))?;
@@ -992,14 +975,12 @@ impl Builder<'_> {
         }
 
         let _ = merge_parallel_loops(&mut combined);
-        if self.opts.validate {
-            validate_func(&combined).map_err(|e| {
-                err(format!(
-                    "validator after merge_parallel_loops in `{}`: {e}",
-                    combined.name
-                ))
-            })?;
-        }
+        validate_func(&combined).map_err(|e| {
+            err(format!(
+                "validator after merge_parallel_loops in `{}`: {e}",
+                combined.name
+            ))
+        })?;
         let fi = self.module.add_func(combined);
         self.module.main_calls.push(Call { func: fi, args });
         Ok(())

@@ -3,7 +3,7 @@
 //! The cache key is the full identity of a compiled artifact:
 //! canonical graph fingerprint (weights included — they are baked into
 //! the executable), shape bucket, a fingerprint of the compile options
-//! (which covers dtype legalization, interpret-vs-compiled mode, the
+//! (which covers dtype legalization, checked execution, the
 //! active kernel ISA and the tuning-database contents), the thread
 //! count (plan decisions depend on the pool width), and the engine
 //! shard slot (each shard of a sharded model owns a private executable
@@ -99,8 +99,6 @@ pub(crate) fn options_fingerprint(opts: &CompileOptions, isa: &str) -> u64 {
         library_params,
         threads: _, // part of the plan key already; `None` resolves to
         // a host-dependent width, so it must not enter this fingerprint
-        interpret,
-        validate,
         checked,
         ragged,
         tuning,
@@ -118,8 +116,6 @@ pub(crate) fn options_fingerprint(opts: &CompileOptions, isa: &str) -> u64 {
         reuse_buffers,
         reuse_locals,
         library_params,
-        interpret,
-        validate,
         checked,
         ragged,
     ] {
@@ -733,7 +729,7 @@ mod tests {
     #[test]
     fn plan_and_tune_key_identities_are_pinned() {
         let opts = CompileOptions::new(gc_machine::MachineDescriptor::xeon_8358());
-        assert_eq!(options_fingerprint(&opts, "scalar"), 0xc37e_bae8_e460_7b3a);
+        assert_eq!(options_fingerprint(&opts, "scalar"), 0xac06_cb57_d753_8221);
         let mut g = mlp_graph(16, 1);
         gc_core::pipeline::optimize_graph(&mut g, &opts).unwrap();
         let key = gc_core::TuneKey::for_graph(&g, &opts, "scalar").unwrap();
@@ -841,20 +837,6 @@ mod tests {
                 "library_params",
                 CompileOptions {
                     library_params: true,
-                    ..base.clone()
-                },
-            ),
-            (
-                "interpret",
-                CompileOptions {
-                    interpret: true,
-                    ..base.clone()
-                },
-            ),
-            (
-                "validate",
-                CompileOptions {
-                    validate: false,
                     ..base.clone()
                 },
             ),

@@ -39,7 +39,7 @@ use std::time::{Duration, Instant};
 /// Configuration for [`Model::load`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Compiler options (machine, fusion switches, threads, interpret).
+    /// Compiler options (machine, fusion switches, threads, checked).
     pub compile: CompileOptions,
     /// Coalescing cap: a dispatched batch carries at most this many
     /// units (a single larger request still executes alone).

@@ -21,8 +21,11 @@
 //!   discovers loop bodies one iteration at a time and cannot make this
 //!   call.
 //!
-//! Rejected functions (`None` in the result) run on the interpreter —
-//! correctness never depends on compilation succeeding.
+//! A rejected function keeps its `Reject` reason in the plan, and a
+//! compiled executable refuses to run a module with one: nothing leaves
+//! the compiled path silently. Lowered modules pass the validator first,
+//! which checks dtypes, arity and bounds with the same descriptors and
+//! interval tracker as the builder.
 
 use crate::bounds::VarScope;
 use crate::expr::{Expr, VarId};
@@ -48,19 +51,20 @@ pub fn compile_module(module: &Module, threads: usize) -> Plan {
                 stats.program_offsets += fs.program_offsets;
                 stats.brgemm_tables += fs.brgemm_tables;
                 stats.serialized_loops += fs.serialized_loops;
-                Some(pf)
+                Ok(pf)
             }
-            Err(_) => {
+            Err(r) => {
                 stats.interpreted_funcs += 1;
-                None
+                Err(r)
             }
         })
         .collect();
     Plan { funcs, stats }
 }
 
-/// Why a function stays on the interpreter. Internal: the engine only
-/// needs the `Option`, but tests assert on specific reasons.
+/// Why the plan builder rejected a function. Internal: the engine names
+/// it in the error a compiled executable returns, and tests assert on
+/// specific reasons.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum Reject {
     /// More scalar variables than the fixed scratch holds, or a loop
@@ -240,8 +244,7 @@ impl<'f> FuncBuilder<'f> {
             }
             None => {
                 let mut ops = Vec::new();
-                let depth = emit_program(offset, &mut ops)?;
-                debug_assert_eq!(depth, 1);
+                emit_program(offset, &mut ops, 0)?;
                 self.stats.program_offsets += 1;
                 PlanOffset::Program(ops.into_boxed_slice())
             }
@@ -380,33 +383,27 @@ fn linearize(e: &Expr) -> Option<(i64, Vec<(u32, i64)>)> {
     Some((base, terms.into_iter().filter(|&(_, s)| s != 0).collect()))
 }
 
-/// Emit a postfix program for `e`; returns the stack height contributed
-/// (always 1 on success).
-fn emit_program(e: &Expr, ops: &mut Vec<OffsetOp>) -> Result<usize, Reject> {
-    fn go(e: &Expr, ops: &mut Vec<OffsetOp>, depth: usize, peak: &mut usize) -> Result<(), Reject> {
-        if depth + 1 > MAX_PROG_STACK {
-            return Err(Reject::ProgramTooDeep);
-        }
-        *peak = (*peak).max(depth + 1);
-        match e {
-            Expr::Const(c) => ops.push(OffsetOp::PushC(*c)),
-            Expr::Var(VarId(v)) => ops.push(OffsetOp::PushV(*v as u32)),
-            Expr::Add(a, b) | Expr::Mul(a, b) | Expr::Div(a, b) | Expr::Rem(a, b) => {
-                go(a, ops, depth, peak)?;
-                go(b, ops, depth + 1, peak)?;
-                ops.push(match e {
-                    Expr::Add(..) => OffsetOp::Add,
-                    Expr::Mul(..) => OffsetOp::Mul,
-                    Expr::Div(..) => OffsetOp::Div,
-                    _ => OffsetOp::Rem,
-                });
-            }
-        }
-        Ok(())
+/// Emit a postfix program for `e`, whose value lands at stack height
+/// `depth`; rejects a program deeper than the fixed evaluation stack.
+fn emit_program(e: &Expr, ops: &mut Vec<OffsetOp>, depth: usize) -> Result<(), Reject> {
+    if depth + 1 > MAX_PROG_STACK {
+        return Err(Reject::ProgramTooDeep);
     }
-    let mut peak = 0;
-    go(e, ops, 0, &mut peak)?;
-    Ok(1)
+    match e {
+        Expr::Const(c) => ops.push(OffsetOp::PushC(*c)),
+        Expr::Var(VarId(v)) => ops.push(OffsetOp::PushV(*v as u32)),
+        Expr::Add(a, b) | Expr::Mul(a, b) | Expr::Div(a, b) | Expr::Rem(a, b) => {
+            emit_program(a, ops, depth)?;
+            emit_program(b, ops, depth + 1)?;
+            ops.push(match e {
+                Expr::Add(..) => OffsetOp::Add,
+                Expr::Mul(..) => OffsetOp::Mul,
+                Expr::Div(..) => OffsetOp::Div,
+                _ => OffsetOp::Rem,
+            });
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -610,7 +607,7 @@ mod tests {
     }
 
     #[test]
-    fn module_compile_counts_fallbacks() {
+    fn module_compile_counts_rejections() {
         let good = simple_func(v(0).mul(Expr::c(4)), 32, 8);
         let bad = simple_func(v(0).mul(Expr::c(4)), 32, 9);
         let mut m = Module::new();
@@ -619,6 +616,7 @@ mod tests {
         let plan = compile_module(&m, 4);
         assert!(plan.func(0).is_some());
         assert!(plan.func(1).is_none());
+        assert_eq!(plan.funcs[1].as_ref().err(), Some(&Reject::OutOfBounds));
         assert_eq!(plan.stats().compiled_funcs, 1);
         assert_eq!(plan.stats().interpreted_funcs, 1);
     }

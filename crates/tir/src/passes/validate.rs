@@ -13,9 +13,9 @@
 //!   through the same `VarScope` interval tracker and the same
 //!   descriptor spans the plan compiler uses for bounds hoisting — that
 //!   no access can escape its buffer for any iteration. An offset the
-//!   tracker cannot bound is not an error: the plan builder rejects the
-//!   function for the same reason and it runs on the interpreter with
-//!   hard bounds asserts.
+//!   tracker cannot bound is not an error here: the plan builder rejects
+//!   the function for the same reason, and a compiled executable
+//!   refuses to run it (gc-core turns that into a compile error).
 //! - [`check_func_reuse`] / [`check_module_reuse`] verify that a
 //!   buffer-merging pass preserved dataflow: they value-number reads
 //!   against their defining writes in the module before and after the

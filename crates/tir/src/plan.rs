@@ -20,10 +20,12 @@
 //!   chunk copying one fixed-size variable scratch instead of cloning a
 //!   heap `Vec` per iteration.
 //!
-//! Functions the builder cannot prove safe (too many variables, offsets
-//! it cannot bound) stay on the interpreter — [`Plan::func`] returns
-//! `None` and the engine routes that call through [`crate::exec`].
+//! A function the builder cannot prove safe (too many variables, offsets
+//! it cannot bound) has no plan ([`Plan::func`] returns `None`), and a
+//! compiled [`crate::Executable`] refuses to run its module with an error
+//! naming the function and the builder's reason.
 
+use crate::compile::Reject;
 use crate::ir::{Op, MAX_CLAMPS, MAX_OPERANDS};
 use crate::kernel::{run_op, RawBuf, Resolved};
 use gc_microkernel::Kernels;
@@ -269,7 +271,8 @@ pub struct PlanFunc {
 pub struct PlanStats {
     /// Functions compiled to plans.
     pub compiled_funcs: usize,
-    /// Functions left on the interpreter.
+    /// Functions the builder rejected; a compiled executable with any
+    /// refuses to run.
     pub interpreted_funcs: usize,
     /// View bounds checks verified at build time (none remain at run
     /// time).
@@ -285,18 +288,18 @@ pub struct PlanStats {
     pub serialized_loops: usize,
 }
 
-/// A compiled module: one optional [`PlanFunc`] per module function
-/// (`None` = interpreter fallback), plus build statistics.
+/// A compiled module: per module function its [`PlanFunc`] or the
+/// reason the builder rejected it, plus build statistics.
 #[derive(Debug, Clone, Default)]
 pub struct Plan {
-    pub(crate) funcs: Vec<Option<PlanFunc>>,
+    pub(crate) funcs: Vec<Result<PlanFunc, Reject>>,
     pub(crate) stats: PlanStats,
 }
 
 impl Plan {
     /// The compiled form of function `idx`, if the builder succeeded.
     pub fn func(&self, idx: usize) -> Option<&PlanFunc> {
-        self.funcs.get(idx).and_then(Option::as_ref)
+        self.funcs.get(idx).and_then(|f| f.as_ref().ok())
     }
 
     /// Build statistics.
@@ -323,12 +326,12 @@ impl PlanScratch {
             .funcs
             .iter()
             .map(|f| match f {
-                Some(pf) => pf
+                Ok(pf) => pf
                     .locals
                     .iter()
                     .map(|&(dt, elems)| Storage::zeros(dt, elems))
                     .collect(),
-                None => Vec::new(),
+                Err(_) => Vec::new(),
             })
             .collect();
         PlanScratch {
@@ -355,8 +358,9 @@ fn zero_storage(s: &mut Storage) {
 ///
 /// # Panics
 ///
-/// Panics if `func_idx` has no compiled plan (callers must check
-/// [`Plan::func`] and fall back to the interpreter).
+/// Panics if `func_idx` has no compiled plan. A compiled
+/// [`crate::Executable`] checks its whole plan before running any call
+/// and returns an error instead, so it never gets here.
 #[allow(clippy::too_many_arguments)]
 pub fn run_plan_call(
     plan: &Plan,
@@ -368,9 +372,9 @@ pub fn run_plan_call(
     opts: ExecOptions,
     kernels: Kernels,
 ) {
-    let pf = plan.funcs[func_idx]
-        .as_ref()
-        .expect("run_plan_call on interpreter-fallback function");
+    let pf = plan
+        .func(func_idx)
+        .expect("run_plan_call on a function the plan builder rejected");
     scratch.bufs.clear();
     for &a in args {
         // Duplicate args share a Storage; RawBuf::of is a pure pointer

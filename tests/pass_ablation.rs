@@ -16,6 +16,7 @@ use gc_core::{CompileOptions, CompiledPartition, Compiler};
 use gc_graph::Graph;
 use gc_machine::MachineDescriptor;
 use gc_tensor::{Storage, Tensor};
+use gc_tir::Executable;
 
 use gc_bench::workloads::{self, mlp1_layers, MhaConfig};
 
@@ -24,8 +25,9 @@ fn machine() -> MachineDescriptor {
 }
 
 /// Everything off: no fine- or coarse-grain fusion, no layout
-/// propagation, no TIR buffer passes, no constant-weight folding, and
-/// the tree-walking interpreter instead of compiled plans. Low-precision
+/// propagation, no TIR buffer passes, no constant-weight folding; the
+/// reference then runs this compile's `Executable::reference()`, the
+/// tree-walking interpreter instead of compiled plans. Low-precision
 /// legalization stays on so int8 graphs compute in int8 in both arms
 /// and can be compared bit-for-bit.
 fn reference_opts(threads: usize) -> CompileOptions {
@@ -34,7 +36,6 @@ fn reference_opts(threads: usize) -> CompileOptions {
     o.reuse_buffers = false;
     o.reuse_locals = false;
     o.constant_weights = false;
-    o.interpret = true;
     o.threads = Some(threads);
     o
 }
@@ -48,7 +49,8 @@ fn full_opts(threads: usize) -> CompileOptions {
 /// The ablation matrix: the full pipeline, the full pipeline under
 /// checked execution, and the full pipeline with exactly one pass
 /// disabled per entry. If "full" disagrees with the reference but
-/// "without-X" agrees, X is the miscompiling pass.
+/// "without-X" agrees, X is the miscompiling pass. [`ablate`] also runs
+/// the full pipeline's module on the interpreter ("full-interpreted").
 fn ablations(threads: usize) -> Vec<(&'static str, CompileOptions)> {
     let base = full_opts(threads);
     let mut m = vec![("full", base.clone())];
@@ -88,13 +90,8 @@ fn ablations(threads: usize) -> Vec<(&'static str, CompileOptions)> {
         o
     }));
     m.push(("without-constant-weights", {
-        let mut o = base.clone();
-        o.constant_weights = false;
-        o
-    }));
-    m.push(("without-plans (interpret)", {
         let mut o = base;
-        o.interpret = true;
+        o.constant_weights = false;
         o
     }));
     m
@@ -130,21 +127,31 @@ fn compile(opts: CompileOptions, g: Graph) -> CompiledPartition {
 /// Run `build()`'s graph through the reference and every ablation and
 /// compare. Two rounds each so the init-cached steady state is covered.
 fn ablate(build: impl Fn() -> Graph, threads: usize, f32_tol: f32) {
-    let reference = compile(reference_opts(threads), build());
-    let inputs: Vec<Tensor> = reference
+    let unfused = compile(reference_opts(threads), build());
+    let inputs: Vec<Tensor> = unfused
         .input_descs()
         .iter()
         .enumerate()
         .map(|(i, d)| Tensor::random(d.shape(), d.dtype(), 71 + i as u64))
         .collect();
-    let (want, _) = reference.execute(&inputs).expect("reference execute");
-    for (name, opts) in ablations(threads) {
-        let variant = compile(opts, build());
+    let (want, _) = unfused
+        .executable()
+        .reference()
+        .execute(&inputs)
+        .expect("reference execute");
+    let check = |name: &str, exe: &Executable| {
         for round in 0..2 {
-            let (got, _) = variant
+            let (got, _) = exe
                 .execute(&inputs)
                 .unwrap_or_else(|e| panic!("[{name}] round {round} failed: {e}"));
             compare_outputs(name, &got, &want, f32_tol);
+        }
+    };
+    for (name, opts) in ablations(threads) {
+        let variant = compile(opts, build());
+        check(name, variant.executable());
+        if name == "full" {
+            check("full-interpreted", &variant.executable().reference());
         }
     }
 }
@@ -290,18 +297,4 @@ fn rewired_buffer_reuse_is_rejected() {
         e.to_string().contains("overlapped live ranges"),
         "error must blame the reuse rewrite, got: {e}"
     );
-}
-
-/// The validator itself must hold on every variant of every workload:
-/// compilation above already ran it after each TIR pass (it is on by
-/// default), so reaching this test at all proves the pipeline is
-/// validator-clean. This test pins the default so a future change
-/// cannot silently turn it off.
-#[test]
-fn validator_is_on_by_default() {
-    assert!(CompileOptions::default().validate);
-    assert!(reference_opts(1).validate);
-    for (name, o) in ablations(1) {
-        assert!(o.validate, "{name} must keep the validator on");
-    }
 }

@@ -1,7 +1,9 @@
 //! Differential tests: compiled execution plans vs the tree-walking
-//! interpreter (`CompileOptions::interpret`) on the paper's Table-1
-//! workloads. The plan path must agree bit-for-bit on the int8 pipeline
-//! and to 1e-5 on f32.
+//! interpreter on the paper's Table-1 workloads. The oracle is the same
+//! compile's `Executable::reference()`: one lowering, with both stages —
+//! the init stage's weight prepacking and int8 compensation included —
+//! on the interpreter. The plan path must agree bit-for-bit on the int8
+//! pipeline and to 1e-5 on f32.
 
 use gc_bench::workloads;
 use gc_core::{CompileOptions, CompiledPartition, Compiler};
@@ -9,10 +11,9 @@ use gc_graph::Graph;
 use gc_machine::MachineDescriptor;
 use gc_tensor::{Storage, Tensor};
 
-fn compile(graph: Graph, threads: usize, interpret: bool) -> CompiledPartition {
+fn compile(graph: Graph, threads: usize) -> CompiledPartition {
     let mut opts = CompileOptions::new(MachineDescriptor::xeon_8358());
     opts.threads = Some(threads);
-    opts.interpret = interpret;
     Compiler::new(opts).compile(graph).expect("compile")
 }
 
@@ -24,12 +25,12 @@ fn random_inputs_for(p: &CompiledPartition, seed: u64) -> Vec<Tensor> {
         .collect()
 }
 
-/// Run `build()`'s graph through both execution modes (twice each, to
-/// cover the init-cached steady state) and compare every output.
+/// Run `graph` on its plans and on its reference (twice each, to cover
+/// the init-cached steady state) and compare every output.
 /// `tol == 0.0` demands bitwise identity.
-fn differential(build: impl Fn() -> Graph, threads: usize, tol: f32) {
-    let compiled = compile(build(), threads, false);
-    let interp = compile(build(), threads, true);
+fn differential(graph: Graph, threads: usize, tol: f32) {
+    let compiled = compile(graph, threads);
+    let interp = compiled.executable().reference();
 
     let stats = compiled.executable().plan_stats();
     assert!(
@@ -74,7 +75,7 @@ fn differential(build: impl Fn() -> Graph, threads: usize, tol: f32) {
 #[test]
 fn mlp_f32_single_thread() {
     differential(
-        || workloads::mlp_f32(16, &workloads::mlp1_layers(), 3),
+        workloads::mlp_f32(16, &workloads::mlp1_layers(), 3),
         1,
         1e-5,
     );
@@ -83,7 +84,7 @@ fn mlp_f32_single_thread() {
 #[test]
 fn mlp_f32_multi_thread() {
     differential(
-        || workloads::mlp_f32(32, &workloads::mlp1_layers(), 4),
+        workloads::mlp_f32(32, &workloads::mlp1_layers(), 4),
         4,
         1e-5,
     );
@@ -92,7 +93,7 @@ fn mlp_f32_multi_thread() {
 #[test]
 fn mlp2_f32_multi_thread() {
     differential(
-        || workloads::mlp_f32(16, &workloads::mlp2_layers(), 5),
+        workloads::mlp_f32(16, &workloads::mlp2_layers(), 5),
         2,
         1e-5,
     );
@@ -101,7 +102,7 @@ fn mlp2_f32_multi_thread() {
 #[test]
 fn mlp_int8_bit_identical_single_thread() {
     differential(
-        || workloads::mlp_int8(16, &workloads::mlp1_layers(), 6),
+        workloads::mlp_int8(16, &workloads::mlp1_layers(), 6),
         1,
         0.0,
     );
@@ -110,7 +111,7 @@ fn mlp_int8_bit_identical_single_thread() {
 #[test]
 fn mlp_int8_bit_identical_multi_thread() {
     differential(
-        || workloads::mlp_int8(32, &workloads::mlp1_layers(), 7),
+        workloads::mlp_int8(32, &workloads::mlp1_layers(), 7),
         4,
         0.0,
     );
@@ -119,10 +120,29 @@ fn mlp_int8_bit_identical_multi_thread() {
 #[test]
 fn mha_f32_multi_thread() {
     differential(
-        || workloads::mha_f32(2, &workloads::mha_configs()[0]).0,
+        workloads::mha_f32(2, &workloads::mha_configs()[0]).0,
         4,
         1e-5,
     );
+}
+
+/// The benchmark's int8 graph: its init stage is ten functions (weight
+/// prepacking and compensation per layer), which the reference runs on
+/// the interpreter.
+#[test]
+fn mlp2_int8_b128_bit_identical_one_and_two_threads() {
+    for threads in [1, 2] {
+        differential(
+            workloads::mlp_int8(128, &workloads::mlp2_layers(), 9),
+            threads,
+            0.0,
+        );
+    }
+}
+
+#[test]
+fn decode_f32_cap64() {
+    differential(workloads::decode_f32(16, 64, 64), 1, 1e-5);
 }
 
 /// The fused softmax runs as one row-chain call per row block: the plan,
@@ -130,10 +150,9 @@ fn mha_f32_multi_thread() {
 /// against the row chain's descriptor spans) must agree bit for bit —
 /// they share the kernel, so any difference is an addressing bug.
 fn row_chain_three_ways(build: impl Fn() -> Graph) {
-    let run = |interpret: bool, checked: bool| {
+    let run = |checked: bool| {
         let mut opts = CompileOptions::new(MachineDescriptor::xeon_8358());
         opts.threads = Some(2);
-        opts.interpret = interpret;
         opts.checked = checked;
         let p = Compiler::new(opts).compile(build()).expect("compile");
         let mut chains = 0;
@@ -143,15 +162,21 @@ fn row_chain_three_ways(build: impl Fn() -> Graph) {
             });
         }
         assert!(chains > 0, "the softmax must lower to a row chain");
-        let inputs = random_inputs_for(&p, 11);
-        let (outs, _) = p.execute(&inputs).expect("execute");
-        outs[0].f32_slice().expect("f32 output").to_vec()
+        p
     };
-    let plan = run(false, false);
-    for (label, other) in [
-        ("interpreter", run(true, false)),
-        ("checked", run(false, true)),
-    ] {
+    let f32_out = |outs: Vec<Tensor>| outs[0].f32_slice().expect("f32 output").to_vec();
+    let p = run(false);
+    let inputs = random_inputs_for(&p, 11);
+    let plan = f32_out(p.execute(&inputs).expect("execute").0);
+    let interp = f32_out(
+        p.executable()
+            .reference()
+            .execute(&inputs)
+            .expect("reference execute")
+            .0,
+    );
+    let checked = f32_out(run(true).execute(&inputs).expect("checked execute").0);
+    for (label, other) in [("interpreter", interp), ("checked", checked)] {
         assert_eq!(plan.len(), other.len());
         for (i, (x, y)) in plan.iter().zip(&other).enumerate() {
             assert_eq!(x.to_bits(), y.to_bits(), "{label} [{i}]: {x} vs {y}");
@@ -171,14 +196,25 @@ fn decode_row_chain_plan_interpreter_and_checked_agree() {
     }
 }
 
-/// The interpreter mode must actually bypass the plan (guards against
-/// the reference path silently becoming the thing under test).
+/// A compile runs on plans and its reference on the interpreter, with
+/// bit-identical output (guards against the oracle silently becoming
+/// the thing under test, or drifting from it).
 #[test]
-fn interpret_mode_is_reported() {
-    let g = workloads::mlp_f32(8, &workloads::mlp1_layers(), 8);
-    let p = compile(g, 1, true);
-    assert_eq!(p.executable().mode(), gc_tir::ExecMode::Interpret);
-    let g = workloads::mlp_f32(8, &workloads::mlp1_layers(), 8);
-    let p = compile(g, 1, false);
+fn reference_is_interpreted_and_bitmatches() {
+    let p = compile(workloads::mlp_f32(8, &workloads::mlp1_layers(), 8), 1);
+    let oracle = p.executable().reference();
     assert_eq!(p.executable().mode(), gc_tir::ExecMode::Compiled);
+    assert_eq!(oracle.mode(), gc_tir::ExecMode::Interpret);
+    let inputs = random_inputs_for(&p, 5);
+    let bits = |outs: Vec<Tensor>| -> Vec<u32> {
+        outs[0]
+            .f32_slice()
+            .unwrap()
+            .iter()
+            .map(|v| v.to_bits())
+            .collect()
+    };
+    let got = bits(p.execute(&inputs).expect("plan execute").0);
+    let want = bits(oracle.execute(&inputs).expect("reference execute").0);
+    assert_eq!(got, want);
 }

@@ -65,9 +65,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// pack → execute → unpack over ragged shapes equals the reference
-    /// within 1e-5 (f32). The validator runs on every lowering pass
-    /// (`validate: true` in the default options), so a passing compile
-    /// also certifies the chosen plan is validator-clean.
+    /// within 1e-5 (f32). The validator runs after every lowering pass,
+    /// so a passing compile also certifies the chosen plan is
+    /// validator-clean.
     #[test]
     fn ragged_f32_matches_reference(
         m in ragged_dim(),
@@ -109,21 +109,11 @@ proptest! {
         };
         let inputs = random_inputs(&build(), seed + 3);
 
-        let mut interp_opts = compile_opts();
-        interp_opts.interpret = true;
-        let (interp, _) = Compiler::new(interp_opts)
-            .compile(build())
-            .unwrap()
-            .execute(&inputs)
-            .unwrap();
-
         let mut plan_opts = compile_opts();
         plan_opts.checked = true;
-        let (plan, _) = Compiler::new(plan_opts)
-            .compile(build())
-            .unwrap()
-            .execute(&inputs)
-            .unwrap();
+        let compiled = Compiler::new(plan_opts).compile(build()).unwrap();
+        let (plan, _) = compiled.execute(&inputs).unwrap();
+        let (interp, _) = compiled.executable().reference().execute(&inputs).unwrap();
 
         let (a, b) = (interp[0].f32_slice().unwrap(), plan[0].f32_slice().unwrap());
         for i in 0..a.len() {
