@@ -522,13 +522,6 @@ pub fn reference_eval(g: &Graph, inputs: &[Tensor]) -> Vec<Tensor> {
                 gc_tensor::reorder::reorder(&ins[0], target.clone()).unwrap()
             }
             OpKind::BiasAdd => r::bias_add(&ins[0], &ins[1]).unwrap(),
-            OpKind::KvAppend => {
-                // Exactly the decomposition's arithmetic:
-                // cache - (cache - row) * onehot.
-                let diff = r::binary(r::BinaryKind::Sub, &ins[0], &ins[1]).unwrap();
-                let corr = r::binary(r::BinaryKind::Mul, &diff, &ins[2]).unwrap();
-                r::binary(r::BinaryKind::Sub, &ins[0], &corr).unwrap()
-            }
             OpKind::DecodeAttention => {
                 let head_dim = *ins[0].desc().shape().last().unwrap() as f32;
                 let kt = gc_tensor::reorder::transpose_last2(&ins[1]).unwrap();

@@ -105,22 +105,6 @@ impl CompileOptions {
             ..CompileOptions::new(machine)
         }
     }
-
-    /// The same options retargeted at a pool of `threads` workers.
-    ///
-    /// Plans embed chunk grains and task decompositions chosen for a
-    /// pool width, so a compile for one width must not run on another —
-    /// gc-serve's engine shards use this to compile each shard's slice
-    /// of a batch for that shard's own (narrower) pool while sharing
-    /// every other knob with the model's configuration (DESIGN.md
-    /// "Sharded execution").
-    #[must_use]
-    pub fn for_pool_width(&self, threads: usize) -> Self {
-        CompileOptions {
-            threads: Some(threads),
-            ..self.clone()
-        }
-    }
 }
 
 impl Default for CompileOptions {
@@ -142,19 +126,5 @@ mod tests {
         assert!(!m.coarse_fusion && m.fusion.enabled);
         let u = CompileOptions::unfused(MachineDescriptor::xeon_8358());
         assert!(!u.fusion.enabled && !u.propagate_layouts);
-    }
-
-    #[test]
-    fn for_pool_width_retargets_only_threads() {
-        let base = CompileOptions {
-            checked: true,
-            ragged: false,
-            ..CompileOptions::default()
-        };
-        let narrowed = base.for_pool_width(3);
-        assert_eq!(narrowed.threads, Some(3));
-        assert!(narrowed.checked, "other knobs must carry over");
-        assert!(!narrowed.ragged);
-        assert_eq!(base.threads, None, "source options are untouched");
     }
 }

@@ -57,7 +57,7 @@ pub struct TuneKey {
     pub shape_bucket: u64,
     /// FNV-1a of the machine descriptor's debug form *and* the
     /// microkernel ISA of the engine the plan runs on: wall-clock
-    /// measurements taken under one backend (say a scalar shard, or
+    /// measurements taken under one backend (say a scalar engine, or
     /// `GC_FORCE_ISA=scalar`) must never warm-start a plan running on
     /// another.
     pub machine: u64,

@@ -268,3 +268,77 @@ fn tune_keys_never_mix_isa_variants() {
     );
     assert_eq!(live.key, TuneKey::for_graph(&g, &o, active).unwrap());
 }
+
+#[test]
+fn scalar_engine_warm_starts_only_from_scalar_tuning_records() {
+    // `compile_artifacts` keys its tuning lookup under the ISA of the
+    // engine it compiles for, not the process default: a scalar engine
+    // ignores records measured on the default backend and replays
+    // records measured on scalar.
+    use gc_core::{TuneKey, TunedRecord};
+    use gc_lowering::{choose_params_ranked, ParamChoice};
+    use gc_microkernel::arch::{active_isa, kernels};
+    use gc_microkernel::Isa;
+    use gc_runtime::ThreadPool;
+    use gc_tir::Engine;
+
+    if active_isa() == Isa::Scalar {
+        return; // the default backend *is* scalar: one key, nothing to mix
+    }
+    let graph = mlp1(16);
+    let engine = Engine::new(Arc::new(ThreadPool::new(1))).with_kernels(kernels(Isa::Scalar));
+    let compiled = |db: Option<Arc<TuningDb>>| -> Vec<ParamChoice> {
+        let log: ParamLog = Arc::new(Mutex::new(Vec::new()));
+        let mut o = opts();
+        o.tuning = db;
+        o.param_log = Some(log.clone());
+        Compiler::new(o)
+            .compile_artifacts(graph.clone(), &engine)
+            .expect("compile");
+        let choices = log.lock().unwrap().clone();
+        assert!(!choices.is_empty());
+        choices
+    };
+    let analytic = compiled(None);
+
+    // A marker record: the analytic runner-up at every choice point.
+    let o = opts();
+    let point = |c: &ParamChoice| (c.problem, c.constraints);
+    let mut marker: Vec<ParamChoice> = Vec::new();
+    for c in &analytic {
+        if marker.iter().any(|m| point(m) == point(c)) {
+            continue;
+        }
+        let ranked = choose_params_ranked(&o.machine, &c.problem, &c.constraints, 2);
+        if let Some(&params) = ranked.get(1) {
+            marker.push(ParamChoice { params, ..*c });
+        }
+    }
+    assert!(!marker.is_empty(), "no choice point has a runner-up");
+    let db_keyed_under = |isa: &str| {
+        let mut optimized = graph.clone();
+        gc_core::pipeline::optimize_graph(&mut optimized, &o).unwrap();
+        let db = Arc::new(TuningDb::in_memory());
+        db.insert(
+            TuneKey::for_graph(&optimized, &o, isa).unwrap(),
+            TunedRecord {
+                choices: marker.clone(),
+                projected_cycles: 0.0,
+                wall_ns: 0,
+            },
+        );
+        Some(db)
+    };
+
+    // (a) measured on the default backend: not this engine's business
+    assert_eq!(compiled(db_keyed_under(active_isa().name())), analytic);
+    // (b) measured on scalar: replayed wherever the record has the
+    // point (downstream points' constraints move with the new params)
+    let warm = compiled(db_keyed_under("scalar"));
+    assert!(warm.iter().any(|c| marker.contains(c)), "record ignored");
+    for c in &warm {
+        if let Some(m) = marker.iter().find(|m| point(m) == point(c)) {
+            assert_eq!(c.params, m.params, "analytic choice at a tuned point");
+        }
+    }
+}

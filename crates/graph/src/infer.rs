@@ -111,30 +111,6 @@ pub fn infer_output(kind: &OpKind, inputs: &[&TensorDesc]) -> Result<TensorDesc>
             }
             Ok(TensorDesc::new(x.shape(), DataType::F32))
         }
-        OpKind::KvAppend => {
-            let [cache, row, onehot] = n::<3>(kind, inputs)?;
-            for d in [cache, row, onehot] {
-                require_f32(kind, d)?;
-            }
-            let (sc, sr, so) = (cache.shape(), row.shape(), onehot.shape());
-            if sc.len() != 3 || sr.len() != 3 || so.len() != 3 {
-                return Err(err(kind, "expects rank-3 [B, C, D] cache"));
-            }
-            let (b, cap, dim) = (sc[0], sc[1], sc[2]);
-            if sr != [b, 1, dim] {
-                return Err(err(
-                    kind,
-                    format!("row {sr:?} must be [{b}, 1, {dim}] for cache {sc:?}"),
-                ));
-            }
-            if so != [b, cap, 1] {
-                return Err(err(
-                    kind,
-                    format!("onehot {so:?} must be [{b}, {cap}, 1] for cache {sc:?}"),
-                ));
-            }
-            Ok(TensorDesc::new(sc, DataType::F32))
-        }
         OpKind::DecodeAttention => {
             let [q, k, v, mask] = n::<4>(kind, inputs)?;
             for d in [q, k, v, mask] {

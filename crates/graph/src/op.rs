@@ -122,16 +122,6 @@ pub enum OpKind {
     // ---- Complex ----
     /// Softmax over the last axis.
     Softmax,
-    /// KV-cache row write (autoregressive decode): inputs
-    /// `[cache [B, C, D], row [B, 1, D], onehot [B, C, 1]]`, output the
-    /// updated cache `[B, C, D]` with `row` written at the position
-    /// selected by the one-hot tensor (1.0 at the write slot, 0.0
-    /// elsewhere, per batch entry). Functional semantics — the serving
-    /// runtime performs the same write in place on its session caches;
-    /// the graph form exists for reference evaluation and compiled
-    /// differential tests. Writing to a zeroed slot is bit-exact
-    /// (`c - (c - r) * 1` with `c = 0` is IEEE-exact `r`).
-    KvAppend,
     /// Masked single-query attention against a KV cache (one decode
     /// step): inputs `[q [B, 1, D], k_cache [B, C, D], v_cache
     /// [B, C, D], mask [B, 1, C]]`, output `[B, 1, D]` =
@@ -163,7 +153,6 @@ impl OpKind {
             | OpKind::Dequantize { .. }
             | OpKind::TypeCast { .. } => OpCategory::Fusible,
             OpKind::Softmax
-            | OpKind::KvAppend
             | OpKind::DecodeAttention
             | OpKind::BatchNormInference { .. }
             | OpKind::BiasAdd => OpCategory::Complex,
@@ -197,7 +186,6 @@ impl OpKind {
             OpKind::Dequantize { .. } => "dequantize",
             OpKind::TypeCast { .. } => "typecast",
             OpKind::Softmax => "softmax",
-            OpKind::KvAppend => "kv_append",
             OpKind::DecodeAttention => "decode_attention",
             OpKind::BatchNormInference { .. } => "batchnorm",
             OpKind::BiasAdd => "bias_add",

@@ -7,11 +7,6 @@
 //!   (numerically-stable form; the two reductions become the split
 //!   post-op groups during fine-grain fusion);
 //! - `bias_add(x, b)` → `add(x, b)` (broadcast binary);
-//! - `kv_append(cache, row, onehot)` →
-//!   `sub(cache, mul(sub(cache, row), onehot))`: away from the write
-//!   slot the one-hot zeroes the correction and the cache passes
-//!   through; at the slot `c - (c - r)` leaves `r`. Bit-exact when the
-//!   slot held zeros, which is the serving invariant;
 //! - `decode_attention(q, k, v, mask)` →
 //!   `matmul(softmax(add(div(matmul(q, transpose(k)), √D), mask)), v)`
 //!   — the encoder MHA chain at query length 1, so the existing
@@ -51,17 +46,6 @@ impl Pass for Decompose {
                     let sm = g.add_op(OpKind::Reduce(ReduceKind::Sum), &[ex])?;
                     let dv = g.add_op(OpKind::Binary(BinaryKind::Div), &[ex, sm])?;
                     g.replace_uses(out, dv);
-                    g.kill_op(id);
-                    changed = true;
-                }
-                OpKind::KvAppend => {
-                    let [cache, row, onehot] = [op.inputs[0], op.inputs[1], op.inputs[2]];
-                    // row broadcasts right-aligned over [B, C, D];
-                    // onehot broadcasts over the trailing D axis.
-                    let diff = g.add_op(OpKind::Binary(BinaryKind::Sub), &[cache, row])?;
-                    let corr = g.add_op(OpKind::Binary(BinaryKind::Mul), &[diff, onehot])?;
-                    let upd = g.add_op(OpKind::Binary(BinaryKind::Sub), &[cache, corr])?;
-                    g.replace_uses(op.outputs[0], upd);
                     g.kill_op(id);
                     changed = true;
                 }

@@ -21,9 +21,10 @@
 //! `eltwise`, `reduce`, `epilogue`, `tail`). Whoever runs kernels
 //! carries the handle: a `gc_tir::Engine` owns one and every plan it
 //! builds runs on it from whichever thread touches the plan, so one
-//! process mixes backends by holding several engines (gc-serve's
-//! heterogeneous shards, DESIGN.md "Sharded execution"). There is no
-//! ambient dispatch state — no process table, no per-thread override.
+//! process mixes backends by holding several engines (gc-tir's
+//! `two_backends` test drives a scalar engine beside the default one).
+//! There is no ambient dispatch state — no process table, no
+//! per-thread override.
 //!
 //! [`active_isa`] is only the *default value* for callers that do not
 //! choose: detection clamped by the `GC_FORCE_ISA` environment variable

@@ -14,15 +14,10 @@
 //! - [`ExecStats`] — counters surfaced to the benchmark harness.
 //!
 //! Pools are plain values: an engine instance owns its own
-//! [`ThreadPool`], and several pools coexist in one process (that is
-//! what gc-serve's engine shards are — see DESIGN.md "Sharded
-//! execution"). [`ThreadPool::with_worker_setup`] lets a shard
-//! configure its workers at spawn (affinity via
-//! [`affinity::pin_current_thread`]).
+//! [`ThreadPool`], and several pools coexist in one process.
 
 #![warn(missing_docs)]
 
-pub mod affinity;
 mod arena;
 mod constant_cache;
 mod pool;
@@ -30,5 +25,5 @@ mod stats;
 
 pub use arena::{Arena, ArenaPlanner, SlotId};
 pub use constant_cache::ConstantCache;
-pub use pool::{ThreadPool, WorkerSetup};
+pub use pool::ThreadPool;
 pub use stats::ExecStats;

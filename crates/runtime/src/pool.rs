@@ -97,33 +97,11 @@ pub struct ThreadPool {
     chunks: AtomicU64,
 }
 
-/// Per-worker setup hook run once on each worker thread before it
-/// enters its claim loop. Receives the worker's index in `1..threads`
-/// (index 0 is the participating caller, which the pool does not own —
-/// callers needing symmetric setup run the hook themselves).
-pub type WorkerSetup = Arc<dyn Fn(usize) + Send + Sync>;
-
 impl ThreadPool {
     /// Build a pool that keeps `threads` cores busy (minimum 1): the
     /// caller of a parallel region counts as one, so `threads - 1`
     /// workers are spawned.
     pub fn new(threads: usize) -> Self {
-        Self::build(threads, None)
-    }
-
-    /// Like [`ThreadPool::new`], but runs `setup(worker_index)` once on
-    /// every spawned worker thread before it starts claiming chunks.
-    ///
-    /// This is how engine shards configure their pools: the hook pins
-    /// the worker to the shard's core range, so every thread that
-    /// executes kernels for the shard — workers here, the executor
-    /// thread by pinning itself the same way — is set up identically
-    /// (DESIGN.md "Sharded execution").
-    pub fn with_worker_setup(threads: usize, setup: WorkerSetup) -> Self {
-        Self::build(threads, Some(setup))
-    }
-
-    fn build(threads: usize, setup: Option<WorkerSetup>) -> Self {
         let threads = threads.max(1);
         let shared = Arc::new(Shared {
             slot: Mutex::new(Slot::default()),
@@ -132,15 +110,9 @@ impl ThreadPool {
         let workers = (1..threads)
             .map(|w| {
                 let shared = Arc::clone(&shared);
-                let setup = setup.clone();
                 std::thread::Builder::new()
                     .name(format!("gc-worker-{w}"))
-                    .spawn(move || {
-                        if let Some(setup) = setup {
-                            setup(w);
-                        }
-                        worker_loop(&shared)
-                    })
+                    .spawn(move || worker_loop(&shared))
                     .expect("failed to spawn worker thread")
             })
             .collect();
@@ -415,27 +387,6 @@ mod tests {
             assert_eq!(sum.into_inner(), 2016, "round {round}");
         }
         assert_eq!(pool.barrier_count(), 200);
-    }
-
-    #[test]
-    fn worker_setup_runs_once_per_worker() {
-        let ran = Arc::new(Mutex::new(Vec::new()));
-        let r2 = Arc::clone(&ran);
-        let pool = ThreadPool::with_worker_setup(
-            4,
-            Arc::new(move |w| {
-                r2.lock().unwrap().push(w);
-            }),
-        );
-        // Force the workers to have started (setup runs before the
-        // claim loop, so completing a region proves all setups ran...
-        // only for workers that claimed chunks; join on drop proves the
-        // rest, so check after dropping the pool).
-        pool.parallel_for(64, |_| {});
-        drop(pool);
-        let mut ws = Arc::try_unwrap(ran).unwrap().into_inner().unwrap();
-        ws.sort();
-        assert_eq!(ws, vec![1, 2, 3]);
     }
 
     #[test]

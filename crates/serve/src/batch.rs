@@ -3,7 +3,8 @@
 //! Coalescing lays each input of the batched items end to end along dim
 //! 0 and zero-pads to the bucket's row count; scattering copies each
 //! item's rows back out of the batched output. Both are plain element
-//! copies (`copy_elems` is the one both batch functions use) —
+//! copies (both batch functions gather with `copy_elems` and scatter
+//! with [`slice_elems`]) —
 //! soundness (padded rows never influence real rows, and every output
 //! row belongs to exactly one request) is enforced at load time by
 //! [`crate::rebatch::check_row_independence`], which rejects templates
@@ -56,10 +57,9 @@ pub fn slice_elems(
 }
 
 /// Copy `n` elements between same-dtype storages (flat offsets). Both
-/// batch functions gather and scatter with this — request rows into a
-/// part's padded inputs, session caches into an iteration's batch
-/// buffer — straight from source to destination, no intermediate
-/// tensor.
+/// batch functions gather with this — request rows into a batch's
+/// padded inputs, session caches into an iteration's batch buffer —
+/// straight from source to destination, no intermediate tensor.
 ///
 /// # Errors
 ///

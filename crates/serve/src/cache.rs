@@ -4,18 +4,14 @@
 //! canonical graph fingerprint (weights included — they are baked into
 //! the executable), shape bucket, a fingerprint of the compile options
 //! (which covers dtype legalization, checked execution, the
-//! active kernel ISA and the tuning-database contents), the thread
-//! count (plan decisions depend on the pool width), and the engine
-//! shard slot (each shard of a sharded model owns a private executable
-//! — see [`PlanKey::shard`]). Loading the same model twice — or the
-//! same model in two processes' worth of sessions — compiles once and
-//! shares one [`Arc<Executable>`]. Folded constants are shared at a
-//! deliberately *coarser* granularity: the engine's [`InitCache`] is
-//! keyed by [`PlanKey::fold_digest`] (graph, bucket, options, threads
-//! — no shard slot), so every session of one (model, bucket) folds
-//! weights once even across shards, while distinct buckets fold
-//! separately — their global buffers are bucket-shaped, so sharing
-//! across buckets would be incorrect.
+//! active kernel ISA and the tuning-database contents), and the thread
+//! count (plan decisions depend on the pool width). Loading the same
+//! model twice — or the same model in two processes' worth of sessions
+//! — compiles once and shares one [`Arc<Executable>`]. The engine's
+//! [`InitCache`] is keyed by the same identity ([`PlanKey::digest`]),
+//! so every session of one (model, bucket) folds weights once, while
+//! distinct buckets fold separately — their global buffers are
+//! bucket-shaped, so sharing across buckets would be incorrect.
 //!
 //! The plan cache is LRU-bounded ([`DEFAULT_PLAN_CAPACITY`] completed
 //! plans, or [`PlanCache::with_capacity`]) so long-lived processes
@@ -43,38 +39,20 @@ pub struct PlanKey {
     pub opts: u64,
     /// Worker threads the embedded pool runs.
     pub threads: u64,
-    /// Engine-shard slot this plan executes on: `0` for the unsharded
-    /// path, `1..=N` for a sharded model's shards (DESIGN.md "Sharded
-    /// execution"). Distinct slots get distinct [`CachedPlan`]s even at
-    /// identical width/options, so each shard keeps a **private
-    /// exec-state checkout pool** — a shard's executor has concurrency
-    /// 1 against its own executable, versus N shards churning one
-    /// shared (and width-capped) idle-state pool. Folded constants are
-    /// still shared across slots; see [`PlanKey::fold_digest`].
-    pub shard: u64,
 }
 
 impl PlanKey {
-    /// Collapse to one `u64` covering every field (cache audits,
-    /// logging).
+    /// Collapse to one `u64` covering every field: the engine-level
+    /// [`InitCache`] key, so each (graph, bucket, options, width) folds
+    /// its weights once however many executables share it.
     pub fn digest(&self) -> u64 {
-        crate::hash::combine(&[self.graph, self.units, self.opts, self.threads, self.shard])
-    }
-
-    /// The engine-level [`InitCache`] key: every field **except** the
-    /// shard slot. The init stage's product (seeded + folded globals)
-    /// depends on the graph, bucket shape, options (which fingerprint
-    /// the kernel ISA and tuning database) and pool width — but not on
-    /// which shard runs it — so all shards of one sharded model fold
-    /// their weights exactly once between them.
-    pub fn fold_digest(&self) -> u64 {
         crate::hash::combine(&[self.graph, self.units, self.opts, self.threads])
     }
 }
 
 /// The [`PlanKey::opts`] digest of `opts` for plans compiled for an
-/// engine whose kernels run on backend `isa` — the local engine's or a
-/// shard's: every plan is keyed under the ISA that runs it.
+/// engine whose kernels run on backend `isa`: every plan is keyed under
+/// the ISA that runs it.
 pub(crate) fn options_fingerprint(opts: &CompileOptions, isa: &str) -> u64 {
     // Exhaustive destructuring: adding a knob to CompileOptions fails
     // to compile here, forcing a decision on whether (and how) the new
@@ -344,12 +322,9 @@ pub fn init_cache() -> Arc<InitCache> {
     Arc::clone(CACHE.get_or_init(|| Arc::new(InitCache::new())))
 }
 
-/// A pool registry for the *unsharded* serving path: one [`ThreadPool`]
-/// per worker count, shared by every unsharded model compiled at that
-/// width. `0` means host parallelism. Sharded models do **not** draw
-/// from this registry — each [`crate::shard::EngineShard`] constructs
-/// its own first-class [`gc_tir::Engine`] (own pool with its affinity
-/// setup, own kernel backend), which is the point of sharding.
+/// A pool registry for the serving path: one [`ThreadPool`] per worker
+/// count, shared by every model compiled at that width. `0` means host
+/// parallelism.
 pub fn shared_pool(threads: usize) -> Arc<ThreadPool> {
     static POOLS: OnceLock<Mutex<HashMap<usize, Arc<ThreadPool>>>> = OnceLock::new();
     let pools = POOLS.get_or_init(|| Mutex::new(HashMap::new()));
@@ -364,8 +339,7 @@ pub fn shared_pool(threads: usize) -> Arc<ThreadPool> {
 }
 
 /// One model's way to its plans: the caches it compiles through and the
-/// local engine (a shared pool, the default kernel backend) its
-/// unsharded plans run on.
+/// engine (a shared pool, the default kernel backend) its plans run on.
 pub(crate) struct Plans {
     cache: Arc<PlanCache>,
     init_cache: Arc<InitCache>,
@@ -387,34 +361,25 @@ impl Plans {
         }
     }
 
-    /// [`options_fingerprint`] of `opts` under the local engine's ISA.
-    pub(crate) fn local_opts_hash(&self, opts: &CompileOptions) -> u64 {
+    /// [`options_fingerprint`] of `opts` under the engine's ISA.
+    pub(crate) fn opts_hash(&self, opts: &CompileOptions) -> u64 {
         options_fingerprint(opts, self.engine.kernels().isa().name())
     }
 
-    /// The plan under `key`, compiling `graph()` with `opts` on a miss,
-    /// for the engine that runs it (pool, kernel backend, tuning key,
-    /// counters): the local one, or `shard` with the options retargeted
-    /// at its width (plan decisions — parallel decomposition, buffer
-    /// sizing — must match the pool that runs them, not the model's
-    /// total budget). Folded constants go through the init cache under
-    /// [`PlanKey::fold_digest`] either way.
+    /// The plan under `key`, compiling `graph()` with `opts` for the
+    /// engine on a miss. Folded constants go through the init cache
+    /// under [`PlanKey::digest`].
     pub(crate) fn plan(
         &self,
         key: PlanKey,
         opts: &CompileOptions,
-        shard: Option<&Engine>,
         graph: impl FnOnce() -> Result<Graph, ServeError>,
     ) -> Result<Arc<CachedPlan>, ServeError> {
         self.cache.get_or_compile(key, || {
-            let (opts, engine) = match shard {
-                Some(engine) => (opts.for_pool_width(engine.threads()), engine),
-                None => (opts.clone(), &self.engine),
-            };
-            let arts = Compiler::new(opts).compile_artifacts(graph()?, engine)?;
+            let arts = Compiler::new(opts.clone()).compile_artifacts(graph()?, &self.engine)?;
             let exe = arts
                 .exe
-                .with_init_cache(Arc::clone(&self.init_cache), key.fold_digest());
+                .with_init_cache(Arc::clone(&self.init_cache), key.digest());
             Ok(CachedPlan {
                 exe: Arc::new(exe),
                 input_descs: arts.input_descs,
@@ -461,7 +426,6 @@ mod tests {
             units: 4,
             opts: 2,
             threads: 1,
-            shard: 0,
         };
         let a = cache.get_or_compile(key, || Ok(dummy_plan())).unwrap();
         let b = cache
@@ -480,7 +444,6 @@ mod tests {
             units: 4,
             opts: 2,
             threads: 1,
-            shard: 0,
         };
         let k8 = PlanKey { units: 8, ..k4 };
         let a = cache.get_or_compile(k4, || Ok(dummy_plan())).unwrap();
@@ -497,7 +460,6 @@ mod tests {
             units: 1,
             opts: 0,
             threads: 1,
-            shard: 0,
         };
         let e = cache.get_or_compile(key, || Err(ServeError::Compile("boom".into())));
         assert!(e.is_err());
@@ -515,7 +477,6 @@ mod tests {
             units: 4,
             opts: 0,
             threads: 1,
-            shard: 0,
         };
         let compiles = Arc::new(AtomicUsize::new(0));
         let handles: Vec<_> = (0..4)
@@ -556,7 +517,6 @@ mod tests {
             units: 4,
             opts: 0,
             threads: 1,
-            shard: 0,
         };
         cache.get_or_compile(hot, || Ok(dummy_plan())).unwrap();
         let threads = 4;
@@ -605,7 +565,6 @@ mod tests {
             units: 4,
             opts: 0,
             threads: 1,
-            shard: 0,
         };
         let kb = PlanKey { graph: 7, ..ka };
         let (entered_tx, entered_rx) = mpsc::channel();
@@ -633,7 +592,6 @@ mod tests {
             units: 4,
             opts: 0,
             threads: 1,
-            shard: 0,
         };
         cache.get_or_compile(key(1), || Ok(dummy_plan())).unwrap();
         cache.get_or_compile(key(2), || Ok(dummy_plan())).unwrap();
@@ -662,7 +620,6 @@ mod tests {
             units: 1,
             opts: 0,
             threads: 1,
-            shard: 0,
         };
         cache.get_or_compile(k, || Ok(dummy_plan())).unwrap();
         cache.get_or_compile(k, || panic!("cached")).unwrap();
@@ -692,32 +649,11 @@ mod tests {
             units: 2,
             opts: 3,
             threads: 4,
-            shard: 0,
         };
         assert_ne!(k.digest(), PlanKey { graph: 2, ..k }.digest());
         assert_ne!(k.digest(), PlanKey { units: 3, ..k }.digest());
         assert_ne!(k.digest(), PlanKey { opts: 4, ..k }.digest());
         assert_ne!(k.digest(), PlanKey { threads: 5, ..k }.digest());
-        assert_ne!(k.digest(), PlanKey { shard: 1, ..k }.digest());
-    }
-
-    #[test]
-    fn fold_digest_ignores_shard_slot_only() {
-        // Shards of one model share folded constants; everything else
-        // must still split the fold key.
-        let k = PlanKey {
-            graph: 1,
-            units: 2,
-            opts: 3,
-            threads: 4,
-            shard: 1,
-        };
-        assert_eq!(k.fold_digest(), PlanKey { shard: 2, ..k }.fold_digest());
-        assert_eq!(k.fold_digest(), PlanKey { shard: 0, ..k }.fold_digest());
-        assert_ne!(k.fold_digest(), PlanKey { graph: 2, ..k }.fold_digest());
-        assert_ne!(k.fold_digest(), PlanKey { units: 3, ..k }.fold_digest());
-        assert_ne!(k.fold_digest(), PlanKey { opts: 4, ..k }.fold_digest());
-        assert_ne!(k.fold_digest(), PlanKey { threads: 5, ..k }.fold_digest());
     }
 
     /// Plan-cache and tuning-database identities are persistent: a
@@ -725,11 +661,18 @@ mod tests {
     /// removing a hashed `CompileOptions` knob moves the options
     /// fingerprint, and its pin is updated with the knob; the tune key
     /// hashes only the machine and the ISA, so no options change may
-    /// move it.
+    /// move it. The [`PlanKey`] digest keys the folded-constant cache.
     #[test]
     fn plan_and_tune_key_identities_are_pinned() {
         let opts = CompileOptions::new(gc_machine::MachineDescriptor::xeon_8358());
         assert_eq!(options_fingerprint(&opts, "scalar"), 0xac06_cb57_d753_8221);
+        let plan_key = PlanKey {
+            graph: 1,
+            units: 2,
+            opts: 3,
+            threads: 4,
+        };
+        assert_eq!(plan_key.digest(), 0x898f_7e1c_e696_4921);
         let mut g = mlp_graph(16, 1);
         gc_core::pipeline::optimize_graph(&mut g, &opts).unwrap();
         let key = gc_core::TuneKey::for_graph(&g, &opts, "scalar").unwrap();

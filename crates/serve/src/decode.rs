@@ -142,8 +142,8 @@ impl StepFuture {
 }
 
 /// One session's KV state. `k`/`v` are `[heads, cap, head_dim]` with
-/// positions `len..` zeroed — the invariant that makes the functional
-/// `kv_append` form and the in-place write below bit-identical.
+/// positions `len..` zeroed — the invariant that makes an append a
+/// plain row write and a capacity change a prefix copy.
 struct SessionState {
     k: Tensor,
     v: Tensor,
@@ -269,7 +269,7 @@ impl DecodeModel {
             config.plan_cache.as_ref(),
             config.init_cache.as_ref(),
         );
-        let opts_hash = plans.local_opts_hash(&config.compile);
+        let opts_hash = plans.opts_hash(&config.compile);
         let limits = Limits {
             max_batch: config.max_batch,
             max_delay: config.max_delay,
@@ -594,9 +594,8 @@ fn decode_plan(
         units: rows as u64,
         opts: inner.opts_hash,
         threads: inner.plans.engine.threads() as u64,
-        shard: 0,
     };
-    inner.plans.plan(key, &inner.config.compile, None, || Ok(g))
+    inner.plans.plan(key, &inner.config.compile, || Ok(g))
 }
 
 /// Per-scheduler memo of resolved plans. The process-wide
@@ -607,8 +606,7 @@ type PlanMemo = HashMap<(usize, usize), Arc<CachedPlan>>;
 
 /// Execute one coalesced iteration: `steps` is one batch from the
 /// batcher, so all at one capacity. This is the only place a decode
-/// batch meets an engine — routing iterations to engine shards would
-/// be a change here and nowhere else.
+/// batch meets the engine.
 fn execute_iteration(
     inner: &DecodeInner,
     plans: &mut PlanMemo,

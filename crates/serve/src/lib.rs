@@ -15,7 +15,7 @@
 //!    a process-wide cache, so loading the same model twice (or in two
 //!    sessions) yields the same `Arc<Executable>` and runs
 //!    constant-weight folding exactly once. One options digest and one
-//!    compile helper serve request models, decode models and shards.
+//!    compile helper serve request models and decode models.
 //! 2. **One batcher core** (`batcher.rs`, crate-private) — the
 //!    scheduling protocol, written once: a bounded queue
 //!    ([`ServeError::Busy`] at the bound), a coalescing window anchored
@@ -25,21 +25,15 @@
 //!    are its two instantiations; neither spawns a thread of its own.
 //! 3. **Request batching** ([`Model`], [`Session`]) — concurrent
 //!    requests on one model are coalesced into power-of-two row
-//!    buckets, padded, executed once, and copied back out per request.
-//!    An idle model takes a synchronous fast path with no queue hop.
+//!    buckets, padded, executed once on the model's one engine, and
+//!    copied back out per request. An idle model takes a synchronous
+//!    fast path with no queue hop.
 //! 4. **KV-cache autoregressive decode** ([`DecodeModel`],
 //!    [`DecodeSession`]) — per-session KV caches at power-of-two
 //!    capacity buckets; the batcher coalesces one pending decode step
 //!    from many sessions, grouped by capacity, into a single plan
 //!    execution per iteration (see [`decode`]).
-//! 5. **Sharded execution** ([`EngineShard`], [`shard`]) — a request
-//!    batch is always a list of `(engine, unit range)` parts; with
-//!    [`ServeConfig::with_shards`] the parts run concurrently on
-//!    independent engine shards (own thread pool, exec-state checkout
-//!    pool and kernel backend, optional core pin) and each
-//!    request's outputs are read straight from the parts it spans. See
-//!    DESIGN.md "Sharded execution".
-//! 6. **Observability** — per-model / per-bucket / per-shard counters
+//! 5. **Observability** — per-model / per-bucket counters
 //!    ([`StatsSnapshot`]) with p50/p99 latency.
 //!
 //! ```
@@ -70,15 +64,13 @@ pub mod decode;
 pub mod hash;
 pub mod model;
 pub mod rebatch;
-pub mod shard;
 pub mod stats;
 
 pub use cache::{init_cache, plan_cache, shared_pool, CachedPlan, PlanCache, PlanKey};
 pub use decode::{DecodeConfig, DecodeModel, DecodeSession, StepFuture};
 pub use hash::graph_fingerprint;
 pub use model::{Model, ServeConfig, Session};
-pub use shard::{EngineShard, ShardConfig, ShardJob, ShardPlan, ShardSpec};
-pub use stats::{BucketSnapshot, DecodeBucketSnapshot, ShardSnapshot, StatsSnapshot};
+pub use stats::{BucketSnapshot, DecodeBucketSnapshot, StatsSnapshot};
 
 use std::fmt;
 

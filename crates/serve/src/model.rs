@@ -5,9 +5,9 @@
 //! synchronously (idle model, no queue hop) or submits to the model's
 //! batcher, which coalesces same-model requests up to `max_batch`
 //! units (the scheduling protocol lives in `batcher.rs`; this file
-//! supplies the batch function). A batch is padded to power-of-two
-//! unit buckets, executed once — on the local engine or across the
-//! shard fleet — and each request's rows are copied back out.
+//! supplies the batch function). A batch is padded to one power-of-two
+//! unit bucket, executed once on the model's engine, and each
+//! request's rows are copied back out.
 //!
 //! # Batching units
 //!
@@ -18,12 +18,11 @@
 //! dimensions. By default `template_units` is input 0's leading
 //! dimension, making one unit of work one template row.
 
-use crate::batch::copy_elems;
+use crate::batch::{copy_elems, slice_elems};
 use crate::batcher::{Batcher, Limits, Queued, Work};
 use crate::cache::{CachedPlan, PlanCache, PlanKey, Plans};
 use crate::hash::graph_fingerprint;
 use crate::rebatch::{rebatch, validate_template};
-use crate::shard::{ShardConfig, ShardJob, ShardPlan, ShardRuntime};
 use crate::stats::{ModelStats, StatsSnapshot};
 use crate::ServeError;
 use gc_core::CompileOptions;
@@ -60,11 +59,6 @@ pub struct ServeConfig {
     pub plan_cache: Option<Arc<PlanCache>>,
     /// Folded-constant cache override (`None` = the process-wide one).
     pub init_cache: Option<Arc<InitCache>>,
-    /// Sharded execution layout (`None` = one engine, the classic
-    /// path). With shards, `compile.threads` is the *total* thread
-    /// budget divided across the fleet. See DESIGN.md "Sharded
-    /// execution" and [`ServeConfig::with_shards`].
-    pub sharding: Option<ShardConfig>,
 }
 
 impl Default for ServeConfig {
@@ -78,7 +72,6 @@ impl Default for ServeConfig {
             fast_path: true,
             plan_cache: None,
             init_cache: None,
-            sharding: None,
         }
     }
 }
@@ -103,18 +96,6 @@ impl ServeConfig {
     /// stale plan.
     pub fn with_tuning(mut self, db: Arc<gc_core::TuningDb>) -> Self {
         self.compile.tuning = Some(db);
-        self
-    }
-
-    /// Serve through `n` uniform engine shards: large batches scatter
-    /// into contiguous unit ranges executed concurrently (one per
-    /// shard) and fuse back into one result; small batches route whole
-    /// to one shard round-robin. `compile.threads` (or the host width
-    /// when unset) becomes the *total* budget, divided evenly. For
-    /// pinned cores or heterogeneous per-shard ISAs, set
-    /// [`ServeConfig::sharding`] with explicit [`crate::ShardSpec`]s.
-    pub fn with_shards(mut self, n: usize) -> Self {
-        self.sharding = Some(ShardConfig::uniform(n));
         self
     }
 }
@@ -150,8 +131,6 @@ struct ModelInner {
     /// Template (pre-optimization) input descriptors for validation.
     template_descs: Vec<TensorDesc>,
     plans: Plans,
-    /// The shard fleet, when sharded execution is configured.
-    shards: Option<ShardRuntime>,
     inflight: AtomicUsize,
     stats: ModelStats,
 }
@@ -209,11 +188,7 @@ impl Model {
             config.plan_cache.as_ref(),
             config.init_cache.as_ref(),
         );
-        let opts_hash = plans.local_opts_hash(&config.compile);
-        let shards = match &config.sharding {
-            Some(sc) => Some(ShardRuntime::spawn(sc, &config.compile)?),
-            None => None,
-        };
+        let opts_hash = plans.opts_hash(&config.compile);
         let unit_dims: Vec<usize> = graph
             .inputs()
             .iter()
@@ -237,40 +212,14 @@ impl Model {
             unit_dims,
             template_descs,
             plans,
-            shards,
             config,
             inflight: AtomicUsize::new(0),
             stats: ModelStats::new(),
         });
         // Eager warm: compile what a full-template-sized request needs
         // so load surfaces compile errors and first-request latency
-        // stays low. Sharded models warm the plans their partition of
-        // that batch will use — every shard gets one, since whole-batch
-        // round-robin routing eventually reaches them all.
-        match &inner.shards {
-            None => {
-                plan_for(&inner, None, inner.template_units.next_power_of_two())?;
-            }
-            Some(rt) => {
-                inner
-                    .stats
-                    .register_shards(rt.shards.iter().map(|s| Arc::clone(s.stats())).collect());
-                let parts = match ShardPlan::partition(
-                    inner.template_units,
-                    rt.shards.len(),
-                    rt.min_units_per_shard,
-                    0,
-                ) {
-                    ShardPlan::Single(_) => (0..rt.shards.len())
-                        .map(|sid| (sid, 0..inner.template_units))
-                        .collect(),
-                    ShardPlan::Scatter(parts) => parts,
-                };
-                for (sid, r) in parts {
-                    plan_for(&inner, Some(sid), r.len().next_power_of_two())?;
-                }
-            }
-        }
+        // stays low.
+        plan_for(&inner, inner.template_units.next_power_of_two())?;
         let batcher = Batcher::spawn("gc-serve-dispatch", limits, {
             let inner = Arc::clone(&inner);
             move |batch: &[Queued<Request>]| {
@@ -317,7 +266,7 @@ impl Model {
     ///
     /// Returns [`ServeError::Compile`] if the bucket fails to compile.
     pub fn executable_for_units(&self, units: usize) -> Result<Arc<Executable>, ServeError> {
-        Ok(Arc::clone(&plan_for(&self.inner, None, units)?.exe))
+        Ok(Arc::clone(&plan_for(&self.inner, units)?.exe))
     }
 
     /// Stop accepting requests, drain what's queued, and join the
@@ -447,87 +396,36 @@ fn validate_request(inner: &ModelInner, inputs: &[Tensor]) -> Result<usize, Serv
     Ok(units)
 }
 
-/// Look up (or compile) the plan serving bucket `units` on engine shard
-/// `shard`, or on the local engine for `None`.
-///
-/// A shard's key carries its *effective* ISA and the fleet topology in
-/// `opts`, its own pool width, and the 1-based slot that gives it a
-/// private executable (and exec-state checkout pool). Folded constants
-/// still share across shards with equal options/width via
-/// [`PlanKey::fold_digest`].
-fn plan_for(
-    inner: &ModelInner,
-    shard: Option<usize>,
-    units: usize,
-) -> Result<Arc<CachedPlan>, ServeError> {
-    let shard = shard.zip(inner.shards.as_ref());
+/// Look up (or compile) the plan serving bucket `units`.
+fn plan_for(inner: &ModelInner, units: usize) -> Result<Arc<CachedPlan>, ServeError> {
     let key = PlanKey {
         graph: inner.graph_hash,
         units: units as u64,
-        opts: shard.map_or(inner.opts_hash, |(sid, rt)| rt.opts_hash[sid]),
-        threads: shard.map_or(inner.plans.engine.threads(), |(sid, rt)| {
-            rt.shards[sid].threads()
-        }) as u64,
-        shard: shard.map_or(0, |(sid, _)| sid as u64 + 1),
+        opts: inner.opts_hash,
+        threads: inner.plans.engine.threads() as u64,
     };
-    inner.plans.plan(
-        key,
-        &inner.config.compile,
-        shard.map(|(sid, rt)| rt.shards[sid].engine()),
-        || rebatch(&inner.graph, inner.template_units, units),
-    )
+    inner.plans.plan(key, &inner.config.compile, || {
+        rebatch(&inner.graph, inner.template_units, units)
+    })
 }
 
-/// One contiguous unit range of a batch on the engine that runs it.
-struct Part {
-    shard: Option<usize>,
-    units: Range<usize>,
-    /// `units` padded to the power of two the plan is compiled at.
-    bucket: usize,
-    plan: Arc<CachedPlan>,
-}
-
-/// One part's execution result and its wall time.
-type Ran = (Result<Inferred, gc_tir::exec::ExecError>, Duration);
-
-/// A part in flight: already run (the local engine executes on the
-/// calling thread) or queued on its shard's executor.
-enum Launched {
-    Local(Ran),
-    Shard(ShardJob<Ran>),
-}
-
-/// `a ∩ b`; empty when `start >= end`.
-fn overlap(a: &Range<usize>, b: &Range<usize>) -> Range<usize> {
-    a.start.max(b.start)..a.end.min(b.end)
-}
-
-/// The padded inputs of the part covering `units`: per model input, a
-/// zeroed `bucket`-unit tensor into which every request's overlap with
-/// the part is copied at its place. Requests lie back to back in unit
-/// order, so a request may straddle two parts.
-fn gather(
-    inner: &ModelInner,
-    reqs: &[&Request],
-    units: &Range<usize>,
-    bucket: usize,
-) -> Result<Vec<Tensor>, ServeError> {
+/// The padded inputs of a `bucket`-unit batch: per model input, a
+/// zeroed tensor into which every request is copied at its unit
+/// offset. Requests lie back to back in unit order.
+fn gather(inner: &ModelInner, reqs: &[&Request], bucket: usize) -> Result<Vec<Tensor>, ServeError> {
     let mut inputs = Vec::with_capacity(inner.template_descs.len());
     for (i, desc) in inner.template_descs.iter().enumerate() {
         let unit_vol = desc.volume() / inner.template_units;
         let mut padded = Storage::zeros(desc.dtype(), bucket * unit_vol);
         let mut off = 0;
         for r in reqs {
-            let ov = overlap(&(off..off + r.units), units);
-            if !ov.is_empty() {
-                copy_elems(
-                    r.inputs[i].storage(),
-                    (ov.start - off) * unit_vol,
-                    &mut padded,
-                    (ov.start - units.start) * unit_vol,
-                    ov.len() * unit_vol,
-                )?;
-            }
+            copy_elems(
+                r.inputs[i].storage(),
+                0,
+                &mut padded,
+                off * unit_vol,
+                r.units * unit_vol,
+            )?;
             off += r.units;
         }
         let mut shape = desc.shape().to_vec();
@@ -540,165 +438,69 @@ fn gather(
     Ok(inputs)
 }
 
-/// The mirror of [`gather`]: output `o` of the request covering `span`,
-/// assembled from every part it overlaps. A part's padding units are
-/// simply never read.
+/// The mirror of [`gather`]: the request covering unit `span` of the
+/// batch output `out`, shaped from the plan's descriptor `desc` of that
+/// output (executed tensors may come back layout-flattened). Padding
+/// units are never read.
 fn scatter(
-    parts: &[(Part, Vec<Tensor>)],
-    o: usize,
+    out: &Tensor,
+    desc: &TensorDesc,
+    bucket: usize,
     span: &Range<usize>,
 ) -> Result<Tensor, ServeError> {
-    // Shapes come from the plans' descriptors: executed tensors may
-    // come back layout-flattened.
-    let (first, _) = &parts[0];
-    let desc = &first.plan.output_descs[o];
-    let unit_vol = desc.volume() / first.bucket;
-    let mut out = Storage::zeros(desc.dtype(), span.len() * unit_vol);
-    for (part, outs) in parts {
-        let d = &part.plan.output_descs[o];
-        if d.shape().is_empty()
-            || !d.shape()[0].is_multiple_of(part.bucket)
-            || d.volume() != unit_vol * part.bucket
-        {
-            return Err(ServeError::Exec(format!(
-                "output {o} ({d}) does not scale with the batch"
-            )));
-        }
-        let ov = overlap(span, &part.units);
-        if !ov.is_empty() {
-            copy_elems(
-                outs[o].storage(),
-                (ov.start - part.units.start) * unit_vol,
-                &mut out,
-                (ov.start - span.start) * unit_vol,
-                ov.len() * unit_vol,
-            )?;
-        }
+    if desc.shape().is_empty() || !desc.shape()[0].is_multiple_of(bucket) {
+        return Err(ServeError::Exec(format!(
+            "output {desc} does not scale with the batch"
+        )));
     }
+    let unit_vol = desc.volume() / bucket;
     let mut shape = desc.shape().to_vec();
-    shape[0] = shape[0] / first.bucket * span.len();
-    Tensor::from_parts(TensorDesc::new(shape, desc.dtype()), out)
-        .map_err(|e| ServeError::Exec(e.to_string()))
+    shape[0] = shape[0] / bucket * span.len();
+    slice_elems(
+        out,
+        span.start * unit_vol,
+        span.len() * unit_vol,
+        TensorDesc::new(shape, desc.dtype()),
+    )
 }
 
 /// Execute `reqs` as one batch and return each request's outputs.
 ///
-/// A batch is always a list of parts — contiguous unit ranges, each on
-/// one engine and padded to its own power-of-two bucket. The unsharded
-/// model has one part on the local engine; a sharded model routes per
-/// its [`ShardPlan`], whole to one shard or split across the fleet to
-/// run concurrently. Inputs are written once, from the requests
-/// straight into each part's padded tensors, and outputs are read once,
-/// from the parts' outputs straight into each request's: one shard does
-/// exactly the copies the local engine does. Every request gets the
-/// first part's [`ExecStats`] with `batch_rows` covering what all parts
-/// executed (padding included); `queue_wait` is the caller's business.
+/// The batch is padded to one power-of-two bucket and runs once on the
+/// model's engine: inputs are written once, from the requests straight
+/// into the padded tensors, and each request's outputs are read once,
+/// from its span of the batch output. Every request gets the batch's
+/// [`ExecStats`] with `batch_rows` covering the padded bucket;
+/// `queue_wait` is the caller's business.
 fn execute(inner: &ModelInner, reqs: &[&Request]) -> Result<Vec<Inferred>, ServeError> {
-    let t0 = Instant::now();
-    let total_units: usize = reqs.iter().map(|r| r.units).sum();
-    let route = match &inner.shards {
-        None => vec![(None, 0..total_units)],
-        Some(rt) => match rt.plan(total_units) {
-            ShardPlan::Single(sid) => vec![(Some(sid), 0..total_units)],
-            ShardPlan::Scatter(parts) => parts.into_iter().map(|(s, r)| (Some(s), r)).collect(),
-        },
-    };
-    let mut prepared = Vec::with_capacity(route.len());
-    for (shard, units) in route {
-        let bucket = units.len().next_power_of_two();
-        let plan = plan_for(inner, shard, bucket)?;
-        let inputs = gather(inner, reqs, &units, bucket)?;
-        prepared.push((
-            Part {
-                shard,
-                units,
-                bucket,
-                plan,
-            },
-            inputs,
-        ));
-    }
-    let mut copy_wall = t0.elapsed();
-
+    let units: usize = reqs.iter().map(|r| r.units).sum();
+    let bucket = units.next_power_of_two();
+    let plan = plan_for(inner, bucket)?;
+    let inputs = gather(inner, reqs, bucket)?;
     inner.inflight.fetch_add(1, Ordering::SeqCst);
-    let launched: Vec<(Part, Launched)> = prepared
-        .into_iter()
-        .map(|(part, inputs)| {
-            let exe = Arc::clone(&part.plan.exe);
-            let run = move || {
-                let t0 = Instant::now();
-                (exe.execute(&inputs), t0.elapsed())
-            };
-            let launched = match part.shard.zip(inner.shards.as_ref()) {
-                Some((sid, rt)) => Launched::Shard(rt.shards[sid].run(run)),
-                None => Launched::Local(run()),
-            };
-            (part, launched)
-        })
-        .collect();
-    // Wait for *every* part before failing: abandoning a live job
-    // would let its pool race the next batch on the same shard.
-    let mut parts = Vec::with_capacity(launched.len());
-    let mut stats: Option<ExecStats> = None;
-    let mut first_err: Option<ServeError> = None;
-    for (part, launched) in launched {
-        let ran = match launched {
-            Launched::Local(ran) => Ok(ran),
-            Launched::Shard(job) => job.wait(),
-        };
-        match ran.and_then(|(result, wall)| Ok((result?, wall))) {
-            Ok(((outs, part_stats), wall)) => {
-                if let Some((sid, rt)) = part.shard.zip(inner.shards.as_ref()) {
-                    rt.shards[sid].stats().record_exec(
-                        part.units.len() as u64,
-                        part.bucket as u64,
-                        wall,
-                    );
-                }
-                stats.get_or_insert(part_stats);
-                parts.push((part, outs));
-            }
-            Err(e) => {
-                first_err.get_or_insert(e);
-            }
-        }
-    }
+    let ran = plan.exe.execute(&inputs);
     inner.inflight.fetch_sub(1, Ordering::SeqCst);
-    if let Some(e) = first_err {
-        return Err(e);
-    }
-    let mut stats = stats.expect("a batch has at least one part");
+    let (outs, mut stats) = ran?;
+    stats.batch_rows = (inner.unit_dims[0] * bucket) as u64;
 
-    let t1 = Instant::now();
-    stats.batch_rows = parts
-        .iter()
-        .map(|(p, _)| (inner.unit_dims[0] * p.bucket) as u64)
-        .sum();
-    let n_outs = parts[0].0.plan.output_descs.len();
     let mut results = Vec::with_capacity(reqs.len());
     let mut off = 0;
     for r in reqs {
         let span = off..off + r.units;
-        let outs = (0..n_outs)
-            .map(|o| scatter(&parts, o, &span))
+        let outs = outs
+            .iter()
+            .zip(&plan.output_descs)
+            .map(|(out, desc)| scatter(out, desc, bucket, &span))
             .collect::<Result<Vec<_>, _>>()?;
         results.push((outs, stats.clone()));
         off += r.units;
     }
-    copy_wall += t1.elapsed();
-
-    // Bucket key = what a single engine would have used; the padding
-    // is what the parts actually executed.
-    let padded: usize = parts.iter().map(|(p, _)| p.bucket - p.units.len()).sum();
     inner.stats.record_batch(
-        total_units.next_power_of_two() as u64,
+        bucket as u64,
         reqs.len() as u64,
-        total_units as u64,
-        padded as u64,
+        units as u64,
+        (bucket - units) as u64,
     );
-    if inner.shards.is_some() {
-        inner.stats.record_scatter(parts.len(), copy_wall);
-    }
     Ok(results)
 }
 

@@ -134,11 +134,11 @@ pub fn check_row_independence(g: &Graph) -> Result<(), ServeError> {
                 }
                 b(0)
             }
-            OpKind::KvAppend | OpKind::DecodeAttention => {
+            OpKind::DecodeAttention => {
                 // Shape inference pins every operand to rank 3 with a
-                // shared leading axis, and both ops work slice-wise
-                // along it: each batch entry's cache/query only meets
-                // that entry's operands.
+                // shared leading axis, and the op works slice-wise
+                // along it: each batch entry's query only meets that
+                // entry's caches and mask.
                 (0..op.inputs.len()).any(b)
             }
             OpKind::Transpose => {

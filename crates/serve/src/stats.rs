@@ -1,28 +1,14 @@
-//! Serving observability: per-model counters, per-bucket breakdowns,
-//! a power-of-two latency histogram for p50/p99, and — on sharded
-//! models — per-shard execution counters.
+//! Serving observability: per-model counters, per-bucket breakdowns and
+//! a power-of-two latency histogram for p50/p99.
 //!
 //! Everything is updated with relaxed atomics on the request path (the
 //! histogram takes a short mutex only when a request completes) and
 //! read via [`ModelStats::snapshot`], which is what
 //! [`crate::Model::stats`] and the bench binary's `--stats` dump show.
-//!
-//! # Per-shard counters
-//!
-//! A sharded model (DESIGN.md "Sharded execution") registers one
-//! [`ShardStats`] per engine shard at load. The shard's executor
-//! records every sub-batch it runs (units, padding, execution wall
-//! time, panics), and the *fusion* step's overhead — copying request
-//! inputs into per-shard tensors and partial outputs back out — is
-//! accounted separately in [`StatsSnapshot::fuse_us`], because that
-//! copy cost is exactly where shard scaling goes to die on small
-//! batches (see the shard-count decision table in DESIGN.md). [`ModelStats::snapshot`]
-//! folds all of it into the existing [`StatsSnapshot`], so `model
-//! .stats()` is still the single observability entry point.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Duration;
 
 /// Histogram over power-of-two microsecond buckets: bucket `i` covers
@@ -108,82 +94,6 @@ struct DecodeBucketCounters {
     steps: AtomicU64,
 }
 
-/// Live counters for one engine shard of a sharded model. Created by
-/// `shard::EngineShard`, registered on the model's [`ModelStats`], and
-/// surfaced as a [`ShardSnapshot`] per shard in every
-/// [`StatsSnapshot`].
-#[derive(Debug)]
-pub struct ShardStats {
-    /// Shard index within the model (0-based; display only — the
-    /// plan-cache slot is 1-based, see [`crate::cache::PlanKey::shard`]).
-    pub(crate) id: usize,
-    /// The shard pool's width (cores it keeps busy).
-    pub(crate) threads: usize,
-    /// Kernel backend of the shard's engine.
-    pub(crate) isa: &'static str,
-    /// Whether the kernel accepted the shard's core-range pin.
-    pub(crate) pinned: bool,
-    batches: AtomicU64,
-    units: AtomicU64,
-    padded_units: AtomicU64,
-    exec_ns: AtomicU64,
-    panics: AtomicU64,
-}
-
-impl ShardStats {
-    pub(crate) fn new(id: usize, threads: usize, isa: &'static str, pinned: bool) -> Self {
-        ShardStats {
-            id,
-            threads,
-            isa,
-            pinned,
-            batches: AtomicU64::new(0),
-            units: AtomicU64::new(0),
-            padded_units: AtomicU64::new(0),
-            exec_ns: AtomicU64::new(0),
-            panics: AtomicU64::new(0),
-        }
-    }
-
-    /// One sub-batch executed on this shard: `units` real units padded
-    /// up to `bucket`, in `wall`.
-    pub(crate) fn record_exec(&self, units: u64, bucket: u64, wall: Duration) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.units.fetch_add(units, Ordering::Relaxed);
-        self.padded_units
-            .fetch_add(bucket.saturating_sub(units), Ordering::Relaxed);
-        self.exec_ns.fetch_add(
-            wall.as_nanos().min(u128::from(u64::MAX)) as u64,
-            Ordering::Relaxed,
-        );
-    }
-
-    /// A job on this shard's executor panicked (the batch's waiters
-    /// were failed; the shard keeps serving).
-    pub(crate) fn record_panic(&self) {
-        self.panics.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Jobs that have panicked on this shard so far.
-    pub fn panics(&self) -> u64 {
-        self.panics.load(Ordering::Relaxed)
-    }
-
-    fn snapshot(&self) -> ShardSnapshot {
-        ShardSnapshot {
-            id: self.id as u64,
-            threads: self.threads as u64,
-            isa: self.isa.to_string(),
-            pinned: self.pinned,
-            batches: self.batches.load(Ordering::Relaxed),
-            units: self.units.load(Ordering::Relaxed),
-            padded_units: self.padded_units.load(Ordering::Relaxed),
-            exec_us: self.exec_ns.load(Ordering::Relaxed) / 1_000,
-            panics: self.panics.load(Ordering::Relaxed),
-        }
-    }
-}
-
 /// Live counters for one served model.
 ///
 /// The completed-request count is not stored as a separate counter: it
@@ -199,14 +109,6 @@ pub struct ModelStats {
     decode_buckets: Mutex<HashMap<(u64, u64), DecodeBucketCounters>>,
     /// Batch-occupancy histogram over decode iterations.
     decode_occupancy: Mutex<[u64; OCCUPANCY_BINS]>,
-    /// Per-shard counters, registered once at model load (empty on
-    /// unsharded models).
-    shards: Mutex<Vec<Arc<ShardStats>>>,
-    /// Batches whose units were scattered across more than one shard.
-    scattered_batches: AtomicU64,
-    /// Wall time spent in the fuse step (the input and output copies of
-    /// a batch on a sharded model), outside any shard's own execution.
-    fuse_ns: AtomicU64,
 }
 
 impl ModelStats {
@@ -255,24 +157,6 @@ impl ModelStats {
         self.decode_occupancy.lock().unwrap()[bin] += 1;
     }
 
-    /// Install the sharded runtime's per-shard counters (once, at
-    /// load).
-    pub(crate) fn register_shards(&self, shards: Vec<Arc<ShardStats>>) {
-        *self.shards.lock().unwrap() = shards;
-    }
-
-    /// One batch ran on `shards` shards, with `fuse` spent copying
-    /// inputs into per-shard tensors and partial outputs back out.
-    pub(crate) fn record_scatter(&self, shards: usize, fuse: Duration) {
-        if shards > 1 {
-            self.scattered_batches.fetch_add(1, Ordering::Relaxed);
-        }
-        self.fuse_ns.fetch_add(
-            fuse.as_nanos().min(u128::from(u64::MAX)) as u64,
-            Ordering::Relaxed,
-        );
-    }
-
     /// Consistent-enough point-in-time copy of every counter.
     ///
     /// The completed-request count is derived from the latency
@@ -315,13 +199,6 @@ impl ModelStats {
             .collect();
         decode_buckets.sort_by_key(|b| (b.capacity, b.rows));
         let decode_occupancy = *self.decode_occupancy.lock().unwrap();
-        let shards: Vec<ShardSnapshot> = self
-            .shards
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|s| s.snapshot())
-            .collect();
         StatsSnapshot {
             kernel_dispatch: KernelDispatchSnapshot::current(),
             requests: hist.total(),
@@ -334,37 +211,8 @@ impl ModelStats {
             buckets,
             decode_buckets,
             decode_occupancy,
-            shards,
-            scattered_batches: self.scattered_batches.load(Ordering::Relaxed),
-            fuse_us: self.fuse_ns.load(Ordering::Relaxed) / 1_000,
         }
     }
-}
-
-/// Point-in-time counters for one engine shard (see [`ShardStats`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardSnapshot {
-    /// Shard index within the model (0-based).
-    pub id: u64,
-    /// Pool width the shard runs at.
-    pub threads: u64,
-    /// Kernel backend (`scalar` / `avx2` / `avx512`) of the shard's
-    /// engine, which runs every plan compiled for the shard — may
-    /// differ from the process default on heterogeneous shard layouts.
-    pub isa: String,
-    /// Whether the kernel accepted the shard's core-range pin at spawn.
-    pub pinned: bool,
-    /// Sub-batches this shard executed.
-    pub batches: u64,
-    /// Real batching units executed.
-    pub units: u64,
-    /// Zero-padding units executed (each shard pads its slice to its
-    /// own power-of-two bucket).
-    pub padded_units: u64,
-    /// Wall time inside shard execution (µs), summed over sub-batches.
-    pub exec_us: u64,
-    /// Jobs that panicked on this shard's executor.
-    pub panics: u64,
 }
 
 /// Counters for one decode `(capacity, rows)` bucket.
@@ -436,19 +284,6 @@ impl KernelDispatchSnapshot {
                 .collect(),
         }
     }
-
-    /// Total kernel calls recorded on backends other than the default
-    /// `active` one. Zero while every engine in the process takes the
-    /// default; legitimately non-zero when an engine was given another
-    /// backend (a heterogeneous shard's `ShardSpec::isa`) — calls are
-    /// counted against the handle that ran them.
-    pub fn off_active_calls(&self) -> u64 {
-        self.counts
-            .iter()
-            .filter(|(_, isa, _)| *isa != self.active)
-            .map(|(_, _, calls)| calls)
-            .sum()
-    }
 }
 
 /// Point-in-time model statistics.
@@ -482,17 +317,6 @@ pub struct StatsSnapshot {
     /// Decode batch-occupancy histogram ([`OCCUPANCY_BINS`] bins; see
     /// the constant for the binning rule).
     pub decode_occupancy: [u64; OCCUPANCY_BINS],
-    /// Per-shard execution counters, shard 0 first. Empty on unsharded
-    /// models.
-    pub shards: Vec<ShardSnapshot>,
-    /// Batches whose units were split across more than one shard (a
-    /// batch routed whole to a single shard does not count).
-    pub scattered_batches: u64,
-    /// Cumulative wall time (µs) in the fuse step — writing each
-    /// shard's padded inputs from the requests and each request's
-    /// outputs from the shards' partial outputs — outside any shard's
-    /// own execution time.
-    pub fuse_us: u64,
 }
 
 impl StatsSnapshot {
@@ -551,20 +375,6 @@ impl std::fmt::Display for StatsSnapshot {
                 f,
                 "bucket[{:>4} units] batches={} requests={} rows={} padded={}",
                 b.units, b.batches, b.requests, b.rows, b.padded_rows
-            )?;
-        }
-        for s in &self.shards {
-            writeln!(
-                f,
-                "shard[{}] threads={} isa={} pinned={} batches={} units={} padded={} exec={}us panics={}",
-                s.id, s.threads, s.isa, s.pinned, s.batches, s.units, s.padded_units, s.exec_us, s.panics
-            )?;
-        }
-        if !self.shards.is_empty() {
-            writeln!(
-                f,
-                "scatter batches={} fuse={}us",
-                self.scattered_batches, self.fuse_us
             )?;
         }
         for b in &self.decode_buckets {
@@ -690,9 +500,6 @@ mod tests {
         let kd = &snap.kernel_dispatch;
         assert!(["scalar", "avx2", "avx512"].contains(&kd.active.as_str()));
         assert!(!kd.counts.is_empty());
-        // No assertion on off_active_calls(): shard tests in this
-        // binary build scalar engines, which legitimately record calls
-        // against a non-default backend.
         let shown = format!("{snap}");
         assert!(
             shown.contains(&format!("isa active={}", kd.active)),
@@ -745,65 +552,5 @@ mod tests {
         let snap = s.snapshot();
         assert_eq!(snap.decode_coalesce_ratio(), None);
         assert!(!format!("{snap}").contains("decode"));
-    }
-
-    #[test]
-    fn shard_stats_fold_into_snapshot() {
-        let s = ModelStats::new();
-        let a = Arc::new(ShardStats::new(0, 4, "avx2", true));
-        let b = Arc::new(ShardStats::new(1, 4, "scalar", false));
-        s.register_shards(vec![a.clone(), b.clone()]);
-        // Shard 0 ran 5 real units padded to an 8 bucket; shard 1 ran
-        // 3 padded to 4 and had one job panic.
-        a.record_exec(5, 8, Duration::from_micros(120));
-        b.record_exec(3, 4, Duration::from_micros(90));
-        b.record_panic();
-        s.record_scatter(2, Duration::from_micros(15));
-        let snap = s.snapshot();
-        assert_eq!(snap.shards.len(), 2);
-        assert_eq!(
-            snap.shards[0],
-            ShardSnapshot {
-                id: 0,
-                threads: 4,
-                isa: "avx2".into(),
-                pinned: true,
-                batches: 1,
-                units: 5,
-                padded_units: 3,
-                exec_us: 120,
-                panics: 0,
-            }
-        );
-        assert_eq!(snap.shards[1].isa, "scalar");
-        assert_eq!(snap.shards[1].panics, 1);
-        assert_eq!(snap.scattered_batches, 1);
-        assert_eq!(snap.fuse_us, 15);
-        let shown = format!("{snap}");
-        assert!(
-            shown.contains("shard[0] threads=4 isa=avx2 pinned=true"),
-            "{shown}"
-        );
-        assert!(shown.contains("scatter batches=1 fuse=15us"), "{shown}");
-    }
-
-    #[test]
-    fn whole_batch_routing_counts_fuse_but_not_scatter() {
-        // A small batch routed whole to one shard still pays (tiny)
-        // fuse bookkeeping but is not a scattered batch.
-        let s = ModelStats::new();
-        s.register_shards(vec![Arc::new(ShardStats::new(0, 2, "scalar", false))]);
-        s.record_scatter(1, Duration::from_micros(2));
-        let snap = s.snapshot();
-        assert_eq!(snap.scattered_batches, 0);
-        assert_eq!(snap.fuse_us, 2);
-    }
-
-    #[test]
-    fn unsharded_snapshot_hides_shard_lines() {
-        let snap = ModelStats::new().snapshot();
-        assert!(snap.shards.is_empty());
-        assert!(!format!("{snap}").contains("shard["));
-        assert!(!format!("{snap}").contains("scatter "));
     }
 }

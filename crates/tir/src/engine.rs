@@ -7,10 +7,8 @@
 //! execution statistics. Engines are **first-class values**, not a
 //! process singleton: an [`Engine`] bundles one thread pool and one
 //! microkernel backend ([`Kernels`]) with an execution policy and
-//! per-instance counters, and any number of them coexist in a process — gc-serve runs one per `EngineShard` so
-//! heterogeneous shards (different widths, different kernel ISAs,
-//! different core ranges) serve side by side (DESIGN.md "Sharded
-//! execution").
+//! per-instance counters, and any number of them coexist in a process
+//! (the `two_backends` test runs a scalar engine beside the default).
 //!
 //! Both stages run on the compiled [`Plan`]. A module with a function the
 //! plan builder rejected is refused with an error, never interpreted; the
@@ -47,7 +45,7 @@ use std::time::{Duration, Instant};
 /// A live set of engine execution counters. One instance is process
 /// wide (backing [`engine_totals`], kept for whole-process
 /// observability); every [`Engine`] value carries its own in addition,
-/// so multi-engine hosts — gc-serve's shards — get per-instance totals.
+/// so a process holding several engines gets per-instance totals.
 /// Monotonic; tests must assert on deltas, not absolute values, because
 /// the test harness runs in parallel.
 #[derive(Debug, Default)]
@@ -110,11 +108,10 @@ pub fn engine_totals() -> EngineTotals {
 /// Historically the pool/options pair was threaded through every
 /// [`Executable`] constructor by hand and observability was process
 /// wide only. `Engine` names that bundle so several instances can
-/// coexist deliberately in one process — gc-serve's `EngineShard`s each
-/// own one, giving every shard its own pool, its own ISA, its own
-/// exec-state checkout pools (via the executables it builds), and its
-/// own totals (DESIGN.md "Sharded execution"). Construction is cheap beyond the
-/// pool itself; clone the `Arc`s freely.
+/// coexist deliberately in one process, each with its own pool, its
+/// own ISA, its own exec-state checkout pools (via the executables it
+/// builds), and its own totals. Construction is cheap beyond the pool
+/// itself; clone the `Arc`s freely.
 #[derive(Clone)]
 pub struct Engine {
     pool: Arc<ThreadPool>,

@@ -7,10 +7,11 @@ use gc_bench::workloads;
 use gc_core::{CompileOptions, Compiler};
 use gc_machine::MachineDescriptor;
 use gc_runtime::ThreadPool;
-use gc_serve::{Model, PlanCache, ServeConfig};
+use gc_serve::{BucketSnapshot, Model, PlanCache, ServeConfig};
 use gc_tensor::{Storage, Tensor};
 use gc_tir::InitCache;
 use std::sync::Arc;
+use std::time::Duration;
 
 fn options(threads: usize) -> CompileOptions {
     CompileOptions {
@@ -178,6 +179,67 @@ fn batched_matches_unbatched_int8_mlp2() {
         |rows| workloads::mlp_int8(rows, &workloads::mlp2_layers(), 23),
         &[3],
         0.0,
+    );
+}
+
+/// Requests of 3, 2 and 2 rows fill a 7-unit window and run as one
+/// batch padded to 8 units. Each request reads its own span of the one
+/// output: it bit-matches an unbatched compile at its own row count.
+#[test]
+fn mixed_size_requests_share_one_padded_batch() {
+    let layers = workloads::mlp1_layers();
+    let mut cfg = serve_config(2);
+    cfg.max_batch = 7;
+    // The window closes by fill, never by timer.
+    cfg.max_delay = Duration::from_secs(30);
+    cfg.fast_path = false;
+    let model = Model::load(workloads::mlp_int8(1, &layers, 31), cfg).expect("load model");
+    let handles: Vec<_> = [3usize, 2, 2]
+        .into_iter()
+        .enumerate()
+        .map(|(t, rows)| {
+            let session = model.session();
+            std::thread::spawn(move || {
+                let unbatched = Compiler::new(options(2))
+                    .compile(workloads::mlp_int8(rows, &workloads::mlp1_layers(), 31))
+                    .expect("unbatched compile");
+                let inputs: Vec<Tensor> = unbatched
+                    .input_descs()
+                    .iter()
+                    .map(|d| Tensor::random(d.shape(), d.dtype(), 90 + t as u64))
+                    .collect();
+                let (want, _) = unbatched.execute(&inputs).expect("unbatched execute");
+                let (got, stats) = session.infer_with_stats(&inputs).expect("batched infer");
+                (rows, want, got, stats)
+            })
+        })
+        .collect();
+    for h in handles {
+        let (rows, want, got, stats) = h.join().expect("client thread");
+        assert_eq!(stats.batch_rows, 8, "rows {rows}");
+        assert_eq!(got.len(), want.len());
+        for (oi, (g, w)) in got.iter().zip(&want).enumerate() {
+            // Unbatched outputs may come back layout-flattened.
+            assert_eq!(g.desc().volume(), w.desc().volume());
+            assert_storage_close(
+                g.storage(),
+                w.storage(),
+                0.0,
+                &format!("rows {rows} output {oi}"),
+            );
+        }
+    }
+    let snap = model.stats();
+    assert_eq!((snap.requests, snap.batches), (3, 1));
+    assert_eq!(
+        snap.buckets,
+        vec![BucketSnapshot {
+            units: 8,
+            batches: 1,
+            requests: 3,
+            rows: 7,
+            padded_rows: 1,
+        }]
     );
 }
 
