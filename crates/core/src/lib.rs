@@ -108,11 +108,6 @@ impl Compiler {
         Compiler { options }
     }
 
-    /// Compiler with full optimization for `machine`.
-    pub fn for_machine(machine: MachineDescriptor) -> Self {
-        Compiler::new(CompileOptions::new(machine))
-    }
-
     /// Options in effect.
     pub fn options(&self) -> &CompileOptions {
         &self.options
@@ -254,11 +249,6 @@ impl CompiledPartition {
     /// Project one steady-state execution on the compile-target machine.
     pub fn project(&self) -> Projection {
         self.exe.project(&self.machine)
-    }
-
-    /// Project on an arbitrary machine.
-    pub fn project_on(&self, machine: &MachineDescriptor) -> Projection {
-        self.exe.project(machine)
     }
 
     /// What the compiler did (partitions, merges, fused post-ops).

@@ -3,7 +3,7 @@
 use crate::error::{GraphError, Result};
 use crate::infer::infer_output;
 use crate::op::{OpKind, Stage};
-use gc_tensor::{Layout, Tensor, TensorDesc};
+use gc_tensor::{Tensor, TensorDesc};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -164,12 +164,6 @@ impl Graph {
         }
     }
 
-    /// Remove a tensor from the graph outputs (used when a pass
-    /// re-points an output through an inserted op).
-    pub fn unmark_output(&mut self, id: LtId) {
-        self.outputs.retain(|&o| o != id);
-    }
-
     /// Graph input tensor ids.
     pub fn inputs(&self) -> &[LtId] {
         &self.inputs
@@ -225,11 +219,6 @@ impl Graph {
         &mut self.ops[id.0]
     }
 
-    /// Number of op slots (including dead ops).
-    pub fn op_slots(&self) -> usize {
-        self.ops.len()
-    }
-
     /// Iterate live op ids in insertion order.
     pub fn live_ops(&self) -> impl Iterator<Item = OpId> + '_ {
         self.ops
@@ -267,18 +256,6 @@ impl Graph {
     pub fn bind_const(&mut self, id: LtId, value: Tensor) {
         self.tensors[id.0].property = Property::Constant;
         self.const_values.insert(id, value);
-    }
-
-    /// Insert a new tensor mirroring `src`'s desc (fresh id) — used by
-    /// rewriting passes.
-    pub fn clone_tensor(&mut self, src: LtId, name: &str) -> LtId {
-        let desc = self.tensors[src.0].desc.clone();
-        self.add_tensor(desc, Property::Variable, name)
-    }
-
-    /// Insert a raw tensor with an explicit descriptor.
-    pub fn new_tensor(&mut self, desc: TensorDesc, name: &str) -> LtId {
-        self.add_tensor(desc, Property::Variable, name)
     }
 
     /// Replace every use of `old` (op inputs and graph outputs) with
@@ -411,18 +388,6 @@ impl Graph {
             );
         }
         s
-    }
-
-    /// Change a tensor's layout in place (used by layout propagation
-    /// when re-describing an op's operand).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the layout is invalid for the shape.
-    pub fn set_layout(&mut self, id: LtId, layout: Layout) -> Result<()> {
-        let t = &mut self.tensors[id.0];
-        t.desc = t.desc.reinterpret_layout(layout)?;
-        Ok(())
     }
 }
 

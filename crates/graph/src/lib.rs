@@ -7,10 +7,11 @@
 //! - the IR itself: [`Graph`], [`LogicalTensor`], [`Op`] with
 //!   Tunable / Fusible / Complex categories;
 //! - shape/dtype inference ([`infer`]);
-//! - the pass framework and every graph-level optimization the paper
-//!   describes ([`passes`]): complex-op decomposition, CSE, DCE,
-//!   constant folding, low-precision conversion, constant-weight
-//!   preprocessing, layout propagation, and fine-/coarse-grain fusion;
+//! - the pass framework and the graph-level optimizations ([`passes`]):
+//!   complex-op decomposition, CSE, DCE, constant folding,
+//!   low-precision conversion, constant-weight preprocessing, and
+//!   fine-/coarse-grain fusion (layout propagation is the lowering
+//!   driver's layout negotiation, in gc-lowering);
 //! - the fused-op partitioning produced by fusion.
 //!
 //! # Examples

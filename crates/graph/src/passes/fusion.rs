@@ -87,12 +87,6 @@ impl FusedOp {
         v
     }
 
-    /// Whether this is a bare (unfused) single-op partition.
-    pub fn is_standalone(&self) -> bool {
-        self.pre_ops.is_empty() && self.post_ops.is_empty() && self.tunable.is_some()
-            || (self.tunable.is_none() && self.pre_ops.len() + self.post_ops.len() == 1)
-    }
-
     /// The unique escaping output tensor of the group.
     ///
     /// # Panics

@@ -6,6 +6,11 @@
 //! folding" plus "domain-specific optimizations like low-precision
 //! conversion, tensor memory layout propagation, constant weight
 //! preprocessing, and fusion" (paper, §Graph IR Optimization).
+//!
+//! Every one of those is a pass here except layout propagation: the
+//! lowering driver does it, as a layout negotiation between chained
+//! matmuls, once template parameters are known (gc-lowering's
+//! `lower_graph`).
 
 pub mod coarse_fusion;
 pub mod constant_fold;
@@ -14,7 +19,6 @@ pub mod cse;
 pub mod dce;
 pub mod decompose;
 pub mod fusion;
-pub mod layout_propagation;
 pub mod low_precision;
 
 use crate::error::Result;
@@ -37,7 +41,6 @@ pub trait Pass {
 #[derive(Default)]
 pub struct PassManager {
     passes: Vec<Box<dyn Pass>>,
-    trace: bool,
 }
 
 impl PassManager {
@@ -49,12 +52,6 @@ impl PassManager {
     /// Append a pass.
     pub fn add(&mut self, pass: impl Pass + 'static) -> &mut Self {
         self.passes.push(Box::new(pass));
-        self
-    }
-
-    /// Log pass activity to stderr (debugging aid).
-    pub fn with_trace(&mut self, on: bool) -> &mut Self {
-        self.trace = on;
         self
     }
 
@@ -70,9 +67,6 @@ impl PassManager {
             let c = pass.run(graph)?;
             if c {
                 graph.validate()?;
-            }
-            if self.trace {
-                eprintln!("[pass] {}: changed={c}", pass.name());
             }
             changed |= c;
         }
@@ -93,15 +87,6 @@ impl PassManager {
         }
         Ok(())
     }
-}
-
-/// The standard cleanup trio used between major rewrites.
-pub fn cleanup() -> PassManager {
-    let mut pm = PassManager::new();
-    pm.add(cse::CommonSubexpressionElimination)
-        .add(constant_fold::ConstantFold::default())
-        .add(dce::DeadCodeElimination);
-    pm
 }
 
 #[cfg(test)]

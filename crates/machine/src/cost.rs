@@ -145,25 +145,6 @@ pub fn dispatch_cycles(machine: &MachineDescriptor) -> f64 {
     machine.dispatch_cycles as f64
 }
 
-/// Estimated total cycles of a multi-core matmul `[m, n, k]` given a
-/// task decomposition producing `tasks` single-core kernels with
-/// single-core efficiency `kernel_eff`.
-pub fn matmul_cycles(
-    machine: &MachineDescriptor,
-    m: usize,
-    n: usize,
-    k: usize,
-    elem_bytes: usize,
-    tasks: usize,
-    kernel_eff: f64,
-) -> f64 {
-    let flops = 2.0 * m as f64 * n as f64 * k as f64;
-    let per_core_flops = flops / machine.cores.min(tasks.max(1)) as f64;
-    let balance = load_balance(machine, tasks).max(1e-6);
-    compute_cycles(machine, per_core_flops, elem_bytes, kernel_eff) / balance
-        + barrier_cycles(machine)
-}
-
 /// Extent of a dimension after pack-time padding to whole `block`
 /// tiles: the pad-and-go edge policy computes (and packs, and streams)
 /// this many elements along the axis, of which `dim` are live.
@@ -373,14 +354,6 @@ mod tests {
         let f32c = compute_cycles(&m, 1e9, 4, 1.0);
         let i8c = compute_cycles(&m, 1e9, 1, 1.0);
         assert!((f32c / i8c - m.int8_speedup).abs() < 1e-9);
-    }
-
-    #[test]
-    fn matmul_cycles_scale_with_size() {
-        let m = xeon();
-        let small = matmul_cycles(&m, 128, 128, 128, 4, 32, 0.9);
-        let big = matmul_cycles(&m, 512, 512, 512, 4, 32, 0.9);
-        assert!(big > small * 10.0);
     }
 
     #[test]

@@ -10,18 +10,15 @@
 //!   unchanged; the output store clips the dead rows/columns back off
 //!   ([`store_clamped_2d`]).
 //! - **Tail kernels** — the brgemm itself is clamped to the valid row
-//!   count ([`Kernels::brgemm_f32`] / [`Kernels::brgemm_u8i8`] with
-//!   `rows < m`): the same batch-reduce body called with `m = rows`,
-//!   computing no wasted FLOPs and bit-identical to the row prefix of
-//!   the full call.
+//!   count ([`crate::Kernels::brgemm_f32`] /
+//!   [`crate::Kernels::brgemm_u8i8`] with `rows < m`): the same
+//!   batch-reduce body called with `m = rows`, computing no wasted
+//!   FLOPs and bit-identical to the row prefix of the full call.
 //!
 //! All kernels here are *masked-store* shaped: they never write outside
 //! the valid window of the destination, so a caller can alias the
 //! padded region with neighbouring data (the plan executor relies on
 //! this when the output buffer has exactly the logical extent).
-
-use crate::arch::Kernels;
-use crate::eltwise::UnaryOp;
 
 /// Pack a `rows_valid × cols_valid` window of a strided source into a
 /// dense `rows × cols` tile, zero-filling the padded remainder.
@@ -102,23 +99,6 @@ pub fn store_clamped_2d<T: Copy>(
     }
 }
 
-impl Kernels {
-    /// Apply a unary post-op to the valid row prefix of a dense
-    /// `[rows, n]` accumulator tile, skipping the padded rows entirely.
-    ///
-    /// The pad-and-go epilogue runs unary ops over the full tile (the
-    /// padding is discarded at the output store anyway); the tail
-    /// epilogue uses this variant so ops like `exp` never touch the
-    /// zero-filled pad rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tile` is shorter than `rows_valid * n`.
-    pub fn unary_rows_tail(&self, op: UnaryOp, tile: &mut [f32], n: usize, rows_valid: usize) {
-        self.unary_inplace(op, &mut tile[..rows_valid * n]);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,14 +145,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn unary_tail_skips_pad_rows() {
-        let n = 4;
-        let mut tile = vec![-2.0f32; 3 * n];
-        Kernels::default().unary_rows_tail(UnaryOp::Relu, &mut tile, n, 2);
-        assert!(tile[..2 * n].iter().all(|&x| x == 0.0));
-        assert!(tile[2 * n..].iter().all(|&x| x == -2.0), "pad row touched");
     }
 }

@@ -19,9 +19,6 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-/// Job type accepted by [`ThreadPool::parallel_for_static`].
-pub type Job = Arc<dyn Fn(usize) + Send + Sync>;
-
 /// One published parallel region: a chunk-claiming cursor over `0..n`
 /// plus a completion counter.
 struct Task {
@@ -234,14 +231,6 @@ impl ThreadPool {
     pub fn chunk_count(&self) -> u64 {
         self.chunks.load(Ordering::Relaxed)
     }
-
-    /// Chunked job over `0..n` for `'static` closures behind an `Arc`.
-    ///
-    /// Same scheduling as [`ThreadPool::parallel_for`]; kept for callers
-    /// that hold the job in shared ownership.
-    pub fn parallel_for_static(&self, n: usize, job: Job) {
-        self.parallel_for(n, move |i| job(i));
-    }
 }
 
 fn worker_loop(shared: &Shared) {
@@ -318,20 +307,6 @@ mod tests {
             pool.parallel_for(4, |_| {});
         }
         assert_eq!(pool.barrier_count(), 5);
-    }
-
-    #[test]
-    fn static_path_matches() {
-        let pool = ThreadPool::new(3);
-        let sum = Arc::new(AtomicUsize::new(0));
-        let s2 = Arc::clone(&sum);
-        pool.parallel_for_static(
-            100,
-            Arc::new(move |i| {
-                s2.fetch_add(i, Ordering::SeqCst);
-            }),
-        );
-        assert_eq!(sum.load(Ordering::SeqCst), 4950);
     }
 
     #[test]

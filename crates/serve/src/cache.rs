@@ -17,10 +17,9 @@
 //! plans, or [`PlanCache::with_capacity`]) so long-lived processes
 //! that churn through model variants cannot grow it without bound.
 
-use crate::hash::Fnv1a;
 use crate::ServeError;
 use gc_core::{CompileOptions, Compiler};
-use gc_graph::Graph;
+use gc_graph::{combine, Fnv1a, Graph};
 use gc_runtime::ThreadPool;
 use gc_tensor::TensorDesc;
 use gc_tir::{Engine, Executable, InitCache};
@@ -31,7 +30,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// Identity of one compiled plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PlanKey {
-    /// Canonical graph fingerprint ([`crate::graph_fingerprint`]).
+    /// Canonical graph fingerprint ([`gc_graph::graph_fingerprint`]).
     pub graph: u64,
     /// Shape bucket, in batching units.
     pub units: u64,
@@ -46,7 +45,7 @@ impl PlanKey {
     /// [`InitCache`] key, so each (graph, bucket, options, width) folds
     /// its weights once however many executables share it.
     pub fn digest(&self) -> u64 {
-        crate::hash::combine(&[self.graph, self.units, self.opts, self.threads])
+        combine(&[self.graph, self.units, self.opts, self.threads])
     }
 }
 

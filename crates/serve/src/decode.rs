@@ -48,11 +48,10 @@
 use crate::batch::{copy_elems, slice_elems};
 use crate::batcher::{Batcher, Limits, Queued, Ticket, Work};
 use crate::cache::{CachedPlan, PlanCache, PlanKey, Plans};
-use crate::hash::graph_fingerprint;
 use crate::stats::{ModelStats, StatsSnapshot};
 use crate::ServeError;
 use gc_core::CompileOptions;
-use gc_graph::Graph;
+use gc_graph::{graph_fingerprint, Graph};
 use gc_tensor::{DataType, Storage, Tensor, TensorDesc};
 use gc_tir::InitCache;
 use std::collections::HashMap;

@@ -61,14 +61,12 @@ pub mod batch;
 mod batcher;
 pub mod cache;
 pub mod decode;
-pub mod hash;
 pub mod model;
 pub mod rebatch;
 pub mod stats;
 
 pub use cache::{init_cache, plan_cache, shared_pool, CachedPlan, PlanCache, PlanKey};
 pub use decode::{DecodeConfig, DecodeModel, DecodeSession, StepFuture};
-pub use hash::graph_fingerprint;
 pub use model::{Model, ServeConfig, Session};
 pub use stats::{BucketSnapshot, DecodeBucketSnapshot, StatsSnapshot};
 
@@ -132,7 +130,7 @@ impl From<gc_core::CoreError> for ServeError {
 
 impl From<gc_graph::GraphError> for ServeError {
     fn from(e: gc_graph::GraphError) -> Self {
-        ServeError::InvalidModel(e.to_string())
+        ServeError::InvalidModel(format!("graph: {e}"))
     }
 }
 

@@ -21,12 +21,11 @@
 use crate::batch::{copy_elems, slice_elems};
 use crate::batcher::{Batcher, Limits, Queued, Work};
 use crate::cache::{CachedPlan, PlanCache, PlanKey, Plans};
-use crate::hash::graph_fingerprint;
 use crate::rebatch::{rebatch, validate_template};
 use crate::stats::{ModelStats, StatsSnapshot};
 use crate::ServeError;
 use gc_core::CompileOptions;
-use gc_graph::Graph;
+use gc_graph::{graph_fingerprint, Graph};
 use gc_runtime::ExecStats;
 use gc_tensor::{Storage, Tensor, TensorDesc};
 use gc_tir::{Executable, InitCache};

@@ -89,9 +89,7 @@ pub fn validate_template(g: &Graph, units: usize) -> Result<(), ServeError> {
 ///
 /// Returns [`ServeError::InvalidModel`] naming the offending op.
 pub fn check_row_independence(g: &Graph) -> Result<(), ServeError> {
-    let order = g
-        .topo_order()
-        .map_err(|e| ServeError::InvalidModel(format!("graph: {e}")))?;
+    let order = g.topo_order()?;
     let mut batched: HashSet<LtId> = g.inputs().iter().copied().collect();
     for id in order {
         let op = g.op(id);
@@ -207,9 +205,7 @@ pub fn rebatch(g: &Graph, template_units: usize, new_units: usize) -> Result<Gra
         let ni = out.add_input(TensorDesc::new(shape, t.desc.dtype()), &t.name);
         map.insert(i, ni);
     }
-    let order = g
-        .topo_order()
-        .map_err(|e| ServeError::InvalidModel(format!("graph: {e}")))?;
+    let order = g.topo_order()?;
     for id in order {
         let op = g.op(id);
         let mut ins = Vec::with_capacity(op.inputs.len());
@@ -283,9 +279,9 @@ mod tests {
     #[test]
     fn fingerprints_differ_per_bucket_but_agree_per_size() {
         let g = mlp(4);
-        let a = crate::hash::graph_fingerprint(&rebatch(&g, 4, 8).unwrap()).unwrap();
-        let b = crate::hash::graph_fingerprint(&rebatch(&g, 4, 16).unwrap()).unwrap();
-        let a2 = crate::hash::graph_fingerprint(&rebatch(&g, 4, 8).unwrap()).unwrap();
+        let a = gc_graph::graph_fingerprint(&rebatch(&g, 4, 8).unwrap()).unwrap();
+        let b = gc_graph::graph_fingerprint(&rebatch(&g, 4, 16).unwrap()).unwrap();
+        let a2 = gc_graph::graph_fingerprint(&rebatch(&g, 4, 8).unwrap()).unwrap();
         assert_ne!(a, b);
         assert_eq!(a, a2);
     }

@@ -9,8 +9,8 @@
 //!   memory-layout abstraction of the paper's Tunable-OP templates;
 //! - [`Tensor`] / [`TensorDesc`] / [`Storage`] — dense tensors with
 //!   cheaply clonable shared storage;
-//! - [`reorder`] — layout conversion (the runtime realization of the
-//!   reorder OPs that layout propagation inserts);
+//! - [`reorder`] — layout conversion (the runtime realization of
+//!   reorder OPs, and the test oracle for lowering's pack/unpack);
 //! - [`mod@reference`] — naive oracle implementations of every DNN op used
 //!   for differential testing;
 //! - [`quant`] — the quantization algebra of the low-precision

@@ -71,27 +71,11 @@ pub fn quantize_slice_u8(xs: &[f32], p: QuantParams, out: &mut [u8]) {
     }
 }
 
-/// Quantize an f32 slice into i8s (symmetric).
-pub fn quantize_slice_i8(xs: &[f32], scale: f32, out: &mut [i8]) {
-    assert_eq!(xs.len(), out.len());
-    for (o, &x) in out.iter_mut().zip(xs) {
-        *o = quantize_i8(x, scale);
-    }
-}
-
 /// Dequantize a u8 slice into f32s.
 pub fn dequantize_slice_u8(qs: &[u8], p: QuantParams, out: &mut [f32]) {
     assert_eq!(qs.len(), out.len());
     for (o, &q) in out.iter_mut().zip(qs) {
         *o = dequantize_u8(q, p);
-    }
-}
-
-/// Dequantize an i8 slice into f32s (symmetric).
-pub fn dequantize_slice_i8(qs: &[i8], scale: f32, out: &mut [f32]) {
-    assert_eq!(qs.len(), out.len());
-    for (o, &q) in out.iter_mut().zip(qs) {
-        *o = dequantize_i8(q, scale);
     }
 }
 

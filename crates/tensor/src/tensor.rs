@@ -253,15 +253,6 @@ impl TensorDesc {
     pub fn size_bytes(&self) -> usize {
         self.volume() * self.dtype.size_bytes()
     }
-
-    /// Replace the layout, validating it against the shape.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the layout is invalid for the shape.
-    pub fn reinterpret_layout(&self, layout: Layout) -> Result<TensorDesc> {
-        TensorDesc::with_layout(self.shape.clone(), self.dtype, layout)
-    }
 }
 
 impl fmt::Display for TensorDesc {
@@ -296,15 +287,6 @@ impl Tensor {
         let desc = TensorDesc::new(shape, dtype);
         let data = Arc::new(Storage::zeros(dtype, desc.volume()));
         Tensor { desc, data }
-    }
-
-    /// Zero-filled tensor with an explicit descriptor.
-    pub fn zeros_desc(desc: &TensorDesc) -> Tensor {
-        let data = Arc::new(Storage::zeros(desc.dtype(), desc.volume()));
-        Tensor {
-            desc: desc.clone(),
-            data,
-        }
     }
 
     /// Build a tensor from a descriptor and storage.

@@ -94,14 +94,6 @@ impl Expr {
         }
     }
 
-    /// Constant value if the expression is constant.
-    pub fn as_const(&self) -> Option<i64> {
-        match self {
-            Expr::Const(v) => Some(*v),
-            _ => None,
-        }
-    }
-
     /// Substitute `var` with `with`.
     pub fn subst(&self, var: VarId, with: &Expr) -> Expr {
         match self {

@@ -174,11 +174,6 @@ impl PlanOffset {
             PlanOffset::Program(ops) => eval_program(ops, vars),
         }
     }
-
-    /// Whether the offset is loop-invariant.
-    pub fn is_const(&self) -> bool {
-        matches!(self, PlanOffset::Const(_))
-    }
 }
 
 /// A compiled operand: flat buffer slot, compiled offset, and the span

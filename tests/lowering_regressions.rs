@@ -5,7 +5,7 @@
 use gc_bench::workloads::{
     mlp1_layers, mlp2_layers, mlp_f32, mlp_int8, random_inputs, reference_eval,
 };
-use gc_core::{CompileOptions, Compiler};
+use gc_core::{CompileOptions, CompiledPartition, Compiler};
 use gc_graph::Graph;
 use gc_machine::MachineDescriptor;
 
@@ -13,9 +13,14 @@ use gc_machine::MachineDescriptor;
 /// largest absolute difference from the reference and the largest
 /// reference magnitude (the unnormalized f32 MLPs reach ~1e5).
 fn max_err(opts: CompileOptions, build: impl Fn() -> Graph) -> (f64, f64) {
+    let compiled = Compiler::new(opts).compile(build()).expect("compile");
+    compiled_err(&compiled, build)
+}
+
+/// [`max_err`] for a partition already compiled from `build()`.
+fn compiled_err(compiled: &CompiledPartition, build: impl Fn() -> Graph) -> (f64, f64) {
     let inputs = random_inputs(&build(), 5);
     let want = reference_eval(&build(), &inputs);
-    let compiled = Compiler::new(opts).compile(build()).expect("compile");
     let (outs, _) = compiled.execute(&inputs).expect("execute");
     let n = want[0].desc().volume();
     assert_eq!(outs[0].desc().volume(), n);
@@ -78,4 +83,27 @@ fn library_params_with_layout_propagation_matches_reference() {
     assert_matches("f32 MLP_2 b128", false, err);
     let err = max_err(opts(), || mlp_int8(32, &mlp2_layers(), 3));
     assert_matches("int8 MLP_2 b32", true, err);
+}
+
+/// Layout propagation is the lowering driver's negotiation: a matmul that
+/// reads a chained matmul's output keeps its blocked layout, so the only
+/// `unpack2d` left is the graph output's return to plain. With
+/// propagation off, every layer unpacks its own output. Batch 32, not 1:
+/// at batch 1 every layer unpacks its output either way.
+#[test]
+fn chained_matmuls_keep_blocked_intermediates() {
+    for (name, layers, unpacks_off) in [("MLP_1", mlp1_layers(), 3), ("MLP_2", mlp2_layers(), 5)] {
+        for (propagate_layouts, want) in [(true, 1), (false, unpacks_off)] {
+            let opts = CompileOptions {
+                propagate_layouts,
+                ..one_thread(MachineDescriptor::xeon_8358())
+            };
+            let build = || mlp_f32(32, &layers, 3);
+            let compiled = Compiler::new(opts).compile(build()).expect("compile");
+            let label = format!("f32 {name} b32, propagate_layouts = {propagate_layouts}");
+            let unpacks = compiled.tir_text().matches("unpack2d").count();
+            assert_eq!(unpacks, want, "{label}: unpack2d count");
+            assert_matches(&label, false, compiled_err(&compiled, build));
+        }
+    }
 }

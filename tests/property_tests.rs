@@ -370,9 +370,9 @@ proptest! {
         ragged in any::<bool>(),
         seed in 0u64..1000,
     ) {
-        // The performance projector is the arbiter for every schedule
-        // gate (merged-vs-split, ragged-vs-exact) and for measured
-        // tuning, so it must be a pure function of the module: two
+        // The tuner picks and reports its winners by projected cycles,
+        // and the benchmark's `machine.projected_ms` reads the same
+        // projector, so it must be a pure function of the module: two
         // independent compiles of the same graph under the same options
         // must project bit-identically, and re-projecting the same
         // compiled partition must never drift.
