@@ -7,7 +7,7 @@
 //!   init stage) vs steady state;
 //! - `buffers`  — memory-buffer reuse + tensor-size optimization:
 //!   peak temporary footprint and projected cycles;
-//! - `ragged`   — pack-time padding + edge-tile kernels on Table 1's
+//! - `ragged`   — pack-time padding of edge tiles on Table 1's
 //!   irregular shapes: projected cycles with ragged m/n blocking on vs
 //!   the divisor-only blocking (`KB` divides k either way, so MLP_2's
 //!   prime k=479 first layer is one whole-depth block on both sides);
@@ -147,7 +147,7 @@ fn main() {
     }
 
     if what == "ragged" || what == "all" {
-        println!("== ablation: ragged blocking (pack-time padding + edge tiles, projected ms) ==");
+        println!("== ablation: ragged blocking (pack-time padding only, projected ms) ==");
         // Table 1's irregular workload is MLP_2: its feature chain
         // 479 -> 1024 -> 1024 -> 512 -> 256 -> 1 opens on a prime
         // reduction dim (479, one whole-depth KB on both sides) and

@@ -43,10 +43,10 @@ pub struct CompileOptions {
     /// work per intrinsic, off by default).
     pub checked: bool,
     /// Allow ragged (non-divisor) `MB`/`NB` for blocked-weight matmuls:
-    /// m/n edge tiles are zero-padded at pack time or clamped by tail
-    /// kernels. Off = divisor-only blocking of m and n (ablation: a
-    /// prime m or n degenerates to a block of 1 or the whole axis).
-    /// `KB` divides k either way.
+    /// m/n edge tiles are zero-padded at pack time and the clamped
+    /// output store drops the pad. Off = divisor-only blocking of m and
+    /// n (ablation: a prime m or n degenerates to a block of 1 or the
+    /// whole axis). `KB` divides k either way.
     pub ragged: bool,
     /// Measured-tuning database. When set, compilation looks up the
     /// graph's [`crate::tune::TuneKey`] and — on a hit — warm-starts

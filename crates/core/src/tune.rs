@@ -36,7 +36,7 @@
 use crate::{CompileOptions, Compiler, CoreError};
 use gc_graph::{Fnv1a, Graph};
 use gc_lowering::heuristic::ParamChoice;
-use gc_lowering::{choose_params_ranked, Constraints, EdgePolicy, MatmulParams, MatmulProblem};
+use gc_lowering::{choose_params_ranked, Constraints, MatmulParams, MatmulProblem};
 use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -199,7 +199,7 @@ impl TuningDb {
         let entries = self.entries.lock().unwrap();
         let mut keys: Vec<TuneKey> = entries.keys().copied().collect();
         keys.sort();
-        let mut out = String::from("gc-tunedb v3\n");
+        let mut out = String::from("gc-tunedb v4\n");
         for k in keys {
             write_record(&mut out, &k, &entries[&k]);
         }
@@ -269,15 +269,10 @@ fn write_record(out: &mut String, key: &TuneKey, r: &TunedRecord) {
             nb,
             kb,
             bs,
-            edge,
         } = c.params;
-        let edge = match edge {
-            EdgePolicy::Pad => "pad",
-            EdgePolicy::Tail => "tail",
-        };
         out.push_str(&format!(
             "choice {batch} {m} {n} {k} {elem_bytes} | {} {} {} {} {} {} | \
-             {mpn} {npn} {mb} {nb} {kb} {bs} {edge}\n",
+             {mpn} {npn} {mb} {nb} {kb} {bs}\n",
             u8::from(full_n_per_task),
             opt_usize(fixed_mb),
             opt_usize(fixed_kb),
@@ -349,8 +344,8 @@ fn parse_choice(rest: &str) -> io::Result<ParamChoice> {
         allow_ragged_n: parse_bool(rn)?,
     };
     let q: Vec<&str> = par.split_whitespace().collect();
-    let [mpn, npn, mb, nb, kb, bs, edge] = q[..] else {
-        return Err(bad("params section needs 7 fields"));
+    let [mpn, npn, mb, nb, kb, bs] = q[..] else {
+        return Err(bad("params section needs 6 fields"));
     };
     let params = MatmulParams {
         mpn: parse_usize(mpn)?,
@@ -359,11 +354,6 @@ fn parse_choice(rest: &str) -> io::Result<ParamChoice> {
         nb: parse_usize(nb)?,
         kb: parse_usize(kb)?,
         bs: parse_usize(bs)?,
-        edge: match edge {
-            "pad" => EdgePolicy::Pad,
-            "tail" => EdgePolicy::Tail,
-            other => return Err(bad(format!("bad edge policy {other:?}"))),
-        },
     };
     Ok(ParamChoice {
         problem,
@@ -375,7 +365,7 @@ fn parse_choice(rest: &str) -> io::Result<ParamChoice> {
 fn parse_db(text: &str) -> io::Result<HashMap<TuneKey, TunedRecord>> {
     let mut lines = text.lines();
     match lines.next() {
-        Some("gc-tunedb v3") => {}
+        Some("gc-tunedb v4") => {}
         other => return Err(bad(format!("bad header {other:?}"))),
     }
     let mut entries = HashMap::new();
@@ -667,7 +657,6 @@ mod tests {
                 nb: 64,
                 kb: 479,
                 bs: 1,
-                edge: EdgePolicy::Tail,
             },
         }
     }
@@ -723,18 +712,17 @@ mod tests {
     #[test]
     fn malformed_db_is_rejected() {
         assert!(parse_db("not a db").is_err());
-        assert!(parse_db("gc-tunedb v3\nrecord 0 0 0 0\n").is_err());
-        assert!(
-            parse_db("gc-tunedb v3\nchoice 1 2 3 4 4 | 0 - - - 0 0 | 1 1 1 1 1 1 pad\n").is_err()
-        );
+        assert!(parse_db("gc-tunedb v4\nrecord 0 0 0 0\n").is_err());
+        assert!(parse_db("gc-tunedb v4\nchoice 1 2 3 4 4 | 0 - - - 0 0 | 1 1 1 1 1 1\n").is_err());
         // unterminated record
         assert!(parse_db(
-            "gc-tunedb v3\nrecord 0000000000000001 2 0000000000000003 4 0000000000000000 0\n"
+            "gc-tunedb v4\nrecord 0000000000000001 2 0000000000000003 4 0000000000000000 0\n"
         )
         .is_err());
         // well-formed older databases are refused by their header, not
-        // half-parsed: v1 (8 constraint and 8 param fields) and v2
+        // half-parsed: v1 (8 constraint and 8 param fields), v2
         // (merge/ragged pins on the record, a ragged-K flag on choices)
+        // and v3 (an edge-policy token ending each choice line)
         let v1 = "gc-tunedb v1\n\
                   record 0000000000000001 2 0000000000000003 4 - - 0000000000000000 0\n\
                   choice 1 2 3 4 4 | 0 - - - 0 0 0 0 | 1 1 1 1 1 1 1 pad\n\
@@ -743,7 +731,11 @@ mod tests {
                   record 0000000000000001 2 0000000000000003 4 1 - 0000000000000000 0\n\
                   choice 1 2 3 4 4 | 0 - - - 0 0 1 | 1 1 1 1 1 1 pad\n\
                   end\n";
-        for old in [v1, v2] {
+        let v3 = "gc-tunedb v3\n\
+                  record 0000000000000001 2 0000000000000003 4 0000000000000000 0\n\
+                  choice 1 2 3 4 4 | 0 - - - 0 0 | 1 1 1 1 1 1 tail\n\
+                  end\n";
+        for old in [v1, v2, v3] {
             let err = parse_db(old).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
             assert!(err.to_string().contains("bad header"), "{err}");

@@ -180,7 +180,6 @@ pub fn choose_post_anchor(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::EdgePolicy;
 
     fn setup() -> (MachineDescriptor, MatmulParams, MatmulProblem) {
         let machine = MachineDescriptor::xeon_8358();
@@ -191,7 +190,6 @@ mod tests {
             nb: 32,
             kb: 64,
             bs: 2,
-            edge: EdgePolicy::Pad,
         };
         let prob = MatmulProblem::new(512, 256, 512, 4);
         (machine, p, prob)
@@ -250,7 +248,6 @@ mod tests {
             nb: 32,
             kb: 64,
             bs: 2,
-            edge: EdgePolicy::Pad,
         };
         let prob = MatmulProblem::new(128, 512, 8192, 4);
         assert_eq!(choose_a_pack(&machine, &p, &prob), PackPlacement::PerKChunk);

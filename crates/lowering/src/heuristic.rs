@@ -14,7 +14,7 @@
 //! unpruned; DESIGN.md "Parameter search" has the bound and why it is
 //! admissible.
 
-use crate::params::{divisors, EdgePolicy, MatmulParams, MatmulProblem};
+use crate::params::{divisors, MatmulParams, MatmulProblem};
 use gc_machine::{cost, MachineDescriptor};
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -38,9 +38,9 @@ pub struct Constraints {
     /// number of tasks).
     pub fixed_tasks: Option<usize>,
     /// Permit `MB` that does not divide m: the edge row of tiles is
-    /// zero-padded at pack time or clamped by tail kernels, per the
-    /// chosen [`EdgePolicy`]. Only safe when the lowering context can
-    /// emit clamped packs/stores (plain A input, plain output).
+    /// zero-padded at pack time and the clamped output store drops the
+    /// pad rows. Only safe when the lowering context can emit clamped
+    /// packs/stores (plain A input, plain output).
     pub allow_ragged_m: bool,
     /// Permit `NB` that does not divide n (pad-and-go only: the
     /// prepacked weight and the int8 compensation are padded to whole
@@ -111,20 +111,12 @@ impl ParamOverrides {
 }
 
 /// The canonical tie-break key: under equal projected cost the search
-/// prefers the lexicographically smallest `(mb, nb, kb, bs, mpn, npn,
-/// edge)` tuple, making selection independent of candidate
-/// enumeration order (and therefore stable across refactors of the
-/// search loops — a requirement for persistent tuning-database keys).
-fn canonical_key(p: &MatmulParams) -> (usize, usize, usize, usize, usize, usize, u8) {
-    (
-        p.mb,
-        p.nb,
-        p.kb,
-        p.bs,
-        p.mpn,
-        p.npn,
-        (p.edge == EdgePolicy::Tail) as u8,
-    )
+/// prefers the lexicographically smallest `(mb, nb, kb, bs, mpn, npn)`
+/// tuple, making selection independent of candidate enumeration order
+/// (and therefore stable across refactors of the search loops — a
+/// requirement for persistent tuning-database keys).
+fn canonical_key(p: &MatmulParams) -> (usize, usize, usize, usize, usize, usize) {
+    (p.mb, p.nb, p.kb, p.bs, p.mpn, p.npn)
 }
 
 /// Deterministic total order on scored candidates: `f64::total_cmp` on
@@ -144,7 +136,7 @@ fn fold_best(best: &mut Option<(f64, MatmulParams)>, c: f64, p: MatmulParams) {
 
 /// Deterministic counts of the work one or more parameter searches did
 /// (no timing). A *tile* is one `(mb, nb, kb, bs)` microkernel shape;
-/// each tile fans out into `(mpn, npn, edge)` decompositions, and
+/// each tile fans out into `(mpn, npn)` decompositions, and
 /// only those are *scored* with the full cost model.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
@@ -271,7 +263,6 @@ fn for_each_candidate(
 /// loops need about it computed once per query.
 struct AxisBlock {
     block: usize,
-    ragged: bool,
     /// Divisors of the whole-or-padded tile count, ascending: the
     /// parallel-decomposition (and, along k, batch-size) candidates.
     divs: Vec<usize>,
@@ -299,7 +290,6 @@ fn axis_blocks(
         .into_iter()
         .map(|block| AxisBlock {
             block,
-            ragged: !dim.is_multiple_of(block),
             divs: divisors(dim.div_ceil(block)),
         })
         .collect()
@@ -317,7 +307,6 @@ struct Tile<'a> {
     /// `NPN` candidates (divisors of the n-tile count; just `1` under
     /// `full_n_per_task`).
     npns: &'a [usize],
-    ragged_m: bool,
 }
 
 /// Enumerate the `(mb, nb, kb, bs)` tiles for `problem`, with the
@@ -377,7 +366,6 @@ fn for_each_tile(
                         bs,
                         mpns: &m.divs,
                         npns,
-                        ragged_m: m.ragged,
                     });
                 }
             }
@@ -386,9 +374,9 @@ fn for_each_tile(
 }
 
 impl Tile<'_> {
-    /// The decomposition level: every `(mpn, npn, edge)` this
-    /// tile admits. `fixed_tasks` solves for `NPN` instead of walking
-    /// the `MPN x NPN` grid for matches.
+    /// The decomposition level: every `(mpn, npn)` this tile admits.
+    /// `fixed_tasks` solves for `NPN` instead of walking the
+    /// `MPN x NPN` grid for matches.
     fn for_each_decomposition(
         &self,
         machine: &MachineDescriptor,
@@ -396,14 +384,6 @@ impl Tile<'_> {
         constraints: &Constraints,
         f: &mut impl FnMut(MatmulParams),
     ) {
-        // A ragged m is a real policy choice: price pad-and-go against
-        // tail kernels and keep the cheaper. K/N raggedness is always
-        // pad-and-go (pack-time cost only), so no policy fork there.
-        let edges: &[EdgePolicy] = if self.ragged_m {
-            &[EdgePolicy::Pad, EdgePolicy::Tail]
-        } else {
-            &[EdgePolicy::Pad]
-        };
         for &mpn in self.mpns {
             let solved;
             let npns = match constraints.fixed_tasks {
@@ -426,17 +406,14 @@ impl Tile<'_> {
                     // npn ascends, so every later one oversubscribes too
                     break;
                 }
-                for &edge in edges {
-                    f(MatmulParams {
-                        mpn,
-                        npn,
-                        mb: self.mb,
-                        nb: self.nb,
-                        kb: self.kb,
-                        bs: self.bs,
-                        edge,
-                    });
-                }
+                f(MatmulParams {
+                    mpn,
+                    npn,
+                    mb: self.mb,
+                    nb: self.nb,
+                    kb: self.kb,
+                    bs: self.bs,
+                });
             }
         }
     }
@@ -448,8 +425,8 @@ impl Tile<'_> {
 /// qualify, plus `dim` itself when it is at most `whole_max`: a prime
 /// m or n above that degenerates to a block of 1. With `ragged`, every
 /// preferred size no larger than `dim` qualifies: the near-target
-/// non-divisors (e.g. `mb = 32` for m = 255) cost a padded or clamped
-/// edge tile but keep the microkernel on its tuned tile shape.
+/// non-divisors (e.g. `mb = 32` for m = 255) cost a padded edge tile
+/// but keep the microkernel on its tuned tile shape.
 fn tile_candidates(dim: usize, prefer: &[usize], ragged: bool, whole_max: usize) -> Vec<usize> {
     let mut out: Vec<usize> = prefer
         .iter()
@@ -474,9 +451,7 @@ fn tile_candidates(dim: usize, prefer: &[usize], ragged: bool, whole_max: usize)
 ///
 /// Ragged dimensions are priced physically: pad-and-go sweeps (and
 /// streams) the padded extents, wasting `pad/dim` of the work on dead
-/// rows/columns; the tail policy sweeps only the logical m rows but
-/// pays [`cost::tail_call_cycles`] on every brgemm call and runs the
-/// edge row of tiles on a narrower, less efficient register tile.
+/// rows/columns.
 pub fn estimate_cycles(
     machine: &MachineDescriptor,
     problem: &MatmulProblem,
@@ -486,7 +461,7 @@ pub fn estimate_cycles(
 }
 
 /// Fixed cycles of one microkernel call (loop bookkeeping, argument
-/// setup), before any tail-dispatch surcharge.
+/// setup).
 const CALL_CYCLES: f64 = 40.0;
 
 /// The terms of [`estimate_cycles`] that depend only on the tile
@@ -498,14 +473,9 @@ struct TileCost {
     m_tiles: usize,
     n_tiles: usize,
     k_chunks: usize,
-    /// Total flops and microkernel efficiency under pad-and-go, which
-    /// sweeps the padded rows at the full tile's efficiency.
-    pad: (f64, f64),
-    /// The same under the tail policy (`Some` iff m is ragged): only
-    /// the logical rows are swept, but the edge tile row runs a
-    /// partial-height register tile, so its rows move slower — the
-    /// efficiencies blend by row counts (time adds harmonically).
-    tail: Option<(f64, f64)>,
+    /// Total flops and microkernel efficiency: pad-and-go sweeps the
+    /// padded rows at the full tile's efficiency.
+    work: (f64, f64),
 }
 
 impl TileCost {
@@ -521,30 +491,19 @@ impl TileCost {
         let n_tiles = problem.n.div_ceil(nb);
         let k_tiles = problem.k / kb;
         let n_pad = n_tiles * nb;
-        let flops = |rows: usize| 2.0 * (problem.batch * rows * n_pad * problem.k) as f64;
-        let eff = |rows: usize| {
-            cost::microkernel_efficiency(machine, rows, nb, kb, bs, problem.elem_bytes)
-        };
-        let eff_full = eff(mb);
-        let rem = problem.m % mb;
-        let tail = (rem > 0).then(|| {
-            let full_rows = (problem.m - rem) as f64;
-            let blended = problem.m as f64 / (full_rows / eff_full + rem as f64 / eff(rem));
-            (flops(problem.m), blended)
-        });
+        let flops = 2.0 * (problem.batch * m_tiles * mb * n_pad * problem.k) as f64;
+        let eff = cost::microkernel_efficiency(machine, mb, nb, kb, bs, problem.elem_bytes);
         TileCost {
             mb,
             nb,
             m_tiles,
             n_tiles,
             k_chunks: k_tiles / bs,
-            pad: (flops(m_tiles * mb), eff_full),
-            tail,
+            work: (flops, eff),
         }
     }
 
-    /// Projected cycles of the decomposition `(mpn, npn, edge)` of this
-    /// tile.
+    /// Projected cycles of the decomposition `(mpn, npn)` of this tile.
     fn cycles(
         &self,
         machine: &MachineDescriptor,
@@ -552,10 +511,7 @@ impl TileCost {
         p: &MatmulParams,
     ) -> f64 {
         let tasks = problem.batch * p.tasks();
-        let ((flops, eff), use_tail) = match (p.edge, self.tail) {
-            (EdgePolicy::Tail, Some(tail)) => (tail, true),
-            _ => (self.pad, false),
-        };
+        let (flops, eff) = self.work;
         // Tasks beyond the core count just queue: the wall-clock is the
         // per-task cost times the number of waves.
         let waves = tasks.div_ceil(machine.cores) as f64;
@@ -594,16 +550,9 @@ impl TileCost {
                 + msn as f64 * tier(b_slice)
                 + tier(c_bytes)
                 + (chunks - 1.0) * 2.0 * tier(c_bytes));
-        // per-microkernel-call fixed overhead; clamped (tail) calls pay the
-        // extra clamp/dispatch cost on every call — the template has no
-        // branches, so interior tiles also route through the tail entry.
+        // per-microkernel-call fixed overhead
         let calls = waves * (msn * nsn * k_chunks) as f64;
-        let per_call = if use_tail {
-            CALL_CYCLES + cost::tail_call_cycles(machine)
-        } else {
-            CALL_CYCLES
-        };
-        compute.max(mem) + calls * per_call + cost::barrier_cycles(machine)
+        compute.max(mem) + calls * CALL_CYCLES + cost::barrier_cycles(machine)
     }
 
     /// A lower bound on [`TileCost::cycles`] over every decomposition
@@ -611,19 +560,14 @@ impl TileCost {
     /// terms at perfect balance. Admissible because `waves / tasks >=
     /// 1 / cores` (so `compute >= compute_cycles(flops / cores)` and
     /// `calls >= batch * m_tiles * n_tiles * k_chunks / cores`, the
-    /// decomposition factors dividing their tile counts), a ragged m
-    /// takes the cheaper of its two policies, and everything dropped —
-    /// memory over compute and the tail surcharge — is non-negative. Any edit to `cycles` must keep this
-    /// true; `bound_is_admissible_on_sweep` checks it.
+    /// decomposition factors dividing their tile counts), and what is
+    /// dropped — memory over compute — is non-negative. Any edit to
+    /// `cycles` must keep this true; `bound_is_admissible_on_sweep`
+    /// checks it.
     fn lower_bound(&self, machine: &MachineDescriptor, problem: &MatmulProblem) -> f64 {
         let cores = machine.cores as f64;
-        let compute = |(flops, eff): (f64, f64)| {
-            cost::compute_cycles(machine, flops / cores, problem.elem_bytes, eff)
-        };
-        let compute = match self.tail {
-            Some(tail) => compute(self.pad).min(compute(tail)),
-            None => compute(self.pad),
-        };
+        let (flops, eff) = self.work;
+        let compute = cost::compute_cycles(machine, flops / cores, problem.elem_bytes, eff);
         let calls = (problem.batch * self.m_tiles * self.n_tiles * self.k_chunks) as f64;
         compute + CALL_CYCLES * calls / cores + cost::barrier_cycles(machine)
     }
@@ -681,7 +625,6 @@ pub fn choose_params_library(
                                 nb,
                                 kb,
                                 bs,
-                                edge: EdgePolicy::Pad,
                             };
                             fold_best(&mut best, estimate_cycles(machine, problem, &p), p);
                         }
@@ -827,7 +770,7 @@ mod tests {
         assert!(p.mb == 1 || p.mb == 479, "{p:?}");
         p.validate(&prob).unwrap();
         // With ragged m allowed, the search takes a near-target block
-        // with a padded or clamped edge tile instead of the degenerate
+        // with a padded edge tile instead of the degenerate
         // extremes.
         let ragged = choose_params(&machine, &prob, &ragged_c);
         ragged.validate(&prob).unwrap();
@@ -862,40 +805,6 @@ mod tests {
             p.validate(&prob).unwrap();
             assert_eq!(p.kb, 1031, "eb {eb}: {p:?}");
         }
-    }
-
-    /// The pad-vs-tail decision must flip with the edge-tile size: a
-    /// nearly-full edge tile (m = 255, rem 31 of mb = 32 — 0.4% padded
-    /// rows) is cheapest padded, while a nearly-empty one (m = 257,
-    /// rem 1 — 10.8% padded rows) is cheapest with tail kernels. These
-    /// pins hold the selection boundary in place: if the cost model's
-    /// tail overhead or padded-FLOP pricing drifts, one of them trips.
-    #[test]
-    fn pad_vs_tail_flips_on_edge_tile_fill() {
-        let machine = xeon();
-        let c = Constraints {
-            allow_ragged_m: true,
-            fixed_mb: Some(32),
-            ..Constraints::default()
-        };
-        let nearly_full = MatmulProblem::new(255, 512, 512, 4);
-        let p_full = choose_params(&machine, &nearly_full, &c);
-        p_full.validate(&nearly_full).unwrap();
-        assert!(p_full.ragged_m(nearly_full.m));
-        assert_eq!(
-            p_full.edge,
-            EdgePolicy::Pad,
-            "rem 31/32 edge should pad, got {p_full:?}"
-        );
-        let nearly_empty = MatmulProblem::new(257, 512, 512, 4);
-        let p_empty = choose_params(&machine, &nearly_empty, &c);
-        p_empty.validate(&nearly_empty).unwrap();
-        assert!(p_empty.ragged_m(nearly_empty.m));
-        assert_eq!(
-            p_empty.edge,
-            EdgePolicy::Tail,
-            "rem 1/32 edge should use tail kernels, got {p_empty:?}"
-        );
     }
 
     #[test]
@@ -988,7 +897,6 @@ mod tests {
             nb: 32,
             kb: 64,
             bs: 1,
-            edge: EdgePolicy::Pad,
         };
         let b = MatmulParams { mb: 32, ..a };
         // identical cost, either insertion order: the mb=16 candidate
@@ -1176,29 +1084,9 @@ mod tests {
         let m_pad = p.m_tiles(problem.m) * p.mb;
         let n_pad = p.n_tiles(problem.n) * p.nb;
         let k_pad = p.ksn(problem.k) * p.kb;
-        let use_tail = p.edge == EdgePolicy::Tail && p.ragged_m(problem.m);
-        let (rows, eff) = {
-            let eff_full =
-                cost::microkernel_efficiency(machine, p.mb, p.nb, p.kb, p.bs, problem.elem_bytes);
-            if use_tail {
-                let rem = problem.m % p.mb;
-                let eff_edge = cost::microkernel_efficiency(
-                    machine,
-                    rem,
-                    p.nb,
-                    p.kb,
-                    p.bs,
-                    problem.elem_bytes,
-                );
-                let full_rows = (problem.m - rem) as f64;
-                let blended = problem.m as f64 / (full_rows / eff_full + rem as f64 / eff_edge);
-                (problem.m, blended)
-            } else {
-                (m_pad, eff_full)
-            }
-        };
+        let eff = cost::microkernel_efficiency(machine, p.mb, p.nb, p.kb, p.bs, problem.elem_bytes);
         let waves = tasks.div_ceil(machine.cores) as f64;
-        let flops = 2.0 * (problem.batch * rows * n_pad * k_pad) as f64;
+        let flops = 2.0 * (problem.batch * m_pad * n_pad * k_pad) as f64;
         let flops_per_task = flops / tasks as f64;
         let compute =
             waves * cost::compute_cycles(machine, flops_per_task, problem.elem_bytes, eff);
@@ -1223,28 +1111,18 @@ mod tests {
                 + tier(c_bytes)
                 + (chunks - 1.0) * 2.0 * tier(c_bytes));
         let calls = waves * (msn * nsn * p.k_chunks(problem.k).max(1)) as f64;
-        let per_call = if use_tail {
-            40.0 + cost::tail_call_cycles(machine)
-        } else {
-            40.0
-        };
-        compute.max(mem) + calls * per_call + cost::barrier_cycles(machine)
+        compute.max(mem) + calls * 40.0 + cost::barrier_cycles(machine)
     }
 
     #[test]
     fn split_estimator_matches_monolithic_bit_for_bit() {
         for (machine, problem, constraints) in sweep() {
             for_each_candidate(&machine, &problem, &constraints, &mut |p| {
-                // also with the edge policy flipped: on an exact m the
-                // policy is irrelevant and must price as pad-and-go
-                for edge in [EdgePolicy::Pad, EdgePolicy::Tail] {
-                    let p = MatmulParams { edge, ..p };
-                    assert_eq!(
-                        estimate_cycles(&machine, &problem, &p).to_bits(),
-                        estimate_cycles_monolithic(&machine, &problem, &p).to_bits(),
-                        "{p:?} on {problem:?}"
-                    );
-                }
+                assert_eq!(
+                    estimate_cycles(&machine, &problem, &p).to_bits(),
+                    estimate_cycles_monolithic(&machine, &problem, &p).to_bits(),
+                    "{p:?} on {problem:?}"
+                );
             });
         }
     }
@@ -1297,7 +1175,6 @@ mod tests {
             nb: 32,
             kb: 64,
             bs: 1,
-            edge: EdgePolicy::Pad,
         };
         let mut ov = ParamOverrides::new();
         assert!(ov.is_empty());
@@ -1323,7 +1200,6 @@ mod tests {
             nb: 32,
             kb: 64,
             bs: 2,
-            edge: EdgePolicy::Pad,
         };
         let bad = MatmulParams {
             mpn: 1,
@@ -1332,7 +1208,6 @@ mod tests {
             nb: 1,
             kb: 1,
             bs: 1,
-            edge: EdgePolicy::Pad,
         };
         assert!(estimate_cycles(&machine, &prob, &good) < estimate_cycles(&machine, &prob, &bad));
     }

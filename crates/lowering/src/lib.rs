@@ -32,7 +32,7 @@ pub use heuristic::{
     SearchStats,
 };
 pub use lower_graph::{lower_partitions, LowerError, LowerOptions, Lowered};
-pub use params::{EdgePolicy, MatmulParams, MatmulProblem};
+pub use params::{MatmulParams, MatmulProblem};
 pub use template::{lower_matmul, LoweredMatmul, MatmulSpec, PostOpSpec};
 
 /// Largest divisor of `dim` that is at most `cap` (at least 1).

@@ -75,10 +75,9 @@ pub struct LowerOptions {
     /// kernel menu instead of the compiler heuristic (baseline mode).
     pub library_params: bool,
     /// Allow ragged (non-divisor) `MB`/`NB` for blocked-weight matmuls:
-    /// the n edge is zero-padded at pack time, the m edge padded under
-    /// [`crate::EdgePolicy::Pad`] or clamped by tail kernels under
-    /// [`crate::EdgePolicy::Tail`]. Off = the heuristic only considers
-    /// exact divisors of m and n (ablation). `KB` always divides k.
+    /// both edges are zero-padded at pack time and the clamped output
+    /// store drops the pad. Off = the heuristic only considers exact
+    /// divisors of m and n (ablation). `KB` always divides k.
     pub ragged: bool,
     /// Measured-tuning overrides: exact `(problem, constraints)` pairs
     /// whose parameters replace the analytic choice. Overrides that

@@ -6,29 +6,6 @@
 //! iterations whose innermost body calls a batch-reduce GEMM microkernel
 //! over `[MB, NB, KB]` tiles with batch size `BS`.
 
-/// How the template handles a ragged m edge (`m % MB != 0`).
-///
-/// N raggedness always uses pad-and-go: the prepacked weight is
-/// zero-padded to whole `NB` panels at pack time (a one-off
-/// constant-fold cost), so the steady-state loops never see a partial
-/// B tile. K is never ragged: `KB` divides k. The m axis is the
-/// runtime-activation axis, so both policies are real choices and the
-/// heuristic prices them against each other.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub enum EdgePolicy {
-    /// Zero-pad the packed A edge tile to full `MB` rows and run only
-    /// full-size microkernels; the clamped output store discards the
-    /// pad rows. Wastes `MB - m % MB` rows of compute on the edge row
-    /// of tiles but keeps every brgemm call on the hot path.
-    #[default]
-    Pad,
-    /// Emit clamped (tail) brgemm calls that compute only the valid
-    /// rows. No wasted FLOPs, but every call pays a small clamp /
-    /// dispatch overhead (the template has no branches, so interior
-    /// tiles also route through the clamped entry point).
-    Tail,
-}
-
 /// Instantiation parameters of the matmul template.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MatmulParams {
@@ -44,9 +21,6 @@ pub struct MatmulParams {
     pub kb: usize,
     /// Batch-reduce batch size (k tiles per microkernel call).
     pub bs: usize,
-    /// Edge policy for a ragged m (`m % mb != 0`); irrelevant (and
-    /// conventionally [`EdgePolicy::Pad`]) when mb divides m.
-    pub edge: EdgePolicy,
 }
 
 /// A matmul problem to lower: `batch` independent `[m, k] x [k, n]`
@@ -106,8 +80,7 @@ impl MatmulParams {
         n.div_ceil(self.nb)
     }
 
-    /// True iff `mb` does not divide m (a padded or tail edge tile row
-    /// exists).
+    /// True iff `mb` does not divide m (a padded edge tile row exists).
     pub fn ragged_m(&self, m: usize) -> bool {
         !m.is_multiple_of(self.mb)
     }
@@ -146,9 +119,8 @@ impl MatmulParams {
     ///
     /// Tiling along m and n is *ceil-based*: a dimension that is not a
     /// multiple of its block still validates — the edge tile is
-    /// zero-padded at pack time (or, for m under [`EdgePolicy::Tail`],
-    /// clamped at run time) — but the resulting whole-tile counts must
-    /// divide evenly across the parallel decomposition. `kb` must
+    /// zero-padded at pack time — but the resulting whole-tile counts
+    /// must divide evenly across the parallel decomposition. `kb` must
     /// divide k: the reduction has no edge tile.
     pub fn validate(&self, p: &MatmulProblem) -> Result<(), String> {
         let MatmulParams {
@@ -158,7 +130,6 @@ impl MatmulParams {
             nb,
             kb,
             bs,
-            edge: _,
         } = *self;
         if mb == 0 || nb == 0 || kb == 0 || bs == 0 || mpn == 0 || npn == 0 {
             return Err("zero parameter".to_string());
@@ -213,7 +184,6 @@ mod tests {
             nb: 32,
             kb: 64,
             bs: 2,
-            edge: EdgePolicy::Pad,
         };
         // M=512: 16 m-tiles, 4 per kernel; N=256: 8 n-tiles, 4 per kernel
         assert_eq!(p.msn(512), 4);
@@ -232,7 +202,6 @@ mod tests {
             nb: 32,
             kb: 64,
             bs: 2,
-            edge: EdgePolicy::Pad,
         };
         let prob = MatmulProblem::new(512, 256, 256, 4);
         p.validate(&prob).unwrap();

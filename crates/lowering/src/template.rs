@@ -24,7 +24,7 @@
 //! ```
 
 use crate::anchors::{choose_a_pack, PackPlacement, PostOpAnchor};
-use crate::params::{EdgePolicy, MatmulParams, MatmulProblem};
+use crate::params::{MatmulParams, MatmulProblem};
 use gc_machine::MachineDescriptor;
 use gc_microkernel::{BinaryOp, UnaryOp};
 use gc_tensor::DataType;
@@ -191,10 +191,10 @@ struct Ctx {
     tasks_per_mat: usize,
     total_tasks: usize,
     int8: Option<Int8Spec>,
-    // edge-tile state: which axes have a partial (padded or clamped)
-    // edge tile. Tile counts above are ceil-based, so when a flag is
-    // set the corresponding `*_tiles * block` exceeds the logical size.
-    // k has no edge tile (`KB` divides k).
+    // edge-tile state: which axes have a partial (padded) edge tile.
+    // Tile counts above are ceil-based, so when a flag is set the
+    // corresponding `*_tiles * block` exceeds the logical size. k has
+    // no edge tile (`KB` divides k).
     ragged_m: bool,
     ragged_n: bool,
 }
@@ -481,7 +481,6 @@ pub fn lower_matmul(machine: &MachineDescriptor, spec: &MatmulSpec, name: &str) 
             .mul(Expr::from(tile)),
         tile,
     );
-    let use_tail = ctx.ragged_m && p.edge == EdgePolicy::Tail;
     let g = Brgemm {
         m: p.mb,
         n: p.nb,
@@ -490,9 +489,8 @@ pub fn lower_matmul(machine: &MachineDescriptor, spec: &MatmulSpec, name: &str) 
         a_stride: a_view_stride.1,
         b_stride,
     };
-    let m_clamp = use_tail.then(|| (e.mpsi(msi).mul(Expr::from(p.mb)), ctx.m));
     let operands = [a_view_stride.0, b_view, c_tile_view];
-    let brgemm = brgemm_op(spec.int8.is_some(), g, operands, m_clamp);
+    let brgemm = brgemm_op(spec.int8.is_some(), g, operands);
     kchunk_body.push(Stmt::loop_(nsi, ctx.nsn, vec![Stmt::Op(brgemm)]));
     msi_body.push(Stmt::loop_(kchunk, ctx.kch, kchunk_body));
 
@@ -1036,24 +1034,15 @@ fn zero_acc(int8: bool, dst: View) -> Stmt {
 }
 
 /// The batch-reduce GEMM over operands `[a, b, c]` in the matmul's
-/// precision; with `m_clamp = (row base, logical M)` the M-tail kernel
-/// that stops at the ragged edge.
-fn brgemm_op(
-    int8: bool,
-    g: Brgemm,
-    operands: [View; 3],
-    m_clamp: Option<(Expr, usize)>,
-) -> Intrinsic {
-    match (int8, m_clamp) {
-        (true, None) => Intrinsic::new(Op::BrgemmU8I8(g), operands, []),
-        (false, None) => Intrinsic::new(Op::BrgemmF32(g), operands, []),
-        (true, Some((base, m_logical))) => {
-            Intrinsic::new(Op::BrgemmU8I8Tail { g, m_logical }, operands, [base])
-        }
-        (false, Some((base, m_logical))) => {
-            Intrinsic::new(Op::BrgemmF32Tail { g, m_logical }, operands, [base])
-        }
-    }
+/// precision. A ragged edge tile runs full-size: its A rows are
+/// zero-padded at pack time.
+fn brgemm_op(int8: bool, g: Brgemm, operands: [View; 3]) -> Intrinsic {
+    let op = if int8 {
+        Op::BrgemmU8I8(g)
+    } else {
+        Op::BrgemmF32(g)
+    };
+    Intrinsic::new(op, operands, [])
 }
 
 /// Pack one `[MB, KB]` tile of the plain row-major `[.., M, K]` A

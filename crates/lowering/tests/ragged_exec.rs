@@ -1,13 +1,13 @@
 //! Ragged-shape template tests: drive every M/N residue class modulo
-//! the block sizes through pack → brgemm → unpack under both edge
-//! policies (pad-and-go and tail kernels), with k depths that leave a
-//! remainder to the brgemm body's vector width; check int8 stays
+//! the block sizes through pack → brgemm → unpack (edge tiles are
+//! zero-padded at pack time and the clamped unpack drops the pad rows
+//! and columns), with k depths that leave a remainder to the brgemm body's vector width; check int8 stays
 //! bit-exact between the interpreter and the checked plan executor, and
 //! prove the validator rejects an edge tile that would overrun logical
 //! bounds.
 
 use gc_lowering::template::{AInput, BInput, Int8Spec, OutLayout, PostOpSpec};
-use gc_lowering::{lower_matmul, EdgePolicy, MatmulParams, MatmulProblem, MatmulSpec};
+use gc_lowering::{lower_matmul, MatmulParams, MatmulProblem, MatmulSpec};
 use gc_machine::MachineDescriptor;
 use gc_runtime::ThreadPool;
 use gc_tensor::{reference, reorder, DataType, Layout, Storage, Tensor};
@@ -126,42 +126,38 @@ fn max_diff(a: &Storage, want: &Tensor) -> f64 {
 }
 
 /// Every residue class of m, n modulo the 8-element blocks (9..=16
-/// covers residues 1..=7 and the exact case), under both edge policies,
-/// with k = 9..=16 taken as one whole-depth block. Pad zero-fills A/B
-/// edge tiles at pack time; Tail clamps the brgemm M extent. Both must
-/// match the naive reference within 1e-5.
+/// covers residues 1..=7 and the exact case), with k = 9..=16 taken as
+/// one whole-depth block. The A/B edge tiles are zero-filled at pack
+/// time; the result must match the naive reference within 1e-5.
 #[test]
-fn f32_residue_sweep_pad_and_tail() {
+fn f32_residue_sweep_pads_edge_tiles() {
     let (mb, nb) = (8, 8);
-    for edge in [EdgePolicy::Pad, EdgePolicy::Tail] {
-        for m in 9..=16 {
-            for n in 9..=16 {
-                for k in 9..=16 {
-                    let p = MatmulParams {
-                        mpn: 1,
-                        npn: 1,
-                        mb,
-                        nb,
-                        kb: k,
-                        bs: 1,
-                        edge,
-                    };
-                    let prob = MatmulProblem::new(m, n, k, 4);
-                    let spec = default_spec(prob, p);
-                    let a = Tensor::random(&[m, k], DataType::F32, (m * 289 + n * 17 + k) as u64);
-                    let w = Tensor::random(&[k, n], DataType::F32, (n * 289 + k * 17 + m) as u64);
-                    let want = reference::matmul_f32(&a, &w).unwrap();
-                    let out = run(
-                        &spec,
-                        vec![
-                            a.storage().clone(),
-                            padded_blocked_f32(&w, k, n, k, nb),
-                            Storage::F32(vec![0.0; m * n]),
-                        ],
-                    );
-                    let d = max_diff(&out[2], &want);
-                    assert!(d < 1e-5, "{edge:?} m={m} n={n} k={k}: max diff {d}");
-                }
+    for m in 9..=16 {
+        for n in 9..=16 {
+            for k in 9..=16 {
+                let p = MatmulParams {
+                    mpn: 1,
+                    npn: 1,
+                    mb,
+                    nb,
+                    kb: k,
+                    bs: 1,
+                };
+                let prob = MatmulProblem::new(m, n, k, 4);
+                let spec = default_spec(prob, p);
+                let a = Tensor::random(&[m, k], DataType::F32, (m * 289 + n * 17 + k) as u64);
+                let w = Tensor::random(&[k, n], DataType::F32, (n * 289 + k * 17 + m) as u64);
+                let want = reference::matmul_f32(&a, &w).unwrap();
+                let out = run(
+                    &spec,
+                    vec![
+                        a.storage().clone(),
+                        padded_blocked_f32(&w, k, n, k, nb),
+                        Storage::F32(vec![0.0; m * n]),
+                    ],
+                );
+                let d = max_diff(&out[2], &want);
+                assert!(d < 1e-5, "m={m} n={n} k={k}: max diff {d}");
             }
         }
     }
@@ -169,44 +165,41 @@ fn f32_residue_sweep_pad_and_tail() {
 
 /// Ragged shapes on a batched problem with multiple k-chunks: the
 /// accumulate path (beta=1 brgemm over chunk 2..) must also see only
-/// full or properly clamped tiles.
+/// full, zero-padded tiles.
 #[test]
 fn f32_ragged_batched_multi_chunk() {
     let (m, n, k, batch) = (13, 21, 32, 3);
-    for edge in [EdgePolicy::Pad, EdgePolicy::Tail] {
-        let p = MatmulParams {
-            mpn: 2,
-            npn: 3,
-            mb: 4,
-            nb: 8,
-            kb: 8,
-            bs: 2,
-            edge,
-        };
-        let prob = MatmulProblem::batched(batch, m, n, k, 4);
-        let spec = default_spec(prob, p);
-        let a = Tensor::random(&[batch, m, k], DataType::F32, 5);
-        let w = Tensor::random(&[k, n], DataType::F32, 6);
-        let wrep = {
-            let s = w.f32_slice().unwrap();
-            let mut v = Vec::with_capacity(batch * k * n);
-            for _ in 0..batch {
-                v.extend_from_slice(s);
-            }
-            Tensor::from_vec_f32(&[batch, k, n], v).unwrap()
-        };
-        let want = reference::matmul_f32(&a, &wrep).unwrap();
-        let out = run(
-            &spec,
-            vec![
-                a.storage().clone(),
-                padded_blocked_f32(&w, k, n, 8, 8),
-                Storage::F32(vec![0.0; batch * m * n]),
-            ],
-        );
-        let d = max_diff(&out[2], &want);
-        assert!(d < 1e-5, "{edge:?}: max diff {d}");
-    }
+    let p = MatmulParams {
+        mpn: 2,
+        npn: 3,
+        mb: 4,
+        nb: 8,
+        kb: 8,
+        bs: 2,
+    };
+    let prob = MatmulProblem::batched(batch, m, n, k, 4);
+    let spec = default_spec(prob, p);
+    let a = Tensor::random(&[batch, m, k], DataType::F32, 5);
+    let w = Tensor::random(&[k, n], DataType::F32, 6);
+    let wrep = {
+        let s = w.f32_slice().unwrap();
+        let mut v = Vec::with_capacity(batch * k * n);
+        for _ in 0..batch {
+            v.extend_from_slice(s);
+        }
+        Tensor::from_vec_f32(&[batch, k, n], v).unwrap()
+    };
+    let want = reference::matmul_f32(&a, &wrep).unwrap();
+    let out = run(
+        &spec,
+        vec![
+            a.storage().clone(),
+            padded_blocked_f32(&w, k, n, 8, 8),
+            Storage::F32(vec![0.0; batch * m * n]),
+        ],
+    );
+    let d = max_diff(&out[2], &want);
+    assert!(d < 1e-5, "max diff {d}");
 }
 
 /// int8 with zero-point compensation on a ragged m/n shape with an odd
@@ -219,80 +212,77 @@ fn f32_ragged_batched_multi_chunk() {
 fn int8_ragged_plan_matches_interpreter_bitexact() {
     let (m, n, k) = (13, 11, 15);
     let (a_s, b_s, a_zero) = (0.1f32, 0.05f32, 7);
-    for edge in [EdgePolicy::Pad, EdgePolicy::Tail] {
-        let p = MatmulParams {
-            mpn: 1,
-            npn: 1,
-            mb: 8,
-            nb: 8,
-            kb: k,
-            bs: 1,
-            edge,
-        };
-        let prob = MatmulProblem::new(m, n, k, 1);
-        let mut spec = default_spec(prob, p);
-        spec.int8 = Some(Int8Spec {
-            a_zero,
-            scale: a_s * b_s,
-        });
-        spec.post_ops = vec![PostOpSpec::Quantize {
-            scale: 0.07,
-            zero_point: 11,
-        }];
-        spec.out_dtype = DataType::U8;
+    let p = MatmulParams {
+        mpn: 1,
+        npn: 1,
+        mb: 8,
+        nb: 8,
+        kb: k,
+        bs: 1,
+    };
+    let prob = MatmulProblem::new(m, n, k, 1);
+    let mut spec = default_spec(prob, p);
+    spec.int8 = Some(Int8Spec {
+        a_zero,
+        scale: a_s * b_s,
+    });
+    spec.post_ops = vec![PostOpSpec::Quantize {
+        scale: 0.07,
+        zero_point: 11,
+    }];
+    spec.out_dtype = DataType::U8;
 
-        let a = Tensor::random(&[m, k], DataType::U8, 21);
-        let w = Tensor::random(&[k, n], DataType::I8, 22);
-        let (wb, comp) = padded_blocked_i8(&w, k, n, p.kb, p.nb);
-        let inputs = vec![
-            a.storage().clone(),
-            wb,
-            Storage::I32(comp),
-            Storage::U8(vec![0; m * n]),
-        ];
+    let a = Tensor::random(&[m, k], DataType::U8, 21);
+    let w = Tensor::random(&[k, n], DataType::I8, 22);
+    let (wb, comp) = padded_blocked_i8(&w, k, n, p.kb, p.nb);
+    let inputs = vec![
+        a.storage().clone(),
+        wb,
+        Storage::I32(comp),
+        Storage::U8(vec![0; m * n]),
+    ];
 
-        // Interpreter.
-        let interp = run(&spec, inputs.clone());
+    // Interpreter.
+    let interp = run(&spec, inputs.clone());
 
-        // Checked plan executor on the same module.
-        let (module, fi) = build_module(&spec);
-        let plan = compile_module(&module, 1);
-        assert!(
-            plan.func(fi).is_some(),
-            "ragged template must compile to a plan"
-        );
-        let pool = ThreadPool::new(1);
-        let mut globals = inputs;
-        let mut scratch = PlanScratch::for_plan(&plan);
-        run_plan_call(
-            &plan,
-            fi,
-            &module.main_calls[0].args,
-            &mut globals,
-            &pool,
-            &mut scratch,
-            ExecOptions::checked(),
-            Default::default(),
-        );
+    // Checked plan executor on the same module.
+    let (module, fi) = build_module(&spec);
+    let plan = compile_module(&module, 1);
+    assert!(
+        plan.func(fi).is_some(),
+        "ragged template must compile to a plan"
+    );
+    let pool = ThreadPool::new(1);
+    let mut globals = inputs;
+    let mut scratch = PlanScratch::for_plan(&plan);
+    run_plan_call(
+        &plan,
+        fi,
+        &module.main_calls[0].args,
+        &mut globals,
+        &pool,
+        &mut scratch,
+        ExecOptions::checked(),
+        Default::default(),
+    );
 
-        match (&interp[3], &globals[3]) {
-            (Storage::U8(a), Storage::U8(b)) => {
-                assert_eq!(a, b, "{edge:?}: interpreter vs checked plan differ")
-            }
-            _ => panic!("output dtype changed"),
+    match (&interp[3], &globals[3]) {
+        (Storage::U8(a), Storage::U8(b)) => {
+            assert_eq!(a, b, "interpreter vs checked plan differ")
         }
+        _ => panic!("output dtype changed"),
+    }
 
-        // And both agree with the dequantized reference to one ulp of
-        // the output quantization grid.
-        let a_f = reference::dequantize(&a, gc_tensor::QuantParams::new(a_s, a_zero)).unwrap();
-        let w_f = reference::dequantize(&w, gc_tensor::QuantParams::symmetric(b_s)).unwrap();
-        let mm = reference::matmul_f32(&a_f, &w_f).unwrap();
-        let want =
-            reference::quantize(&mm, DataType::U8, gc_tensor::QuantParams::new(0.07, 11)).unwrap();
-        for i in 0..m * n {
-            let d = (interp[3].get_as_f64(i) - want.storage().get_as_f64(i)).abs();
-            assert!(d <= 1.0, "{edge:?} elem {i}: off by {d}");
-        }
+    // And both agree with the dequantized reference to one ulp of
+    // the output quantization grid.
+    let a_f = reference::dequantize(&a, gc_tensor::QuantParams::new(a_s, a_zero)).unwrap();
+    let w_f = reference::dequantize(&w, gc_tensor::QuantParams::symmetric(b_s)).unwrap();
+    let mm = reference::matmul_f32(&a_f, &w_f).unwrap();
+    let want =
+        reference::quantize(&mm, DataType::U8, gc_tensor::QuantParams::new(0.07, 11)).unwrap();
+    for i in 0..m * n {
+        let d = (interp[3].get_as_f64(i) - want.storage().get_as_f64(i)).abs();
+        assert!(d <= 1.0, "elem {i}: off by {d}");
     }
 }
 

@@ -7,7 +7,7 @@
 
 use gc_lowering::anchors::{PackPlacement, PostOpAnchor};
 use gc_lowering::template::{AInput, BInput, Int8Spec, OutLayout, ParamRole, PostOpSpec};
-use gc_lowering::{lower_matmul, EdgePolicy, MatmulParams, MatmulProblem, MatmulSpec};
+use gc_lowering::{lower_matmul, MatmulParams, MatmulProblem, MatmulSpec};
 use gc_machine::MachineDescriptor;
 use gc_microkernel::{BinaryOp, UnaryOp};
 use gc_runtime::ThreadPool;
@@ -90,7 +90,6 @@ fn f32_plain_in_plain_out() {
         nb: 8,
         kb: 16,
         bs: 2,
-        edge: EdgePolicy::Pad,
     };
     let prob = MatmulProblem::new(m, n, k, 4);
     let spec = default_spec(prob, p);
@@ -119,7 +118,6 @@ fn f32_every_post_op_kind_chained() {
         nb: 8,
         kb: 8,
         bs: 1,
-        edge: EdgePolicy::Pad,
     };
     let prob = MatmulProblem::new(m, n, k, 4);
     let mut spec = default_spec(prob, p);
@@ -182,7 +180,6 @@ fn f32_bias_slot() {
         nb: 8,
         kb: 8,
         bs: 1,
-        edge: EdgePolicy::Pad,
     };
     let mut spec = default_spec(MatmulProblem::new(m, n, k, 4), p);
     spec.bias = true;
@@ -212,7 +209,6 @@ fn int8_epilogue_with_quantized_output() {
         nb: 8,
         kb: 8,
         bs: 2,
-        edge: EdgePolicy::Pad,
     };
     let prob = MatmulProblem::new(m, n, k, 1);
     let mut spec = default_spec(prob, p);
@@ -263,7 +259,6 @@ fn batched_in_loop_rhs_with_transpose() {
         nb: 8,
         kb: 8,
         bs: 1,
-        edge: EdgePolicy::Pad,
     };
     let prob = MatmulProblem::batched(bh, s, s, d, 4);
     let mut spec = default_spec(prob, p);
@@ -293,7 +288,6 @@ fn split_reduction_softmax_post_ops() {
         nb: 4,
         kb: 8,
         bs: 1,
-        edge: EdgePolicy::Pad,
     };
     let mut spec = default_spec(MatmulProblem::new(m, n, k, 4), p);
     spec.post_ops = vec![
@@ -327,7 +321,6 @@ fn both_post_anchors_agree() {
         nb: 8,
         kb: 8,
         bs: 2,
-        edge: EdgePolicy::Pad,
     };
     let a = Tensor::random(&[m, k], DataType::F32, 15);
     let w = Tensor::random(&[k, n], DataType::F32, 16);
@@ -359,7 +352,6 @@ fn both_pack_placements_agree() {
         nb: 8,
         kb: 8,
         bs: 2,
-        edge: EdgePolicy::Pad,
     };
     let a = Tensor::random(&[m, k], DataType::F32, 17);
     let w = Tensor::random(&[k, n], DataType::F32, 18);
@@ -394,7 +386,6 @@ fn blocked_a_input_matches_plain() {
         nb: 8,
         kb: 8,
         bs: 1,
-        edge: EdgePolicy::Pad,
     };
     let a = Tensor::random(&[m, k], DataType::F32, 19);
     let w = Tensor::random(&[k, n], DataType::F32, 20);
@@ -424,7 +415,6 @@ fn full_shape_binary_operand() {
         nb: 8,
         kb: 8,
         bs: 1,
-        edge: EdgePolicy::Pad,
     };
     let mut spec = default_spec(MatmulProblem::new(m, n, k, 4), p);
     spec.post_ops = vec![PostOpSpec::BinaryFull { op: BinaryOp::Add }];

@@ -152,22 +152,6 @@ pub fn padded_extent(dim: usize, block: usize) -> usize {
     dim.div_ceil(block.max(1)) * block.max(1)
 }
 
-/// Extra cycles a clamped (tail) brgemm call pays over a full-tile
-/// call: evaluating the row clamp against the loop indices and
-/// dispatching a partial-height register tile instead of the hot
-/// full-size kernel. Charged on *every* call of a tail-policy loop
-/// nest, not just the edge tiles — the template has no conditionals, so
-/// interior tiles also go through the clamped entry point.
-pub fn tail_call_cycles(machine: &MachineDescriptor) -> f64 {
-    // A clamp evaluation (~2 ALU ops), an indirect kernel dispatch, and
-    // the front-end bubble of re-entering the interior of the kernel
-    // instead of its hot full-tile entry. The bubble is a fixed number
-    // of issue slots, so machines with wider FMA throughput waste more
-    // potential FLOPs per stalled cycle — pricing it as a few hundred
-    // flops' worth of cycles models exactly that.
-    16.0 + 512.0 / machine.f32_flops_per_cycle
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,18 +167,6 @@ mod tests {
         assert_eq!(padded_extent(1, 32), 32);
         assert_eq!(padded_extent(0, 32), 0);
         assert_eq!(padded_extent(7, 0), 7, "degenerate block treated as 1");
-    }
-
-    #[test]
-    fn tail_overhead_small_next_to_tile_compute() {
-        // A full 32x32x64 f32 tile is ~4k cycles of compute at high
-        // efficiency; the per-call tail overhead must stay well under
-        // 1% of that so the Tail policy wins whenever the padded-FLOP
-        // waste is more than a few percent.
-        let m = xeon();
-        let tile = compute_cycles(&m, 2.0 * 32.0 * 32.0 * 64.0, 4, 0.9);
-        assert!(tail_call_cycles(&m) < tile * 0.05);
-        assert!(tail_call_cycles(&m) > 0.0);
     }
 
     #[test]

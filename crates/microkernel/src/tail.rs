@@ -2,18 +2,17 @@
 //!
 //! When a matmul dimension is not a multiple of its tile size, the last
 //! row/column of tiles is *partial*: only `m % MB` rows (or `n % NB`
-//! columns) hold live data. The template has two ways to run those
-//! tiles, and this module supplies the kernels for both:
+//! columns) hold live data. The template runs those tiles one way,
+//! pad-and-go, and this module supplies its kernels: the pack stage
+//! zero-fills the tile up to full size ([`pack_pad_2d`]), the
+//! steady-state full-tile brgemm runs unchanged, and the output store
+//! clips the dead rows/columns back off ([`store_clamped_2d`]).
 //!
-//! - **Pad-and-go** — the pack stage zero-fills the tile up to full
-//!   size ([`pack_pad_2d`]) and the steady-state full-tile brgemm runs
-//!   unchanged; the output store clips the dead rows/columns back off
-//!   ([`store_clamped_2d`]).
-//! - **Tail kernels** — the brgemm itself is clamped to the valid row
-//!   count ([`crate::Kernels::brgemm_f32`] /
-//!   [`crate::Kernels::brgemm_u8i8`] with `rows < m`): the same
-//!   batch-reduce body called with `m = rows`, computing no wasted
-//!   FLOPs and bit-identical to the row prefix of the full call.
+//! The brgemm itself can also be clamped to a valid row count
+//! ([`crate::Kernels::brgemm_f32`] / [`crate::Kernels::brgemm_u8i8`]
+//! with `rows < m`, bit-identical to the row prefix of the full call).
+//! No lowering emits such a call; the kernel-level differentials
+//! exercise it.
 //!
 //! All kernels here are *masked-store* shaped: they never write outside
 //! the valid window of the destination, so a caller can alias the

@@ -149,8 +149,8 @@ pub struct Copy2D {
 /// and the axis base in axis units in [`Intrinsic::clamps`] (a loop
 /// expression, excluded from the operand's offset so that static bounds
 /// analysis can cap the reachable span at `(logical - 1) * stride`).
-/// Executors evaluate the base and zero-fill (pack), skip (unpack) or
-/// shorten (brgemm tail) everything at axis index `>= avail`.
+/// Executors evaluate the base and zero-fill (pack) or skip (unpack)
+/// everything at axis index `>= avail`.
 pub fn avail(logical: usize, base: usize, tile: usize) -> usize {
     logical.saturating_sub(base).min(tile)
 }
@@ -219,24 +219,6 @@ pub enum Op {
         row_logical: usize,
         /// Logical extent of the column axis.
         col_logical: usize,
-    },
-    /// M-tail batch-reduce GEMM: like [`Op::BrgemmF32`] but only the
-    /// first `m_eff = avail(m_logical, mb, m)` rows are computed; the C
-    /// tile's `m_eff * n` prefix is accumulated and rows past the
-    /// logical M are untouched. A no-op when `m_eff == 0`. Clamp `mb`
-    /// (base in M-rows).
-    BrgemmF32Tail {
-        /// Tile geometry (`m` is the physical row count).
-        g: Brgemm,
-        /// Logical extent of the M axis.
-        m_logical: usize,
-    },
-    /// Int8 M-tail batch-reduce GEMM (see [`Op::BrgemmF32Tail`]).
-    BrgemmU8I8Tail {
-        /// Tile geometry (`m` is the physical row count).
-        g: Brgemm,
-        /// Logical extent of the M axis.
-        m_logical: usize,
     },
     /// Elementwise unary over f32 windows. Operands `src, dst`;
     /// in-place is allowed when they coincide exactly.
@@ -554,18 +536,20 @@ impl OpDesc {
     }
 }
 
-fn brgemm_desc(g: Brgemm, [a, b, c]: [DataType; 3], m_eff: usize, clamps: usize) -> OpDesc {
+fn brgemm_desc(g: Brgemm, [a, b, c]: [DataType; 3]) -> OpDesc {
     use ElemType::Is;
-    // a tail call with no rows left touches nothing
-    let count = if m_eff == 0 { 0 } else { g.batch };
-    let tiles = |stride, len| Footprint::Tiles { count, stride, len };
+    let tiles = |stride, len| Footprint::Tiles {
+        count: g.batch,
+        stride,
+        len,
+    };
     let mut d = OpDesc::new(
         &[
-            spec(Is(a), Role::Read, tiles(g.a_stride, m_eff * g.k)),
+            spec(Is(a), Role::Read, tiles(g.a_stride, g.m * g.k)),
             spec(Is(b), Role::Read, tiles(g.b_stride, g.n * g.k)),
-            spec(Is(c), Role::Accumulate, Footprint::Dense(m_eff * g.n)),
+            spec(Is(c), Role::Accumulate, Footprint::Dense(g.m * g.n)),
         ],
-        clamps,
+        0,
     );
     d.work = (g.m * g.n * g.k * g.batch.max(1)) as u64;
     d
@@ -619,16 +603,8 @@ impl Op {
         let acc = |dt, n| spec(Is(dt), Role::Accumulate, Dense(n));
         let unclamped = |specs: &[OperandSpec]| OpDesc::new(specs, 0);
         match *self {
-            Op::BrgemmF32(g) => brgemm_desc(g, [F32, F32, F32], g.m, 0),
-            Op::BrgemmU8I8(g) => brgemm_desc(g, [U8, I8, I32], g.m, 0),
-            Op::BrgemmF32Tail { g, m_logical } => {
-                let m_eff = bases.map_or(g.m, |b| avail(m_logical, b[0], g.m));
-                brgemm_desc(g, [F32, F32, F32], m_eff, 1)
-            }
-            Op::BrgemmU8I8Tail { g, m_logical } => {
-                let m_eff = bases.map_or(g.m, |b| avail(m_logical, b[0], g.m));
-                brgemm_desc(g, [U8, I8, I32], m_eff, 1)
-            }
+            Op::BrgemmF32(g) => brgemm_desc(g, [F32, F32, F32]),
+            Op::BrgemmU8I8(g) => brgemm_desc(g, [U8, I8, I32]),
             Op::FillF32 { len, .. } => unclamped(&[wr(F32, len)]),
             Op::ZeroI32 { len } => unclamped(&[wr(I32, len)]),
             Op::Pack2D(g) => unclamped(&[

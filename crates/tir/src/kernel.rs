@@ -206,31 +206,13 @@ pub(crate) fn run_op(
     // just established they are the same window and uses one slice.
     match *op {
         Op::BrgemmF32(g) => unsafe {
-            let (a, b, c) = brgemm_slices(&g, o, g.m);
+            let (a, b, c) = brgemm_slices(&g, o);
             k.brgemm_f32(g.shape(), g.m, a, &tables[0], b, &tables[1], c);
         },
         Op::BrgemmU8I8(g) => unsafe {
-            let (a, b, c) = brgemm_slices(&g, o, g.m);
+            let (a, b, c) = brgemm_slices(&g, o);
             k.brgemm_u8i8(g.shape(), g.m, a, &tables[0], b, &tables[1], c);
         },
-        Op::BrgemmF32Tail { g, m_logical } => {
-            let m_eff = avail(m_logical, bases[0], g.m);
-            if m_eff > 0 {
-                unsafe {
-                    let (a, b, c) = brgemm_slices(&g, o, m_eff);
-                    k.brgemm_f32(g.shape(), m_eff, a, &tables[0], b, &tables[1], c);
-                }
-            }
-        }
-        Op::BrgemmU8I8Tail { g, m_logical } => {
-            let m_eff = avail(m_logical, bases[0], g.m);
-            if m_eff > 0 {
-                unsafe {
-                    let (a, b, c) = brgemm_slices(&g, o, m_eff);
-                    k.brgemm_u8i8(g.shape(), m_eff, a, &tables[0], b, &tables[1], c);
-                }
-            }
-        }
         Op::FillF32 { len, value } => unsafe { sl(o[0], len) }.fill(value),
         Op::ZeroI32 { len } => unsafe { sl::<i32>(o[0], len) }.fill(0),
         Op::Pack2D(g) => by_dtype!(o[0].0, pack2d(o[0], o[1], &g)),
@@ -442,20 +424,18 @@ fn map_row(dst: &mut [f32], lhs: Option<&[f32]>, f: impl Fn(f32) -> f32) {
     }
 }
 
-/// Slice the three brgemm operands; only the first `rows` rows of C are
-/// touched (the tail kinds shorten it).
+/// Slice the three brgemm operands.
 ///
 /// # Safety
 /// As for [`sl`]: A and B are only read, C is this call's private tile.
 unsafe fn brgemm_slices<'a, A: Elem, B: Elem, C: Elem>(
     g: &Brgemm,
     o: &[Resolved<'_>; MAX_OPERANDS],
-    rows: usize,
 ) -> (&'a [A], &'a [B], &'a mut [C]) {
     (
         sl(o[0], g.a_span()),
         sl(o[1], g.b_span()),
-        sl(o[2], rows * g.n),
+        sl(o[2], g.m * g.n),
     )
 }
 

@@ -69,14 +69,6 @@ fn intr_str(f: &Func, i: &Intrinsic) -> String {
             "unpack2d.clamp {} = {} ({}x{} rows@{}<{row_logical} cols@{}<{col_logical})",
             o[1], o[0], g.rows, g.cols, c[0], c[1]
         ),
-        Op::BrgemmF32Tail { g, m_logical } => format!(
-            "brgemm.f32.tail {} += {} x {}  (m={} n={} k={} bs={} m@{}<{m_logical})",
-            o[2], o[0], o[1], g.m, g.n, g.k, g.batch, c[0]
-        ),
-        Op::BrgemmU8I8Tail { g, m_logical } => format!(
-            "brgemm.u8i8.tail {} += {} x {}  (m={} n={} k={} bs={} m@{}<{m_logical})",
-            o[2], o[0], o[1], g.m, g.n, g.k, g.batch, c[0]
-        ),
         Op::Unary { op, .. } => format!("{op:?} {} = {}", o[1], o[0]),
         Op::Binary { op, .. } => format!("{op:?} {} = {}, {}", o[2], o[0], o[1]),
         Op::BinaryScalar { op, scalar, .. } => format!("{op:?}.s {} = {}, {scalar}", o[1], o[0]),

@@ -15,7 +15,7 @@
 //!   cost the compiled partition amortizes over the whole subgraph).
 
 use crate::expr::VarId;
-use crate::ir::{avail, BufId, Func, Intrinsic, Module, Op, Stmt, MAX_CLAMPS};
+use crate::ir::{BufId, Func, Intrinsic, Module, Op, Stmt, MAX_CLAMPS};
 use crate::visit::accesses_of;
 use gc_machine::{cost, CacheHierarchy, MachineDescriptor};
 use std::collections::HashMap;
@@ -211,19 +211,18 @@ fn sim_intrinsic(i: &Intrinsic, ctx: &mut SimCtx<'_>, vars: &[i64]) -> f64 {
             .cache
             .access(base + off * es as u64, (a.len * es) as u64);
     }
-    let comp = compute_cycles(&i.op, ctx.machine, &bases);
+    let comp = compute_cycles(&i.op, ctx.machine);
     ctx.compute += comp;
     ctx.memory += mem as f64;
     comp.max(mem as f64)
 }
 
 /// Compute-side cycles of one call from the analytical model.
-fn compute_cycles(op: &Op, machine: &MachineDescriptor, bases: &[usize]) -> f64 {
+fn compute_cycles(op: &Op, machine: &MachineDescriptor) -> f64 {
     let lanes = machine.f32_lanes() as f64;
-    let brgemm = |g: &crate::ir::Brgemm, m_eff: usize, elem_bytes: usize| {
-        let eff =
-            cost::microkernel_efficiency(machine, m_eff.max(1), g.n, g.k, g.batch, elem_bytes);
-        let flops = 2.0 * (m_eff * g.n * g.k * g.batch) as f64;
+    let brgemm = |g: &crate::ir::Brgemm, elem_bytes: usize| {
+        let eff = cost::microkernel_efficiency(machine, g.m, g.n, g.k, g.batch, elem_bytes);
+        let flops = 2.0 * (g.m * g.n * g.k * g.batch) as f64;
         cost::compute_cycles(machine, flops, elem_bytes, eff)
     };
     // strided gathers/scatters don't vectorize as well; the padded
@@ -233,10 +232,8 @@ fn compute_cycles(op: &Op, machine: &MachineDescriptor, bases: &[usize]) -> f64 
         per * (g.rows * g.cols) as f64 / lanes
     };
     match op {
-        Op::BrgemmF32(g) => brgemm(g, g.m, 4),
-        Op::BrgemmU8I8(g) => brgemm(g, g.m, 1),
-        Op::BrgemmF32Tail { g, m_logical } => brgemm(g, avail(*m_logical, bases[0], g.m), 4),
-        Op::BrgemmU8I8Tail { g, m_logical } => brgemm(g, avail(*m_logical, bases[0], g.m), 1),
+        Op::BrgemmF32(g) => brgemm(g, 4),
+        Op::BrgemmU8I8(g) => brgemm(g, 1),
         // vectorized elementwise: ~1 op per element
         Op::Unary { len, .. }
         | Op::BinaryScalar { len, .. }

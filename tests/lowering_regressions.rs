@@ -107,3 +107,24 @@ fn chained_matmuls_keep_blocked_intermediates() {
         }
     }
 }
+
+/// A ragged m pads at pack time, like a ragged n: at batch 33 MLP_2's
+/// row blocks leave an edge tile, which `pack2d.pad` zero-fills so the
+/// full-tile brgemm runs over it, and the clamped unpack drops the pad
+/// rows. No brgemm is clamped to the edge (`brgemm.*.tail`).
+#[test]
+fn odd_batches_pad_their_edge_tiles() {
+    for (int8, build) in [
+        (false, (|| mlp_f32(33, &mlp2_layers(), 3)) as fn() -> Graph),
+        (true, || mlp_int8(33, &mlp2_layers(), 3)),
+    ] {
+        let compiled = Compiler::new(one_thread(MachineDescriptor::xeon_8358()))
+            .compile(build())
+            .expect("compile");
+        let label = format!("{} MLP_2 b33", if int8 { "int8" } else { "f32" });
+        let tir = compiled.tir_text();
+        assert_eq!(tir.matches(".tail ").count(), 0, "{label}: m-tail brgemm");
+        assert!(tir.contains("pack2d.pad"), "{label}: no padded edge tile");
+        assert_matches(&label, int8, compiled_err(&compiled, build));
+    }
+}
