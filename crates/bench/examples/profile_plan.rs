@@ -19,11 +19,12 @@ fn main() {
         let module = exe.executable().module();
         let plan = gc_tir::compile_module(module, 1);
         let pool = gc_runtime::ThreadPool::new(1);
-        let mut globals: Vec<gc_tensor::Storage> = module
+        let mut storages: Vec<gc_tensor::Storage> = module
             .globals
             .iter()
             .map(|g| gc_tensor::Storage::zeros(g.dtype, g.elems))
             .collect();
+        let mut globals = gc_tir::plan::Globals::owned(&mut storages);
         let mut scratch = gc_tir::plan::PlanScratch::for_plan(&plan);
         for call in &module.main_calls {
             gc_tir::plan::run_plan_call(

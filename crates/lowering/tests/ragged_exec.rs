@@ -12,7 +12,7 @@ use gc_machine::MachineDescriptor;
 use gc_runtime::ThreadPool;
 use gc_tensor::{reference, reorder, DataType, Layout, Storage, Tensor};
 use gc_tir::ir::Copy2D;
-use gc_tir::plan::{run_plan_call, PlanScratch};
+use gc_tir::plan::{run_plan_call, Globals, PlanScratch};
 use gc_tir::{
     compile_module, validate_module, BufDecl, BufId, Call, ExecOptions, Expr, Func, GlobalDecl,
     GlobalKind, Intrinsic, Module, Op, Operand, Stmt,
@@ -259,7 +259,7 @@ fn int8_ragged_plan_matches_interpreter_bitexact() {
         &plan,
         fi,
         &module.main_calls[0].args,
-        &mut globals,
+        &mut Globals::owned(&mut globals),
         &pool,
         &mut scratch,
         ExecOptions::checked(),

@@ -19,39 +19,65 @@
 //!   the static shapes of every op it encloses) is smaller than the cost
 //!   of waking the pool is demoted to a serial loop. The interpreter
 //!   discovers loop bodies one iteration at a time and cannot make this
+//!   call;
+//! - **global roles** — from the operand roles of every call, no call
+//!   may write a global its stage only reads: an input, a `Weight`, or
+//!   in the main stage a constant (a `Persistent` global, or any global
+//!   an init call writes). Executions then bind those globals to shared
+//!   buffers instead of private copies;
+//! - **written-before-read locals** — a local whose every read element
+//!   is provably written earlier in the same call is not zeroed per
 //!   call.
 //!
 //! A rejected function keeps its `Reject` reason in the plan, and a
-//! compiled executable refuses to run a module with one: nothing leaves
-//! the compiled path silently. Lowered modules pass the validator first,
-//! which checks dtypes, arity and bounds with the same descriptors and
-//! interval tracker as the builder.
+//! compiled executable refuses to run a module with one (or with a call
+//! that breaks a global's role): nothing leaves the compiled path
+//! silently. Lowered modules pass the validator first, which checks
+//! dtypes, arity and bounds with the same descriptors and interval
+//! tracker as the builder.
 
 use crate::bounds::VarScope;
 use crate::expr::{Expr, VarId};
-use crate::ir::{BufId, Func, Intrinsic, Module, Stmt};
+use crate::ir::{BufId, Footprint, Func, GlobalKind, Intrinsic, Module, Role, Stmt};
 use crate::plan::{
-    OffsetOp, PInstr, POperand, Plan, PlanFunc, PlanOffset, PlanOp, PlanStats, MAX_PROG_STACK,
-    MAX_VARS,
+    OffsetOp, PInstr, POperand, Plan, PlanFunc, PlanLocal, PlanOffset, PlanOp, PlanStats,
+    RoleReject, MAX_PROG_STACK, MAX_VARS,
 };
+use crate::visit::visit_intrinsics;
 use gc_tensor::DataType;
 
 /// Compile every function of `module`; `threads` sizes parallel-loop
 /// grains (pass the executing pool's thread count).
 pub fn compile_module(module: &Module, threads: usize) -> Plan {
     let mut stats = PlanStats::default();
+    let writes: Vec<Box<[bool]>> = module.funcs.iter().map(written_params).collect();
     let funcs = module
         .funcs
         .iter()
         .map(|f| match FuncBuilder::new(f, threads.max(1)).build() {
-            Ok((pf, fs)) => {
+            Ok((instrs, fs)) => {
                 stats.compiled_funcs += 1;
                 stats.hoisted_bounds += fs.hoisted_bounds;
                 stats.linear_offsets += fs.linear_offsets;
                 stats.program_offsets += fs.program_offsets;
                 stats.brgemm_tables += fs.brgemm_tables;
                 stats.serialized_loops += fs.serialized_loops;
-                Ok(pf)
+                let locals: Box<[PlanLocal]> = f
+                    .locals
+                    .iter()
+                    .zip(written_first(f))
+                    .map(|(d, written_first)| PlanLocal {
+                        dtype: d.dtype,
+                        elems: d.elems,
+                        written_first,
+                    })
+                    .collect();
+                stats.zeroed_locals += locals.iter().filter(|l| !l.written_first).count();
+                Ok(PlanFunc {
+                    instrs,
+                    params: f.params.iter().map(|d| (d.dtype, d.elems)).collect(),
+                    locals,
+                })
             }
             Err(r) => {
                 stats.interpreted_funcs += 1;
@@ -59,7 +85,229 @@ pub fn compile_module(module: &Module, threads: usize) -> Plan {
             }
         })
         .collect();
-    Plan { funcs, stats }
+    Plan {
+        funcs,
+        roles: check_roles(module, &writes),
+        writes: writes.into_boxed_slice(),
+        stats,
+    }
+}
+
+/// Per parameter of `f`: whether some op writes it (a `Write` or
+/// `Accumulate` operand role).
+pub(crate) fn written_params(f: &Func) -> Box<[bool]> {
+    let mut writes = vec![false; f.params.len()];
+    visit_intrinsics(&f.body, &mut |i| {
+        for (o, spec) in i.operands.iter().zip(i.op.desc(None).operands()) {
+            if let (BufId::Param(p), Role::Write | Role::Accumulate) = (o.buf, spec.role) {
+                writes[p] = true;
+            }
+        }
+    });
+    writes.into_boxed_slice()
+}
+
+/// Per global of `module`: whether some init call writes it, given the
+/// per-function parameter flags of [`written_params`]. Such a global is
+/// an init product, a constant of the main stage, whatever its kind.
+pub(crate) fn init_products(module: &Module, writes: &[Box<[bool]>]) -> Vec<bool> {
+    let mut products = vec![false; module.globals.len()];
+    for c in &module.init_calls {
+        for (&global, &w) in c.args.iter().zip(writes[c.func].iter()) {
+            products[global] |= w;
+        }
+    }
+    products
+}
+
+/// The first call (init calls, then main calls) that writes a global
+/// its stage may only read. Inputs and `Weight`s are read-only in both
+/// stages: executions read them in place from the caller's and the
+/// executable's tensors. `Persistent` globals and every global an init
+/// call writes are the init stage's product and read-only in the main
+/// stage, where every execution shares one copy.
+fn check_roles(module: &Module, writes: &[Box<[bool]>]) -> Result<(), RoleReject> {
+    let init = module.init_calls.len();
+    let products = init_products(module, writes);
+    for (call, c) in module
+        .init_calls
+        .iter()
+        .chain(&module.main_calls)
+        .enumerate()
+    {
+        for (&global, &w) in c.args.iter().zip(writes[c.func].iter()) {
+            let main = call >= init;
+            let why = match module.globals[global].kind {
+                _ if !w => continue,
+                GlobalKind::Input(_) => Reject::WritesInput,
+                GlobalKind::Weight => Reject::WritesConstant,
+                GlobalKind::Persistent if main => Reject::WritesConstant,
+                _ if main && products[global] => Reject::WritesConstant,
+                _ => continue,
+            };
+            return Err(RoleReject { call, global, why });
+        }
+    }
+    Ok(())
+}
+
+/// An affine offset with each variable resolved to the loop that binds
+/// it: `(constant, [(loop, coefficient)])`.
+type BoundOffset = (i64, Vec<(usize, i64)>);
+
+/// One operand of an op on a local, in program order.
+struct LocalAccess {
+    /// Index of the op in program order.
+    op: usize,
+    role: Role,
+    dense: bool,
+    span: usize,
+    /// Enclosing loops, outermost first (indices into the loop table).
+    loops: Vec<usize>,
+    /// `None` when the offset is not affine in bound variables.
+    offset: Option<BoundOffset>,
+}
+
+/// Per local of `f`: whether every element a call reads was written
+/// earlier in the same call, so the call need not zero the local first.
+///
+/// The proof starts from the local's first access in program order,
+/// which must be the op's only operand on the local, a `Write` of a
+/// dense window. It then climbs that op's enclosing loops, innermost
+/// first, keeping the window one iteration of the current loop has
+/// written. At each loop, every other access inside the loop's body must
+/// lie inside the window of the same iteration. Leaving the loop, the
+/// window stays as it was when it does not move with the loop variable
+/// (or the loop runs once), and grows to `extent` windows when
+/// consecutive iterations tile it; any other loop, including one that
+/// runs no iteration, ends the climb. The accesses outside every
+/// climbed loop must lie inside the final window. Every step is a
+/// sufficient condition: an unproven local is zeroed as before.
+pub(crate) fn written_first(f: &Func) -> Vec<bool> {
+    let mut loops: Vec<(VarId, usize)> = Vec::new();
+    let mut accesses: Vec<Vec<LocalAccess>> = f.locals.iter().map(|_| Vec::new()).collect();
+    collect_local_accesses(&f.body, &mut Vec::new(), &mut loops, &mut accesses, &mut 0);
+    accesses
+        .iter()
+        .map(|acc| acc.is_empty() || proves_written_first(acc, &loops))
+        .collect()
+}
+
+fn collect_local_accesses(
+    stmts: &[Stmt],
+    stack: &mut Vec<usize>,
+    loops: &mut Vec<(VarId, usize)>,
+    out: &mut [Vec<LocalAccess>],
+    ops: &mut usize,
+) {
+    for s in stmts {
+        match s {
+            Stmt::For {
+                var, extent, body, ..
+            } => {
+                stack.push(loops.len());
+                loops.push((*var, *extent));
+                collect_local_accesses(body, stack, loops, out, ops);
+                stack.pop();
+            }
+            Stmt::Op(i) => {
+                for (o, spec) in i.operands.iter().zip(i.op.desc(None).operands()) {
+                    if let BufId::Local(local) = o.buf {
+                        let offset = linearize(&o.offset).and_then(|(base, terms)| {
+                            let bound = terms.into_iter().map(|(v, c)| {
+                                let uid =
+                                    stack.iter().rev().find(|&&u| loops[u].0 .0 == v as usize)?;
+                                Some((*uid, c))
+                            });
+                            Some((base, bound.collect::<Option<Vec<_>>>()?))
+                        });
+                        out[local].push(LocalAccess {
+                            op: *ops,
+                            role: spec.role,
+                            dense: matches!(spec.footprint, Footprint::Dense(_)),
+                            span: spec.footprint.span(),
+                            loops: stack.clone(),
+                            offset,
+                        });
+                    }
+                }
+                *ops += 1;
+            }
+        }
+    }
+}
+
+/// The climb [`written_first`] documents, over one local's accesses in
+/// program order.
+fn proves_written_first(acc: &[LocalAccess], loops: &[(VarId, usize)]) -> bool {
+    let first = &acc[0];
+    let only_operand = acc.get(1).is_none_or(|a| a.op != first.op);
+    let (true, true, Role::Write, Some((base, terms))) =
+        (only_operand, first.dense, first.role, &first.offset)
+    else {
+        return false;
+    };
+    let (mut terms, mut width) = (terms.clone(), first.span as i128);
+    let mut done = vec![false; acc.len()];
+    done[0] = true;
+    for &lp in first.loops.iter().rev() {
+        for (a, d) in acc.iter().zip(done.iter_mut()) {
+            if !*d && a.loops.contains(&lp) {
+                if !inside(a, *base, &terms, width, loops) {
+                    return false;
+                }
+                *d = true;
+            }
+        }
+        let extent = loops[lp].1 as i128;
+        let coef = terms.iter().find(|t| t.0 == lp).map_or(0, |t| t.1 as i128);
+        terms.retain(|t| t.0 != lp);
+        if extent == 0 {
+            return false;
+        } else if coef == width && extent > 1 {
+            width *= extent;
+        } else if coef != 0 && extent > 1 {
+            return false;
+        }
+    }
+    acc.iter()
+        .zip(&done)
+        .all(|(a, &d)| d || inside(a, *base, &terms, width, loops))
+}
+
+/// Whether access `a` stays inside the window `[base + Σ terms, + width)`
+/// for every value of the loop variables only `a` depends on. The
+/// window's own loops enclose `a` too, so their variables are shared.
+fn inside(
+    a: &LocalAccess,
+    base: i64,
+    terms: &[(usize, i64)],
+    width: i128,
+    loops: &[(VarId, usize)],
+) -> bool {
+    let Some((a_base, a_terms)) = &a.offset else {
+        return false;
+    };
+    let mut diff: Vec<(usize, i128)> = a_terms.iter().map(|&(l, c)| (l, c as i128)).collect();
+    for &(l, c) in terms {
+        match diff.iter_mut().find(|d| d.0 == l) {
+            Some(d) => d.1 -= c as i128,
+            None => diff.push((l, -(c as i128))),
+        }
+    }
+    let (mut lo, mut hi) = (
+        *a_base as i128 - base as i128,
+        *a_base as i128 - base as i128,
+    );
+    for (l, c) in diff {
+        let top = loops[l].1.saturating_sub(1) as i128 * c;
+        if c > 0 {
+            hi += top;
+        } else {
+            lo += top;
+        }
+    }
+    lo >= 0 && hi + a.span as i128 <= width
 }
 
 /// Why the plan builder rejected a function. Internal: the engine names
@@ -81,6 +329,13 @@ pub(crate) enum Reject {
     ProgramTooDeep,
     /// Operand or clamp count disagrees with the op's descriptor.
     Arity,
+    /// A call writes an execution input, which executions read in place
+    /// from the caller's tensor.
+    WritesInput,
+    /// A call writes a constant: a `Weight` in either stage, or in the
+    /// main stage a `Persistent` global or one an init call writes.
+    /// Executions share one copy.
+    WritesConstant,
 }
 
 struct FuncStats {
@@ -122,25 +377,13 @@ impl<'f> FuncBuilder<'f> {
         }
     }
 
-    fn build(mut self) -> Result<(PlanFunc, FuncStats), Reject> {
+    fn build(mut self) -> Result<(Box<[PInstr]>, FuncStats), Reject> {
         if self.func.var_count > MAX_VARS {
             return Err(Reject::TooManyVars);
         }
         let mut instrs = Vec::new();
         self.emit_stmts(&self.func.body, &mut instrs)?;
-        Ok((
-            PlanFunc {
-                instrs: instrs.into_boxed_slice(),
-                n_params: self.func.params.len(),
-                locals: self
-                    .func
-                    .locals
-                    .iter()
-                    .map(|d| (d.dtype, d.elems))
-                    .collect(),
-            },
-            self.stats,
-        ))
+        Ok((instrs.into_boxed_slice(), self.stats))
     }
 
     fn emit_stmts(&mut self, stmts: &[Stmt], out: &mut Vec<PInstr>) -> Result<(), Reject> {
@@ -509,7 +752,7 @@ mod tests {
     fn compiles_in_bounds_loop() {
         let f = simple_func(v(0).mul(Expr::c(4)), 32, 8);
         let (pf, fs) = FuncBuilder::new(&f, 4).build().unwrap();
-        assert_eq!(pf.instrs.len(), 2); // For + Op
+        assert_eq!(pf.len(), 2); // For + Op
         assert_eq!(fs.hoisted_bounds, 2);
         assert_eq!(fs.linear_offsets, 2);
     }
@@ -546,7 +789,7 @@ mod tests {
         assert_eq!(fs.linear_offsets, 0);
         // evaluate the compiled offset across the loop and compare with
         // the source expression
-        let PInstr::Op(compiled) = &pf.instrs[1] else {
+        let PInstr::Op(compiled) = &pf[1] else {
             panic!("expected compiled unary");
         };
         let src = &compiled.operands()[0];
@@ -573,7 +816,7 @@ mod tests {
         };
         *parallel = true;
         let (pf, fs) = FuncBuilder::new(&f, 4).build().unwrap();
-        let PInstr::ParFor { grain, extent, .. } = &pf.instrs[0] else {
+        let PInstr::ParFor { grain, extent, .. } = &pf[0] else {
             panic!("expected ParFor");
         };
         assert_eq!(*extent, 4096);
@@ -591,7 +834,7 @@ mod tests {
         };
         *parallel = true;
         let (pf, fs) = FuncBuilder::new(&f, 4).build().unwrap();
-        assert!(matches!(pf.instrs[0], PInstr::For { .. }));
+        assert!(matches!(pf[0], PInstr::For { .. }));
         assert_eq!(fs.serialized_loops, 1);
         // On one thread every parallel loop is serial regardless of size.
         let big = {
@@ -603,7 +846,7 @@ mod tests {
             f
         };
         let (pf1, _) = FuncBuilder::new(&big, 1).build().unwrap();
-        assert!(matches!(pf1.instrs[0], PInstr::For { .. }));
+        assert!(matches!(pf1[0], PInstr::For { .. }));
     }
 
     #[test]
@@ -619,5 +862,141 @@ mod tests {
         assert_eq!(plan.funcs[1].as_ref().err(), Some(&Reject::OutOfBounds));
         assert_eq!(plan.stats().compiled_funcs, 1);
         assert_eq!(plan.stats().interpreted_funcs, 1);
+    }
+
+    /// `f(out)` with one 64-element f32 local, from a body builder.
+    fn with_local(var_count: usize, body: Vec<Stmt>) -> Func {
+        Func {
+            name: "f".into(),
+            params: vec![BufDecl::new(DataType::F32, 64, "out")],
+            locals: vec![BufDecl::new(DataType::F32, 64, "tmp")],
+            var_count,
+            body,
+        }
+    }
+
+    fn fill(offset: Expr, len: usize) -> Stmt {
+        Stmt::Op(Intrinsic::new(
+            Op::FillF32 { len, value: 1.0 },
+            [View::new(BufId::Local(0), offset, len)],
+            [],
+        ))
+    }
+
+    fn relu(src: (BufId, Expr), dst: (BufId, Expr), len: usize) -> Stmt {
+        Stmt::Op(Intrinsic::new(
+            Op::Unary {
+                op: gc_microkernel::UnaryOp::Relu,
+                len,
+            },
+            [View::new(src.0, src.1, len), View::new(dst.0, dst.1, len)],
+            [],
+        ))
+    }
+
+    const L: BufId = BufId::Local(0);
+    const OUT: BufId = BufId::Param(0);
+
+    #[test]
+    fn written_first_proves_per_iteration_and_tiled_windows() {
+        // the window one iteration writes, read in the same iteration
+        let per_iteration = with_local(
+            1,
+            vec![Stmt::parallel(
+                VarId(0),
+                4,
+                vec![
+                    fill(v(0).mul(Expr::c(16)), 16),
+                    relu((L, v(0).mul(Expr::c(16))), (OUT, v(0).mul(Expr::c(16))), 16),
+                ],
+            )],
+        );
+        assert_eq!(written_first(&per_iteration), [true]);
+        // consecutive iterations tile the local, read whole afterwards,
+        // through a loop that runs once
+        let tiled = with_local(
+            2,
+            vec![
+                Stmt::loop_(
+                    VarId(1),
+                    1,
+                    vec![Stmt::loop_(
+                        VarId(0),
+                        4,
+                        vec![fill(v(0).mul(Expr::c(16)).add(v(1)), 16)],
+                    )],
+                ),
+                relu((L, Expr::c(0)), (OUT, Expr::c(0)), 64),
+            ],
+        );
+        assert_eq!(written_first(&tiled), [true]);
+        // a local nobody touches needs no zeroing either
+        assert_eq!(written_first(&with_local(0, vec![])), [true]);
+    }
+
+    #[test]
+    fn written_first_rejects_what_it_cannot_prove() {
+        let read_first = with_local(
+            0,
+            vec![
+                relu((L, Expr::c(0)), (OUT, Expr::c(0)), 64),
+                fill(Expr::c(0), 64),
+            ],
+        );
+        let partial = with_local(
+            0,
+            vec![
+                fill(Expr::c(0), 32),
+                relu((L, Expr::c(0)), (OUT, Expr::c(0)), 64),
+            ],
+        );
+        let never_runs = with_local(
+            1,
+            vec![
+                Stmt::loop_(VarId(0), 0, vec![fill(Expr::c(0), 64)]),
+                relu((L, Expr::c(0)), (OUT, Expr::c(0)), 64),
+            ],
+        );
+        let in_place = with_local(0, vec![relu((L, Expr::c(0)), (L, Expr::c(0)), 64)]);
+        let gaps = with_local(
+            1,
+            vec![
+                Stmt::loop_(VarId(0), 2, vec![fill(v(0).mul(Expr::c(32)), 16)]),
+                relu((L, Expr::c(0)), (OUT, Expr::c(0)), 64),
+            ],
+        );
+        let other_iteration = with_local(
+            1,
+            vec![Stmt::loop_(
+                VarId(0),
+                4,
+                vec![
+                    fill(v(0).mul(Expr::c(16)), 16),
+                    relu((L, Expr::c(0)), (OUT, Expr::c(0)), 16),
+                ],
+            )],
+        );
+        let div_offset = with_local(
+            1,
+            vec![Stmt::loop_(
+                VarId(0),
+                1,
+                vec![
+                    fill(Expr::Div(Box::new(v(0)), Box::new(Expr::c(2))), 64),
+                    relu((L, Expr::c(0)), (OUT, Expr::c(0)), 64),
+                ],
+            )],
+        );
+        for (name, f) in [
+            ("read first", read_first),
+            ("partial write", partial),
+            ("loop that never runs", never_runs),
+            ("in-place first access", in_place),
+            ("windows with gaps", gaps),
+            ("another iteration's window", other_iteration),
+            ("non-affine offset", div_offset),
+        ] {
+            assert_eq!(written_first(&f), [false], "{name}");
+        }
     }
 }

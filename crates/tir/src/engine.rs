@@ -1,38 +1,55 @@
 //! The compiled-partition execution engine.
 //!
 //! An [`Executable`] owns a compiled [`Module`] plus everything needed
-//! to run it: seeded weight globals, the cached persistent state
-//! produced by the init stage ("these runtime constants only be
-//! executed once in the first execution"), its thread pool, and
-//! execution statistics. Engines are **first-class values**, not a
-//! process singleton: an [`Engine`] bundles one thread pool and one
-//! microkernel backend ([`Kernels`]) with an execution policy and
-//! per-instance counters, and any number of them coexist in a process
-//! (the `two_backends` test runs a scalar engine beside the default).
+//! to run it: its weight tensors, the constants the init stage folds
+//! from them ("these runtime constants only be executed once in the
+//! first execution"), its thread pool, and execution statistics.
+//! Engines are **first-class values**, not a process singleton: an
+//! [`Engine`] bundles one thread pool and one microkernel backend
+//! ([`Kernels`]) with an execution policy and per-instance counters, and
+//! any number of them coexist in a process (the `two_backends` test runs
+//! a scalar engine beside the default).
 //!
 //! Both stages run on the compiled [`Plan`]. A module with a function the
 //! plan builder rejected is refused with an error, never interpreted; the
 //! tree-walking interpreter ([`crate::exec`]) is the test oracle
 //! [`Executable::reference`] builds.
 //!
+//! # Memory model
+//!
+//! The plan builder checks every call against the roles of the globals
+//! it binds, so no call writes a global its stage only reads. An
+//! execution then binds each global by role ([`Globals`]) and copies
+//! none of them:
+//! - **constants** are read in place, one copy per executable: a
+//!   `Weight` from the executable's own weight tensor, a `Persistent`
+//!   global (or any other global an init call writes) from the init
+//!   stage's product, which an [`InitCache`] shares between the
+//!   executables of one model;
+//! - **inputs** are read in place from the caller's tensors (the init
+//!   stage reads the first call's the same way);
+//! - **outputs** are allocated per call and moved into the returned
+//!   tensors; an output the init stage computes is a constant, and each
+//!   call returns a copy of it;
+//! - **scratch** globals and the plan's locals live in an execution
+//!   state.
+//!
 //! # Concurrency
 //!
 //! [`Executable::execute`] is safe to call from many threads at once
 //! (`Executable` is `Send + Sync`, statically asserted below). The
-//! engine keeps a checkout pool of execution states — each holding its
-//! own copy of the global buffers and plan scratch — so concurrent
-//! calls never share mutable memory; the one-time init stage runs
-//! under a [`std::sync::OnceLock`], and every state is cloned from the
-//! initialized template. The idle pool is capped at the thread pool's
-//! worker count so a concurrency burst does not pin
-//! weights-times-concurrency of memory forever. Results are bit-identical to serial runs: a
-//! plan's parallel chunks each compute a deterministic, disjoint
-//! region regardless of which worker claims them.
+//! engine keeps a checkout pool of execution states, each holding only
+//! scratch, so concurrent calls never share mutable memory; the
+//! constants they share are read-only after the one-time init stage,
+//! which runs under a [`std::sync::OnceLock`]. The idle pool is capped
+//! at the thread pool's worker count. Results are bit-identical to
+//! serial runs: a plan's parallel chunks each compute a deterministic,
+//! disjoint region regardless of which worker claims them.
 
-use crate::compile::compile_module;
+use crate::compile::{compile_module, init_products};
 use crate::exec::{run_func, ExecError};
 use crate::ir::{Call, GlobalKind, Module};
-use crate::plan::{run_plan_call, ExecOptions, Plan, PlanScratch, PlanStats};
+use crate::plan::{run_plan_call, ExecOptions, Globals, Plan, PlanScratch, PlanStats};
 use crate::sim::{project, Projection};
 use gc_machine::MachineDescriptor;
 use gc_microkernel::Kernels;
@@ -210,27 +227,40 @@ pub enum ExecMode {
     Interpret,
 }
 
-/// The init-stage product shared by every execution state: the global
-/// buffers after weight seeding and one-time constant preprocessing.
-/// `init_wall` is reported once, by the caller that ran (or fetched)
-/// the init stage.
-struct InitTemplate {
-    globals: Arc<Vec<Storage>>,
+/// Where an execution binds one global (see the module docs).
+#[derive(Debug, Clone, Copy)]
+enum Source {
+    /// A `Weight`, read in place from `weight_seeds[i]`.
+    Seed(usize),
+    /// The i-th constant the init stage produces: a `Persistent` global,
+    /// a `Weight` without a seed (zeros), or a scratch global an init
+    /// call writes.
+    Constant(usize),
+    /// Output `.0`, which an init call writes: constant `.1`, copied into
+    /// the returned tensor by every call.
+    InitOutput(usize, usize),
+    /// The caller's i-th input, read in place.
+    Input(usize),
+    /// The i-th output, allocated per call and moved out.
+    Output(usize),
+    /// The execution state's next scratch buffer.
+    Scratch,
 }
 
-/// One checked-out execution context: a private copy of the globals
-/// (inputs are copied into place per call; outputs and scratch are
-/// overwritten) plus the reusable plan-execution scratch. States are
-/// pooled, so steady-state execution allocates nothing.
+/// One checked-out execution context. It holds only scratch: one buffer
+/// per `Scratch` global no init call writes, in declaration order, and
+/// the plan's locals.
+/// States are pooled, so a steady-state execution allocates only its
+/// outputs.
 struct ExecState {
     globals: Vec<Storage>,
     scratch: PlanScratch,
 }
 
-/// A shared, persistent-globals cache for init-stage results, keyed by
-/// the caller (e.g. a model's graph hash + shape bucket). Lets distinct
-/// `Executable`s of the same logical model reuse one folded-constant
-/// computation.
+/// A shared cache of init-stage products, keyed by the caller (e.g. a
+/// model's graph hash + shape bucket): the constants one init stage
+/// folds, in declaration order. Distinct `Executable`s of the same
+/// logical model fold them once and read one copy.
 pub type InitCache = ConstantCache<Vec<Storage>>;
 
 /// A compiled, executable partition.
@@ -250,17 +280,26 @@ pub struct Executable {
     kernels: Kernels,
     /// Optional cross-executable init cache (see [`InitCache`]).
     init_cache: Option<(Arc<InitCache>, u64)>,
-    template: OnceLock<InitTemplate>,
-    /// Idle execution states; `execute` pops one (or clones a fresh one
-    /// from the template) and pushes it back when done. Bounded by
-    /// `max_idle_states`: each state carries a full copy of the global
-    /// buffers (weights included), so retaining one per peak-concurrent
-    /// caller would pin roughly weights × concurrency of memory for the
-    /// process lifetime. Excess states are dropped on return; callers
-    /// beyond the pool width pay a template clone instead — they are
-    /// serialized on the thread pool anyway.
+    /// How each global is bound, in declaration order.
+    sources: Box<[Source]>,
+    /// `(input slot, global)`, in slot order.
+    inputs: Box<[(usize, usize)]>,
+    /// What [`Self::check_plan`] reports; `execute` refuses to run on an
+    /// error.
+    ready: Result<(), ExecError>,
+    /// The statistics that depend only on the module, reported by every
+    /// execution.
+    module_stats: ExecStats,
+    /// The init stage's constants, once the first execution folded them.
+    constants: OnceLock<Arc<Vec<Storage>>>,
+    /// Idle execution states; `execute` pops one (or builds a fresh one)
+    /// and pushes it back when done, up to `max_idle_states`.
     states: Mutex<Vec<ExecState>>,
-    /// Idle-pool bound: the embedded pool's worker count.
+    /// Idle-pool bound: the embedded pool's worker count. Callers beyond
+    /// it are serialized on the thread pool anyway, so a state kept for
+    /// each would only pin its scratch (megabytes of locals on the
+    /// larger plans) for the process lifetime; they build a state
+    /// instead.
     max_idle_states: usize,
     init_runs: AtomicU64,
     /// Per-engine-instance counters, incremented alongside the
@@ -303,8 +342,8 @@ impl Executable {
     /// Wrap a lowered module with an explicit execution mode. The plan
     /// is compiled either way (it is cheap and [`Self::plan_stats`]
     /// stays meaningful); `mode` selects the executor of both stages.
-    /// Runs on the process-default kernel backend unless
-    /// [`Self::with_kernels`] says otherwise.
+    /// Each seed binds a `Weight` global. Runs on the process-default
+    /// kernel backend unless [`Self::with_kernels`] says otherwise.
     pub fn with_mode(
         module: Module,
         weight_seeds: Vec<(usize, Tensor)>,
@@ -313,6 +352,36 @@ impl Executable {
         mode: ExecMode,
     ) -> Self {
         let plan = compile_module(&module, pool.threads());
+        let ready = refusal(&module, &plan, mode);
+        let mut seed_of = vec![None; module.globals.len()];
+        for (k, (gi, _)) in weight_seeds.iter().enumerate() {
+            seed_of[*gi] = Some(k);
+        }
+        let products = init_products(&module, &plan.writes);
+        let mut constants = 0;
+        let mut next_constant = || {
+            constants += 1;
+            constants - 1
+        };
+        let sources: Box<[Source]> = (module.globals.iter().zip(seed_of).zip(products))
+            .map(|((g, seed), product)| match (g.kind, seed, product) {
+                (GlobalKind::Weight, Some(k), _) => Source::Seed(k),
+                (GlobalKind::Weight | GlobalKind::Persistent, ..)
+                | (GlobalKind::Scratch, _, true) => Source::Constant(next_constant()),
+                (GlobalKind::Input(i), ..) => Source::Input(i),
+                (GlobalKind::Output(i), _, true) => Source::InitOutput(i, next_constant()),
+                (GlobalKind::Output(i), _, false) => Source::Output(i),
+                (GlobalKind::Scratch, _, false) => Source::Scratch,
+            })
+            .collect();
+        let mut inputs: Vec<(usize, usize)> = (sources.iter().enumerate())
+            .filter_map(|(gi, s)| match *s {
+                Source::Input(i) => Some((i, gi)),
+                _ => None,
+            })
+            .collect();
+        inputs.sort_unstable();
+        let module_stats = module_stats(&module);
         let max_idle_states = pool.threads().max(1);
         Executable {
             module,
@@ -324,7 +393,11 @@ impl Executable {
             exec_options: ExecOptions::default(),
             kernels: Kernels::default(),
             init_cache: None,
-            template: OnceLock::new(),
+            sources,
+            inputs: inputs.into_boxed_slice(),
+            ready,
+            module_stats,
+            constants: OnceLock::new(),
             states: Mutex::new(Vec::new()),
             max_idle_states,
             init_runs: AtomicU64::new(0),
@@ -359,9 +432,8 @@ impl Executable {
 
     /// Route the one-time init stage through a shared [`InitCache`]
     /// under `key`: if another executable with the same key already
-    /// folded its constants, this one reuses the processed globals
-    /// instead of recomputing them. Must be set before the first
-    /// execution.
+    /// folded its constants, this one reads that copy instead of
+    /// computing its own. Must be set before the first execution.
     pub fn with_init_cache(mut self, cache: Arc<InitCache>, key: u64) -> Self {
         self.init_cache = Some((cache, key));
         self
@@ -401,22 +473,17 @@ impl Executable {
         .with_kernels(self.kernels)
     }
 
-    /// Whether the plan builder compiled every function of the module.
+    /// Whether the plan builder accepted the module: compiled every
+    /// function (in [`ExecMode::Compiled`]) and found no call writing a
+    /// global its stage only reads (in either mode). Decided once, when
+    /// the executable is built.
     ///
     /// # Errors
     ///
-    /// The error a compiled executable returns instead of running: it
-    /// names the first rejected function and the builder's reason.
+    /// The error the executable returns instead of running: it names
+    /// the first rejected function or call and the builder's reason.
     pub fn check_plan(&self) -> Result<(), ExecError> {
-        for (f, planned) in self.module.funcs.iter().zip(&self.plan.funcs) {
-            if let Err(why) = planned {
-                return Err(ExecError(format!(
-                    "function `{}` has no execution plan (rejected: {why:?})",
-                    f.name
-                )));
-            }
-        }
-        Ok(())
+        self.ready.clone()
     }
 
     /// The active plan-execution options.
@@ -449,22 +516,15 @@ impl Executable {
 
     /// Expected input descriptors, in order.
     pub fn input_descs(&self) -> Vec<(usize, gc_tensor::DataType)> {
-        let mut ins: Vec<(usize, usize, gc_tensor::DataType)> = self
-            .module
-            .globals
+        self.inputs
             .iter()
-            .filter_map(|g| match g.kind {
-                GlobalKind::Input(i) => Some((i, g.elems, g.dtype)),
-                _ => None,
-            })
-            .collect();
-        ins.sort();
-        ins.into_iter().map(|(_, e, d)| (e, d)).collect()
+            .map(|&(_, gi)| (self.module.globals[gi].elems, self.module.globals[gi].dtype))
+            .collect()
     }
 
     /// Run one call on this executable's executor: its plan, or the
     /// interpreter in [`ExecMode::Interpret`].
-    fn run_call(&self, call: &Call, globals: &mut [Storage], scratch: &mut PlanScratch) {
+    fn run_call(&self, call: &Call, globals: &mut Globals<'_>, scratch: &mut PlanScratch) {
         match self.mode {
             ExecMode::Compiled => run_plan_call(
                 &self.plan,
@@ -478,6 +538,7 @@ impl Executable {
             ),
             ExecMode::Interpret => run_func(
                 &self.module.funcs[call.func],
+                self.plan.writes(call.func),
                 call,
                 globals,
                 &self.pool,
@@ -487,27 +548,97 @@ impl Executable {
         }
     }
 
-    /// Run the init stage from scratch: allocate globals, seed weights,
-    /// install the first call's inputs (runtime constants arrive with
-    /// them), and execute the init calls.
-    fn build_init_globals(&self, inputs: &[Tensor]) -> Vec<Storage> {
-        let mut globals: Vec<Storage> = self
-            .module
-            .globals
+    /// Run the init stage and return the constants it produces, in
+    /// [`Source::Constant`] and [`Source::InitOutput`] order. Weights and
+    /// the first call's inputs (runtime constants arrive with them) are
+    /// read in place; an output or scratch global no init call writes is
+    /// a temporary.
+    fn run_init(&self, inputs: &[Tensor]) -> Vec<Storage> {
+        let owned = |s: &Source| !matches!(s, Source::Seed(_) | Source::Input(_));
+        let mut buffers: Vec<Storage> = self
+            .sources
             .iter()
-            .map(|g| Storage::zeros(g.dtype, g.elems))
+            .zip(&self.module.globals)
+            .filter(|(s, _)| owned(s))
+            .map(|(_, g)| Storage::zeros(g.dtype, g.elems))
             .collect();
-        for (gi, t) in &self.weight_seeds {
-            globals[*gi] = t.storage().clone();
-        }
-        install_inputs(&self.module, &mut globals, inputs);
-        let mut scratch = PlanScratch::for_plan(&self.plan);
-        for call in &self.module.init_calls {
-            self.run_call(call, &mut globals, &mut scratch);
+        {
+            let mut globals = Globals::with_capacity(self.sources.len());
+            let mut buffer = buffers.iter_mut();
+            for s in self.sources.iter() {
+                match *s {
+                    Source::Seed(k) => globals.read(self.weight_seeds[k].1.storage()),
+                    Source::Input(i) => globals.read(inputs[i].storage()),
+                    _ => globals.write(buffer.next().expect("a buffer per owned global")),
+                }
+            }
+            let mut scratch = PlanScratch::for_plan(&self.plan);
+            for call in &self.module.init_calls {
+                self.run_call(call, &mut globals, &mut scratch);
+            }
         }
         self.init_runs.fetch_add(1, Ordering::Relaxed);
         self.count(|c| &c.init_runs);
+        let kept = self.sources.iter().filter(|s| owned(s));
+        buffers
+            .into_iter()
+            .zip(kept)
+            .filter_map(|(b, s)| {
+                matches!(s, Source::Constant(_) | Source::InitOutput(..)).then_some(b)
+            })
+            .collect()
+    }
+
+    /// Bind every global for one main-stage execution.
+    fn bind<'a>(
+        &'a self,
+        inputs: &'a [Tensor],
+        constants: &'a [Storage],
+        scratch: &'a mut [Storage],
+        outputs: &'a mut [(usize, Storage)],
+    ) -> Globals<'a> {
+        let mut globals = Globals::with_capacity(self.sources.len());
+        let (mut scratch, mut outputs) = (scratch.iter_mut(), outputs.iter_mut());
+        for s in self.sources.iter() {
+            match *s {
+                Source::Seed(k) => globals.read(self.weight_seeds[k].1.storage()),
+                Source::Constant(k) | Source::InitOutput(_, k) => globals.read(&constants[k]),
+                Source::Input(i) => globals.read(inputs[i].storage()),
+                Source::Output(_) => {
+                    globals.write(&mut outputs.next().expect("a buffer per output").1);
+                }
+                Source::Scratch => globals.write(scratch.next().expect("a buffer per scratch")),
+            }
+        }
         globals
+    }
+
+    /// Check `inputs` against the compiled descriptors.
+    fn check_inputs(&self, inputs: &[Tensor]) -> Result<(), ExecError> {
+        for &(i, gi) in self.inputs.iter() {
+            let g = &self.module.globals[gi];
+            let t = inputs
+                .get(i)
+                .ok_or_else(|| ExecError(format!("missing input {i} ({})", g.name)))?;
+            if t.desc().dtype() != g.dtype || t.desc().volume() != g.elems {
+                return Err(ExecError(format!(
+                    "input {i} ({}) expects {} x{}, got {} x{}",
+                    g.name,
+                    g.dtype,
+                    g.elems,
+                    t.desc().dtype(),
+                    t.desc().volume()
+                )));
+            }
+        }
+        let n_inputs = self.inputs.last().map_or(0, |&(i, _)| i + 1);
+        if inputs.len() != n_inputs {
+            return Err(ExecError(format!(
+                "{} inputs provided, partition expects {n_inputs}",
+                inputs.len()
+            )));
+        }
+        Ok(())
     }
 
     /// Execute on `inputs` (one tensor per graph input, in order).
@@ -519,62 +650,31 @@ impl Executable {
     /// # Errors
     ///
     /// Returns an error when inputs disagree with the compiled
-    /// descriptors, or, in [`ExecMode::Compiled`], when the plan builder
-    /// rejected a function (see [`Self::check_plan`]).
+    /// descriptors, or when the plan builder refused the module (see
+    /// [`Self::check_plan`]).
     pub fn execute(&self, inputs: &[Tensor]) -> Result<(Vec<Tensor>, ExecStats), ExecError> {
-        let mut stats = ExecStats::default();
         let wall0 = Instant::now();
-        if self.mode == ExecMode::Compiled {
-            self.check_plan()?;
+        if let Err(e) = &self.ready {
+            return Err(e.clone());
         }
-
-        // validate inputs against the compiled descriptors
-        let mut n_inputs = 0usize;
-        for g in &self.module.globals {
-            if let GlobalKind::Input(i) = g.kind {
-                n_inputs = n_inputs.max(i + 1);
-                let t = inputs
-                    .get(i)
-                    .ok_or_else(|| ExecError(format!("missing input {i} ({})", g.name)))?;
-                if t.desc().dtype() != g.dtype || t.desc().volume() != g.elems {
-                    return Err(ExecError(format!(
-                        "input {i} ({}) expects {} x{}, got {} x{}",
-                        g.name,
-                        g.dtype,
-                        g.elems,
-                        t.desc().dtype(),
-                        t.desc().volume()
-                    )));
-                }
-            }
-        }
-        if inputs.len() != n_inputs {
-            return Err(ExecError(format!(
-                "{} inputs provided, partition expects {n_inputs}",
-                inputs.len()
-            )));
-        }
+        self.check_inputs(inputs)?;
 
         // One-time init: the first caller computes (or fetches from the
-        // shared init cache) the seeded + preprocessed globals template;
-        // concurrent callers block in `get_or_init` until it is ready.
+        // shared init cache) the constants; concurrent callers block in
+        // `get_or_init` until they are ready.
         let mut init_wall = Duration::ZERO;
-        let template = self.template.get_or_init(|| {
+        let constants = self.constants.get_or_init(|| {
             let init0 = Instant::now();
-            let globals = match &self.init_cache {
-                Some((cache, key)) => cache.get_or_init(*key, || self.build_init_globals(inputs)),
-                None => Arc::new(self.build_init_globals(inputs)),
+            let constants = match &self.init_cache {
+                Some((cache, key)) => cache.get_or_init(*key, || self.run_init(inputs)),
+                None => Arc::new(self.run_init(inputs)),
             };
             init_wall = init0.elapsed();
-            InitTemplate { globals }
+            constants
         });
-        stats.init_wall = init_wall;
 
-        // Check out a private execution state (clone the template when
-        // none is idle — happens once per concurrency level).
-        // Accumulating buffers are explicitly zeroed by the lowered code
-        // (FillF32 / ZeroI32 ahead of every k-loop), so stale scratch
-        // contents from a previous call are never observed.
+        // Check out a private execution state (build one when none is
+        // idle — happens once per concurrency level).
         let mut state = {
             let mut pool = self.states.lock().expect("state pool poisoned");
             pool.pop()
@@ -582,37 +682,39 @@ impl Executable {
         .unwrap_or_else(|| {
             self.count(|c| &c.exec_states);
             ExecState {
-                globals: (*template.globals).clone(),
+                globals: (self.sources.iter().zip(&self.module.globals))
+                    .filter(|(s, _)| matches!(s, Source::Scratch))
+                    .map(|(_, g)| Storage::zeros(g.dtype, g.elems))
+                    .collect(),
                 scratch: PlanScratch::for_plan(&self.plan),
             }
         });
-        let globals = &mut state.globals;
-        install_inputs(&self.module, globals, inputs);
+        let mut outputs: Vec<(usize, Storage)> = (self.sources.iter().zip(&self.module.globals))
+            .filter_map(|(s, g)| match *s {
+                Source::Output(i) => Some((i, Storage::zeros(g.dtype, g.elems))),
+                _ => None,
+            })
+            .collect();
 
         // Main stage. A plan dispatch is counted before it runs, so one
         // that panics is still seen.
-        for call in &self.module.main_calls {
-            if self.mode == ExecMode::Compiled {
-                self.count(|c| &c.plan_dispatches);
+        {
+            let mut globals = self.bind(inputs, constants, &mut state.globals, &mut outputs);
+            for call in &self.module.main_calls {
+                if self.mode == ExecMode::Compiled {
+                    self.count(|c| &c.plan_dispatches);
+                }
+                self.run_call(call, &mut globals, &mut state.scratch);
             }
-            self.run_call(call, globals, &mut state.scratch);
         }
 
-        // collect outputs
-        let mut outs: Vec<(usize, Tensor)> = Vec::new();
-        for (gi, g) in self.module.globals.iter().enumerate() {
-            if let GlobalKind::Output(i) = g.kind {
-                let desc = TensorDesc::new(vec![g.elems], g.dtype);
-                let t = Tensor::from_parts(desc, globals[gi].clone())
-                    .map_err(|e| ExecError(format!("output {i}: {e}")))?;
-                outs.push((i, t));
-            }
-        }
-        outs.sort_by_key(|(i, _)| *i);
+        outputs.extend(self.sources.iter().filter_map(|s| match *s {
+            Source::InitOutput(i, k) => Some((i, constants[k].clone())),
+            _ => None,
+        }));
 
         // Return the state to the idle pool for the next call; beyond
-        // the cap, drop it — a retained state pins a full copy of the
-        // globals (weights included) for the process lifetime.
+        // the cap, drop it.
         {
             let mut idle = self.states.lock().expect("state pool poisoned");
             if idle.len() < self.max_idle_states {
@@ -621,32 +723,20 @@ impl Executable {
         }
         self.count(|c| &c.executions);
 
-        stats.wall = wall0.elapsed();
-        // Barriers are counted structurally (every executed parallel
-        // region ends in one), so the number is meaningful even when
-        // the host pool degenerates to a single thread.
-        stats.barriers = self
-            .module
-            .main_calls
-            .iter()
-            .map(|c| parallel_regions(&self.module.funcs[c.func].body, 1))
-            .sum();
-        stats.func_calls = self.module.main_calls.len() as u64;
-        stats.peak_temp_bytes = self
-            .module
-            .globals
-            .iter()
-            .filter(|g| g.kind == GlobalKind::Scratch)
-            .map(|g| g.elems * g.dtype.size_bytes())
-            .sum::<usize>()
-            + self
-                .module
-                .funcs
-                .iter()
-                .map(crate::ir::Func::local_bytes)
-                .max()
-                .unwrap_or(0);
-        Ok((outs.into_iter().map(|(_, t)| t).collect(), stats))
+        outputs.sort_unstable_by_key(|&(i, _)| i);
+        let outs = outputs
+            .into_iter()
+            .map(|(i, s)| {
+                let desc = TensorDesc::new(vec![s.len()], s.dtype());
+                Tensor::from_parts(desc, s).map_err(|e| ExecError(format!("output {i}: {e}")))
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let stats = ExecStats {
+            wall: wall0.elapsed(),
+            init_wall,
+            ..self.module_stats.clone()
+        };
+        Ok((outs, stats))
     }
 
     /// Project one steady-state execution (init excluded) on `machine`.
@@ -655,14 +745,56 @@ impl Executable {
     }
 }
 
-/// Copy the call's input tensors into their persistent global slots.
-/// Inputs were already validated against the descriptors, so the
-/// in-place `copy_from` cannot panic.
-fn install_inputs(module: &Module, globals: &mut [Storage], inputs: &[Tensor]) {
-    for (gi, g) in module.globals.iter().enumerate() {
-        if let GlobalKind::Input(i) = g.kind {
-            globals[gi].copy_from(inputs[i].storage());
+/// What [`Executable::check_plan`] reports for `module` in `mode`.
+fn refusal(module: &Module, plan: &Plan, mode: ExecMode) -> Result<(), ExecError> {
+    if mode == ExecMode::Compiled {
+        for (f, planned) in module.funcs.iter().zip(&plan.funcs) {
+            if let Err(why) = planned {
+                return Err(ExecError(format!(
+                    "function `{}` has no execution plan (rejected: {why:?})",
+                    f.name
+                )));
+            }
         }
+    }
+    plan.roles.clone().map_err(|r| {
+        let call = (module.init_calls.iter().chain(&module.main_calls))
+            .nth(r.call)
+            .expect("a rejected call exists");
+        ExecError(format!(
+            "call {} to `{}` writes global `{}` (rejected: {:?})",
+            r.call, module.funcs[call.func].name, module.globals[r.global].name, r.why
+        ))
+    })
+}
+
+/// The statistics every execution of `module` reports unchanged.
+fn module_stats(module: &Module) -> ExecStats {
+    // Barriers are counted structurally (every executed parallel region
+    // ends in one), so the number is meaningful even when the host pool
+    // degenerates to a single thread.
+    let barriers = module
+        .main_calls
+        .iter()
+        .map(|c| parallel_regions(&module.funcs[c.func].body, 1))
+        .sum();
+    let scratch_bytes: usize = module
+        .globals
+        .iter()
+        .filter(|g| g.kind == GlobalKind::Scratch)
+        .map(|g| g.elems * g.dtype.size_bytes())
+        .sum();
+    let local_bytes = module
+        .funcs
+        .iter()
+        .map(crate::ir::Func::local_bytes)
+        .max()
+        .unwrap_or(0);
+    ExecStats {
+        barriers,
+        func_calls: module.main_calls.len() as u64,
+        peak_temp_bytes: scratch_bytes + local_bytes,
+        ..ExecStats::default()
     }
 }
 
@@ -896,9 +1028,14 @@ mod tests {
         let (o1, _) = exe1.execute(std::slice::from_ref(&x)).unwrap();
         let (o2, _) = exe2.execute(std::slice::from_ref(&x)).unwrap();
         assert_eq!(o1[0].f32_slice().unwrap(), o2[0].f32_slice().unwrap());
-        // exactly one init computation across both executables
+        // exactly one init computation across both executables, and
+        // one constant buffer both read
         assert_eq!(cache.compute_count(), 1);
         assert_eq!(exe1.init_runs() + exe2.init_runs(), 1);
+        assert!(Arc::ptr_eq(
+            exe1.constants.get().unwrap(),
+            exe2.constants.get().unwrap()
+        ));
     }
 
     #[test]
@@ -1083,5 +1220,322 @@ mod tests {
         assert!(after.init_runs > before.init_runs);
         assert!(after.exec_states > before.exec_states);
         assert!(after.plan_dispatches > before.plan_dispatches);
+    }
+
+    /// relu from `in` into `out`: a call binding a global to `out`
+    /// writes it.
+    fn relu_into(elems: usize) -> Func {
+        Func {
+            name: "relu_into".into(),
+            params: vec![
+                BufDecl::new(DataType::F32, elems, "in"),
+                BufDecl::new(DataType::F32, elems, "out"),
+            ],
+            locals: vec![],
+            var_count: 0,
+            body: vec![Stmt::Op(Intrinsic::new(
+                Op::Unary {
+                    op: UnaryOp::Relu,
+                    len: elems,
+                },
+                [
+                    View::new(BufId::Param(0), Expr::c(0), elems),
+                    View::new(BufId::Param(1), Expr::c(0), elems),
+                ],
+                [],
+            ))],
+        }
+    }
+
+    /// A call writing a global its stage only reads is a typed
+    /// rejection: execute (on the plan and on the oracle) returns it
+    /// before running anything.
+    #[test]
+    fn writes_to_read_only_globals_are_rejected() {
+        let cases = [
+            (GlobalKind::Weight, false, "WritesConstant"),
+            (GlobalKind::Persistent, false, "WritesConstant"),
+            (GlobalKind::Input(1), false, "WritesInput"),
+            (GlobalKind::Weight, true, "WritesConstant"),
+            (GlobalKind::Input(1), true, "WritesInput"),
+        ];
+        for (kind, init, why) in cases {
+            let (mut m, seeds) = demo_module();
+            let target = m.add_global(GlobalDecl {
+                dtype: DataType::F32,
+                elems: 8,
+                kind,
+                name: "target".into(),
+            });
+            let f = m.add_func(relu_into(8));
+            let call = Call {
+                func: f,
+                args: vec![0, target],
+            };
+            if init {
+                m.init_calls.push(call);
+            } else {
+                m.main_calls.push(call);
+            }
+            let eng = Engine::new(Arc::new(ThreadPool::new(1)));
+            let exe = eng.build(m, seeds, 1);
+            let x = Tensor::from_vec_f32(&[8], vec![0.5; 8]).unwrap();
+            let err = exe.execute(&[x.clone(), x.clone()]).unwrap_err();
+            assert!(err.0.contains(why), "{kind:?}: {err}");
+            assert!(
+                err.0.contains("`relu_into` writes global `target`"),
+                "{err}"
+            );
+            assert_eq!(exe.check_plan(), Err(err.clone()));
+            assert_eq!(exe.reference().execute(&[x.clone(), x]).unwrap_err(), err);
+            assert_eq!(exe.init_runs(), 0);
+            assert_eq!(eng.totals().plan_dispatches, 0);
+        }
+    }
+
+    /// A scratch or output global an init call writes is an init
+    /// product: a constant every call reads, the output copied out by
+    /// every call, and a main-stage write to either is rejected.
+    #[test]
+    fn init_written_globals_are_constants() {
+        // `demo_module` with `w^2` in a scratch global, plus an output
+        // `z = relu(w)` only the init stage computes
+        let build = || {
+            let (mut m, seeds) = demo_module();
+            let wp = m.init_calls[0].args[1];
+            m.globals[wp].kind = GlobalKind::Scratch;
+            let z = m.add_global(GlobalDecl {
+                dtype: DataType::F32,
+                elems: 8,
+                kind: GlobalKind::Output(1),
+                name: "z".into(),
+            });
+            let f = m.add_func(relu_into(8));
+            m.init_calls.push(Call {
+                func: f,
+                args: vec![m.init_calls[0].args[0], z],
+            });
+            m.validate().unwrap();
+            (m, seeds, f, [wp, z])
+        };
+        let (m, seeds, _, products) = build();
+        let exe = Executable::new(m, seeds, Arc::new(ThreadPool::new(1)), 1);
+        let oracle = exe.reference();
+        let mut firsts = Vec::new();
+        for x in [0.5, -1.0] {
+            let x = Tensor::from_vec_f32(&[8], vec![x; 8]).unwrap();
+            let (outs, _) = exe.execute(std::slice::from_ref(&x)).unwrap();
+            let (want, _) = oracle.execute(std::slice::from_ref(&x)).unwrap();
+            assert!(outs
+                .iter()
+                .zip(&want)
+                .all(|(a, b)| a.storage() == b.storage()));
+            let y: Vec<f32> = (1..=8)
+                .map(|i| x.f32_slice().unwrap()[0] + (i * i) as f32)
+                .collect();
+            let z: Vec<f32> = (1..=8).map(|i| i as f32).collect();
+            assert_eq!(outs[0].f32_slice().unwrap(), y.as_slice());
+            assert_eq!(outs[1].f32_slice().unwrap(), z.as_slice());
+            firsts.push(outs);
+        }
+        assert_eq!(firsts[0][1].storage(), firsts[1][1].storage());
+        assert_eq!(exe.init_runs(), 1);
+        assert!(exe
+            .states
+            .lock()
+            .unwrap()
+            .iter()
+            .all(|s| s.globals.is_empty()));
+
+        // a main call writing the scratch product, then the output one
+        for global in products {
+            let (mut m, seeds, f, _) = build();
+            m.main_calls.push(Call {
+                func: f,
+                args: vec![0, global],
+            });
+            let exe = Executable::new(m, seeds, Arc::new(ThreadPool::new(1)), 1);
+            let err = exe.check_plan().unwrap_err();
+            assert!(err.0.contains("WritesConstant"), "global {global}: {err}");
+        }
+    }
+
+    /// `demo_module` with its sum going through a scratch global:
+    /// `s = x + w^2; y = relu(s)`.
+    fn scratch_module() -> (Module, Vec<(usize, Tensor)>) {
+        let (mut m, seeds) = demo_module();
+        let s = m.add_global(GlobalDecl {
+            dtype: DataType::F32,
+            elems: 8,
+            kind: GlobalKind::Scratch,
+            name: "s".into(),
+        });
+        let y = m.main_calls[0].args[2];
+        m.main_calls[0].args[2] = s;
+        let f = m.add_func(relu_into(8));
+        m.main_calls.push(Call {
+            func: f,
+            args: vec![s, y],
+        });
+        m.validate().unwrap();
+        (m, seeds)
+    }
+
+    /// Execution states hold scratch and nothing else: no weight, no
+    /// constant, no input and no output buffer.
+    #[test]
+    fn pooled_states_hold_only_scratch() {
+        let (m, seeds) = scratch_module();
+        let exe = Arc::new(Executable::new(m, seeds, Arc::new(ThreadPool::new(2)), 1));
+        let handles: Vec<_> = (0..4)
+            .map(|t| {
+                let exe = Arc::clone(&exe);
+                std::thread::spawn(move || {
+                    let x = Tensor::from_vec_f32(&[8], vec![t as f32 - 2.0; 8]).unwrap();
+                    for _ in 0..20 {
+                        let (out, _) = exe.execute(std::slice::from_ref(&x)).unwrap();
+                        let want = (1..=8).map(|i| (t as f32 - 2.0 + (i * i) as f32).max(0.0));
+                        assert!(out[0].f32_slice().unwrap().iter().copied().eq(want));
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        let states = exe.states.lock().unwrap();
+        assert!(!states.is_empty());
+        for state in states.iter() {
+            // one buffer: the scratch global `s`
+            assert_eq!(state.globals.len(), 1);
+            assert_eq!(state.globals[0].size_bytes(), 8 * 4);
+        }
+    }
+
+    /// Inputs are read in place and outputs moved out: the caller's
+    /// tensors are bit-unchanged after a call, and a call's outputs are
+    /// unchanged by the next call.
+    #[test]
+    fn inputs_stay_unchanged_and_outputs_are_moved_out() {
+        let (m, seeds) = scratch_module();
+        let exe = Executable::new(m, seeds, Arc::new(ThreadPool::new(1)), 1);
+        let bits = |t: &Tensor| -> Vec<u32> {
+            t.f32_slice().unwrap().iter().map(|v| v.to_bits()).collect()
+        };
+        let x1 = Tensor::from_vec_f32(&[8], vec![-3.5; 8]).unwrap();
+        let x2 = Tensor::from_vec_f32(&[8], vec![0.25; 8]).unwrap();
+        let (x1_bits, x2_bits) = (bits(&x1), bits(&x2));
+        let (out1, _) = exe.execute(std::slice::from_ref(&x1)).unwrap();
+        let out1_bits = bits(&out1[0]);
+        let (out2, _) = exe.execute(std::slice::from_ref(&x2)).unwrap();
+        assert_eq!(bits(&x1), x1_bits);
+        assert_eq!(bits(&x2), x2_bits);
+        assert_eq!(bits(&out1[0]), out1_bits);
+        assert_ne!(bits(&out2[0]), out1_bits);
+    }
+
+    /// The statistics that depend only on the module are computed once,
+    /// at build, and keep the values per-call computation reported.
+    #[test]
+    fn module_stats_are_computed_once_with_unchanged_values() {
+        let (m, seeds) = demo_module();
+        let exe = Executable::new(m, seeds, Arc::new(ThreadPool::new(1)), 1);
+        let x = Tensor::from_vec_f32(&[8], vec![0.5; 8]).unwrap();
+        let (_, first) = exe.execute(std::slice::from_ref(&x)).unwrap();
+        let (_, second) = exe.execute(&[x]).unwrap();
+        for s in [first, second] {
+            assert_eq!((s.barriers, s.func_calls, s.peak_temp_bytes), (0, 1, 0));
+        }
+        // scratch bytes plus the largest function's locals; one barrier
+        // per executed parallel region
+        let (mut m, seeds) = scratch_module();
+        let v = crate::expr::VarId(0);
+        m.funcs[1].var_count = 1;
+        m.funcs[1]
+            .locals
+            .push(BufDecl::new(DataType::F32, 16, "tmp"));
+        m.funcs[1].body = vec![Stmt::loop_(
+            v,
+            3,
+            vec![Stmt::parallel(v, 2, std::mem::take(&mut m.funcs[1].body))],
+        )];
+        let exe = Executable::new(m, seeds, Arc::new(ThreadPool::new(1)), 1);
+        let s = exe.module_stats.clone();
+        assert_eq!(
+            (s.barriers, s.func_calls, s.peak_temp_bytes),
+            (3, 2, 32 + 64)
+        );
+    }
+
+    /// A local the builder cannot prove written first is still zeroed
+    /// per call; one it can prove is poisoned in checked execution and
+    /// never observed. Both agree with the interpreter, which allocates
+    /// every local zeroed.
+    #[test]
+    fn locals_are_zeroed_unless_proven_written_first() {
+        // `y = relu(acc + x)` where `acc += x` accumulates into a local
+        // nobody initialized: the call must see zeros.
+        let (mut m, seeds) = demo_module();
+        let main = m.main_calls[0].func;
+        let f = &mut m.funcs[main];
+        f.locals = vec![
+            BufDecl::new(DataType::F32, 8, "acc"),
+            BufDecl::new(DataType::F32, 8, "tmp"),
+        ];
+        let view = |b, len| View::new(b, Expr::c(0), len);
+        let op = |op, views: Vec<View>| Stmt::Op(Intrinsic::new(op, views, []));
+        let add = Op::Binary {
+            op: gc_microkernel::BinaryOp::Add,
+            len: 8,
+        };
+        f.body = vec![
+            op(
+                add,
+                vec![
+                    view(BufId::Local(0), 8),
+                    view(BufId::Param(0), 8),
+                    view(BufId::Local(0), 8),
+                ],
+            ),
+            op(
+                Op::Unary {
+                    op: UnaryOp::Relu,
+                    len: 8,
+                },
+                vec![view(BufId::Local(0), 8), view(BufId::Local(1), 8)],
+            ),
+            op(
+                add,
+                vec![
+                    view(BufId::Local(1), 8),
+                    view(BufId::Param(1), 8),
+                    view(BufId::Param(2), 8),
+                ],
+            ),
+        ];
+        let plan = compile_module(&m, 1);
+        let proven: Vec<bool> = plan
+            .func(main)
+            .unwrap()
+            .locals
+            .iter()
+            .map(|l| l.written_first)
+            .collect();
+        assert_eq!(proven, [false, true]);
+        assert_eq!(plan.stats().zeroed_locals, 1);
+        let x = Tensor::from_vec_f32(&[8], (0..8).map(|i| i as f32 - 4.0).collect()).unwrap();
+        let want: Vec<f32> = (1..=8)
+            .map(|i| ((i - 5) as f32).max(0.0) + (i * i) as f32)
+            .collect();
+        for opts in [ExecOptions::default(), ExecOptions::checked()] {
+            let exe = Executable::new(m.clone(), seeds.clone(), Arc::new(ThreadPool::new(1)), 1)
+                .with_exec_options(opts);
+            for exe in [exe.reference(), exe] {
+                for _ in 0..2 {
+                    let (out, _) = exe.execute(std::slice::from_ref(&x)).unwrap();
+                    assert_eq!(out[0].f32_slice().unwrap(), want.as_slice());
+                }
+            }
+        }
     }
 }

@@ -14,10 +14,11 @@
 //! with [`crate::plan`] is `kernel::run_op`, the single copy of every
 //! kernel call (the `kernel` module documents the safety model).
 
+use crate::compile::written_params;
 use crate::expr::{Expr, VarId};
 use crate::ir::{BufId, Call, Func, Intrinsic, Module, Operand, Stmt, MAX_CLAMPS, MAX_OPERANDS};
 use crate::kernel::{run_op, RawBuf, Resolved};
-use crate::plan::ExecOptions;
+use crate::plan::{ExecOptions, Globals};
 use gc_microkernel::Kernels;
 use gc_runtime::ThreadPool;
 use gc_tensor::Storage;
@@ -132,39 +133,54 @@ pub fn run_calls(
     opts: ExecOptions,
     kernels: Kernels,
 ) {
+    let writes: Vec<Box<[bool]>> = module.funcs.iter().map(written_params).collect();
+    let mut globals = Globals::owned(globals);
     for call in calls {
         let func = &module.funcs[call.func];
-        run_func(func, call, globals, pool, opts, kernels);
+        run_func(
+            func,
+            &writes[call.func],
+            call,
+            &mut globals,
+            pool,
+            opts,
+            kernels,
+        );
     }
 }
 
+/// Interpret one call against `globals`; `writes` says per parameter
+/// whether some op of `func` writes it (see
+/// [`crate::compile::written_params`]).
+///
+/// # Panics
+///
+/// Panics if a global in the call does not fit its parameter (see
+/// [`RawBuf::can_bind`]), and on compiler-invariant violations.
 pub(crate) fn run_func(
     func: &Func,
+    writes: &[bool],
     call: &Call,
-    globals: &mut [Storage],
+    globals: &mut Globals<'_>,
     pool: &ThreadPool,
     opts: ExecOptions,
     kernels: Kernels,
 ) {
-    // Materialize raw param pointers (sequentially, one &mut at a time).
     // A global may be bound to several parameters (e.g. a residual graph
     // passing the same tensor as activation and post-op operand); those
     // parameters share one RawBuf, so aliasing stays confined to the
     // intrinsic-level disjointness contract.
     let mut bufs: Vec<RawBuf> = Vec::with_capacity(func.params.len() + func.locals.len());
-    {
-        let mut seen: std::collections::HashMap<usize, RawBuf> = std::collections::HashMap::new();
-        for &a in &call.args {
-            let raw = match seen.get(&a) {
-                Some(r) => *r,
-                None => {
-                    let r = RawBuf::of(&mut globals[a], opts.checked);
-                    seen.insert(a, r);
-                    r
-                }
-            };
-            bufs.push(raw);
-        }
+    assert_eq!(call.args.len(), func.params.len(), "`{}`: arity", func.name);
+    for ((&a, p), &writes) in call.args.iter().zip(&func.params).zip(writes) {
+        let buf = globals.buf(a);
+        assert!(
+            buf.can_bind(p.dtype, p.elems, writes),
+            "`{}` cannot bind global {a} ({buf:?}) to its parameter `{}` (written: {writes})",
+            func.name,
+            p.name
+        );
+        bufs.push(buf.checked(opts.checked));
     }
     // Allocate locals.
     let mut local_storage: Vec<Storage> = func

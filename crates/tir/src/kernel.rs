@@ -18,9 +18,12 @@
 //! guarantees. Executors materialize each buffer's raw pointer once per
 //! function call and `run_op` builds slices from it; an op's slices are
 //! disjoint unless the op documents an exact in-place alias, which its
-//! arm detects and serves from one slice. Debug builds (and checked
-//! execution, in release too) assert in-bounds access and dtype
-//! agreement on every slice.
+//! arm detects and serves from one slice. An operand the op only reads
+//! becomes a shared slice, so a buffer borrowed read-only (a constant or
+//! a caller's input, see [`crate::plan::Globals`]) is never made mutable;
+//! the executors refuse to bind one to a parameter the function writes.
+//! Debug builds (and checked execution, in release too) assert in-bounds
+//! access, dtype agreement and writability on every slice.
 
 use crate::ir::{avail, Brgemm, Copy2D, Op, ReduceOp, MAX_CLAMPS, MAX_OPERANDS};
 use gc_microkernel::{eltwise, epilogue, tail, BinaryOp, Kernels};
@@ -34,6 +37,9 @@ pub(crate) struct RawBuf {
     /// Hard-assert every slice access (checked execution); otherwise
     /// bounds are debug-only.
     checked: bool,
+    /// Materialized from a `&mut Storage`; a buffer borrowed shared is
+    /// only ever sliced shared.
+    writable: bool,
 }
 
 impl std::fmt::Debug for RawBuf {
@@ -42,8 +48,9 @@ impl std::fmt::Debug for RawBuf {
     }
 }
 
-// SAFETY: a RawBuf is a pointer into a `Storage` the executing call
-// holds exclusively; worker threads only touch the disjoint regions the
+// SAFETY: a writable RawBuf is a pointer into a `Storage` the executing
+// call holds exclusively, a read-only one into a `Storage` nobody writes
+// while it is bound; worker threads only write the disjoint regions the
 // lowering invariant assigns them (module docs).
 unsafe impl Send for RawBuf {}
 // SAFETY: as above — shared access is to disjoint regions.
@@ -56,11 +63,11 @@ impl RawBuf {
         elems: 0,
         dtype: DataType::U8,
         checked: true,
+        writable: false,
     };
 
+    /// A buffer the call may write.
     pub(crate) fn of(storage: &mut Storage, checked: bool) -> RawBuf {
-        let dtype = storage.dtype();
-        let elems = storage.len();
         let ptr = match storage {
             Storage::F32(v) => v.as_mut_ptr() as *mut u8,
             Storage::Bf16(v) => v.as_mut_ptr() as *mut u8,
@@ -69,12 +76,44 @@ impl RawBuf {
             Storage::I32(v) => v.as_mut_ptr() as *mut u8,
             Storage::I64(v) => v.as_mut_ptr() as *mut u8,
         };
+        RawBuf::new(ptr, storage, checked, true)
+    }
+
+    /// A buffer the call only reads.
+    pub(crate) fn of_shared(storage: &Storage, checked: bool) -> RawBuf {
+        let ptr = match storage {
+            Storage::F32(v) => v.as_ptr() as *mut u8,
+            Storage::Bf16(v) => v.as_ptr() as *mut u8,
+            Storage::U8(v) => v.as_ptr() as *mut u8,
+            Storage::I8(v) => v.as_ptr() as *mut u8,
+            Storage::I32(v) => v.as_ptr() as *mut u8,
+            Storage::I64(v) => v.as_ptr() as *mut u8,
+        };
+        RawBuf::new(ptr, storage, checked, false)
+    }
+
+    fn new(ptr: *mut u8, storage: &Storage, checked: bool, writable: bool) -> RawBuf {
         RawBuf {
             ptr,
-            elems,
-            dtype,
+            elems: storage.len(),
+            dtype: storage.dtype(),
             checked,
+            writable,
         }
+    }
+
+    /// Whether this buffer can be bound to a parameter of `dtype` with
+    /// `elems` elements, which the function writes or only reads. The
+    /// plan's bounds were proven against the parameter's declaration,
+    /// so a binding that passes keeps every access inside the buffer.
+    pub(crate) fn can_bind(&self, dtype: DataType, elems: usize, writes: bool) -> bool {
+        self.dtype == dtype && self.elems >= elems && (self.writable || !writes)
+    }
+
+    /// The same buffer under another checking policy.
+    #[inline]
+    pub(crate) fn checked(self, checked: bool) -> RawBuf {
+        RawBuf { checked, ..self }
     }
 
     /// Buffer capacity in elements (checked execution compares evaluated
@@ -85,7 +124,7 @@ impl RawBuf {
     }
 
     #[inline]
-    fn check(&self, off: usize, len: usize, dtype: DataType) {
+    fn check(&self, off: usize, len: usize, dtype: DataType, write: bool) {
         if self.checked {
             assert_eq!(self.dtype, dtype, "intrinsic dtype mismatch");
             assert!(
@@ -95,6 +134,7 @@ impl RawBuf {
                 len,
                 self.elems
             );
+            assert!(self.writable || !write, "write to a read-only buffer");
         } else {
             debug_assert_eq!(self.dtype, dtype, "intrinsic dtype mismatch");
             debug_assert!(
@@ -104,15 +144,26 @@ impl RawBuf {
                 len,
                 self.elems
             );
+            debug_assert!(self.writable || !write, "write to a read-only buffer");
         }
     }
 
     /// # Safety
-    /// Range must be in bounds and disjoint from other live slices.
+    /// Range must be in bounds, the buffer writable, and the range
+    /// disjoint from other live slices.
     #[inline]
     unsafe fn slice<'a, T: Elem>(self, off: usize, len: usize) -> &'a mut [T] {
-        self.check(off, len, T::DTYPE);
+        self.check(off, len, T::DTYPE, true);
         std::slice::from_raw_parts_mut((self.ptr as *mut T).add(off), len)
+    }
+
+    /// # Safety
+    /// Range must be in bounds and disjoint from every live mutable
+    /// slice.
+    #[inline]
+    unsafe fn slice_shared<'a, T: Elem>(self, off: usize, len: usize) -> &'a [T] {
+        self.check(off, len, T::DTYPE, false);
+        std::slice::from_raw_parts((self.ptr as *const T).add(off), len)
     }
 }
 
@@ -138,14 +189,23 @@ impl Elem for i32 {
 /// element offset.
 pub(crate) type Resolved<'a> = (&'a RawBuf, usize);
 
-/// `len` elements of a resolved operand; the element type is inferred
-/// from the kernel the slice is passed to.
+/// `len` elements of a resolved operand the op writes; the element type
+/// is inferred from the kernel the slice is passed to.
 ///
 /// # Safety
 /// Range must be in bounds and disjoint from other live slices.
 #[inline]
 unsafe fn sl<'a, T: Elem>((buf, off): Resolved<'_>, len: usize) -> &'a mut [T] {
     buf.slice(off, len)
+}
+
+/// `len` elements of a resolved operand the op only reads.
+///
+/// # Safety
+/// Range must be in bounds and disjoint from every live mutable slice.
+#[inline]
+unsafe fn rd<'a, T: Elem>((buf, off): Resolved<'_>, len: usize) -> &'a [T] {
+    buf.slice_shared(off, len)
 }
 
 #[inline]
@@ -249,7 +309,7 @@ pub(crate) fn run_op(
                 k.unary_inplace(op, unsafe { sl(dst, len) });
             } else {
                 assert_disjoint(src, dst, len);
-                unsafe { k.unary(op, sl(src, len), sl(dst, len)) };
+                unsafe { k.unary(op, rd(src, len), sl(dst, len)) };
             }
         }
         Op::Binary { op, len } => {
@@ -258,7 +318,7 @@ pub(crate) fn run_op(
             // disjoint from dst.
             assert_disjoint(b, dst, len);
             unsafe {
-                let bsl: &[f32] = sl(b, len);
+                let bsl: &[f32] = rd(b, len);
                 let dsl: &mut [f32] = sl(dst, len);
                 if same_window(a, dst) {
                     for (d, &y) in dsl.iter_mut().zip(bsl.iter()) {
@@ -266,7 +326,7 @@ pub(crate) fn run_op(
                     }
                 } else {
                     assert_disjoint(a, dst, len);
-                    k.binary(op, sl(a, len), bsl, dsl);
+                    k.binary(op, rd(a, len), bsl, dsl);
                 }
             }
         }
@@ -279,11 +339,11 @@ pub(crate) fn run_op(
                 }
             } else {
                 assert_disjoint(a, dst, len);
-                eltwise::binary_scalar(op, unsafe { sl(a, len) }, scalar, dsl);
+                eltwise::binary_scalar(op, unsafe { rd(a, len) }, scalar, dsl);
             }
         }
         Op::BinaryRowBcast { op, rows, cols } => unsafe {
-            let bsl: &[f32] = sl(o[1], cols);
+            let bsl: &[f32] = rd(o[1], cols);
             for_each_row(o[0], o[2], rows, cols, |_, drow, arow| match arow {
                 Some(arow) => {
                     for ((d, &x), &y) in drow.iter_mut().zip(arow).zip(bsl) {
@@ -298,7 +358,7 @@ pub(crate) fn run_op(
             });
         },
         Op::BinaryColBcast { op, rows, cols } => unsafe {
-            let bsl: &[f32] = sl(o[1], rows);
+            let bsl: &[f32] = rd(o[1], rows);
             for_each_row(o[0], o[2], rows, cols, |r, drow, arow| {
                 let y = bsl[r];
                 if op == BinaryOp::Div {
@@ -310,7 +370,7 @@ pub(crate) fn run_op(
             });
         },
         Op::ReduceRows { op, rows, cols } => unsafe {
-            let (ssl, osl) = (sl(o[0], rows * cols), sl(o[1], rows));
+            let (ssl, osl) = (rd(o[0], rows * cols), sl(o[1], rows));
             match op {
                 ReduceOp::Max => k.reduce_rows_max(ssl, rows, cols, osl),
                 ReduceOp::Sum => k.reduce_rows_sum(ssl, rows, cols, osl),
@@ -323,9 +383,9 @@ pub(crate) fn run_op(
             scale,
             bias,
         } => unsafe {
-            let (asl, csl, dsl) = (sl(o[0], rows * cols), sl(o[1], cols), sl(o[2], rows * cols));
+            let (asl, csl, dsl) = (rd(o[0], rows * cols), rd(o[1], cols), sl(o[2], rows * cols));
             if bias {
-                let bsl = sl(o[3], cols);
+                let bsl = rd(o[3], cols);
                 k.dequant_acc_bias(asl, rows, cols, csl, a_zero, scale, bsl, dsl);
             } else {
                 k.dequant_acc(asl, rows, cols, csl, a_zero, scale, dsl);
@@ -336,43 +396,43 @@ pub(crate) fn run_op(
             scale,
             zero_point,
         } => unsafe {
-            k.requant_u8(sl(o[0], len), 1.0 / scale, zero_point, sl(o[1], len));
+            k.requant_u8(rd(o[0], len), 1.0 / scale, zero_point, sl(o[1], len));
         },
         Op::DequantU8 {
             len,
             scale,
             zero_point,
         } => unsafe {
-            let (ssl, dsl): (&[u8], &mut [f32]) = (sl(o[0], len), sl(o[1], len));
+            let (ssl, dsl): (&[u8], &mut [f32]) = (rd(o[0], len), sl(o[1], len));
             for (d, &q) in dsl.iter_mut().zip(ssl.iter()) {
                 *d = scale * (q as i32 - zero_point) as f32;
             }
         },
         Op::DequantI8 { len, scale } => unsafe {
-            let (ssl, dsl): (&[i8], &mut [f32]) = (sl(o[0], len), sl(o[1], len));
+            let (ssl, dsl): (&[i8], &mut [f32]) = (rd(o[0], len), sl(o[1], len));
             for (d, &q) in dsl.iter_mut().zip(ssl.iter()) {
                 *d = scale * q as f32;
             }
         },
         Op::CompAccumulate { nb, kb } => unsafe {
-            let (bsl, csl): (&[i8], &mut [i32]) = (sl(o[0], nb * kb), sl(o[1], nb));
+            let (bsl, csl): (&[i8], &mut [i32]) = (rd(o[0], nb * kb), sl(o[1], nb));
             for (c, panel) in csl.iter_mut().zip(bsl.chunks_exact(kb)) {
                 *c += panel.iter().map(|&x| x as i32).sum::<i32>();
             }
         },
         Op::CastI32F32 { len } => unsafe {
-            epilogue::i32_to_f32(sl(o[0], len), sl(o[1], len));
+            epilogue::i32_to_f32(rd(o[0], len), sl(o[1], len));
         },
         Op::RowChain(c) => unsafe {
             let (n, side) = (c.elems(), c.side_operands());
             let mut reads: [&[f32]; MAX_OPERANDS] = [&[]; MAX_OPERANDS];
             for (i, r) in reads[..side].iter_mut().enumerate() {
-                *r = sl(o[1 + i], c.side_len(i));
+                *r = rd(o[1 + i], c.side_len(i));
             }
             if c.stores() {
                 let dst = o[1 + side];
                 assert_disjoint(o[0], dst, n);
-                k.row_chain(&c, Some(sl(o[0], n)), sl(dst, n), &reads[..side]);
+                k.row_chain(&c, Some(rd(o[0], n)), sl(dst, n), &reads[..side]);
             } else {
                 k.row_chain(&c, None, sl(o[0], n), &reads[..side]);
             }
@@ -401,7 +461,7 @@ unsafe fn for_each_row(
     }
     for r in 0..rows {
         let drow: &mut [f32] = sl((dst.0, dst.1 + r * cols), cols);
-        let arow = (!in_place).then(|| &*sl::<f32>((a.0, a.1 + r * cols), cols));
+        let arow = (!in_place).then(|| rd::<f32>((a.0, a.1 + r * cols), cols));
         f(r, drow, arow);
     }
 }
@@ -433,8 +493,8 @@ unsafe fn brgemm_slices<'a, A: Elem, B: Elem, C: Elem>(
     o: &[Resolved<'_>; MAX_OPERANDS],
 ) -> (&'a [A], &'a [B], &'a mut [C]) {
     (
-        sl(o[0], g.a_span()),
-        sl(o[1], g.b_span()),
+        rd(o[0], g.a_span()),
+        rd(o[1], g.b_span()),
         sl(o[2], g.m * g.n),
     )
 }
@@ -444,7 +504,7 @@ fn pack2d<T: Elem>(src: Resolved<'_>, dst: Resolved<'_>, g: &Copy2D) {
     // SAFETY: see `run_op`.
     let (ssl, dsl): (&[T], &mut [T]) = unsafe {
         (
-            sl(src, (rows - 1) * rs + (cols - 1) * cs + 1),
+            rd(src, (rows - 1) * rs + (cols - 1) * cs + 1),
             sl(dst, rows * cols),
         )
     };
@@ -466,7 +526,7 @@ fn unpack2d<T: Elem>(src: Resolved<'_>, dst: Resolved<'_>, g: &Copy2D) {
     // SAFETY: see `run_op`.
     let (ssl, dsl): (&[T], &mut [T]) = unsafe {
         (
-            sl(src, rows * cols),
+            rd(src, rows * cols),
             sl(dst, (rows - 1) * rs + (cols - 1) * cs + 1),
         )
     };
@@ -501,7 +561,7 @@ fn pack2d_pad<T: Elem>(
     }
     let span = (valid_r - 1) * g.row_stride + (valid_c - 1) * g.col_stride + 1;
     // SAFETY: see `run_op`.
-    let ssl: &[T] = unsafe { sl(src, span) };
+    let ssl: &[T] = unsafe { rd(src, span) };
     tail::pack_pad_2d(
         ssl,
         g.row_stride,
@@ -531,7 +591,7 @@ fn unpack2d_clamp<T: Elem>(
     // SAFETY: see `run_op`.
     let (ssl, dsl): (&[T], &mut [T]) = unsafe {
         (
-            sl(src, (valid_r - 1) * g.cols + valid_c),
+            rd(src, (valid_r - 1) * g.cols + valid_c),
             sl(dst, (valid_r - 1) * rs + (valid_c - 1) * cs + 1),
         )
     };

@@ -31,6 +31,7 @@ use crate::kernel::{run_op, RawBuf, Resolved};
 use gc_microkernel::Kernels;
 use gc_runtime::ThreadPool;
 use gc_tensor::{DataType, Storage};
+use std::marker::PhantomData;
 
 /// Maximum scalar variables a compiled function may use; the per-chunk
 /// variable scratch is a stack array of this size.
@@ -255,9 +256,22 @@ pub enum PInstr {
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanFunc {
     pub(crate) instrs: Box<[PInstr]>,
-    pub(crate) n_params: usize,
-    /// Local temporaries: `(dtype, elems)` per local, in order.
-    pub(crate) locals: Box<[(DataType, usize)]>,
+    /// Per parameter, the dtype and element count a call must bind to
+    /// it.
+    pub(crate) params: Box<[(DataType, usize)]>,
+    /// Local temporaries, in order.
+    pub(crate) locals: Box<[PlanLocal]>,
+}
+
+/// A compiled function's local temporary.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct PlanLocal {
+    pub(crate) dtype: DataType,
+    pub(crate) elems: usize,
+    /// The builder proved that every element a call reads was written
+    /// earlier in the same call, so the call need not zero it (see
+    /// [`crate::compile`]).
+    pub(crate) written_first: bool,
 }
 
 /// Counters describing what the plan builder achieved; used by tests to
@@ -281,13 +295,34 @@ pub struct PlanStats {
     /// Parallel loops demoted to serial because their total work is
     /// below the dispatch-worthiness threshold.
     pub serialized_loops: usize,
+    /// Locals of compiled functions the builder could not prove written
+    /// before they are read; every call zeroes these.
+    pub zeroed_locals: usize,
+}
+
+/// A call that writes a global its stage may only read: an input, a
+/// `Weight`, or (in the main stage) a `Persistent` constant.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct RoleReject {
+    /// Index into the init calls followed by the main calls.
+    pub(crate) call: usize,
+    /// The global written.
+    pub(crate) global: usize,
+    pub(crate) why: Reject,
 }
 
 /// A compiled module: per module function its [`PlanFunc`] or the
-/// reason the builder rejected it, plus build statistics.
-#[derive(Debug, Clone, Default)]
+/// reason the builder rejected it, the check of every call against its
+/// globals' roles, which parameters each function writes, plus build
+/// statistics.
+#[derive(Debug, Clone)]
 pub struct Plan {
     pub(crate) funcs: Vec<Result<PlanFunc, Reject>>,
+    pub(crate) roles: Result<(), RoleReject>,
+    /// Per module function (compiled or not), per parameter: whether
+    /// some op writes it (a `Write` or `Accumulate` operand role). Both
+    /// executors check their bindings against it.
+    pub(crate) writes: Box<[Box<[bool]>]>,
     pub(crate) stats: PlanStats,
 }
 
@@ -297,19 +332,70 @@ impl Plan {
         self.funcs.get(idx).and_then(|f| f.as_ref().ok())
     }
 
+    /// Per parameter of function `idx`: whether some op writes it.
+    pub(crate) fn writes(&self, idx: usize) -> &[bool] {
+        &self.writes[idx]
+    }
+
     /// Build statistics.
     pub fn stats(&self) -> PlanStats {
         self.stats
     }
 }
 
+/// One execution's binding of a module's globals, in declaration order:
+/// each global is bound either to a buffer the calls only read (a
+/// constant or an input, borrowed shared) or to one they may write (an
+/// output or scratch, borrowed exclusively). Nothing is copied; the
+/// binding holds one pointer per global.
+#[derive(Debug, Default)]
+pub struct Globals<'a> {
+    bufs: Vec<RawBuf>,
+    _borrows: PhantomData<&'a mut Storage>,
+}
+
+impl<'a> Globals<'a> {
+    /// An empty binding with room for `n` globals.
+    pub fn with_capacity(n: usize) -> Self {
+        Globals {
+            bufs: Vec::with_capacity(n),
+            _borrows: PhantomData,
+        }
+    }
+
+    /// Every global writable: an owned set of buffers, one per global.
+    pub fn owned(globals: &'a mut [Storage]) -> Self {
+        let mut g = Globals::with_capacity(globals.len());
+        for s in globals {
+            g.write(s);
+        }
+        g
+    }
+
+    /// Bind the next global to a buffer the calls only read.
+    pub fn read(&mut self, storage: &'a Storage) {
+        self.bufs.push(RawBuf::of_shared(storage, false));
+    }
+
+    /// Bind the next global to a buffer the calls may write.
+    pub fn write(&mut self, storage: &'a mut Storage) {
+        self.bufs.push(RawBuf::of(storage, false));
+    }
+
+    /// The buffer bound to global `g`.
+    pub(crate) fn buf(&self, g: usize) -> RawBuf {
+        self.bufs[g]
+    }
+}
+
 /// Reusable per-engine execution scratch: preallocated local storages
 /// and the flat buffer table. Steady-state plan execution allocates
-/// nothing — locals are zero-filled in place and the table is reused.
+/// nothing: the table is reused, and the locals are allocated once and
+/// zeroed per call only where the builder could not prove them written
+/// before they are read.
 #[derive(Debug, Default)]
 pub struct PlanScratch {
-    /// Per module-function local storages (allocated once, re-zeroed per
-    /// call).
+    /// Per module-function local storages (allocated once).
     locals: Vec<Vec<Storage>>,
     bufs: Vec<RawBuf>,
 }
@@ -324,7 +410,7 @@ impl PlanScratch {
                 Ok(pf) => pf
                     .locals
                     .iter()
-                    .map(|&(dt, elems)| Storage::zeros(dt, elems))
+                    .map(|l| Storage::zeros(l.dtype, l.elems))
                     .collect(),
                 Err(_) => Vec::new(),
             })
@@ -347,21 +433,40 @@ fn zero_storage(s: &mut Storage) {
     }
 }
 
-/// Execute one compiled call: bind `args` (global indices) to the
-/// function's parameters, zero its locals, run the instruction stream
-/// with every kernel on `kernels`' backend.
+/// Fill a local the builder proved written before read with values no
+/// correct plan may observe: NaN for floats, `0xA5` bytes for integers.
+/// Checked execution does this before every call, so a wrong proof shows
+/// up in the differential tests instead of reading stale data.
+fn poison_storage(s: &mut Storage) {
+    match s {
+        Storage::F32(v) => v.fill(f32::NAN),
+        Storage::Bf16(v) => v.fill(0x7FC0),
+        Storage::U8(v) => v.fill(0xA5),
+        Storage::I8(v) => v.fill(0xA5u8 as i8),
+        Storage::I32(v) => v.fill(i32::from_ne_bytes([0xA5; 4])),
+        Storage::I64(v) => v.fill(i64::from_ne_bytes([0xA5; 8])),
+    }
+}
+
+/// Execute one compiled call: bind `args` (global indices into
+/// `globals`) to the function's parameters, zero the locals it may read
+/// before writing, run the instruction stream with every kernel on
+/// `kernels`' backend.
 ///
 /// # Panics
 ///
-/// Panics if `func_idx` has no compiled plan. A compiled
-/// [`crate::Executable`] checks its whole plan before running any call
-/// and returns an error instead, so it never gets here.
+/// Panics if `func_idx` has no compiled plan, or if a global in `args`
+/// does not fit its parameter: another dtype, fewer elements, or bound
+/// read-only to a parameter the function writes. A compiled
+/// [`crate::Executable`] checks its whole plan and every call's roles
+/// before running any call and returns an error instead, so it never
+/// gets here.
 #[allow(clippy::too_many_arguments)]
 pub fn run_plan_call(
     plan: &Plan,
     func_idx: usize,
     args: &[usize],
-    globals: &mut [Storage],
+    globals: &mut Globals<'_>,
     pool: &ThreadPool,
     scratch: &mut PlanScratch,
     opts: ExecOptions,
@@ -371,16 +476,24 @@ pub fn run_plan_call(
         .func(func_idx)
         .expect("run_plan_call on a function the plan builder rejected");
     scratch.bufs.clear();
-    for &a in args {
-        // Duplicate args share a Storage; RawBuf::of is a pure pointer
-        // materialization, so materializing twice yields identical bufs.
-        scratch.bufs.push(RawBuf::of(&mut globals[a], opts.checked));
+    assert_eq!(args.len(), pf.params.len(), "function {func_idx}: arity");
+    let writes = plan.writes(func_idx);
+    for ((&a, &(dtype, elems)), &writes) in args.iter().zip(pf.params.iter()).zip(writes) {
+        let buf = globals.buf(a);
+        assert!(
+            buf.can_bind(dtype, elems, writes),
+            "function {func_idx} cannot bind global {a} ({buf:?}) to its {dtype} x{elems} \
+             parameter (written: {writes})"
+        );
+        scratch.bufs.push(buf.checked(opts.checked));
     }
     let locals = &mut scratch.locals[func_idx];
-    for s in locals.iter_mut() {
-        zero_storage(s);
-    }
-    for s in locals.iter_mut() {
+    for (s, l) in locals.iter_mut().zip(pf.locals.iter()) {
+        if !l.written_first {
+            zero_storage(s);
+        } else if opts.checked {
+            poison_storage(s);
+        }
         scratch.bufs.push(RawBuf::of(s, opts.checked));
     }
     let ctx = Ctx {

@@ -29,7 +29,7 @@ use gc_runtime::ThreadPool;
 use gc_tensor::{DataType, Storage};
 use gc_tir::exec::run_module;
 use gc_tir::ir::{Brgemm, Copy2D, ElemType, Role, RowChain};
-use gc_tir::plan::{run_plan_call, PlanScratch};
+use gc_tir::plan::{run_plan_call, Globals, PlanScratch};
 use gc_tir::{
     compile_module, validate_module, BufDecl, BufId, Call, ExecOptions, Expr, Func, GlobalDecl,
     GlobalKind, Intrinsic, Module, Op, Operand, ReduceOp, Stmt,
@@ -440,7 +440,16 @@ fn run_on(name: &str, m: &Module, init: &[Storage], k: Kernels) -> Vec<Storage> 
         let mut globals = init.to_vec();
         let mut scratch = PlanScratch::for_plan(&plan);
         let args = &m.main_calls[0].args;
-        run_plan_call(&plan, 0, args, &mut globals, &pool, &mut scratch, opts, k);
+        run_plan_call(
+            &plan,
+            0,
+            args,
+            &mut Globals::owned(&mut globals),
+            &pool,
+            &mut scratch,
+            opts,
+            k,
+        );
         for (b, (got, want)) in globals.iter().zip(&interp).enumerate() {
             assert_eq!(
                 bits(got),

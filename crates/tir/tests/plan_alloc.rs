@@ -1,7 +1,10 @@
 //! Steady-state plan execution must not touch the heap: offsets, brgemm
 //! tables, and bounds were all resolved at plan-build time, locals are
-//! re-zeroed in place, and parallel chunks copy a stack array. Verified
-//! with a counting global allocator.
+//! allocated once per execution state (and zeroed in place only where
+//! the builder could not prove them written first), and parallel chunks
+//! copy a stack array. A steady-state `Executable::execute` allocates
+//! only its outputs plus a constant: constants and inputs are read in
+//! place, never copied. Verified with a counting global allocator.
 //!
 //! Single test function on purpose — the counter is process-global, so
 //! concurrent tests would pollute the deltas. The libtest harness's own
@@ -12,16 +15,17 @@
 //! fallbacks) happens on the calling thread.
 
 use gc_runtime::ThreadPool;
-use gc_tensor::{DataType, Storage};
+use gc_tensor::{DataType, Storage, Tensor};
 use gc_tir::compile::compile_module;
 use gc_tir::expr::Expr;
 use gc_tir::ir::{
     Brgemm, BufDecl, BufId, Call, Func, GlobalDecl, GlobalKind, Intrinsic, Module, Op, Stmt, View,
 };
-use gc_tir::plan::{run_plan_call, PlanScratch};
-use gc_tir::{ExecOptions, VarId};
+use gc_tir::plan::{run_plan_call, Globals, PlanScratch};
+use gc_tir::{ExecOptions, Executable, VarId};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 struct Counting;
 
@@ -178,9 +182,17 @@ fn allocs_per_call(
 ) -> Vec<u64> {
     let call = &module.main_calls[0];
     let (opts, kernels) = (ExecOptions::default(), Default::default());
+    let mut globals = Globals::owned(globals);
     let mut run = || {
         run_plan_call(
-            plan, call.func, &call.args, globals, pool, scratch, opts, kernels,
+            plan,
+            call.func,
+            &call.args,
+            &mut globals,
+            pool,
+            scratch,
+            opts,
+            kernels,
         )
     };
     // warm-up: first call may grow the scratch buffer table
@@ -258,4 +270,72 @@ fn steady_state_plan_execution_does_not_allocate() {
         min_large <= 1,
         "at most one task publication per parallel region, got {min_large} per call"
     );
+
+    // A whole steady-state execution: the binding table, the output
+    // buffer, the tensor it moves into (its `Arc` and shape) and the
+    // returned `Vec`s. Copying the weight, the blocked constant the
+    // init stage folds from it, or the input would add to this.
+    let module = with_prepack(test_module(64));
+    let exe = Executable::new(
+        module.clone(),
+        vec![(1, Tensor::random(&[128 * 16], DataType::F32, 1))],
+        Arc::new(ThreadPool::new(1)),
+        1,
+    );
+    let x = Tensor::random(&[64 * 16 * 128], DataType::F32, 2);
+    let inputs = std::slice::from_ref(&x);
+    let (first, _) = exe.execute(inputs).unwrap();
+    let per_call: Vec<u64> = (0..16)
+        .map(|_| {
+            let before = ALLOCS.load(Ordering::Relaxed);
+            let (outs, _) = exe.execute(inputs).unwrap();
+            let delta = ALLOCS.load(Ordering::Relaxed) - before;
+            assert_eq!(outs[0].f32_slice(), first[0].f32_slice());
+            delta
+        })
+        .collect();
+    let outputs = 1;
+    assert!(
+        per_call.iter().all(|&a| a <= 3 * outputs + 3),
+        "steady-state execute allocated more than its outputs: {per_call:?}"
+    );
+}
+
+/// `module` with its weight prepacked by an init call into a
+/// `Persistent` global the main call reads instead.
+fn with_prepack(mut module: Module) -> Module {
+    let (g_w, elems) = (1, module.globals[1].elems);
+    let g_packed = module.add_global(GlobalDecl {
+        dtype: DataType::F32,
+        elems,
+        kind: GlobalKind::Persistent,
+        name: "b_packed".into(),
+    });
+    let copy = module.add_func(Func {
+        name: "prepack".into(),
+        params: vec![
+            BufDecl::new(DataType::F32, elems, "w"),
+            BufDecl::new(DataType::F32, elems, "packed"),
+        ],
+        locals: vec![],
+        var_count: 0,
+        body: vec![Stmt::Op(Intrinsic::new(
+            Op::Unary {
+                op: gc_microkernel::UnaryOp::Identity,
+                len: elems,
+            },
+            [
+                View::new(BufId::Param(0), Expr::c(0), elems),
+                View::new(BufId::Param(1), Expr::c(0), elems),
+            ],
+            [],
+        ))],
+    });
+    module.init_calls.push(Call {
+        func: copy,
+        args: vec![g_w, g_packed],
+    });
+    module.main_calls[0].args[1] = g_packed;
+    module.validate().unwrap();
+    module
 }

@@ -300,3 +300,41 @@ fn rank3_and_rank2_matmuls_in_one_graph() {
     assert_close_flat(&outs[0], &want[0], 1e-4, "bmm");
     assert_close_flat(&outs[1], &want[1], 1e-4, "mm");
 }
+
+#[test]
+fn init_stage_output_is_returned_on_every_call() {
+    // `s = square(w)` of a runtime constant runs in the init stage; it
+    // is a graph output on its own, and with a main-stage reader
+    for with_main in [false, true] {
+        let build = || {
+            let mut g = Graph::new();
+            let w = g.add_runtime_constant(TensorDesc::new([16], DataType::F32), "w");
+            let s = g.add_op(OpKind::Unary(UnaryKind::Square), &[w]).unwrap();
+            g.mark_output(s);
+            if with_main {
+                let x = g.add_input(TensorDesc::new([16], DataType::F32), "x");
+                let y = g.add_op(OpKind::Binary(BinaryKind::Add), &[x, s]).unwrap();
+                g.mark_output(y);
+            }
+            g
+        };
+        let c = Compiler::new(opts(1)).compile(build()).expect("compile");
+        assert!(!c.executable().module().init_calls.is_empty());
+        let oracle = c.executable().reference();
+        let first = random_inputs(&build(), 24);
+        let mut second = random_inputs(&build(), 25);
+        // a runtime constant keeps its value across calls
+        second[0] = first[0].clone();
+        for (call, inputs) in [&first, &second].into_iter().enumerate() {
+            let want = reference_eval(&build(), inputs);
+            let (outs, _) = c.execute(inputs).expect("exec");
+            let (oracle_outs, _) = oracle.execute(inputs).expect("oracle");
+            assert_eq!(outs.len(), want.len());
+            for (o, (got, want)) in outs.iter().zip(&want).enumerate() {
+                let label = format!("main {with_main}, call {call}, output {o}");
+                assert_close_flat(got, want, 1e-5, &label);
+                assert_eq!(got.storage(), oracle_outs[o].storage(), "{label}: oracle");
+            }
+        }
+    }
+}

@@ -223,7 +223,7 @@ proptest! {
         // if it mis-lowered the arithmetic, the bitwise compare fails.
         use gc_runtime::ThreadPool;
         use gc_tensor::Storage;
-        use gc_tir::plan::{run_plan_call, PlanScratch};
+        use gc_tir::plan::{run_plan_call, Globals, PlanScratch};
         use gc_tir::{
             compile_module, validate_module, BufDecl, BufId, Call, Expr, ExecOptions, Func,
             GlobalDecl, GlobalKind, Intrinsic, Module, Op, Stmt, VarId, View,
@@ -342,7 +342,7 @@ proptest! {
             &plan,
             f,
             &m.main_calls[0].args,
-            &mut plan_globals,
+            &mut Globals::owned(&mut plan_globals),
             &pool,
             &mut scratch,
             ExecOptions::checked(),
