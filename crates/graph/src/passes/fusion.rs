@@ -18,13 +18,13 @@ use gc_tensor::DataType;
 use std::collections::{HashMap, HashSet};
 
 /// Most side inputs (non-chain operands, scalar constants included) a
-/// post-op chain that reduces may read. Such a chain lowers to one fixed
+/// post-op chain may read. Every fused chain lowers to one fixed
 /// row-chain program (`gc_microkernel::RowChain`), which has room for
 /// two.
-pub const MAX_REDUCING_SIDE_INPUTS: usize = 2;
-/// Most ops a post-op chain that reduces may hold (the row-chain
-/// program's step capacity).
-pub const MAX_REDUCING_CHAIN_OPS: usize = 12;
+pub const MAX_CHAIN_SIDE_INPUTS: usize = 2;
+/// Most ops a post-op chain may hold (the row-chain program's step
+/// capacity).
+pub const MAX_CHAIN_OPS: usize = 12;
 
 /// Limits for the fine-grain fusion heuristic.
 #[derive(Debug, Clone, Copy)]
@@ -400,12 +400,8 @@ fn grow_partition(
             if extra_bytes + cand_extra > opts.max_extra_operand_bytes {
                 continue;
             }
-            // a chain that reduces must fit one row-chain program
-            let reduces = n_reductions > 0 || is_reduction;
-            if reduces
-                && (n_side + cand_side > MAX_REDUCING_SIDE_INPUTS
-                    || post_ops.len() + 1 > MAX_REDUCING_CHAIN_OPS)
-            {
+            // the chain must fit one row-chain program
+            if n_side + cand_side > MAX_CHAIN_SIDE_INPUTS || post_ops.len() + 1 > MAX_CHAIN_OPS {
                 continue;
             }
             // absorb
@@ -449,8 +445,8 @@ fn grow_partition(
 /// the reduction's input (the anchor), the ops that each take the chain's
 /// running value as their first input — unaries and binaries (whose other
 /// input is a side operand or the latest reduction's stat) update it,
-/// reductions read it — within the [`MAX_REDUCING_CHAIN_OPS`] /
-/// [`MAX_REDUCING_SIDE_INPUTS`] budget, trimmed from the end until the
+/// reductions read it — within the [`MAX_CHAIN_OPS`] /
+/// [`MAX_CHAIN_SIDE_INPUTS`] budget, trimmed from the end until the
 /// running value is the group's only escaping tensor. `None` when no such
 /// chain exists (the reduction's stat itself escapes, say).
 fn grow_row_chain(
@@ -474,7 +470,7 @@ fn grow_row_chain(
         if assigned.contains(&id)
             || op.stage != Stage::Main
             || op.inputs.first() != Some(&current)
-            || ops.len() == MAX_REDUCING_CHAIN_OPS
+            || ops.len() == MAX_CHAIN_OPS
         {
             continue;
         }
@@ -494,7 +490,7 @@ fn grow_row_chain(
                     let late = g.producer(rhs).is_some_and(|p| reaches(g, &chain, p));
                     if rhs == anchor
                         || late
-                        || n_side == MAX_REDUCING_SIDE_INPUTS
+                        || n_side == MAX_CHAIN_SIDE_INPUTS
                         || !side_operand_fits(g, anchor, rhs)
                     {
                         continue;
@@ -679,10 +675,10 @@ mod tests {
     }
 
     #[test]
-    fn reducing_chain_reads_at_most_two_side_inputs() {
+    fn chain_reads_at_most_two_side_inputs() {
         // matmul -> + a -> + b -> + c -> softmax: the third side input
-        // would not fit one row-chain program, so the reductions (and the
-        // ops after them) stay off the matmul
+        // would not fit one row-chain program, so it (and the softmax
+        // after it) stays off the matmul, elementwise as it is
         let mut g = Graph::new();
         let x = g.add_input(TensorDesc::new([16, 16], DataType::F32), "x");
         let w = g.add_input(TensorDesc::new([16, 16], DataType::F32), "w");
@@ -698,7 +694,7 @@ mod tests {
         Decompose.run(&mut g).unwrap();
         let parts = fuse(&g, &FusionOptions::default()).unwrap();
         let mm = parts.parts.iter().find(|p| p.tunable.is_some()).unwrap();
-        assert_eq!(mm.post_ops.len(), 3, "the three adds only");
+        assert_eq!(mm.post_ops.len(), 2, "the first two adds only");
         assert!(parts.parts.len() > 1);
     }
 

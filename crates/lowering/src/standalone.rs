@@ -285,8 +285,7 @@ fn lower_standalone_binary(
         let vecs = rhs.volume() / cols;
         let m_rows = rows / vecs;
         if vecs * m_rows == rows {
-            let b_off =
-                Expr::Div(Box::new(Expr::v(v)), Box::new(Expr::from(m_rows))).mul(Expr::from(cols));
+            let b_off = Expr::v(v).div(Expr::from(m_rows)).mul(Expr::from(cols));
             f.body
                 .push(Stmt::parallel(v, rows, vec![per_row(row_bcast, b_off)]));
             return f;
@@ -331,7 +330,7 @@ pub fn lower_row_chain(
     let elems = batch * m * n;
     // a block never straddles two matrices (batch-indexed row vectors)
     let rows = crate::largest_divisor_at_most(m, 8);
-    let (chain, side) = row_chain_program(post_ops, rows, n, 1, true);
+    let (chain, side) = row_chain_program(false, post_ops, rows, n, 1, n, true);
     let mut f = Func {
         name: name.to_string(),
         params: vec![BufDecl::new(DataType::F32, elems, "in")],
@@ -349,7 +348,10 @@ pub fn lower_row_chain(
             } => (n, Expr::c(0)),
             SideKind::RowVec {
                 batch_indexed: true,
-            } => (batch * n, Expr::v(v).div_floor(m / rows).mul(Expr::from(n))),
+            } => (
+                batch * n,
+                Expr::v(v).div(Expr::from(m / rows)).mul(Expr::from(n)),
+            ),
             SideKind::Full => (elems, block.clone()),
         };
         f.params
@@ -426,11 +428,10 @@ pub fn lower_reorder(input: &TensorDesc, target: &Layout, name: &str) -> Func {
                     .mul(Expr::from(rows_dim * cols_dim))
                     .add(
                         Expr::v(inner)
-                            .clone()
-                            .div_floor(c_tiles)
+                            .div(Expr::from(c_tiles))
                             .mul(Expr::from(rb * cols_dim)),
                     )
-                    .add(Expr::v(inner).rem_of(c_tiles).mul(Expr::from(cb)));
+                    .add(Expr::v(inner).rem(Expr::from(c_tiles)).mul(Expr::from(cb)));
                 let dst = View::new(
                     BufId::Param(1),
                     Expr::v(tvar)
@@ -452,8 +453,8 @@ pub fn lower_reorder(input: &TensorDesc, target: &Layout, name: &str) -> Func {
             } else {
                 // weight layout: outer [K/KB, N/NB], tile [NB, KB]
                 // inner indexes (kt * n_tiles + nt)
-                let kt = Expr::v(inner).div_floor(c_tiles);
-                let nt = Expr::v(inner).rem_of(c_tiles);
+                let kt = Expr::v(inner).div(Expr::from(c_tiles));
+                let nt = Expr::v(inner).rem(Expr::from(c_tiles));
                 let dst = View::new(
                     BufId::Param(1),
                     Expr::v(tvar)
@@ -517,10 +518,10 @@ pub fn lower_reorder(input: &TensorDesc, target: &Layout, name: &str) -> Func {
                 .mul(Expr::from(rows_dim * cols_dim))
                 .add(
                     Expr::v(inner)
-                        .div_floor(c_tiles)
+                        .div(Expr::from(c_tiles))
                         .mul(Expr::from(rb * cols_dim)),
                 )
-                .add(Expr::v(inner).rem_of(c_tiles).mul(Expr::from(cb)));
+                .add(Expr::v(inner).rem(Expr::from(c_tiles)).mul(Expr::from(cb)));
             f.body.push(Stmt::parallel(
                 tvar,
                 batch,
@@ -603,29 +604,6 @@ pub fn lower_transpose(input: &TensorDesc, name: &str) -> Func {
         ))],
     ));
     f
-}
-
-/// Small helpers on `Expr` for div/rem by constants.
-trait ExprExt {
-    fn div_floor(self, c: usize) -> Expr;
-    fn rem_of(self, c: usize) -> Expr;
-}
-
-impl ExprExt for Expr {
-    fn div_floor(self, c: usize) -> Expr {
-        if c == 1 {
-            self
-        } else {
-            Expr::Div(Box::new(self), Box::new(Expr::from(c)))
-        }
-    }
-    fn rem_of(self, c: usize) -> Expr {
-        if c == 1 {
-            Expr::c(0)
-        } else {
-            Expr::Rem(Box::new(self), Box::new(Expr::from(c)))
-        }
-    }
 }
 
 #[cfg(test)]

@@ -16,9 +16,9 @@
 //!         C'[nsi] += batch_reduce_gemm(A tiles, B tiles, BS)
 //!       }
 //!     }
-//!     [anchor#1 post-ops: int8 epilogue, then an eltwise sweep per
-//!      column tile — or, for a chain that reduces, one row-chain call
-//!      over all of them — and the output write]   // Figure 4 post-ops
+//!     [anchor#1 post-ops: int8 epilogue per column tile, one row-chain
+//!      call over all of them, and the output write — which a chain into
+//!      a blocked f32 output does itself]          // Figure 4 post-ops
 //!   }
 //! }
 //! ```
@@ -385,7 +385,6 @@ pub fn lower_matmul(machine: &MachineDescriptor, spec: &MatmulSpec, name: &str) 
         msi,
         kchunk,
         nsi,
-        bsi,
     };
 
     // ---- body
@@ -398,7 +397,7 @@ pub fn lower_matmul(machine: &MachineDescriptor, spec: &MatmulSpec, name: &str) 
     }
     // anchor #2 variant for A (PerTask pack)
     if let (Some(ap), Some(PackPlacement::PerTask)) = (aprime, pack_place) {
-        task_body.push(e.pack_a_per_task(param_of(ParamRole::A), ap, msi, kchunk, bsi));
+        task_body.push(e.pack_a_per_task(param_of(ParamRole::A), ap, msi, kchunk));
     }
 
     // ---- single-core kernel: loop msi
@@ -585,9 +584,11 @@ fn build_params(spec: &MatmulSpec, ctx: &Ctx) -> (Vec<BufDecl>, Vec<ParamRole>) 
 }
 
 /// Emits the post-op pipeline for the current m-tile: the int8
-/// epilogue or bias, then the chain — per-op sweeps over the column
-/// tiles for an elementwise chain, one [`emit_row_chain`] for a chain that
-/// reduces — and the output write.
+/// epilogue (bias folded in) per column tile, the chain as one
+/// [`emit_row_chain`] call over all of them (the f32 bias its first
+/// step), and the output write per column tile — unless the output is
+/// blocked f32, which the chain stores itself (with no steps, it is the
+/// copy).
 #[allow(clippy::too_many_arguments)]
 fn emit_post_ops(
     spec: &MatmulSpec,
@@ -615,7 +616,7 @@ fn emit_post_ops(
         )
     };
 
-    // stage -1: int8 epilogue (+ bias folded in)
+    // int8 epilogue (+ bias folded in)
     if let Some(int8) = ctx.int8 {
         let acc_tile = View::new(
             cprime,
@@ -650,141 +651,22 @@ fn emit_post_ops(
             ctx.nsn,
             vec![Stmt::Op(Intrinsic::new(dequant, operands, []))],
         ));
-    } else if spec.bias {
-        let bias_view = View::new(
-            param_of(ParamRole::Bias),
-            e.npsi(nsi2).mul(Expr::from(p.nb)),
-            p.nb,
-        );
-        stmts.push(Stmt::loop_(
-            nsi2,
-            ctx.nsn,
-            vec![Stmt::Op(Intrinsic::new(
-                Op::BinaryRowBcast {
-                    op: BinaryOp::Add,
-                    rows: p.mb,
-                    cols: p.nb,
-                },
-                [cpf_tile(nsi2), bias_view, cpf_tile(nsi2)],
-                [],
-            ))],
-        ));
     }
 
     let quant = spec.post_ops.iter().find_map(|po| match po {
         PostOpSpec::Quantize { scale, zero_point } => Some((*scale, *zero_point)),
         _ => None,
     });
-    if spec
-        .post_ops
-        .iter()
-        .any(|po| matches!(po, PostOpSpec::ReduceRow(_)))
-    {
-        let store = spec.out == OutLayout::BlockedMbNb && quant.is_none();
-        stmts.push(emit_row_chain(spec, ctx, e, param_of, cpf, buf_msn, store));
-        if !store {
-            let write = emit_out_write(spec, ctx, e, param_of, cpf_tile(nsi2), quant, qtile, nsi2);
-            stmts.push(Stmt::loop_(nsi2, ctx.nsn, write));
-        }
-        return stmts;
+    let store = spec.out == OutLayout::BlockedMbNb && quant.is_none();
+    let bias = spec.bias && ctx.int8.is_none();
+    let (chain, side) = row_chain_program(bias, &spec.post_ops, p.mb, p.nb, ctx.nsn, ctx.n, store);
+    if store || !chain.steps().is_empty() {
+        stmts.push(emit_row_chain(ctx, e, param_of, cpf, buf_msn, chain, side));
     }
-
-    // one elementwise sweep over the column tiles, then the output write
-    let mut sweep: Vec<Stmt> = Vec::new();
-    for (pi, po) in spec.post_ops.iter().enumerate() {
-        let tile_v = cpf_tile(nsi2);
-        let stmt = match po {
-            PostOpSpec::Unary(op) => Intrinsic::new(
-                Op::Unary { op: *op, len: tile },
-                [tile_v.clone(), tile_v],
-                [],
-            ),
-            PostOpSpec::BinaryScalarConst(op, s) => Intrinsic::new(
-                Op::BinaryScalar {
-                    op: *op,
-                    scalar: *s,
-                    len: tile,
-                },
-                [tile_v.clone(), tile_v],
-                [],
-            ),
-            PostOpSpec::BinaryRowVec { op, batch_indexed } => {
-                let base = if *batch_indexed {
-                    e.batch_idx().mul(Expr::from(ctx.n))
-                } else {
-                    Expr::c(0)
-                };
-                let row_vec = View::new(
-                    param_of(ParamRole::PostOperand(pi)),
-                    base.add(e.npsi(nsi2).mul(Expr::from(p.nb))),
-                    p.nb,
-                );
-                Intrinsic::new(
-                    Op::BinaryRowBcast {
-                        op: *op,
-                        rows: p.mb,
-                        cols: p.nb,
-                    },
-                    [tile_v.clone(), row_vec, tile_v],
-                    [],
-                )
-            }
-            PostOpSpec::BinaryFull { op } => {
-                // the operand is plain [.., M, N]: one Binary per tile
-                // row, over a serial loop reusing `bsi`
-                let r = e.bsi;
-                let a_row = View::new(
-                    cpf,
-                    e.cprime_base(buf_msn)
-                        .mul(Expr::from(ctx.nsn))
-                        .add(Expr::v(nsi2))
-                        .mul(Expr::from(tile))
-                        .add(Expr::v(r).mul(Expr::from(p.nb))),
-                    p.nb,
-                );
-                let opnd_row = View::new(
-                    param_of(ParamRole::PostOperand(pi)),
-                    e.batch_idx()
-                        .mul(Expr::from(ctx.m * ctx.n))
-                        .add(
-                            e.mpsi(e.msi)
-                                .mul(Expr::from(p.mb))
-                                .add(Expr::v(r))
-                                .mul(Expr::from(ctx.n)),
-                        )
-                        .add(e.npsi(nsi2).mul(Expr::from(p.nb))),
-                    p.nb,
-                );
-                sweep.push(Stmt::loop_(
-                    r,
-                    p.mb,
-                    vec![Stmt::Op(Intrinsic::new(
-                        Op::Binary { op: *op, len: p.nb },
-                        [a_row.clone(), opnd_row, a_row],
-                        [],
-                    ))],
-                ));
-                continue;
-            }
-            // the output write below quantizes; lower_graph keeps it last
-            PostOpSpec::Quantize { .. } => continue,
-            PostOpSpec::ReduceRow(_) | PostOpSpec::BinaryColStat { .. } => {
-                unreachable!("reducing chains are row chains")
-            }
-        };
-        sweep.push(Stmt::Op(stmt));
+    if !store {
+        let write = emit_out_write(spec, ctx, e, param_of, cpf_tile(nsi2), quant, qtile, nsi2);
+        stmts.push(Stmt::loop_(nsi2, ctx.nsn, write));
     }
-    sweep.extend(emit_out_write(
-        spec,
-        ctx,
-        e,
-        param_of,
-        cpf_tile(nsi2),
-        quant,
-        qtile,
-        nsi2,
-    ));
-    stmts.push(Stmt::loop_(nsi2, ctx.nsn, sweep));
     stmts
 }
 
@@ -800,34 +682,47 @@ pub(crate) enum SideKind {
     Full,
 }
 
-/// One side operand of a row chain: the post-op that supplies it.
+/// One side operand of a row chain: the parameter that supplies it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct SideOperand {
-    /// Index of the post-op (its [`ParamRole::PostOperand`]).
-    pub(crate) post_op: usize,
+    /// The bias, or a post-op's [`ParamRole::PostOperand`].
+    pub(crate) role: ParamRole,
     /// How it is read.
     pub(crate) kind: SideKind,
 }
 
-/// The [`RowChain`] program of a post-op chain that reduces, over
-/// `rows x (tiles x cols)`, and its side operands in program order. A
-/// trailing quantize is not a step: the output write applies it.
+/// The [`RowChain`] program of a post-op chain over
+/// `rows x (tiles x cols)` — with `bias`, a bias add first — and its side
+/// operands in program order; full-shape operands are rows of `ld`
+/// elements. A trailing quantize is not a step: the output write applies
+/// it.
 ///
 /// # Panics
 ///
-/// Panics if the chain does not fit one program; fusion bounds reducing
-/// chains so that it does.
+/// Panics if the chain does not fit one program; fusion bounds chains
+/// so that it does.
 pub(crate) fn row_chain_program(
+    bias: bool,
     post_ops: &[PostOpSpec],
     rows: usize,
     cols: usize,
     tiles: usize,
+    ld: usize,
     store: bool,
 ) -> (RowChain, Vec<SideOperand>) {
     let mut chain = RowChain::new(rows, cols, tiles, store);
     let mut side = Vec::new();
+    if bias {
+        let kind = SideKind::RowVec {
+            batch_indexed: false,
+        };
+        let role = ParamRole::Bias;
+        side.push(SideOperand { role, kind });
+        chain.row_vec(BinaryOp::Add).expect("a bias add fits");
+    }
     for (post_op, po) in post_ops.iter().enumerate() {
-        let mut read = |kind| side.push(SideOperand { post_op, kind });
+        let role = ParamRole::PostOperand(post_op);
+        let mut read = |kind| side.push(SideOperand { role, kind });
         let fits = match *po {
             PostOpSpec::Unary(op) => chain.unary(op),
             PostOpSpec::BinaryScalarConst(op, s) => chain.scalar(op, s),
@@ -837,74 +732,77 @@ pub(crate) fn row_chain_program(
             }
             PostOpSpec::BinaryFull { op } => {
                 read(SideKind::Full);
-                chain.full(op)
+                chain.full(op, ld)
             }
             PostOpSpec::BinaryColStat { op } => chain.stat(op),
             PostOpSpec::ReduceRow(op) => chain.reduce(op),
             PostOpSpec::Quantize { .. } => Some(()),
         };
-        fits.expect("reducing chain exceeds a row-chain program (fusion bounds it)");
+        fits.expect("post-op chain exceeds a row-chain program (fusion bounds it)");
     }
     (chain, side)
 }
 
-// fusion's reducing-chain budget must fit a row-chain program
+// fusion's chain budget must fit a row-chain program
 const _: () = {
-    use gc_graph::passes::fusion::{MAX_REDUCING_CHAIN_OPS, MAX_REDUCING_SIDE_INPUTS};
+    use gc_graph::passes::fusion::{MAX_CHAIN_OPS, MAX_CHAIN_SIDE_INPUTS};
     use gc_microkernel::chain::{MAX_BUFFERS, MAX_CONSTS, MAX_STEPS};
-    assert!(MAX_REDUCING_CHAIN_OPS <= MAX_STEPS);
-    assert!(MAX_REDUCING_SIDE_INPUTS <= MAX_CONSTS);
+    assert!(MAX_CHAIN_OPS <= MAX_STEPS);
+    assert!(MAX_CHAIN_SIDE_INPUTS <= MAX_CONSTS);
     // the tile, every side operand and a destination
-    assert!(MAX_REDUCING_SIDE_INPUTS + 2 <= MAX_BUFFERS);
+    assert!(MAX_CHAIN_SIDE_INPUTS + 2 <= MAX_BUFFERS);
 };
 
-/// A post-op chain that reduces, as one [`Op::RowChain`] over the m-tile's
-/// `nsn` column tiles (reductions force `npn == 1`, so they are whole
-/// rows): the row stats live inside the call, and with `store` (a
-/// blocked f32 output) it writes the output itself.
+/// A post-op chain as one [`Op::RowChain`] over the m-tile's `nsn`
+/// column tiles, reading the task's column slice of its side operands
+/// (a full-shape one in rows of `n`) and, with `store` (a blocked f32
+/// output), writing the output itself.
 fn emit_row_chain(
-    spec: &MatmulSpec,
     ctx: &Ctx,
     e: &ExprBuilder<'_>,
     param_of: &dyn Fn(ParamRole) -> BufId,
     cpf: BufId,
     buf_msn: usize,
-    store: bool,
+    chain: RowChain,
+    side: Vec<SideOperand>,
 ) -> Stmt {
     let p = ctx.p;
     let tile = p.mb * p.nb;
-    let (chain, side) = row_chain_program(&spec.post_ops, p.mb, p.nb, ctx.nsn, store);
     let block = e.cprime_base(buf_msn).mul(Expr::from(ctx.nsn * tile));
+    let col0 = e.npi().mul(Expr::from(ctx.nsn * p.nb));
     let mut operands = vec![Operand::new(cpf, block)];
     for s in side {
-        let opnd = param_of(ParamRole::PostOperand(s.post_op));
         let offset = match s.kind {
             SideKind::RowVec {
                 batch_indexed: true,
-            } => e.batch_idx().mul(Expr::from(ctx.n)),
+            } => e.batch_idx().mul(Expr::from(ctx.n)).add(col0.clone()),
             SideKind::RowVec {
                 batch_indexed: false,
-            } => Expr::c(0),
-            // plain [.., M, N]: the m-tile's rows are contiguous
+            } => col0.clone(),
+            // plain [.., M, N]: the m-tile's rows from the slice's column
             SideKind::Full => e
                 .batch_idx()
                 .mul(Expr::from(ctx.m))
                 .add(e.mpsi(e.msi).mul(Expr::from(p.mb)))
-                .mul(Expr::from(ctx.n)),
+                .mul(Expr::from(ctx.n))
+                .add(col0.clone()),
         };
-        operands.push(Operand::new(opnd, offset));
+        operands.push(Operand::new(param_of(s.role), offset));
     }
-    if store {
+    if chain.stores() {
         let out = e
             .batch_idx()
             .mul(Expr::from(ctx.m_tiles))
             .add(e.mpsi(e.msi))
-            .mul(Expr::from(ctx.n_tiles * tile));
+            .mul(Expr::from(ctx.n_tiles * tile))
+            .add(e.npi().mul(Expr::from(ctx.nsn * tile)));
         operands.push(Operand::new(param_of(ParamRole::Out), out));
     }
     Stmt::Op(Intrinsic::new(Op::RowChain(chain), operands, []))
 }
 
+/// The per-tile output write of a chain that does not store: the
+/// requantization to u8, then for a plain output the unpack.
 #[allow(clippy::too_many_arguments)]
 fn emit_out_write(
     spec: &MatmulSpec,
@@ -919,9 +817,20 @@ fn emit_out_write(
     let p = ctx.p;
     let tile = p.mb * p.nb;
     let out = param_of(ParamRole::Out);
-    let mut stmts = Vec::new();
-    match (spec.out, quant) {
-        (OutLayout::BlockedMbNb, None) => {
+    let Some((scale, zero_point)) = quant else {
+        // f32 reaches here only for a plain output
+        return vec![Stmt::Op(unpack_out_tile(ctx, e, src_tile, out, nsi2))];
+    };
+    let quantize = |dst: View| {
+        let op = Op::QuantU8 {
+            len: tile,
+            scale,
+            zero_point,
+        };
+        Stmt::Op(Intrinsic::new(op, [src_tile, dst], []))
+    };
+    match spec.out {
+        OutLayout::BlockedMbNb => {
             let off = e
                 .batch_idx()
                 .mul(Expr::from(ctx.m_tiles))
@@ -929,52 +838,17 @@ fn emit_out_write(
                 .mul(Expr::from(ctx.n_tiles))
                 .add(e.npsi(nsi2))
                 .mul(Expr::from(tile));
-            stmts.push(Stmt::Op(Intrinsic::new(
-                Op::Unary {
-                    op: UnaryOp::Identity,
-                    len: tile,
-                },
-                [src_tile, View::new(out, off, tile)],
-                [],
-            )));
+            vec![quantize(View::new(out, off, tile))]
         }
-        (OutLayout::BlockedMbNb, Some((s, z))) => {
-            let off = e
-                .batch_idx()
-                .mul(Expr::from(ctx.m_tiles))
-                .add(e.mpsi(e.msi))
-                .mul(Expr::from(ctx.n_tiles))
-                .add(e.npsi(nsi2))
-                .mul(Expr::from(tile));
-            stmts.push(Stmt::Op(Intrinsic::new(
-                Op::QuantU8 {
-                    len: tile,
-                    scale: s,
-                    zero_point: z,
-                },
-                [src_tile, View::new(out, off, tile)],
-                [],
-            )));
-        }
-        (OutLayout::Plain, None) => {
-            stmts.push(Stmt::Op(unpack_out_tile(ctx, e, src_tile, out, nsi2)));
-        }
-        (OutLayout::Plain, Some((s, z))) => {
+        OutLayout::Plain => {
             let qt = qtile.expect("qtile allocated for plain u8 output");
             let qview = View::new(qt, Expr::v(e.t).mul(Expr::from(tile)), tile);
-            stmts.push(Stmt::Op(Intrinsic::new(
-                Op::QuantU8 {
-                    len: tile,
-                    scale: s,
-                    zero_point: z,
-                },
-                [src_tile, qview.clone()],
-                [],
-            )));
-            stmts.push(Stmt::Op(unpack_out_tile(ctx, e, qview, out, nsi2)));
+            vec![
+                quantize(qview.clone()),
+                Stmt::Op(unpack_out_tile(ctx, e, qview, out, nsi2)),
+            ]
         }
     }
-    stmts
 }
 
 /// The plain-layout output store for the current tile: the exact
@@ -1064,52 +938,23 @@ struct ExprBuilder<'c> {
     msi: VarId,
     kchunk: VarId,
     nsi: VarId,
-    bsi: VarId,
 }
 
 impl ExprBuilder<'_> {
     fn batch_idx(&self) -> Expr {
-        if self.ctx.batch == 1 {
-            Expr::c(0)
-        } else {
-            Expr::Div(
-                Box::new(Expr::v(self.t)),
-                Box::new(Expr::from(self.ctx.tasks_per_mat)),
-            )
-        }
+        Expr::v(self.t).div(Expr::from(self.ctx.tasks_per_mat))
     }
 
     fn task_in_mat(&self) -> Expr {
-        if self.ctx.batch == 1 {
-            Expr::v(self.t)
-        } else {
-            Expr::Rem(
-                Box::new(Expr::v(self.t)),
-                Box::new(Expr::from(self.ctx.tasks_per_mat)),
-            )
-        }
+        Expr::v(self.t).rem(Expr::from(self.ctx.tasks_per_mat))
     }
 
     fn mpi(&self) -> Expr {
-        if self.ctx.p.npn == 1 {
-            self.task_in_mat()
-        } else {
-            Expr::Div(
-                Box::new(self.task_in_mat()),
-                Box::new(Expr::from(self.ctx.p.npn)),
-            )
-        }
+        self.task_in_mat().div(Expr::from(self.ctx.p.npn))
     }
 
     fn npi(&self) -> Expr {
-        if self.ctx.p.npn == 1 {
-            Expr::c(0)
-        } else {
-            Expr::Rem(
-                Box::new(self.task_in_mat()),
-                Box::new(Expr::from(self.ctx.p.npn)),
-            )
-        }
+        self.task_in_mat().rem(Expr::from(self.ctx.p.npn))
     }
 
     /// Global m-tile index of the current msi.
@@ -1201,7 +1046,7 @@ impl ExprBuilder<'_> {
     }
 
     /// Pack the task's whole A slice at task start (anchor #2).
-    fn pack_a_per_task(&self, a: BufId, aprime: BufId, msi: VarId, kt: VarId, _bsi: VarId) -> Stmt {
+    fn pack_a_per_task(&self, a: BufId, aprime: BufId, msi: VarId, kt: VarId) -> Stmt {
         let p = self.ctx.p;
         let row_base = self.mpsi(msi).mul(Expr::from(p.mb));
         let col_base = Expr::v(kt).mul(Expr::from(p.kb));

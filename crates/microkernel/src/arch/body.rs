@@ -390,7 +390,7 @@ pub(crate) unsafe fn row_chain<S: SimdF32>(
     dst: *mut f32,
     side: &[*const f32; MAX_BUFFERS - 1],
 ) {
-    let (rows, cols, tiles) = (c.rows(), c.cols(), c.tiles());
+    let (rows, cols, tiles, ld) = (c.rows(), c.cols(), c.tiles(), c.full_stride());
     let tile = rows * cols;
     let group = (CHAIN_GROUP_ELEMS / (tiles * cols).max(1)).clamp(1, CHAIN_GROUP_ROWS);
     // scalar operands as vectors; a division becomes a reciprocal product
@@ -447,7 +447,7 @@ pub(crate) unsafe fn row_chain<S: SimdF32>(
                     for r in r0..r0 + g {
                         for t in 0..tiles {
                             let seg = t * tile + r * cols;
-                            let f = side[usize::from(i)].add((r * tiles + t) * cols);
+                            let f = side[usize::from(i)].add(r * ld + t * cols);
                             map_run!(cur.add(seg), dst.add(seg), cols, |v, at, n| {
                                 binary_v::<S>(op, v, S::load_len(f.add(at), n), false)
                             });

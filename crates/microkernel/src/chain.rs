@@ -1,16 +1,19 @@
-//! Row chains: a fused post-op chain that reduces, run as one kernel
-//! call per row block.
+//! Row chains: a fused post-op chain run as one kernel call per row
+//! block.
 //!
-//! A softmax fused at a matmul anchor is a chain of elementwise steps
-//! split into *passes* by row reductions: scale, mask add and a running
-//! max; subtract the max, exp and a running sum; divide by the sum. A
-//! [`RowChain`] is that chain as a short straight-line program over one
-//! block of `rows` rows, each row made of `tiles` segments of `cols`
-//! columns (the blocked `[tiles][rows][cols]` layout of a matmul's
-//! accumulator, or one plain segment per row when `tiles == 1`).
-//! [`Kernels::row_chain`] runs the program over L1-sized groups of rows,
-//! each step one tight vector loop over the group, so the row stats live
-//! in the call and the rows stay in L1 from the first step to the last.
+//! Every post-op chain fused at a matmul anchor is a chain of
+//! elementwise steps — a bias add and a relu, say — and a softmax splits
+//! its chain into *passes* by row reductions: scale, mask add and a
+//! running max; subtract the max, exp and a running sum; divide by the
+//! sum. A [`RowChain`] is such a chain as a short straight-line program
+//! over one block of `rows` rows, each row made of `tiles` segments of
+//! `cols` columns (the blocked `[tiles][rows][cols]` layout of a
+//! matmul's accumulator, or one plain segment per row when
+//! `tiles == 1`). [`Kernels::row_chain`] runs the program over L1-sized
+//! groups of rows, each step one tight vector loop over the group, so
+//! the row stats live in the call and the rows stay in L1 from the first
+//! step to the last. A storing chain writes its results to a separate
+//! destination; with no steps it is a copy.
 
 use crate::arch::{Family, Kernels};
 use crate::{BinaryOp, ReduceOp, UnaryOp};
@@ -35,8 +38,9 @@ pub enum ChainStep {
     /// `x = op(x, v[c])`, `v` side operand `i`: one value per column,
     /// broadcast over the rows.
     RowVec(BinaryOp, u8),
-    /// `x = op(x, f[r * tiles * cols + c])`, `f` side operand `i`: a plain
-    /// row-major block of the same shape.
+    /// `x = op(x, f[r * ld + c])`, `f` side operand `i`: a plain
+    /// row-major block of the same shape within rows of `ld` elements
+    /// (see [`RowChain::full`]).
     Full(BinaryOp, u8),
     /// `x = op(x, s[r])`, `s` the row stat of the latest reduction.
     Stat(BinaryOp),
@@ -51,14 +55,14 @@ pub enum ChainStep {
 /// an intrinsic carries it inline.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RowChain {
-    rows: u32,
+    rows: u16,
     cols: u32,
     tiles: u32,
+    /// Row stride of the full-shape side operands.
+    ld: u32,
     consts: [f32; MAX_CONSTS],
     steps: [ChainStep; MAX_STEPS],
     n_steps: u8,
-    n_consts: u8,
-    n_side: u8,
     store: bool,
 }
 
@@ -69,18 +73,17 @@ impl RowChain {
     ///
     /// # Panics
     ///
-    /// Panics if an extent does not fit `u32`.
+    /// Panics if an extent does not fit `u32` (`u16` for `rows`).
     pub fn new(rows: usize, cols: usize, tiles: usize, store: bool) -> RowChain {
         let dim = |d: usize| u32::try_from(d).expect("row-chain extent exceeds u32");
         RowChain {
-            rows: dim(rows),
+            rows: u16::try_from(rows).expect("row-chain rows exceed u16"),
             cols: dim(cols),
             tiles: dim(tiles),
+            ld: dim(tiles * cols),
             consts: [0.0; MAX_CONSTS],
             steps: [ChainStep::Unary(UnaryOp::Identity); MAX_STEPS],
             n_steps: 0,
-            n_consts: 0,
-            n_side: 0,
             store,
         }
     }
@@ -96,9 +99,7 @@ impl RowChain {
         if self.buffers() >= MAX_BUFFERS {
             return None;
         }
-        self.push(step(self.n_side))?;
-        self.n_side += 1;
-        Some(())
+        self.push(step(self.side_operands() as u8))
     }
 
     /// Append `x = op(x)`.
@@ -108,11 +109,9 @@ impl RowChain {
 
     /// Append `x = op(x, k)`.
     pub fn scalar(&mut self, op: BinaryOp, k: f32) -> Option<()> {
-        let slot = self.n_consts;
-        *self.consts.get_mut(usize::from(slot))? = k;
-        self.push(ChainStep::Scalar(op, slot))?;
-        self.n_consts += 1;
-        Some(())
+        let slot = self.count(|s| matches!(s, ChainStep::Scalar(..)));
+        *self.consts.get_mut(slot)? = k;
+        self.push(ChainStep::Scalar(op, slot as u8))
     }
 
     /// Append `x = op(x, v[c])` over the next side operand.
@@ -120,9 +119,23 @@ impl RowChain {
         self.side(|i| ChainStep::RowVec(op, i))
     }
 
-    /// Append `x = op(x, f[r, c])` over the next side operand.
-    pub fn full(&mut self, op: BinaryOp) -> Option<()> {
-        self.side(|i| ChainStep::Full(op, i))
+    /// Append `x = op(x, f[r, c])` over the next side operand, a plain
+    /// block whose rows are `ld` elements apart: `tiles * cols` when it
+    /// is exactly the block's shape, more when the block is a column
+    /// slice of a wider matrix. `None` when `ld` is narrower than a row,
+    /// or an earlier full operand of the chain has another `ld`.
+    pub fn full(&mut self, op: BinaryOp, ld: usize) -> Option<()> {
+        let ld = u32::try_from(ld).ok()?;
+        let has_full = self
+            .steps()
+            .iter()
+            .any(|s| matches!(s, ChainStep::Full(..)));
+        if (ld as usize) < self.tiles() * self.cols() || (has_full && ld != self.ld) {
+            return None;
+        }
+        self.side(|i| ChainStep::Full(op, i))?;
+        self.ld = ld;
+        Some(())
     }
 
     /// Append `x = op(x, s[r])`; `None` before the first reduction.
@@ -174,13 +187,23 @@ impl RowChain {
         self.store
     }
 
+    /// Row stride of the full-shape side operands.
+    pub fn full_stride(&self) -> usize {
+        self.ld as usize
+    }
+
+    fn count(&self, f: impl Fn(&ChainStep) -> bool) -> usize {
+        self.steps().iter().filter(|s| f(s)).count()
+    }
+
     /// Number of side operands.
     pub fn side_operands(&self) -> usize {
-        usize::from(self.n_side)
+        self.count(|s| matches!(s, ChainStep::RowVec(..) | ChainStep::Full(..)))
     }
 
     /// Elements side operand `i` covers: a row vector `tiles * cols`, a
-    /// full block [`RowChain::elems`].
+    /// full block `rows` rows of [`RowChain::full_stride`], the last
+    /// one `tiles * cols` long.
     ///
     /// # Panics
     ///
@@ -188,7 +211,10 @@ impl RowChain {
     pub fn side_len(&self, i: usize) -> usize {
         let reads = |s: &ChainStep| match *s {
             ChainStep::RowVec(_, j) => (usize::from(j) == i).then_some(self.tiles() * self.cols()),
-            ChainStep::Full(_, j) => (usize::from(j) == i).then_some(self.elems()),
+            ChainStep::Full(_, j) => (usize::from(j) == i).then_some(
+                self.rows().saturating_sub(1) * self.full_stride()
+                    + self.rows().min(1) * self.tiles() * self.cols(),
+            ),
             _ => None,
         };
         self.steps()
@@ -267,10 +293,15 @@ mod tests {
         c.scalar(BinaryOp::Add, 2.0).unwrap();
         assert!(c.scalar(BinaryOp::Add, 3.0).is_none(), "const slots");
         c.row_vec(BinaryOp::Add).unwrap();
-        c.full(BinaryOp::Mul).unwrap();
+        assert!(c.full(BinaryOp::Mul, 2).is_none(), "ld narrower than a row");
+        c.full(BinaryOp::Mul, 5).unwrap();
         assert!(c.row_vec(BinaryOp::Add).is_none(), "buffers");
         assert_eq!(c.buffers(), MAX_BUFFERS);
-        assert_eq!((c.side_len(0), c.side_len(1)), (3, 6));
+        // the full operand: two rows of 3, 5 elements apart
+        assert_eq!((c.side_len(0), c.side_len(1)), (3, 8));
+        let mut two = RowChain::new(2, 3, 1, false);
+        two.full(BinaryOp::Add, 4).unwrap();
+        assert!(two.full(BinaryOp::Mul, 3).is_none(), "one ld per chain");
         while c.unary(UnaryOp::Relu).is_some() {}
         assert_eq!(c.steps().len(), MAX_STEPS);
         assert_eq!(c.constant(1), 2.0);

@@ -11,8 +11,8 @@
 //! - [`eltwise`] — vectorizable slice kernels for fused unary/binary
 //!   post-ops;
 //! - [`reduce`] — row and slice reduction kernels;
-//! - [`chain`] — the row-chain kernel: a post-op chain that reduces (a
-//!   fused softmax) as one program per row block;
+//! - [`chain`] — the row-chain kernel: a fused post-op chain (a bias add
+//!   and relu, a softmax) as one program per row block;
 //! - [`epilogue`] — the int8 dequantize/compensate/requantize epilogue
 //!   from the paper's low-precision equation;
 //! - [`tail`] — edge-tile variants for ragged shapes: clamped-height

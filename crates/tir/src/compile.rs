@@ -186,34 +186,52 @@ struct LocalAccess {
 pub(crate) fn written_first(f: &Func) -> Vec<bool> {
     let mut loops: Vec<(VarId, usize)> = Vec::new();
     let mut accesses: Vec<Vec<LocalAccess>> = f.locals.iter().map(|_| Vec::new()).collect();
-    collect_local_accesses(&f.body, &mut Vec::new(), &mut loops, &mut accesses, &mut 0);
+    let mut scope = VarScope::new(f.var_count);
+    collect_local_accesses(
+        &f.body,
+        &mut Vec::new(),
+        &mut loops,
+        &mut scope,
+        &mut accesses,
+        &mut 0,
+    );
     accesses
         .iter()
         .map(|acc| acc.is_empty() || proves_written_first(acc, &loops))
         .collect()
 }
 
+/// Every access to a local in `stmts`, in program order. `stack` holds
+/// the enclosing loops (indices into `loops`) and `scope` their ranges.
 fn collect_local_accesses(
     stmts: &[Stmt],
     stack: &mut Vec<usize>,
     loops: &mut Vec<(VarId, usize)>,
+    scope: &mut VarScope,
     out: &mut [Vec<LocalAccess>],
     ops: &mut usize,
 ) {
     for s in stmts {
         match s {
             Stmt::For {
-                var, extent, body, ..
+                var,
+                extent,
+                parallel,
+                body,
             } => {
                 stack.push(loops.len());
                 loops.push((*var, *extent));
-                collect_local_accesses(body, stack, loops, out, ops);
+                let saved = scope.enter(*var, *extent);
+                collect_local_accesses(body, stack, loops, scope, out, ops);
+                if let Some(saved) = saved {
+                    scope.exit(*var, *extent, *parallel, saved);
+                }
                 stack.pop();
             }
             Stmt::Op(i) => {
                 for (o, spec) in i.operands.iter().zip(i.op.desc(None).operands()) {
                     if let BufId::Local(local) = o.buf {
-                        let offset = linearize(&o.offset).and_then(|(base, terms)| {
+                        let offset = linearize(&o.offset, scope).and_then(|(base, terms)| {
                             let bound = terms.into_iter().map(|(v, c)| {
                                 let uid =
                                     stack.iter().rev().find(|&&u| loops[u].0 .0 == v as usize)?;
@@ -473,7 +491,7 @@ impl<'f> FuncBuilder<'f> {
     /// Strength-reduce an already-bounded expression to a
     /// [`PlanOffset`].
     fn reduce_offset(&mut self, offset: &Expr) -> Result<PlanOffset, Reject> {
-        let compiled = match linearize(offset) {
+        let compiled = match linearize(offset, &self.scope) {
             Some((base, terms)) => {
                 self.stats.linear_offsets += 1;
                 if terms.is_empty() {
@@ -590,27 +608,29 @@ fn range_units(instrs: &[PInstr], start: usize, end: usize) -> u64 {
 }
 
 /// Affine decomposition: `Some((base, terms))` with `terms` sorted by
-/// variable, or `None` for non-affine expressions.
-fn linearize(e: &Expr) -> Option<(i64, Vec<(u32, i64)>)> {
-    fn go(e: &Expr) -> Option<(i64, std::collections::BTreeMap<u32, i64>)> {
+/// variable, or `None` for non-affine expressions. A division or
+/// remainder by a positive constant `c` is affine where the loop ranges
+/// in `scope` settle it: by 1 it is the numerator (or 0); a numerator
+/// that stays within one multiple of `c` (`lo / c == hi / c`, as
+/// `x / 32` with `x` in `0..32`) makes the quotient that multiple `q`
+/// and the remainder the numerator minus `q * c`.
+fn linearize(e: &Expr, scope: &VarScope) -> Option<(i64, Vec<(u32, i64)>)> {
+    type Terms = std::collections::BTreeMap<u32, i64>;
+    fn go(e: &Expr, scope: &VarScope) -> Option<(i64, Terms)> {
         match e {
-            Expr::Const(c) => Some((*c, std::collections::BTreeMap::new())),
-            Expr::Var(VarId(v)) => {
-                let mut m = std::collections::BTreeMap::new();
-                m.insert(*v as u32, 1i64);
-                Some((0, m))
-            }
+            Expr::Const(c) => Some((*c, Terms::new())),
+            Expr::Var(VarId(v)) => Some((0, Terms::from([(*v as u32, 1)]))),
             Expr::Add(a, b) => {
-                let (ca, mut ma) = go(a)?;
-                let (cb, mb) = go(b)?;
+                let (ca, mut ma) = go(a, scope)?;
+                let (cb, mb) = go(b, scope)?;
                 for (v, s) in mb {
                     *ma.entry(v).or_insert(0) += s;
                 }
                 Some((ca + cb, ma))
             }
             Expr::Mul(a, b) => {
-                let (ca, ma) = go(a)?;
-                let (cb, mb) = go(b)?;
+                let (ca, ma) = go(a, scope)?;
+                let (cb, mb) = go(b, scope)?;
                 if mb.is_empty() {
                     Some((ca * cb, ma.into_iter().map(|(v, s)| (v, s * cb)).collect()))
                 } else if ma.is_empty() {
@@ -619,10 +639,30 @@ fn linearize(e: &Expr) -> Option<(i64, Vec<(u32, i64)>)> {
                     None // variable × variable: not affine
                 }
             }
-            Expr::Div(..) | Expr::Rem(..) => None,
+            Expr::Div(a, b) | Expr::Rem(a, b) => {
+                let div = matches!(e, Expr::Div(..));
+                let Expr::Const(c) = **b else { return None };
+                if c == 1 {
+                    return if div {
+                        go(a, scope)
+                    } else {
+                        Some((0, Terms::new()))
+                    };
+                }
+                let (lo, hi) = scope.interval(a)?;
+                if c <= 0 || lo < 0 || lo / c != hi / c {
+                    return None;
+                }
+                let q = lo / c;
+                if div {
+                    Some((q, Terms::new()))
+                } else {
+                    go(a, scope).map(|(ca, ma)| (ca - q * c, ma))
+                }
+            }
         }
     }
-    let (base, terms) = go(e)?;
+    let (base, terms) = go(e, scope)?;
     Some((base, terms.into_iter().filter(|&(_, s)| s != 0).collect()))
 }
 
@@ -659,13 +699,22 @@ mod tests {
         Expr::v(VarId(i))
     }
 
+    /// Loop ranges with variable `i` bound to `0..extents[i]`.
+    fn scope(extents: &[usize]) -> VarScope {
+        let mut s = VarScope::new(extents.len());
+        for (i, &e) in extents.iter().enumerate() {
+            s.enter(VarId(i), e);
+        }
+        s
+    }
+
     #[test]
     fn linearize_affine() {
         // 3 + v0 * 8 + v1 * 2
         let e = Expr::c(3)
             .add(v(0).mul(Expr::c(8)))
             .add(v(1).mul(Expr::c(2)));
-        let (base, terms) = linearize(&e).unwrap();
+        let (base, terms) = linearize(&e, &scope(&[8, 4])).unwrap();
         assert_eq!(base, 3);
         assert_eq!(terms, vec![(0, 8), (1, 2)]);
     }
@@ -674,14 +723,71 @@ mod tests {
     fn linearize_merges_repeated_vars() {
         // v0 * 4 + v0 -> stride 5
         let e = v(0).mul(Expr::c(4)).add(v(0));
-        let (base, terms) = linearize(&e).unwrap();
+        let (base, terms) = linearize(&e, &scope(&[8])).unwrap();
         assert_eq!((base, terms), (0, vec![(0, 5)]));
     }
 
     #[test]
     fn linearize_rejects_div_and_var_products() {
-        assert!(linearize(&Expr::Div(Box::new(v(0)), Box::new(Expr::c(2)))).is_none());
-        assert!(linearize(&v(0).mul(v(1))).is_none());
+        let s = scope(&[8, 4]);
+        assert!(linearize(&Expr::Div(Box::new(v(0)), Box::new(Expr::c(2))), &s).is_none());
+        assert!(linearize(&v(0).mul(v(1)), &s).is_none());
+    }
+
+    #[test]
+    fn linearize_folds_div_rem_the_loop_ranges_settle() {
+        let div = |a: Expr, c: i64| Expr::Div(Box::new(a), Box::new(Expr::c(c)));
+        let rem = |a: Expr, c: i64| Expr::Rem(Box::new(a), Box::new(Expr::c(c)));
+        let s = scope(&[32, 4]);
+        // by 1: the numerator, and 0
+        assert_eq!(
+            linearize(&div(v(0), 1).add(rem(v(0), 1).add(v(1))), &s),
+            Some((0, vec![(0, 1), (1, 1)]))
+        );
+        // v0 in 0..32: v0 / 32 is 0, v0 % 32 is v0, nested too
+        assert_eq!(linearize(&div(v(0), 32), &s), Some((0, vec![])));
+        assert_eq!(
+            linearize(&rem(rem(v(0), 32), 32), &s),
+            Some((0, vec![(0, 1)]))
+        );
+        // 64 + v1 in 64..68: quotient 2, remainder v1
+        let shifted = Expr::c(64).add(v(1));
+        assert_eq!(linearize(&div(shifted.clone(), 32), &s), Some((2, vec![])));
+        assert_eq!(linearize(&rem(shifted, 32), &s), Some((0, vec![(1, 1)])));
+        // crossing a multiple of the divisor, or a variable divisor: not
+        // affine
+        assert!(linearize(&div(v(0), 16), &s).is_none());
+        assert!(linearize(&Expr::Rem(Box::new(v(1)), Box::new(v(0))), &s).is_none());
+    }
+
+    #[test]
+    fn div_under_a_matching_parallel_range_compiles_affine() {
+        // parallel v0 in 0..32: (v0 / 32) * 64 + (v0 % 32) * 4
+        let off = Expr::Div(Box::new(v(0)), Box::new(Expr::c(32)))
+            .mul(Expr::c(64))
+            .add(Expr::Rem(Box::new(v(0)), Box::new(Expr::c(32))).mul(Expr::c(4)));
+        let mut f = simple_func(off, 128, 32);
+        let Stmt::For { parallel, .. } = &mut f.body[0] else {
+            panic!()
+        };
+        *parallel = true;
+        let (pf, fs) = FuncBuilder::new(&f, 1).build().unwrap();
+        assert_eq!((fs.program_offsets, fs.linear_offsets), (0, 2));
+        let PInstr::Op(op) = &pf[1] else {
+            panic!("expected compiled unary");
+        };
+        assert!(matches!(
+            &op.operands()[0].offset,
+            PlanOffset::Linear { base: 0, terms } if terms.as_ref() == [(0, 4)]
+        ));
+        // v0 / 32 over 0..2048 takes 64 values: still a program
+        let wide = simple_func(
+            Expr::Div(Box::new(v(0)), Box::new(Expr::c(32))).mul(Expr::c(4)),
+            256,
+            2048,
+        );
+        let (_, fs) = FuncBuilder::new(&wide, 1).build().unwrap();
+        assert_eq!((fs.program_offsets, fs.linear_offsets), (2, 0));
     }
 
     #[test]
@@ -932,6 +1038,30 @@ mod tests {
         assert_eq!(written_first(&tiled), [true]);
         // a local nobody touches needs no zeroing either
         assert_eq!(written_first(&with_local(0, vec![])), [true]);
+        // a merged group's intermediate addressed through a division and
+        // a remainder by 1: ((v0 / 1) * 4 + (v0 % 1) + v1) * 4
+        let by_one = |v0: Expr, v1: Expr| {
+            Expr::Div(Box::new(v0.clone()), Box::new(Expr::c(1)))
+                .mul(Expr::c(4))
+                .add(Expr::Rem(Box::new(v0), Box::new(Expr::c(1))).add(v1))
+                .mul(Expr::c(4))
+        };
+        let merged = with_local(
+            2,
+            vec![Stmt::parallel(
+                VarId(0),
+                4,
+                vec![
+                    Stmt::loop_(VarId(1), 4, vec![fill(by_one(v(0), v(1)), 4)]),
+                    relu(
+                        (L, by_one(v(0), Expr::c(0))),
+                        (OUT, v(0).mul(Expr::c(16))),
+                        16,
+                    ),
+                ],
+            )],
+        );
+        assert_eq!(written_first(&merged), [true]);
     }
 
     #[test]
@@ -976,16 +1106,20 @@ mod tests {
                 ],
             )],
         );
+        // covers the local, but through a quotient the ranges do not settle
         let div_offset = with_local(
             1,
-            vec![Stmt::loop_(
-                VarId(0),
-                1,
-                vec![
-                    fill(Expr::Div(Box::new(v(0)), Box::new(Expr::c(2))), 64),
-                    relu((L, Expr::c(0)), (OUT, Expr::c(0)), 64),
-                ],
-            )],
+            vec![
+                Stmt::loop_(
+                    VarId(0),
+                    4,
+                    vec![fill(
+                        Expr::Div(Box::new(v(0)), Box::new(Expr::c(2))).mul(Expr::c(32)),
+                        32,
+                    )],
+                ),
+                relu((L, Expr::c(0)), (OUT, Expr::c(0)), 64),
+            ],
         );
         for (name, f) in [
             ("read first", read_first),

@@ -67,6 +67,27 @@ impl Expr {
         }
     }
 
+    /// `self / rhs` (truncating), folding a divisor of 1 and two
+    /// constants.
+    #[allow(clippy::should_implement_trait)] // builder API with const-folding, not `std::ops::Div`
+    pub fn div(self, rhs: Expr) -> Expr {
+        match (&self, &rhs) {
+            (_, Expr::Const(1)) => self,
+            (Expr::Const(a), Expr::Const(b)) if *b != 0 => Expr::Const(a / b),
+            _ => Expr::Div(Box::new(self), Box::new(rhs)),
+        }
+    }
+
+    /// `self % rhs`, folding a divisor of 1 and two constants.
+    #[allow(clippy::should_implement_trait)] // builder API with const-folding, not `std::ops::Rem`
+    pub fn rem(self, rhs: Expr) -> Expr {
+        match (&self, &rhs) {
+            (_, Expr::Const(1)) => Expr::Const(0),
+            (Expr::Const(a), Expr::Const(b)) if *b != 0 => Expr::Const(a % b),
+            _ => Expr::Rem(Box::new(self), Box::new(rhs)),
+        }
+    }
+
     /// Evaluate with variable values from `vars` (indexed by [`VarId`]).
     ///
     /// # Panics
@@ -107,12 +128,8 @@ impl Expr {
             }
             Expr::Add(a, b) => a.subst(var, with).add(b.subst(var, with)),
             Expr::Mul(a, b) => a.subst(var, with).mul(b.subst(var, with)),
-            Expr::Div(a, b) => {
-                Expr::Div(Box::new(a.subst(var, with)), Box::new(b.subst(var, with)))
-            }
-            Expr::Rem(a, b) => {
-                Expr::Rem(Box::new(a.subst(var, with)), Box::new(b.subst(var, with)))
-            }
+            Expr::Div(a, b) => a.subst(var, with).div(b.subst(var, with)),
+            Expr::Rem(a, b) => a.subst(var, with).rem(b.subst(var, with)),
         }
     }
 }
@@ -159,6 +176,17 @@ mod tests {
         assert_eq!(Expr::v(VarId(0)).mul(Expr::c(0)), Expr::c(0));
         assert_eq!(Expr::v(VarId(0)).add(Expr::c(0)), Expr::v(VarId(0)));
         assert_eq!(Expr::v(VarId(0)).mul(Expr::c(1)), Expr::v(VarId(0)));
+        assert_eq!(Expr::v(VarId(0)).div(Expr::c(1)), Expr::v(VarId(0)));
+        assert_eq!(Expr::v(VarId(0)).rem(Expr::c(1)), Expr::c(0));
+        assert_eq!(Expr::c(7).div(Expr::c(2)), Expr::c(3));
+        assert_eq!(Expr::c(7).rem(Expr::c(2)), Expr::c(1));
+        // a zero divisor is left for the validator to reject
+        assert!(matches!(Expr::c(7).div(Expr::c(0)), Expr::Div(..)));
+        assert_eq!(
+            Expr::v(VarId(0)).div(Expr::c(4)).to_string(),
+            "(v0 / 4)",
+            "a variable over a divisor > 1 stays"
+        );
     }
 
     #[test]
@@ -181,6 +209,10 @@ mod tests {
         let e = Expr::v(VarId(0)).mul(Expr::c(8)).add(Expr::c(4));
         let s = e.subst(VarId(0), &Expr::c(2));
         assert_eq!(s, Expr::c(20));
+        // (v0 / 4) % v1 with v0 = 9, v1 = 1: both fold
+        let e = Expr::v(VarId(0)).div(Expr::c(4)).rem(Expr::v(VarId(1)));
+        let s = e.subst(VarId(0), &Expr::c(9)).subst(VarId(1), &Expr::c(1));
+        assert_eq!(s, Expr::c(0));
     }
 
     #[test]

@@ -332,12 +332,13 @@ pub enum Op {
         /// Elements.
         len: usize,
     },
-    /// A fused post-op chain that reduces (softmax), run over one row
-    /// block of `rows x tiles x cols` f32 elements in the blocked
-    /// `[tiles][rows][cols]` layout — see [`RowChain`]. Operands: the
-    /// tile, the program's side operands in order (row vectors of
-    /// `tiles * cols`, plain `[rows][tiles * cols]` blocks) and, when the
-    /// chain [`RowChain::stores`], the destination in the tile's layout;
+    /// A fused post-op chain (a bias add and a relu, a softmax), run
+    /// over one row block of `rows x tiles x cols` f32 elements in the
+    /// blocked `[tiles][rows][cols]` layout — see [`RowChain`].
+    /// Operands: the tile, the program's side operands in order (row
+    /// vectors of `tiles * cols`, plain blocks of `rows` rows
+    /// [`RowChain::full_stride`] apart) and, when the chain
+    /// [`RowChain::stores`], the destination in the tile's layout;
     /// otherwise the tile is updated in place. Row stats live inside the
     /// call.
     RowChain(RowChain),

@@ -99,7 +99,13 @@ fn intr_str(f: &Func, i: &Intrinsic) -> String {
                     ChainStep::Unary(op) => format!("{op:?}"),
                     ChainStep::Scalar(op, k) => format!("{op:?}.s {}", c.constant(k)),
                     ChainStep::RowVec(op, i) => format!("{op:?}.rowb {}", o[1 + usize::from(i)]),
-                    ChainStep::Full(op, i) => format!("{op:?}.full {}", o[1 + usize::from(i)]),
+                    ChainStep::Full(op, i) if c.full_stride() == c.tiles() * c.cols() => {
+                        format!("{op:?}.full {}", o[1 + usize::from(i)])
+                    }
+                    ChainStep::Full(op, i) => {
+                        let ld = c.full_stride();
+                        format!("{op:?}.full {} ld={ld}", o[1 + usize::from(i)])
+                    }
                     ChainStep::Stat(op) => format!("{op:?}.colb"),
                     ChainStep::Reduce(op) => format!("reduce.{op:?}"),
                 })

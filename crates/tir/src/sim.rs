@@ -253,7 +253,8 @@ fn compute_cycles(op: &Op, machine: &MachineDescriptor) -> f64 {
         }
         Op::CompAccumulate { nb, kb } => (nb * kb) as f64 / 16.0,
         // one vector op per element per step, as the per-op kinds charge
-        Op::RowChain(c) => (c.elems() * c.steps().len()) as f64 / lanes,
+        // (a storing chain with no steps is a copy)
+        Op::RowChain(c) => (c.elems() * c.steps().len().max(1)) as f64 / lanes,
     }
 }
 

@@ -297,11 +297,12 @@ fn cases() -> Vec<Case> {
 /// Row chains over a 3-row block of two 5-column tiles (odd widths, so
 /// every backend runs its tail path), each once in place and once
 /// storing to a separate destination: a fused softmax, every other step
-/// kind, a first pass with no steps (a standalone softmax) and a chain
-/// that ends in a reduction.
+/// kind, a first pass with no steps (a standalone softmax) reading a
+/// full operand of wider rows, a chain that ends in a reduction, and a
+/// chain with no steps (storing, the copy into a blocked output).
 fn row_chain_cases() -> Vec<Case> {
     type Build = fn(&mut RowChain) -> Option<()>;
-    let programs: [(&str, Build); 4] = [
+    let programs: [(&str, Build); 5] = [
         ("softmax", |c| {
             c.scalar(BinaryOp::Div, 1.5)?;
             c.row_vec(BinaryOp::Add)?;
@@ -312,7 +313,7 @@ fn row_chain_cases() -> Vec<Case> {
             c.stat(BinaryOp::Div)
         }),
         ("every step", |c| {
-            c.full(BinaryOp::Sub)?;
+            c.full(BinaryOp::Sub, 10)?;
             for op in [UnaryOp::Neg, UnaryOp::Square, UnaryOp::Tanh, UnaryOp::Gelu] {
                 c.unary(op)?;
             }
@@ -328,12 +329,13 @@ fn row_chain_cases() -> Vec<Case> {
             c.reduce(ReduceOp::Max)?;
             c.stat(BinaryOp::Sub)?;
             c.unary(UnaryOp::Relu)?;
-            c.full(BinaryOp::Div)
+            c.full(BinaryOp::Div, 13)
         }),
         ("ends in a reduction", |c| {
             c.unary(UnaryOp::Exp)?;
             c.reduce(ReduceOp::Sum)
         }),
+        ("with no steps", |_| Some(())),
     ];
     let mut v = Vec::new();
     for (name, build) in programs {
@@ -560,6 +562,104 @@ fn descriptor_spans_are_what_the_bounds_checks_enforce() {
             compile_module(&short, 1).func(0).is_none(),
             "{}: plan builder accepted a buffer one element short of the span",
             c.name
+        );
+    }
+}
+
+/// The template's fused chain on a task that owns one of `NPN` column
+/// slices of the output: each call reads the bias and a full-shape
+/// residual from its slice's first column (the residual in rows of the
+/// whole width) and stores `relu(c + bias + residual)` into its slice of
+/// the blocked output. On the interpreter, the plan and the checked plan
+/// of the scalar and the detected backend, bit for bit against the
+/// values computed here.
+#[test]
+fn row_chain_reads_its_column_slice_of_side_operands() {
+    const NPN: usize = 2;
+    let (rows, cols, tiles) = (3, 5, 2);
+    let (block, width) = (rows * cols * tiles, cols * tiles);
+    let ld = NPN * width;
+    let mut c = RowChain::new(rows, cols, tiles, true);
+    c.row_vec(BinaryOp::Add).unwrap();
+    c.full(BinaryOp::Add, ld).unwrap();
+    c.unary(UnaryOp::Relu).unwrap();
+    let slice = |elems: usize| Expr::v(gc_tir::VarId(0)).mul(Expr::from(elems));
+    let func = Func {
+        name: "column_slices".into(),
+        params: vec![
+            BufDecl::new(DataType::F32, NPN * block, "c"),
+            BufDecl::new(DataType::F32, ld, "bias"),
+            BufDecl::new(DataType::F32, rows * ld, "residual"),
+            BufDecl::new(DataType::F32, NPN * block, "out"),
+        ],
+        locals: vec![],
+        var_count: 1,
+        body: vec![Stmt::parallel(
+            gc_tir::VarId(0),
+            NPN,
+            vec![Stmt::Op(Intrinsic::new(
+                Op::RowChain(c),
+                [
+                    Operand::new(BufId::Param(0), slice(block)),
+                    Operand::new(BufId::Param(1), slice(width)),
+                    Operand::new(BufId::Param(2), slice(width)),
+                    Operand::new(BufId::Param(3), slice(block)),
+                ],
+                [],
+            ))],
+        )],
+    };
+    let mut m = Module::new();
+    let f = m.add_func(func);
+    let sizes = [NPN * block, ld, rows * ld, NPN * block];
+    for (i, &elems) in sizes.iter().enumerate() {
+        let kind = if i == 3 {
+            GlobalKind::Scratch
+        } else {
+            GlobalKind::Weight
+        };
+        m.add_global(GlobalDecl {
+            dtype: DataType::F32,
+            elems,
+            kind,
+            name: format!("g{i}"),
+        });
+    }
+    m.main_calls.push(Call {
+        func: f,
+        args: vec![0, 1, 2, 3],
+    });
+    let vals = |len: usize, salt: usize| -> Vec<f32> {
+        (0..len)
+            .map(|i| ((i * 7 + salt * 13) % 11) as f32 * 0.25 - 1.25)
+            .collect()
+    };
+    let (cv, bias, res) = (vals(sizes[0], 0), vals(sizes[1], 1), vals(sizes[2], 2));
+    // blocked [slice][tile][row][col]; the side operands' column is
+    // slice * width + tile * cols + col
+    let mut want = vec![0.0f32; NPN * block];
+    for s in 0..NPN {
+        for t in 0..tiles {
+            for r in 0..rows {
+                for j in 0..cols {
+                    let at = s * block + (t * rows + r) * cols + j;
+                    let col = s * width + t * cols + j;
+                    want[at] = (cv[at] + bias[col] + res[r * ld + col]).max(0.0);
+                }
+            }
+        }
+    }
+    let init: Vec<Storage> = [cv, bias, res, vec![0.0; NPN * block]]
+        .into_iter()
+        .map(Storage::F32)
+        .collect();
+    validate_module(&m).expect("validates");
+    for isa in [Isa::Scalar, gc_microkernel::arch::detected_isa()] {
+        let got = run_on("column slices", &m, &init, kernels(isa));
+        assert_eq!(
+            bits(&got[3]),
+            bits(&Storage::F32(want.clone())),
+            "column slices on {isa}"
         );
     }
 }

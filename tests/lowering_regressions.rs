@@ -3,11 +3,13 @@
 //! reference.
 
 use gc_bench::workloads::{
-    mlp1_layers, mlp2_layers, mlp_f32, mlp_int8, random_inputs, reference_eval,
+    decode_f32, mlp1_layers, mlp2_layers, mlp_f32, mlp_int8, random_inputs, reference_eval,
 };
 use gc_core::{CompileOptions, CompiledPartition, Compiler};
-use gc_graph::Graph;
+use gc_graph::{BinaryKind, Graph, OpKind, UnaryKind};
 use gc_machine::MachineDescriptor;
+use gc_tensor::{DataType, QuantParams, Tensor, TensorDesc};
+use gc_tir::{Op, Stmt};
 
 /// Compile `build()` with `opts`, run it on seeded inputs, and return the
 /// largest absolute difference from the reference and the largest
@@ -127,4 +129,187 @@ fn odd_batches_pad_their_edge_tiles() {
         assert!(tir.contains("pack2d.pad"), "{label}: no padded edge tile");
         assert_matches(&label, int8, compiled_err(&compiled, build));
     }
+}
+
+/// An f32 MLP whose layers each add a bias; the first also adds its own
+/// input back (a full-shape residual), so its chain reads two side
+/// operands: `relu(x w0 + b0 + x) -> relu(. w1 + b1)`.
+fn residual_mlp(batch: usize, seed: u64) -> Graph {
+    let mut g = Graph::new();
+    let x = g.add_input(TensorDesc::new([batch, 256], DataType::F32), "x");
+    let mut cur = x;
+    for (i, n) in [256, 128].into_iter().enumerate() {
+        let k = g.desc(cur).shape()[1];
+        let seed = seed + 2 * i as u64;
+        let w = g.add_constant(Tensor::random(&[k, n], DataType::F32, seed), "w");
+        let b = g.add_constant(Tensor::random(&[n], DataType::F32, seed + 1), "b");
+        cur = g.add_op(OpKind::MatMul, &[cur, w]).expect("matmul");
+        cur = g.add_op(OpKind::BiasAdd, &[cur, b]).expect("bias");
+        if i == 0 {
+            cur = g
+                .add_op(OpKind::Binary(BinaryKind::Add), &[cur, x])
+                .expect("residual");
+        }
+        cur = g
+            .add_op(OpKind::Unary(UnaryKind::Relu), &[cur])
+            .expect("relu");
+    }
+    g.mark_output(cur);
+    g
+}
+
+/// [`mlp_int8`]'s layers with power-of-two scales, so the integer chain
+/// is exact in f32 whatever order a path evaluates it in and the
+/// compiled output must match the reference bit for bit.
+fn mlp_int8_exact(batch: usize, layers: &[usize], seed: u64) -> Graph {
+    let a_q = QuantParams::new(1.0 / 64.0, 8);
+    let w_q = QuantParams::symmetric(1.0 / 32.0);
+    let mut g = Graph::new();
+    let mut cur = g.add_input(TensorDesc::new([batch, layers[0]], DataType::U8), "x_q");
+    for (i, w) in layers.windows(2).enumerate() {
+        let w = Tensor::random(&[w[0], w[1]], DataType::I8, seed + i as u64);
+        let w = g.add_constant(w, "w_q");
+        let a = g
+            .add_op(OpKind::Dequantize { params: a_q }, &[cur])
+            .unwrap();
+        let w = g.add_op(OpKind::Dequantize { params: w_q }, &[w]).unwrap();
+        let mut act = g.add_op(OpKind::MatMul, &[a, w]).unwrap();
+        if i + 2 < layers.len() {
+            act = g.add_op(OpKind::Unary(UnaryKind::Relu), &[act]).unwrap();
+        }
+        let quantize = OpKind::Quantize {
+            dtype: DataType::U8,
+            params: a_q,
+        };
+        cur = g.add_op(quantize, &[act]).unwrap();
+    }
+    g.mark_output(cur);
+    g
+}
+
+/// Row chains per m-tile loop of `stmts` (a loop whose body zeroes an
+/// accumulator: one iteration per m-tile of a task), in program order.
+/// Panics on a chain inside a loop of that body, which would run more
+/// than once per m-tile.
+fn chains_per_m_tile(stmts: &[Stmt], out: &mut Vec<usize>) {
+    let is_chain = |s: &&Stmt| matches!(s, Stmt::Op(i) if matches!(i.op, Op::RowChain(_)));
+    for s in stmts {
+        let Stmt::For { body, .. } = s else { continue };
+        let zeroes = body.iter().any(
+            |s| matches!(s, Stmt::Op(i) if matches!(i.op, Op::FillF32 { .. } | Op::ZeroI32 { .. })),
+        );
+        if !zeroes {
+            chains_per_m_tile(body, out);
+            continue;
+        }
+        gc_tir::visit::visit_intrinsics(body, &mut |i| {
+            let direct = body
+                .iter()
+                .any(|s| matches!(s, Stmt::Op(d) if std::ptr::eq(d, i)));
+            assert!(
+                direct || !matches!(i.op, Op::RowChain(_)),
+                "a row chain runs more than once per m-tile"
+            );
+        });
+        out.push(body.iter().filter(is_chain).count());
+    }
+}
+
+/// Every fused f32 post-op chain lowers to one storing or in-place row
+/// chain per m-tile: no per-tile unary (an `Identity` copy included), no
+/// scalar, broadcast or per-row binary is left in a fused function. The
+/// MLPs' last layers have no post-op and a plain output, so no chain.
+/// Outputs match the reference: f32 to 1e-5 of their scale, int8 bit
+/// for bit.
+#[test]
+fn fused_chains_are_one_row_chain_per_m_tile() {
+    type Case = (&'static str, fn() -> Graph, &'static [usize]);
+    let cases: [Case; 3] = [
+        (
+            "f32 MLP_2 b128",
+            || mlp_f32(128, &mlp2_layers(), 3),
+            &[1, 1, 1, 1, 0],
+        ),
+        (
+            "int8 MLP_2 b128",
+            || mlp_int8_exact(128, &mlp2_layers(), 3),
+            &[1, 1, 1, 1, 0],
+        ),
+        (
+            "f32 bias + residual MLP b64",
+            || residual_mlp(64, 3),
+            &[1, 1],
+        ),
+    ];
+    for (label, build, want) in cases {
+        let compiled = Compiler::new(one_thread(MachineDescriptor::xeon_8358()))
+            .compile(build())
+            .expect("compile");
+        let module = compiled.executable().module();
+        let mut chains = Vec::new();
+        for call in &module.main_calls {
+            let f = &module.funcs[call.func];
+            gc_tir::visit::visit_intrinsics(&f.body, &mut |i| {
+                let sweep = matches!(
+                    i.op,
+                    Op::Unary { .. }
+                        | Op::BinaryScalar { .. }
+                        | Op::BinaryRowBcast { .. }
+                        | Op::BinaryColBcast { .. }
+                        | Op::Binary { .. }
+                );
+                assert!(!sweep, "{label}: `{}` holds {:?}", f.name, i.op);
+            });
+            chains_per_m_tile(&f.body, &mut chains);
+        }
+        assert_eq!(chains, want, "{label}: row chains per m-tile loop");
+
+        if build().desc(build().outputs()[0]).dtype() == DataType::U8 {
+            let inputs = random_inputs(&build(), 5);
+            let want = reference_eval(&build(), &inputs);
+            let (outs, _) = compiled.execute(&inputs).expect("execute");
+            let got = outs[0].u8_slice().unwrap();
+            let levels: std::collections::BTreeSet<u8> = got.iter().copied().collect();
+            assert!(levels.len() > 16, "{label}: output saturated ({levels:?})");
+            assert_eq!(
+                got,
+                want[0].u8_slice().unwrap(),
+                "{label}: int8 bit for bit"
+            );
+        } else {
+            assert_matches(label, false, compiled_err(&compiled, build));
+        }
+    }
+}
+
+/// The template addresses every tile through its batch index and task
+/// split (`t / tasks`, `t % tasks`, then the m/n split of the task).
+/// Lowering folds the divisions by 1; the plan builder folds the ones
+/// the loop ranges settle, so such offsets are affine:
+/// - the decode step's merged group (64 rows at capacity 64) has no
+///   program offset, and the written-first proof covers its softmax
+///   intermediate, so no local is zeroed per step;
+/// - MLP_1 at batch 1 splits each layer's 32 tasks over n alone, so
+///   `v0 / 32` and `(v0 % 32) / 32` under `parallel v0 in 0..32` are 0
+///   and `v0 % 32` is `v0`: only the two weight prepacks that walk 256
+///   tiles keep a division.
+#[test]
+fn task_splits_the_loop_ranges_settle_are_affine() {
+    let compile = |g: Graph| {
+        Compiler::new(one_thread(MachineDescriptor::xeon_8358()))
+            .compile(g)
+            .expect("compile")
+    };
+    let decode = compile(decode_f32(64, 64, 64));
+    let tir = decode.tir_text();
+    assert!(
+        tir.contains("$inter_"),
+        "the decode step is one merged group"
+    );
+    assert!(!tir.contains(" / 1)") && !tir.contains(" % 1)"), "{tir}");
+    let stats = decode.executable().plan_stats();
+    assert_eq!((stats.zeroed_locals, stats.program_offsets), (0, 0));
+
+    let mlp = compile(mlp_f32(1, &mlp1_layers(), 3));
+    assert_eq!(mlp.executable().plan_stats().program_offsets, 2);
 }
