@@ -64,9 +64,10 @@ pub struct BaselineOptions {
     pub machine: MachineDescriptor,
     /// Worker threads (None = host parallelism).
     pub threads: Option<usize>,
-    /// Maximum post-ops a primitive attribute accepts (oneDNN-style).
-    pub max_primitive_post_ops: usize,
 }
+
+/// Most post-ops a primitive attribute accepts (oneDNN-style).
+pub const MAX_PRIMITIVE_POST_OPS: usize = 3;
 
 impl BaselineOptions {
     /// Defaults for a machine.
@@ -74,7 +75,6 @@ impl BaselineOptions {
         BaselineOptions {
             machine,
             threads: None,
-            max_primitive_post_ops: 3,
         }
     }
 }
@@ -116,7 +116,7 @@ impl Baseline {
             machine: self.options.machine.clone(),
             fusion: FusionOptions {
                 enabled: true,
-                max_post_ops: self.options.max_primitive_post_ops,
+                max_post_ops: MAX_PRIMITIVE_POST_OPS,
                 max_reductions: 0,
                 max_reorders: 0,
                 ..FusionOptions::default()

@@ -50,6 +50,16 @@ pub enum BinaryKind {
     Min,
 }
 
+impl BinaryKind {
+    /// Whether `a op b == b op a`.
+    pub fn commutes(self) -> bool {
+        matches!(
+            self,
+            BinaryKind::Add | BinaryKind::Mul | BinaryKind::Max | BinaryKind::Min
+        )
+    }
+}
+
 /// Reduction kinds over the last axis (keepdim), Fusible.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ReduceKind {

@@ -12,7 +12,7 @@
 //! preprocessing) form their own single-op partitions executed once.
 
 use crate::error::{GraphError, Result};
-use crate::graph::{Graph, LtId, OpId, Property};
+use crate::graph::{Graph, LtId, Op, OpId, Property};
 use crate::op::{OpCategory, OpKind, Stage};
 use gc_tensor::DataType;
 use std::collections::{HashMap, HashSet};
@@ -337,12 +337,11 @@ fn grow_partition(
         }
     }
 
-    // ---- post-ops: greedy closure.
+    // ---- post-ops: greedy, one row chain from the tunable's output.
+    let anchor = g.op(tunable).outputs[0];
     let mut post_ops: Vec<OpId> = Vec::new();
-    let mut produced: HashSet<LtId> = g.op(tunable).outputs.iter().copied().collect();
-    for &p in &pre_ops {
-        produced.extend(g.op(p).outputs.iter().copied());
-    }
+    let mut current = anchor;
+    let mut stat: Option<LtId> = None;
     let mut n_reorders = 0usize;
     let mut n_reductions = 0usize;
     let mut n_side = 0usize;
@@ -355,18 +354,18 @@ fn grow_partition(
                 continue;
             }
             let op = g.op(cand);
-            if op.stage != Stage::Main || op.kind.category() != OpCategory::Fusible {
+            if op.stage != Stage::Main {
                 continue;
             }
-            // must consume something we produce
-            if !op.inputs.iter().any(|i| produced.contains(i)) {
+            // it must extend the chain: read the running value
+            let Some(side) = chain_side(op, current) else {
                 continue;
-            }
+            };
             // limits
             if post_ops.len() + 1 > opts.max_post_ops {
                 break 'grow;
             }
-            let is_reorder = matches!(op.kind, OpKind::Reorder { .. } | OpKind::Transpose);
+            let is_reorder = matches!(op.kind, OpKind::Reorder { .. });
             let is_reduction = matches!(op.kind, OpKind::Reduce(_));
             if is_reorder && n_reorders + 1 > opts.max_reorders {
                 continue;
@@ -374,28 +373,20 @@ fn grow_partition(
             if is_reduction && n_reductions + 1 > opts.max_reductions {
                 continue;
             }
-            // every external input must be computable before this fused
-            // op runs (its producer must not depend on us)
+            // a side input other than the latest row stat must exist
+            // before this fused op runs (its producer must not depend on
+            // us) and broadcast onto the chain the way a row chain reads
             let mut cand_extra = 0usize;
             let mut cand_side = 0usize;
-            let mut ok = true;
-            for &i in &op.inputs {
-                if produced.contains(&i) {
+            if let Some(rhs) = side.filter(|&rhs| Some(rhs) != stat) {
+                let late = g.producer(rhs).is_some_and(|p| reaches(g, &in_part, p));
+                if late || side_shape(g, anchor, rhs).is_none() {
                     continue;
                 }
-                cand_side += 1;
-                if let Some(p) = g.producer(i) {
-                    if reaches(g, &in_part, p) {
-                        ok = false;
-                        break;
-                    }
+                cand_side = 1;
+                if g.tensor(rhs).property != Property::Constant {
+                    cand_extra = g.desc(rhs).size_bytes();
                 }
-                if g.tensor(i).property != Property::Constant {
-                    cand_extra += g.desc(i).size_bytes();
-                }
-            }
-            if !ok {
-                continue;
             }
             if extra_bytes + cand_extra > opts.max_extra_operand_bytes {
                 continue;
@@ -407,7 +398,11 @@ fn grow_partition(
             // absorb
             in_part.insert(cand);
             post_ops.push(cand);
-            produced.extend(op.outputs.iter().copied());
+            if is_reduction {
+                stat = Some(op.outputs[0]);
+            } else {
+                current = op.outputs[0];
+            }
             n_reorders += usize::from(is_reorder);
             n_reductions += usize::from(is_reduction);
             n_side += cand_side;
@@ -442,13 +437,14 @@ fn grow_partition(
 }
 
 /// The standalone reducing chain seeded at row reduction `seed`: from
-/// the reduction's input (the anchor), the ops that each take the chain's
-/// running value as their first input — unaries and binaries (whose other
-/// input is a side operand or the latest reduction's stat) update it,
-/// reductions read it — within the [`MAX_CHAIN_OPS`] /
-/// [`MAX_CHAIN_SIDE_INPUTS`] budget, trimmed from the end until the
-/// running value is the group's only escaping tensor. `None` when no such
-/// chain exists (the reduction's stat itself escapes, say).
+/// the reduction's input (the anchor), the ops that each extend the
+/// chain ([`chain_side`]) — unaries and binaries (whose other input is a
+/// side operand of a [`side_shape`] or the latest reduction's stat)
+/// update its running value, reductions read it — within the
+/// [`MAX_CHAIN_OPS`] / [`MAX_CHAIN_SIDE_INPUTS`] budget, trimmed from the
+/// end until the running value is the group's only escaping tensor.
+/// `None` when no such chain exists (the reduction's stat itself
+/// escapes, say).
 fn grow_row_chain(
     g: &Graph,
     seed: OpId,
@@ -463,43 +459,34 @@ fn grow_row_chain(
     let start = order.iter().position(|&id| id == seed)?;
     let mut ops: Vec<OpId> = Vec::new();
     let mut current = anchor;
-    let mut stats: Vec<LtId> = Vec::new();
+    let mut stat: Option<LtId> = None;
     let mut n_side = 0usize;
     for &id in &order[start..] {
         let op = g.op(id);
-        if assigned.contains(&id)
-            || op.stage != Stage::Main
-            || op.inputs.first() != Some(&current)
-            || ops.len() == MAX_CHAIN_OPS
-        {
+        if assigned.contains(&id) || op.stage != Stage::Main || ops.len() == MAX_CHAIN_OPS {
             continue;
         }
-        match op.kind {
-            OpKind::Reduce(_) => stats.push(op.outputs[0]),
-            OpKind::Unary(_) => current = op.outputs[0],
-            OpKind::Binary(_) => {
-                let rhs = op.inputs[1];
-                if stats.contains(&rhs) {
-                    // a stat step broadcasts the latest reduction only
-                    if stats.last() != Some(&rhs) {
-                        continue;
-                    }
-                } else {
-                    // a side operand must exist before the chain runs
-                    let chain: HashSet<OpId> = ops.iter().copied().collect();
-                    let late = g.producer(rhs).is_some_and(|p| reaches(g, &chain, p));
-                    if rhs == anchor
-                        || late
-                        || n_side == MAX_CHAIN_SIDE_INPUTS
-                        || !side_operand_fits(g, anchor, rhs)
-                    {
-                        continue;
-                    }
-                    n_side += 1;
-                }
-                current = op.outputs[0];
-            }
+        let side = match (&op.kind, chain_side(op, current)) {
+            (OpKind::Reduce(_) | OpKind::Unary(_) | OpKind::Binary(_), Some(side)) => side,
             _ => continue,
+        };
+        if let Some(rhs) = side.filter(|&rhs| Some(rhs) != stat) {
+            // a side operand must exist before the chain runs
+            let chain: HashSet<OpId> = ops.iter().copied().collect();
+            let late = g.producer(rhs).is_some_and(|p| reaches(g, &chain, p));
+            if rhs == anchor
+                || late
+                || n_side == MAX_CHAIN_SIDE_INPUTS
+                || side_shape(g, anchor, rhs).is_none()
+            {
+                continue;
+            }
+            n_side += 1;
+        }
+        if matches!(op.kind, OpKind::Reduce(_)) {
+            stat = Some(op.outputs[0]);
+        } else {
+            current = op.outputs[0];
         }
         ops.push(id);
     }
@@ -527,23 +514,95 @@ fn grow_row_chain(
     })
 }
 
-/// Whether `rhs` can be a side operand of a row chain over `anchor`
-/// (`[.., M, N]`): a compile-time f32 scalar, one value per column — `[N]`,
-/// or one such row per leading batch index — or a tensor of the anchor's
-/// shape. Lowering classifies side operands by exactly these shapes.
-fn side_operand_fits(g: &Graph, anchor: LtId, rhs: LtId) -> bool {
-    let (a, r) = (g.desc(anchor), g.desc(rhs));
-    if r.volume() == 1 {
-        return r.dtype() == DataType::F32 && g.const_value(rhs).is_some();
+/// The side input `op` reads when it extends a row chain whose running
+/// value is `value`: `Some(None)` for an op that reads the value alone
+/// (a unary, a row reduction, a u8 quantize, a reorder to plain),
+/// `Some(Some(rhs))` for a binary that takes the value as its lhs — or as
+/// its rhs when the operation commutes — and `None` for an op a row chain
+/// cannot run at this point.
+pub fn chain_side(op: &Op, value: LtId) -> Option<Option<LtId>> {
+    let reads_value = op.inputs.first() == Some(&value);
+    match op.kind {
+        OpKind::Binary(_) if reads_value => Some(Some(op.inputs[1])),
+        OpKind::Binary(b) if op.inputs[1] == value && b.commutes() => Some(Some(op.inputs[0])),
+        OpKind::Unary(_) | OpKind::Reduce(_) if reads_value => Some(None),
+        OpKind::Quantize {
+            dtype: DataType::U8,
+            ..
+        } if reads_value => Some(None),
+        OpKind::Reorder { ref target } if reads_value && target.is_plain() => Some(None),
+        _ => None,
     }
-    let shape = a.shape();
-    let n = shape.last().copied().unwrap_or(1);
-    let m = shape.len().checked_sub(2).map_or(1, |i| shape[i]);
-    let batch = a.volume() / (m * n).max(1);
-    r.dtype() == DataType::F32
-        && r.layout().is_plain()
-        && r.shape().last() == Some(&n)
-        && (r.volume() == n || r.volume() == batch * n || r.shape() == shape)
+}
+
+/// How a binary's side operand broadcasts onto a row chain's anchor
+/// `[lead.., M, N]` — see [`side_shape`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum SideShape {
+    /// A compile-time f32 scalar (any volume-1 constant), a constant of
+    /// the program.
+    Scalar(f32),
+    /// One value per column: `[N]` (leading 1s allowed) or, with
+    /// `batch_indexed`, one such row per leading index, `[lead.., 1, N]`.
+    RowVec {
+        /// The operand carries the anchor's leading dims.
+        batch_indexed: bool,
+    },
+    /// The anchor's shape.
+    Full,
+    /// One value per row, `[lead.., M, 1]` (keepdim row stats).
+    ColVec,
+}
+
+/// The one rule that classifies `rhs` as a side operand of a row chain
+/// over `anchor`, by right-aligned shape (leading 1s ignored), checked in
+/// this order: a constant scalar, a row vector, a batch-indexed row
+/// vector, the anchor's shape, a column vector. `None` for any other
+/// broadcast (`[M, N]` over a batch, say), a non-f32 operand, or a
+/// non-plain layout — fusion leaves such a binary unfused, and lowering
+/// refuses it.
+pub fn side_shape(g: &Graph, anchor: LtId, rhs: LtId) -> Option<SideShape> {
+    let (a, r) = (g.desc(anchor), g.desc(rhs));
+    if r.dtype() != DataType::F32 {
+        return None;
+    }
+    if r.volume() == 1 {
+        if let Some(v) = g.const_value(rhs) {
+            return Some(SideShape::Scalar(v.f32_slice().ok()?[0]));
+        }
+    }
+    if !a.layout().is_plain() || !r.layout().is_plain() {
+        return None;
+    }
+    // both shapes as [lead.., m, n], the operand's padded to the
+    // anchor's rank with leading 1s
+    let strip = |s: &[usize]| -> Vec<usize> { s.iter().copied().skip_while(|&d| d == 1).collect() };
+    let (sa, sr) = (strip(a.shape()), strip(r.shape()));
+    let rank = sa.len().max(sr.len()).max(2);
+    let pad = |s: Vec<usize>| -> Vec<usize> {
+        let mut p = vec![1; rank - s.len()];
+        p.extend(s);
+        p
+    };
+    let (sa, sr) = (pad(sa), pad(sr));
+    let (lead, m, n) = (&sa[..rank - 2], sa[rank - 2], sa[rank - 1]);
+    let (r_lead, r_m, r_n) = (&sr[..rank - 2], sr[rank - 2], sr[rank - 1]);
+    let ones = |s: &[usize]| s.iter().all(|&d| d == 1);
+    if r_n == n && r_m == 1 && ones(r_lead) {
+        Some(SideShape::RowVec {
+            batch_indexed: false,
+        })
+    } else if r_n == n && r_m == 1 && r_lead == lead {
+        Some(SideShape::RowVec {
+            batch_indexed: true,
+        })
+    } else if sr == sa {
+        Some(SideShape::Full)
+    } else if r_n == 1 && r_m == m && r_lead == lead {
+        Some(SideShape::ColVec)
+    } else {
+        None
+    }
 }
 
 // `grow_partition` returns a FusedOp; alias kept for readability above.
@@ -789,5 +848,78 @@ mod tests {
         // relu went to the first matmul as a post-op
         assert_eq!(parts.parts[0].post_ops.len(), 1);
         assert!(parts.parts[1].post_ops.is_empty());
+    }
+
+    #[test]
+    fn side_shape_classifies_by_right_aligned_shape() {
+        let mut g = Graph::new();
+        let anchor = g.add_input(TensorDesc::new([4, 4, 8], DataType::F32), "a");
+        let input = |g: &mut Graph, shape: &[usize]| {
+            g.add_input(TensorDesc::new(shape.to_vec(), DataType::F32), "r")
+        };
+        let row = |batch_indexed| Some(SideShape::RowVec { batch_indexed });
+        let cases: [(&[usize], Option<SideShape>); 9] = [
+            (&[8], row(false)),
+            (&[1, 1, 8], row(false)),
+            (&[4, 1, 8], row(true)),
+            (&[4, 4, 8], Some(SideShape::Full)),
+            (&[1, 4, 4, 8], Some(SideShape::Full)),
+            (&[4, 4, 1], Some(SideShape::ColVec)),
+            // [M, N] over the batch: as many elements as one row per
+            // batch index (B == M), yet neither
+            (&[4, 8], None),
+            // keepdim stats without the batch
+            (&[4, 1], None),
+            // a scalar that is not a constant
+            (&[1], None),
+        ];
+        for (shape, want) in cases {
+            let r = input(&mut g, shape);
+            assert_eq!(side_shape(&g, anchor, r), want, "{shape:?}");
+        }
+        let k = g.add_constant(Tensor::scalar_f32(2.5), "k");
+        assert_eq!(side_shape(&g, anchor, k), Some(SideShape::Scalar(2.5)));
+        // at rows == cols a row vector and a column vector have the same
+        // volume; the shape tells them apart
+        let square = g.add_input(TensorDesc::new([8, 8], DataType::F32), "sq");
+        let (rv, cv) = (input(&mut g, &[1, 8]), input(&mut g, &[8, 1]));
+        assert_eq!(side_shape(&g, square, rv), row(false));
+        assert_eq!(side_shape(&g, square, cv), Some(SideShape::ColVec));
+    }
+
+    #[test]
+    fn binary_fuses_only_with_the_chain_value_as_lhs_or_commuting() {
+        // r op matmul: the matmul's output is the rhs
+        for (kind, fuses) in [
+            (BinaryKind::Sub, false),
+            (BinaryKind::Div, false),
+            (BinaryKind::Add, true),
+            (BinaryKind::Mul, true),
+        ] {
+            let mut g = Graph::new();
+            let x = g.add_input(TensorDesc::new([16, 32], DataType::F32), "x");
+            let w = g.add_input(TensorDesc::new([32, 8], DataType::F32), "w");
+            let r = g.add_input(TensorDesc::new([16, 8], DataType::F32), "r");
+            let mm = g.add_op(OpKind::MatMul, &[x, w]).unwrap();
+            let out = g.add_op(OpKind::Binary(kind), &[r, mm]).unwrap();
+            g.mark_output(out);
+            let parts = fuse(&g, &FusionOptions::default()).unwrap();
+            assert_eq!(parts.parts.len(), if fuses { 1 } else { 2 }, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn unreadable_side_operand_stays_unfused() {
+        // matmul [B, M, N] + y [M, N]: no row chain reads y
+        let mut g = Graph::new();
+        let x = g.add_input(TensorDesc::new([4, 4, 16], DataType::F32), "x");
+        let w = g.add_input(TensorDesc::new([4, 16, 8], DataType::F32), "w");
+        let y = g.add_input(TensorDesc::new([4, 8], DataType::F32), "y");
+        let mm = g.add_op(OpKind::MatMul, &[x, w]).unwrap();
+        let out = g.add_op(OpKind::Binary(BinaryKind::Add), &[mm, y]).unwrap();
+        g.mark_output(out);
+        let parts = fuse(&g, &FusionOptions::default()).unwrap();
+        assert_eq!(parts.parts.len(), 2);
+        assert!(parts.parts[0].post_ops.is_empty());
     }
 }

@@ -21,6 +21,7 @@ use crate::standalone::{binary_op, lower_reorder, lower_row_chain, lower_standal
 use crate::template::{
     lower_matmul, AInput, BInput, Int8Spec, MatmulSpec, OutLayout, ParamRole, PostOpSpec,
 };
+use gc_graph::passes::fusion::{chain_side, side_shape, SideShape};
 use gc_graph::{
     CoarseGroups, FusedOp, Graph, LtId, OpId, OpKind, Partitioning, Property, ReduceKind,
 };
@@ -513,27 +514,12 @@ impl Builder<'_> {
 
     fn lower_init_op(&mut self, init: &FusedOp) -> Result<(), LowerError> {
         let op_id = init.pre_ops[0];
-        let op = self.graph.op(op_id);
-        let in_descs: Vec<_> = op.inputs.iter().map(|&i| self.graph.desc(i)).collect();
-        let out = op.outputs[0];
-        let func = lower_standalone(
-            &op.kind,
-            &in_descs,
-            self.graph.desc(out),
-            None,
-            &format!("init_{}", op.kind.mnemonic()),
-        );
-        let n_params = func.params.len();
-        let fi = self.module.add_func(func);
-        let mut args: Vec<usize> = op.inputs.iter().map(|&i| self.global_for(i)).collect();
-        args.push(self.global_for(out));
-        if args.len() != n_params {
-            return Err(err(format!(
-                "init op {} arity mismatch",
-                op.kind.mnemonic()
-            )));
-        }
-        self.module.init_calls.push(Call { func: fi, args });
+        let call = if is_f32_elementwise(&self.graph.op(op_id).kind) {
+            self.lower_row_chain(init, "init")?
+        } else {
+            self.lower_standalone_op(op_id, "init")?
+        };
+        self.module.init_calls.push(call);
         Ok(())
     }
 
@@ -603,8 +589,7 @@ impl Builder<'_> {
         let problem = MatmulProblem::batched(batch, m, n, k, elem_bytes);
 
         // --- post-op translation
-        let (post_ops, operand_binds) =
-            self.translate_post_ops(&part.post_ops, t_op.outputs[0], batch, &out_desc)?;
+        let (post_ops, operand_binds) = self.translate_post_ops(&part.post_ops, t_op.outputs[0])?;
         // quantize, if present, must be last (output write handles it)
         if let Some(qpos) = post_ops
             .iter()
@@ -638,9 +623,13 @@ impl Builder<'_> {
         // weight path has pad-to-tile storage, and only operand shapes
         // that never read past the logical edge survive a pad. Grouped
         // members share fixed decompositions, so they stay exact.
-        let has_full = post_ops
-            .iter()
-            .any(|p| matches!(p, PostOpSpec::BinaryFull { .. }));
+        // full and column-vector operands are sized to the logical m
+        let has_full = post_ops.iter().any(|p| {
+            matches!(
+                p,
+                PostOpSpec::BinaryFull { .. } | PostOpSpec::BinaryColVec { .. }
+            )
+        });
         let has_rowvec = post_ops
             .iter()
             .any(|p| matches!(p, PostOpSpec::BinaryRowVec { .. }));
@@ -779,68 +768,60 @@ impl Builder<'_> {
 
     /// Translate fused graph ops into template post-ops. `chain_in` is the
     /// value the chain starts from (the matmul's output, or a standalone
-    /// chain's anchor); `out` the chain's output, `batch` copies of
-    /// `[M, N]`. Returns the post-ops and, for each one that reads a side
+    /// chain's anchor), against which [`side_shape`] classifies every side
+    /// operand. Returns the post-ops and, for each one that reads a side
     /// operand, `(post-op index, tensor)`.
+    ///
+    /// # Errors
+    ///
+    /// An op that does not extend the chain ([`chain_side`]), or a side
+    /// operand no row chain reads (`[M, N]` broadcast over a batch, say);
+    /// fusion never groups either, so only a standalone op meets this.
     #[allow(clippy::type_complexity)]
     fn translate_post_ops(
         &self,
         ops: &[OpId],
         chain_in: LtId,
-        batch: usize,
-        out: &gc_tensor::TensorDesc,
     ) -> Result<(Vec<PostOpSpec>, Vec<(usize, LtId)>), LowerError> {
         let graph = self.graph;
-        let n = *out
-            .shape()
-            .last()
-            .expect("post-op chain output has rank >= 1");
         let mut post_ops = Vec::new();
-        let mut produced: Vec<LtId> = vec![chain_in];
-        let mut reduce_outputs: Vec<LtId> = Vec::new();
+        let mut current = chain_in;
+        let mut stat: Option<LtId> = None;
         let mut operand_binds: Vec<(usize, LtId)> = Vec::new();
         for &po_id in ops {
             let po = graph.op(po_id);
             let idx = post_ops.len();
+            let side = chain_side(po, current)
+                .ok_or_else(|| err(format!("{} does not extend its row chain", po.kind)))?;
             match &po.kind {
                 OpKind::Unary(u) => post_ops.push(PostOpSpec::Unary(unary_op(*u))),
                 OpKind::Binary(bk) => {
                     let op = binary_op(*bk);
-                    // identify the non-chain operand
-                    let rhs = po
-                        .inputs
-                        .iter()
-                        .copied()
-                        .find(|i| !produced.contains(i))
-                        .unwrap_or(po.inputs[1]);
-                    if reduce_outputs.contains(&rhs) {
-                        post_ops.push(PostOpSpec::BinaryColStat { op });
-                    } else if let Some(v) = self.scalar_const(rhs) {
-                        post_ops.push(PostOpSpec::BinaryScalarConst(op, v));
+                    let rhs = side.expect("a binary reads a side input");
+                    let spec = if Some(rhs) == stat {
+                        PostOpSpec::BinaryColStat { op }
                     } else {
-                        let rd = graph.desc(rhs);
-                        if rd.volume() == n {
-                            post_ops.push(PostOpSpec::BinaryRowVec {
-                                op,
-                                batch_indexed: false,
-                            });
-                            operand_binds.push((idx, rhs));
-                        } else if rd.volume() == batch * n {
-                            post_ops.push(PostOpSpec::BinaryRowVec {
-                                op,
-                                batch_indexed: true,
-                            });
-                            operand_binds.push((idx, rhs));
-                        } else if rd.shape() == out.shape() {
-                            post_ops.push(PostOpSpec::BinaryFull { op });
-                            operand_binds.push((idx, rhs));
-                        } else {
-                            return Err(err(format!(
-                                "unsupported fused binary operand shape {:?}",
-                                rd.shape()
-                            )));
+                        match side_shape(graph, chain_in, rhs) {
+                            Some(SideShape::Scalar(v)) => PostOpSpec::BinaryScalarConst(op, v),
+                            Some(SideShape::RowVec { batch_indexed }) => {
+                                PostOpSpec::BinaryRowVec { op, batch_indexed }
+                            }
+                            Some(SideShape::Full) => PostOpSpec::BinaryFull { op },
+                            Some(SideShape::ColVec) => PostOpSpec::BinaryColVec { op },
+                            None => {
+                                return Err(err(format!(
+                                    "{}: cannot broadcast operand {:?} onto {:?} in a row chain",
+                                    po.kind,
+                                    graph.desc(rhs).shape(),
+                                    graph.desc(chain_in).shape()
+                                )))
+                            }
                         }
+                    };
+                    if spec.takes_param() {
+                        operand_binds.push((idx, rhs));
                     }
+                    post_ops.push(spec);
                 }
                 OpKind::Reduce(rk) => {
                     let op = match rk {
@@ -848,26 +829,19 @@ impl Builder<'_> {
                         ReduceKind::Max => gc_tir::ReduceOp::Max,
                     };
                     post_ops.push(PostOpSpec::ReduceRow(op));
-                    reduce_outputs.push(po.outputs[0]);
                 }
-                OpKind::Quantize { dtype, params } => {
-                    if *dtype != DataType::U8 {
-                        return Err(err("fused quantize must target u8"));
-                    }
-                    post_ops.push(PostOpSpec::Quantize {
-                        scale: params.scale,
-                        zero_point: params.zero_point,
-                    });
-                }
-                OpKind::Reorder { target } => {
-                    if !target.is_plain() {
-                        return Err(err("fused output reorder must target plain layout"));
-                    }
-                    // plain output is the default; nothing to add
-                }
-                other => return Err(err(format!("unsupported fused post-op {other}"))),
+                OpKind::Quantize { params, .. } => post_ops.push(PostOpSpec::Quantize {
+                    scale: params.scale,
+                    zero_point: params.zero_point,
+                }),
+                // a reorder to plain: plain output is the default
+                _ => {}
             }
-            produced.push(po.outputs[0]);
+            if matches!(po.kind, OpKind::Reduce(_)) {
+                stat = Some(po.outputs[0]);
+            } else {
+                current = po.outputs[0];
+            }
         }
         Ok((post_ops, operand_binds))
     }
@@ -986,34 +960,30 @@ impl Builder<'_> {
     }
 
     fn lower_standalone_part(&mut self, part: &FusedOp) -> Result<(), LowerError> {
-        if part.post_ops.len() > 1 {
-            return self.lower_row_chain_part(part);
+        if part.post_ops.len() > 1 || is_f32_elementwise(&self.graph.op(part.post_ops[0]).kind) {
+            let call = self.lower_row_chain(part, "op")?;
+            self.module.main_calls.push(call);
+            return Ok(());
         }
-        let op_id = part.ops()[0];
-        let op = self.graph.op(op_id).clone();
-        // scalar-const rhs for binary ops
-        let scalar_rhs = match op.kind {
-            OpKind::Binary(_) => self.scalar_const(op.inputs[1]),
-            _ => None,
-        };
+        let call = self.lower_standalone_op(part.post_ops[0], "op")?;
+        self.module.main_calls.push(call);
+        Ok(())
+    }
+
+    /// One op outside any partition through [`lower_standalone`].
+    fn lower_standalone_op(&mut self, op_id: OpId, prefix: &str) -> Result<Call, LowerError> {
+        let op = self.graph.op(op_id);
         let in_descs: Vec<_> = op.inputs.iter().map(|&i| self.graph.desc(i)).collect();
         let out = op.outputs[0];
         let func = lower_standalone(
             &op.kind,
             &in_descs,
             self.graph.desc(out),
-            scalar_rhs,
-            &format!("op_{}", op.kind.mnemonic()),
+            &format!("{prefix}_{}", op.kind.mnemonic()),
         );
         let n_params = func.params.len();
         let fi = self.module.add_func(func);
-        let mut args: Vec<usize> = Vec::new();
-        for (j, &i) in op.inputs.iter().enumerate() {
-            if scalar_rhs.is_some() && j == 1 {
-                continue; // folded into the kernel
-            }
-            args.push(self.global_for(i));
-        }
+        let mut args: Vec<usize> = op.inputs.iter().map(|&i| self.global_for(i)).collect();
         args.push(self.global_for(out));
         if args.len() != n_params {
             return Err(err(format!(
@@ -1023,38 +993,40 @@ impl Builder<'_> {
                 n_params
             )));
         }
-        self.module.main_calls.push(Call { func: fi, args });
-        Ok(())
+        Ok(Call { func: fi, args })
     }
 
-    /// A standalone reducing chain (fusion's `grow_row_chain`): one
-    /// row-chain function from the chain's anchor to its output.
-    fn lower_row_chain_part(&mut self, part: &FusedOp) -> Result<(), LowerError> {
-        let anchor = self.graph.op(part.post_ops[0]).inputs[0];
+    /// A standalone chain — a reducing chain fusion grouped
+    /// (`grow_row_chain`), or one f32 unary or binary — as one row-chain
+    /// function from the chain's anchor (its first op's `inputs[0]`) to
+    /// its output.
+    fn lower_row_chain(&mut self, part: &FusedOp, prefix: &str) -> Result<Call, LowerError> {
+        let ops = part.ops();
+        let first = self.graph.op(ops[0]);
+        let anchor = first.inputs[0];
+        let name = match ops[..] {
+            [_] => format!("{prefix}_{}", first.kind.mnemonic()),
+            _ => format!("{prefix}_row_chain"),
+        };
         let out_lt = part.output(self.graph);
-        let out = self.desc(out_lt).clone();
-        let shape = out.shape();
-        let n = *shape.last().expect("reduced tensors have rank >= 1");
+        let shape = self.desc(out_lt).shape().to_vec();
+        let n = shape.last().copied().unwrap_or(1);
         let m = shape.len().checked_sub(2).map_or(1, |i| shape[i]);
-        let batch = out.volume() / (m * n);
-        let (post_ops, binds) = self.translate_post_ops(&part.post_ops, anchor, batch, &out)?;
-        let func = lower_row_chain(&post_ops, batch, m, n, "op_row_chain");
+        let batch = self.desc(out_lt).volume() / (m * n).max(1);
+        let (post_ops, binds) = self.translate_post_ops(&ops, anchor)?;
+        let func = lower_row_chain(&post_ops, batch, m, n, &name);
         let mut args = vec![self.global_for(anchor)];
         args.extend(binds.into_iter().map(|(_, lt)| self.global_for(lt)));
         args.push(self.global_for(out_lt));
         let fi = self.module.add_func(func);
-        self.module.main_calls.push(Call { func: fi, args });
-        Ok(())
+        Ok(Call { func: fi, args })
     }
+}
 
-    fn scalar_const(&self, lt: LtId) -> Option<f32> {
-        let v = self.graph.const_value(lt)?;
-        if v.desc().volume() == 1 && v.desc().dtype() == DataType::F32 {
-            Some(v.f32_slice().ok()?[0])
-        } else {
-            None
-        }
-    }
+/// Whether a standalone op of this kind lowers to a row chain (every
+/// f32 unary and binary does; shape inference makes them f32).
+fn is_f32_elementwise(kind: &OpKind) -> bool {
+    matches!(kind, OpKind::Unary(_) | OpKind::Binary(_))
 }
 
 /// Extract the matmul problem of a tunable partition (for group

@@ -2,11 +2,17 @@
 //!
 //! When fine-grain fusion is disabled — or an op cannot be fused — each
 //! Fusible OP lowers to its own small function: a parallel loop over row
-//! blocks with the op's slice kernel in the body. A chain that reduces
-//! and was left unfused as a whole (a softmax the primitives baseline
-//! does not fuse into its matmul) lowers to one function of row-chain
-//! calls instead. Reorders lower to tile pack/unpack loops (also used by
-//! the init stage for constant weight prepacking).
+//! blocks. Every f32 elementwise op is a one-op row chain
+//! ([`lower_row_chain`]), the program and kernel a fused chain runs at
+//! its matmul anchor: its `inputs[0]` is the tile and a binary's other
+//! input a side operand of the one shape rule
+//! (`gc_graph::passes::fusion::side_shape`). A chain that reduces and was
+//! left unfused as a whole (a softmax the primitives baseline does not
+//! fuse into its matmul) is one function of row-chain calls too. The
+//! rest — quantize, dequantize, the i32 → f32 cast, a row reduction —
+//! are slice kernels over chunks ([`lower_standalone`]); reorders lower
+//! to tile pack/unpack loops (also used by the init stage for constant
+//! weight prepacking).
 
 use crate::template::{row_chain_program, PostOpSpec, SideKind};
 use gc_graph::{BinaryKind, OpKind, ReduceKind, UnaryKind};
@@ -88,29 +94,23 @@ fn chunked_elementwise(
     f
 }
 
-/// Lower a standalone op given its input/output descriptors.
-/// `scalar_rhs` carries the rhs value for binary ops whose rhs is a
-/// compile-time scalar constant.
+/// Lower a standalone op that is not an f32 elementwise one (those are
+/// row chains, see [`lower_row_chain`]) given its input/output
+/// descriptors: a quantize, dequantize or i32 → f32 cast, a row
+/// reduction, a reorder or a transpose.
 ///
 /// # Panics
 ///
 /// Panics for op kinds that can never be standalone (Tunable ops go
-/// through the template; Complex ops are decomposed before lowering) or
-/// unsupported layout combinations.
+/// through the template; Complex ops are decomposed before lowering;
+/// elementwise ops are row chains) or unsupported layout combinations.
 pub fn lower_standalone(
     kind: &OpKind,
     inputs: &[&TensorDesc],
     output: &TensorDesc,
-    scalar_rhs: Option<f32>,
     name: &str,
 ) -> Func {
     match kind {
-        OpKind::Unary(u) => {
-            let op = unary_op(*u);
-            chunked_elementwise(name, DataType::F32, DataType::F32, output.volume(), |len| {
-                Op::Unary { op, len }
-            })
-        }
         OpKind::TypeCast { to: DataType::F32 } if inputs[0].dtype() == DataType::I32 => {
             chunked_elementwise(name, DataType::I32, DataType::F32, output.volume(), |len| {
                 Op::CastI32F32 { len }
@@ -147,7 +147,6 @@ pub fn lower_standalone(
                 other => panic!("dequantize of {other}"),
             }
         }
-        OpKind::Binary(b) => lower_standalone_binary(*b, inputs, output, scalar_rhs, name),
         OpKind::Reduce(r) => {
             let op = match r {
                 ReduceKind::Sum => ReduceOp::Sum,
@@ -204,117 +203,13 @@ pub fn lower_standalone(
     }
 }
 
-fn lower_standalone_binary(
-    b: BinaryKind,
-    inputs: &[&TensorDesc],
-    output: &TensorDesc,
-    scalar_rhs: Option<f32>,
-    name: &str,
-) -> Func {
-    let op = binary_op(b);
-    let out_elems = output.volume();
-    let rhs = inputs[1];
-    let lhs_shape = inputs[0].shape();
-    let cols = *lhs_shape.last().unwrap_or(&1);
-    let rows = out_elems / cols.max(1);
-
-    if let Some(s) = scalar_rhs {
-        return chunked_elementwise(name, DataType::F32, DataType::F32, out_elems, |len| {
-            Op::BinaryScalar { op, scalar: s, len }
-        });
-    }
-
-    let mut f = Func {
-        name: name.to_string(),
-        params: vec![
-            BufDecl::new(DataType::F32, out_elems, "a"),
-            BufDecl::new(DataType::F32, rhs.volume(), "b"),
-            BufDecl::new(DataType::F32, out_elems, "out"),
-        ],
-        locals: vec![],
-        var_count: 0,
-        body: vec![],
-    };
-    let v = f.fresh_var();
-    // one row of lhs/out per iteration; `b` is the rhs operand's offset
-    let row = |p| Operand::new(BufId::Param(p), Expr::v(v).mul(Expr::from(cols)));
-    let per_row = |op: Op, b: Expr| {
-        Stmt::Op(Intrinsic::new(
-            op,
-            [row(0), Operand::new(BufId::Param(1), b), row(2)],
-            [],
-        ))
-    };
-    let row_bcast = Op::BinaryRowBcast { op, rows: 1, cols };
-
-    if rhs.volume() == out_elems && rhs.shape() == lhs_shape {
-        // same shape: flat chunks
-        let chunk = cols;
-        f.body.push(Stmt::parallel(
-            v,
-            rows,
-            vec![Stmt::Op(Intrinsic::new(
-                Op::Binary { op, len: chunk },
-                [0, 1, 2].map(|p| Operand::new(BufId::Param(p), Expr::v(v).mul(Expr::from(chunk)))),
-                [],
-            ))],
-        ));
-        return f;
-    }
-    // The broadcast arms below are told apart by the rhs *shape*: its
-    // volume alone cannot distinguish a row vector `[cols]` from keepdim
-    // column stats `[rows, 1]` when `rows == cols`.
-    let rhs_last = rhs.shape().last().copied();
-    // row vector [cols] (possibly with leading 1s)
-    if rhs_last == Some(cols) && rhs.volume() == cols {
-        f.body.push(Stmt::parallel(
-            v,
-            rows,
-            vec![per_row(row_bcast, Expr::c(0))],
-        ));
-        return f;
-    }
-    // batch-indexed row vector [B, 1, cols] against lhs [B, M, cols]
-    // (the MHA mask pattern): row r uses vector (r / M)
-    if lhs_shape.len() >= 2
-        && rhs_last == Some(cols)
-        && rhs.volume() < out_elems
-        && rhs.volume().is_multiple_of(cols)
-        && rhs.volume() / cols > 1
-    {
-        let vecs = rhs.volume() / cols;
-        let m_rows = rows / vecs;
-        if vecs * m_rows == rows {
-            let b_off = Expr::v(v).div(Expr::from(m_rows)).mul(Expr::from(cols));
-            f.body
-                .push(Stmt::parallel(v, rows, vec![per_row(row_bcast, b_off)]));
-            return f;
-        }
-    }
-    // keepdim column stats [rows, 1] (softmax sub/div pattern)
-    if rhs_last == Some(1) && rhs.volume() == rows {
-        f.body.push(Stmt::parallel(
-            v,
-            rows,
-            vec![per_row(
-                Op::BinaryColBcast { op, rows: 1, cols },
-                Expr::v(v),
-            )],
-        ));
-        return f;
-    }
-    panic!(
-        "unsupported standalone broadcast: lhs {:?} rhs {:?}",
-        lhs_shape,
-        rhs.shape()
-    );
-}
-
-/// Lower a standalone post-op chain that reduces (an unfused softmax)
-/// over `batch` plain `[m, n]` matrices: one storing [`Op::RowChain`] per
-/// block of rows, the same program and kernel the matmul template runs
-/// at its anchor. Parameters: the chain's input, its side operands in
-/// program order (sized as `lower_graph` classified them), the output.
+/// Lower a standalone post-op chain over `batch` plain `[m, n]`
+/// matrices — a reducing chain left unfused as a whole (an unfused
+/// softmax), or one f32 unary or binary (with no steps, an identity's
+/// copy): one storing [`Op::RowChain`] per block of rows, the same
+/// program and kernel the matmul template runs at its anchor.
+/// Parameters: the chain's input, its side operands in program order
+/// (sized as `lower_graph` classified them), the output.
 ///
 /// # Panics
 ///
@@ -353,6 +248,7 @@ pub fn lower_row_chain(
                 Expr::v(v).div(Expr::from(m / rows)).mul(Expr::from(n)),
             ),
             SideKind::Full => (elems, block.clone()),
+            SideKind::ColVec => (batch * m, Expr::v(v).mul(Expr::from(rows))),
         };
         f.params
             .push(BufDecl::new(DataType::F32, len, format!("opnd{i}")));
@@ -646,15 +542,9 @@ mod tests {
     }
 
     #[test]
-    fn standalone_relu_matches_reference() {
+    fn standalone_relu_is_a_one_step_chain() {
         let t = Tensor::random(&[33, 17], DataType::F32, 1);
-        let f = lower_standalone(
-            &OpKind::Unary(UnaryKind::Relu),
-            &[t.desc()],
-            t.desc(),
-            None,
-            "relu",
-        );
+        let f = lower_row_chain(&[PostOpSpec::Unary(UnaryOp::Relu)], 1, 33, 17, "relu");
         let out = run1(
             f,
             vec![Storage::F32(t.f32_slice().unwrap().to_vec())],
@@ -664,50 +554,49 @@ mod tests {
         assert_eq!(out.as_slice::<f32>().unwrap(), want.f32_slice().unwrap());
     }
 
-    #[test]
-    fn standalone_binary_row_broadcast() {
-        let a = Tensor::random(&[10, 16], DataType::F32, 2);
-        let b = Tensor::random(&[16], DataType::F32, 3);
-        let f = lower_standalone(
-            &OpKind::Binary(BinaryKind::Add),
-            &[a.desc(), b.desc()],
-            a.desc(),
-            None,
-            "add",
-        );
+    /// `a op b` for `a [batch, m, n]` through a one-op chain whose side
+    /// operand is `b`, against the reference broadcast.
+    fn binary_chain(spec: PostOpSpec, kind: reference::BinaryKind, a: &Tensor, b: &Tensor) {
+        let shape = a.desc().shape();
+        let (m, n) = (shape[shape.len() - 2], shape[shape.len() - 1]);
+        let batch = a.desc().volume() / (m * n);
+        let f = lower_row_chain(&[spec], batch, m, n, "binary");
         let out = run1(
             f,
             vec![
                 Storage::F32(a.f32_slice().unwrap().to_vec()),
                 Storage::F32(b.f32_slice().unwrap().to_vec()),
             ],
-            Storage::F32(vec![0.; 160]),
+            Storage::F32(vec![0.; a.desc().volume()]),
         );
-        let want = reference::binary(reference::BinaryKind::Add, &a, &b).unwrap();
+        let want = reference::binary(kind, a, b).unwrap();
         assert_eq!(out.as_slice::<f32>().unwrap(), want.f32_slice().unwrap());
     }
 
     #[test]
-    fn standalone_colstat_broadcast() {
-        let a = Tensor::random(&[12, 8], DataType::F32, 4);
-        let s = Tensor::random(&[12, 1], DataType::F32, 5);
-        let f = lower_standalone(
-            &OpKind::Binary(BinaryKind::Sub),
-            &[a.desc(), s.desc()],
-            a.desc(),
-            None,
-            "sub",
-        );
-        let out = run1(
-            f,
-            vec![
-                Storage::F32(a.f32_slice().unwrap().to_vec()),
-                Storage::F32(s.f32_slice().unwrap().to_vec()),
-            ],
-            Storage::F32(vec![0.; 96]),
-        );
-        let want = reference::binary(reference::BinaryKind::Sub, &a, &s).unwrap();
-        assert_eq!(out.as_slice::<f32>().unwrap(), want.f32_slice().unwrap());
+    fn standalone_binary_row_broadcast() {
+        let rowvec = |batch_indexed| PostOpSpec::BinaryRowVec {
+            op: BinaryOp::Add,
+            batch_indexed,
+        };
+        let a = Tensor::random(&[10, 16], DataType::F32, 2);
+        let b = Tensor::random(&[16], DataType::F32, 3);
+        binary_chain(rowvec(false), reference::BinaryKind::Add, &a, &b);
+        // one row per leading index: [3, 1, 16] over [3, 10, 16]
+        let a = Tensor::random(&[3, 10, 16], DataType::F32, 4);
+        let b = Tensor::random(&[3, 1, 16], DataType::F32, 5);
+        binary_chain(rowvec(true), reference::BinaryKind::Add, &a, &b);
+    }
+
+    #[test]
+    fn standalone_col_vec_broadcast() {
+        // keepdim row stats, square too: [rows, 1] reads one value per row
+        for (shape, stats) in [([12usize, 8], [12usize, 1]), ([8, 8], [8, 1])] {
+            let a = Tensor::random(&shape, DataType::F32, 4);
+            let s = Tensor::random(&stats, DataType::F32, 5);
+            let sub = PostOpSpec::BinaryColVec { op: BinaryOp::Sub };
+            binary_chain(sub, reference::BinaryKind::Sub, &a, &s);
+        }
     }
 
     #[test]
@@ -718,7 +607,6 @@ mod tests {
             &OpKind::Reduce(ReduceKind::Max),
             &[a.desc()],
             &out_desc,
-            None,
             "rmax",
         );
         let out = run1(
@@ -808,7 +696,6 @@ mod tests {
             },
             &[t.desc()],
             &TensorDesc::new([40usize], DataType::U8),
-            None,
             "q",
         );
         let out = run1(
@@ -831,15 +718,14 @@ mod tests {
     #[test]
     fn scalar_rhs_binary() {
         let t = Tensor::random(&[10], DataType::F32, 12);
-        let sdesc = TensorDesc::new(Vec::<usize>::new(), DataType::F32);
-        let f = lower_standalone(
-            &OpKind::Binary(BinaryKind::Mul),
-            &[t.desc(), &sdesc],
-            t.desc(),
-            Some(2.5),
+        let f = lower_row_chain(
+            &[PostOpSpec::BinaryScalarConst(BinaryOp::Mul, 2.5)],
+            1,
+            1,
+            10,
             "muls",
         );
-        // scalar path only takes 2 params (in/out)
+        // the scalar is a constant of the program: in and out only
         assert_eq!(f.params.len(), 2);
         let out = run1(
             f,

@@ -94,6 +94,12 @@ pub enum PostOpSpec {
         /// Operation.
         op: BinaryOp,
     },
+    /// Binary with a `[.., M, 1]` operand parameter (one value per row),
+    /// broadcast over columns.
+    BinaryColVec {
+        /// Operation.
+        op: BinaryOp,
+    },
     /// Row reduction along n (softmax max/sum); its result feeds later
     /// [`PostOpSpec::BinaryColStat`] ops. Requires `npn == 1`.
     ReduceRow(ReduceOp),
@@ -116,7 +122,9 @@ impl PostOpSpec {
     pub fn takes_param(&self) -> bool {
         matches!(
             self,
-            PostOpSpec::BinaryRowVec { .. } | PostOpSpec::BinaryFull { .. }
+            PostOpSpec::BinaryRowVec { .. }
+                | PostOpSpec::BinaryFull { .. }
+                | PostOpSpec::BinaryColVec { .. }
         )
     }
 }
@@ -270,11 +278,11 @@ pub fn lower_matmul(machine: &MachineDescriptor, spec: &MatmulSpec, name: &str) 
             "ragged m/n edges require a plain output layout"
         );
         assert!(
-            !spec
-                .post_ops
-                .iter()
-                .any(|q| matches!(q, PostOpSpec::BinaryFull { .. })),
-            "full-tensor binary post-ops cannot read past the logical edge"
+            !spec.post_ops.iter().any(|q| matches!(
+                q,
+                PostOpSpec::BinaryFull { .. } | PostOpSpec::BinaryColVec { .. }
+            )),
+            "full-tensor and column-vector post-ops cannot read past the logical edge"
         );
     }
     if ctx.ragged_n {
@@ -571,6 +579,14 @@ fn build_params(spec: &MatmulSpec, ctx: &Ctx) -> (Vec<BufDecl>, Vec<ParamRole>) 
                 ));
                 roles.push(ParamRole::PostOperand(i));
             }
+            PostOpSpec::BinaryColVec { .. } => {
+                params.push(BufDecl::new(
+                    DataType::F32,
+                    ctx.batch * ctx.m,
+                    format!("opnd{i}"),
+                ));
+                roles.push(ParamRole::PostOperand(i));
+            }
             _ => {}
         }
     }
@@ -680,6 +696,8 @@ pub(crate) enum SideKind {
     },
     /// A plain operand of the output's shape.
     Full,
+    /// One value per row (`[.., M, 1]`).
+    ColVec,
 }
 
 /// One side operand of a row chain: the parameter that supplies it.
@@ -724,6 +742,8 @@ pub(crate) fn row_chain_program(
         let role = ParamRole::PostOperand(post_op);
         let mut read = |kind| side.push(SideOperand { role, kind });
         let fits = match *po {
+            // an identity is no step (alone, the chain is a copy)
+            PostOpSpec::Unary(UnaryOp::Identity) => Some(()),
             PostOpSpec::Unary(op) => chain.unary(op),
             PostOpSpec::BinaryScalarConst(op, s) => chain.scalar(op, s),
             PostOpSpec::BinaryRowVec { op, batch_indexed } => {
@@ -733,6 +753,10 @@ pub(crate) fn row_chain_program(
             PostOpSpec::BinaryFull { op } => {
                 read(SideKind::Full);
                 chain.full(op, ld)
+            }
+            PostOpSpec::BinaryColVec { op } => {
+                read(SideKind::ColVec);
+                chain.col_vec(op)
             }
             PostOpSpec::BinaryColStat { op } => chain.stat(op),
             PostOpSpec::ReduceRow(op) => chain.reduce(op),
@@ -786,6 +810,11 @@ fn emit_row_chain(
                 .add(e.mpsi(e.msi).mul(Expr::from(p.mb)))
                 .mul(Expr::from(ctx.n))
                 .add(col0.clone()),
+            // [.., M, 1]: the m-tile's rows
+            SideKind::ColVec => e
+                .batch_idx()
+                .mul(Expr::from(ctx.m))
+                .add(e.mpsi(e.msi).mul(Expr::from(p.mb))),
         };
         operands.push(Operand::new(param_of(s.role), offset));
     }

@@ -293,29 +293,6 @@ pub(crate) unsafe fn relu<S: SimdF32>(src: &[f32], dst: &mut [f32]) {
     }
 }
 
-/// In-place relu.
-///
-/// # Safety
-///
-/// The backend's ISA is available.
-#[inline(always)]
-pub(crate) unsafe fn relu_inplace<S: SimdF32>(buf: &mut [f32]) {
-    let n = buf.len();
-    let z = S::zero();
-    let chunks = n / S::LANES;
-    for ch in 0..chunks {
-        let p = ch * S::LANES;
-        S::store(
-            buf.as_mut_ptr().add(p),
-            S::max(S::load(buf.as_ptr().add(p)), z),
-        );
-    }
-    for l in chunks * S::LANES..n {
-        let x = buf[l];
-        buf[l] = if x > 0.0 { x } else { 0.0 };
-    }
-}
-
 /// Store the first `len <= S::LANES` lanes of `v` at `p`, touching
 /// nothing past `p + len`.
 #[inline(always)]
@@ -327,23 +304,6 @@ unsafe fn store_prefix<S: SimdF32>(p: *mut f32, v: S::V, len: usize) {
     debug_assert!(S::LANES <= lanes.len());
     S::store(lanes.as_mut_ptr(), v);
     std::ptr::copy_nonoverlapping(lanes.as_ptr(), p, len);
-}
-
-/// `dst[i] = e^src[i]` ([`SimdF32::exp`]) over `n` elements; `src` may
-/// equal `dst`.
-///
-/// # Safety
-///
-/// Both pointers are valid for `n` elements and the backend's ISA is
-/// available.
-#[inline(always)]
-pub(crate) unsafe fn exp<S: SimdF32>(src: *const f32, dst: *mut f32, n: usize) {
-    let mut i = 0;
-    while i < n {
-        let len = S::LANES.min(n - i);
-        store_prefix::<S>(dst.add(i), S::exp(S::load_len(src.add(i), len)), len);
-        i += S::LANES;
-    }
 }
 
 /// Rows a [`row_chain`] call works on at once: as many as keep a group's
@@ -375,7 +335,9 @@ macro_rules! map_run {
 /// the group's row segments from where the values are (`src` before the
 /// first elementwise step, `dst` after) into `dst`. A reduction folds
 /// each row into the group's row stats, which the following stat steps
-/// broadcast. Width tails are partial vectors, reduced lane by lane.
+/// broadcast; a column-vector step broadcasts its side operand's value
+/// for the row the same way. Width tails are partial vectors, reduced
+/// lane by lane.
 ///
 /// # Safety
 ///
@@ -454,8 +416,15 @@ pub(crate) unsafe fn row_chain<S: SimdF32>(
                         }
                     }
                 }
-                ChainStep::Stat(op) => {
-                    for (r, &stat) in stats[..g].iter().enumerate() {
+                // one value per row: the group's row stats, or its rows of
+                // a side operand
+                ChainStep::Stat(op) | ChainStep::ColVec(op, _) => {
+                    let vals = match *s {
+                        ChainStep::ColVec(_, i) => side[usize::from(i)].add(r0),
+                        _ => stats.as_ptr(),
+                    };
+                    for r in 0..g {
+                        let stat = *vals.add(r);
                         let rhs = S::splat(if op == BinaryOp::Div {
                             1.0 / stat
                         } else {
@@ -586,29 +555,6 @@ pub(crate) unsafe fn binary_add<S: SimdF32>(a: &[f32], b: &[f32], dst: &mut [f32
     }
     for l in chunks * S::LANES..n {
         dst[l] = a[l] + b[l];
-    }
-}
-
-/// `dst[i] = a[i] * b[i]`.
-///
-/// # Safety
-///
-/// All three slices have equal length and the backend's ISA is
-/// available.
-#[inline(always)]
-pub(crate) unsafe fn binary_mul<S: SimdF32>(a: &[f32], b: &[f32], dst: &mut [f32]) {
-    debug_assert!(a.len() == dst.len() && b.len() == dst.len());
-    let n = dst.len();
-    let chunks = n / S::LANES;
-    for ch in 0..chunks {
-        let p = ch * S::LANES;
-        S::store(
-            dst.as_mut_ptr().add(p),
-            S::mul(S::load(a.as_ptr().add(p)), S::load(b.as_ptr().add(p))),
-        );
-    }
-    for l in chunks * S::LANES..n {
-        dst[l] = a[l] * b[l];
     }
 }
 

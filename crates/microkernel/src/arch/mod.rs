@@ -2,7 +2,7 @@
 //!
 //! The paper's JIT emits AVX-512/VNNI code directly; this reproduction
 //! gets the same effect with *one generic kernel body per family*
-//! (brgemm f32, brgemm u8×i8, eltwise, reduce, epilogue — see
+//! (brgemm f32, brgemm u8×i8, row chain, eltwise, reduce, epilogue — see
 //! `arch::body`) written against a small SIMD-ops trait (`arch::simd`) and
 //! instantiated per backend:
 //!
@@ -112,9 +112,13 @@ pub enum Family {
     TailF32,
     /// Clamped-height u8×i8 brgemm tails.
     TailU8I8,
-    /// Elementwise unary/binary/accumulate kernels.
+    /// The standalone relu and add slice kernels (the layer's bandwidth
+    /// probes). Compiled plans run every f32 elementwise op as a row
+    /// chain, counted under [`Family::Reduce`].
     Eltwise,
-    /// Reductions (sum/max, slice and row-wise).
+    /// Reductions (sum/max, slice and row-wise) and row chains: one call
+    /// per row block of a fused chain or of a standalone elementwise op
+    /// (an identity copy included).
     Reduce,
     /// Int8 dequantize epilogue.
     Epilogue,
@@ -169,10 +173,7 @@ pub(crate) struct KernelTable {
     pub(crate) brgemm_f32: BrgemmFn<f32, f32, f32>,
     pub(crate) brgemm_u8i8: BrgemmFn<u8, i8, i32>,
     pub(crate) relu: unsafe fn(&[f32], &mut [f32]),
-    pub(crate) relu_inplace: unsafe fn(&mut [f32]),
-    pub(crate) exp: unsafe fn(*const f32, *mut f32, usize),
     pub(crate) binary_add: unsafe fn(&[f32], &[f32], &mut [f32]),
-    pub(crate) binary_mul: unsafe fn(&[f32], &[f32], &mut [f32]),
     pub(crate) reduce_sum: unsafe fn(&[f32]) -> f32,
     pub(crate) reduce_max: unsafe fn(&[f32]) -> f32,
     pub(crate) dequant: unsafe fn(&[i32], usize, usize, &[i32], i32, f32, &mut [f32]),
@@ -220,17 +221,8 @@ mod scalar_kernels {
     pub(crate) unsafe fn relu(src: &[f32], dst: &mut [f32]) {
         body::relu::<S>(src, dst)
     }
-    pub(crate) unsafe fn relu_inplace(buf: &mut [f32]) {
-        body::relu_inplace::<S>(buf)
-    }
-    pub(crate) unsafe fn exp(src: *const f32, dst: *mut f32, n: usize) {
-        body::exp::<S>(src, dst, n)
-    }
     pub(crate) unsafe fn binary_add(a: &[f32], b: &[f32], dst: &mut [f32]) {
         body::binary_add::<S>(a, b, dst)
-    }
-    pub(crate) unsafe fn binary_mul(a: &[f32], b: &[f32], dst: &mut [f32]) {
-        body::binary_mul::<S>(a, b, dst)
     }
     pub(crate) unsafe fn reduce_sum(xs: &[f32]) -> f32 {
         body::reduce_sum::<S>(xs)
@@ -268,10 +260,7 @@ static SCALAR_TABLE: KernelTable = KernelTable {
     brgemm_f32: scalar_kernels::brgemm_f32,
     brgemm_u8i8: scalar_kernels::brgemm_u8i8,
     relu: scalar_kernels::relu,
-    relu_inplace: scalar_kernels::relu_inplace,
-    exp: scalar_kernels::exp,
     binary_add: scalar_kernels::binary_add,
-    binary_mul: scalar_kernels::binary_mul,
     reduce_sum: scalar_kernels::reduce_sum,
     reduce_max: scalar_kernels::reduce_max,
     dequant: scalar_kernels::dequant,
@@ -285,10 +274,7 @@ static AVX2_TABLE: KernelTable = KernelTable {
     brgemm_f32: x86::avx2_kernels::brgemm_f32,
     brgemm_u8i8: x86::avx2_kernels::brgemm_u8i8,
     relu: x86::avx2_kernels::relu,
-    relu_inplace: x86::avx2_kernels::relu_inplace,
-    exp: x86::avx2_kernels::exp,
     binary_add: x86::avx2_kernels::binary_add,
-    binary_mul: x86::avx2_kernels::binary_mul,
     reduce_sum: x86::avx2_kernels::reduce_sum,
     reduce_max: x86::avx2_kernels::reduce_max,
     dequant: x86::avx2_kernels::dequant,
@@ -302,10 +288,7 @@ static AVX512_TABLE: KernelTable = KernelTable {
     brgemm_f32: x86::avx512_kernels::brgemm_f32,
     brgemm_u8i8: x86::avx512_kernels::brgemm_u8i8,
     relu: x86::avx512_kernels::relu,
-    relu_inplace: x86::avx512_kernels::relu_inplace,
-    exp: x86::avx512_kernels::exp,
     binary_add: x86::avx512_kernels::binary_add,
-    binary_mul: x86::avx512_kernels::binary_mul,
     reduce_sum: x86::avx512_kernels::reduce_sum,
     reduce_max: x86::avx512_kernels::reduce_max,
     dequant: x86::avx512_kernels::dequant,

@@ -498,16 +498,6 @@ macro_rules! isa_entry_points {
             }
 
             #[target_feature(enable = $feat)]
-            pub(crate) unsafe fn relu_inplace(buf: &mut [f32]) {
-                body::relu_inplace::<$simd>(buf)
-            }
-
-            #[target_feature(enable = $feat)]
-            pub(crate) unsafe fn exp(src: *const f32, dst: *mut f32, n: usize) {
-                body::exp::<$simd>(src, dst, n)
-            }
-
-            #[target_feature(enable = $feat)]
             pub(crate) unsafe fn row_chain(
                 c: &RowChain,
                 src: *const f32,
@@ -520,11 +510,6 @@ macro_rules! isa_entry_points {
             #[target_feature(enable = $feat)]
             pub(crate) unsafe fn binary_add(a: &[f32], b: &[f32], dst: &mut [f32]) {
                 body::binary_add::<$simd>(a, b, dst)
-            }
-
-            #[target_feature(enable = $feat)]
-            pub(crate) unsafe fn binary_mul(a: &[f32], b: &[f32], dst: &mut [f32]) {
-                body::binary_mul::<$simd>(a, b, dst)
             }
 
             #[target_feature(enable = $feat)]

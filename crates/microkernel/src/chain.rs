@@ -14,6 +14,10 @@
 //! the row stats live in the call and the rows stay in L1 from the first
 //! step to the last. A storing chain writes its results to a separate
 //! destination; with no steps it is a copy.
+//!
+//! An elementwise op that fused nowhere is the one-step chain over its
+//! plain tensor (an identity the zero-step copy), so every f32
+//! elementwise op a plan runs goes through this one kernel.
 
 use crate::arch::{Family, Kernels};
 use crate::{BinaryOp, ReduceOp, UnaryOp};
@@ -44,6 +48,9 @@ pub enum ChainStep {
     Full(BinaryOp, u8),
     /// `x = op(x, s[r])`, `s` the row stat of the latest reduction.
     Stat(BinaryOp),
+    /// `x = op(x, s[r])`, `s` side operand `i`: one value per row of the
+    /// block (keepdim row stats computed elsewhere, say).
+    ColVec(BinaryOp, u8),
     /// Close a pass: reduce each row of `x` into its new row stat.
     Reduce(ReduceOp),
 }
@@ -138,6 +145,12 @@ impl RowChain {
         Some(())
     }
 
+    /// Append `x = op(x, s[r])` over the next side operand, one value
+    /// per row.
+    pub fn col_vec(&mut self, op: BinaryOp) -> Option<()> {
+        self.side(|i| ChainStep::ColVec(op, i))
+    }
+
     /// Append `x = op(x, s[r])`; `None` before the first reduction.
     pub fn stat(&mut self, op: BinaryOp) -> Option<()> {
         self.steps()
@@ -198,12 +211,17 @@ impl RowChain {
 
     /// Number of side operands.
     pub fn side_operands(&self) -> usize {
-        self.count(|s| matches!(s, ChainStep::RowVec(..) | ChainStep::Full(..)))
+        self.count(|s| {
+            matches!(
+                s,
+                ChainStep::RowVec(..) | ChainStep::Full(..) | ChainStep::ColVec(..)
+            )
+        })
     }
 
     /// Elements side operand `i` covers: a row vector `tiles * cols`, a
     /// full block `rows` rows of [`RowChain::full_stride`], the last
-    /// one `tiles * cols` long.
+    /// one `tiles * cols` long, a column vector `rows`.
     ///
     /// # Panics
     ///
@@ -215,6 +233,7 @@ impl RowChain {
                 self.rows().saturating_sub(1) * self.full_stride()
                     + self.rows().min(1) * self.tiles() * self.cols(),
             ),
+            ChainStep::ColVec(_, j) => (usize::from(j) == i).then_some(self.rows()),
             _ => None,
         };
         self.steps()
@@ -299,6 +318,9 @@ mod tests {
         assert_eq!(c.buffers(), MAX_BUFFERS);
         // the full operand: two rows of 3, 5 elements apart
         assert_eq!((c.side_len(0), c.side_len(1)), (3, 8));
+        let mut rows = RowChain::new(3, 4, 2, true);
+        rows.col_vec(BinaryOp::Sub).unwrap();
+        assert_eq!((rows.side_operands(), rows.side_len(0)), (1, 3));
         let mut two = RowChain::new(2, 3, 1, false);
         two.full(BinaryOp::Add, 4).unwrap();
         assert!(two.full(BinaryOp::Mul, 3).is_none(), "one ld per chain");

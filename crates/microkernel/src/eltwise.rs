@@ -1,13 +1,11 @@
-//! Vectorized elementwise kernels.
+//! The elementwise op vocabulary and two standalone slice kernels.
 //!
-//! Fusible OPs lowered into a template anchor become loops whose
-//! innermost dimension is executed by one of these slice kernels — the
-//! reproduction's stand-in for the vectorized code the JIT emits. The
-//! hottest kernels (relu, exp, add, mul, accumulate) are [`Kernels`]
-//! methods that run, and are counted, on the handle's explicit-SIMD
-//! backend; the rest are scalar loops LLVM autovectorizes, the same on
-//! every handle. The vector `exp` is a polynomial within 2 ulp of
-//! [`UnaryOp::apply`]'s libm `expf`, not bit-identical to it.
+//! [`UnaryOp`] and [`BinaryOp`] name the elementwise steps of a row chain
+//! (`crate::chain`), the one kernel every compiled f32 elementwise op
+//! runs through; [`UnaryOp::apply`] / [`BinaryOp::apply`] define them on
+//! one scalar. [`Kernels::relu`] and [`Kernels::binary_add`] are plain
+//! slice kernels on the handle's explicit-SIMD backend, kept as the
+//! microkernel layer's streaming-bandwidth probes.
 
 use crate::arch::{Family, Kernels};
 
@@ -86,162 +84,30 @@ impl BinaryOp {
 }
 
 impl Kernels {
-    /// Apply a unary op over `src` into `dst`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths differ.
-    pub fn unary(&self, op: UnaryOp, src: &[f32], dst: &mut [f32]) {
-        assert_eq!(src.len(), dst.len());
-        match op {
-            // Relu is the hottest post-op: explicit SIMD.
-            UnaryOp::Relu => {
-                self.record(Family::Eltwise);
-                // SAFETY: lengths asserted equal; `kernels` verified
-                // CPU support.
-                unsafe { (self.table.relu)(src, dst) };
-            }
-            UnaryOp::Exp => {
-                self.record(Family::Eltwise);
-                // SAFETY: lengths asserted equal; `kernels` verified CPU
-                // support.
-                unsafe { (self.table.exp)(src.as_ptr(), dst.as_mut_ptr(), dst.len()) };
-            }
-            UnaryOp::Identity => dst.copy_from_slice(src),
-            UnaryOp::Square => {
-                for (d, &s) in dst.iter_mut().zip(src) {
-                    *d = s * s;
-                }
-            }
-            UnaryOp::Neg => {
-                for (d, &s) in dst.iter_mut().zip(src) {
-                    *d = -s;
-                }
-            }
-            _ => {
-                for (d, &s) in dst.iter_mut().zip(src) {
-                    *d = op.apply(s);
-                }
-            }
-        }
-    }
-
-    /// Apply a unary op in place.
-    pub fn unary_inplace(&self, op: UnaryOp, buf: &mut [f32]) {
-        match op {
-            UnaryOp::Relu => {
-                self.record(Family::Eltwise);
-                // SAFETY: `kernels` verified CPU support.
-                unsafe { (self.table.relu_inplace)(buf) };
-            }
-            UnaryOp::Exp => {
-                self.record(Family::Eltwise);
-                // SAFETY: `kernels` verified CPU support; the body allows
-                // `src == dst`.
-                unsafe { (self.table.exp)(buf.as_ptr(), buf.as_mut_ptr(), buf.len()) };
-            }
-            UnaryOp::Identity => {}
-            _ => {
-                for x in buf.iter_mut() {
-                    *x = op.apply(*x);
-                }
-            }
-        }
-    }
-
-    /// `dst = max(src, 0)`: [`Kernels::unary`] with [`UnaryOp::Relu`].
+    /// `dst = max(src, 0)`, counted as one eltwise call.
     ///
     /// # Panics
     ///
     /// Panics if lengths differ.
     pub fn relu(&self, src: &[f32], dst: &mut [f32]) {
-        self.unary(UnaryOp::Relu, src, dst);
-    }
-
-    /// Apply a binary op elementwise: `dst[i] = op(a[i], b[i])`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths differ.
-    pub fn binary(&self, op: BinaryOp, a: &[f32], b: &[f32], dst: &mut [f32]) {
-        assert_eq!(a.len(), dst.len());
-        assert_eq!(b.len(), dst.len());
-        // Add and Mul dominate fused binary post-ops: explicit SIMD.
-        let kernel = match op {
-            BinaryOp::Add => self.table.binary_add,
-            BinaryOp::Mul => self.table.binary_mul,
-            _ => {
-                for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
-                    *d = op.apply(x, y);
-                }
-                return;
-            }
-        };
+        assert_eq!(src.len(), dst.len());
         self.record(Family::Eltwise);
-        // SAFETY: lengths asserted equal above.
-        unsafe { kernel(a, b, dst) };
+        // SAFETY: lengths asserted equal; `kernels` verified CPU support.
+        unsafe { (self.table.relu)(src, dst) };
     }
 
-    /// `dst = a + b` elementwise: [`Kernels::binary`] with
-    /// [`BinaryOp::Add`].
+    /// `dst = a + b` elementwise, counted as one eltwise call.
     ///
     /// # Panics
     ///
     /// Panics if lengths differ.
     pub fn binary_add(&self, a: &[f32], b: &[f32], dst: &mut [f32]) {
-        self.binary(BinaryOp::Add, a, b, dst);
+        assert_eq!(a.len(), dst.len());
+        assert_eq!(b.len(), dst.len());
+        self.record(Family::Eltwise);
+        // SAFETY: lengths asserted equal; `kernels` verified CPU support.
+        unsafe { (self.table.binary_add)(a, b, dst) };
     }
-}
-
-/// `dst[i] = op(a[i], scalar)` — binary with a broadcast scalar rhs.
-///
-/// # Panics
-///
-/// Panics if lengths differ.
-pub fn binary_scalar(op: BinaryOp, a: &[f32], scalar: f32, dst: &mut [f32]) {
-    assert_eq!(a.len(), dst.len());
-    match op {
-        BinaryOp::Add => {
-            for (d, &x) in dst.iter_mut().zip(a) {
-                *d = x + scalar;
-            }
-        }
-        BinaryOp::Mul => {
-            for (d, &x) in dst.iter_mut().zip(a) {
-                *d = x * scalar;
-            }
-        }
-        BinaryOp::Div => {
-            let inv = 1.0 / scalar;
-            for (d, &x) in dst.iter_mut().zip(a) {
-                *d = x * inv;
-            }
-        }
-        _ => {
-            for (d, &x) in dst.iter_mut().zip(a) {
-                *d = op.apply(x, scalar);
-            }
-        }
-    }
-}
-
-/// Zero a buffer (the template's `C' = 0`).
-pub fn zero(buf: &mut [f32]) {
-    buf.fill(0.0);
-}
-
-/// Zero an i32 accumulator buffer.
-pub fn zero_i32(buf: &mut [i32]) {
-    buf.fill(0);
-}
-
-/// Copy `src` into `dst`.
-///
-/// # Panics
-///
-/// Panics if lengths differ.
-pub fn copy(src: &[f32], dst: &mut [f32]) {
-    dst.copy_from_slice(src);
 }
 
 #[cfg(test)]
@@ -257,80 +123,24 @@ mod tests {
     }
 
     #[test]
-    fn unary_matches_scalar_apply() {
-        let src: Vec<f32> = (-8..8).map(|i| i as f32 * 0.3).collect();
-        for op in [
-            UnaryOp::Relu,
-            UnaryOp::Gelu,
-            UnaryOp::Sigmoid,
-            UnaryOp::Tanh,
-            UnaryOp::Exp,
-            UnaryOp::Square,
-            UnaryOp::Neg,
-            UnaryOp::Identity,
-        ] {
-            let mut dst = vec![0f32; src.len()];
-            Kernels::default().unary(op, &src, &mut dst);
-            for (d, &s) in dst.iter().zip(&src) {
-                // the vector exp is within 2 ulp of libm's
-                let ulps = (d.to_bits() as i64 - op.apply(s).to_bits() as i64).abs();
-                assert!(ulps <= if op == UnaryOp::Exp { 2 } else { 0 }, "{op:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn unary_inplace_matches_out_of_place() {
-        let src: Vec<f32> = (-5..5).map(|i| i as f32).collect();
-        for op in [UnaryOp::Relu, UnaryOp::Exp, UnaryOp::Identity] {
-            let mut a = src.clone();
-            Kernels::default().unary_inplace(op, &mut a);
-            let mut b = vec![0f32; src.len()];
-            Kernels::default().unary(op, &src, &mut b);
-            assert_eq!(a, b, "{op:?}");
-        }
-    }
-
-    #[test]
-    fn binary_kernels() {
-        let a = [1.0f32, 2.0, 3.0];
-        let b = [4.0f32, 5.0, 6.0];
+    fn binary_add_kernel() {
         let mut d = [0f32; 3];
-        let k = Kernels::default();
-        k.binary_add(&a, &b, &mut d);
+        Kernels::default().binary_add(&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0], &mut d);
         assert_eq!(d, [5.0, 7.0, 9.0]);
-        k.binary(BinaryOp::Div, &a, &b, &mut d);
-        assert_eq!(d, [0.25, 0.4, 0.5]);
-        k.binary(BinaryOp::Max, &a, &b, &mut d);
-        assert_eq!(d, [4.0, 5.0, 6.0]);
     }
 
     #[test]
-    fn binary_scalar_div_uses_reciprocal_consistently() {
-        let a = [2.0f32, 4.0];
-        let mut d = [0f32; 2];
-        binary_scalar(BinaryOp::Div, &a, 2.0, &mut d);
-        assert_eq!(d, [1.0, 2.0]);
-        binary_scalar(BinaryOp::Sub, &a, 1.0, &mut d);
-        assert_eq!(d, [1.0, 3.0]);
-    }
-
-    #[test]
-    fn zero_and_copy() {
-        let mut buf = [1.0f32, 2.0];
-        zero(&mut buf);
-        assert_eq!(buf, [0.0, 0.0]);
-        copy(&[3.0, 4.0], &mut buf);
-        assert_eq!(buf, [3.0, 4.0]);
-        let mut acc = [5i32, 6];
-        zero_i32(&mut acc);
-        assert_eq!(acc, [0, 0]);
+    fn scalar_apply_defines_the_ops() {
+        assert_eq!(UnaryOp::Neg.apply(2.0), -2.0);
+        assert_eq!(UnaryOp::Identity.apply(3.0), 3.0);
+        assert_eq!(BinaryOp::Div.apply(1.0, 4.0), 0.25);
+        assert_eq!(BinaryOp::Max.apply(1.0, 4.0), 4.0);
     }
 
     #[test]
     #[should_panic]
     fn length_mismatch_panics() {
         let mut d = [0f32; 2];
-        Kernels::default().unary(UnaryOp::Relu, &[1.0, 2.0, 3.0], &mut d);
+        Kernels::default().relu(&[1.0, 2.0, 3.0], &mut d);
     }
 }

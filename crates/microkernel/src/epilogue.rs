@@ -101,18 +101,6 @@ pub(crate) fn requant_one(x: f32, inv_scale: f32, zero_point: i32) -> u8 {
     q.clamp(0, 255) as u8
 }
 
-/// Widen a u8 tile to f32 (for mixed-precision post-ops).
-///
-/// # Panics
-///
-/// Panics if lengths differ.
-pub fn u8_to_f32(src: &[u8], out: &mut [f32]) {
-    assert_eq!(src.len(), out.len());
-    for (o, &s) in out.iter_mut().zip(src) {
-        *o = s as f32;
-    }
-}
-
 /// Widen an i32 tile to f32.
 ///
 /// # Panics
@@ -185,10 +173,8 @@ mod tests {
     }
 
     #[test]
-    fn widenings() {
+    fn widening() {
         let mut f = [0f32; 2];
-        u8_to_f32(&[3, 255], &mut f);
-        assert_eq!(f, [3.0, 255.0]);
         i32_to_f32(&[-7, 9], &mut f);
         assert_eq!(f, [-7.0, 9.0]);
     }

@@ -8,11 +8,12 @@
 //! - [`brgemm`] — the batch-reduce GEMM microkernel (LIBXSMM-style), in
 //!   f32 and u8×i8→i32 variants, plus obviously-correct scalar versions
 //!   for differential testing;
-//! - [`eltwise`] — vectorizable slice kernels for fused unary/binary
-//!   post-ops;
+//! - [`eltwise`] — the unary/binary op vocabulary of row chains, and
+//!   the relu and add slice kernels;
 //! - [`reduce`] — row and slice reduction kernels;
 //! - [`chain`] — the row-chain kernel: a fused post-op chain (a bias add
-//!   and relu, a softmax) as one program per row block;
+//!   and relu, a softmax), or one elementwise op, as one program per row
+//!   block;
 //! - [`epilogue`] — the int8 dequantize/compensate/requantize epilogue
 //!   from the paper's low-precision equation;
 //! - [`tail`] — edge-tile variants for ragged shapes: clamped-height

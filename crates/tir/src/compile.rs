@@ -840,10 +840,7 @@ mod tests {
                 VarId(0),
                 extent,
                 vec![Stmt::Op(Intrinsic::new(
-                    Op::Unary {
-                        op: gc_microkernel::UnaryOp::Relu,
-                        len: 4,
-                    },
+                    crate::ir::unary_chain(gc_microkernel::UnaryOp::Relu, 4),
                     [
                         View::new(BufId::Param(0), offset.clone(), 4),
                         View::new(BufId::Param(1), offset, 4),
@@ -991,10 +988,7 @@ mod tests {
 
     fn relu(src: (BufId, Expr), dst: (BufId, Expr), len: usize) -> Stmt {
         Stmt::Op(Intrinsic::new(
-            Op::Unary {
-                op: gc_microkernel::UnaryOp::Relu,
-                len,
-            },
+            crate::ir::unary_chain(gc_microkernel::UnaryOp::Relu, len),
             [View::new(src.0, src.1, len), View::new(dst.0, dst.1, len)],
             [],
         ))

@@ -823,7 +823,7 @@ fn parallel_regions(stmts: &[crate::ir::Stmt], mult: u64) -> u64 {
 mod tests {
     use super::*;
     use crate::expr::Expr;
-    use crate::ir::{BufDecl, BufId, Call, Func, GlobalDecl, Intrinsic, Op, Stmt, View};
+    use crate::ir::{BufDecl, BufId, Call, Func, GlobalDecl, Intrinsic, Stmt, View};
     use gc_microkernel::UnaryOp;
     use gc_tensor::DataType;
 
@@ -864,10 +864,7 @@ mod tests {
             locals: vec![],
             var_count: 0,
             body: vec![Stmt::Op(Intrinsic::new(
-                Op::Unary {
-                    op: UnaryOp::Square,
-                    len: 8,
-                },
+                crate::ir::unary_chain(UnaryOp::Square, 8),
                 [
                     View::new(BufId::Param(0), Expr::c(0), 8),
                     View::new(BufId::Param(1), Expr::c(0), 8),
@@ -885,10 +882,7 @@ mod tests {
             locals: vec![],
             var_count: 0,
             body: vec![Stmt::Op(Intrinsic::new(
-                Op::Binary {
-                    op: gc_microkernel::BinaryOp::Add,
-                    len: 8,
-                },
+                crate::ir::add_chain(8, true),
                 [
                     View::new(BufId::Param(0), Expr::c(0), 8),
                     View::new(BufId::Param(1), Expr::c(0), 8),
@@ -1142,10 +1136,7 @@ mod tests {
                 v,
                 elems / 4 + 1,
                 vec![Stmt::Op(Intrinsic::new(
-                    Op::Unary {
-                        op: UnaryOp::Relu,
-                        len: 4,
-                    },
+                    crate::ir::unary_chain(UnaryOp::Relu, 4),
                     [
                         View::new(BufId::Param(0), step.clone(), 4),
                         View::new(BufId::Param(1), step, 4),
@@ -1234,10 +1225,7 @@ mod tests {
             locals: vec![],
             var_count: 0,
             body: vec![Stmt::Op(Intrinsic::new(
-                Op::Unary {
-                    op: UnaryOp::Relu,
-                    len: elems,
-                },
+                crate::ir::unary_chain(UnaryOp::Relu, elems),
                 [
                     View::new(BufId::Param(0), Expr::c(0), elems),
                     View::new(BufId::Param(1), Expr::c(0), elems),
@@ -1484,24 +1472,14 @@ mod tests {
         ];
         let view = |b, len| View::new(b, Expr::c(0), len);
         let op = |op, views: Vec<View>| Stmt::Op(Intrinsic::new(op, views, []));
-        let add = Op::Binary {
-            op: gc_microkernel::BinaryOp::Add,
-            len: 8,
-        };
+        let add = crate::ir::add_chain(8, true);
         f.body = vec![
             op(
-                add,
-                vec![
-                    view(BufId::Local(0), 8),
-                    view(BufId::Param(0), 8),
-                    view(BufId::Local(0), 8),
-                ],
+                crate::ir::add_chain(8, false),
+                vec![view(BufId::Local(0), 8), view(BufId::Param(0), 8)],
             ),
             op(
-                Op::Unary {
-                    op: UnaryOp::Relu,
-                    len: 8,
-                },
+                crate::ir::unary_chain(UnaryOp::Relu, 8),
                 vec![view(BufId::Local(0), 8), view(BufId::Local(1), 8)],
             ),
             op(

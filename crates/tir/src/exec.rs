@@ -268,7 +268,9 @@ fn exec_intrinsic(intr: &Intrinsic, frame: &Frame<'_>, vars: &[i64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::{Brgemm, BufDecl, Copy2D, GlobalDecl, GlobalKind, Op, ReduceOp, View};
+    use crate::ir::{
+        Brgemm, BufDecl, Copy2D, GlobalDecl, GlobalKind, Op, ReduceOp, RowChain, View,
+    };
     use gc_microkernel::{BinaryOp, UnaryOp};
     use gc_tensor::DataType;
 
@@ -327,10 +329,7 @@ mod tests {
             v,
             2,
             vec![Stmt::Op(Intrinsic::new(
-                Op::Unary {
-                    op: UnaryOp::Relu,
-                    len: 4,
-                },
+                crate::ir::unary_chain(UnaryOp::Relu, 4),
                 [
                     View::new(BufId::Param(0), Expr::v(v).mul(Expr::c(4)), 4),
                     View::new(BufId::Param(1), Expr::v(v).mul(Expr::c(4)), 4),
@@ -371,10 +370,7 @@ mod tests {
                 extent: 8,
                 parallel,
                 body: vec![Stmt::Op(Intrinsic::new(
-                    Op::Unary {
-                        op: UnaryOp::Square,
-                        len: 8,
-                    },
+                    crate::ir::unary_chain(UnaryOp::Square, 8),
                     [
                         View::new(BufId::Param(0), Expr::v(v).mul(Expr::c(8)), 8),
                         View::new(BufId::Param(1), Expr::v(v).mul(Expr::c(8)), 8),
@@ -508,7 +504,7 @@ mod tests {
     }
 
     #[test]
-    fn reduce_rows_and_col_broadcast_make_softmax_rows() {
+    fn reduce_rows_and_col_vec_chain_make_softmax_rows() {
         // one 2x4 tile: exp, row sums, divide -> rows sum to 1
         let mut f = Func {
             name: "sm".into(),
@@ -521,10 +517,7 @@ mod tests {
             body: vec![],
         };
         f.body.push(Stmt::Op(Intrinsic::new(
-            Op::Unary {
-                op: UnaryOp::Exp,
-                len: 8,
-            },
+            crate::ir::unary_chain(UnaryOp::Exp, 8),
             [
                 View::new(BufId::Param(0), 0usize, 8),
                 View::new(BufId::Param(1), 0usize, 8),
@@ -543,16 +536,14 @@ mod tests {
             ],
             [],
         )));
+        // divide each row by its sum: an in-place column-vector chain
+        let mut div = RowChain::new(2, 4, 1, false);
+        div.col_vec(BinaryOp::Div).unwrap();
         f.body.push(Stmt::Op(Intrinsic::new(
-            Op::BinaryColBcast {
-                op: BinaryOp::Div,
-                rows: 2,
-                cols: 4,
-            },
+            Op::RowChain(div),
             [
                 View::new(BufId::Param(1), 0usize, 8),
                 View::new(BufId::Local(0), 0usize, 2),
-                View::new(BufId::Param(1), 0usize, 8),
             ],
             [],
         )));

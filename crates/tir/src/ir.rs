@@ -9,7 +9,6 @@
 
 use crate::expr::{Expr, VarId};
 use gc_microkernel::brgemm::BrgemmShape;
-use gc_microkernel::{BinaryOp, UnaryOp};
 pub use gc_microkernel::{ReduceOp, RowChain};
 use gc_tensor::DataType;
 
@@ -220,53 +219,6 @@ pub enum Op {
         /// Logical extent of the column axis.
         col_logical: usize,
     },
-    /// Elementwise unary over f32 windows. Operands `src, dst`;
-    /// in-place is allowed when they coincide exactly.
-    Unary {
-        /// Operation.
-        op: UnaryOp,
-        /// Elements.
-        len: usize,
-    },
-    /// Elementwise binary over f32 windows. Operands `a, b, dst`;
-    /// `dst` may coincide exactly with `a`.
-    Binary {
-        /// Operation.
-        op: BinaryOp,
-        /// Elements.
-        len: usize,
-    },
-    /// Elementwise binary with a scalar rhs. Operands `a, dst`; `dst`
-    /// may coincide exactly with `a`.
-    BinaryScalar {
-        /// Operation.
-        op: BinaryOp,
-        /// Scalar rhs.
-        scalar: f32,
-        /// Elements.
-        len: usize,
-    },
-    /// `dst[r,c] = op(a[r,c], b[c])` — rhs broadcast along rows
-    /// (bias-style). Operands `a` (tile), `b` (len `cols`), `dst`.
-    BinaryRowBcast {
-        /// Operation.
-        op: BinaryOp,
-        /// Rows.
-        rows: usize,
-        /// Columns.
-        cols: usize,
-    },
-    /// `dst[r,c] = op(a[r,c], b[r])` — rhs broadcast along columns
-    /// (softmax normalization style). Operands `a` (tile), `b` (len
-    /// `rows`), `dst`.
-    BinaryColBcast {
-        /// Operation.
-        op: BinaryOp,
-        /// Rows.
-        rows: usize,
-        /// Columns.
-        cols: usize,
-    },
     /// Row-wise reduction of a tile into `out[rows]`. Operands `src`
     /// (tile), `out`.
     ReduceRows {
@@ -332,12 +284,15 @@ pub enum Op {
         /// Elements.
         len: usize,
     },
-    /// A fused post-op chain (a bias add and a relu, a softmax), run
-    /// over one row block of `rows x tiles x cols` f32 elements in the
-    /// blocked `[tiles][rows][cols]` layout — see [`RowChain`].
+    /// A fused post-op chain (a bias add and a relu, a softmax), or one
+    /// standalone elementwise op, run over one row block of
+    /// `rows x tiles x cols` f32 elements in the blocked
+    /// `[tiles][rows][cols]` layout — see [`RowChain`]. The only f32
+    /// elementwise kind.
     /// Operands: the tile, the program's side operands in order (row
     /// vectors of `tiles * cols`, plain blocks of `rows` rows
-    /// [`RowChain::full_stride`] apart) and, when the chain
+    /// [`RowChain::full_stride`] apart, column vectors of `rows`) and,
+    /// when the chain
     /// [`RowChain::stores`], the destination in the tile's layout;
     /// otherwise the tile is updated in place. Row stats live inside the
     /// call.
@@ -639,16 +594,6 @@ impl Op {
                     Some(_) => (ar - 1) * g.cols + ac,
                 };
                 OpDesc::new(&[spec(Copied, Role::Read, Dense(read)), dst], 2)
-            }
-            Op::Unary { len, .. } | Op::BinaryScalar { len, .. } => {
-                unclamped(&[rd(F32, len), wr(F32, len)])
-            }
-            Op::Binary { len, .. } => unclamped(&[rd(F32, len), rd(F32, len), wr(F32, len)]),
-            Op::BinaryRowBcast { rows, cols, .. } => {
-                unclamped(&[rd(F32, rows * cols), rd(F32, cols), wr(F32, rows * cols)])
-            }
-            Op::BinaryColBcast { rows, cols, .. } => {
-                unclamped(&[rd(F32, rows * cols), rd(F32, rows), wr(F32, rows * cols)])
             }
             Op::ReduceRows { rows, cols, .. } => unclamped(&[rd(F32, rows * cols), wr(F32, rows)]),
             Op::DequantAcc {
@@ -970,9 +915,30 @@ impl Module {
     }
 }
 
+/// A one-step storing chain `dst = op(src)` over `1 x len`: operand 0
+/// read and operand 1 written, `len` elements each — the generic
+/// read/write op of the tests.
+#[cfg(test)]
+pub(crate) fn unary_chain(op: gc_microkernel::UnaryOp, len: usize) -> Op {
+    let mut c = RowChain::new(1, len, 1, true);
+    c.unary(op).expect("one step fits");
+    Op::RowChain(c)
+}
+
+/// `dst = a + b` over `1 x len` (operands `a, b, dst`) or, without
+/// `store`, `a += b` in place (operands `a, b`).
+#[cfg(test)]
+pub(crate) fn add_chain(len: usize, store: bool) -> Op {
+    let mut c = RowChain::new(1, len, 1, store);
+    c.full(gc_microkernel::BinaryOp::Add, len)
+        .expect("one side operand fits");
+    Op::RowChain(c)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gc_microkernel::UnaryOp;
 
     fn tiny_func() -> Func {
         let mut f = Func {
@@ -990,10 +956,7 @@ mod tests {
             v,
             4,
             vec![Stmt::Op(Intrinsic::new(
-                Op::Unary {
-                    op: UnaryOp::Relu,
-                    len: 4,
-                },
+                unary_chain(UnaryOp::Relu, 4),
                 [
                     View::new(BufId::Param(0), Expr::v(v).mul(Expr::c(4)), 4),
                     View::new(BufId::Param(1), Expr::v(v).mul(Expr::c(4)), 4),

@@ -17,8 +17,8 @@
 //! *lowering invariant*, the same one the original compiler's codegen
 //! guarantees. Executors materialize each buffer's raw pointer once per
 //! function call and `run_op` builds slices from it; an op's slices are
-//! disjoint unless the op documents an exact in-place alias, which its
-//! arm detects and serves from one slice. An operand the op only reads
+//! disjoint (a row chain that updates its tile in place names it once,
+//! as one slice). An operand the op only reads
 //! becomes a shared slice, so a buffer borrowed read-only (a constant or
 //! a caller's input, see [`crate::plan::Globals`]) is never made mutable;
 //! the executors refuse to bind one to a parameter the function writes.
@@ -26,7 +26,7 @@
 //! access, dtype agreement and writability on every slice.
 
 use crate::ir::{avail, Brgemm, Copy2D, Op, ReduceOp, MAX_CLAMPS, MAX_OPERANDS};
-use gc_microkernel::{eltwise, epilogue, tail, BinaryOp, Kernels};
+use gc_microkernel::{epilogue, tail, Kernels};
 use gc_tensor::{DataType, Storage};
 
 #[derive(Clone, Copy)]
@@ -216,13 +216,6 @@ fn assert_disjoint(a: Resolved<'_>, b: Resolved<'_>, len: usize) {
     );
 }
 
-/// Whether two operands name exactly the same window (the only aliasing
-/// the elementwise kinds permit).
-#[inline]
-fn same_window(a: Resolved<'_>, b: Resolved<'_>) -> bool {
-    a.0.ptr == b.0.ptr && a.1 == b.1
-}
-
 /// Call the generic copy kernel `$f` at the buffer's element type (the
 /// copy kinds move any 1- or 4-byte type).
 macro_rules! by_dtype {
@@ -262,8 +255,8 @@ pub(crate) fn run_op(
     k: Kernels,
 ) {
     // SAFETY (every arm): spans are in bounds per the caller's
-    // contract, and distinct operands are disjoint unless the arm has
-    // just established they are the same window and uses one slice.
+    // contract, and distinct operands are disjoint (an in-place row
+    // chain names its tile once).
     match *op {
         Op::BrgemmF32(g) => unsafe {
             let (a, b, c) = brgemm_slices(&g, o);
@@ -303,72 +296,6 @@ pub(crate) fn run_op(
             ];
             by_dtype!(o[0].0, unpack2d_clamp(o[0], dst, &g, valid));
         }
-        Op::Unary { op, len } => {
-            let (src, dst) = (o[0], o[1]);
-            if same_window(src, dst) {
-                k.unary_inplace(op, unsafe { sl(dst, len) });
-            } else {
-                assert_disjoint(src, dst, len);
-                unsafe { k.unary(op, rd(src, len), sl(dst, len)) };
-            }
-        }
-        Op::Binary { op, len } => {
-            let (a, b, dst) = (o[0], o[1], o[2]);
-            // In-place over `a` is permitted (dst == a); `b` must be
-            // disjoint from dst.
-            assert_disjoint(b, dst, len);
-            unsafe {
-                let bsl: &[f32] = rd(b, len);
-                let dsl: &mut [f32] = sl(dst, len);
-                if same_window(a, dst) {
-                    for (d, &y) in dsl.iter_mut().zip(bsl.iter()) {
-                        *d = op.apply(*d, y);
-                    }
-                } else {
-                    assert_disjoint(a, dst, len);
-                    k.binary(op, rd(a, len), bsl, dsl);
-                }
-            }
-        }
-        Op::BinaryScalar { op, scalar, len } => {
-            let (a, dst) = (o[0], o[1]);
-            let dsl: &mut [f32] = unsafe { sl(dst, len) };
-            if same_window(a, dst) {
-                for d in dsl.iter_mut() {
-                    *d = op.apply(*d, scalar);
-                }
-            } else {
-                assert_disjoint(a, dst, len);
-                eltwise::binary_scalar(op, unsafe { rd(a, len) }, scalar, dsl);
-            }
-        }
-        Op::BinaryRowBcast { op, rows, cols } => unsafe {
-            let bsl: &[f32] = rd(o[1], cols);
-            for_each_row(o[0], o[2], rows, cols, |_, drow, arow| match arow {
-                Some(arow) => {
-                    for ((d, &x), &y) in drow.iter_mut().zip(arow).zip(bsl) {
-                        *d = op.apply(x, y);
-                    }
-                }
-                None => {
-                    for (d, &y) in drow.iter_mut().zip(bsl) {
-                        *d = op.apply(*d, y);
-                    }
-                }
-            });
-        },
-        Op::BinaryColBcast { op, rows, cols } => unsafe {
-            let bsl: &[f32] = rd(o[1], rows);
-            for_each_row(o[0], o[2], rows, cols, |r, drow, arow| {
-                let y = bsl[r];
-                if op == BinaryOp::Div {
-                    let inv = 1.0 / y;
-                    map_row(drow, arow, |x| x * inv);
-                } else {
-                    map_row(drow, arow, |x| op.apply(x, y));
-                }
-            });
-        },
         Op::ReduceRows { op, rows, cols } => unsafe {
             let (ssl, osl) = (rd(o[0], rows * cols), sl(o[1], rows));
             match op {
@@ -437,50 +364,6 @@ pub(crate) fn run_op(
                 k.row_chain(&c, None, sl(o[0], n), &reads[..side]);
             }
         },
-    }
-}
-
-/// Visit the rows of a `[rows, cols]` lhs/dst operand pair as
-/// `(r, dst_row, lhs_row)`. In place (lhs and dst the same window) the
-/// lhs row is `None` and the dst row holds the lhs values, so a shared
-/// slice never overlaps the mutable one; otherwise the two windows must
-/// be disjoint.
-///
-/// # Safety
-/// As for [`sl`], for both windows.
-unsafe fn for_each_row(
-    a: Resolved<'_>,
-    dst: Resolved<'_>,
-    rows: usize,
-    cols: usize,
-    mut f: impl FnMut(usize, &mut [f32], Option<&[f32]>),
-) {
-    let in_place = same_window(a, dst);
-    if !in_place {
-        assert_disjoint(a, dst, rows * cols);
-    }
-    for r in 0..rows {
-        let drow: &mut [f32] = sl((dst.0, dst.1 + r * cols), cols);
-        let arow = (!in_place).then(|| rd::<f32>((a.0, a.1 + r * cols), cols));
-        f(r, drow, arow);
-    }
-}
-
-/// `dst[c] = f(lhs[c])`, reading the lhs from `dst` itself when the
-/// operation is in place.
-#[inline]
-fn map_row(dst: &mut [f32], lhs: Option<&[f32]>, f: impl Fn(f32) -> f32) {
-    match lhs {
-        Some(lhs) => {
-            for (d, &x) in dst.iter_mut().zip(lhs) {
-                *d = f(x);
-            }
-        }
-        None => {
-            for d in dst {
-                *d = f(*d);
-            }
-        }
     }
 }
 

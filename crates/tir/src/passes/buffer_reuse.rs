@@ -207,7 +207,7 @@ fn collect_locals(stmt: &Stmt, touch: &mut impl FnMut(usize)) {
 mod tests {
     use super::*;
     use crate::expr::Expr;
-    use crate::ir::{BufDecl, Call, GlobalDecl, Intrinsic, Op, View};
+    use crate::ir::{BufDecl, Call, GlobalDecl, Intrinsic, View};
     use gc_microkernel::UnaryOp;
 
     fn scratch(elems: usize, name: &str) -> GlobalDecl {
@@ -229,10 +229,7 @@ mod tests {
             locals: vec![],
             var_count: 0,
             body: vec![Stmt::Op(Intrinsic::new(
-                Op::Unary {
-                    op: UnaryOp::Identity,
-                    len: elems,
-                },
+                crate::ir::unary_chain(UnaryOp::Identity, elems),
                 [
                     View::new(BufId::Param(0), 0usize, elems),
                     View::new(BufId::Param(1), 0usize, elems),
@@ -371,10 +368,7 @@ mod tests {
             body: vec![
                 // stmt 0: writes t0 from io
                 Stmt::Op(Intrinsic::new(
-                    Op::Unary {
-                        op: UnaryOp::Relu,
-                        len: 8,
-                    },
+                    crate::ir::unary_chain(UnaryOp::Relu, 8),
                     [
                         View::new(BufId::Param(0), 0usize, 8),
                         View::new(BufId::Local(0), 0usize, 8),
@@ -383,10 +377,7 @@ mod tests {
                 )),
                 // stmt 1: io = t0 (last use of t0)
                 Stmt::Op(Intrinsic::new(
-                    Op::Unary {
-                        op: UnaryOp::Identity,
-                        len: 8,
-                    },
+                    crate::ir::unary_chain(UnaryOp::Identity, 8),
                     [
                         View::new(BufId::Local(0), 0usize, 8),
                         View::new(BufId::Param(0), 0usize, 8),
@@ -395,10 +386,7 @@ mod tests {
                 )),
                 // stmt 2: t1 = io
                 Stmt::Op(Intrinsic::new(
-                    Op::Unary {
-                        op: UnaryOp::Exp,
-                        len: 8,
-                    },
+                    crate::ir::unary_chain(UnaryOp::Exp, 8),
                     [
                         View::new(BufId::Param(0), 0usize, 8),
                         View::new(BufId::Local(1), 0usize, 8),
@@ -407,10 +395,7 @@ mod tests {
                 )),
                 // stmt 3: io = t1
                 Stmt::Op(Intrinsic::new(
-                    Op::Unary {
-                        op: UnaryOp::Identity,
-                        len: 8,
-                    },
+                    crate::ir::unary_chain(UnaryOp::Identity, 8),
                     [
                         View::new(BufId::Local(1), 0usize, 8),
                         View::new(BufId::Param(0), 0usize, 8),
@@ -443,10 +428,7 @@ mod tests {
                 4,
                 vec![
                     Stmt::Op(Intrinsic::new(
-                        Op::Unary {
-                            op: UnaryOp::Relu,
-                            len: 8,
-                        },
+                        crate::ir::unary_chain(UnaryOp::Relu, 8),
                         [
                             View::new(BufId::Param(0), 0usize, 8),
                             View::new(BufId::Local(0), 0usize, 8),
@@ -454,10 +436,7 @@ mod tests {
                         [],
                     )),
                     Stmt::Op(Intrinsic::new(
-                        Op::Unary {
-                            op: UnaryOp::Exp,
-                            len: 8,
-                        },
+                        crate::ir::unary_chain(UnaryOp::Exp, 8),
                         [
                             View::new(BufId::Local(0), Expr::c(0), 8),
                             View::new(BufId::Local(1), 0usize, 8),

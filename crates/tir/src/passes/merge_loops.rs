@@ -82,16 +82,13 @@ fn rename_var_in_stmts(
 mod tests {
     use super::*;
     use crate::expr::{Expr, VarId};
-    use crate::ir::{BufDecl, BufId, Intrinsic, Op, View};
+    use crate::ir::{BufDecl, BufId, Intrinsic, View};
     use gc_microkernel::UnaryOp;
     use gc_tensor::DataType;
 
     fn unary_on(v: VarId, buf: usize) -> Stmt {
         Stmt::Op(Intrinsic::new(
-            Op::Unary {
-                op: UnaryOp::Relu,
-                len: 4,
-            },
+            crate::ir::unary_chain(UnaryOp::Relu, 4),
             [
                 View::new(BufId::Param(buf), Expr::v(v).mul(Expr::c(4)), 4),
                 View::new(BufId::Param(buf), Expr::v(v).mul(Expr::c(4)), 4),

@@ -244,7 +244,7 @@ pub fn shrink_locals(func: &mut Func) -> ShrinkStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::{BufDecl, Intrinsic, Op, View};
+    use crate::ir::{BufDecl, Intrinsic, View};
     use gc_microkernel::UnaryOp;
     use gc_tensor::DataType;
 
@@ -279,10 +279,7 @@ mod tests {
                     2,
                     vec![
                         Stmt::Op(Intrinsic::new(
-                            Op::Unary {
-                                op: UnaryOp::Relu,
-                                len: 8,
-                            },
+                            crate::ir::unary_chain(UnaryOp::Relu, 8),
                             [
                                 View::new(
                                     BufId::Param(0),
@@ -302,10 +299,7 @@ mod tests {
                             [],
                         )),
                         Stmt::Op(Intrinsic::new(
-                            Op::Unary {
-                                op: UnaryOp::Identity,
-                                len: 8,
-                            },
+                            crate::ir::unary_chain(UnaryOp::Identity, 8),
                             [
                                 View::new(
                                     BufId::Local(0),
@@ -360,10 +354,7 @@ mod tests {
                 p,
                 4,
                 vec![Stmt::Op(Intrinsic::new(
-                    Op::Unary {
-                        op: UnaryOp::Relu,
-                        len: 16,
-                    },
+                    crate::ir::unary_chain(UnaryOp::Relu, 16),
                     [
                         View::new(BufId::Param(0), Expr::v(p).mul(Expr::c(16)), 16),
                         View::new(BufId::Local(0), Expr::v(p).mul(Expr::c(16)), 16),
@@ -389,7 +380,7 @@ mod tests {
                 v,
                 4,
                 vec![Stmt::Op(Intrinsic::new(
-                    Op::Unary { op, len: 8 },
+                    crate::ir::unary_chain(op, 8),
                     [
                         View::new(from, Expr::v(v).mul(Expr::c(8)), 8),
                         View::new(to, Expr::v(v).mul(Expr::c(8)), 8),
@@ -429,10 +420,7 @@ mod tests {
                 v,
                 4,
                 vec![Stmt::Op(Intrinsic::new(
-                    Op::Unary {
-                        op: UnaryOp::Relu,
-                        len: 16,
-                    },
+                    crate::ir::unary_chain(UnaryOp::Relu, 16),
                     [
                         View::new(BufId::Param(0), Expr::v(v).mul(Expr::c(8)), 16),
                         View::new(BufId::Local(0), Expr::v(v).mul(Expr::c(8)), 16),
@@ -465,10 +453,7 @@ mod tests {
                     4,
                     vec![
                         Stmt::Op(Intrinsic::new(
-                            Op::Unary {
-                                op: UnaryOp::Square,
-                                len: 8,
-                            },
+                            crate::ir::unary_chain(UnaryOp::Square, 8),
                             [
                                 View::new(BufId::Param(0), Expr::v(msi).mul(Expr::c(8)), 8),
                                 View::new(BufId::Local(0), Expr::v(msi).mul(Expr::c(8)), 8),
@@ -476,10 +461,7 @@ mod tests {
                             [],
                         )),
                         Stmt::Op(Intrinsic::new(
-                            Op::Unary {
-                                op: UnaryOp::Neg,
-                                len: 8,
-                            },
+                            crate::ir::unary_chain(UnaryOp::Neg, 8),
                             [
                                 View::new(BufId::Local(0), Expr::v(msi).mul(Expr::c(8)), 8),
                                 View::new(BufId::Param(1), Expr::v(msi).mul(Expr::c(8)), 8),

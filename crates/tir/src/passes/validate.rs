@@ -421,16 +421,13 @@ pub fn check_func_reuse(before: &Func, after: &Func) -> Result<(), ValidateError
 mod tests {
     use super::*;
     use crate::expr::VarId;
-    use crate::ir::{Call, GlobalDecl, Op, View};
+    use crate::ir::{Call, GlobalDecl, View};
     use gc_microkernel::UnaryOp;
     use gc_tensor::DataType;
 
     fn unary(src: View, dst: View) -> Stmt {
         Stmt::Op(Intrinsic::new(
-            Op::Unary {
-                op: UnaryOp::Relu,
-                len: dst.len,
-            },
+            crate::ir::unary_chain(UnaryOp::Relu, dst.len),
             [src, dst],
             [],
         ))

@@ -69,15 +69,6 @@ fn intr_str(f: &Func, i: &Intrinsic) -> String {
             "unpack2d.clamp {} = {} ({}x{} rows@{}<{row_logical} cols@{}<{col_logical})",
             o[1], o[0], g.rows, g.cols, c[0], c[1]
         ),
-        Op::Unary { op, .. } => format!("{op:?} {} = {}", o[1], o[0]),
-        Op::Binary { op, .. } => format!("{op:?} {} = {}, {}", o[2], o[0], o[1]),
-        Op::BinaryScalar { op, scalar, .. } => format!("{op:?}.s {} = {}, {scalar}", o[1], o[0]),
-        Op::BinaryRowBcast { op, rows, cols } => {
-            format!("{op:?}.rowb {} = {}, {} ({rows}x{cols})", o[2], o[0], o[1])
-        }
-        Op::BinaryColBcast { op, rows, cols } => {
-            format!("{op:?}.colb {} = {}, {} ({rows}x{cols})", o[2], o[0], o[1])
-        }
         Op::ReduceRows { op, rows, cols } => {
             format!("reduce.{op:?} {} <- {} ({rows}x{cols})", o[1], o[0])
         }
@@ -107,6 +98,7 @@ fn intr_str(f: &Func, i: &Intrinsic) -> String {
                         format!("{op:?}.full {} ld={ld}", o[1 + usize::from(i)])
                     }
                     ChainStep::Stat(op) => format!("{op:?}.colb"),
+                    ChainStep::ColVec(op, i) => format!("{op:?}.colv {}", o[1 + usize::from(i)]),
                     ChainStep::Reduce(op) => format!("reduce.{op:?}"),
                 })
                 .collect();
@@ -215,10 +207,7 @@ mod tests {
             v,
             2,
             vec![Stmt::Op(Intrinsic::new(
-                Op::Unary {
-                    op: UnaryOp::Relu,
-                    len: 4,
-                },
+                crate::ir::unary_chain(UnaryOp::Relu, 4),
                 [
                     View::new(BufId::Param(0), Expr::v(v).mul(Expr::c(4)), 4),
                     View::new(BufId::Param(1), Expr::v(v).mul(Expr::c(4)), 4),
@@ -228,7 +217,8 @@ mod tests {
         ));
         let text = print_func(&f);
         assert!(text.contains("parallel v0 in 0..2"));
-        assert!(text.contains("Relu %out"));
+        assert!(text.contains("row_chain %out"), "{text}");
+        assert!(text.contains("(1x4 x1): Relu"), "{text}");
         assert!(text.contains("local $tmp"));
     }
 }

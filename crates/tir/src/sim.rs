@@ -235,25 +235,20 @@ fn compute_cycles(op: &Op, machine: &MachineDescriptor) -> f64 {
         Op::BrgemmF32(g) => brgemm(g, 4),
         Op::BrgemmU8I8(g) => brgemm(g, 1),
         // vectorized elementwise: ~1 op per element
-        Op::Unary { len, .. }
-        | Op::BinaryScalar { len, .. }
-        | Op::Binary { len, .. }
-        | Op::QuantU8 { len, .. }
+        Op::QuantU8 { len, .. }
         | Op::DequantU8 { len, .. }
         | Op::DequantI8 { len, .. }
         | Op::CastI32F32 { len }
         | Op::FillF32 { len, .. }
         | Op::ZeroI32 { len } => *len as f64 / lanes,
-        Op::BinaryRowBcast { rows, cols, .. }
-        | Op::BinaryColBcast { rows, cols, .. }
-        | Op::ReduceRows { rows, cols, .. } => (rows * cols) as f64 / lanes,
+        Op::ReduceRows { rows, cols, .. } => (rows * cols) as f64 / lanes,
         Op::DequantAcc { rows, cols, .. } => 2.0 * (rows * cols) as f64 / lanes,
         Op::Pack2D(g) | Op::Unpack2D(g) | Op::Pack2DPad { g, .. } | Op::Unpack2DClamp { g, .. } => {
             copy(g)
         }
         Op::CompAccumulate { nb, kb } => (nb * kb) as f64 / 16.0,
-        // one vector op per element per step, as the per-op kinds charge
-        // (a storing chain with no steps is a copy)
+        // one vector op per element per step (a storing chain with no
+        // steps is a copy)
         Op::RowChain(c) => (c.elems() * c.steps().len().max(1)) as f64 / lanes,
     }
 }
@@ -284,10 +279,7 @@ mod tests {
             extent: chunks,
             parallel,
             body: vec![Stmt::Op(Intrinsic::new(
-                Op::Unary {
-                    op: UnaryOp::Relu,
-                    len: per,
-                },
+                crate::ir::unary_chain(UnaryOp::Relu, per),
                 [
                     View::new(BufId::Param(0), Expr::v(v).mul(Expr::from(per)), per),
                     View::new(BufId::Param(1), Expr::v(v).mul(Expr::from(per)), per),

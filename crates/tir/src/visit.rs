@@ -96,10 +96,7 @@ mod tests {
     #[test]
     fn map_exprs_substitutes_offsets() {
         let mut i = Intrinsic::new(
-            Op::Unary {
-                op: UnaryOp::Relu,
-                len: 4,
-            },
+            crate::ir::unary_chain(UnaryOp::Relu, 4),
             [
                 View::new(BufId::Param(0), Expr::v(VarId(1)), 4),
                 View::new(BufId::Param(1), Expr::v(VarId(1)), 4),

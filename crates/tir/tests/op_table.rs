@@ -41,7 +41,7 @@ const GUARD: usize = 5;
 /// Every intrinsic kind. A new `Op` variant stops [`kind`] compiling:
 /// name it there, list it here, and give it cases in [`cases`] — the
 /// coverage test fails until it has one.
-const KINDS: [&str; 21] = [
+const KINDS: [&str; 16] = [
     "BrgemmF32",
     "BrgemmU8I8",
     "FillF32",
@@ -50,11 +50,6 @@ const KINDS: [&str; 21] = [
     "Unpack2D",
     "Pack2DPad",
     "Unpack2DClamp",
-    "Unary",
-    "Binary",
-    "BinaryScalar",
-    "BinaryRowBcast",
-    "BinaryColBcast",
     "ReduceRows",
     "DequantAcc",
     "QuantU8",
@@ -75,11 +70,6 @@ fn kind(op: &Op) -> &'static str {
         Op::Unpack2D(_) => "Unpack2D",
         Op::Pack2DPad { .. } => "Pack2DPad",
         Op::Unpack2DClamp { .. } => "Unpack2DClamp",
-        Op::Unary { .. } => "Unary",
-        Op::Binary { .. } => "Binary",
-        Op::BinaryScalar { .. } => "BinaryScalar",
-        Op::BinaryRowBcast { .. } => "BinaryRowBcast",
-        Op::BinaryColBcast { .. } => "BinaryColBcast",
         Op::ReduceRows { .. } => "ReduceRows",
         Op::DequantAcc { .. } => "DequantAcc",
         Op::QuantU8 { .. } => "QuantU8",
@@ -205,25 +195,6 @@ fn cases() -> Vec<Case> {
             )
         });
     }
-    // Relu has a per-backend body, Exp is the same loop on every one
-    let unary = |op| Op::Unary { op, len: 9 };
-    // Mul has a per-backend body, Div is the same loop on every one
-    let binary = |op| Op::Binary { op, len: 9 };
-    let scalar = Op::BinaryScalar {
-        op: BinaryOp::Sub,
-        scalar: 0.75,
-        len: 9,
-    };
-    let row_bcast = Op::BinaryRowBcast {
-        op: BinaryOp::Add,
-        rows: 3,
-        cols: 4,
-    };
-    let col_bcast = |op| Op::BinaryColBcast {
-        op,
-        rows: 3,
-        cols: 4,
-    };
     let reduce = |op| Op::ReduceRows {
         op,
         rows: 3,
@@ -237,29 +208,6 @@ fn cases() -> Vec<Case> {
         bias,
     };
     v.extend([
-        case("unary exp", unary(UnaryOp::Exp), &[0, 1]),
-        case("unary exp in place", unary(UnaryOp::Exp), &[0, 0]),
-        case("unary relu", unary(UnaryOp::Relu), &[0, 1]),
-        case("unary relu in place", unary(UnaryOp::Relu), &[0, 0]),
-        case("binary mul", binary(BinaryOp::Mul), &[0, 1, 2]),
-        case("binary mul in place", binary(BinaryOp::Mul), &[0, 1, 0]),
-        case("binary div", binary(BinaryOp::Div), &[0, 1, 2]),
-        case("binary scalar", scalar, &[0, 1]),
-        case("binary scalar in place", scalar, &[0, 0]),
-        case("row bcast", row_bcast, &[0, 1, 2]),
-        case("row bcast in place", row_bcast, &[0, 1, 0]),
-        case("col bcast div", col_bcast(BinaryOp::Div), &[0, 1, 2]),
-        case("col bcast sub", col_bcast(BinaryOp::Sub), &[0, 1, 2]),
-        case(
-            "col bcast div in place",
-            col_bcast(BinaryOp::Div),
-            &[0, 1, 0],
-        ),
-        case(
-            "col bcast sub in place",
-            col_bcast(BinaryOp::Sub),
-            &[0, 1, 0],
-        ),
         case("reduce sum", reduce(ReduceOp::Sum), &[0, 1]),
         case("reduce max", reduce(ReduceOp::Max), &[0, 1]),
         case("dequant acc", dequant_acc(false), &[0, 1, 2]),
@@ -298,11 +246,21 @@ fn cases() -> Vec<Case> {
 /// every backend runs its tail path), each once in place and once
 /// storing to a separate destination: a fused softmax, every other step
 /// kind, a first pass with no steps (a standalone softmax) reading a
-/// full operand of wider rows, a chain that ends in a reduction, and a
-/// chain with no steps (storing, the copy into a blocked output).
+/// full operand of wider rows, a chain that ends in a reduction, a chain
+/// with no steps (storing, the copy into a blocked output) and a
+/// standalone softmax's subtract and divide by column vectors (one value
+/// per row, `rows != cols`). Then the shapes standalone ops lower to: a
+/// one-step chain over one row of 9, and column vectors over a square
+/// 4 x 4 block (`rows == cols`, where a row vector and a column vector
+/// have the same length).
 fn row_chain_cases() -> Vec<Case> {
     type Build = fn(&mut RowChain) -> Option<()>;
-    let programs: [(&str, Build); 5] = [
+    let col_vec: Build = |c| {
+        c.col_vec(BinaryOp::Sub)?;
+        c.unary(UnaryOp::Exp)?;
+        c.col_vec(BinaryOp::Div)
+    };
+    let programs: [(&str, Build); 6] = [
         ("softmax", |c| {
             c.scalar(BinaryOp::Div, 1.5)?;
             c.row_vec(BinaryOp::Add)?;
@@ -336,11 +294,20 @@ fn row_chain_cases() -> Vec<Case> {
             c.reduce(ReduceOp::Sum)
         }),
         ("with no steps", |_| Some(())),
+        ("col vec", col_vec),
     ];
+    let one_step: Build = |c| c.unary(UnaryOp::Relu);
+    let geometries = programs
+        .into_iter()
+        .map(|(name, build)| (name, [3, 5, 2], build))
+        .chain([
+            ("one step 1x9", [1, 9, 1], one_step),
+            ("col vec 4x4", [4, 4, 1], col_vec),
+        ]);
     let mut v = Vec::new();
-    for (name, build) in programs {
+    for (name, [rows, cols, tiles], build) in geometries {
         for store in [false, true] {
-            let mut c = RowChain::new(3, 5, 2, store);
+            let mut c = RowChain::new(rows, cols, tiles, store);
             build(&mut c).expect("program fits");
             let bufs: Vec<usize> = (0..c.buffers()).collect();
             let mode = if store { "storing" } else { "in place" };

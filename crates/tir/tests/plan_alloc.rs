@@ -19,7 +19,8 @@ use gc_tensor::{DataType, Storage, Tensor};
 use gc_tir::compile::compile_module;
 use gc_tir::expr::Expr;
 use gc_tir::ir::{
-    Brgemm, BufDecl, BufId, Call, Func, GlobalDecl, GlobalKind, Intrinsic, Module, Op, Stmt, View,
+    Brgemm, BufDecl, BufId, Call, Func, GlobalDecl, GlobalKind, Intrinsic, Module, Op, RowChain,
+    Stmt, View,
 };
 use gc_tir::plan::{run_plan_call, Globals, PlanScratch};
 use gc_tir::{ExecOptions, Executable, VarId};
@@ -134,10 +135,11 @@ fn test_module(extent: usize) -> Module {
                     [],
                 )),
                 Stmt::Op(Intrinsic::new(
-                    Op::Unary {
-                        op: gc_microkernel::UnaryOp::Relu,
-                        len: m_tile * n_tile,
-                    },
+                    Op::RowChain({
+                        let mut relu = RowChain::new(1, m_tile * n_tile, 1, true);
+                        relu.unary(gc_microkernel::UnaryOp::Relu).unwrap();
+                        relu
+                    }),
                     [
                         View::new(BufId::Local(0), Expr::c(0), m_tile * n_tile),
                         View::new(
@@ -320,10 +322,8 @@ fn with_prepack(mut module: Module) -> Module {
         locals: vec![],
         var_count: 0,
         body: vec![Stmt::Op(Intrinsic::new(
-            Op::Unary {
-                op: gc_microkernel::UnaryOp::Identity,
-                len: elems,
-            },
+            // the zero-step storing chain: a copy
+            Op::RowChain(RowChain::new(1, elems, 1, true)),
             [
                 View::new(BufId::Param(0), Expr::c(0), elems),
                 View::new(BufId::Param(1), Expr::c(0), elems),

@@ -12,7 +12,7 @@ use gc_microkernel::arch::{detected_isa, dispatch_report, kernels, Family, Isa};
 use gc_microkernel::UnaryOp;
 use gc_runtime::ThreadPool;
 use gc_tensor::{DataType, Storage, Tensor, TensorDesc};
-use gc_tir::ir::Brgemm;
+use gc_tir::ir::{Brgemm, RowChain};
 use gc_tir::{
     BufDecl, BufId, Call, Engine, Executable, Expr, Func, GlobalDecl, GlobalKind, Intrinsic,
     Module, Op, Stmt, VarId, View,
@@ -50,6 +50,8 @@ fn int8_module() -> (Module, Vec<(usize, Tensor)>) {
     let at = |stride: usize| Expr::v(i).mul(Expr::c(stride as i64));
     let (acc, deq) = (BufId::Local(0), BufId::Local(1));
     let tile = M * N;
+    let mut relu_in_place = RowChain::new(M, N, 1, false);
+    relu_in_place.unary(UnaryOp::Relu).unwrap();
     let block = vec![
         Stmt::Op(Intrinsic::new(
             Op::ZeroI32 { len: tile },
@@ -88,14 +90,8 @@ fn int8_module() -> (Module, Vec<(usize, Tensor)>) {
             [],
         )),
         Stmt::Op(Intrinsic::new(
-            Op::Unary {
-                op: UnaryOp::Relu,
-                len: tile,
-            },
-            [
-                View::new(deq, at(tile), tile),
-                View::new(deq, at(tile), tile),
-            ],
+            Op::RowChain(relu_in_place),
+            [View::new(deq, at(tile), tile)],
             [],
         )),
         Stmt::Op(Intrinsic::new(
@@ -170,7 +166,7 @@ fn two_backends_alternate_on_one_thread_and_one_pool() {
             let after = dispatch_report();
             // one brgemm, one dequantize, one relu per block — all of
             // them, and nothing else, on this engine's own backend
-            for family in [Family::BrgemmU8I8, Family::Epilogue, Family::Eltwise] {
+            for family in [Family::BrgemmU8I8, Family::Epilogue, Family::Reduce] {
                 let got = after.calls_for_family(family) - before.calls_for_family(family);
                 assert_eq!(got, BLOCKS as u64, "round {round}: {isa} engine, {family}");
             }

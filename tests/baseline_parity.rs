@@ -129,11 +129,11 @@ fn baseline_projection_charges_per_primitive_dispatch() {
 
 #[test]
 fn baseline_decode_matches_reference_when_rows_equal_cap() {
-    // The baseline lowers the decomposed softmax standalone: `x - max`
-    // and `x / sum` take lhs `[rows, 1, cap]` and keepdim stats
-    // `[rows, 1, 1]`. At `rows == cap` the stats have as many elements as
-    // a row vector `[cap]` would; the lowering must still treat them as
-    // one value per row.
+    // The baseline leaves the decomposed softmax off the matmul and runs
+    // it as one standalone row chain whose subtract and divide read the
+    // chain's own row stats. At `rows == cap` those stats `[rows, 1, 1]`
+    // have as many elements as a row vector `[cap]` would; they must
+    // still be one value per row.
     for rows in [1usize, 16, 64] {
         for cap in [16usize, 32, 64, 128] {
             let build = || workloads::decode_f32(rows, cap, 64);
@@ -142,6 +142,31 @@ fn baseline_decode_matches_reference_when_rows_equal_cap() {
             let exe = baseline().build(build()).expect("build");
             let (outs, _) = exe.execute(&inputs).expect("exec");
             let label = format!("baseline decode rows {rows} cap {cap}");
+            assert_close_flat(&outs[0], &want[0], 1e-3, &label);
+        }
+    }
+}
+
+#[test]
+fn unfused_decode_matches_reference_when_rows_equal_cap() {
+    // With fusion off every softmax op is its own one-op row chain: `x -
+    // max` and `x / sum` take lhs `[rows, 1, cap]` and the keepdim stats
+    // `[rows, 1, 1]` as a column-vector side operand, which at
+    // `rows == cap` has as many elements as a row vector `[cap]`.
+    let opts = gc_core::CompileOptions {
+        threads: Some(2),
+        ..gc_core::CompileOptions::unfused(MachineDescriptor::xeon_8358())
+    };
+    for rows in [1usize, 16, 64] {
+        for cap in [16usize, 32, 64, 128] {
+            let build = || workloads::decode_f32(rows, cap, 64);
+            let inputs = random_inputs(&build(), 13);
+            let want = reference_eval(&build(), &inputs);
+            let compiled = gc_core::Compiler::new(opts.clone())
+                .compile(build())
+                .expect("compile");
+            let (outs, _) = compiled.execute(&inputs).expect("exec");
+            let label = format!("unfused decode rows {rows} cap {cap}");
             assert_close_flat(&outs[0], &want[0], 1e-3, &label);
         }
     }

@@ -393,3 +393,137 @@ fn mlp2_search_prunes_yet_matches_exhaustive_walk() {
         assert!(report.search.tiles_pruned * 10 >= report.search.tiles * 9);
     }
 }
+
+/// Under the default options and with fusion off.
+fn default_and_unfused() -> [(&'static str, CompileOptions); 2] {
+    let unfused = CompileOptions {
+        threads: Some(2),
+        ..CompileOptions::unfused(MachineDescriptor::xeon_8358())
+    };
+    [("default", opts()), ("unfused", unfused)]
+}
+
+/// `x [b, m, k] @ w [b, k, n] + y [m, n]`: a side operand `[M, N]`
+/// broadcast over the batch.
+fn batch_matmul_plus_matrix(b: usize, m: usize, n: usize, k: usize) -> gc_graph::Graph {
+    use gc_graph::{BinaryKind, Graph, OpKind};
+    let mut g = Graph::new();
+    let x = g.add_input(TensorDesc::new([b, m, k], DataType::F32), "x");
+    let w = g.add_input(TensorDesc::new([b, k, n], DataType::F32), "w");
+    let y = g.add_input(TensorDesc::new([m, n], DataType::F32), "y");
+    let mm = g.add_op(OpKind::MatMul, &[x, w]).unwrap();
+    let out = g.add_op(OpKind::Binary(BinaryKind::Add), &[mm, y]).unwrap();
+    g.mark_output(out);
+    g
+}
+
+/// Graphs that fusion, the fused lowering and the standalone lowering
+/// get right only by classifying a side operand the same way, by shape
+/// and by position. `[M, N]` broadcast over a batch — standalone, and
+/// after a batch matmul with `B == M` (whose `[M, N]` has the volume of
+/// one row per batch index) or `B != M` — is refused with a typed error
+/// naming both shapes; `r - x W` and `r / x W` (the matmul's output is
+/// the rhs of a binary that does not commute) match the reference, the
+/// division to a relative 1e-5. Under the default options and with
+/// fusion off; none panics.
+#[test]
+fn side_operands_follow_one_shape_rule() {
+    use gc_graph::{BinaryKind, Graph, OpKind};
+    let refused = |label: &str, o: CompileOptions, g: Graph, shapes: [&str; 2]| {
+        let e = match Compiler::new(o).compile(g) {
+            Err(e @ gc_core::CoreError::Lower(_)) => e.to_string(),
+            Err(e) => panic!("{label}: not a lowering error: {e}"),
+            Ok(_) => panic!("{label}: compiled"),
+        };
+        for s in shapes {
+            assert!(e.contains(s), "{label}: `{e}` does not name {s}");
+        }
+    };
+    for (mode, o) in default_and_unfused() {
+        let mut g = Graph::new();
+        let x = g.add_input(TensorDesc::new([2, 3, 4], DataType::F32), "x");
+        let y = g.add_input(TensorDesc::new([3, 4], DataType::F32), "y");
+        let z = g.add_op(OpKind::Binary(BinaryKind::Add), &[x, y]).unwrap();
+        g.mark_output(z);
+        refused(
+            &format!("{mode} x[2,3,4] + y[3,4]"),
+            o.clone(),
+            g,
+            ["[3, 4]", "[2, 3, 4]"],
+        );
+        for (b, m) in [(4, 4), (2, 4)] {
+            refused(
+                &format!("{mode} matmul[{b},{m},8] + y[{m},8]"),
+                o.clone(),
+                batch_matmul_plus_matrix(b, m, 8, 8),
+                [&format!("[{m}, 8]"), &format!("[{b}, {m}, 8]")],
+            );
+        }
+
+        // r - x W and r / x W with x W bounded away from zero
+        for (kind, rel) in [(BinaryKind::Sub, false), (BinaryKind::Div, true)] {
+            let (m, n, k) = (16, 32, 64);
+            let build = || {
+                let mut g = Graph::new();
+                let x = g.add_input(TensorDesc::new([m, k], DataType::F32), "x");
+                let w_vals = (0..k * n).map(|i| 0.5 + (i % 7) as f32 / 14.0).collect();
+                let w = g.add_constant(Tensor::from_vec_f32(&[k, n], w_vals).unwrap(), "w");
+                let r = g.add_input(TensorDesc::new([m, n], DataType::F32), "r");
+                let mm = g.add_op(OpKind::MatMul, &[x, w]).unwrap();
+                let out = g.add_op(OpKind::Binary(kind), &[r, mm]).unwrap();
+                g.mark_output(out);
+                g
+            };
+            let x_vals = (0..m * k).map(|i| 0.5 + (i % 5) as f32 / 10.0).collect();
+            let inputs = vec![
+                Tensor::from_vec_f32(&[m, k], x_vals).unwrap(),
+                Tensor::random(&[m, n], DataType::F32, 3),
+            ];
+            let want = reference_eval(&build(), &inputs);
+            let (outs, _) = compile_with(o.clone(), build())
+                .execute(&inputs)
+                .expect("exec");
+            let label = format!("{mode} r {kind:?} matmul");
+            for i in 0..m * n {
+                let (a, b) = (
+                    outs[0].storage().get_as_f64(i),
+                    want[0].storage().get_as_f64(i),
+                );
+                let tol = if rel { 1e-5 * b.abs() } else { 1e-4 };
+                assert!((a - b).abs() <= tol, "{label} elem {i}: {a} vs {b}");
+            }
+        }
+    }
+}
+
+/// `(x W - s) * t` over a batch with keepdim `[B, M, 1]` operands: both
+/// binaries fuse as column-vector steps of the matmul's row chain, read
+/// at each m-tile's rows; with fusion off each is a one-op chain with a
+/// column-vector side operand.
+#[test]
+fn column_vector_operands_fuse_into_the_matmul() {
+    use gc_graph::{BinaryKind, Graph, OpKind};
+    let (b, m, n, k) = (2, 64, 48, 32);
+    let build = || {
+        let mut g = Graph::new();
+        let x = g.add_input(TensorDesc::new([b, m, k], DataType::F32), "x");
+        let w = g.add_input(TensorDesc::new([b, k, n], DataType::F32), "w");
+        let s = g.add_input(TensorDesc::new([b, m, 1], DataType::F32), "s");
+        let t = g.add_input(TensorDesc::new([b, m, 1], DataType::F32), "t");
+        let mm = g.add_op(OpKind::MatMul, &[x, w]).unwrap();
+        let d = g.add_op(OpKind::Binary(BinaryKind::Sub), &[mm, s]).unwrap();
+        let out = g.add_op(OpKind::Binary(BinaryKind::Mul), &[d, t]).unwrap();
+        g.mark_output(out);
+        g
+    };
+    let inputs = random_inputs(&build(), 17);
+    let want = reference_eval(&build(), &inputs);
+    for (mode, o) in default_and_unfused() {
+        let compiled = compile_with(o, build());
+        let parts = if mode == "default" { 1 } else { 3 };
+        assert_eq!(compiled.report().partitions, parts, "{mode}");
+        assert!(compiled.tir_text().contains("Sub.colv"), "{mode}");
+        let (outs, _) = compiled.execute(&inputs).expect("exec");
+        assert_close(&outs[0], &want[0], 1e-4, &format!("{mode} col vec"));
+    }
+}

@@ -3,7 +3,8 @@
 //! reference.
 
 use gc_bench::workloads::{
-    decode_f32, mlp1_layers, mlp2_layers, mlp_f32, mlp_int8, random_inputs, reference_eval,
+    decode_f32, mha_configs, mha_f32, mlp1_layers, mlp2_layers, mlp_f32, mlp_int8, random_inputs,
+    reference_eval,
 };
 use gc_core::{CompileOptions, CompiledPartition, Compiler};
 use gc_graph::{BinaryKind, Graph, OpKind, UnaryKind};
@@ -216,9 +217,9 @@ fn chains_per_m_tile(stmts: &[Stmt], out: &mut Vec<usize>) {
 }
 
 /// Every fused f32 post-op chain lowers to one storing or in-place row
-/// chain per m-tile: no per-tile unary (an `Identity` copy included), no
-/// scalar, broadcast or per-row binary is left in a fused function. The
-/// MLPs' last layers have no post-op and a plain output, so no chain.
+/// chain per m-tile, never one call per column tile or per op (a row
+/// chain is the only f32 elementwise kind a plan has). The MLPs' last
+/// layers have no post-op and a plain output, so no chain.
 /// Outputs match the reference: f32 to 1e-5 of their scale, int8 bit
 /// for bit.
 #[test]
@@ -248,19 +249,7 @@ fn fused_chains_are_one_row_chain_per_m_tile() {
         let module = compiled.executable().module();
         let mut chains = Vec::new();
         for call in &module.main_calls {
-            let f = &module.funcs[call.func];
-            gc_tir::visit::visit_intrinsics(&f.body, &mut |i| {
-                let sweep = matches!(
-                    i.op,
-                    Op::Unary { .. }
-                        | Op::BinaryScalar { .. }
-                        | Op::BinaryRowBcast { .. }
-                        | Op::BinaryColBcast { .. }
-                        | Op::Binary { .. }
-                );
-                assert!(!sweep, "{label}: `{}` holds {:?}", f.name, i.op);
-            });
-            chains_per_m_tile(&f.body, &mut chains);
+            chains_per_m_tile(&module.funcs[call.func].body, &mut chains);
         }
         assert_eq!(chains, want, "{label}: row chains per m-tile loop");
 
@@ -312,4 +301,94 @@ fn task_splits_the_loop_ranges_settle_are_affine() {
 
     let mlp = compile(mlp_f32(1, &mlp1_layers(), 3));
     assert_eq!(mlp.executable().plan_stats().program_offsets, 2);
+}
+
+/// An f32 MLP whose first layer has every side-operand shape a
+/// standalone binary takes: a bias add (a row vector), gelu, a scalar
+/// multiply (a constant of the program) and a residual add (the full
+/// shape), then an identity; then a plain second layer.
+fn elementwise_mlp(batch: usize, seed: u64) -> Graph {
+    let mut g = Graph::new();
+    let x = g.add_input(TensorDesc::new([batch, 64], DataType::F32), "x");
+    let w = g.add_constant(Tensor::random(&[64, 64], DataType::F32, seed), "w");
+    let b = g.add_constant(Tensor::random(&[64], DataType::F32, seed + 1), "b");
+    let half = g.add_constant(Tensor::scalar_f32(0.5), "half");
+    let w2 = g.add_constant(Tensor::random(&[64, 32], DataType::F32, seed + 2), "w2");
+    let mut cur = g.add_op(OpKind::MatMul, &[x, w]).expect("matmul");
+    cur = g.add_op(OpKind::BiasAdd, &[cur, b]).expect("bias");
+    cur = g
+        .add_op(OpKind::Unary(UnaryKind::Gelu), &[cur])
+        .expect("gelu");
+    cur = g
+        .add_op(OpKind::Binary(BinaryKind::Mul), &[cur, half])
+        .expect("scale");
+    cur = g
+        .add_op(OpKind::Binary(BinaryKind::Add), &[cur, x])
+        .expect("residual");
+    cur = g
+        .add_op(OpKind::Unary(UnaryKind::Identity), &[cur])
+        .expect("identity");
+    cur = g.add_op(OpKind::MatMul, &[cur, w2]).expect("matmul");
+    g.mark_output(cur);
+    g
+}
+
+/// With fusion off every f32 unary and binary is a function of its own
+/// whose body is one parallel loop over row blocks around one row-chain
+/// call — the program and kernel a fused chain runs. MHA_1 (its scale,
+/// mask add and the five ops of its decomposed softmax, two of them
+/// reductions) and an MLP with a bias add, gelu, a scalar multiply, a
+/// residual add and an identity, which is the chain with no steps (a
+/// copy); both match the reference to 1e-5 of their scale.
+#[test]
+fn unfused_f32_ops_are_row_chains() {
+    const ELEMENTWISE: [&str; 14] = [
+        "relu", "gelu", "sigmoid", "tanh", "exp", "square", "neg", "identity", "add", "sub", "mul",
+        "div", "max", "min",
+    ];
+    type Case = (&'static str, fn() -> Graph, usize);
+    let cases: [Case; 2] = [
+        ("MHA_1 f32 b4", || mha_f32(4, &mha_configs()[0]).0, 5),
+        ("f32 MLP", || elementwise_mlp(32, 3), 5),
+    ];
+    for (label, build, want) in cases {
+        let opts = CompileOptions {
+            threads: Some(1),
+            ..CompileOptions::unfused(MachineDescriptor::xeon_8358())
+        };
+        let compiled = Compiler::new(opts).compile(build()).expect("compile");
+        let module = compiled.executable().module();
+        let mut chains = 0;
+        for call in &module.main_calls {
+            let f = &module.funcs[call.func];
+            let op = f.name.strip_prefix("op_").unwrap_or_default();
+            if !ELEMENTWISE.contains(&op) {
+                continue;
+            }
+            let chain = match f.body.as_slice() {
+                [Stmt::For {
+                    parallel: true,
+                    body,
+                    ..
+                }] => match body.as_slice() {
+                    [Stmt::Op(i)] => match i.op {
+                        Op::RowChain(c) => Some(c),
+                        _ => None,
+                    },
+                    _ => None,
+                },
+                _ => None,
+            };
+            let one_chain = chain.is_some_and(|c| (op == "identity") == c.steps().is_empty());
+            assert!(
+                one_chain,
+                "{label}: `{}` is not one row chain per row block:\n{}",
+                f.name,
+                gc_tir::printer::print_func(f)
+            );
+            chains += 1;
+        }
+        assert_eq!(chains, want, "{label}: standalone elementwise functions");
+        assert_matches(label, false, compiled_err(&compiled, build));
+    }
 }

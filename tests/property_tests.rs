@@ -265,11 +265,11 @@ proptest! {
         let cap_rem = |e: Expr| Expr::Rem(Box::new(e), Box::new(Expr::c(CAP as i64)));
         let src_off = cap_rem(gen_expr(&mut rng, n_vars, 3));
         let dst_off = cap_rem(gen_expr(&mut rng, n_vars, 3));
+        // a one-step storing relu over one element: read src, write dst
+        let mut relu = gc_tir::ir::RowChain::new(1, 1, 1, true);
+        relu.unary(gc_microkernel::UnaryOp::Relu).unwrap();
         let mut body = vec![Stmt::Op(Intrinsic::new(
-            Op::Unary {
-                op: gc_microkernel::UnaryOp::Relu,
-                len: 1,
-            },
+            Op::RowChain(relu),
             [
                 View::new(BufId::Param(0), src_off, 1),
                 View::new(BufId::Param(1), dst_off, 1),
